@@ -48,18 +48,17 @@ from repro.errors import (
 from repro.experiments.config import ExperimentConfig
 from repro.faults.sweep import (
     ChaosOptions,
-    ChaosWorkItem,
-    chaos_fingerprint,
-    execute_chaos_item,
+    run_chaos_repetition,
     run_chaos_sweep,
     save_chaos_run,
 )
 from repro.harness.checkpoint import load_checkpoint
-from repro.harness.supervisor import RetryPolicy
-from repro.harness.sweep import run_journalled_items
+from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
+from repro.harness.sweep import run_checkpointed_sweep
 from repro.metrics.resilience import resilience_report
 from repro.network.deployment import deploy_crn
 from repro.obs.clock import sleep_s
+from repro.perf.executor import SweepWorkItem, execute_work_item
 from repro.rng import StreamFactory
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient
@@ -148,18 +147,14 @@ def run_degradation_scenario(
             horizon_slots=horizon_slots,
             sensing_fault_fraction=0.0,
         )
-        item = ChaosWorkItem(
-            point_index=0, repetition=0, config=config, options=options
-        )
-        outcome = execute_chaos_item(item)
-        record = dict((outcome.metrics or {}).get("chaos") or {})
-        record["intensity"] = float(intensity)
+        measurement, record = run_chaos_repetition(config, options, 0)
+        record = dict(record, intensity=float(intensity))
         rows.append(record)
         if intensity == 0.0:
             plain_result, plain_report, plain_positions = _plain_repetition(
                 config, 0
             )
-            chaos_positions = outcome.measurement.rng_positions
+            chaos_positions = measurement.rng_positions
             mismatches = []
             for field_name in (
                 "delay_ms",
@@ -387,21 +382,12 @@ def run_worker_scenario(
         intensity=0.15, horizon_slots=600, sensing_fault_fraction=0.0
     )
     items = [
-        ChaosWorkItem(
-            point_index=0, repetition=rep, config=config, options=options
+        SweepWorkItem(
+            point_index=0, repetition=rep, config=config, chaos=options
         )
         for rep in range(config.repetitions)
     ]
-    fingerprint = chaos_fingerprint(config, options, len(items))
-
-    clean = run_journalled_items(
-        "chaos",
-        fingerprint,
-        items,
-        execute_chaos_item,
-        checkpoint_path=workdir / "clean.ndjson",
-        workers=1,
-    )
+    clean = run_checkpointed_sweep("chaos", [(0.0, config)], chaos=options)
     schedule = ChaosSchedule(
         kill_first_attempt=(1,),
         hang_first_attempt=(2,) if include_hang else (),
@@ -413,22 +399,16 @@ def run_worker_scenario(
         backoff_base_s=0.01,
         backoff_max_s=0.05,
     )
-    worker = ChaosWorker(execute_chaos_item, schedule, str(markers))
-    chaotic = run_journalled_items(
-        "chaos",
-        fingerprint,
-        items,
-        worker,
-        checkpoint_path=workdir / "chaos.ndjson",
-        workers=2,
-        policy=policy,
-    )
+    worker = ChaosWorker(execute_work_item, schedule, str(markers))
+    chaotic = WorkerSupervisor(workers=2, policy=policy).run(worker, items)
 
     clean_measurements = {
-        key: outcome.measurement for key, outcome in clean.fresh.items()
+        outcome.repetition: outcome.measurement for outcome in clean.outcomes
     }
     chaotic_measurements = {
-        key: outcome.measurement for key, outcome in chaotic.fresh.items()
+        index: outcome.measurement
+        for index, outcome in enumerate(chaotic.outcomes)
+        if outcome is not None
     }
     all_completed = (
         not chaotic.failures

@@ -30,14 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    ComparisonPoint,
-    assemble_comparison_point,
-    run_comparison_point,
-)
+from repro.experiments.runner import ComparisonPoint, run_sweep_points
 from repro.obs.progress import Heartbeat
 
 __all__ = ["Fig6Sweep", "FIG6_SWEEPS", "sweep_point_configs", "run_fig6_sweep"]
@@ -123,59 +118,6 @@ def sweep_point_configs(
     return points
 
 
-def _run_fig6_sweep_parallel(
-    points: List[Tuple[float, ExperimentConfig]],
-    repetitions: Optional[int],
-    on_incomplete: str,
-    progress: Optional[Heartbeat],
-    workers: int,
-) -> List[Tuple[float, ComparisonPoint]]:
-    """Fan every (sweep point × repetition) through one process pool.
-
-    One pool for the whole sub-figure keeps the workers saturated across
-    point boundaries; results are still assembled strictly in (point,
-    repetition) submission order, so the output is bit-identical to the
-    serial path.
-    """
-    from repro.perf.executor import ParallelSweepExecutor, SweepWorkItem
-
-    collect = obs.enabled()
-    reps_of = [
-        repetitions if repetitions is not None else config.repetitions
-        for _, config in points
-    ]
-    items = [
-        SweepWorkItem(
-            point_index=index,
-            repetition=rep,
-            config=config,
-            collect_metrics=collect,
-        )
-        for index, (_, config) in enumerate(points)
-        for rep in range(reps_of[index])
-    ]
-    with ParallelSweepExecutor(workers) as executor:
-        outcomes = iter(executor.run_items(items))
-    results: List[Tuple[float, ComparisonPoint]] = []
-    for index, (x_value, config) in enumerate(points):
-        measurements = []
-        for _ in range(reps_of[index]):
-            outcome = next(outcomes)
-            if outcome.metrics is not None:
-                obs.merge_snapshot(outcome.metrics, outcome.profile)
-            obs.counter_add("sweep.repetitions")
-            if progress is not None:
-                progress.tick()
-            measurements.append(outcome.measurement)
-        results.append(
-            (
-                x_value,
-                assemble_comparison_point(config, measurements, on_incomplete),
-            )
-        )
-    return results
-
-
 def run_fig6_sweep(
     sweep: Fig6Sweep,
     base: ExperimentConfig,
@@ -199,17 +141,19 @@ def run_fig6_sweep(
     sweep (size it ``len(sweep.values) * repetitions``).
 
     ``workers`` > 1 runs every (point × repetition) pair through one
-    shared :class:`~repro.perf.executor.ParallelSweepExecutor` pool;
-    results are bit-identical to the serial default for any worker count.
+    shared warm ``spawn`` pool; results are bit-identical to the serial
+    default for any worker count.
 
-    ``checkpoint_path`` / ``resume`` / ``policy`` route the sweep through
-    the crash-safe harness (:func:`repro.harness.run_checkpointed_sweep`)
-    — durable per-repetition journalling, supervised workers, and
-    bit-identical resume after a kill (docs/ROBUSTNESS.md).  A partial
-    outcome (quarantined items) raises
-    :class:`~repro.errors.PartialSweepError` unless ``allow_partial=True``,
-    in which case the surviving points are returned.  Callers needing the
-    full resilience record (status, failures, stats) should use
+    Every call runs through the crash-safe harness
+    (:func:`repro.harness.run_checkpointed_sweep`); ``checkpoint_path`` /
+    ``resume`` / ``policy`` add durable per-repetition journalling,
+    supervised retries, and bit-identical resume after a kill
+    (docs/ROBUSTNESS.md).  Without either, a failing repetition is not
+    retried (:data:`~repro.harness.FAIL_FAST`).  A partial outcome
+    (quarantined items) raises :class:`~repro.errors.PartialSweepError`
+    unless ``allow_partial=True``, in which case the surviving points are
+    returned.  Callers needing the full resilience record (status,
+    failures, stats) should use
     :func:`repro.harness.run_checkpointed_sweep` directly, as the CLI does.
     """
     if values is not None:
@@ -220,45 +164,15 @@ def run_fig6_sweep(
             values=tuple(values),
             description=sweep.description,
         )
-    points = sweep_point_configs(sweep, base)
-    if checkpoint_path is not None or policy is not None:
-        from repro.errors import PartialSweepError
-        from repro.harness import run_checkpointed_sweep
-
-        result = run_checkpointed_sweep(
-            sweep.name,
-            points,
-            repetitions=repetitions,
-            on_incomplete=on_incomplete,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            workers=workers,
-            policy=policy,
-            progress=progress,
-        )
-        if result.status != "complete" and not allow_partial:
-            failed = "; ".join(record.describe() for record in result.failures)
-            raise PartialSweepError(
-                f"sweep {sweep.name} is partial (quarantined items: "
-                f"{failed or 'dropped points ' + str(result.dropped_points)}); "
-                "pass allow_partial=True to accept the surviving points"
-            )
-        return result.points
-    if workers > 1:
-        return _run_fig6_sweep_parallel(
-            points, repetitions, on_incomplete, progress, workers
-        )
-    results: List[Tuple[float, ComparisonPoint]] = []
-    for x_value, config in points:
-        results.append(
-            (
-                x_value,
-                run_comparison_point(
-                    config,
-                    repetitions,
-                    on_incomplete=on_incomplete,
-                    progress=progress,
-                ),
-            )
-        )
-    return results
+    return run_sweep_points(
+        sweep.name,
+        sweep_point_configs(sweep, base),
+        repetitions=repetitions,
+        on_incomplete=on_incomplete,
+        progress=progress,
+        workers=workers,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        policy=policy,
+        allow_partial=allow_partial,
+    ).points

@@ -10,7 +10,7 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.core.collector import run_addc_collection
@@ -29,10 +29,10 @@ from repro.routing.coolest import run_coolest_collection
 __all__ = [
     "ComparisonPoint",
     "RepetitionMeasurement",
-    "deploy_for_repetition",
     "run_comparison_repetition",
     "assemble_comparison_point",
     "run_comparison_point",
+    "run_sweep_points",
     "run_addc_only",
 ]
 
@@ -105,26 +105,8 @@ class RepetitionMeasurement:
     rng_positions: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
 
-def deploy_for_repetition(
-    config: ExperimentConfig, repetition: int
-) -> "CrnTopology":
-    """Deploy the exact CRN that repetition ``repetition`` would deploy.
-
-    Re-derives the repetition's stream factory from ``(seed, repetition)``
-    and runs the normal placement path, so the returned topology is
-    byte-identical to the one :func:`run_comparison_repetition` would
-    build itself.  The placement streams are throwaway (they never appear
-    in ``rng_positions()``), which is what lets the parallel executor
-    deploy in the parent and ship only the resulting arrays to workers.
-    """
-    factory = StreamFactory(config.seed).spawn(f"rep-{repetition}")
-    return deploy_crn(config.deployment_spec(), factory)
-
-
 def run_comparison_repetition(
-    config: ExperimentConfig,
-    repetition: int,
-    topology: "CrnTopology | None" = None,
+    config: ExperimentConfig, repetition: int
 ) -> RepetitionMeasurement:
     """Run one repetition of the ADDC-vs-Coolest comparison.
 
@@ -133,18 +115,11 @@ def run_comparison_repetition(
     RNG lineage (``StreamFactory(seed).spawn(f"rep-{i}")``) from nothing
     but the picklable ``(config, repetition)`` pair — which is what makes
     parallel results byte-identical to serial order.
-
-    ``topology`` short-circuits deployment with a pre-built CRN (it must
-    equal what :func:`deploy_for_repetition` returns for the same pair) —
-    the shared-memory fast path for warm workers.  Engine streams are
-    derived by name, never by draw order, so skipping the placement draws
-    leaves every recorded RNG position untouched.
     """
     root = StreamFactory(config.seed)
     with obs.span("sweep.repetition"):
         factory = root.spawn(f"rep-{repetition}")
-        if topology is None:
-            topology = deploy_crn(config.deployment_spec(), factory)
+        topology = deploy_crn(config.deployment_spec(), factory)
         addc = run_addc_collection(
             topology,
             factory.spawn("addc"),
@@ -190,11 +165,9 @@ def assemble_comparison_point(
 ) -> ComparisonPoint:
     """Fold repetition measurements into one :class:`ComparisonPoint`.
 
-    Accepts any iterable and consumes it lazily, so a serial caller can
-    pass a generator and keep ``on_incomplete="raise"``'s early-abort
-    behaviour, while the parallel path passes the gathered (repetition-
-    ordered) list.  The accounting here is the single source of truth for
-    skip/raise semantics — serial and parallel cannot drift.
+    Measurements arrive in repetition order, whether they were journalled
+    or freshly computed, serially or in parallel.  The accounting here is
+    the single source of truth for skip/raise semantics.
     """
     if on_incomplete not in ("raise", "skip"):
         raise ConfigurationError(
@@ -241,42 +214,6 @@ def assemble_comparison_point(
     )
 
 
-def _measure_serial(
-    config: ExperimentConfig, reps: int, progress: Optional[Heartbeat]
-) -> Iterator[RepetitionMeasurement]:
-    for rep in range(reps):
-        measurement = run_comparison_repetition(config, rep)
-        obs.counter_add("sweep.repetitions")
-        if progress is not None:
-            progress.tick()
-        yield measurement
-
-
-def _measure_parallel(
-    config: ExperimentConfig,
-    reps: int,
-    workers: int,
-    progress: Optional[Heartbeat],
-) -> Iterator[RepetitionMeasurement]:
-    from repro.perf.executor import ParallelSweepExecutor, SweepWorkItem
-
-    collect = obs.enabled()
-    items = [
-        SweepWorkItem(
-            point_index=0, repetition=rep, config=config, collect_metrics=collect
-        )
-        for rep in range(reps)
-    ]
-    with ParallelSweepExecutor(workers) as executor:
-        for outcome in executor.run_items(items):
-            if outcome.metrics is not None:
-                obs.merge_snapshot(outcome.metrics, outcome.profile)
-            obs.counter_add("sweep.repetitions")
-            if progress is not None:
-                progress.tick()
-            yield outcome.measurement
-
-
 def run_comparison_point(
     config: ExperimentConfig,
     repetitions: Optional[int] = None,
@@ -302,55 +239,85 @@ def run_comparison_point(
     completed repetition; it is purely an output device and never affects
     the run.
 
-    ``workers`` > 1 fans the repetitions out over a
-    :class:`~repro.perf.executor.ParallelSweepExecutor` process pool;
+    ``workers`` > 1 fans the repetitions out over a warm ``spawn`` pool;
     each worker re-derives its RNG streams from ``(seed, repetition)``,
     so the result is bit-identical to the serial default (``workers=1``)
     for any worker count and completion order.
 
-    ``checkpoint_path`` / ``resume`` / ``policy`` route the run through
-    the crash-safe harness (:func:`repro.harness.run_checkpointed_sweep`):
+    Every call runs through :func:`repro.harness.run_checkpointed_sweep`.
+    ``checkpoint_path`` / ``resume`` / ``policy`` engage its crash-safety:
     every repetition is journalled durably, workers are supervised with
     the given :class:`~repro.harness.RetryPolicy`, and a killed run
-    resumes bit-identically.  If repetitions were quarantined the point
-    is assembled from the survivors only when ``allow_partial=True``;
-    otherwise a :class:`~repro.errors.PartialSweepError` is raised.
+    resumes bit-identically.  Without either, a failing repetition is
+    not retried (:data:`~repro.harness.FAIL_FAST`).  If repetitions were
+    quarantined the point is assembled from the survivors only when
+    ``allow_partial=True``; otherwise a
+    :class:`~repro.errors.PartialSweepError` naming each failure's error
+    type and message is raised.
     """
-    reps = repetitions if repetitions is not None else config.repetitions
-    if checkpoint_path is not None or policy is not None:
-        from repro.errors import PartialSweepError
-        from repro.harness import run_checkpointed_sweep
-
-        result = run_checkpointed_sweep(
-            "comparison",
-            [(0.0, config)],
-            repetitions=reps,
-            on_incomplete=on_incomplete,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            workers=workers,
-            policy=policy,
-            progress=progress,
+    result = run_sweep_points(
+        "comparison",
+        [(0.0, config)],
+        repetitions=repetitions,
+        on_incomplete=on_incomplete,
+        progress=progress,
+        workers=workers,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        policy=policy,
+        allow_partial=allow_partial,
+    )
+    if not result.points:
+        raise SimulationError(
+            "every repetition of the comparison point was quarantined; "
+            "see the failure records"
         )
-        if result.status != "complete" and not allow_partial:
-            failed = "; ".join(
-                record.describe() for record in result.failures
-            )
-            raise PartialSweepError(
-                "comparison point is partial (quarantined repetitions: "
-                f"{failed}); pass allow_partial=True to accept it"
-            )
-        if not result.points:
-            raise SimulationError(
-                "every repetition of the comparison point was quarantined; "
-                "see the checkpoint journal's failure records"
-            )
-        return result.points[0][1]
-    if workers > 1:
-        measurements = _measure_parallel(config, reps, workers, progress)
-    else:
-        measurements = _measure_serial(config, reps, progress)
-    return assemble_comparison_point(config, measurements, on_incomplete)
+    return result.points[0][1]
+
+
+def run_sweep_points(
+    name: str,
+    points: List[Tuple[float, ExperimentConfig]],
+    *,
+    repetitions: Optional[int],
+    on_incomplete: str,
+    progress: Optional[Heartbeat],
+    workers: int,
+    checkpoint_path,
+    resume: bool,
+    policy,
+    allow_partial: bool,
+):
+    """Run ``points`` through the harness, raising on a partial result.
+
+    The shared body of :func:`run_comparison_point` and
+    :func:`~repro.experiments.fig6.run_fig6_sweep`; returns the
+    :class:`~repro.harness.SweepRunResult`.
+    """
+    from repro.errors import PartialSweepError
+    from repro.harness import FAIL_FAST, run_checkpointed_sweep
+
+    if policy is None and checkpoint_path is None:
+        policy = FAIL_FAST
+    result = run_checkpointed_sweep(
+        name,
+        points,
+        repetitions=repetitions,
+        on_incomplete=on_incomplete,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        workers=workers,
+        policy=policy,
+        progress=progress,
+    )
+    if result.status != "complete" and not allow_partial:
+        failed = "; ".join(record.describe() for record in result.failures)
+        raise PartialSweepError(
+            f"sweep {name} is partial (quarantined items: "
+            f"{failed or 'dropped points ' + str(result.dropped_points)}); "
+            "pass allow_partial=True to accept the surviving points"
+        )
+    return result
 
 
 def run_addc_only(

@@ -19,10 +19,8 @@ __all__ = [
     "FaultPlan",
     "ChaosOptions",
     "ChaosSweepResult",
-    "chaos_fingerprint",
     "chaos_plan",
     "crash_plan",
-    "execute_chaos_item",
     "mtbf_outage_plan",
     "run_chaos_sweep",
     "save_chaos_run",
@@ -35,8 +33,6 @@ __all__ = [
 _SWEEP_EXPORTS = {
     "ChaosOptions",
     "ChaosSweepResult",
-    "chaos_fingerprint",
-    "execute_chaos_item",
     "run_chaos_sweep",
     "save_chaos_run",
 }

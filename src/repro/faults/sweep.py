@@ -1,18 +1,17 @@
 """Checkpointed, resumable chaos sweeps (fault injection under the harness).
 
-``addc-repro chaos`` historically ran one ad-hoc collection; this module
-gives fault-injection experiments the same crash-safety contract as
-``compare``/``fig6``: every repetition is a pure function of
-``(config, options, repetition)`` — the whole RNG lineage re-derives from
-``StreamFactory(seed).spawn(f"chaos-rep-{i}")`` — executed under the
-:class:`~repro.harness.supervisor.WorkerSupervisor` and journalled into a
-``checkpoint/v1`` file through the shared
-:func:`~repro.harness.sweep.run_journalled_items` core.  A chaos sweep
-killed at any instant resumes from its last durable record and saves a
-byte-identical artifact.
+A chaos sweep is one more item kind on the single sweep path: every
+repetition is a pure function of ``(config, options, repetition)`` — the
+whole RNG lineage re-derives from
+``StreamFactory(seed).spawn(f"chaos-rep-{i}")`` — run by
+:func:`~repro.perf.executor.execute_work_item` under
+:func:`~repro.harness.sweep.run_checkpointed_sweep`, supervised, traced,
+and journalled into a ``checkpoint/v1`` file like any fig6 or compare
+sweep.  A chaos sweep killed at any instant resumes from its last durable
+record and saves a byte-identical artifact.
 
 Per-repetition resilience numbers (delivery, availability, repair times)
-ride in the journal record's ``metrics`` dict under a ``"chaos"`` key —
+ride in the outcome's ``metrics`` dict under a ``"chaos"`` key —
 :func:`repro.obs.merge_snapshot` ignores unknown keys, so the same dict
 can also carry an instrumented worker's counter snapshot.
 """
@@ -23,7 +22,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro.core.collector import run_addc_collection
@@ -32,27 +31,19 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RepetitionMeasurement
 from repro.faults.generators import chaos_plan
 from repro.harness.supervisor import FailureRecord, RetryPolicy
-from repro.harness.sweep import run_journalled_items
+from repro.harness.sweep import SweepRunResult, run_checkpointed_sweep
 from repro.metrics.aggregate import RunStatistics, summarize_delays
 from repro.metrics.resilience import resilience_report
 from repro.network.deployment import deploy_crn
-from repro.obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    manifest_path_for,
-    write_manifest,
-)
+from repro.obs.manifest import RunManifest, manifest_path_for, write_manifest
 from repro.rng import StreamFactory
 from repro.storage import atomic_write_text
 
 __all__ = [
     "CHAOS_SWEEP_NAME",
     "ChaosOptions",
-    "ChaosWorkItem",
-    "ChaosOutcome",
     "ChaosSweepResult",
-    "chaos_fingerprint",
-    "execute_chaos_item",
+    "run_chaos_repetition",
     "run_chaos_sweep",
     "save_chaos_run",
 ]
@@ -75,47 +66,6 @@ class ChaosOptions:
     drop_queue: bool = True
     sensing_fault_fraction: float = 0.0
     blackout: bool = False
-
-
-@dataclass(frozen=True)
-class ChaosWorkItem:
-    """One chaos repetition, fully picklable for spawn workers."""
-
-    point_index: int
-    repetition: int
-    config: ExperimentConfig
-    options: ChaosOptions
-    collect_metrics: bool = False
-
-
-@dataclass
-class ChaosOutcome:
-    """Worker result for one :class:`ChaosWorkItem` (journal-shaped)."""
-
-    point_index: int
-    repetition: int
-    measurement: RepetitionMeasurement
-    metrics: Optional[Dict] = None
-    profile: Optional[Dict] = None
-
-
-def chaos_fingerprint(
-    config: ExperimentConfig, options: ChaosOptions, repetitions: int
-) -> str:
-    """BLAKE2b fingerprint of the exact chaos sweep a journal protects.
-
-    Like :func:`~repro.harness.sweep.sweep_fingerprint`, it covers the
-    semantic definition (config, fault options, repetition count) and
-    deliberately not the worker count or retry policy.
-    """
-    return config_fingerprint(
-        {
-            "name": CHAOS_SWEEP_NAME,
-            "config": dataclasses.asdict(config),
-            "options": dataclasses.asdict(options),
-            "repetitions": int(repetitions),
-        }
-    )
 
 
 def _chaos_record(repetition: int, result, report) -> Dict:
@@ -144,11 +94,16 @@ def _chaos_record(repetition: int, result, report) -> Dict:
     }
 
 
-def _run_chaos_repetition(item: ChaosWorkItem) -> ChaosOutcome:
-    config = item.config
-    options = item.options
-    factory = StreamFactory(config.seed).spawn(f"chaos-rep-{item.repetition}")
-    with obs.span("chaos.repetition"):
+def run_chaos_repetition(
+    config: ExperimentConfig, options: ChaosOptions, repetition: int
+) -> Tuple[RepetitionMeasurement, Dict]:
+    """One ADDC collection under a fresh fault cocktail.
+
+    Returns the repetition's measurement (Coolest is not run, so its
+    delay is ``None``) and its JSON-native resilience record.
+    """
+    factory = StreamFactory(config.seed).spawn(f"chaos-rep-{repetition}")
+    with obs.span("sweep.repetition"):
         topology = deploy_crn(config.deployment_spec(), factory)
         plan = chaos_plan(
             topology.secondary.su_ids(),
@@ -179,36 +134,12 @@ def _run_chaos_repetition(item: ChaosWorkItem) -> ChaosOutcome:
     if outcome.engine is not None:
         positions["addc"] = outcome.engine.rng_positions()
     measurement = RepetitionMeasurement(
-        repetition=item.repetition,
+        repetition=repetition,
         addc_delay_ms=outcome.result.delay_ms,
         coolest_delay_ms=None,
         rng_positions=positions,
     )
-    return ChaosOutcome(
-        point_index=item.point_index,
-        repetition=item.repetition,
-        measurement=measurement,
-        metrics={"chaos": _chaos_record(item.repetition, outcome.result, report)},
-    )
-
-
-def execute_chaos_item(item: ChaosWorkItem) -> ChaosOutcome:
-    """Run one chaos repetition (the worker entry point).
-
-    Top-level by design so it pickles under the ``spawn`` start method
-    (PERF001).  With ``collect_metrics`` the worker installs a fresh
-    recorder and ships its snapshot back alongside the chaos record.
-    """
-    if item.collect_metrics:
-        recorder = obs.MetricsRecorder()
-        with obs.use_recorder(recorder):
-            outcome = _run_chaos_repetition(item)
-        snapshot = recorder.snapshot()
-        snapshot["chaos"] = (outcome.metrics or {}).get("chaos")
-        outcome.metrics = snapshot
-        outcome.profile = recorder.profile()
-        return outcome
-    return _run_chaos_repetition(item)
+    return measurement, _chaos_record(repetition, outcome.result, report)
 
 
 @dataclass
@@ -229,6 +160,37 @@ class ChaosSweepResult:
     resumed: bool = False
     checkpoint_path: Optional[Path] = None
     config_hash: Optional[str] = None
+
+    @classmethod
+    def from_run(
+        cls,
+        config: ExperimentConfig,
+        options: ChaosOptions,
+        repetitions: int,
+        run: SweepRunResult,
+    ) -> "ChaosSweepResult":
+        """Assemble the chaos view of one ``chaos=options`` sweep run."""
+        records = [outcome.metrics["chaos"] for outcome in run.outcomes]
+        delay_values = [
+            outcome.measurement.addc_delay_ms
+            for outcome, record in zip(run.outcomes, records)
+            if record["completed"]
+            and outcome.measurement.addc_delay_ms is not None
+        ]
+        return cls(
+            config=config,
+            options=options,
+            records=records,
+            repetitions=repetitions,
+            delays=summarize_delays(delay_values) if delay_values else None,
+            status=run.status,
+            failures=run.failures,
+            stats=run.stats,
+            cached_items=run.cached_items,
+            resumed=run.resumed,
+            checkpoint_path=run.checkpoint_path,
+            config_hash=run.config_hash,
+        )
 
     @property
     def complete(self) -> bool:
@@ -294,91 +256,26 @@ def run_chaos_sweep(
 ) -> ChaosSweepResult:
     """Run ``repetitions`` chaos collections under the crash-safe harness.
 
-    The exact counterpart of
-    :func:`~repro.harness.sweep.run_checkpointed_sweep` for fault
-    injection: supervised execution, durable journalling, fingerprint
-    checked resume, quarantine on exhausted retries — and byte-identical
-    artifacts whether the sweep ran through or was killed and resumed.
+    One :func:`~repro.harness.sweep.run_checkpointed_sweep` run with
+    ``chaos=options``: supervised execution, durable journalling,
+    fingerprint-checked resume, quarantine on exhausted retries — and
+    byte-identical artifacts whether the sweep ran through or was killed
+    and resumed.
     """
     reps = repetitions if repetitions is not None else config.repetitions
-    collect = obs.enabled()
-    items = [
-        ChaosWorkItem(
-            point_index=0,
-            repetition=rep,
-            config=config,
-            options=options,
-            collect_metrics=collect,
-        )
-        for rep in range(reps)
-    ]
-    fingerprint = chaos_fingerprint(config, options, reps)
-    run = run_journalled_items(
+    run = run_checkpointed_sweep(
         CHAOS_SWEEP_NAME,
-        fingerprint,
-        items,
-        execute_chaos_item,
+        [(0.0, config)],
+        repetitions=reps,
         checkpoint_path=checkpoint_path,
         resume=resume,
         workers=workers,
         policy=policy,
+        progress=progress,
         pool=pool,
+        chaos=options,
     )
-
-    records: List[Dict] = []
-    delay_values: List[float] = []
-    for rep in range(reps):
-        key = (0, rep)
-        if key in run.cached:
-            entry = run.cached[key]
-            measurement, metrics, profile = (
-                entry.measurement,
-                entry.metrics,
-                entry.profile,
-            )
-        elif key in run.fresh:
-            outcome = run.fresh[key]
-            measurement, metrics, profile = (
-                outcome.measurement,
-                outcome.metrics,
-                outcome.profile,
-            )
-        else:
-            continue  # quarantined: recorded in run.failures
-        metrics = metrics or {}
-        if "counters" in metrics:
-            obs.merge_snapshot(metrics, profile)
-        record = dict(metrics.get("chaos") or {})
-        if not record:
-            # Journal written by a future/minimal producer: fall back to
-            # what the measurement alone can say.
-            record = {
-                "repetition": rep,
-                "completed": measurement.addc_delay_ms is not None,
-                "delay_ms": measurement.addc_delay_ms,
-            }
-        obs.counter_add("chaos.repetitions")
-        if progress is not None:
-            progress.tick()
-        records.append(record)
-        if record.get("completed") and measurement.addc_delay_ms is not None:
-            delay_values.append(measurement.addc_delay_ms)
-
-    status = "complete" if not run.failures and len(records) == reps else "partial"
-    return ChaosSweepResult(
-        config=config,
-        options=options,
-        records=records,
-        repetitions=reps,
-        delays=summarize_delays(delay_values) if delay_values else None,
-        status=status,
-        failures=run.failures,
-        stats=run.stats,
-        cached_items=len(run.cached),
-        resumed=run.resumed,
-        checkpoint_path=run.checkpoint_path,
-        config_hash=fingerprint,
-    )
+    return ChaosSweepResult.from_run(config, options, reps, run)
 
 
 def save_chaos_run(

@@ -95,52 +95,6 @@ class Graph:
         """Iterate node ids ``0..n-1``."""
         return range(len(self._adj))
 
-    def to_adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR encoding ``(indptr, indices)`` preserving adjacency order.
-
-        The tree-construction algorithms iterate neighbors in insertion
-        order, so the exact per-node ordering is part of the graph's
-        deterministic identity — the round trip through
-        :meth:`from_adjacency_arrays` reproduces it byte-for-byte.  Used
-        to ship pre-built graphs to parallel workers via shared memory.
-        """
-        indptr = np.zeros(len(self._adj) + 1, dtype=np.int64)
-        for node, neighbors in enumerate(self._adj):
-            indptr[node + 1] = indptr[node] + len(neighbors)
-        indices = np.fromiter(
-            (v for neighbors in self._adj for v in neighbors),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        return indptr, indices
-
-    @classmethod
-    def from_adjacency_arrays(
-        cls, indptr: np.ndarray, indices: np.ndarray
-    ) -> "Graph":
-        """Rebuild a graph from :meth:`to_adjacency_arrays` output.
-
-        Trusts the arrays to describe a valid undirected simple graph
-        (each edge listed from both endpoints) — no per-edge validation,
-        so reconstruction is O(edges) with no spatial queries.
-        """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if indptr.ndim != 1 or indptr.shape[0] < 1:
-            raise GraphError(f"indptr must be 1-D and non-empty, got {indptr.shape}")
-        if int(indptr[-1]) != indices.shape[0]:
-            raise GraphError(
-                f"indices length {indices.shape[0]} does not match "
-                f"indptr[-1]={int(indptr[-1])}"
-            )
-        graph = cls(indptr.shape[0] - 1)
-        graph._adj = [
-            indices[indptr[node] : indptr[node + 1]].tolist()
-            for node in range(indptr.shape[0] - 1)
-        ]
-        graph._num_edges = indices.shape[0] // 2
-        return graph
-
     @classmethod
     def from_positions(cls, positions: np.ndarray, radius: float) -> "Graph":
         """Unit-disk graph: edge iff Euclidean distance ``<= radius``.

@@ -11,8 +11,9 @@ Three layers (see docs/ROBUSTNESS.md):
   ``BrokenProcessPool`` recovery with exact crash attribution, and
   quarantine of poison items into structured :class:`FailureRecord`\\ s.
 * :mod:`repro.harness.sweep` — :func:`run_checkpointed_sweep`, gluing
-  both under the standard sweep drivers so a killed-and-resumed sweep is
-  byte-identical to an uninterrupted one.
+  both into the one path every sweep (fig6, compare, chaos, service
+  jobs) runs through, so a killed-and-resumed sweep is byte-identical to
+  an uninterrupted one.
 
 The harness consumes no RNG streams and adds nothing to artifacts of a
 clean run: determinism and crash-safety are independent guarantees.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from repro.harness.checkpoint import (
     CHECKPOINT_SCHEMA,
-    CheckpointEntry,
     CheckpointState,
     CheckpointWriter,
     inspect_checkpoint,
@@ -32,6 +32,7 @@ from repro.harness.checkpoint import (
     verify_checkpoint,
 )
 from repro.harness.supervisor import (
+    FAIL_FAST,
     FailureRecord,
     ItemTracker,
     RetryPolicy,
@@ -39,16 +40,13 @@ from repro.harness.supervisor import (
     WorkerSupervisor,
 )
 from repro.harness.sweep import (
-    JournalledRun,
     SweepRunResult,
     run_checkpointed_sweep,
-    run_journalled_items,
     sweep_fingerprint,
 )
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
-    "CheckpointEntry",
     "CheckpointState",
     "CheckpointWriter",
     "inspect_checkpoint",
@@ -56,14 +54,13 @@ __all__ = [
     "measurement_from_dict",
     "measurement_to_dict",
     "verify_checkpoint",
+    "FAIL_FAST",
     "FailureRecord",
     "ItemTracker",
     "RetryPolicy",
     "SupervisedRun",
     "WorkerSupervisor",
-    "JournalledRun",
     "SweepRunResult",
     "run_checkpointed_sweep",
-    "run_journalled_items",
     "sweep_fingerprint",
 ]

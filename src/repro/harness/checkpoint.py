@@ -40,13 +40,13 @@ from repro._version import __version__
 from repro.errors import CheckpointError
 from repro.experiments.runner import RepetitionMeasurement
 from repro.obs.clock import wall_clock_iso
+from repro.perf.executor import RepetitionOutcome
 from repro.storage import fsync_dir
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "measurement_to_dict",
     "measurement_from_dict",
-    "CheckpointEntry",
     "CheckpointState",
     "CheckpointWriter",
     "load_checkpoint",
@@ -84,26 +84,14 @@ def measurement_from_dict(record: Dict) -> RepetitionMeasurement:
 
 
 @dataclass
-class CheckpointEntry:
-    """One journalled ``(point, repetition)`` completion."""
-
-    point_index: int
-    repetition: int
-    measurement: RepetitionMeasurement
-    #: Worker-side metric snapshot/profile (``None`` when the run was not
-    #: instrumented) — replayed on resume so merged registries match an
-    #: uninterrupted run exactly.
-    metrics: Optional[Dict] = None
-    profile: Optional[Dict] = None
-
-
-@dataclass
 class CheckpointState:
     """Everything a validating load recovers from one journal."""
 
     path: Path
     header: Dict
-    entries: Dict[Tuple[int, int], CheckpointEntry] = field(default_factory=dict)
+    #: Journalled outcomes by ``(point, repetition)``, metric snapshots
+    #: included, so a resume replays them instead of re-running.
+    entries: Dict[Tuple[int, int], RepetitionOutcome] = field(default_factory=dict)
     #: Quarantine records from previous runs (audit only: resuming always
     #: re-attempts items that have no measurement, quarantined or not).
     failures: List[Dict] = field(default_factory=list)
@@ -210,7 +198,7 @@ def _absorb_record(
     if kind == "repetition":
         try:
             key = (int(record["point"]), int(record["rep"]))
-            entry = CheckpointEntry(
+            entry = RepetitionOutcome(
                 point_index=key[0],
                 repetition=key[1],
                 measurement=measurement_from_dict(record["measurement"]),

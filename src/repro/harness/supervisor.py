@@ -1,8 +1,7 @@
 """Supervised execution of sweep work items: deadlines, retries, quarantine.
 
-:class:`WorkerSupervisor` wraps the same ``spawn`` process-pool fan-out as
-:class:`repro.perf.executor.ParallelSweepExecutor`, then survives what the
-plain executor cannot:
+:class:`WorkerSupervisor` fans work items over a warm ``spawn`` process
+pool (or runs them inline for ``workers=1``) and survives:
 
 * a worker that **raises** — bounded retries with exponential backoff;
 * a worker that **hangs** — a per-item deadline, enforced by rebuilding
@@ -20,8 +19,7 @@ plain executor cannot:
 Determinism contract: the supervisor consumes **no RNG streams** — backoff
 is a deterministic schedule on an injected monotonic clock
 (:func:`repro.obs.clock.monotonic_s`), and results are returned in
-submission order regardless of completion order, exactly like the plain
-executor.  ``KeyboardInterrupt`` cancels pending futures and re-raises
+submission order regardless of completion order.  ``KeyboardInterrupt`` cancels pending futures and re-raises
 immediately, leaving completed results with the caller's ``on_result``
 callback (the checkpoint journal), so a Ctrl-C'd sweep resumes where it
 stopped.
@@ -40,6 +38,7 @@ from repro.obs.clock import monotonic_s, sleep_s
 from repro.perf.pool import WarmWorkerPool
 
 __all__ = [
+    "FAIL_FAST",
     "RetryPolicy",
     "FailureRecord",
     "ItemTracker",
@@ -98,6 +97,12 @@ class RetryPolicy:
         )
 
 
+#: The policy of plain (unjournalled, policy-less) sweep callers: one
+#: attempt, no backoff, no inline rescue — a failing repetition surfaces
+#: as a quarantine record right away instead of being retried.
+FAIL_FAST = RetryPolicy(max_attempts=1, backoff_base_s=0.0, inline_retry=False)
+
+
 @dataclass
 class FailureRecord:
     """One quarantined work item, machine-readable (docs/ROBUSTNESS.md).
@@ -133,8 +138,13 @@ class FailureRecord:
         )
 
     def describe(self) -> str:
-        """One log line: ``point 2 rep 1: crash after 3 attempts (...)``."""
-        detail = self.error.get("message") or self.error.get("type") or ""
+        """One log line: ``point 2 rep 1: error after 1 attempt(s)
+        (ValueError: boom)``."""
+        detail = ": ".join(
+            part
+            for part in (self.error.get("type"), self.error.get("message"))
+            if part
+        )
         suffix = f" ({detail})" if detail else ""
         return (
             f"point {self.point_index} rep {self.repetition}: {self.kind} "

@@ -1,11 +1,16 @@
-"""Checkpointed, supervised sweep execution (the harness front door).
+"""Supervised, optionally journalled sweep execution — the one sweep path.
 
-:func:`run_checkpointed_sweep` is the crash-safe counterpart of the plain
-sweep drivers: it fans ``(point, repetition)`` work items through a
-:class:`~repro.harness.supervisor.WorkerSupervisor` and journals every
-completed repetition into a ``checkpoint/v1`` file, so a sweep killed at
-any instant — ``SIGKILL`` included — resumes from its last durable record
-and finishes **byte-identical** to an uninterrupted run.
+:func:`run_checkpointed_sweep` is how every repetition runs: the plain
+drivers (:func:`~repro.experiments.runner.run_comparison_point`,
+:func:`~repro.experiments.fig6.run_fig6_sweep`), the chaos sweep
+(:func:`~repro.faults.sweep.run_chaos_sweep`) and service jobs all call
+it.  It fans ``(point, repetition)`` work items through a
+:class:`~repro.harness.supervisor.WorkerSupervisor` — inline for
+``workers=1``, a warm ``spawn`` pool otherwise — and, given a
+``checkpoint_path``, journals every completed repetition into a
+``checkpoint/v1`` file, so a sweep killed at any instant — ``SIGKILL``
+included — resumes from its last durable record and finishes
+**byte-identical** to an uninterrupted run.
 
 How byte-identity survives a crash
 ----------------------------------
@@ -29,17 +34,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
-from repro.errors import CheckpointError
+import repro.perf.executor as perf_executor
+from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     ComparisonPoint,
     assemble_comparison_point,
 )
 from repro.harness.checkpoint import (
-    CheckpointEntry,
     CheckpointState,
     CheckpointWriter,
     load_checkpoint,
@@ -57,12 +62,14 @@ from repro.obs.tracing import (
     shard_filename,
     write_shard,
 )
+from repro.perf.executor import RepetitionOutcome, SweepWorkItem
+
+if TYPE_CHECKING:
+    from repro.faults.sweep import ChaosOptions
 
 __all__ = [
     "SweepRunResult",
-    "JournalledRun",
     "sweep_fingerprint",
-    "run_journalled_items",
     "run_checkpointed_sweep",
 ]
 
@@ -71,41 +78,47 @@ def sweep_fingerprint(
     name: str,
     points: Sequence[Tuple[float, ExperimentConfig]],
     repetitions_per_point: Sequence[int],
+    chaos: Optional["ChaosOptions"] = None,
 ) -> str:
     """BLAKE2b fingerprint of the exact sweep a journal protects.
 
     Covers the sweep name, every point's x-value and full configuration,
-    and the repetition counts — and deliberately **not** the worker count
-    or retry policy: those change wall-clock behaviour, never results, so
-    a sweep may be resumed with different parallelism than it started.
+    the repetition counts and, for chaos sweeps, the fault options — and
+    deliberately **not** the worker count or retry policy: those change
+    wall-clock behaviour, never results, so a sweep may be resumed with
+    different parallelism than it started.
     """
-    return config_fingerprint(
-        {
-            "name": name,
-            "points": [
-                {
-                    "x": float(x),
-                    "config": dataclasses.asdict(config),
-                    "repetitions": int(reps),
-                }
-                for (x, config), reps in zip(points, repetitions_per_point)
-            ],
-        }
-    )
+    payload: Dict = {
+        "name": name,
+        "points": [
+            {
+                "x": float(x),
+                "config": dataclasses.asdict(config),
+                "repetitions": int(reps),
+            }
+            for (x, config), reps in zip(points, repetitions_per_point)
+        ],
+    }
+    if chaos is not None:
+        payload["chaos"] = dataclasses.asdict(chaos)
+    return config_fingerprint(payload)
 
 
 @dataclass
 class SweepRunResult:
-    """What a checkpointed sweep hands back.
+    """What a sweep hands back.
 
     ``points`` holds the assembled ``(x, ComparisonPoint)`` pairs in sweep
     order, omitting points that ended with **zero** usable repetitions
-    (those appear in ``dropped_points``).  ``status`` is ``"complete"``
-    when every scheduled item produced a measurement, else ``"partial"``.
+    (those appear in ``dropped_points``); chaos sweeps leave it empty and
+    are read from ``outcomes``.  ``status`` is ``"complete"`` when every
+    scheduled item produced a measurement, else ``"partial"``.
     """
 
     name: str
     points: List[Tuple[float, ComparisonPoint]]
+    #: Every surviving repetition's outcome, in submission order.
+    outcomes: List[RepetitionOutcome] = field(default_factory=list)
     status: str = "complete"
     failures: List[FailureRecord] = field(default_factory=list)
     #: Indices (into the sweep's point list) that lost *all* repetitions.
@@ -173,113 +186,6 @@ def _open_journal(
     return None, writer
 
 
-@dataclass
-class JournalledRun:
-    """Raw outcome of one journalled, supervised batch of work items.
-
-    ``cached`` maps ``(point, repetition)`` to the journal entries a
-    resume replayed; ``fresh`` maps the same keys to the outcomes the
-    supervisor just computed.  Domain-specific assembly (comparison
-    points, chaos aggregates, ...) happens in the caller — this layer
-    only guarantees durability and crash-safe replay.
-    """
-
-    cached: Dict[Tuple[int, int], CheckpointEntry]
-    fresh: Dict[Tuple[int, int], object]
-    failures: List[FailureRecord]
-    stats: Dict[str, int]
-    resumed: bool
-    fingerprint: str
-    checkpoint_path: Optional[Path]
-
-
-def run_journalled_items(
-    name: str,
-    fingerprint: str,
-    items: Sequence,
-    executor,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    workers: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    pool=None,
-) -> JournalledRun:
-    """Run picklable work items under supervision with a shared journal.
-
-    The engine under both :func:`run_checkpointed_sweep` and the chaos
-    sweep runner (:func:`repro.faults.sweep.run_chaos_sweep`): items are
-    keyed by ``(item.point_index, item.repetition)``, completed outcomes
-    (anything exposing ``point_index``/``repetition``/``measurement``/
-    ``metrics``/``profile``) are journalled durably as ``checkpoint/v1``
-    records, and a resume replays every journalled key instead of
-    re-executing it.  ``executor`` must be a module-level callable so the
-    spawn-based worker pool can pickle it (PERF001).
-
-    ``pool`` injects a caller-owned
-    :class:`~repro.perf.pool.WarmWorkerPool` whose processes stay warm
-    after the run (the daemon's cross-job pool); by default the
-    supervisor owns a pool for this run only.
-    """
-    items = list(items)
-    cached: Dict[Tuple[int, int], CheckpointEntry] = {}
-    writer: Optional[CheckpointWriter] = None
-    resumed = False
-    if checkpoint_path is not None:
-        state, writer = _open_journal(
-            Path(checkpoint_path), name, fingerprint, len(items), resume
-        )
-        if state is not None:
-            cached = dict(state.entries)
-            resumed = True
-        else:
-            obs.counter_add("harness.checkpoint.misses")
-
-    todo = [
-        item
-        for item in items
-        if (item.point_index, item.repetition) not in cached
-    ]
-
-    def journal_result(index: int, outcome) -> None:
-        if writer is not None:
-            writer.append_measurement(
-                outcome.point_index,
-                outcome.repetition,
-                outcome.measurement,
-                metrics=outcome.metrics,
-                profile=outcome.profile,
-            )
-
-    supervisor = WorkerSupervisor(workers=workers, policy=policy, pool=pool)
-    try:
-        run = supervisor.run(executor, todo, on_result=journal_result)
-        if writer is not None:
-            for record in run.failures:
-                writer.append_failure(record.to_dict())
-    finally:
-        # KeyboardInterrupt lands here too: acknowledged records are
-        # already fsynced, this just releases the handle cleanly.
-        if writer is not None:
-            writer.close()
-
-    fresh: Dict[Tuple[int, int], object] = {}
-    for item, outcome in zip(todo, run.outcomes):
-        if outcome is not None:
-            fresh[(item.point_index, item.repetition)] = outcome
-
-    return JournalledRun(
-        cached=cached,
-        fresh=fresh,
-        failures=list(run.failures),
-        stats=dict(run.stats),
-        resumed=resumed,
-        fingerprint=fingerprint,
-        checkpoint_path=(
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        ),
-    )
-
-
 def run_checkpointed_sweep(
     name: str,
     points: Sequence[Tuple[float, ExperimentConfig]],
@@ -293,8 +199,9 @@ def run_checkpointed_sweep(
     trace: Optional[TraceContext] = None,
     trace_dir: Optional[Union[str, Path]] = None,
     pool=None,
+    chaos: Optional["ChaosOptions"] = None,
 ) -> SweepRunResult:
-    """Run a sweep under supervision, journalling every repetition.
+    """Run a sweep's repetitions under supervision, optionally journalled.
 
     Parameters mirror :func:`~repro.experiments.fig6.run_fig6_sweep` plus
     the harness knobs: ``checkpoint_path`` names the ``checkpoint/v1``
@@ -302,13 +209,20 @@ def run_checkpointed_sweep(
     replays a compatible existing journal — config-fingerprint checked —
     and re-runs only the missing items; ``policy`` sets deadlines, retry
     budgets and backoff (:class:`~repro.harness.supervisor.RetryPolicy`).
+    ``pool`` injects a caller-owned
+    :class:`~repro.perf.pool.WarmWorkerPool` whose processes stay warm
+    after the run (the daemon's cross-job pool).  ``chaos`` turns every
+    item into a fault-injection repetition (ADDC only); its outcomes are
+    returned in ``outcomes`` and no comparison points are assembled.
 
-    A ``KeyboardInterrupt`` mid-sweep cancels the pending work, flushes
-    the journal, and re-raises — completed repetitions stay durable, so
-    the same call with ``resume=True`` picks up where Ctrl-C struck.
-    Items that exhaust their retry budget are quarantined, the surviving
-    repetitions are assembled anyway, and the result is flagged
-    ``status: "partial"`` rather than aborting the sweep.
+    ``progress`` ticks as each repetition completes (journal-replayed
+    repetitions tick when the journal loads).  A ``KeyboardInterrupt``
+    mid-sweep cancels the pending work, flushes the journal, and
+    re-raises — completed repetitions stay durable, so the same call with
+    ``resume=True`` picks up where Ctrl-C struck.  Items that exhaust
+    their retry budget are quarantined, the surviving repetitions are
+    assembled anyway, and the result is flagged ``status: "partial"``
+    rather than aborting the sweep.
 
     ``trace`` + ``trace_dir`` enable distributed ``trace/v2`` span
     capture: each worker writes one shard per repetition, and replayed
@@ -318,8 +232,11 @@ def run_checkpointed_sweep(
     set as an uninterrupted one.  Requires an installed recorder
     (``collect_metrics`` rides on :func:`obs.enabled`).
     """
-    from repro.perf.executor import SweepWorkItem, execute_work_item
-
+    # Validate before any work runs or any journal is created.
+    if on_incomplete not in ("raise", "skip"):
+        raise ConfigurationError(
+            f"on_incomplete must be 'raise' or 'skip', got {on_incomplete!r}"
+        )
     points = list(points)
     reps_of = [
         repetitions if repetitions is not None else config.repetitions
@@ -339,48 +256,80 @@ def run_checkpointed_sweep(
             collect_metrics=collect,
             trace=trace if trace_dir is not None else None,
             trace_dir=str(trace_dir) if trace_dir is not None else None,
+            chaos=chaos,
         )
         for index, (_, config) in enumerate(points)
         for rep in range(reps_of[index])
     ]
-    fingerprint = sweep_fingerprint(name, points, reps_of)
+    fingerprint = sweep_fingerprint(name, points, reps_of, chaos)
 
-    run = run_journalled_items(
-        name,
-        fingerprint,
-        items,
-        execute_work_item,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        workers=workers,
-        policy=policy,
-        pool=pool,
-    )
+    cached: Dict[Tuple[int, int], RepetitionOutcome] = {}
+    writer: Optional[CheckpointWriter] = None
+    resumed = False
+    if checkpoint_path is not None:
+        checkpoint_path = Path(checkpoint_path)
+        state, writer = _open_journal(
+            checkpoint_path, name, fingerprint, len(items), resume
+        )
+        if state is not None:
+            cached = dict(state.entries)
+            resumed = True
+        else:
+            obs.counter_add("harness.checkpoint.misses")
+    if progress is not None:
+        for _ in cached:
+            progress.tick()
+
+    todo = [
+        item
+        for item in items
+        if (item.point_index, item.repetition) not in cached
+    ]
+
+    def journal_result(index: int, outcome: RepetitionOutcome) -> None:
+        if writer is not None:
+            writer.append_measurement(
+                outcome.point_index,
+                outcome.repetition,
+                outcome.measurement,
+                metrics=outcome.metrics,
+                profile=outcome.profile,
+            )
+        if progress is not None:
+            progress.tick()
+
+    supervisor = WorkerSupervisor(workers=workers, policy=policy, pool=pool)
+    try:
+        # Looked up at call time, so the item runner can be substituted.
+        run = supervisor.run(
+            perf_executor.execute_work_item, todo, on_result=journal_result
+        )
+        if writer is not None:
+            for record in run.failures:
+                writer.append_failure(record.to_dict())
+    finally:
+        # KeyboardInterrupt lands here too: acknowledged records are
+        # already fsynced, this just releases the handle cleanly.
+        if writer is not None:
+            writer.close()
+    fresh = {
+        (item.point_index, item.repetition): outcome
+        for item, outcome in zip(todo, run.outcomes)
+        if outcome is not None
+    }
 
     # ---- assemble, strictly in submission order ----------------------- #
     results: List[Tuple[float, ComparisonPoint]] = []
+    outcomes: List[RepetitionOutcome] = []
     dropped: List[int] = []
     for index, (x_value, config) in enumerate(points):
         measurements = []
         for rep in range(reps_of[index]):
             key = (index, rep)
-            if key in run.cached:
-                entry = run.cached[key]
-                measurement, metrics, profile = (
-                    entry.measurement,
-                    entry.metrics,
-                    entry.profile,
-                )
-            elif key in run.fresh:
-                outcome = run.fresh[key]
-                measurement, metrics, profile = (
-                    outcome.measurement,
-                    outcome.metrics,
-                    outcome.profile,
-                )
-            else:
+            outcome = cached[key] if key in cached else fresh.get(key)
+            if outcome is None:
                 continue  # quarantined: recorded in run.failures
-            if trace_dir is not None and profile is not None:
+            if trace_dir is not None and outcome.profile is not None:
                 # Journal-replayed repetitions never reached a worker this
                 # run: re-derive their shards from the journalled profile
                 # so resumed and uninterrupted runs merge identical traces.
@@ -391,34 +340,38 @@ def run_checkpointed_sweep(
                         trace.trace_id,
                         index,
                         rep,
-                        build_repetition_spans(trace, index, rep, profile),
+                        build_repetition_spans(
+                            trace, index, rep, outcome.profile
+                        ),
                     )
-            if metrics is not None:
-                obs.merge_snapshot(metrics, profile)
+            if outcome.metrics is not None:
+                obs.merge_snapshot(outcome.metrics, outcome.profile)
             obs.counter_add("sweep.repetitions")
-            if progress is not None:
-                progress.tick()
-            measurements.append(measurement)
+            outcomes.append(outcome)
+            measurements.append(outcome.measurement)
         if not measurements:
             dropped.append(index)
-            continue
-        results.append(
-            (
-                x_value,
-                assemble_comparison_point(config, measurements, on_incomplete),
+        elif chaos is None:
+            results.append(
+                (
+                    x_value,
+                    assemble_comparison_point(
+                        config, measurements, on_incomplete
+                    ),
+                )
             )
-        )
 
     status = "complete" if not run.failures and not dropped else "partial"
     return SweepRunResult(
         name=name,
         points=results,
+        outcomes=outcomes,
         status=status,
         failures=run.failures,
         dropped_points=dropped,
         stats=run.stats,
-        cached_items=len(run.cached),
-        resumed=run.resumed,
-        checkpoint_path=run.checkpoint_path,
+        cached_items=len(cached),
+        resumed=resumed,
+        checkpoint_path=checkpoint_path,
         config_hash=fingerprint,
     )

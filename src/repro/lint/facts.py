@@ -52,7 +52,7 @@ __all__ = [
 #: RNG-lineage methods recognised on stream factories.
 STREAM_METHODS = ("stream", "spawn", "substream")
 #: Pool/executor classes whose worker callables must be spawn-safe.
-SPAWN_API_CLASSES = ("WorkerSupervisor", "ParallelSweepExecutor")
+SPAWN_API_CLASSES = ("WorkerSupervisor",)
 #: Methods that accept a worker callable as their first positional arg.
 SPAWN_SUBMIT_METHODS = ("run", "submit", "map", "apply", "apply_async", "map_async", "starmap")
 #: Module-level factory calls whose results never pickle under spawn.

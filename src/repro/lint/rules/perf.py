@@ -1,28 +1,21 @@
 """Performance / parallel-execution rules.
 
-The parallel sweep executor starts workers with the ``spawn`` method, so
+The sweep supervisor starts workers with the ``spawn`` method, so
 everything submitted to a pool must be picklable — in particular the
 worker callable itself.  Lambdas and nested functions pickle by qualified
 name and fail at runtime (often only on the platform where ``spawn`` is
 the default), so PERF001 catches them statically.
-
-Shared-memory segments (``multiprocessing.shared_memory``) are kernel
-objects, not Python objects: a segment whose creator exits without
-``unlink`` leaks a ``/dev/shm`` entry until reboot, and a mapping never
-``close``\\ d pins the pages.  PERF003 requires every ``SharedMemory``
-create/attach site to sit next to explicit cleanup — a ``finally`` or
-``except`` handler calling ``close``/``unlink``, or a ``with`` block.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, Set
 
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import ModuleContext, Rule, register_rule
 
-__all__ = ["SpawnPicklableWorkerRule", "SharedMemoryLifecycleRule"]
+__all__ = ["SpawnPicklableWorkerRule"]
 
 _PARALLEL_MODULES = ("concurrent.futures", "multiprocessing")
 _SUBMIT_METHODS = ("submit", "map", "apply", "apply_async", "map_async", "starmap")
@@ -68,8 +61,8 @@ class SpawnPicklableWorkerRule(Rule):
     flags ``pool.submit(f, ...)`` / ``pool.map(f, ...)`` (and the
     ``multiprocessing.Pool`` equivalents) where ``f`` is a lambda or a
     name defined by a nested ``def``: neither pickles under the ``spawn``
-    start method, which is the only start method the parallel sweep
-    executor uses (fork would silently inherit parent import state and
+    start method, which is the only start method the sweep supervisor
+    uses (fork would silently inherit parent import state and
     break the bit-identity contract).
     """
 
@@ -110,123 +103,3 @@ class SpawnPicklableWorkerRule(Rule):
                     "nested function and does not pickle under spawn; move "
                     "it to module top level",
                 )
-
-
-def _imports_shared_memory(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(
-                alias.name.startswith("multiprocessing") for alias in node.names
-            ):
-                return True
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            module = node.module or ""
-            if module.startswith("multiprocessing"):
-                return True
-    return False
-
-
-def _is_shared_memory_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "SharedMemory"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "SharedMemory"
-    return False
-
-
-def _has_cleanup_call(nodes: List[ast.stmt]) -> bool:
-    """Whether any statement in ``nodes`` calls ``.close()``/``.unlink()``."""
-    for stmt in nodes:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("close", "unlink")
-            ):
-                return True
-    return False
-
-
-def _scope_has_guarded_cleanup(scope: List[ast.stmt]) -> bool:
-    """Whether the scope pairs its segments with guaranteed cleanup.
-
-    Accepts a ``try`` whose ``finally`` or exception handlers perform the
-    cleanup, or a ``with`` block (a context manager owns its teardown).
-    """
-    for stmt in scope:
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                return True
-            if isinstance(node, ast.Try):
-                if _has_cleanup_call(node.finalbody):
-                    return True
-                for handler in node.handlers:
-                    if _has_cleanup_call(handler.body):
-                        return True
-    return False
-
-
-@register_rule
-class SharedMemoryLifecycleRule(Rule):
-    """PERF003: SharedMemory create/attach sites must pair with cleanup.
-
-    In modules importing ``multiprocessing``, every ``SharedMemory(...)``
-    call's enclosing function (or the module body, for top-level calls)
-    must contain a ``try`` whose ``finally`` or exception handlers call
-    ``.close()``/``.unlink()``, or a ``with`` block.  A segment created
-    without a cleanup path survives the process as a ``/dev/shm`` leak;
-    an attach without ``close`` pins the mapping.  The check is
-    per-enclosing-scope, not per-statement: publish-then-register
-    patterns, where a later owner closes the segment, satisfy it as long
-    as the failure path between create and hand-off is guarded.
-    """
-
-    id = "PERF003"
-    name = "shared-memory-lifecycle"
-    description = (
-        "SharedMemory create/attach must be paired with close/unlink in a "
-        "finally/except handler or a context manager"
-    )
-    default_severity = Severity.ERROR
-    default_options: dict = {}
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if not _imports_shared_memory(module.tree):
-            return
-        # Map every SharedMemory call to its innermost enclosing function
-        # scope (module body when top-level), then require that scope to
-        # carry guarded cleanup.
-        def visit(
-            body: List[ast.stmt], owner: Optional[ast.stmt]
-        ) -> Iterator[Diagnostic]:
-            for stmt in body:
-                if isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    yield from visit(stmt.body, stmt)
-                elif isinstance(stmt, ast.ClassDef):
-                    yield from visit(stmt.body, owner)
-                else:
-                    for node in ast.walk(stmt):
-                        if isinstance(node, ast.Call) and _is_shared_memory_call(
-                            node
-                        ):
-                            scope = owner.body if owner is not None else body
-                            if not _scope_has_guarded_cleanup(scope):
-                                where = (
-                                    f"`{owner.name}`"
-                                    if owner is not None
-                                    else "module scope"
-                                )
-                                yield module.diagnostic(
-                                    self,
-                                    node,
-                                    "`SharedMemory(...)` in "
-                                    f"{where} has no close/unlink in a "
-                                    "finally/except handler or `with` "
-                                    "block; leaked segments outlive the "
-                                    "process in /dev/shm",
-                                )
-
-        yield from visit(module.tree.body, None)

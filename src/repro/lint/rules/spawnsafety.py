@@ -4,9 +4,8 @@ PERF001 catches the syntactic failure (lambdas / nested defs handed to a
 pool).  This rule catches the semantic ones that survive pickling: a
 worker that runs correctly in the parent would read different state in a
 ``spawn`` child, because spawn re-imports every module from scratch.
-For every callable handed to :class:`~repro.harness.WorkerSupervisor` /
-``ParallelSweepExecutor`` pools (and raw ``.submit``/``.map`` sites), the
-rule walks the resolvable call graph and flags:
+For every callable handed to :class:`~repro.harness.WorkerSupervisor`
+(and raw ``.submit``/``.map`` sites), the rule walks the resolvable call graph and flags:
 
 * reads of a module global that is **mutated after import** (any function
   in its module rebinds it via ``global``) — the parent-side value never

@@ -1,10 +1,10 @@
-"""``addc-repro perf bench`` — serial vs cold/warm parallel, fast-forward
+"""``addc-repro perf bench`` — serial vs warm-pool sweeps, fast-forward
 on vs off, scalar vs vectorized.
 
 Everything is measured via the :mod:`repro.obs` clock facade on the same
 machine in the same run, and every timed comparison is also an equality
-check: the parallel executor (cold and warm) must reproduce the serial
-measurements byte-for-byte (delays, RNG stream positions, merged metric
+check: the sweep pipeline on a warm pool must reproduce the serial
+pipeline's measurements byte-for-byte (delays, RNG stream positions, merged metric
 counters), the fast-forwarded engine must reproduce the plain engine's
 result and stream positions exactly, and the vectorized CSR
 :class:`~repro.geometry.GridIndex` must return exactly what the scalar
@@ -19,18 +19,16 @@ actually had (see docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 import repro.obs as obs
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    RepetitionMeasurement,
-    run_comparison_repetition,
-)
+from repro.experiments.runner import RepetitionMeasurement
 from repro.geometry import GridIndex
-from repro.perf.executor import ParallelSweepExecutor, SweepWorkItem
+from repro.harness import FAIL_FAST, run_checkpointed_sweep
+from repro.perf.pool import WarmWorkerPool
 from repro.perf.reference import ScalarGridIndex
 from repro.rng import StreamFactory
 
@@ -53,77 +51,69 @@ def _measurement_key(measurement: RepetitionMeasurement) -> tuple:
     )
 
 
-def _run_parallel_once(
-    executor: ParallelSweepExecutor,
-    items: List[SweepWorkItem],
-    serial: List[RepetitionMeasurement],
-    serial_recorder: obs.MetricsRecorder,
-    label: str,
-) -> float:
-    """One timed, equality-checked pass through the executor."""
+def _timed_sweep(
+    config: ExperimentConfig,
+    reps: int,
+    workers: int,
+    pool: Optional[WarmWorkerPool] = None,
+) -> Tuple[float, tuple, obs.MetricsRecorder]:
+    """One timed pass through the sweep pipeline.
+
+    Returns ``(seconds, measurement keys, recorder)``; a repetition that
+    fails is not retried and fails the bench.
+    """
     recorder = obs.MetricsRecorder()
     start = obs.monotonic_s()
     with obs.use_recorder(recorder):
-        outcomes = executor.run_items(items)
-        for outcome in outcomes:
-            obs.merge_snapshot(outcome.metrics, outcome.profile)
-    elapsed = obs.monotonic_s() - start
-    parallel = [outcome.measurement for outcome in outcomes]
-    if list(map(_measurement_key, parallel)) != list(
-        map(_measurement_key, serial)
-    ):
-        raise PerfBenchError(f"{label} measurements diverged from serial")
-    if recorder.snapshot() != serial_recorder.snapshot():
-        raise PerfBenchError(
-            f"merged {label} metric snapshot diverged from the serial one"
+        result = run_checkpointed_sweep(
+            "perf-bench",
+            [(0.0, config)],
+            repetitions=reps,
+            workers=workers,
+            policy=FAIL_FAST,
+            pool=pool,
         )
-    return elapsed
+    elapsed = obs.monotonic_s() - start
+    if not result.complete:
+        raise PerfBenchError(
+            "sweep repetitions failed: "
+            + "; ".join(record.describe() for record in result.failures)
+        )
+    keys = tuple(_measurement_key(o.measurement) for o in result.outcomes)
+    return elapsed, keys, recorder
 
 
 def _bench_sweep(config: ExperimentConfig, reps: int, workers: int) -> Dict:
-    """Time the comparison repetitions serially and through the pool.
+    """Time the comparison repetitions serially and on a warm pool.
 
-    Three timed passes: serial, cold parallel (transient pool — spawn
-    cost included, the pre-warm-pool behaviour), and warm parallel (a
-    context-entered executor whose pool was already primed by a previous
-    ``run_items`` call, which is what sweeps and the daemon actually
-    pay per point/job).  Every parallel pass is equality-checked against
-    serial — measurements, RNG positions, and merged metric snapshots —
-    so a drifting kernel fails the bench rather than skewing it.
+    Both passes run the one sweep pipeline
+    (:func:`~repro.harness.run_checkpointed_sweep`): serial is its inline
+    ``workers=1`` case, the pooled pass borrows a pool already primed by
+    an untimed, equally checked pass — what sweeps and the daemon
+    actually pay per point/job.  The pooled passes must equal serial —
+    measurements, RNG positions, and merged metric snapshots — so a
+    drifting kernel fails the bench rather than skewing it.
     """
-    serial_recorder = obs.MetricsRecorder()
-    start = obs.monotonic_s()
-    with obs.use_recorder(serial_recorder):
-        serial: List[RepetitionMeasurement] = [
-            run_comparison_repetition(config, rep) for rep in range(reps)
-        ]
-    serial_s = obs.monotonic_s() - start
-
-    items = [
-        SweepWorkItem(
-            point_index=0, repetition=rep, config=config, collect_metrics=True
-        )
-        for rep in range(reps)
-    ]
-    cold_s = _run_parallel_once(
-        ParallelSweepExecutor(workers), items, serial, serial_recorder, "cold"
-    )
-    with ParallelSweepExecutor(workers) as executor:
-        # Prime the pool (checked, untimed), then time the warm pass.
-        _run_parallel_once(executor, items, serial, serial_recorder, "prime")
-        warm_s = _run_parallel_once(
-            executor, items, serial, serial_recorder, "warm"
-        )
+    serial_s, serial, serial_recorder = _timed_sweep(config, reps, 1)
+    with WarmWorkerPool(workers) as pool:
+        for label in ("prime", "warm"):
+            warm_s, pooled, recorder = _timed_sweep(config, reps, workers, pool)
+            if pooled != serial:
+                raise PerfBenchError(
+                    f"{label} measurements diverged from serial"
+                )
+            if recorder.snapshot() != serial_recorder.snapshot():
+                raise PerfBenchError(
+                    f"merged {label} metric snapshot diverged from the "
+                    "serial one"
+                )
     return {
         "repetitions": reps,
         "workers": workers,
         "serial_s": serial_s,
-        "parallel_s": cold_s,
         "warm_parallel_s": warm_s,
-        "parallel_speedup": serial_s / cold_s if cold_s > 0 else 0.0,
         "warm_parallel_speedup": serial_s / warm_s if warm_s > 0 else 0.0,
         "serial_recorder": serial_recorder,
-        "measurements": serial,
     }
 
 
@@ -232,7 +222,7 @@ def run_perf_bench(
     ``smoke`` shrinks the workload to CI size (two repetitions, two
     workers, one spatial loop) — the equality invariants are asserted
     either way, so the smoke run is a full correctness gate for both the
-    parallel executor and the vectorized kernels.
+    pooled sweep pipeline and the vectorized kernels.
     """
     if smoke:
         config = config.with_overrides(repetitions=2)
@@ -249,7 +239,6 @@ def run_perf_bench(
     wall_time_s = obs.monotonic_s() - total_start
 
     recorder = sweep.pop("serial_recorder")
-    sweep.pop("measurements")
     extra = {
         "benchmark": "perf",
         "cpu_count": os.cpu_count(),
@@ -268,9 +257,7 @@ def run_perf_bench(
 
     print(
         f"sweep   : {reps} repetition(s) serial {sweep['serial_s']:.2f} s, "
-        f"{workers} worker(s) cold {sweep['parallel_s']:.2f} s "
-        f"({sweep['parallel_speedup']:.2f}x) warm "
-        f"{sweep['warm_parallel_s']:.2f} s "
+        f"{workers} worker(s) warm {sweep['warm_parallel_s']:.2f} s "
         f"({sweep['warm_parallel_speedup']:.2f}x, {os.cpu_count()} cpu)"
     )
     print(
@@ -285,7 +272,7 @@ def run_perf_bench(
         f"{spatial['points']} points x {spatial['loops']} loop(s))"
     )
     print(
-        "parallel == serial, fast-forward == plain, vectorized == scalar; "
+        "pooled == serial, fast-forward == plain, vectorized == scalar; "
         f"written to {out}"
     )
     if smoke:

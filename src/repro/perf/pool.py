@@ -2,17 +2,14 @@
 
 ``ProcessPoolExecutor`` is cheap to *use* and expensive to *start*:
 under the ``spawn`` method every worker pays a fresh interpreter boot
-plus the whole import graph.  The old executor paid that price on every
-``run_items`` call — once per sweep point under the checkpoint harness,
-once per job in the daemon.  :class:`WarmWorkerPool` pays it once: the
-pool spawns lazily on first submit and stays warm until ``close``, and
+plus the whole import graph.  :class:`WarmWorkerPool` pays it once per
+sweep (or, injected, once per daemon lifetime): the pool spawns lazily on first submit and stays warm until ``close``, and
 the supervisor ``rebuild``\\ s it in place (same object, fresh processes)
 after a crash or deadline instead of throwing the object away.
 
 Determinism is unaffected by pool lifetime: workers hold no sweep state
-between items beyond explicitly keyed caches (the shared-memory attach
-cache in :mod:`repro.perf.shm`), and results are always gathered in
-submission order by the callers.
+between items, and results are always gathered in submission order by
+the callers.
 """
 
 from __future__ import annotations

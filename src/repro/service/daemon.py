@@ -267,10 +267,7 @@ class ExperimentService:
     # ---- execution (worker thread side) --------------------------------- #
 
     def _job_total_items(self, spec: JobSpec) -> int:
-        config = spec.config()
-        if spec.kind == "chaos":
-            return config.repetitions
-        return len(spec.points()) * config.repetitions
+        return len(spec.points()) * spec.config().repetitions
 
     def run_next_job(self, timeout_s: Optional[float] = None) -> Optional[str]:
         """Take and execute one job; returns its fingerprint or ``None``.

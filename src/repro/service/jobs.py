@@ -33,8 +33,6 @@ from repro.faults.sweep import (
     CHAOS_SWEEP_NAME,
     ChaosOptions,
     ChaosSweepResult,
-    chaos_fingerprint,
-    run_chaos_sweep,
     save_chaos_run,
 )
 from repro.harness import RetryPolicy, SweepRunResult, run_checkpointed_sweep
@@ -195,19 +193,20 @@ class JobSpec:
             return "comparison"
         return CHAOS_SWEEP_NAME
 
-    def chaos_options(self) -> ChaosOptions:
+    def chaos_options(self) -> Optional[ChaosOptions]:
+        """The fault options of a chaos job; ``None`` for other kinds."""
+        if self.kind != "chaos":
+            return None
         try:
             return ChaosOptions(**dict(self.chaos))
         except TypeError as exc:
             raise ServiceError(f"invalid chaos options: {exc}") from exc
 
     def points(self) -> List[Tuple[float, ExperimentConfig]]:
-        """The ``(x, config)`` pairs of a fig6/compare job."""
+        """The ``(x, config)`` pairs of the job (one for compare/chaos)."""
         config = self.config()
-        if self.kind == "compare":
-            return [(0.0, config)]
         if self.kind != "fig6":
-            raise ServiceError("chaos jobs have repetitions, not sweep points")
+            return [(0.0, config)]
         sweep = FIG6_SWEEPS[self.sweep_name()]
         if self.values is not None:
             sweep = dataclasses.replace(sweep, values=self.values)
@@ -221,13 +220,12 @@ class JobSpec:
         and resumed runs all name the same experiment the same way.
         """
         config = self.config()
-        if self.kind == "chaos":
-            return chaos_fingerprint(
-                config, self.chaos_options(), config.repetitions
-            )
         points = self.points()
         return sweep_fingerprint(
-            self.sweep_name(), points, [config.repetitions] * len(points)
+            self.sweep_name(),
+            points,
+            [config.repetitions] * len(points),
+            self.chaos_options(),
         )
 
     def describe(self) -> str:
@@ -302,23 +300,11 @@ def run_job(
     fingerprint-checked resume, quarantine instead of abort.  Results
     are byte-identical for any worker count and any kill/resume history.
     ``trace``/``trace_dir`` enable per-repetition ``trace/v2`` span
-    shards for fig6/compare jobs (chaos repetitions are not sweep
-    points, so they are not traced).  ``pool`` injects a caller-owned
+    shards.  ``pool`` injects a caller-owned
     :class:`~repro.perf.pool.WarmWorkerPool` that stays warm across jobs
     (the daemon's cross-job pool).
     """
-    if spec.kind == "chaos":
-        result = run_chaos_sweep(
-            spec.config(),
-            spec.chaos_options(),
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            workers=workers,
-            policy=policy,
-            progress=progress,
-            pool=pool,
-        )
-        return JobRunResult(spec=spec, chaos=result)
+    chaos = spec.chaos_options()
     result = run_checkpointed_sweep(
         spec.sweep_name(),
         spec.points(),
@@ -331,7 +317,16 @@ def run_job(
         trace=trace,
         trace_dir=trace_dir,
         pool=pool,
+        chaos=chaos,
     )
+    if chaos is not None:
+        config = spec.config()
+        return JobRunResult(
+            spec=spec,
+            chaos=ChaosSweepResult.from_run(
+                config, chaos, config.repetitions, result
+            ),
+        )
     return JobRunResult(spec=spec, sweep=result)
 
 
@@ -376,23 +371,20 @@ def execute_job(
     job, not the daemon's lifetime), and the snapshot is merged back into
     the ambient recorder afterwards so daemon-level totals still add up.
 
-    Non-chaos jobs are traced end to end: the trace id **is** the job
+    Every job is traced end to end: the trace id **is** the job
     fingerprint, workers drop one ``trace/v2`` shard per repetition next
     to the journal (``<base>/trace/``), and the shards merge — always in
     submission order, whatever order workers finished in — into
     ``<base>/trace.ndjson``, where ``<base>`` is the journal's directory
     (or the artifact's, when running without a journal).
     """
-    trace_context: Optional[TraceContext] = None
-    trace_dir: Optional[Path] = None
     base = (
         Path(checkpoint_path).parent
         if checkpoint_path is not None
         else Path(artifact_path).parent
     )
-    if spec.kind != "chaos":
-        trace_context = TraceContext.for_job(spec.fingerprint())
-        trace_dir = base / "trace"
+    trace_context = TraceContext.for_job(spec.fingerprint())
+    trace_dir = base / "trace"
     recorder = obs.MetricsRecorder()
     started = obs.monotonic_s()
     with obs.use_recorder(recorder):
@@ -420,7 +412,7 @@ def execute_job(
     if obs.enabled():
         obs.merge_snapshot(recorder.snapshot(), recorder.profile())
     save_job_artifact(result, artifact_path, manifest=manifest)
-    if trace_context is not None and trace_dir is not None and trace_dir.exists():
+    if trace_dir.exists():
         shards = sorted(trace_dir.glob("point-*.rep-*.ndjson"))
         if shards:
             spans = merge_shards(

@@ -94,39 +94,3 @@ class TestFromPositions:
         graph = Graph.from_positions(positions, 7.0)
         # Handshake lemma: degree sum equals twice the edge count.
         assert sum(graph.degree(v) for v in graph.nodes()) == 2 * graph.num_edges
-
-
-class TestAdjacencyArrays:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 30), st.integers(0, 2**31 - 1))
-    def test_csr_round_trip_preserves_neighbor_order(self, count, seed):
-        rng = np.random.default_rng(seed)
-        positions = rng.random((count, 2)) * 20.0
-        graph = Graph.from_positions(positions, 7.0)
-        clone = Graph.from_adjacency_arrays(*graph.to_adjacency_arrays())
-        assert clone.num_nodes == graph.num_nodes
-        assert clone.num_edges == graph.num_edges
-        # Neighbor *order* (not just membership) is part of the graph's
-        # deterministic identity: tree construction iterates it.
-        for node in graph.nodes():
-            assert list(clone.neighbors(node)) == list(graph.neighbors(node))
-
-    def test_round_trip_dtypes(self):
-        graph = Graph(3)
-        graph.add_edge(2, 0)
-        graph.add_edge(0, 1)
-        indptr, indices = graph.to_adjacency_arrays()
-        assert indptr.dtype == np.int64 and indices.dtype == np.int64
-        assert indptr.tolist() == [0, 2, 3, 4]
-        # Insertion order: node 0 saw edge (2,0) before (0,1).
-        assert indices.tolist() == [2, 1, 0, 0]
-
-    def test_invalid_arrays_raise(self):
-        with pytest.raises(GraphError):
-            Graph.from_adjacency_arrays(
-                np.zeros((2, 2), dtype=np.int64), np.array([], dtype=np.int64)
-            )
-        with pytest.raises(GraphError):
-            Graph.from_adjacency_arrays(
-                np.array([0, 3], dtype=np.int64), np.array([1], dtype=np.int64)
-            )

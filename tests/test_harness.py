@@ -35,6 +35,7 @@ from repro.experiments.fig6 import (
 )
 from repro.experiments.io import load_sweep, save_sweep
 from repro.experiments.runner import RepetitionMeasurement
+from repro.obs.progress import Heartbeat
 from repro.harness import (
     CheckpointWriter,
     FailureRecord,
@@ -50,6 +51,7 @@ from repro.harness import (
     verify_checkpoint,
 )
 from repro.obs.recorder import MetricsRecorder
+from repro.perf.executor import RepetitionOutcome
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -555,7 +557,7 @@ class TestCheckpointedSweep:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_kill_and_resume_is_byte_identical(
-        self, tmp_path, plain_points, workers
+        self, tmp_path, plain_points, workers, run_chaos_job
     ):
         journal = tmp_path / "sweep.ckpt"
         run_checkpointed_sweep(
@@ -585,6 +587,80 @@ class TestCheckpointedSweep:
         assert [point.rng_positions for _, point in resumed.points] == [
             point.rng_positions for _, point in plain_points
         ]
+
+        # A chaos job killed after one durable record (its artifact and
+        # trace lost with it) resumes to the serial run's artifact, RNG
+        # positions and merged trace structure.
+        chaos_dir = tmp_path / "chaos"
+        reference = run_chaos_job(chaos_dir, workers=1)
+        chaos_journal = chaos_dir / "journal.ndjson"
+        lines = chaos_journal.read_bytes().split(b"\n")
+        chaos_journal.write_bytes(
+            b"\n".join(lines[:2]) + b"\n" + lines[2][: len(lines[2]) // 2]
+        )
+        (chaos_dir / "artifact.json").unlink()
+        (chaos_dir / "trace.ndjson").unlink()
+        for shard in (chaos_dir / "trace").glob("*.ndjson"):
+            shard.unlink()
+        assert run_chaos_job(chaos_dir, workers=workers, resume=True) == (
+            reference
+        )
+
+    def test_on_incomplete_validated_before_any_work(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.perf.executor as executor_module
+
+        def never(item):
+            raise AssertionError("a repetition ran before validation")
+
+        monkeypatch.setattr(executor_module, "execute_work_item", never)
+        journal = tmp_path / "sweep.ckpt"
+        with pytest.raises(ConfigurationError, match="on_incomplete"):
+            run_checkpointed_sweep(
+                "fig6c",
+                tiny_points(),
+                on_incomplete="ignore",
+                checkpoint_path=journal,
+            )
+        assert not journal.exists()
+
+    def test_progress_ticks_as_each_repetition_completes(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.perf.executor as executor_module
+
+        seen = []
+
+        def stub(item):
+            seen.append(beat.done)
+            return RepetitionOutcome(
+                item.point_index, item.repetition, _measurement(item.repetition)
+            )
+
+        monkeypatch.setattr(executor_module, "execute_work_item", stub)
+        journal = tmp_path / "sweep.ckpt"
+        beat = Heartbeat(total=4, min_interval_s=3600.0)
+        run_checkpointed_sweep(
+            "fig6c", tiny_points(), checkpoint_path=journal, progress=beat
+        )
+        assert seen == [0, 1, 2, 3]
+        assert beat.done == 4
+        # Replayed repetitions tick when the journal loads, before any
+        # remaining item runs.
+        lines = journal.read_bytes().split(b"\n")
+        journal.write_bytes(b"\n".join(lines[:3]) + b"\n")
+        seen.clear()
+        beat = Heartbeat(total=4, min_interval_s=3600.0)
+        run_checkpointed_sweep(
+            "fig6c",
+            tiny_points(),
+            checkpoint_path=journal,
+            resume=True,
+            progress=beat,
+        )
+        assert seen == [2, 3]
+        assert beat.done == 4
 
     def test_injected_warm_pool_survives_run_and_resume(
         self, tmp_path, plain_points

@@ -453,7 +453,7 @@ class TestJobTraceLifecycle:
         assert text.count("slow  ") == 3
         assert cli_main(["trace", "tree", str(tmp_path / "nope")]) == 2
 
-    def test_chaos_jobs_are_not_traced(self, tmp_path):
+    def test_chaos_jobs_are_traced(self, tmp_path):
         spec = JobSpec(
             kind="chaos", seed=3, repetitions=1, overrides=dict(TINY)
         )
@@ -462,4 +462,8 @@ class TestJobTraceLifecycle:
             tmp_path / "artifact.json",
             checkpoint_path=tmp_path / "journal.ndjson",
         )
-        assert not (tmp_path / "trace.ndjson").exists()
+        header, spans = load_spans(tmp_path / "trace.ndjson")
+        assert header["trace_id"] == spec.fingerprint()
+        span_ids = {span.span_id for span in spans}
+        assert "job/point-0/rep-0" in span_ids
+        assert "engine.slot" in {span.name for span in spans}
