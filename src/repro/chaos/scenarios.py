@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import json
 import signal
-import subprocess
-import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -61,7 +59,7 @@ from repro.obs.clock import sleep_s
 from repro.perf.executor import SweepWorkItem, execute_work_item
 from repro.rng import StreamFactory
 from repro.service.cache import ResultCache
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, spawn_daemon
 from repro.service.jobs import JobSpec, run_job, save_job_artifact
 from repro.storage import atomic_write_text
 
@@ -450,37 +448,6 @@ def run_worker_scenario(
 # --------------------------------------------------------------------------- #
 
 
-def _start_daemon(sock: Path, state: Path) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--socket",
-            str(sock),
-            "--state-dir",
-            str(state),
-            "--queue-capacity",
-            "2",
-            "--heartbeat",
-            "0.5",
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.STDOUT,
-    )
-
-
-def _wait_ping(client: ServiceClient, attempts: int = 200) -> bool:
-    for _ in range(attempts):
-        try:
-            if client.ping().get("type") == "pong":
-                return True
-        except ServiceError:
-            sleep_s(0.05)
-    return False
-
-
 def run_service_scenario(
     workdir: Path, seed: int = GATE_SEED
 ) -> Tuple[Dict, Dict]:
@@ -506,9 +473,8 @@ def run_service_scenario(
         "completed_after_restart": [],
     }
     direct = ServiceClient(sock, timeout_s=60.0)
-    daemon = _start_daemon(sock, state)
-    try:
-        if not _wait_ping(direct):
+    with spawn_daemon(sock, state, queue_capacity=2) as daemon:
+        if not direct.wait_for_ping():
             raise ChaosError("service scenario: daemon never answered ping")
 
         # Partial frames: one NDJSON response over many tiny sends still
@@ -581,15 +547,10 @@ def run_service_scenario(
             sleep_s(0.05)
         daemon.send_signal(signal.SIGKILL)
         daemon.wait(timeout=30)
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=30)
 
     # Restart: the acknowledged backlog must complete, byte-identically.
-    daemon = _start_daemon(sock, state)
-    try:
-        if not _wait_ping(direct):
+    with spawn_daemon(sock, state, queue_capacity=2) as daemon:
+        if not direct.wait_for_ping():
             raise ChaosError(
                 "service scenario: restarted daemon never answered ping"
             )
@@ -609,16 +570,11 @@ def run_service_scenario(
         evidence["cache_hit_after_restart"] = hit.get("type") == "cache_hit"
         direct.shutdown()
         daemon.wait(timeout=120)
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=30)
 
     # Torn provenance log: the daemon restarts over it and keeps serving.
     tear_ndjson_tail(state / "cache" / "cache-log.ndjson")
-    daemon = _start_daemon(sock, state)
-    try:
-        if not _wait_ping(direct):
+    with spawn_daemon(sock, state, queue_capacity=2) as daemon:
+        if not direct.wait_for_ping():
             raise ChaosError(
                 "service scenario: daemon never recovered from a torn "
                 "cache log"
@@ -629,10 +585,6 @@ def run_service_scenario(
         )
         direct.shutdown()
         daemon.wait(timeout=120)
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait(timeout=30)
 
     recovered = len(evidence["completed_after_restart"])
     figures = {

@@ -6,11 +6,11 @@ Commands
 ``bounds``     the analytic delay/capacity bounds for a scenario
 ``collect``    run one ADDC collection and print the outcome
 ``compare``    ADDC vs Coolest over repeated deployments
-``chaos``      one ADDC collection under fault injection (repro.faults);
-               ``chaos gate`` runs the full resilience scenario grid,
-               evaluates every resilience contract, and ratchets the
-               result against ``BENCH_resilience.json`` (exit 1 on a
-               contract violation or a gated regression)
+``chaos``      ADDC over repeated deployments under fault injection
+               (repro.faults); ``chaos gate`` runs the full resilience
+               scenario grid, evaluates every resilience contract, and
+               ratchets the result against ``BENCH_resilience.json``
+               (exit 1 on a contract violation or a gated regression)
 ``fig4``       regenerate Figure 4 (PCR sweeps)
 ``fig6``       regenerate one Figure 6 sub-figure (a-f), optionally --save
 ``scenario``   list or run a named scenario preset
@@ -33,9 +33,15 @@ Commands
                (live telemetry), ``result``, ``ping``, ``shutdown``, and
                ``smoke`` (CI kill/restart/cache end-to-end check)
 
-Every command accepts ``--scale {quick,bench,paper}`` (density-preserving
-scenario sizes; ``paper`` is the full n = 2000 setting — expect a very long
-run) and the radio parameters of the paper.
+``fig6``, ``compare`` and ``chaos`` are jobs: each builds the same
+:class:`~repro.service.jobs.JobSpec` that ``service submit`` sends and runs
+it through :func:`~repro.service.jobs.run_job`, so every repetition is
+supervised and can be journalled (``--checkpoint``/``--resume``).
+
+Every scenario command accepts ``--scale {quick,bench,paper}``
+(density-preserving scenario sizes; ``paper`` is the full n = 2000
+setting — expect a very long run) and the radio parameters of the paper.
+A library error exits 1 with one ``ERROR [code]: message`` line.
 """
 
 from __future__ import annotations
@@ -47,93 +53,21 @@ from typing import List, Optional
 from repro.core.analysis import TheoreticalBounds
 from repro.core.collector import run_addc_collection
 from repro.core.pcr import PcrParameters, compute_pcr
-from repro.experiments.config import ExperimentConfig
+from repro.errors import ReproError
+from repro.experiments.config import SCALES, ExperimentConfig, resolve_config
 from repro.experiments.fig4 import figure4_rows
-from repro.experiments.fig6 import FIG6_SWEEPS, run_fig6_sweep
+from repro.experiments.fig6 import FIG6_SWEEPS
 from repro.experiments.report import render_fig4_table, render_fig6_table
-from repro.experiments.runner import run_comparison_point
 from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
 
 __all__ = ["main", "build_parser"]
 
-_SCALES = {
-    "quick": ExperimentConfig.quick_scale,
-    "bench": ExperimentConfig.bench_scale,
-    "paper": ExperimentConfig.paper_scale,
-}
-
-
-def _add_scale_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default="quick",
-        help="scenario size (density-preserving); default: quick",
-    )
-    parser.add_argument("--seed", type=int, default=2012, help="root RNG seed")
-    parser.add_argument(
-        "--repetitions", type=int, default=None, help="override repetitions"
-    )
-    parser.add_argument(
-        "--blocking",
-        choices=("homogeneous", "geometric"),
-        default="homogeneous",
-        help="PU blocking model (paper's analysis regime: homogeneous)",
-    )
-    parser.add_argument("--p-t", type=float, default=None, help="override p_t")
-
-
-def _add_harness_options(parser: argparse.ArgumentParser) -> None:
-    """The crash-safe harness flags shared by ``compare`` and ``fig6``."""
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="journal every completed repetition to this checkpoint/v1 "
-        "file (durable across kills; see docs/ROBUSTNESS.md)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay a compatible existing --checkpoint journal and run "
-        "only the missing items (results are byte-identical to an "
-        "uninterrupted run)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-repetition deadline; a worker exceeding it is "
-        "terminated and the item retried (pool mode only)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries per item before quarantine (default: 2; backoff "
-        "is deterministic exponential)",
-    )
-    parser.add_argument(
-        "--allow-partial",
-        action="store_true",
-        help="accept a sweep with quarantined items (saved artifacts are "
-        "marked status: partial)",
-    )
-
-
-def _harness_active(args: argparse.Namespace) -> bool:
-    return (
-        args.checkpoint is not None
-        or args.timeout is not None
-        or args.max_retries is not None
-    )
+_SOCKET = ".addc-service/service.sock"
 
 
 def _retry_policy_from(args: argparse.Namespace):
-    """A RetryPolicy from CLI flags, or None for the library default."""
+    """A RetryPolicy from CLI flags, or None for the jobs-layer default."""
     if args.timeout is None and args.max_retries is None:
         return None
     from repro.harness import RetryPolicy
@@ -147,14 +81,35 @@ def _retry_policy_from(args: argparse.Namespace):
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    config = _SCALES[args.scale]().with_overrides(
-        seed=args.seed, blocking=args.blocking
+    return resolve_config(
+        args.scale,
+        seed=args.seed,
+        blocking=args.blocking,
+        repetitions=getattr(args, "repetitions", None),
+        p_t=args.p_t,
     )
-    if args.repetitions is not None:
-        config = config.with_overrides(repetitions=args.repetitions)
-    if args.p_t is not None:
-        config = config.with_overrides(p_t=args.p_t)
-    return config
+
+
+def _collect(config: ExperimentConfig, label: str, activity=None, **options):
+    """One ADDC collection on a fresh deployment drawn from lineage ``label``.
+
+    The RNG stream layout depends only on ``config.seed`` and ``label``, so
+    two calls with the same arguments replay the identical simulation —
+    which is what the determinism smoke check exploits.  ``options`` go
+    to :func:`~repro.core.collector.run_addc_collection`.
+    """
+    streams = StreamFactory(config.seed).spawn(label)
+    topology = deploy_crn(config.deployment_spec(), streams, activity=activity)
+    return run_addc_collection(
+        topology,
+        streams.spawn("addc"),
+        eta_p_db=config.eta_p_db,
+        eta_s_db=config.eta_s_db,
+        alpha=config.alpha,
+        blocking=config.blocking,
+        max_slots=config.max_slots,
+        **options,
+    )
 
 
 def _cmd_pcr(args: argparse.Namespace) -> int:
@@ -218,16 +173,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    streams = StreamFactory(config.seed).spawn("cli-collect")
-    topology = deploy_crn(config.deployment_spec(), streams)
-    outcome = run_addc_collection(
-        topology,
-        streams.spawn("addc"),
-        eta_p_db=config.eta_p_db,
-        eta_s_db=config.eta_s_db,
-        alpha=config.alpha,
-        blocking=config.blocking,
+    outcome = _collect(
+        _config_from(args),
+        "cli-collect",
         fairness_wait=not args.no_fairness,
         use_cds_tree=not args.bfs_tree,
         p_false_alarm=args.p_false_alarm,
@@ -235,7 +183,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         num_channels=args.num_channels,
         rounds=args.rounds,
         period_slots=args.period_slots,
-        max_slots=config.max_slots,
     )
     print(outcome.result.summary())
     print(
@@ -249,25 +196,51 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return 0 if outcome.result.completed else 1
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.errors import PartialSweepError, ReproError
+def _job_spec(args: argparse.Namespace):
+    """The :class:`~repro.service.jobs.JobSpec` a command line names.
 
-    config = _config_from(args)
-    try:
-        point = run_comparison_point(
-            config,
-            workers=args.workers,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            policy=_retry_policy_from(args),
-            allow_partial=args.allow_partial,
-        )
-    except PartialSweepError as error:
-        print(f"PARTIAL: {error}", file=sys.stderr)
-        return 1
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+    The one builder behind ``fig6``, ``compare``, ``chaos`` and ``service
+    submit``, so a one-shot run, its checkpoint journal and the daemon's
+    cache all agree on the experiment's fingerprint.
+    """
+    from repro.service.jobs import JobSpec
+
+    chaos = {}
+    if args.kind == "chaos":
+        chaos = {
+            "intensity": args.intensity,
+            "horizon_slots": args.horizon_slots,
+            "mean_downtime_slots": args.mean_downtime,
+            "drop_queue": not args.keep_queues,
+            # Pinned-idle detectors are only meaningful under geometric
+            # blocking (the mean-field model has no PUs to violate).
+            "sensing_fault_fraction": (
+                0.25 if args.blocking == "geometric" else 0.0
+            ),
+            "blackout": args.blackout,
+        }
+    return JobSpec(
+        kind=args.kind,
+        scale=args.scale,
+        seed=args.seed,
+        blocking=args.blocking,
+        # The CI smoke run is the same job at one repetition.
+        repetitions=1 if getattr(args, "smoke", False) else args.repetitions,
+        p_t=args.p_t,
+        subfigure=args.subfigure if args.kind == "fig6" else None,
+        chaos=chaos,
+    )
+
+
+def _render_fig6(job) -> None:
+    sweep = FIG6_SWEEPS[job.spec.sweep_name()]
+    print(render_fig6_table(sweep.name, sweep.description, job.points))
+
+
+def _render_compare(job) -> None:
+    if not job.points:
+        return
+    point = job.points[0][1]
     print(
         f"ADDC    : {point.addc_delay_ms.mean:12.1f} ms "
         f"± {point.addc_delay_ms.std:.1f}"
@@ -280,62 +253,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"ADDC induces {point.reduction_percent:.0f}% less delay "
         f"({point.speedup:.2f}x speedup)"
     )
-    return 0
+    if point.skipped_repetitions:
+        print(
+            f"skipped {point.skipped_repetitions} repetition(s) that hit "
+            "max_slots"
+        )
 
 
-def _chaos_options_from(args: argparse.Namespace, config: ExperimentConfig):
-    from repro.faults import ChaosOptions
-
-    return ChaosOptions(
-        intensity=args.intensity,
-        horizon_slots=args.horizon_slots,
-        mean_downtime_slots=args.mean_downtime,
-        drop_queue=not args.keep_queues,
-        # Pinned-idle detectors are only meaningful under geometric
-        # blocking (the mean-field model has no PUs to violate).
-        sensing_fault_fraction=0.25 if config.blocking == "geometric" else 0.0,
-        blackout=args.blackout,
-    )
-
-
-def _cmd_chaos_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    """The checkpointed/resumable chaos path (harness flags or --save)."""
-    import dataclasses as _dataclasses
-
-    from repro import obs
-    from repro.errors import ReproError
-    from repro.service.jobs import JobSpec, run_job, save_job_artifact
-
-    options = _chaos_options_from(args, config)
-    spec = JobSpec(
-        kind="chaos",
-        scale=args.scale,
-        seed=args.seed,
-        blocking=args.blocking,
-        repetitions=args.repetitions,
-        p_t=args.p_t,
-        chaos=_dataclasses.asdict(options),
-    )
-    recorder = obs.MetricsRecorder()
-    start = obs.monotonic_s()
-    try:
-        with obs.use_recorder(recorder):
-            job = run_job(
-                spec,
-                checkpoint_path=args.checkpoint,
-                resume=args.resume,
-                workers=args.workers,
-                policy=_retry_policy_from(args),
-            )
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+def _render_chaos(job) -> None:
     result = job.chaos
-    wall_time_s = obs.monotonic_s() - start
     aggregate = result.aggregate()
     print(
         f"chaos sweep: {aggregate['completed']}/{result.repetitions} "
-        f"repetition(s) completed (intensity {options.intensity})"
+        f"repetition(s) completed "
+        f"(intensity {job.spec.chaos_options().intensity})"
     )
     if aggregate["mean_availability"] is not None:
         print(f"mean availability : {aggregate['mean_availability']:.3f}")
@@ -353,98 +284,87 @@ def _cmd_chaos_sweep(args: argparse.Namespace, config: ExperimentConfig) -> int:
             f"ADDC delay        : {result.delays.mean:12.1f} ms "
             f"± {result.delays.std:.1f}"
         )
-    if result.status != "complete":
-        for failure in result.failures:
-            record = failure.to_dict()
-            print(
-                f"quarantined: rep {record['rep']} ({record['kind']} "
-                f"after {record['attempts']} attempts)",
-                file=sys.stderr,
+
+
+_RENDERERS = {
+    "fig6": _render_fig6,
+    "compare": _render_compare,
+    "chaos": _render_chaos,
+}
+
+
+def _chaos_smoke_failure(records) -> Optional[str]:
+    """Why a chaos record breaks the delivery books, or ``None``."""
+    for record in records:
+        rep = record["repetition"]
+        delivered, lost = record["delivered"], record["packets_lost"]
+        if not record["completed"]:
+            return f"rep {rep} did not complete"
+        if delivered + lost != record["num_packets"]:
+            return (
+                f"rep {rep}: delivered + lost != expected "
+                f"({delivered} + {lost} != {record['num_packets']})"
             )
-        if not args.allow_partial:
-            print(
-                "PARTIAL: chaos sweep lost repetitions; re-run with "
-                "--resume to retry them, or pass --allow-partial to save "
-                "the survivors",
-                file=sys.stderr,
-            )
+        if record["packets_orphaned"] > lost:
+            return f"rep {rep}: more orphans than losses"
+        if not 0.0 <= record["availability"] <= 1.0:
+            return f"rep {rep}: availability outside [0, 1]"
+    return None
+
+
+def _cmd_job(args: argparse.Namespace) -> int:
+    """``fig6`` / ``compare`` / ``chaos``: run the job, render, save."""
+    from repro import obs
+    from repro.service.jobs import run_job, save_job_artifact
+
+    spec = _job_spec(args)
+    recorder = obs.MetricsRecorder()
+    start = obs.monotonic_s()
+    with obs.use_recorder(recorder):
+        job = run_job(
+            spec,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            workers=args.workers,
+            policy=_retry_policy_from(args),
+        )
+    wall_time_s = obs.monotonic_s() - start
+    _RENDERERS[spec.kind](job)
+    for record in job.failures:
+        print(
+            f"quarantined: point {record['point']} rep {record['rep']} "
+            f"({record['kind']} after {record['attempts']} attempts)",
+            file=sys.stderr,
+        )
+    if not job.complete and not args.allow_partial:
+        print(
+            f"PARTIAL: {spec.sweep_name()} lost repetitions; re-run with "
+            "--resume to retry them, or pass --allow-partial to save the "
+            "survivors",
+            file=sys.stderr,
+        )
+        return 1
+    if getattr(args, "smoke", False):
+        # CI sanity run: the delivery books must balance exactly.
+        failure = _chaos_smoke_failure(job.chaos.records)
+        if failure is not None:
+            print(f"SMOKE FAIL: {failure}", file=sys.stderr)
             return 1
-    if args.save:
+        print("chaos smoke OK")
+    save = getattr(args, "save", None)
+    if save:
+        # The manifest execute_job writes, minus the trace: two CLI runs
+        # saving into one directory must not share a trace/ shard dir.
         manifest = obs.build_manifest(
-            seed=config.seed,
-            config=config,
+            seed=spec.seed,
+            config=spec.config(),
             wall_time_s=wall_time_s,
             recorder=recorder,
             extra=job.manifest_extra(args.workers),
         )
-        save_job_artifact(job, args.save, manifest=manifest)
-        print(f"saved to {args.save}")
+        save_job_artifact(job, save, manifest=manifest)
+        print(f"saved to {save}")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import chaos_plan
-    from repro.metrics.resilience import resilience_report
-
-    config = _config_from(args)
-    if not args.smoke and (
-        _harness_active(args) or args.save is not None or args.workers > 1
-    ):
-        return _cmd_chaos_sweep(args, config)
-    if args.smoke:
-        # CI sanity run: small, fast, and strict about the accounting.
-        config = config.with_overrides(repetitions=1)
-    streams = StreamFactory(config.seed).spawn("cli-chaos")
-    topology = deploy_crn(config.deployment_spec(), streams)
-    plan = chaos_plan(
-        topology.secondary.su_ids(),
-        args.horizon_slots,
-        args.intensity,
-        streams,
-        drop_queue=not args.keep_queues,
-        mean_downtime_slots=args.mean_downtime,
-        # Pinned-idle detectors are only meaningful under geometric
-        # blocking (the mean-field model has no PUs to violate).
-        sensing_fault_fraction=0.25 if config.blocking == "geometric" else 0.0,
-        blackout=args.blackout,
-    )
-    print(f"fault plan: {plan.describe()}")
-    outcome = run_addc_collection(
-        topology,
-        streams.spawn("addc"),
-        eta_p_db=config.eta_p_db,
-        eta_s_db=config.eta_s_db,
-        alpha=config.alpha,
-        blocking=config.blocking,
-        fault_plan=plan,
-        max_slots=config.max_slots,
-    )
-    result = outcome.result
-    report = resilience_report(result, topology.secondary.num_sus)
-    print(result.summary())
-    print(report.summary())
-    if args.smoke:
-        # The delivery books must balance exactly on a completed run.
-        if not result.completed:
-            print("SMOKE FAIL: run did not complete", file=sys.stderr)
-            return 1
-        if result.delivered + result.packets_lost != result.num_packets:
-            print(
-                "SMOKE FAIL: delivered + lost != expected "
-                f"({result.delivered} + {result.packets_lost} != "
-                f"{result.num_packets})",
-                file=sys.stderr,
-            )
-            return 1
-        if result.packets_orphaned > result.packets_lost:
-            print("SMOKE FAIL: more orphans than losses", file=sys.stderr)
-            return 1
-        if not 0.0 <= report.availability <= 1.0:
-            print("SMOKE FAIL: availability outside [0, 1]", file=sys.stderr)
-            return 1
-        print("chaos smoke OK")
-        return 0
-    return 0 if result.completed else 1
 
 
 def _cmd_chaos_gate(args: argparse.Namespace) -> int:
@@ -458,67 +378,38 @@ def _cmd_chaos_gate(args: argparse.Namespace) -> int:
         write_gate_baseline,
     )
     from repro.chaos.gate import render_gate
-    from repro.errors import ReproError
 
     def progress(name: str) -> None:
         print(f"chaos gate: running {name} scenario ...", flush=True)
 
-    try:
-        with tempfile.TemporaryDirectory(prefix="chaos-gate-") as scratch:
-            workdir = Path(args.workdir) if args.workdir else Path(scratch)
-            report = run_gate(
-                workdir,
-                seed=args.seed,
-                smoke=args.smoke,
-                include_service=not args.no_service,
-                synthetic_violation=args.synthetic_violation,
-                progress=progress,
+    with tempfile.TemporaryDirectory(prefix="chaos-gate-") as scratch:
+        workdir = Path(args.workdir) if args.workdir else Path(scratch)
+        report = run_gate(
+            workdir,
+            seed=args.seed,
+            smoke=args.smoke,
+            include_service=not args.no_service,
+            synthetic_violation=args.synthetic_violation,
+            progress=progress,
+        )
+        if args.update_baseline:
+            write_gate_baseline(args.baseline, report)
+            print(render_gate(report, None))
+            print(f"baseline written to {args.baseline}")
+            return 0 if not report.contract_failures else 1
+        if Path(args.baseline).exists():
+            diff_against_baseline(report, args.baseline, args.fail_on_regression)
+        elif args.fail_on_regression is not None:
+            print(
+                f"ERROR: baseline {args.baseline} does not exist; "
+                "generate it with `chaos gate --update-baseline`",
+                file=sys.stderr,
             )
-            if args.update_baseline:
-                write_gate_baseline(args.baseline, report)
-                print(render_gate(report, None))
-                print(f"baseline written to {args.baseline}")
-                return 0 if not report.contract_failures else 1
-            if Path(args.baseline).exists():
-                diff_against_baseline(
-                    report, args.baseline, args.fail_on_regression
-                )
-            elif args.fail_on_regression is not None:
-                print(
-                    f"ERROR: baseline {args.baseline} does not exist; "
-                    "generate it with `chaos gate --update-baseline`",
-                    file=sys.stderr,
-                )
-                return 1
-            if args.out:
-                write_gate_baseline(args.out, report)
-            print(render_gate(report, args.fail_on_regression))
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+            return 1
+        if args.out:
+            write_gate_baseline(args.out, report)
+        print(render_gate(report, args.fail_on_regression))
     return 0 if report.passed else 1
-
-
-def _collect_once(config: ExperimentConfig, label: str, trace=None):
-    """One ADDC collection on a fresh deployment (shared by obs/trace cmds).
-
-    The RNG stream layout depends only on ``config.seed`` and ``label``, so
-    two calls with the same arguments replay the identical simulation —
-    which is what the determinism smoke check exploits.
-    """
-    streams = StreamFactory(config.seed).spawn(label)
-    topology = deploy_crn(config.deployment_spec(), streams)
-    return run_addc_collection(
-        topology,
-        streams.spawn("addc"),
-        eta_p_db=config.eta_p_db,
-        eta_s_db=config.eta_s_db,
-        alpha=config.alpha,
-        blocking=config.blocking,
-        max_slots=config.max_slots,
-        trace=trace,
-        with_bounds=False,
-    )
 
 
 def _result_fingerprint(result) -> tuple:
@@ -543,12 +434,12 @@ def _obs_smoke(args: argparse.Namespace) -> int:
     from repro import obs
 
     config = _config_from(args).with_overrides(repetitions=1)
-    baseline = _collect_once(config, "cli-obs-smoke")
+    baseline = _collect(config, "cli-obs-smoke", with_bounds=False)
 
     recorder = obs.MetricsRecorder()
     start = obs.monotonic_s()
     with obs.use_recorder(recorder):
-        instrumented = _collect_once(config, "cli-obs-smoke")
+        instrumented = _collect(config, "cli-obs-smoke", with_bounds=False)
     wall_time_s = obs.monotonic_s() - start
 
     if _result_fingerprint(instrumented.result) != _result_fingerprint(
@@ -628,7 +519,7 @@ def _cmd_obs_bench(args: argparse.Namespace) -> int:
     start = obs.monotonic_s()
     with obs.use_recorder(recorder):
         for rep in range(collections):
-            _collect_once(config, f"obs-bench-{rep}")
+            _collect(config, f"obs-bench-{rep}", with_bounds=False)
     wall_time_s = obs.monotonic_s() - start
     manifest = obs.build_manifest(
         seed=config.seed,
@@ -666,7 +557,9 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
     config = _config_from(args)
     with obs.NdjsonTraceWriter(args.out) as writer:
-        outcome = _collect_once(config, "cli-trace", trace=writer)
+        outcome = _collect(
+            config, "cli-trace", trace=writer, with_bounds=False
+        )
     print(f"wrote {writer.events_written} events to {args.out}")
     return 0 if outcome.result.completed else 1
 
@@ -712,7 +605,6 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
 def _cmd_trace_tree(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.errors import ReproError
     from repro.obs.tracing import load_spans, render_tree
 
     path = Path(args.job)
@@ -727,11 +619,7 @@ def _cmd_trace_tree(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    try:
-        header, spans = load_spans(path)
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+    header, spans = load_spans(path)
     print(render_tree(header.get("trace_id", ""), spans))
     return 0
 
@@ -740,52 +628,43 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro import obs
-    from repro.errors import ReproError
 
-    try:
-        if args.socket is not None:
-            from repro.service.client import ServiceClient
+    if args.socket is not None:
+        from repro.service.client import ServiceClient
 
-            report = ServiceClient(args.socket).stats()
-            if report.get("type") != "stats_report":
-                print(
-                    f"unexpected response type {report.get('type')!r} "
-                    "(expected 'stats_report')",
-                    file=sys.stderr,
-                )
-                return 1
-            summary = report.get("service") or {}
-            gauge_names = ("queue_depth", "inflight", "capacity")
-            metrics = {
-                "counters": {
-                    f"service.{name}": value
-                    for name, value in summary.items()
-                    if name not in gauge_names
-                    and isinstance(value, (int, float))
-                },
-                "gauges": {
-                    f"service.{name}": summary.get(name, 0)
-                    for name in gauge_names
-                },
-            }
-            metrics["gauges"]["service.quarantined"] = report.get(
-                "quarantined", 0
+        report = ServiceClient(args.socket).stats()
+        if report.get("type") != "stats_report":
+            print(
+                f"unexpected response type {report.get('type')!r} "
+                "(expected 'stats_report')",
+                file=sys.stderr,
             )
-            profile = report.get("phases") or {}
-        else:
-            if args.manifest is None:
-                print(
-                    "obs export needs a manifest path (or --socket for a "
-                    "live daemon)",
-                    file=sys.stderr,
-                )
-                return 2
-            record = obs.load_manifest(args.manifest).to_dict()
-            metrics = record.get("metrics") or {}
-            profile = record.get("profile") or {}
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+            return 1
+        summary = report.get("service") or {}
+        gauge_names = ("queue_depth", "inflight", "capacity")
+        metrics = {
+            "counters": {
+                f"service.{name}": value
+                for name, value in summary.items()
+                if name not in gauge_names and isinstance(value, (int, float))
+            },
+            "gauges": {
+                f"service.{name}": summary.get(name, 0) for name in gauge_names
+            },
+        }
+        metrics["gauges"]["service.quarantined"] = report.get("quarantined", 0)
+        profile = report.get("phases") or {}
+    else:
+        if args.manifest is None:
+            print(
+                "obs export needs a manifest path (or --socket for a live "
+                "daemon)",
+                file=sys.stderr,
+            )
+            return 2
+        record = obs.load_manifest(args.manifest).to_dict()
+        metrics = record.get("metrics") or {}
+        profile = record.get("profile") or {}
     text = obs.render_prometheus(metrics, profile)
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -799,18 +678,13 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     import json
 
     from repro import obs
-    from repro.errors import ReproError
     from repro.obs.diff import load_manifest_dict
 
-    try:
-        old = load_manifest_dict(args.old)
-        new = load_manifest_dict(args.new)
-        rows = obs.diff_manifests(
-            old, new, tolerance_pct=args.fail_on_regression
-        )
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+    rows = obs.diff_manifests(
+        load_manifest_dict(args.old),
+        load_manifest_dict(args.new),
+        tolerance_pct=args.fail_on_regression,
+    )
     if args.json:
         print(
             json.dumps(
@@ -827,108 +701,12 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    name = f"fig6{args.subfigure}"
-    sweep = FIG6_SWEEPS[name]
-    config = _config_from(args)
-    use_harness = _harness_active(args)
-    if not args.save and not use_harness:
-        points = run_fig6_sweep(sweep, config, workers=args.workers)
-        print(render_fig6_table(sweep.name, sweep.description, points))
-        return 0
-
-    from repro import obs
-    from repro.errors import ReproError
-    from repro.experiments.io import save_sweep
-
-    # Saved sweeps get a provenance manifest recording the worker count
-    # (the artifact itself is worker-count-independent by construction).
-    recorder = obs.MetricsRecorder()
-    start = obs.monotonic_s()
-    extra = {"sweep": name, "workers": args.workers}
-    status = "complete"
-    failures = []
-    try:
-        with obs.use_recorder(recorder):
-            if use_harness:
-                # The daemon runs the exact same spec through the exact
-                # same layer, so CLI journals and service cache entries
-                # share fingerprints (see repro.service.jobs).
-                from repro.service.jobs import JobSpec, run_job
-
-                spec = JobSpec(
-                    kind="fig6",
-                    scale=args.scale,
-                    seed=args.seed,
-                    blocking=args.blocking,
-                    repetitions=args.repetitions,
-                    p_t=args.p_t,
-                    subfigure=args.subfigure,
-                )
-                result = run_job(
-                    spec,
-                    checkpoint_path=args.checkpoint,
-                    resume=args.resume,
-                    workers=args.workers,
-                    policy=_retry_policy_from(args),
-                )
-                points = result.points
-                status = result.status
-                failures = result.failures
-                extra["harness"] = result.sweep.harness_summary()
-            else:
-                points = run_fig6_sweep(sweep, config, workers=args.workers)
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
-    wall_time_s = obs.monotonic_s() - start
-    print(render_fig6_table(sweep.name, sweep.description, points))
-    if status != "complete":
-        for record in failures:
-            print(
-                f"quarantined: point {record['point']} rep {record['rep']} "
-                f"({record['kind']} after {record['attempts']} attempts)",
-                file=sys.stderr,
-            )
-        if not args.allow_partial:
-            print(
-                f"PARTIAL: sweep {name} lost items; re-run with --resume to "
-                "retry them, or pass --allow-partial to save the survivors",
-                file=sys.stderr,
-            )
-            return 1
-    if args.save:
-        manifest = obs.build_manifest(
-            seed=config.seed,
-            config=config,
-            wall_time_s=wall_time_s,
-            recorder=recorder,
-            extra=extra,
-        )
-        save_sweep(
-            args.save,
-            name,
-            points,
-            manifest=manifest,
-            status=status,
-            failures=failures,
-        )
-        print(f"saved to {args.save}")
-    return 0
-
-
 def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import CheckpointError
     from repro.harness import inspect_checkpoint
 
-    try:
-        summary = inspect_checkpoint(args.path)
-    except CheckpointError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(inspect_checkpoint(args.path), indent=2, sort_keys=True))
     return 0
 
 
@@ -953,38 +731,33 @@ def _cmd_checkpoint_smoke(args: argparse.Namespace) -> int:
     kill tests live in ``tests/test_harness.py``; this check is the fast,
     deterministic CI variant.)
     """
-    import dataclasses as _dataclasses
     import tempfile
     from pathlib import Path
 
     from repro import obs
-    from repro.experiments.fig6 import sweep_point_configs
-    from repro.experiments.io import save_sweep
-    from repro.harness import run_checkpointed_sweep, verify_checkpoint
+    from repro.harness import verify_checkpoint
+    from repro.service.jobs import JobSpec, run_job, save_job_artifact
 
-    config = _SCALES["quick"]().with_overrides(
-        area=30.0 * 30.0,
-        num_pus=4,
-        num_sus=20,
-        repetitions=2,
-        max_slots=200_000,
+    spec = JobSpec(
+        kind="fig6",
+        subfigure="c",
+        values=FIG6_SWEEPS["fig6c"].values[:2],
         seed=20120612,
+        repetitions=2,
+        overrides={
+            "area": 30.0 * 30.0,
+            "num_pus": 4,
+            "num_sus": 20,
+            "max_slots": 200_000,
+        },
     )
-    sweep = _dataclasses.replace(
-        FIG6_SWEEPS["fig6c"], values=FIG6_SWEEPS["fig6c"].values[:2]
-    )
-    points = sweep_point_configs(sweep, config)
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         full_journal = base / "full.checkpoint.ndjson"
         kill_journal = base / "kill.checkpoint.ndjson"
-        full = run_checkpointed_sweep(
-            "smoke", points, checkpoint_path=full_journal, workers=args.workers
-        )
-        save_sweep(base / "full.json", "smoke", full.points)
-        run_checkpointed_sweep(
-            "smoke", points, checkpoint_path=kill_journal, workers=args.workers
-        )
+        full = run_job(spec, checkpoint_path=full_journal, workers=args.workers)
+        save_job_artifact(full, base / "full.json")
+        run_job(spec, checkpoint_path=kill_journal, workers=args.workers)
         # Tear the journal the way SIGKILL does: keep the header plus one
         # whole record, then cut the next record mid-line.
         lines = kill_journal.read_bytes().split(b"\n")
@@ -996,14 +769,13 @@ def _cmd_checkpoint_smoke(args: argparse.Namespace) -> int:
         )
         recorder = obs.MetricsRecorder()
         with obs.use_recorder(recorder):
-            resumed = run_checkpointed_sweep(
-                "smoke",
-                points,
+            resumed = run_job(
+                spec,
                 checkpoint_path=kill_journal,
                 resume=True,
                 workers=args.workers,
             )
-        save_sweep(base / "resumed.json", "smoke", resumed.points)
+        save_job_artifact(resumed, base / "resumed.json")
         if resumed.cached_items != 1:
             print(
                 "SMOKE FAIL: expected 1 cached item after the tear, got "
@@ -1047,26 +819,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     scenario = get_scenario(args.name)
-    config = scenario.config
-    if args.repetitions is not None:
-        config = config.with_overrides(repetitions=args.repetitions)
     print(f"scenario: {scenario.name} — {scenario.summary}")
     # Derived from the validated scenario id, which the run manifest
     # records; each scenario gets a distinct lineage.
-    # reprolint: disable=RNG011
-    streams = StreamFactory(config.seed).spawn(f"scenario-{scenario.name}")
-    topology = deploy_crn(
-        config.deployment_spec(), streams, activity=scenario.make_activity()
-    )
-    outcome = run_addc_collection(
-        topology,
-        streams.spawn("addc"),
-        eta_p_db=config.eta_p_db,
-        eta_s_db=config.eta_s_db,
-        alpha=config.alpha,
-        blocking=config.blocking,
+    outcome = _collect(
+        scenario.config,
+        f"scenario-{scenario.name}",
+        activity=scenario.make_activity(),
         num_channels=scenario.num_channels,
-        max_slots=config.max_slots,
     )
     print(outcome.result.summary())
     print(
@@ -1092,97 +852,59 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the experiment daemon until SIGTERM/SIGINT (graceful drain)."""
     from repro import obs
-    from repro.errors import ReproError
     from repro.service import ExperimentService
     from repro.service.server import ServiceServer
 
-    recorder = obs.MetricsRecorder()
-    try:
-        with obs.use_recorder(recorder):
-            service = ExperimentService(
-                args.state_dir,
-                queue_capacity=args.queue_capacity,
-                workers=args.workers,
-                policy=_retry_policy_from(args),
-            )
-            server = ServiceServer(
-                service, args.socket, heartbeat_s=args.heartbeat
-            )
-            server.install_signal_handlers()
-            if service.recovered_jobs:
-                print(
-                    f"recovered {service.recovered_jobs} unfinished job(s) "
-                    "from the state directory"
-                )
+    with obs.use_recorder(obs.MetricsRecorder()):
+        service = ExperimentService(
+            args.state_dir,
+            queue_capacity=args.queue_capacity,
+            workers=args.workers,
+            policy=_retry_policy_from(args),
+        )
+        server = ServiceServer(service, args.socket, heartbeat_s=args.heartbeat)
+        server.install_signal_handlers()
+        if service.recovered_jobs:
             print(
-                f"service listening on {args.socket} "
-                f"(state: {args.state_dir}, queue capacity: "
-                f"{args.queue_capacity})"
+                f"recovered {service.recovered_jobs} unfinished job(s) "
+                "from the state directory"
             )
-            sys.stdout.flush()
-            summary = server.serve_forever()
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+        print(
+            f"service listening on {args.socket} "
+            f"(state: {args.state_dir}, queue capacity: "
+            f"{args.queue_capacity})"
+        )
+        sys.stdout.flush()
+        summary = server.serve_forever()
     print(f"drained: {summary['counters']}")
     return 0
-
-
-def _service_spec_from(args: argparse.Namespace):
-    """A JobSpec from ``service submit`` flags (CLI-equivalent semantics)."""
-    from repro.service.jobs import JobSpec
-
-    kwargs = dict(
-        kind=args.kind,
-        scale=args.scale,
-        seed=args.seed,
-        blocking=args.blocking,
-        repetitions=args.repetitions,
-        p_t=args.p_t,
-    )
-    if args.kind == "fig6":
-        kwargs["subfigure"] = args.subfigure
-    if args.kind == "chaos":
-        import dataclasses as _dataclasses
-
-        kwargs["chaos"] = _dataclasses.asdict(
-            _chaos_options_from(args, _config_from(args))
-        )
-    return JobSpec(**kwargs)
 
 
 def _cmd_service_submit(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ReproError
     from repro.service.client import ServiceClient
 
-    try:
-        spec = _service_spec_from(args)
-        client = ServiceClient(args.socket)
-        if args.stream:
-            def on_event(event):
-                kind = event.get("type")
-                if kind == "progress":
-                    print(
-                        f"progress: {event.get('done')}/{event.get('total')}",
-                        file=sys.stderr,
-                    )
-                elif kind == "heartbeat":
-                    print(
-                        f"heartbeat: depth={event.get('queue_depth')} "
-                        f"inflight={event.get('inflight')} "
-                        f"cache={event.get('cache_hits', 0)}/"
-                        f"{event.get('cache_misses', 0)} hit/miss",
-                        file=sys.stderr,
-                    )
+    def on_event(event):
+        kind = event.get("type")
+        if kind == "progress":
+            print(
+                f"progress: {event.get('done')}/{event.get('total')}",
+                file=sys.stderr,
+            )
+        elif kind == "heartbeat":
+            print(
+                f"heartbeat: depth={event.get('queue_depth')} "
+                f"inflight={event.get('inflight')} "
+                f"cache={event.get('cache_hits', 0)}/"
+                f"{event.get('cache_misses', 0)} hit/miss",
+                file=sys.stderr,
+            )
 
-            response = client.submit(spec, stream=True, on_event=on_event)
-        else:
-            response = client.submit(spec)
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+    spec = _job_spec(args)
+    response = ServiceClient(args.socket).submit(
+        spec, stream=args.stream, on_event=on_event if args.stream else None
+    )
     print(json.dumps(response, indent=2, sort_keys=True))
     kind = response.get("type")
     if kind == "retry_after":
@@ -1191,26 +913,25 @@ def _cmd_service_submit(args: argparse.Namespace) -> int:
     return 0 if kind in ("accepted", "cache_hit", "completed") else 1
 
 
+#: ``service`` verbs that send one request and print the JSON answer:
+#: verb (= the ServiceClient method) -> (help, positional arguments).
+_SERVICE_VERBS = {
+    "status": ("queue depth, in-flight job, and service counters", ()),
+    "ping": ("liveness check", ()),
+    "shutdown": ("ask the daemon to drain and exit", ()),
+    "result": ("fetch a job's result by fingerprint", ("fingerprint",)),
+}
+
+
 def _cmd_service_verb(args: argparse.Namespace) -> int:
     """status / result / ping / shutdown — one request, JSON out."""
     import json
 
-    from repro.errors import ReproError
     from repro.service.client import ServiceClient
 
-    client = ServiceClient(args.socket)
-    try:
-        if args.service_command == "status":
-            response = client.status()
-        elif args.service_command == "result":
-            response = client.result(args.fingerprint)
-        elif args.service_command == "shutdown":
-            response = client.shutdown()
-        else:
-            response = client.ping()
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+    request = getattr(ServiceClient(args.socket), args.service_command)
+    _, positionals = _SERVICE_VERBS[args.service_command]
+    response = request(*(getattr(args, name) for name in positionals))
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0 if response.get("type") not in ("error", "failed") else 1
 
@@ -1258,32 +979,27 @@ def _cmd_service_top(args: argparse.Namespace) -> int:
     """Live daemon telemetry: single-shot JSON or a refreshing text view."""
     import json
 
-    from repro.errors import ReproError
     from repro.obs.clock import sleep_s
     from repro.service.client import ServiceClient
 
     client = ServiceClient(args.socket)
-    try:
-        for iteration in range(max(1, args.count)):
-            if iteration:
-                sleep_s(args.interval)
-                print()
-            report = client.stats()
-            if report.get("type") != "stats_report":
-                print(
-                    f"unexpected response type {report.get('type')!r} "
-                    "(expected 'stats_report')",
-                    file=sys.stderr,
-                )
-                return 1
-            if args.json:
-                print(json.dumps(report, indent=2, sort_keys=True))
-            else:
-                print(_render_service_top(report))
-            sys.stdout.flush()
-    except ReproError as error:
-        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
-        return 1
+    for iteration in range(max(1, args.count)):
+        if iteration:
+            sleep_s(args.interval)
+            print()
+        report = client.stats()
+        if report.get("type") != "stats_report":
+            print(
+                f"unexpected response type {report.get('type')!r} "
+                "(expected 'stats_report')",
+                file=sys.stderr,
+            )
+            return 1
+        if args.json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print(_render_service_top(report))
+        sys.stdout.flush()
     return 0
 
 
@@ -1299,15 +1015,13 @@ def _cmd_service_smoke(args: argparse.Namespace) -> int:
     """
     import json
     import signal as _signal
-    import subprocess
     import tempfile
     from pathlib import Path
 
-    from repro.errors import ServiceError
     from repro.experiments.runner import run_comparison_repetition
     from repro.harness import load_checkpoint
     from repro.obs.clock import sleep_s
-    from repro.service.client import ServiceClient
+    from repro.service.client import ServiceClient, spawn_daemon
     from repro.service.jobs import JobSpec, run_job, save_job_artifact
 
     tiny = {"area": 900.0, "num_pus": 4, "num_sus": 20, "max_slots": 200_000}
@@ -1324,45 +1038,14 @@ def _cmd_service_smoke(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         state = base / "state"
-        sock = str(base / "service.sock")
+        sock = base / "service.sock"
         reference = base / "reference.json"
         # The uninterrupted in-process reference the daemon must match.
         save_job_artifact(run_job(job_a), reference)
-
-        def start_daemon() -> subprocess.Popen:
-            return subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "serve",
-                    "--socket",
-                    sock,
-                    "--state-dir",
-                    str(state),
-                    "--queue-capacity",
-                    "1",
-                    "--heartbeat",
-                    "0.5",
-                ],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.STDOUT,
-            )
-
         client = ServiceClient(sock, timeout_s=60.0)
 
-        def wait_ping() -> bool:
-            for _ in range(200):
-                try:
-                    if client.ping().get("type") == "pong":
-                        return True
-                except ServiceError:
-                    sleep_s(0.05)
-            return False
-
-        daemon = start_daemon()
-        try:
-            if not wait_ping():
+        with spawn_daemon(sock, state, queue_capacity=1) as daemon:
+            if not client.wait_for_ping():
                 return fail("daemon never answered ping")
             first = client.submit(job_a)
             if first.get("type") != "accepted":
@@ -1398,16 +1081,11 @@ def _cmd_service_smoke(args: argparse.Namespace) -> int:
                 return fail("job A journalled nothing to kill over")
             daemon.send_signal(_signal.SIGKILL)
             daemon.wait(timeout=30)
-        finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(timeout=30)
 
         interrupted = not (state / "cache" / f"{fp_a}.json").exists()
 
-        daemon = start_daemon()
-        try:
-            if not wait_ping():
+        with spawn_daemon(sock, state, queue_capacity=1) as daemon:
+            if not client.wait_for_ping():
                 return fail("restarted daemon never answered ping")
             if interrupted and client.status().get("jobs_recovered", 0) < 1:
                 return fail("restart recovered no jobs")
@@ -1459,10 +1137,6 @@ def _cmd_service_smoke(args: argparse.Namespace) -> int:
             if client.shutdown().get("type") != "draining":
                 return fail("shutdown was not acknowledged with draining")
             daemon.wait(timeout=120)
-        finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(timeout=30)
 
         snapshot_path = state / "service-state.json"
         if not snapshot_path.exists():
@@ -1474,6 +1148,134 @@ def _cmd_service_smoke(args: argparse.Namespace) -> int:
             return fail("drain left no manifest next to the snapshot")
     print("service smoke OK")
     return 0
+
+
+def _add_scale_options(
+    parser: argparse.ArgumentParser, repetitions: bool = False
+) -> None:
+    """The scenario flags; ``--repetitions`` only where a command reads it."""
+    parser.add_argument(
+        "--scale",
+        choices=sorted(SCALES),
+        default="quick",
+        help="scenario size (density-preserving); default: quick",
+    )
+    parser.add_argument("--seed", type=int, default=2012, help="root RNG seed")
+    if repetitions:
+        parser.add_argument(
+            "--repetitions", type=int, default=None, help="override repetitions"
+        )
+    parser.add_argument(
+        "--blocking",
+        choices=("homogeneous", "geometric"),
+        default="homogeneous",
+        help="PU blocking model (paper's analysis regime: homogeneous)",
+    )
+    parser.add_argument("--p-t", type=float, default=None, help="override p_t")
+
+
+def _add_workers(parser: argparse.ArgumentParser, default: int = 1) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=default,
+        help=f"worker processes (default: {default}; 1 = serial; results "
+        "are identical for any value)",
+    )
+
+
+def _add_retry_options(parser: argparse.ArgumentParser) -> None:
+    """The supervisor's retry flags (job commands and ``serve``)."""
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-repetition deadline; a worker exceeding it is "
+        "terminated and the item retried (pool mode only)",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="retries per item before quarantine (default: 2; backoff "
+        "is deterministic exponential)",
+    )
+
+
+def _add_chaos_options(parser: argparse.ArgumentParser) -> None:
+    """The fault-cocktail flags (``chaos`` and ``service submit chaos``)."""
+    parser.add_argument(
+        "--intensity",
+        type=float,
+        default=0.2,
+        help="expected fraction of SUs hit by a transient outage",
+    )
+    parser.add_argument(
+        "--horizon-slots",
+        type=int,
+        default=2000,
+        help="slots over which fault onsets are scheduled",
+    )
+    parser.add_argument(
+        "--mean-downtime",
+        type=float,
+        default=200.0,
+        help="mean outage duration in slots",
+    )
+    parser.add_argument(
+        "--keep-queues",
+        action="store_true",
+        help="downed nodes keep their queued packets (default: dropped)",
+    )
+    parser.add_argument(
+        "--blackout",
+        action="store_true",
+        help="add one base-station blackout window mid-run",
+    )
+
+
+def _add_socket(
+    parser: argparse.ArgumentParser,
+    default: Optional[str] = _SOCKET,
+    help: str = "daemon AF_UNIX socket path (default: %(default)s)",
+) -> None:
+    parser.add_argument("--socket", default=default, help=help)
+
+
+def _add_job_parser(commands, kind: str, help: str, save: bool = True):
+    """A ``fig6``/``compare``/``chaos`` parser: one job through run_job."""
+    parser = commands.add_parser(kind, help=help)
+    _add_scale_options(parser, repetitions=True)
+    _add_workers(parser)
+    _add_retry_options(parser)
+    parser.add_argument(
+        "--checkpoint",
+        default=None,
+        metavar="PATH",
+        help="journal every completed repetition to this checkpoint/v1 "
+        "file (durable across kills; see docs/ROBUSTNESS.md)",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="replay a compatible existing --checkpoint journal and run "
+        "only the missing items (results are byte-identical to an "
+        "uninterrupted run)",
+    )
+    parser.add_argument(
+        "--allow-partial",
+        action="store_true",
+        help="accept a sweep with quarantined items (saved artifacts are "
+        "marked status: partial)",
+    )
+    if save:
+        parser.add_argument(
+            "--save", default=None, help="write the result to a JSON file"
+        )
+    parser.set_defaults(handler=_cmd_job, kind=kind)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1525,69 +1327,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     collect.set_defaults(handler=_cmd_collect)
 
-    compare = commands.add_parser("compare", help="ADDC vs Coolest")
-    _add_scale_options(compare)
-    compare.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the repetitions (1 = serial; "
-        "results are identical for any value)",
-    )
-    _add_harness_options(compare)
-    compare.set_defaults(handler=_cmd_compare)
+    _add_job_parser(commands, "compare", "ADDC vs Coolest", save=False)
 
-    chaos = commands.add_parser(
-        "chaos", help="run one ADDC collection under fault injection"
+    chaos = _add_job_parser(
+        commands, "chaos", "ADDC over repeated deployments under faults"
     )
-    _add_scale_options(chaos)
-    chaos.add_argument(
-        "--intensity",
-        type=float,
-        default=0.2,
-        help="expected fraction of SUs hit by a transient outage",
-    )
-    chaos.add_argument(
-        "--horizon-slots",
-        type=int,
-        default=2000,
-        help="slots over which fault onsets are scheduled",
-    )
-    chaos.add_argument(
-        "--mean-downtime",
-        type=float,
-        default=200.0,
-        help="mean outage duration in slots",
-    )
-    chaos.add_argument(
-        "--keep-queues",
-        action="store_true",
-        help="downed nodes keep their queued packets (default: dropped)",
-    )
-    chaos.add_argument(
-        "--blackout",
-        action="store_true",
-        help="add one base-station blackout window mid-run",
-    )
+    _add_chaos_options(chaos)
     chaos.add_argument(
         "--smoke",
         action="store_true",
         help="fast CI mode: one repetition plus accounting checks",
     )
-    chaos.add_argument(
-        "--save",
-        default=None,
-        help="run the repetition sweep and write it to a JSON file",
-    )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the repetition fan-out "
-        "(1 = serial; results are identical for any value)",
-    )
-    _add_harness_options(chaos)
-    chaos.set_defaults(handler=_cmd_chaos)
     chaos_sub = chaos.add_subparsers(dest="chaos_command")
     gate = chaos_sub.add_parser(
         "gate",
@@ -1649,33 +1399,19 @@ def build_parser() -> argparse.ArgumentParser:
     fig4 = commands.add_parser("fig4", help="regenerate Figure 4")
     fig4.set_defaults(handler=_cmd_fig4)
 
-    fig6 = commands.add_parser("fig6", help="regenerate a Figure 6 sub-figure")
+    fig6 = _add_job_parser(commands, "fig6", "regenerate a Figure 6 sub-figure")
     fig6.add_argument("subfigure", choices=list("abcdef"))
-    fig6.add_argument(
-        "--save", default=None, help="write the sweep to a JSON file"
-    )
-    fig6.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for (point x repetition) fan-out "
-        "(1 = serial; results are identical for any value)",
-    )
-    _add_scale_options(fig6)
-    _add_harness_options(fig6)
-    fig6.set_defaults(handler=_cmd_fig6)
 
     scenario = commands.add_parser(
         "scenario", help="list or run a named scenario preset"
     )
     scenario.add_argument("name", nargs="?", default=None)
-    scenario.add_argument("--repetitions", type=int, default=None)
     scenario.set_defaults(handler=_cmd_scenario)
 
     report = commands.add_parser(
         "report", help="regenerate the full evaluation record (slow)"
     )
-    _add_scale_options(report)
+    _add_scale_options(report, repetitions=True)
     report.add_argument("--out", default=None, help="write Markdown here")
     report.add_argument(
         "--sweeps",
@@ -1734,8 +1470,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="prom",
         help="output format (only 'prom' for now)",
     )
-    obs_export.add_argument(
-        "--socket",
+    _add_socket(
+        obs_export,
         default=None,
         help="export a live daemon's stats instead of a manifest file",
     )
@@ -1774,18 +1510,13 @@ def build_parser() -> argparse.ArgumentParser:
     perf_bench.add_argument(
         "--out", default="BENCH_perf.json", help="output manifest path"
     )
-    perf_bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker processes for the parallel half (default: 4)",
-    )
+    _add_workers(perf_bench, default=4)
     perf_bench.add_argument(
         "--smoke",
         action="store_true",
         help="fast CI mode: tiny workload, same equality assertions",
     )
-    _add_scale_options(perf_bench)
+    _add_scale_options(perf_bench, repetitions=True)
     perf_bench.set_defaults(handler=_cmd_perf_bench)
 
     trace_parser = commands.add_parser(
@@ -1864,23 +1595,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI mode: run a tiny sweep, tear the journal, resume, "
         "assert byte-identical artifacts",
     )
-    checkpoint_smoke.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker processes for the smoke sweep (default: 2)",
-    )
+    _add_workers(checkpoint_smoke, default=2)
     checkpoint_smoke.set_defaults(handler=_cmd_checkpoint_smoke)
 
     serve = commands.add_parser(
         "serve",
         help="run the fault-tolerant experiment daemon (service/v1)",
     )
-    serve.add_argument(
-        "--socket",
-        default=".addc-service/service.sock",
-        help="AF_UNIX socket path (default: .addc-service/service.sock)",
-    )
+    _add_socket(serve)
     serve.add_argument(
         "--state-dir",
         default=".addc-service",
@@ -1892,33 +1614,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="bounded queue size; a full queue answers retry_after",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per job (1 = in-thread; results are "
-        "identical for any value)",
-    )
+    _add_workers(serve)
     serve.add_argument(
         "--heartbeat",
         type=float,
         default=5.0,
         help="seconds between heartbeat events to streaming clients",
     )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-repetition deadline (pool mode only)",
-    )
-    serve.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries per item before quarantine (default: 2)",
-    )
+    _add_retry_options(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     service_parser = commands.add_parser(
@@ -1943,32 +1646,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Figure 6 sub-figure (required for kind=fig6)",
     )
-    _add_scale_options(service_submit)
-    service_submit.add_argument(
-        "--intensity", type=float, default=0.2,
-        help="chaos: expected fraction of SUs hit by a transient outage",
-    )
-    service_submit.add_argument(
-        "--horizon-slots", type=int, default=2000,
-        help="chaos: slots over which fault onsets are scheduled",
-    )
-    service_submit.add_argument(
-        "--mean-downtime", type=float, default=200.0,
-        help="chaos: mean outage duration in slots",
-    )
-    service_submit.add_argument(
-        "--keep-queues", action="store_true",
-        help="chaos: downed nodes keep their queued packets",
-    )
-    service_submit.add_argument(
-        "--blackout", action="store_true",
-        help="chaos: add one base-station blackout window mid-run",
-    )
-    service_submit.add_argument(
-        "--socket",
-        default=".addc-service/service.sock",
-        help="daemon socket path",
-    )
+    _add_scale_options(service_submit, repetitions=True)
+    _add_chaos_options(service_submit)
+    _add_socket(service_submit)
     service_submit.add_argument(
         "--stream",
         action="store_true",
@@ -1976,28 +1656,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service_submit.set_defaults(handler=_cmd_service_submit)
 
-    for verb, help_text in (
-        ("status", "queue depth, in-flight job, and service counters"),
-        ("ping", "liveness check"),
-        ("shutdown", "ask the daemon to drain and exit"),
-    ):
+    for verb, (help_text, positionals) in _SERVICE_VERBS.items():
         verb_parser = service_commands.add_parser(verb, help=help_text)
-        verb_parser.add_argument(
-            "--socket",
-            default=".addc-service/service.sock",
-            help="daemon socket path",
-        )
+        for name in positionals:
+            verb_parser.add_argument(name)
+        _add_socket(verb_parser)
         verb_parser.set_defaults(handler=_cmd_service_verb)
 
     service_top = service_commands.add_parser(
         "top",
         help="live telemetry: queue, cache, quarantine, per-phase timings",
     )
-    service_top.add_argument(
-        "--socket",
-        default=".addc-service/service.sock",
-        help="daemon socket path",
-    )
+    _add_socket(service_top)
     service_top.add_argument(
         "--json", action="store_true", help="emit raw stats_report JSON"
     )
@@ -2014,17 +1684,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between snapshots (default: 2)",
     )
     service_top.set_defaults(handler=_cmd_service_top)
-
-    service_result = service_commands.add_parser(
-        "result", help="fetch a job's result by fingerprint"
-    )
-    service_result.add_argument("fingerprint", help="job fingerprint")
-    service_result.add_argument(
-        "--socket",
-        default=".addc-service/service.sock",
-        help="daemon socket path",
-    )
-    service_result.set_defaults(handler=_cmd_service_verb)
 
     service_smoke = service_commands.add_parser(
         "smoke",
@@ -2047,9 +1706,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ the ADDC/Coolest ordering carry over; see EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.network.deployment import DeploymentSpec
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["SCALES", "ExperimentConfig", "resolve_config"]
 
 
 @dataclass(frozen=True)
@@ -118,3 +119,35 @@ class ExperimentConfig:
     def su_density(self) -> float:
         """SU density n/A."""
         return self.num_sus / self.area
+
+
+#: The named scenario sizes every front end accepts (``--scale``).
+SCALES = {
+    "quick": ExperimentConfig.quick_scale,
+    "bench": ExperimentConfig.bench_scale,
+    "paper": ExperimentConfig.paper_scale,
+}
+
+
+def resolve_config(
+    scale: str = "quick",
+    seed: int = 2012,
+    blocking: str = "homogeneous",
+    repetitions: Optional[int] = None,
+    p_t: Optional[float] = None,
+    overrides: Optional[Mapping[str, object]] = None,
+) -> ExperimentConfig:
+    """The config a scale name plus the common overrides pin.
+
+    The one resolution shared by the CLI commands and
+    :meth:`repro.service.jobs.JobSpec.config`, so a command line and the
+    job spec built from it always name the same experiment.  ``None``
+    keeps the scale's default; ``overrides`` are applied last.
+    """
+    fields = {"seed": seed, "blocking": blocking}
+    if repetitions is not None:
+        fields["repetitions"] = repetitions
+    if p_t is not None:
+        fields["p_t"] = p_t
+    fields.update(overrides or {})
+    return SCALES[scale]().with_overrides(**fields)

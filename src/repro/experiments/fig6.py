@@ -153,8 +153,8 @@ def run_fig6_sweep(
     (quarantined items) raises :class:`~repro.errors.PartialSweepError`
     unless ``allow_partial=True``, in which case the surviving points are
     returned.  Callers needing the full resilience record (status,
-    failures, stats) should use
-    :func:`repro.harness.run_checkpointed_sweep` directly, as the CLI does.
+    failures, stats) should use :func:`repro.service.jobs.run_job`, as
+    the CLI does.
     """
     if values is not None:
         sweep = Fig6Sweep(

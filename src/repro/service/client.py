@@ -20,15 +20,18 @@ for tests.
 from __future__ import annotations
 
 import socket
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Iterator, Optional, Union
 
 from repro.errors import ProtocolError, ServiceError, ServiceUnavailableError
-from repro.obs.clock import monotonic_s
+from repro.obs.clock import monotonic_s, sleep_s
 from repro.service import protocol
 from repro.service.jobs import JobSpec
 
-__all__ = ["ServiceClient"]
+__all__ = ["ServiceClient", "spawn_daemon"]
 
 #: Responses that end a streamed submission.
 _TERMINAL = ("completed", "failed", "draining", "error")
@@ -196,6 +199,17 @@ class ServiceClient:
         finally:
             sock.close()
 
+    def wait_for_ping(self, attempts: int = 200) -> bool:
+        """Poll ``ping`` until the daemon answers ``pong``; ``False`` if it
+        never does within ``attempts`` tries."""
+        for _ in range(attempts):
+            try:
+                if self.ping().get("type") == "pong":
+                    return True
+            except ServiceError:
+                sleep_s(0.05)
+        return False
+
     def wait_for_result(
         self, fingerprint: str, attempts: int = 600, sleep=None
     ) -> Dict:
@@ -206,7 +220,7 @@ class ServiceClient:
         out or the daemon reports an unknown fingerprint.
         """
         if sleep is None:
-            from repro.obs.clock import sleep_s as sleep
+            sleep = sleep_s
         last: Dict = {}
         for _ in range(attempts):
             last = self.result(fingerprint)
@@ -223,3 +237,42 @@ class ServiceClient:
             f"job {fingerprint!r} did not finish within the polling budget "
             f"(last status: {last.get('type')!r})"
         )
+
+
+@contextmanager
+def spawn_daemon(
+    socket_path: Union[str, Path],
+    state_dir: Union[str, Path],
+    queue_capacity: int,
+) -> Iterator[subprocess.Popen]:
+    """Run ``python -m repro serve`` as a child process for the block.
+
+    The daemon heartbeats every 0.5 s and its output is discarded.  On
+    exit it is killed unless it already stopped (a drained daemon exits
+    by itself).  Callers wait for readiness with
+    :meth:`ServiceClient.wait_for_ping`.
+    """
+    daemon = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--socket",
+            str(socket_path),
+            "--state-dir",
+            str(state_dir),
+            "--queue-capacity",
+            str(queue_capacity),
+            "--heartbeat",
+            "0.5",
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.STDOUT,
+    )
+    try:
+        yield daemon
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait(timeout=30)

@@ -5,8 +5,8 @@ of experiment work — a Figure-6 sub-figure sweep, an ADDC-vs-Coolest
 comparison point, or a chaos (fault-injection) sweep.  Both front ends
 run the *same* code through :func:`run_job`:
 
-* the one-shot CLI (``addc-repro fig6/compare/chaos`` under harness
-  flags) builds a spec from its arguments and runs it in-process;
+* the one-shot CLI (``addc-repro fig6/compare/chaos``) builds a spec
+  from its arguments and runs it in-process;
 * the experiment daemon (:mod:`repro.service.daemon`) decodes specs from
   ``service/v1`` submit requests and runs them on its queue.
 
@@ -19,13 +19,13 @@ therefore agree about which runs are "the same experiment".
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro.errors import ServiceError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SCALES, ExperimentConfig, resolve_config
 from repro.experiments.fig6 import FIG6_SWEEPS, sweep_point_configs
 from repro.experiments.io import save_sweep
 from repro.experiments.runner import ComparisonPoint
@@ -42,7 +42,6 @@ from repro.obs.tracing import TraceContext, merge_shards, write_trace
 
 __all__ = [
     "JOB_KINDS",
-    "JOB_SCALES",
     "JobSpec",
     "JobRunResult",
     "run_job",
@@ -51,12 +50,6 @@ __all__ = [
 ]
 
 JOB_KINDS = ("fig6", "compare", "chaos")
-
-JOB_SCALES = {
-    "quick": ExperimentConfig.quick_scale,
-    "bench": ExperimentConfig.bench_scale,
-    "paper": ExperimentConfig.paper_scale,
-}
 
 _SPEC_FIELDS = (
     "kind",
@@ -109,10 +102,10 @@ class JobSpec:
             raise ServiceError(
                 f"unknown job kind {self.kind!r} (expected one of {JOB_KINDS})"
             )
-        if self.scale not in JOB_SCALES:
+        if self.scale not in SCALES:
             raise ServiceError(
                 f"unknown job scale {self.scale!r} "
-                f"(expected one of {tuple(sorted(JOB_SCALES))})"
+                f"(expected one of {tuple(sorted(SCALES))})"
             )
         if self.values is not None:
             object.__setattr__(
@@ -170,21 +163,16 @@ class JobSpec:
     # ---- semantics ---------------------------------------------------- #
 
     def config(self) -> ExperimentConfig:
-        """The experiment configuration this spec pins (CLI-equivalent).
-
-        Mirrors the CLI's scale/seed/blocking/repetitions/p_t resolution
-        exactly, so a spec and the command line it came from agree.
-        """
-        config = JOB_SCALES[self.scale]().with_overrides(
-            seed=self.seed, blocking=self.blocking
+        """The experiment configuration this spec pins (see
+        :func:`~repro.experiments.config.resolve_config`)."""
+        return resolve_config(
+            self.scale,
+            seed=self.seed,
+            blocking=self.blocking,
+            repetitions=self.repetitions,
+            p_t=self.p_t,
+            overrides=dict(self.overrides),
         )
-        if self.repetitions is not None:
-            config = config.with_overrides(repetitions=self.repetitions)
-        if self.p_t is not None:
-            config = config.with_overrides(p_t=self.p_t)
-        if self.overrides:
-            config = config.with_overrides(**dict(self.overrides))
-        return config
 
     def sweep_name(self) -> str:
         if self.kind == "fig6":
@@ -216,7 +204,7 @@ class JobSpec:
         """The BLAKE2b identity of this job's result.
 
         Identical to the checkpoint-journal fingerprint the equivalent
-        harness CLI run would compute, so the daemon cache, CLI journals
+        CLI run would compute, so the daemon cache, CLI journals
         and resumed runs all name the same experiment the same way.
         """
         config = self.config()

@@ -172,7 +172,7 @@ class TestVerdicts:
 
 class TestCliWiring:
     def test_chaos_gate_dispatches_to_its_own_handler(self):
-        from repro.cli import _cmd_chaos, _cmd_chaos_gate, build_parser
+        from repro.cli import _cmd_chaos_gate, build_parser
 
         parser = build_parser()
         args = parser.parse_args(
@@ -181,6 +181,7 @@ class TestCliWiring:
         assert args.handler is _cmd_chaos_gate
         assert args.smoke and args.synthetic_violation
         assert args.baseline == "BENCH_resilience.json"
-        # The legacy flat `chaos` sweep keeps its handler.
-        legacy = parser.parse_args(["chaos", "--smoke"])
-        assert legacy.handler is _cmd_chaos
+        # The flat `chaos` sweep is a job, not the gate.
+        flat = parser.parse_args(["chaos", "--smoke"])
+        assert flat.handler is not _cmd_chaos_gate
+        assert flat.kind == "chaos"

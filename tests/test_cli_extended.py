@@ -19,11 +19,28 @@ class TestScenarioCommand:
         out = capsys.readouterr().out
         assert "completed" in out
 
-    def test_unknown_scenario(self):
-        from repro.errors import ConfigurationError
+    def test_unknown_scenario(self, capsys):
+        assert main(["scenario", "atlantis"]) == 1
+        assert "ERROR [config]" in capsys.readouterr().err
 
-        with pytest.raises(ConfigurationError):
-            main(["scenario", "atlantis"])
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "stats", "no-such-trace.ndjson"],
+        ["bounds", "--p-t", "1.5"],
+        ["scenario", "atlantis"],
+    ],
+    ids=["trace-stats-missing-path", "bounds-bad-p-t", "scenario-unknown"],
+)
+def test_bad_input_exits_1_without_traceback(argv, capsys, tmp_path, monkeypatch):
+    """Outside input that the library rejects with a ReproError ends in one
+    ``ERROR [code]`` line and exit 1, never a Python traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR [")
+    assert "Traceback" not in err
 
 
 class TestFig6Save:

@@ -122,40 +122,40 @@ class TestServiceCli:
     def test_submit_spec_matches_one_shot_fingerprints(self):
         """A ``service submit`` spec and the equivalent one-shot CLI run
         must agree on the experiment's identity (the cache key)."""
-        from repro.cli import _service_spec_from
+        from repro.cli import _job_spec
 
         parser = build_parser()
         args = parser.parse_args(
             ["service", "submit", "fig6", "--subfigure", "c",
              "--seed", "7", "--repetitions", "1"]
         )
-        spec = _service_spec_from(args)
+        spec = _job_spec(args)
         direct = JobSpec(kind="fig6", subfigure="c", seed=7, repetitions=1)
         assert spec == direct
         assert spec.fingerprint() == direct.fingerprint()
 
     def test_submit_chaos_spec_carries_fault_options(self):
-        from repro.cli import _service_spec_from
+        from repro.cli import _job_spec
 
         parser = build_parser()
         args = parser.parse_args(
             ["service", "submit", "chaos", "--intensity", "0.5",
              "--blackout", "--repetitions", "1"]
         )
-        spec = _service_spec_from(args)
+        spec = _job_spec(args)
         assert spec.kind == "chaos"
         options = spec.chaos_options()
         assert options.intensity == 0.5
         assert options.blackout is True
 
     def test_fig6_submit_requires_subfigure(self):
-        from repro.cli import _service_spec_from
+        from repro.cli import _job_spec
         from repro.errors import ServiceError
 
         parser = build_parser()
         args = parser.parse_args(["service", "submit", "fig6"])
         with pytest.raises(ServiceError, match="subfigure"):
-            _service_spec_from(args)
+            _job_spec(args)
 
     def test_unreachable_socket_is_a_typed_failure(self, tmp_path, capsys):
         code = main(
@@ -189,3 +189,71 @@ class TestServiceCli:
         assert manifest["extra"]["sweep"] == "fig6c"
         assert manifest["extra"]["harness"]["status"] == "complete"
         assert journal.exists()
+
+
+class TestOneJobPath:
+    """``fig6``/``compare``/``chaos`` run the job the daemon would run."""
+
+    def test_chaos_stdout_does_not_depend_on_harness_flags(self, capsys):
+        """A retry flag changes how failures are handled, never which
+        experiment runs: both command lines print the same bytes."""
+        assert main(["chaos", "--repetitions", "1"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["chaos", "--repetitions", "1", "--max-retries", "2"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (
+                ["fig6", "c", "--repetitions", "1"],
+                JobSpec(kind="fig6", subfigure="c", repetitions=1),
+            ),
+            (["chaos", "--repetitions", "1"], JobSpec(kind="chaos", repetitions=1)),
+        ],
+        ids=["fig6c", "chaos"],
+    )
+    def test_cli_saves_the_daemon_bytes(self, argv, spec, tmp_path, capsys):
+        from repro.cli import _job_spec
+        from repro.service.jobs import run_job, save_job_artifact
+
+        assert _job_spec(build_parser().parse_args(argv)).fingerprint() == (
+            spec.fingerprint()
+        )
+        saved = tmp_path / "cli.json"
+        assert main([*argv, "--save", str(saved)]) == 0
+        reference = tmp_path / "reference.json"
+        save_job_artifact(run_job(spec), reference)
+        assert saved.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig6", "c"], ["compare"], ["chaos"]],
+        ids=["fig6", "compare", "chaos"],
+    )
+    def test_quarantine_is_handled_alike_for_every_kind(
+        self, argv, monkeypatch, capsys
+    ):
+        """A repetition that keeps failing is quarantined and reported the
+        same way by all three job commands: exit 1 with PARTIAL, or the
+        survivors with --allow-partial."""
+        import repro.perf.executor as executor_module
+
+        real = executor_module.execute_work_item
+
+        def poisoned(item):
+            if item.repetition == 0:
+                raise ValueError("deterministic poison")
+            return real(item)
+
+        monkeypatch.setattr(executor_module, "execute_work_item", poisoned)
+        argv = [*argv, "--repetitions", "2", "--max-retries", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "quarantined: point 0 rep 0 (error after 1 attempts)" in err
+        assert "PARTIAL" in err
+        assert main([*argv, "--allow-partial"]) == 0
+        captured = capsys.readouterr()
+        assert "quarantined: point 0 rep 0" in captured.err
+        assert "PARTIAL" not in captured.err
+        assert captured.out
