@@ -3,13 +3,10 @@
 Examples
 --------
 ``reprolint src/``
-    Lint a tree with config discovered from ``pyproject.toml``; warm runs
-    re-analyze only changed files and their import-graph dependents.
-``reprolint --changed origin/main src/``
-    Report findings only for files changed vs a git ref (default HEAD)
-    plus their dependents.
-``reprolint --format sarif src/ > reprolint.sarif``
-    SARIF 2.1.0 output for GitHub code-scanning upload.
+    Lint a tree with config discovered from ``pyproject.toml``.  Every run
+    analyzes every file, serially.
+``reprolint --format json src/``
+    Machine-readable findings and summary counts.
 ``reprolint --strict src/``
     Additionally report suppression comments that silence nothing.
 ``reprolint --update-baseline src/``
@@ -33,12 +30,9 @@ from repro.errors import ConfigurationError
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import all_rules
-from repro.lint.runner import LintReport, git_changed_files, lint_paths
-from repro.lint.sarif import to_sarif
+from repro.lint.runner import LintReport, lint_paths
 
 __all__ = ["configure_parser", "run", "build_parser", "main"]
-
-DEFAULT_CACHE_PATH = ".reprolint_cache.json"
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -48,7 +42,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("human", "json", "sarif"),
+        choices=("human", "json"),
         default="human",
         help="output format (default: human)",
     )
@@ -79,33 +73,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         choices=tuple(str(level) for level in Severity),
         default=None,
         help="exit non-zero at/above this severity (default: config, else warning)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel per-file analysis processes (0 = cpu count; default: 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (always analyze every file)",
-    )
-    parser.add_argument(
-        "--cache-path",
-        default=DEFAULT_CACHE_PATH,
-        metavar="FILE",
-        help=f"incremental cache location (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="report only files changed vs a git ref (default HEAD) "
-        "plus their import-graph dependents",
     )
     parser.add_argument(
         "--strict",
@@ -157,15 +124,10 @@ def _load_config(args: argparse.Namespace) -> Tuple[LintConfig, Path]:
 
 
 def _print_report(report: LintReport, fmt: str, fail_on: Severity) -> None:
-    if fmt == "sarif":
-        print(json.dumps(to_sarif(report.diagnostics), indent=2))
-        return
     if fmt == "json":
         payload = {
             "diagnostics": [d.as_dict() for d in report.diagnostics],
             "files_checked": report.files_checked,
-            "files_analyzed": report.files_analyzed,
-            "cache_hits": report.cache_hits,
             "suppressed": report.suppressed,
             "baselined": report.baselined,
             "stale_baseline": [
@@ -180,8 +142,7 @@ def _print_report(report: LintReport, fmt: str, fail_on: Severity) -> None:
         print(diagnostic.format_human())
     summary = (
         f"{len(report.diagnostics)} finding(s) in {report.files_checked} file(s)"
-        f" ({report.suppressed} suppressed, {report.baselined} baselined;"
-        f" analyzed {report.files_analyzed}, cache hits {report.cache_hits})"
+        f" ({report.suppressed} suppressed, {report.baselined} baselined)"
     )
     print(("" if not report.diagnostics else "\n") + summary)
     if report.stale_baseline:
@@ -221,21 +182,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
             return 2
 
-        changed_files = None
-        if args.changed is not None:
-            try:
-                changed_files = git_changed_files(args.changed)
-            except RuntimeError as exc:
-                hint = ""
-                if Path(args.changed).exists():
-                    # `--changed src` parses src as the REF; help out.
-                    hint = (
-                        f" (did you mean `--changed=HEAD {args.changed}`? "
-                        "use --changed=REF when paths follow)"
-                    )
-                print(f"error: --changed: {exc}{hint}", file=sys.stderr)
-                return 2
-
         baseline_path: Optional[Path] = None
         if args.baseline is not None:
             baseline_path = Path(args.baseline) if args.baseline else None
@@ -248,26 +194,10 @@ def run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.update_baseline and args.changed is not None:
-            print(
-                "error: --update-baseline needs the full view; "
-                "it cannot be combined with --changed",
-                file=sys.stderr,
-            )
-            return 2
-
-        jobs = args.jobs
-        if jobs <= 0:
-            import os
-
-            jobs = os.cpu_count() or 1
 
         report = lint_paths(
             [Path(path) for path in args.paths],
             config,
-            jobs=jobs,
-            cache_path=None if args.no_cache else Path(args.cache_path),
-            changed_files=changed_files,
             strict=config.strict,
             baseline_path=baseline_path,
             update_baseline=args.update_baseline,
@@ -295,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except BrokenPipeError:  # e.g. `reprolint --format sarif | head`
+    except BrokenPipeError:  # e.g. `reprolint --format json | head`
         return 0
 
 

@@ -4,10 +4,7 @@ The project-wide rules (stream-lineage dataflow, interprocedural
 spawn-safety, cross-module ordered-iteration) never touch raw ASTs: phase
 one of the runner extracts a :class:`ModuleFacts` summary from each file
 in the same pass that runs the per-file rules, and phase two works on
-those summaries alone.  Facts are plain data — JSON-round-trippable for
-the incremental cache and picklable for the parallel parse pool — so a
-warm run can execute the whole-program tier without re-parsing a single
-unchanged file.
+those summaries alone.
 
 The extraction classifies every ``StreamFactory.stream(...)`` /
 ``spawn(...)`` / ``substream(...)`` name argument by *lineage*:
@@ -33,10 +30,10 @@ name beats a parameter, which beats a constant).
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.registry import dotted_name
+from repro.lint.registry import dotted_name, import_bindings, module_name_for
 
 __all__ = [
     "StreamCall",
@@ -55,6 +52,8 @@ STREAM_METHODS = ("stream", "spawn", "substream")
 SPAWN_API_CLASSES = ("WorkerSupervisor",)
 #: Methods that accept a worker callable as their first positional arg.
 SPAWN_SUBMIT_METHODS = ("run", "submit", "map", "apply", "apply_async", "map_async", "starmap")
+#: :attr:`Handoff.callee` of a lambda handed to a pool.
+LAMBDA_CALLEE = "<lambda>"
 #: Module-level factory calls whose results never pickle under spawn.
 UNPICKLABLE_FACTORIES = (
     "Lock",
@@ -96,7 +95,7 @@ class Handoff:
     """A callable handed to a spawn pool / supervisor API."""
 
     api: str  # e.g. "WorkerSupervisor.run" or ".submit"
-    callee: str  # dotted name of the callable as written
+    callee: str  # dotted name of the callable as written, or LAMBDA_CALLEE
     function: str
     lineno: int
     col: int
@@ -141,7 +140,6 @@ class ModuleFacts:
 
     relpath: str
     module: str
-    imports: List[Tuple[str, str]] = field(default_factory=list)  # (kind, target module)
     import_bindings: Dict[str, str] = field(default_factory=dict)  # local -> dotted origin
     constants: List[str] = field(default_factory=list)  # top-level constant names
     mutated_globals: List[str] = field(default_factory=list)
@@ -151,70 +149,6 @@ class ModuleFacts:
     handoffs: List[Handoff] = field(default_factory=list)
     unordered_iters: List[UnorderedIteration] = field(default_factory=list)
     merge_feeds: List[MergeFeed] = field(default_factory=list)
-
-    def imported_modules(self) -> List[str]:
-        """Dotted module targets this module imports (duplicates removed)."""
-        seen: Set[str] = set()
-        ordered: List[str] = []
-        for _, target in self.imports:
-            if target not in seen:
-                seen.add(target)
-                ordered.append(target)
-        return ordered
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form for the incremental cache."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ModuleFacts":
-        facts = cls(relpath=payload["relpath"], module=payload["module"])
-        facts.imports = [tuple(entry) for entry in payload.get("imports", [])]
-        facts.import_bindings = dict(payload.get("import_bindings", {}))
-        facts.constants = list(payload.get("constants", []))
-        facts.mutated_globals = list(payload.get("mutated_globals", []))
-        facts.unpicklable_globals = dict(payload.get("unpicklable_globals", {}))
-        facts.functions = {
-            qualname: FunctionFacts(**entry)
-            for qualname, entry in payload.get("functions", {}).items()
-        }
-        facts.stream_calls = [StreamCall(**entry) for entry in payload.get("stream_calls", [])]
-        facts.handoffs = [Handoff(**entry) for entry in payload.get("handoffs", [])]
-        facts.unordered_iters = [
-            UnorderedIteration(**entry) for entry in payload.get("unordered_iters", [])
-        ]
-        facts.merge_feeds = [MergeFeed(**entry) for entry in payload.get("merge_feeds", [])]
-        return facts
-
-
-def module_name_for(relpath: str) -> str:
-    """Dotted module name for a project-relative path.
-
-    >>> module_name_for("src/repro/sim/engine.py")
-    'repro.sim.engine'
-    >>> module_name_for("pkg/__init__.py")
-    'pkg'
-    """
-    parts = list(relpath.replace("\\", "/").split("/"))
-    if parts and parts[0] in ("src", "lib"):
-        parts = parts[1:]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(part for part in parts if part)
-
-
-def _resolve_relative(module: str, is_init: bool, level: int, target: Optional[str]) -> str:
-    """Absolute module name for a ``from ...x import y`` statement."""
-    parts = module.split(".") if module else []
-    # Level 1 is "the containing package": for a plain module that is the
-    # parent; a package __init__ *is* its own package already.
-    drop = level if not is_init else level - 1
-    base = parts[: len(parts) - drop] if drop > 0 else parts
-    if target:
-        base = base + target.split(".")
-    return ".".join(base)
 
 
 class _ScopeFrame:
@@ -257,9 +191,10 @@ class _FactsExtractor(ast.NodeVisitor):
     def __init__(self, relpath: str, tree: ast.Module) -> None:
         self.facts = ModuleFacts(relpath=relpath, module=module_name_for(relpath))
         self._is_init = relpath.endswith("__init__.py")
-        self._tree = tree
         self._scopes: List[_ScopeFrame] = [_ScopeFrame(_MODULE_SCOPE, (), nested=False)]
         self._class_stack: List[str] = []
+        for _, local, origin in import_bindings(tree, self.facts.module, self._is_init):
+            self.facts.import_bindings[local] = origin
         self._prescan(tree)
 
     # ------------------------------------------------------------------ #
@@ -300,32 +235,6 @@ class _FactsExtractor(ast.NodeVisitor):
             if name is not None and name.split(".")[-1] in UNPICKLABLE_FACTORIES:
                 return name
         return None
-
-    # ------------------------------------------------------------------ #
-    # Imports                                                             #
-    # ------------------------------------------------------------------ #
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.facts.imports.append(("import", alias.name))
-            local = alias.asname or alias.name.split(".")[0]
-            self.facts.import_bindings[local] = alias.name if alias.asname else alias.name.split(".")[0]
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = (
-            _resolve_relative(self.facts.module, self._is_init, node.level, node.module)
-            if node.level
-            else (node.module or "")
-        )
-        if base:
-            self.facts.imports.append(("from", base))
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            local = alias.asname or alias.name
-            self.facts.import_bindings[local] = f"{base}.{alias.name}" if base else alias.name
-        self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
     # Scope bookkeeping                                                   #
@@ -478,7 +387,7 @@ class _FactsExtractor(ast.NodeVisitor):
             # `.run` is only a handoff on a known spawn API receiver.
             return
         worker = node.args[0]
-        callee = dotted_name(worker)
+        callee = LAMBDA_CALLEE if isinstance(worker, ast.Lambda) else dotted_name(worker)
         if callee is None:
             return
         self.facts.handoffs.append(

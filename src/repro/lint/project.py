@@ -2,8 +2,7 @@
 
 Per-file rules see one :class:`~repro.lint.registry.ModuleContext`;
 project rules see a :class:`ProjectContext` — every module's extracted
-:class:`~repro.lint.facts.ModuleFacts`, the import graph, and a resolver
-that follows imports (including package ``__init__`` re-exports) to the
+:class:`~repro.lint.facts.ModuleFacts` and a resolver that follows imports (including package ``__init__`` re-exports) to the
 defining module.  Project rules subclass :class:`ProjectRule` and are
 registered through the ordinary rule registry, so ``--select``,
 ``--ignore``, severity overrides, suppressions, and ``--list-rules`` all
@@ -26,7 +25,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.lint.config import LintConfig, path_matches
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.facts import FunctionFacts, ModuleFacts
-from repro.lint.graph import ImportGraph
 from repro.lint.registry import Rule
 
 __all__ = ["ProjectContext", "ProjectRule", "project_rules"]
@@ -39,17 +37,12 @@ class ProjectContext:
     """Everything a project rule knows about the program under analysis."""
 
     modules: Dict[str, ModuleFacts]
-    graph: ImportGraph
     config: LintConfig = field(default_factory=LintConfig)
 
     @classmethod
     def build(cls, all_facts: List[ModuleFacts], config: Optional[LintConfig] = None) -> "ProjectContext":
         modules = {facts.module: facts for facts in sorted(all_facts, key=lambda f: f.relpath)}
-        return cls(
-            modules=modules,
-            graph=ImportGraph.build(modules),
-            config=config or LintConfig(),
-        )
+        return cls(modules=modules, config=config or LintConfig())
 
     # ------------------------------------------------------------------ #
     # Name resolution                                                     #

@@ -14,7 +14,6 @@ from repro.lint.rules import (
     lineage,
     observability,
     ordering,
-    perf,
     rng,
     robustness,
     spawnsafety,
@@ -28,7 +27,6 @@ __all__ = [
     "lineage",
     "observability",
     "ordering",
-    "perf",
     "robustness",
     "spawnsafety",
 ]

@@ -13,40 +13,24 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, dotted_name, register_rule
+from repro.lint.registry import BannedNameRule, ModuleContext, Rule, register_rule
 
-__all__ = ["WallClockRule", "SetIterationRule"]
+__all__ = ["CLOCK_READS", "WallClockRule", "SetIterationRule"]
 
-# Dotted-suffix call patterns that read wall-clock time or OS entropy.
-_CLOCK_SUFFIXES = (
+#: Process-clock reads: banned in hot paths (DET001), outside the clock
+#: facade (OBS001), and in ``while`` tests as deadline polls (ROB002).
+CLOCK_READS = (
     "time.time",
     "time.time_ns",
     "time.monotonic",
     "time.monotonic_ns",
     "time.perf_counter",
     "time.perf_counter_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "date.today",
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
 )
-# `from time import time` style bindings per module.
-_CLOCK_FROM_IMPORTS = {
-    "time": {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"},
-    "os": {"urandom"},
-    "uuid": {"uuid1", "uuid4"},
-}
-
-
-def _ends_with(name: str, suffix: str) -> bool:
-    return name == suffix or name.endswith("." + suffix)
 
 
 @register_rule
-class WallClockRule(Rule):
+class WallClockRule(BannedNameRule):
     """DET001: no wall-clock/entropy reads in simulator hot paths.
 
     Scoped (via the ``paths`` option) to ``repro/sim`` and ``repro/core``:
@@ -63,42 +47,21 @@ class WallClockRule(Rule):
     )
     default_severity = Severity.ERROR
     default_options = {"paths": ["repro/sim/*", "repro/core/*"]}
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if not module.in_paths(module.option(self, "paths")):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                for suffix in _CLOCK_SUFFIXES:
-                    if _ends_with(name, suffix):
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            f"call to `{name}` is non-deterministic; thread "
-                            "slot counters / injected clocks through instead",
-                        )
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                banned = _CLOCK_FROM_IMPORTS.get(node.module or "", set())
-                for alias in node.names:
-                    if alias.name in banned:
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            f"import of `{node.module}.{alias.name}` is "
-                            "non-deterministic in a simulator hot path",
-                        )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "secrets":
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            "import of `secrets` (OS entropy) in a simulator hot path",
-                        )
+    scope_option = "paths"
+    banned_names = CLOCK_READS + (
+        "datetime.now",
+        "datetime.utcnow",
+        "datetime.today",
+        "date.today",
+        "os.urandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+    )
+    banned_modules = ("secrets",)
+    reason = (
+        "is non-deterministic in a simulator hot path; thread slot "
+        "counters / injected clocks through instead"
+    )
 
 
 def _set_expr(node: ast.AST) -> Optional[str]:

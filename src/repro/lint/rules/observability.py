@@ -23,36 +23,20 @@ import re
 from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, dotted_name, register_rule
+from repro.lint.registry import (
+    BannedNameRule,
+    ModuleContext,
+    Rule,
+    dotted_name,
+    register_rule,
+)
+from repro.lint.rules.determinism import CLOCK_READS
 
 __all__ = ["ClockFacadeRule", "LiteralMetricNameRule"]
 
-# Dotted-suffix call patterns for process-clock reads.
-_CLOCK_CALL_SUFFIXES = (
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-)
-# `from time import perf_counter` style bindings.
-_CLOCK_FROM_TIME = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-}
-
-
-def _ends_with(name: str, suffix: str) -> bool:
-    return name == suffix or name.endswith("." + suffix)
-
 
 @register_rule
-class ClockFacadeRule(Rule):
+class ClockFacadeRule(BannedNameRule):
     """OBS001: clock reads go through ``repro.obs.clock``, nowhere else.
 
     Applies to the whole ``repro`` tree except the allow-listed facade
@@ -70,35 +54,8 @@ class ClockFacadeRule(Rule):
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/obs/*"]}
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                for suffix in _CLOCK_CALL_SUFFIXES:
-                    if _ends_with(name, suffix):
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            f"call to `{name}` bypasses the clock facade; "
-                            "use repro.obs.clock.monotonic_s()",
-                        )
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module != "time":
-                    continue
-                for alias in node.names:
-                    if alias.name in _CLOCK_FROM_TIME:
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            f"import of `time.{alias.name}` bypasses the "
-                            "clock facade; use repro.obs.clock",
-                        )
+    banned_names = CLOCK_READS
+    reason = "bypasses the clock facade; use repro.obs.clock.monotonic_s()"
 
 
 #: Facade entry points whose first argument is a metric/span name.
@@ -145,14 +102,12 @@ class LiteralMetricNameRule(Rule):
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         if module.in_paths(module.option(self, "allow")):
             return
-        from_obs = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module in ("repro.obs", "repro.obs.recorder"):
-                    for alias in node.names:
-                        if alias.name in _METRIC_CALLS:
-                            from_obs.add(alias.asname or alias.name)
-        from_obs_names = frozenset(from_obs)
+        from_obs_names = frozenset(
+            local
+            for _, local, origin in module.imports
+            if origin.rpartition(".")[0] in ("repro.obs", "repro.obs.recorder")
+            and origin.rpartition(".")[2] in _METRIC_CALLS
+        )
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or not node.args:
                 continue

@@ -10,19 +10,14 @@ global generators whose seeding is invisible to the experiment harness).
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator
-
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, dotted_name, register_rule
+from repro.lint.diagnostics import Severity
+from repro.lint.registry import BannedNameRule, register_rule
 
 __all__ = ["StdlibRandomRule", "NumpyGlobalRngRule"]
 
-_NUMPY_ALIASES = ("np", "numpy")
-
 
 @register_rule
-class StdlibRandomRule(Rule):
+class StdlibRandomRule(BannedNameRule):
     """RNG001: the stdlib ``random`` module is banned.
 
     ``random`` keeps hidden global state; results silently depend on import
@@ -35,32 +30,14 @@ class StdlibRandomRule(Rule):
     description = "stdlib `random` is banned; use repro.rng.StreamFactory streams"
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/rng/*"]}
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            "import of stdlib `random`; use "
-                            "repro.rng.StreamFactory named streams instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module == "random":
-                    yield module.diagnostic(
-                        self,
-                        node,
-                        "import from stdlib `random`; use "
-                        "repro.rng.StreamFactory named streams instead",
-                    )
+    banned_modules = ("random",)
+    reason = (
+        "uses stdlib `random`; use repro.rng.StreamFactory named streams instead"
+    )
 
 
 @register_rule
-class NumpyGlobalRngRule(Rule):
+class NumpyGlobalRngRule(BannedNameRule):
     """RNG002: no direct ``numpy.random`` entry points outside ``repro/rng``.
 
     ``np.random.default_rng(seed)`` creates a generator whose seed is
@@ -79,33 +56,8 @@ class NumpyGlobalRngRule(Rule):
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/rng/*"]}
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                parts = name.split(".")
-                if len(parts) >= 3 and parts[0] in _NUMPY_ALIASES and parts[1] == "random":
-                    yield module.diagnostic(
-                        self,
-                        node,
-                        f"call to `{name}` bypasses repro.rng.StreamFactory; "
-                        "accept an np.random.Generator from the caller",
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level != 0:
-                    continue
-                if node.module == "numpy.random" or (
-                    node.module == "numpy"
-                    and any(alias.name == "random" for alias in node.names)
-                ):
-                    yield module.diagnostic(
-                        self,
-                        node,
-                        "import of numpy.random entry points bypasses "
-                        "repro.rng.StreamFactory; accept a Generator instead",
-                    )
+    banned_modules = ("numpy.random",)
+    reason = (
+        "bypasses repro.rng.StreamFactory; accept an np.random.Generator "
+        "from the caller"
+    )

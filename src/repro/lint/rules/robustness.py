@@ -28,7 +28,15 @@ import ast
 from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, dotted_name, register_rule
+from repro.lint.registry import (
+    BannedNameRule,
+    ModuleContext,
+    Rule,
+    dotted_name,
+    ends_with_dotted,
+    register_rule,
+)
+from repro.lint.rules.determinism import CLOCK_READS
 
 __all__ = [
     "SilentBroadExceptRule",
@@ -113,33 +121,19 @@ class SilentBroadExceptRule(Rule):
             )
 
 
-# Clock reads that make a `while` test a wall-clock deadline poll.
-_DEADLINE_CLOCK_SUFFIXES = (
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-)
-
-
-def _suffix_match(name: str, suffix: str) -> bool:
-    return name == suffix or name.endswith("." + suffix)
-
-
 @register_rule
-class WallClockBackoffRule(Rule):
+class WallClockBackoffRule(BannedNameRule):
     """ROB002: no wall-clock sleeps or deadline loops outside the facade.
 
     Flags (a) any ``time.sleep`` call — including through an alias bound
-    by ``from time import sleep`` — and (b) ``while`` loops whose test
-    reads ``time.monotonic``/``time.time``/``time.perf_counter``: the
-    classic hand-rolled retry/backoff/deadline loop.  Such loops cannot be
-    driven by an injected clock, so their retry behaviour is untestable
-    without burning real seconds, and they stall the single-threaded
-    service loop.  Use :func:`repro.obs.clock.sleep_s` (injectable, like
-    the supervisor's ``sleep=`` argument) and deadlines computed from
+    by ``from time import sleep`` or ``import time as t`` — and (b)
+    ``while`` loops whose test reads ``time.monotonic``/``time.time``/
+    ``time.perf_counter``: the classic hand-rolled retry/backoff/deadline
+    loop.  Such loops cannot be driven by an injected clock, so their
+    retry behaviour is untestable without burning real seconds, and they
+    stall the single-threaded service loop.  Use
+    :func:`repro.obs.clock.sleep_s` (injectable, like the supervisor's
+    ``sleep=`` argument) and deadlines computed from
     :func:`repro.obs.clock.monotonic_s` instead.  The facade itself
     (``repro/obs/*`` by default) is exempt.
     """
@@ -152,66 +146,37 @@ class WallClockBackoffRule(Rule):
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/obs/*"]}
+    banned_names = ("time.sleep",)
+    reason = (
+        "blocks on the wall clock; retry/backoff must go through an "
+        "injected sleep (repro.obs.clock.sleep_s)"
+    )
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
+        yield from super().check(module)
+        if not self.applies_to(module):
             return
-        # Local names bound to time.sleep via `from time import sleep`.
-        sleep_aliases = set()
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module != "time":
-                    continue
-                for alias in node.names:
-                    if alias.name == "sleep":
-                        sleep_aliases.add(alias.asname or alias.name)
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            "import of `time.sleep` hard-wires the wall "
-                            "clock; inject repro.obs.clock.sleep_s",
-                        )
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
+            if not isinstance(node, ast.While):
+                continue
+            for call in ast.walk(node.test):
+                name = dotted_name(call.func) if isinstance(call, ast.Call) else None
                 if name is None:
                     continue
-                if _suffix_match(name, "time.sleep") or name in sleep_aliases:
+                origin, _ = module.resolve(name)
+                if any(ends_with_dotted(origin, clock) for clock in CLOCK_READS):
                     yield module.diagnostic(
                         self,
                         node,
-                        f"call to `{name}` blocks on the wall clock; "
-                        "retry/backoff must go through an injected sleep "
-                        "(repro.obs.clock.sleep_s)",
+                        f"`while` test reads `{name}`: a wall-clock "
+                        "deadline loop; compute deadlines from "
+                        "repro.obs.clock.monotonic_s and inject it",
                     )
-            elif isinstance(node, ast.While):
-                for call in ast.walk(node.test):
-                    if not isinstance(call, ast.Call):
-                        continue
-                    name = dotted_name(call.func)
-                    if name is None:
-                        continue
-                    if any(
-                        _suffix_match(name, suffix)
-                        for suffix in _DEADLINE_CLOCK_SUFFIXES
-                    ):
-                        yield module.diagnostic(
-                            self,
-                            node,
-                            f"`while` test reads `{name}`: a wall-clock "
-                            "deadline loop; compute deadlines from "
-                            "repro.obs.clock.monotonic_s and inject it",
-                        )
-                        break
-
-
-# The raw ingredients of a hand-rolled "atomic" write.
-_REPLACE_SUFFIXES = ("os.replace", "os.rename")
-_TEMPFILE_SUFFIXES = ("tempfile.NamedTemporaryFile", "tempfile.mkstemp")
+                    break
 
 
 @register_rule
-class AtomicWriteBypassRule(Rule):
+class AtomicWriteBypassRule(BannedNameRule):
     """ROB003: durable writes go through ``repro.storage``, nowhere else.
 
     Flags calls to ``os.replace``/``os.rename`` and to
@@ -236,36 +201,13 @@ class AtomicWriteBypassRule(Rule):
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/storage.py"]}
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
-            return
-        # Aliases bound by `from os import replace` / `from tempfile
-        # import mkstemp` and friends.
-        aliases = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                if node.module not in ("os", "tempfile"):
-                    continue
-                for alias in node.names:
-                    dotted = f"{node.module}.{alias.name}"
-                    if dotted in _REPLACE_SUFFIXES + _TEMPFILE_SUFFIXES:
-                        aliases[alias.asname or alias.name] = dotted
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            resolved = aliases.get(name, name)
-            if any(
-                _suffix_match(resolved, suffix)
-                for suffix in _REPLACE_SUFFIXES + _TEMPFILE_SUFFIXES
-            ):
-                yield module.diagnostic(
-                    self,
-                    node,
-                    f"call to `{name}` hand-rolls an atomic write; a "
-                    "missed fsync here becomes a torn artifact — use "
-                    "repro.storage.atomic_write_text",
-                )
+    banned_names = (
+        "os.replace",
+        "os.rename",
+        "tempfile.NamedTemporaryFile",
+        "tempfile.mkstemp",
+    )
+    reason = (
+        "hand-rolls an atomic write; a missed fsync here becomes a torn "
+        "artifact — use repro.storage.atomic_write_text"
+    )

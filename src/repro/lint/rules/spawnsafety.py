@@ -1,11 +1,19 @@
 """PERF002: interprocedural spawn-safety for pool worker callables.
 
-PERF001 catches the syntactic failure (lambdas / nested defs handed to a
-pool).  This rule catches the semantic ones that survive pickling: a
-worker that runs correctly in the parent would read different state in a
-``spawn`` child, because spawn re-imports every module from scratch.
-For every callable handed to :class:`~repro.harness.WorkerSupervisor`
-(and raw ``.submit``/``.map`` sites), the rule walks the resolvable call graph and flags:
+The sweep supervisor starts workers with the ``spawn`` method only, so a
+worker callable is pickled by qualified name and every module it touches
+is re-imported from scratch in the child.  For every callable handed to
+:class:`~repro.harness.WorkerSupervisor` (and raw ``.submit``/``.map``/
+``.apply*``/``.starmap`` sites), the rule flags:
+
+* **lambdas and nested functions** — neither pickles under spawn, so the
+  pool dies at runtime, often only on platforms where spawn is the
+  default.  Nested ``def``s are followed into other modules too.  Raw
+  pool methods are only checked for this in modules that import
+  ``concurrent.futures`` or ``multiprocessing``;
+
+and walks the worker's resolvable call graph for the failures that
+survive pickling:
 
 * reads of a module global that is **mutated after import** (any function
   in its module rebinds it via ``global``) — the parent-side value never
@@ -14,9 +22,7 @@ For every callable handed to :class:`~repro.harness.WorkerSupervisor`
 * references to module globals bound to **unpicklable factories** (locks,
   open files, sockets, threads, lambdas) — captured state that dies at
   the pickling boundary, usually only on platforms where spawn is the
-  default start method;
-* workers that resolve to **nested functions** in another module — the
-  cross-file case PERF001's single-module view cannot see.
+  default start method.
 
 Escape hatch: ``allowed_globals = ["module:name", ...]`` registers
 globals that are process-local *by design* (e.g. the ``repro.obs``
@@ -29,10 +35,28 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.diagnostics import Diagnostic, Severity
+from repro.lint.facts import LAMBDA_CALLEE, Handoff, ModuleFacts
 from repro.lint.project import ProjectContext, ProjectRule
 from repro.lint.registry import register_rule
 
 __all__ = ["SpawnSafetyRule"]
+
+#: Top-level packages whose import marks raw ``.submit``/``.map`` sites as
+#: process-pool handoffs.
+_POOL_PACKAGES = ("concurrent", "multiprocessing")
+
+
+def _enclosing_nested_def(facts: ModuleFacts, handoff: Handoff) -> Optional[str]:
+    """Qualname of the nested ``def`` a bare-name worker refers to, if any."""
+    if "." in handoff.callee:
+        return None
+    scope = handoff.function
+    while scope:
+        function = facts.functions.get(f"{scope}.{handoff.callee}")
+        if function is not None and function.is_nested:
+            return function.qualname
+        scope = scope.rpartition(".")[0]
+    return None
 
 
 @register_rule
@@ -54,8 +78,30 @@ class SpawnSafetyRule(ProjectRule):
         for module_name, facts in project.modules.items():
             if allow_paths and project.module_in_paths(module_name, allow_paths):
                 continue
+            pool_module = any(
+                origin.split(".")[0] in _POOL_PACKAGES
+                for origin in facts.import_bindings.values()
+            )
             for handoff in facts.handoffs:
+                # Supervisor handoffs always spawn; raw pool methods only
+                # count as such where a process pool is imported.
+                spawns = pool_module or not handoff.api.startswith(".")
+                if handoff.callee == LAMBDA_CALLEE:
+                    if spawns:
+                        yield project.diagnostic(
+                            self,
+                            facts.relpath,
+                            handoff.lineno,
+                            handoff.col,
+                            f"`{handoff.api}(lambda, ...)`: lambdas do not "
+                            "pickle under spawn; define a top-level worker "
+                            "function",
+                        )
+                    continue
                 resolved = project.resolve_callable(module_name, handoff.callee)
+                if resolved is None and spawns:
+                    local = _enclosing_nested_def(facts, handoff)
+                    resolved = None if local is None else (module_name, local)
                 if resolved is None:
                     continue
                 worker_module, worker_qualname = resolved

@@ -1,46 +1,29 @@
-"""Two-phase lint driver: parallel per-file analysis, serial project tier.
+"""Two-phase lint driver: per-file analysis, then the project tier.
 
 Phase one treats every file independently: parse, run the per-file
 rules, extract the :class:`~repro.lint.facts.ModuleFacts` summary, and
-collect suppression comments.  Files are independent, so the phase can
-fan out over a ``spawn`` process pool (``jobs > 1``) and — because each
-file's products depend only on its own bytes and the effective config —
-be cached by BLAKE2b fingerprint: a warm run re-analyzes only changed
-files plus their import-graph dependents, and an unchanged tree
-re-analyzes nothing at all.
+collect suppression comments.  Every run is cold and serial: each file
+is read and analyzed once, in sorted order.
 
-Phase two is serial and cheap: it assembles the facts (fresh or cached)
-into a :class:`~repro.lint.project.ProjectContext` and runs the
-whole-program rules (RNG010/011/012, PERF002, DET003) over it.  Then
+Phase two assembles the facts into a
+:class:`~repro.lint.project.ProjectContext` and runs the whole-program
+rules (RNG010/011/012, PERF002, DET003) over it.  Then
 suppression-usage accounting emits SUP001 for dead suppression comments
 (``--strict``), and finally findings are split against the committed
 baseline (ratchet policy; see :mod:`repro.lint.baseline`).
-
-Diagnostics stored in the cache are *pre-suppression*; suppressions are
-replayed fresh every run so that usage accounting — and therefore
-SUP001 — works identically on cold and warm runs.
 """
 
 from __future__ import annotations
 
 import ast
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.cache import (
-    FileRecord,
-    LintCache,
-    config_fingerprint,
-    diagnostic_from_dict,
-    file_fingerprint,
-)
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.facts import ModuleFacts, extract_facts, module_name_for
-from repro.lint.graph import ImportGraph
 from repro.lint.project import ProjectContext, project_rules
 from repro.lint.registry import ModuleContext, all_rules
 from repro.lint.suppress import SuppressionIndex, parse_suppressions
@@ -52,7 +35,6 @@ __all__ = [
     "analyze_source",
     "lint_source",
     "lint_paths",
-    "git_changed_files",
 ]
 
 PARSE_RULE_ID = "PARSE"
@@ -66,9 +48,6 @@ class LintReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Files actually (re-)analyzed this run; the rest were cache hits.
-    files_analyzed: int = 0
-    cache_hits: int = 0
     #: Findings filtered out because the committed baseline covers them.
     baselined: int = 0
     #: Baseline entries that matched nothing — fixed findings awaiting
@@ -89,35 +68,13 @@ class LintReport:
 
 @dataclass
 class FileAnalysis:
-    """Phase-one products for one file (cache- and pickle-portable)."""
+    """Phase-one products for one file."""
 
     relpath: str
-    fingerprint: str
     facts: ModuleFacts
     #: Per-file-tier diagnostics *before* suppression filtering.
     diagnostics: List[Diagnostic] = field(default_factory=list)
     suppressions: SuppressionIndex = field(default_factory=SuppressionIndex)
-
-    def to_record(self) -> FileRecord:
-        return FileRecord(
-            fingerprint=self.fingerprint,
-            facts=self.facts.to_dict(),
-            diagnostics=[diagnostic.as_dict() for diagnostic in self.diagnostics],
-            suppressions=self.suppressions.to_dict(),
-        )
-
-    @classmethod
-    def from_record(cls, relpath: str, record: FileRecord) -> "FileAnalysis":
-        suppressions = SuppressionIndex.from_dict(record.suppressions)
-        for entry in suppressions.entries:
-            entry.used = 0  # usage is re-accounted every run
-        return cls(
-            relpath=relpath,
-            fingerprint=record.fingerprint,
-            facts=record.module_facts(),
-            diagnostics=[diagnostic_from_dict(d) for d in record.diagnostics],
-            suppressions=suppressions,
-        )
 
 
 def iter_python_files(
@@ -152,18 +109,13 @@ def _file_rules() -> List[type]:
     ]
 
 
-def analyze_source(
-    source: str, relpath: str, config: LintConfig, fingerprint: str = ""
-) -> FileAnalysis:
+def analyze_source(source: str, relpath: str, config: LintConfig) -> FileAnalysis:
     """Phase one for a single module: parse, per-file rules, facts."""
-    if not fingerprint:
-        fingerprint = file_fingerprint(source.encode("utf-8"))
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
         return FileAnalysis(
             relpath=relpath,
-            fingerprint=fingerprint,
             facts=ModuleFacts(relpath=relpath, module=module_name_for(relpath)),
             diagnostics=[
                 Diagnostic(
@@ -185,73 +137,10 @@ def analyze_source(
     found.sort(key=lambda d: (d.line, d.col, d.rule_id))
     return FileAnalysis(
         relpath=relpath,
-        fingerprint=fingerprint,
         facts=extract_facts(relpath, tree),
         diagnostics=found,
         suppressions=parse_suppressions(source),
     )
-
-
-def _analyze_job(job: Tuple[str, str, str, LintConfig]) -> Dict[str, Any]:
-    """Pool worker: analyze one file, return a picklable record payload.
-
-    Top-level by necessity — spawn workers import this module and unpickle
-    the function by qualified name.  Results are plain dicts so serial and
-    parallel runs are byte-identical.
-    """
-    relpath, source, fingerprint, config = job
-    return analyze_source(source, relpath, config, fingerprint).to_record().to_dict()
-
-
-def _run_phase_one(
-    jobs_list: List[Tuple[str, str, str, LintConfig]], jobs: int
-) -> Dict[str, FileAnalysis]:
-    """Run phase one serially or on a spawn pool; order-independent result."""
-    analyses: Dict[str, FileAnalysis] = {}
-    if jobs > 1 and len(jobs_list) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            payloads = list(pool.map(_analyze_job, jobs_list))
-    else:
-        payloads = [_analyze_job(job) for job in jobs_list]
-    for job, payload in zip(jobs_list, payloads):
-        relpath = job[0]
-        analyses[relpath] = FileAnalysis.from_record(
-            relpath, FileRecord.from_dict(payload)
-        )
-    return analyses
-
-
-def git_changed_files(ref: str, root: Optional[Path] = None) -> List[str]:
-    """Python files changed vs ``ref`` (tracked diffs plus untracked).
-
-    Paths are repo-root-relative.  Raises ``RuntimeError`` when git is
-    unavailable or the ref does not resolve.
-    """
-    cwd = str(root) if root is not None else None
-    changed: Set[str] = set()
-    for command in (
-        ["git", "diff", "--name-only", ref, "--", "*.py"],
-        ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
-    ):
-        try:
-            completed = subprocess.run(
-                command, cwd=cwd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = ""
-            if isinstance(exc, subprocess.CalledProcessError):
-                detail = f": {exc.stderr.strip()}"
-            raise RuntimeError(
-                f"`{' '.join(command)}` failed{detail}"
-            ) from exc
-        changed.update(
-            line.strip() for line in completed.stdout.splitlines() if line.strip()
-        )
-    return sorted(changed)
 
 
 def lint_source(
@@ -346,21 +235,14 @@ def lint_paths(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
     *,
-    jobs: int = 1,
-    cache_path: Optional[Path] = None,
-    changed_files: Optional[Sequence[str]] = None,
     strict: Optional[bool] = None,
     baseline_path: Optional[Path] = None,
     update_baseline: bool = False,
 ) -> LintReport:
     """Lint files and directories; the main entry point behind the CLI.
 
-    ``cache_path`` enables the incremental cache (None = always cold).
-    ``changed_files`` restricts *reporting* to those files plus their
-    import-graph dependents — analysis still covers the whole file set so
-    project-tier findings stay sound.  ``baseline_path`` filters known
-    findings; with ``update_baseline`` the file is rewritten to cover
-    exactly the current findings (ratchet).
+    ``baseline_path`` filters known findings; with ``update_baseline`` the
+    file is rewritten to cover exactly the current findings (ratchet).
     """
     config = config or LintConfig()
     report = LintReport()
@@ -371,84 +253,16 @@ def lint_paths(
         if not config.is_excluded(relpath):
             files[relpath] = path
 
-    sources: Dict[str, str] = {}
-    fingerprints: Dict[str, str] = {}
-    for relpath in sorted(files):
-        data = files[relpath].read_bytes()
-        fingerprints[relpath] = file_fingerprint(data)
-        sources[relpath] = data.decode("utf-8")
-
-    meta = config_fingerprint(
-        config, [rule_class.id for rule_class in all_rules()]
+    analyses = {
+        relpath: analyze_source(
+            files[relpath].read_bytes().decode("utf-8"), relpath, config
+        )
+        for relpath in sorted(files)
+    }
+    diagnostics, report.suppressed = _filter_and_project(
+        analyses, config, strict=config.strict if strict is None else strict
     )
-    cache = LintCache.load(cache_path, meta) if cache_path is not None else None
-
-    hits: Set[str] = set()
-    if cache is not None:
-        hits = {
-            relpath
-            for relpath in files
-            if relpath in cache.files
-            and cache.files[relpath].fingerprint == fingerprints[relpath]
-        }
-    stale = set(files) - hits
-    if cache is not None and stale and hits:
-        # A changed module can shift whole-program findings in its
-        # importers, and per-file products must stay reproducible from
-        # scratch — so dependents (per the *previous* import graph) are
-        # re-analyzed alongside the changed files themselves.
-        old_facts = [
-            cache.files[relpath].module_facts()
-            for relpath in cache.files
-            if relpath in files
-        ]
-        old_graph = ImportGraph.build(
-            {facts.module: facts for facts in old_facts}
-        )
-        dependents = old_graph.transitive_dependents(
-            [module_name_for(relpath) for relpath in stale]
-        )
-        dependent_relpaths = {
-            old_graph.relpaths[module]
-            for module in dependents
-            if module in old_graph.relpaths
-        }
-        stale |= dependent_relpaths & set(files)
-        hits -= dependent_relpaths
-
-    jobs_list = [
-        (relpath, sources[relpath], fingerprints[relpath], config)
-        for relpath in sorted(stale)
-    ]
-    analyses = _run_phase_one(jobs_list, jobs)
-    for relpath in hits:
-        analyses[relpath] = FileAnalysis.from_record(
-            relpath, cache.files[relpath]  # type: ignore[union-attr]
-        )
-    report.files_analyzed = len(jobs_list)
-    report.cache_hits = len(hits)
-
-    effective_strict = config.strict if strict is None else strict
-    diagnostics, suppressed = _filter_and_project(
-        analyses, config, strict=effective_strict
-    )
-    report.suppressed = suppressed
     report.files_checked = len(files)
-
-    if changed_files is not None:
-        graph = ImportGraph.build(
-            {analysis.facts.module: analysis.facts for analysis in analyses.values()}
-        )
-        focus = {
-            _relpath(Path(changed)) for changed in changed_files
-        } & set(files)
-        focus_modules = [module_name_for(relpath) for relpath in focus]
-        for module in graph.transitive_dependents(focus_modules):
-            relpath = graph.relpaths.get(module)
-            if relpath in files:
-                focus.add(relpath)
-        diagnostics = [d for d in diagnostics if d.path in focus]
-        report.files_checked = len(focus)
 
     if baseline_path is not None:
         baseline = Baseline.load(baseline_path)
@@ -458,16 +272,6 @@ def lint_paths(
         diagnostics, report.baselined, report.stale_baseline = baseline.split(
             diagnostics
         )
-        if changed_files is not None:
-            # A partial view cannot tell "fixed" from "not in focus".
-            report.stale_baseline = []
 
     report.diagnostics = diagnostics
-
-    if cache_path is not None:
-        fresh = LintCache(meta_fingerprint=meta)
-        for relpath, analysis in analyses.items():
-            fresh.files[relpath] = analysis.to_record()
-        fresh.save(cache_path)
-
     return report

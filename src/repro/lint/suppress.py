@@ -20,9 +20,7 @@ Every suppression is tracked as a :class:`SuppressionEntry` that counts
 how many findings it actually silenced — across *both* lint tiers, since
 a comment may exist solely to quiet a whole-program rule.  Entries whose
 count stays zero are dead comments; ``--strict`` runs report them as
-SUP001.  The index serialises to plain JSON so the incremental cache can
-replay a warm file's suppressions (per-file-tier usage included) without
-re-tokenizing it.
+SUP001.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["SuppressionEntry", "SuppressionIndex", "parse_suppressions"]
 
@@ -56,23 +54,6 @@ class SuppressionEntry:
         if self.target_line is not None and self.target_line != line:
             return False
         return _ALL in self.rules or rule_id in self.rules
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "comment_line": self.comment_line,
-            "target_line": self.target_line,
-            "rules": list(self.rules),
-            "used": self.used,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SuppressionEntry":
-        return cls(
-            comment_line=int(payload["comment_line"]),
-            target_line=payload.get("target_line"),
-            rules=list(payload["rules"]),
-            used=int(payload.get("used", 0)),
-        )
 
 
 @dataclass
@@ -100,13 +81,6 @@ class SuppressionIndex:
             (entry for entry in self.entries if entry.used == 0),
             key=lambda entry: entry.comment_line,
         )
-
-    def to_dict(self) -> List[Dict[str, Any]]:
-        return [entry.to_dict() for entry in self.entries]
-
-    @classmethod
-    def from_dict(cls, payload: List[Dict[str, Any]]) -> "SuppressionIndex":
-        return cls(entries=[SuppressionEntry.from_dict(entry) for entry in payload])
 
 
 def parse_suppressions(source: str) -> SuppressionIndex:

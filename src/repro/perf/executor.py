@@ -21,7 +21,7 @@ Determinism contract
 * Workers are started with the ``spawn`` method (fresh interpreters; no
   fork-time RNG or import-state inheritance).
 * Work items are plain picklable data; :func:`execute_work_item` is a
-  **top-level module function** (enforced by reprolint rule PERF001) so
+  **top-level module function** (enforced by reprolint rule PERF002) so
   it pickles under ``spawn``.
 * Results are gathered in **submission order**, never completion order,
   and metric snapshots are merged in that same order — the parent-side
@@ -108,7 +108,7 @@ def execute_work_item(item: SweepWorkItem) -> RepetitionOutcome:
     """Run one work item (the worker entry point).
 
     Top-level by design so it is picklable under the ``spawn`` start
-    method; reprolint rule PERF001 keeps it that way.  Also runs inline
+    method; reprolint rule PERF002 keeps it that way.  Also runs inline
     in the parent when ``workers=1`` — the serial and parallel paths
     execute the same code.
     """
