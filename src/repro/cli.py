@@ -17,11 +17,8 @@ Commands
 ``report``     regenerate the full evaluation record (slow)
 ``lint``       run reprolint (determinism & paper-invariant checks)
 ``obs``        observability: ``report`` (render/verify a run manifest),
-               ``bench`` (profiled engine baseline -> manifest JSON),
                ``export`` (manifest or live stats -> Prometheus text), and
-               ``diff`` (manifest-vs-manifest perf ratchet)
-``perf``       performance: ``bench`` (serial vs parallel, scalar vs
-               vectorized -> BENCH_perf.json; equality-checked)
+               ``diff`` (manifest-vs-manifest figure comparison)
 ``trace``      NDJSON traces: ``export`` (stream a run's events to disk),
                ``stats`` (summarize a trace/v1 or trace/v2 file), and
                ``tree`` (render a job's merged trace/v2 span tree)
@@ -508,48 +505,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     else:
         print(obs.render_report(manifest))
     return 0
-
-
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    config = _config_from(args)
-    collections = args.collections
-    recorder = obs.MetricsRecorder()
-    start = obs.monotonic_s()
-    with obs.use_recorder(recorder):
-        for rep in range(collections):
-            _collect(config, f"obs-bench-{rep}", with_bounds=False)
-    wall_time_s = obs.monotonic_s() - start
-    manifest = obs.build_manifest(
-        seed=config.seed,
-        config=config,
-        wall_time_s=wall_time_s,
-        recorder=recorder,
-        extra={"benchmark": "obs", "collections": collections},
-    )
-    obs.write_manifest(args.out, manifest)
-    slots = recorder.counters.get("engine.slots", 0)
-    rate = slots / wall_time_s if wall_time_s > 0 else 0.0
-    print(
-        f"{collections} collection(s), {int(slots)} slots in "
-        f"{wall_time_s:.2f} s ({rate:,.0f} slots/s)"
-    )
-    print(f"baseline written to {args.out}")
-    return 0
-
-
-def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import PerfBenchError, run_perf_bench
-
-    config = _config_from(args)
-    try:
-        return run_perf_bench(
-            config, workers=args.workers, out=args.out, smoke=args.smoke
-        )
-    except PerfBenchError as error:
-        print(f"PERF FAIL: {error}", file=sys.stderr)
-        return 1
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
@@ -1421,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(handler=_cmd_report)
 
     obs_parser = commands.add_parser(
-        "obs", help="observability: manifests, profiles, benchmarks"
+        "obs", help="observability: manifests, profiles, exports"
     )
     obs_commands = obs_parser.add_subparsers(dest="obs_command", required=True)
 
@@ -1442,33 +1397,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_options(obs_report)
     obs_report.set_defaults(handler=_cmd_obs_report)
 
-    obs_bench = obs_commands.add_parser(
-        "bench", help="profiled engine baseline -> manifest JSON"
-    )
-    obs_bench.add_argument(
-        "--out", default="BENCH_obs.json", help="output manifest path"
-    )
-    obs_bench.add_argument(
-        "--collections",
-        type=int,
-        default=3,
-        help="instrumented collections to profile (default: 3)",
-    )
-    _add_scale_options(obs_bench)
-    obs_bench.set_defaults(handler=_cmd_obs_bench)
-
     obs_export = obs_commands.add_parser(
         "export",
         help="export a manifest (or live daemon stats) as Prometheus text",
     )
     obs_export.add_argument(
         "manifest", nargs="?", default=None, help="path to a *.manifest.json"
-    )
-    obs_export.add_argument(
-        "--format",
-        choices=("prom",),
-        default="prom",
-        help="output format (only 'prom' for now)",
     )
     _add_socket(
         obs_export,
@@ -1482,42 +1416,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_diff = obs_commands.add_parser(
         "diff",
-        help="compare two manifests' perf figures (the regression ratchet)",
+        help="compare two manifests' figures (the chaos gate's ratchet)",
     )
-    obs_diff.add_argument("old", help="baseline manifest (e.g. BENCH_perf.json)")
+    obs_diff.add_argument(
+        "old", help="baseline manifest (e.g. BENCH_resilience.json)"
+    )
     obs_diff.add_argument("new", help="fresh manifest to compare")
     obs_diff.add_argument(
         "--fail-on-regression",
         type=float,
         default=None,
         metavar="PCT",
-        help="exit nonzero when a gated figure slowed by more than PCT%%",
+        help="exit nonzero when a gated figure moved the wrong way by "
+        "more than PCT%%",
     )
     obs_diff.add_argument(
         "--json", action="store_true", help="emit the rows as JSON"
     )
     obs_diff.set_defaults(handler=_cmd_obs_diff)
-
-    perf_parser = commands.add_parser(
-        "perf", help="performance: parallel/vectorized benchmarks"
-    )
-    perf_commands = perf_parser.add_subparsers(dest="perf_command", required=True)
-
-    perf_bench = perf_commands.add_parser(
-        "bench",
-        help="serial vs parallel + scalar vs vectorized -> BENCH_perf.json",
-    )
-    perf_bench.add_argument(
-        "--out", default="BENCH_perf.json", help="output manifest path"
-    )
-    _add_workers(perf_bench, default=4)
-    perf_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast CI mode: tiny workload, same equality assertions",
-    )
-    _add_scale_options(perf_bench, repetitions=True)
-    perf_bench.set_defaults(handler=_cmd_perf_bench)
 
     trace_parser = commands.add_parser(
         "trace", help="NDJSON trace export and inspection (trace/v1)"

@@ -67,6 +67,17 @@ def render_fig6_table(
     mean_reduction = sum(p.reduction_percent for _, p in points) / len(points)
     lines.append(f"  mean reduction: ADDC induces {mean_reduction:.0f}% less delay")
     lines.append("  (* = gap significant at 5% by Welch's t-test)")
+    # Censored repetitions hit max_slots and are absent from the means,
+    # which therefore lean low; say so instead of hiding it.
+    for x_value, point in points:
+        if point.skipped_repetitions:
+            kept = len(point.addc_delays)
+            lines.append(
+                f"  censored at x = {x_value:g}: "
+                f"{point.skipped_repetitions} of "
+                f"{point.skipped_repetitions + kept} repetition(s) hit "
+                f"max_slots; the row averages the other {kept}"
+            )
     return "\n".join(lines)
 
 

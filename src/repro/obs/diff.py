@@ -1,35 +1,31 @@
-"""Manifest-vs-manifest performance comparison (the perf ratchet).
+"""Manifest-vs-manifest figure comparison (the chaos gate's ratchet).
 
 ``addc-repro obs diff OLD.json NEW.json [--fail-on-regression PCT]``
-compares two ``manifest/v1`` files — typically a committed
-``BENCH_perf.json`` / ``BENCH_obs.json`` baseline against a fresh
-``--smoke`` bench — and fails CI when a **normalized** timing figure got
-more than ``PCT`` percent slower.
+compares two ``manifest/v1`` files — typically the committed
+``BENCH_resilience.json`` against a fresh ``chaos gate`` run — and fails
+when a gated figure moved more than ``PCT`` percent in the wrong
+direction.  A gated figure that leaves a zero baseline in the wrong
+direction is always a regression: no percentage tolerance covers it.
 
 Raw wall times are not comparable across workloads or machines, so the
-ratchet compares rates and per-unit means only:
+comparison uses rates, per-unit means and deterministic outputs only:
 
 * per-span ``mean_ms`` from the profile (one slot costs what one slot
   costs, whatever the repetition count);
 * ``wall_us_per_slot`` — total wall time over ``engine.slots``;
-* ``sweep_serial_s_per_rep`` / ``spatial_scalar_s_per_loop`` (and their
-  vectorized/parallel/warm counterparts) from the bench ``extra`` blocks;
-* ``engine_wall_us_per_slot`` / ``engine_fastforward_ratio`` — per-slot
-  cost and the frozen-slot fast-forward win, both measured within one
-  run on one machine;
 * ``resilience.*`` — the chaos gate's figures from
   ``BENCH_resilience.json`` (deterministic simulation outputs; each
   entry declares its own direction and whether it gates).
 
-Machine-shape figures (``parallel_speedup``, ``spatial_speedup``,
-``wall_time_s``) are reported for context but never gate: a 1-core
-baseline would otherwise fail every multi-core runner and vice versa.
-Only figures present in **both** manifests are compared.
+``wall_time_s`` is reported for context but never gates.  Only figures
+present in **both** manifests are compared.  Wall-clock regressions of
+the whole program are gated end to end by ``benchmarks/e2e_gate.py``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -109,32 +105,6 @@ def _figures(manifest: Dict) -> Dict[str, _Figure]:
     if wall and slots:
         figures["wall_us_per_slot"] = _Figure(float(wall) / float(slots) * 1e6)
     extra = manifest.get("extra") or {}
-    sweep = extra.get("sweep")
-    if isinstance(sweep, dict):
-        reps = sweep.get("repetitions") or 0
-        if reps:
-            for key in ("serial_s", "parallel_s", "warm_parallel_s"):
-                if isinstance(sweep.get(key), (int, float)):
-                    figures[f"sweep_{key}_per_rep"] = _Figure(
-                        float(sweep[key]) / float(reps)
-                    )
-        for key in ("parallel_speedup", "warm_parallel_speedup"):
-            if isinstance(sweep.get(key), (int, float)):
-                figures[f"sweep_{key}"] = _Figure(
-                    float(sweep[key]), higher_better=True, gated=False
-                )
-    engine = extra.get("engine")
-    if isinstance(engine, dict):
-        # Both engine figures are same-machine normalized — per-slot cost
-        # and an on/off ratio measured in one run — so both gate.
-        if isinstance(engine.get("wall_us_per_slot"), (int, float)):
-            figures["engine_wall_us_per_slot"] = _Figure(
-                float(engine["wall_us_per_slot"])
-            )
-        if isinstance(engine.get("fastforward_ratio"), (int, float)):
-            figures["engine_fastforward_ratio"] = _Figure(
-                float(engine["fastforward_ratio"]), higher_better=True
-            )
     resilience = extra.get("resilience")
     if isinstance(resilience, dict):
         # Chaos-gate figures declare their own direction and gating at
@@ -150,19 +120,6 @@ def _figures(manifest: Dict) -> Dict[str, _Figure]:
                     higher_better=bool(entry.get("higher_better", False)),
                     gated=bool(entry.get("gated", True)),
                 )
-    spatial = extra.get("spatial")
-    if isinstance(spatial, dict):
-        loops = spatial.get("loops") or 0
-        if loops:
-            for key in ("scalar_s", "vectorized_s"):
-                if isinstance(spatial.get(key), (int, float)):
-                    figures[f"spatial_{key}_per_loop"] = _Figure(
-                        float(spatial[key]) / float(loops)
-                    )
-        if isinstance(spatial.get("speedup"), (int, float)):
-            figures["spatial_speedup"] = _Figure(
-                float(spatial["speedup"]), higher_better=True, gated=False
-            )
     return figures
 
 
@@ -182,11 +139,13 @@ def diff_manifests(
     for name in sorted(set(old_figures) & set(new_figures)):
         before = old_figures[name]
         after = new_figures[name]
-        delta_pct = (
-            (after.value - before.value) / before.value * 100.0
-            if before.value
-            else 0.0
-        )
+        if before.value:
+            delta_pct = (after.value - before.value) / before.value * 100.0
+        elif after.value:
+            # Off a zero baseline every move is unboundedly large.
+            delta_pct = math.copysign(math.inf, after.value)
+        else:
+            delta_pct = 0.0
         regression = False
         if tolerance_pct is not None and before.gated:
             if before.higher_better:

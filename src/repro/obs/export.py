@@ -1,6 +1,6 @@
 """Prometheus/OpenMetrics text exposition of metric snapshots.
 
-``addc-repro obs export --format prom`` turns either a committed
+``addc-repro obs export`` turns either a committed
 ``manifest/v1`` file or a live daemon ``stats`` snapshot into the
 Prometheus text format, so any scraper-era tooling (promtool, Grafana's
 TestData, ad-hoc ``curl | grep``) can read ADDC runs without a custom

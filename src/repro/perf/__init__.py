@@ -1,4 +1,5 @@
-"""``repro.perf`` — the repetition work item, warm pools and benchmarks.
+"""``repro.perf`` — the repetition work item, warm pools and the scalar
+reference index.
 
 All pinned bit-identical to the serial/scalar code paths:
 
@@ -11,13 +12,10 @@ All pinned bit-identical to the serial/scalar code paths:
   per sweep (or daemon) lifetime and are rebuilt in place after a crash.
 * :mod:`repro.perf.reference` — the original scalar (dict-of-buckets)
   ``GridIndex`` kept as an executable specification; the property tests
-  and ``addc-repro perf bench`` check the vectorized CSR index against
-  it exactly.
+  check the vectorized CSR index against it exactly.
 
-``addc-repro perf bench`` (:mod:`repro.perf.bench`) measures serial vs
-warm-pool sweeps, scalar vs vectorized, and fast-forward on vs off on
-the same machine in the same run, via the :mod:`repro.obs` clock
-facade, and writes ``BENCH_perf.json``.
+Wall-clock regressions are gated end to end by ``benchmarks/e2e_gate.py``
+over the e2ebench ``fig6c-sweep`` workload (docs/PERFORMANCE.md).
 """
 
 from repro.perf.executor import (

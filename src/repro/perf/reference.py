@@ -2,12 +2,9 @@
 
 This is the dict-of-buckets spatial index the repository shipped before
 the CSR-style vectorized rewrite of :class:`repro.geometry.GridIndex`.
-It stays here — un-instrumented and deliberately boring — so that
-
-* the randomized property tests can check the vectorized index against
-  an independent implementation, and
-* ``addc-repro perf bench`` can time scalar vs vectorized on identical
-  inputs in the same run and assert the outputs match exactly.
+It stays here — un-instrumented and deliberately boring — so that the
+randomized property tests (``tests/test_perf.py::TestGridIndexProperty``)
+can check the vectorized index against an independent implementation.
 
 Do not "optimize" this module; its value is being obviously correct.
 """

@@ -130,7 +130,7 @@ class TestRatchet:
         assert report.passed
 
     def test_foreign_baseline_is_refused(self, tmp_path):
-        baseline = tmp_path / "BENCH_perf.json"
+        baseline = tmp_path / "foreign.json"
         # A perfectly valid manifest -- but not one the gate wrote.
         write_manifest(
             baseline, build_manifest(seed=1, config={"name": "perf"})

@@ -2,20 +2,29 @@
 
 Hypothesis drives deployment seeds and scenario knobs; for every drawn
 scenario the run must satisfy the conservation and termination invariants
-regardless of geometry.
+regardless of geometry.  Conservation is checked at the end of the run and
+again at the end of every slot of a second, hooked run, which must end in
+the same result.
 """
 
 from __future__ import annotations
 
+import functools
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.core.collector as collector
+import repro.routing.coolest as coolest
 from repro.core.collector import run_addc_collection
 from repro.errors import DisconnectedNetworkError
 from repro.experiments.config import ExperimentConfig
 from repro.network.deployment import deploy_crn
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
+from repro.sim.engine import SlottedEngine
+from repro.sim.packet import DATA
 
 
 def deploy(seed: int, num_sus: int, num_pus: int, p_t: float):
@@ -32,6 +41,58 @@ def deploy(seed: int, num_sus: int, num_pus: int, p_t: float):
         return deploy_crn(config.deployment_spec(), factory), factory
     except DisconnectedNetworkError:
         return None, None
+
+
+class ConservationOracle:
+    """``slot_hook`` asserting data-packet conservation after every slot.
+
+    Every data packet the run was given is, at each slot boundary,
+    delivered, lost, queued at a node, a future arrival, an arrival
+    deferred for a down node, or held by the policy (Coolest holds a
+    source's data until its route reply lands).
+    """
+
+    def __init__(self) -> None:
+        self.slots = 0
+
+    def __call__(self, engine) -> None:
+        result = engine._result
+        queued = sum(
+            packet.kind == DATA for queue in engine._queues for packet in queue
+        )
+        pending = sum(
+            packet.kind == DATA for _, _, packet in engine._pending_arrivals
+        )
+        deferred = sum(
+            packet.kind == DATA
+            for packets in engine._deferred_arrivals.values()
+            for packet in packets
+        )
+        held = len(getattr(engine.policy, "_pending_data", ()))
+        accounted = (
+            result.delivered
+            + result.packets_lost
+            + queued
+            + pending
+            + deferred
+            + held
+        )
+        assert accounted == result.num_packets, (
+            f"slot {engine.slot}: {result.delivered} delivered + "
+            f"{result.packets_lost} lost + {queued} queued + {pending} "
+            f"pending + {deferred} deferred + {held} held != "
+            f"{result.num_packets} packets"
+        )
+        self.slots += 1
+
+    def hooked(self, module):
+        """Patch ``module``'s engine so every run it starts calls this hook.
+
+        A slot hook turns fast-forward off, so the hooked run also checks
+        that the ordinary slot loop ends where the fast-forwarded one did.
+        """
+        engine = functools.partial(SlottedEngine, slot_hook=self)
+        return mock.patch.object(module, "SlottedEngine", engine)
 
 
 scenario = st.tuples(
@@ -58,6 +119,13 @@ def test_addc_conservation_invariants(params):
     )
     result = outcome.result
     assert result.completed
+    oracle = ConservationOracle()
+    with oracle.hooked(collector):
+        hooked = run_addc_collection(
+            topology, factory.spawn("addc"), with_bounds=False, max_slots=150_000
+        )
+    assert hooked.result == result
+    assert oracle.slots == result.slots_simulated
     # Conservation: every source delivers exactly its own packet.
     assert sorted(r.source for r in result.deliveries) == list(
         topology.secondary.su_ids()
@@ -89,6 +157,13 @@ def test_coolest_conservation_invariants(params):
     )
     result = outcome.result
     assert result.completed
+    oracle = ConservationOracle()
+    with oracle.hooked(coolest):
+        hooked = run_coolest_collection(
+            topology, factory.spawn("coolest"), max_slots=150_000
+        )
+    assert hooked.result == result
+    assert oracle.slots == result.slots_simulated
     assert sorted(r.source for r in result.deliveries) == list(
         topology.secondary.su_ids()
     )

@@ -15,7 +15,12 @@ from repro.experiments.report import (
     render_fig4_table,
     render_fig6_table,
 )
-from repro.experiments.runner import run_addc_only, run_comparison_point
+from repro.experiments.runner import (
+    ComparisonPoint,
+    run_addc_only,
+    run_comparison_point,
+)
+from repro.metrics.aggregate import summarize_delays
 
 
 class TestExperimentConfig:
@@ -174,6 +179,16 @@ class TestRunner:
         assert "all 1 repetitions" in str(excinfo.value)
 
 
+def _fixed_point(config, addc, coolest) -> ComparisonPoint:
+    return ComparisonPoint(
+        config=config,
+        addc_delay_ms=summarize_delays(addc),
+        coolest_delay_ms=summarize_delays(coolest),
+        addc_delays=list(addc),
+        coolest_delays=list(coolest),
+    )
+
+
 class TestRenderers:
     def test_fig6_table(self):
         config = ExperimentConfig.quick_scale().with_overrides(
@@ -185,6 +200,29 @@ class TestRenderers:
         text = render_fig6_table("fig6c", "delay vs p_t", points)
         assert "ADDC" in text and "Coolest" in text
         assert "mean reduction" in text
+        assert "censored" not in text
+
+    def test_fig6_table_lists_censored_repetitions(self):
+        config = ExperimentConfig.quick_scale()
+        point = dataclasses.replace(
+            _fixed_point(config, [10.0, 12.0], [30.0, 36.0]),
+            skipped_repetitions=3,
+        )
+        clean = _fixed_point(config, [10.0, 12.0], [30.0, 36.0])
+        censored = render_fig6_table(
+            "fig6c", "delay vs p_t", [(0.1, clean), (0.3, point)]
+        )
+        uncensored = render_fig6_table(
+            "fig6c", "delay vs p_t", [(0.1, clean), (0.3, clean)]
+        )
+        extra = censored.splitlines()[len(uncensored.splitlines()):]
+        # One line for the censored point, none for the clean one, and
+        # everything above it is the uncensored table unchanged.
+        assert censored.startswith(uncensored)
+        assert extra == [
+            "  censored at x = 0.3: 3 of 5 repetition(s) hit max_slots; "
+            "the row averages the other 2"
+        ]
 
     def test_ablation_table(self):
         text = render_ablation_table(

@@ -517,16 +517,19 @@ class TestCli:
         assert cli_main(["obs", "report"]) == 2
         assert "manifest" in capsys.readouterr().err
 
-    def test_obs_bench_writes_manifest(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_obs.json"
-        assert (
-            cli_main(["obs", "bench", "--out", str(out), "--collections", "1"])
-            == 0
-        )
-        assert "slots/s" in capsys.readouterr().out
-        manifest = obs.load_manifest(out)
-        assert manifest.extra["benchmark"] == "obs"
-        assert manifest.profile["engine.run"]["count"] == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf", "bench", "--smoke"],
+            ["obs", "bench"],
+            ["obs", "export", "run.manifest.json", "--format", "prom"],
+        ],
+    )
+    def test_retired_benches_and_options_are_usage_errors(self, argv, capsys):
+        # Timings are gated end to end by benchmarks/e2e_gate.py instead.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
 
     def test_trace_export_and_stats(self, tmp_path, capsys):
         out = tmp_path / "trace.ndjson"
@@ -682,6 +685,34 @@ class TestManifestDiff:
         assert not wall.gated
         assert not wall.regression
 
+    def test_leaving_a_zero_baseline_is_a_regression(self):
+        from repro.obs.diff import diff_manifests
+
+        def manifest(repair_slots: float, delivery: float) -> dict:
+            figures = {
+                "repair_worst_slots": {"value": repair_slots},
+                "delivery_ratio": {"value": delivery, "higher_better": True},
+            }
+            return {"extra": {"resilience": {"figures": figures}}}
+
+        # No percentage tolerance covers a move off zero in the wrong
+        # direction; the same move in the right direction is fine.
+        rows = {
+            row.name: row
+            for row in diff_manifests(
+                manifest(0.0, 0.0), manifest(3.0, 0.5), tolerance_pct=400.0
+            )
+        }
+        repair = rows["resilience.repair_worst_slots"]
+        assert repair.regression and repair.delta_pct == float("inf")
+        delivery = rows["resilience.delivery_ratio"]
+        assert not delivery.regression and delivery.delta_pct == float("inf")
+        # Zero to zero is no move at all.
+        same = diff_manifests(
+            manifest(0.0, 0.0), manifest(0.0, 0.0), tolerance_pct=5.0
+        )
+        assert all(row.delta_pct == 0.0 and not row.regression for row in same)
+
     def test_no_shared_figures_is_an_error(self):
         from repro.obs.diff import diff_manifests
 
@@ -725,7 +756,7 @@ class TestRatchetCli:
 
     def test_export_prometheus_from_manifest(self, tmp_path, capsys):
         manifest = self._write(tmp_path, "run.manifest.json", 2.0)
-        code = cli_main(["obs", "export", str(manifest), "--format", "prom"])
+        code = cli_main(["obs", "export", str(manifest)])
         assert code == 0
         out = capsys.readouterr().out
         assert "addc_engine_slots_total 1000" in out

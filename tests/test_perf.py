@@ -397,7 +397,8 @@ class TestWarmExecutorDeterminism:
         Two sweep points (different configs) exercise the pool across
         point boundaries; two consecutive sweeps on one pool exercise
         reuse.  Every measurement — including post-run RNG stream
-        positions — must equal the serial reference on both passes.
+        positions — and the merged metric snapshot must equal the serial
+        reference on both passes.
         """
         config_a = tiny_config()
         config_b = tiny_config(p_t=0.2)
@@ -407,18 +408,30 @@ class TestWarmExecutorDeterminism:
             for rep in range(2)
         ]
         points = [(0.0, config_a), (1.0, config_b)]
+
+        def recorded_sweep(pool=None):
+            recorder = MetricsRecorder()
+            with obs.use_recorder(recorder):
+                result = run_checkpointed_sweep(
+                    "warm",
+                    points,
+                    workers=1 if pool is None else workers,
+                    pool=pool,
+                )
+            return result, recorder.snapshot()
+
+        _, serial_snapshot = recorded_sweep()
         with WarmWorkerPool(workers) as pool:
-            first = run_checkpointed_sweep(
-                "warm", points, workers=workers, pool=pool
-            )
-            second = run_checkpointed_sweep(
-                "warm", points, workers=workers, pool=pool
-            )
+            first, first_snapshot = recorded_sweep(pool)
+            second, second_snapshot = recorded_sweep(pool)
         assert [o.measurement for o in first.outcomes] == serial
         assert [o.measurement for o in second.outcomes] == serial
         assert [m.rng_positions for m in serial] == [
             o.measurement.rng_positions for o in first.outcomes
         ]
+        assert serial_snapshot["counters"]["engine.slots"] > 0
+        assert first_snapshot == serial_snapshot
+        assert second_snapshot == serial_snapshot
 
     def test_injected_pool_is_borrowed_never_closed(self):
         config = tiny_config()
