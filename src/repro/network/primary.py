@@ -65,7 +65,7 @@ class BernoulliActivity:
         return rng.random(count) < self._p_t
 
     def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(states.shape[0]) < self._p_t
+        return self.next_states_batch(states, rng.random((1, states.shape[0])))[0]
 
     def next_states_batch(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Vectorized multi-slot advancement from pre-drawn uniforms.
@@ -124,10 +124,7 @@ class MarkovActivity:
         return rng.random(count) < self._p_t
 
     def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        draws = rng.random(states.shape[0])
-        stay = states & (draws < self._stay_on)
-        start = ~states & (draws < self._turn_on)
-        return stay | start
+        return self.next_states_batch(states, rng.random((1, states.shape[0])))[0]
 
     def next_states_batch(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Multi-slot advancement from pre-drawn uniforms (chain semantics).

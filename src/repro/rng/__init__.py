@@ -6,6 +6,6 @@ that changing one component's consumption pattern does not perturb the
 others.  See :class:`repro.rng.streams.StreamFactory`.
 """
 
-from repro.rng.streams import StreamFactory, derive_seed
+from repro.rng.streams import RowStream, StreamFactory, derive_seed
 
-__all__ = ["StreamFactory", "derive_seed"]
+__all__ = ["RowStream", "StreamFactory", "derive_seed"]

@@ -7,15 +7,26 @@ depends only on ``(seed, name)``.  Two factories with the same seed produce
 identical streams for identical names, regardless of the order in which the
 streams are requested.  This is what makes experiment repetitions and
 regression tests deterministic.
+
+:class:`RowStream` serves one stream as fixed-width rows drawn ahead in
+blocks, for consumers that take one row per slot and sometimes look ahead.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
-__all__ = ["derive_seed", "StreamFactory"]
+__all__ = ["derive_seed", "StreamFactory", "RowStream"]
+
+#: Uniforms a :class:`RowStream` draws per refill, and the most a caller
+#: should peek at once.  Counts of uniforms, not rows, so a wide stream
+#: buffers no more memory than a narrow one.
+ROW_BLOCK_UNIFORMS = 2 ** 17
+ROW_PEEK_UNIFORMS = 2 ** 19
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -80,3 +91,54 @@ class StreamFactory:
 
     def __repr__(self) -> str:
         return f"StreamFactory(seed={self._seed})"
+
+
+class RowStream:
+    """A generator's uniforms handed out as fixed-width rows, one per slot.
+
+    Row ``t`` holds exactly the ``width`` uniforms the ``t``-th
+    ``generator.random(width)`` call would have returned: rows are drawn
+    ahead in blocks (one ``random((rows, width))`` fill consumes the
+    generator exactly like that many single-row calls), so a consumer can
+    :meth:`peek` ahead and then :meth:`take` exactly the rows it uses, and
+    nothing is ever rewound.  :meth:`state` reports the generator state
+    after exactly the taken rows.
+    """
+
+    def __init__(self, generator: np.random.Generator, width: int) -> None:
+        self._generator = generator
+        self._width = int(width)
+        self._block_rows = max(1, ROW_BLOCK_UNIFORMS // max(1, self._width))
+        #: Rows a caller may peek at once to stay within the memory bound.
+        self.max_peek = max(1, ROW_PEEK_UNIFORMS // max(1, self._width))
+        self._rows = np.empty((0, self._width))
+        self._next = 0
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` rows, shape ``(count, width)``, not consumed."""
+        short = self._next + count - self._rows.shape[0]
+        if short > 0:
+            fresh = self._generator.random(
+                (max(short, self._block_rows), self._width)
+            )
+            self._rows = np.concatenate((self._rows[self._next :], fresh))
+            self._rows.setflags(write=False)  # callers get views: keep them intact
+            self._next = 0
+        return self._rows[self._next : self._next + count]
+
+    def take(self, count: int) -> np.ndarray:
+        """Consume and return the next ``count`` rows."""
+        rows = self.peek(count)
+        self._next += count
+        return rows
+
+    def random(self, size: Union[int, Tuple[int, ...]]) -> np.ndarray:
+        """One row shaped ``size``: the draw ``generator.random(size)`` makes."""
+        return self.take(1)[0].reshape(size)
+
+    def state(self) -> Dict[str, Any]:
+        """The generator state after exactly the taken rows."""
+        bit_generator = copy.deepcopy(self._generator.bit_generator)
+        untaken = self._rows.shape[0] - self._next
+        bit_generator.advance(-untaken * self._width)
+        return bit_generator.state

@@ -298,7 +298,6 @@ def run_coolest_collection(
     csma_range: Optional[float] = None,
     fault_plan=None,
     max_slots: int = 2_000_000,
-    fast_forward: bool = True,
     contention_window_ms: float = 0.5,
     slot_duration_ms: float = 1.0,
     trace: Optional[TraceLog] = None,
@@ -360,7 +359,6 @@ def run_coolest_collection(
         slot_duration_ms=slot_duration_ms,
         contention_window_ms=contention_window_ms,
         max_slots=max_slots,
-        fast_forward=fast_forward,
         trace=trace,
     )
     workload = policy.build_workload(topology.secondary.num_sus)

@@ -46,6 +46,10 @@ blocking their neighbourhoods from each subsequent slot's start, and the
 paper's spectrum-handoff rule aborts them when a PU reclaims the channel
 mid-flight; adjudication happens at the final slot.  See docs/MODEL.md for
 the full semantics.
+
+After a slot with nothing on the air, the engine skips the run of slots in
+which every waiting node senses busy in one step (see _try_fast_forward);
+a slot hook, energy detector, channel plan or replayed activity turns it off.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.primary import BernoulliActivity, MarkovActivity
 from repro.network.topology import CrnTopology
-from repro.rng import StreamFactory
+from repro.rng import RowStream, StreamFactory
 from repro.sim.packet import Packet
 from repro.sim.policies import MacPolicy
 from repro.sim.results import FaultRecord, PacketRecord, SimulationResult
@@ -75,11 +79,8 @@ __all__ = ["SlottedEngine"]
 #: Distances below this are clamped when evaluating SIR.
 _MIN_DISTANCE = 1e-6
 
-#: Fast-forward peek chunk bounds: start small (a failed peek rewinds and
-#: re-consumes, so short frozen runs should waste little), double while the
-#: frozen run keeps going, and cap the per-chunk draw matrix size.
+#: First fast-forward peek, in rows; it doubles up to the streams' cap.
 _FF_MIN_CHUNK = 16
-_FF_MAX_CHUNK = 4096
 
 
 class SlottedEngine:
@@ -178,21 +179,6 @@ class SlottedEngine:
         half the slot so a fairness wait plus a backoff fits in one slot.
     max_slots:
         Safety cap; a run that exceeds it returns ``completed=False``.
-    fast_forward:
-        Enable the frozen-slot fast-forward (default).  When the previous
-        slot put nothing on the air, the engine looks ahead for the run of
-        slots in which provably nothing can happen — no backoff timer can
-        expire (every eligible node senses busy), no hold-off window ends,
-        no packet completes, no arrival is born, and no fault event fires —
-        and advances the slot counter over that whole run in one vectorized
-        step.  The skipped slots' PU-activity and sensing draws are batch-
-        consumed (``random((k, n))`` advances a generator exactly like
-        ``k`` sequential ``random(n)`` calls), so results *and* post-run
-        RNG stream positions are bit-identical to the slot-by-slot loop.
-        Scenarios outside the proof obligations (multi-channel plans,
-        energy detectors, slot hooks, replayed activity traces, pinned
-        sensing faults, in-flight multi-slot packets) fall back to the
-        ordinary loop automatically.
     trace:
         Optional :class:`~repro.sim.trace.TraceLog` to record events into.
     departure_schedule:
@@ -228,7 +214,9 @@ class SlottedEngine:
         Optional callable invoked as ``slot_hook(engine)`` at the end of
         every simulated slot, with ``last_slot_su_links`` and
         ``last_slot_active_pus`` reflecting that slot.  Used by the test
-        suite to run the SIR validator against every concurrent set.
+        suite to run the SIR validator against every concurrent set.  A
+        hook must see every slot, so it turns the frozen-slot fast-forward
+        off: a hooked run is the plain slot-by-slot loop.
     """
 
     def __init__(
@@ -254,7 +242,6 @@ class SlottedEngine:
         slot_duration_ms: float = 1.0,
         contention_window_ms: float = 0.5,
         max_slots: int = 2_000_000,
-        fast_forward: bool = True,
         trace: Optional[TraceLog] = None,
         slot_hook=None,
     ) -> None:
@@ -334,7 +321,9 @@ class SlottedEngine:
                     "model only"
                 )
             self._imperfect_sensing = True
-        self._sensing_rng = streams.stream("sensing-errors")
+        self._sensing_rng = RowStream(
+            streams.stream("sensing-errors"), topology.secondary.num_nodes
+        )
         # Unified fault machinery: legacy departure schedules become
         # crash-stop FaultEvents so one code path applies all adversity.
         scripted: List[FaultEvent] = []
@@ -394,7 +383,6 @@ class SlottedEngine:
         self.trace = trace
         self.slot_hook = slot_hook
 
-        self._pu_rng = streams.stream("pu-activity")
         self._backoff_rng = streams.stream("backoff")
 
         num_nodes = topology.secondary.num_nodes
@@ -496,13 +484,20 @@ class SlottedEngine:
         self._busy_columns = np.zeros(
             (self._num_channels, num_nodes), dtype=np.int64
         )
+        # One row per slot: PU activity, or each node's (and channel's)
+        # mean-field blocking draw.
+        self._pu_rng = RowStream(
+            streams.stream("pu-activity"),
+            num_nodes * self._num_channels
+            if blocking == "homogeneous"
+            else topology.primary.num_pus,
+        )
         self._slot = 0
         self._started = False
 
         # Frozen-slot fast-forward: statically eligible scenarios only;
         # dynamic hazards (in-flight packets, fault windows, pinned
         # sensing) are re-checked per attempt in _try_fast_forward.
-        self.fast_forward = bool(fast_forward)
         if blocking == "homogeneous":
             activity_supported = True
         else:
@@ -510,8 +505,7 @@ class SlottedEngine:
                 topology.primary.activity, (BernoulliActivity, MarkovActivity)
             )
         self._ff_enabled = (
-            self.fast_forward
-            and slot_hook is None
+            slot_hook is None
             and detector is None
             and self._num_channels == 1
             and activity_supported
@@ -1031,11 +1025,10 @@ class SlottedEngine:
         every waiter senses busy — a pure function of that slot's
         PU-activity and sensing-error draws, evaluated here in batches.
 
-        RNG contract: every skipped slot consumes exactly the draws the
-        ordinary loop would have consumed (one ``random(n)`` per stream
-        per slot, batch-drawn), and a peek past the end of the frozen run
-        is rewound via ``bit_generator.state`` and re-consumed to the
-        exact prefix.  Post-run ``rng_positions()`` are bit-identical.
+        RNG contract: the PU-activity and sensing streams are
+        :class:`~repro.rng.RowStream` objects, one row per slot; the scan
+        peeks at rows and takes exactly the skipped slots' rows, so nothing
+        is rewound and post-run ``rng_positions()`` are bit-identical.
         """
         slot = self._slot
         if (
@@ -1059,14 +1052,7 @@ class SlottedEngine:
         if horizon <= slot:
             return
         waiters = np.nonzero(self._active_mask & ~holding)[0]
-        window = horizon - slot
-        if waiters.size:
-            skipped = self._scan_frozen_prefix(waiters, window)
-        else:
-            # No waiter can even contend before the horizon (everyone is
-            # holding, or nobody is backlogged): skip the window blind.
-            self._consume_frozen_draws(window)
-            skipped = window
+        skipped = self._scan_frozen_prefix(waiters, horizon - slot)
         if skipped == 0:
             return
         self._ff_slots += skipped
@@ -1083,96 +1069,53 @@ class SlottedEngine:
         self.last_slot_su_channels = []
         self.last_slot_active_pus = list(self._active_pu_list)
 
-    def _advance_pu_chunk(self, count: int) -> np.ndarray:
-        """Batch-advance geometric PU states by ``count`` slots.
-
-        One ``random((count, num_pus))`` fill consumes the pu-activity
-        stream exactly like ``count`` sequential ``next_states`` calls;
-        returns the per-slot state rows and leaves ``_pu_states`` at the
-        final row.
-        """
-        activity = self.topology.primary.activity
-        draws = self._pu_rng.random((count, self.topology.primary.num_pus))
-        states = activity.next_states_batch(self._pu_states, draws)
-        self._pu_states = states[-1]
-        return states
-
-    def _homogeneous_blocked_chunk(self, count: int) -> np.ndarray:
-        """Batch-draw ``count`` slots of mean-field blocking (single channel)."""
-        draws = self._pu_rng.random((count, self._num_nodes))
-        blocked = draws >= self.homogeneous_p_o
-        self._pu_busy = blocked[-1].astype(np.uint8)
-        return blocked
-
-    def _consume_frozen_draws(self, count: int) -> None:
-        """Consume ``count`` slots' PU/sensing draws with no one contending."""
-        remaining = count
-        while remaining > 0:
-            chunk = min(remaining, _FF_MAX_CHUNK)
-            if self.blocking == "homogeneous":
-                self._homogeneous_blocked_chunk(chunk)
-            else:
-                self._advance_pu_chunk(chunk)
-            if self._imperfect_sensing:
-                self._sensing_rng.random((chunk, self._num_nodes))
-            remaining -= chunk
-
     def _scan_frozen_prefix(self, waiters: np.ndarray, window: int) -> int:
         """Length of the frozen-slot run starting now, capped at ``window``.
 
-        Peeks in doubling chunks; when the run ends mid-chunk, rewinds the
-        streams to the chunk start and re-consumes exactly the frozen
-        prefix so the generators land where the serial loop would.
+        Peeks at doubling chunks of rows and takes exactly the frozen
+        prefix, leaving the PU state where the slot-by-slot loop would.
+        With no waiter every slot is frozen, so the whole window goes.
         """
+        homogeneous = self.blocking == "homogeneous"
+        streams = [self._pu_rng]
+        if self._imperfect_sensing:
+            streams.append(self._sensing_rng)
+        max_chunk = min(stream.max_peek for stream in streams)
         skipped = 0
         chunk = _FF_MIN_CHUNK
-        remaining = window
-        homogeneous = self.blocking == "homogeneous"
-        while remaining > 0:
-            count = min(chunk, remaining)
-            pu_rng_state = self._pu_rng.bit_generator.state
-            pu_states_before = self._pu_states
-            if self._imperfect_sensing:
-                sensing_rng_state = self._sensing_rng.bit_generator.state
+        while skipped < window:
+            count = min(chunk, max_chunk, window - skipped)
+            draws = self._pu_rng.peek(count)
             if homogeneous:
-                busy = self._homogeneous_blocked_chunk(count)[:, waiters]
+                busy = draws[:, waiters] >= self.homogeneous_p_o
             else:
-                states = self._advance_pu_chunk(count)
+                states = self.topology.primary.activity.next_states_batch(
+                    self._pu_states, draws
+                )
                 busy = (
                     states.astype(np.uint8) @ self._pu_incidence[waiters].T
                 ) > 0
             if self._imperfect_sensing:
-                sensing = self._sensing_rng.random(
-                    (count, self._num_nodes)
-                )[:, waiters]
-                sensed = np.where(
+                sensing = self._sensing_rng.peek(count)[:, waiters]
+                busy = np.where(
                     busy,
                     sensing >= self.p_missed_detection,
                     sensing < self.p_false_alarm,
                 )
-            else:
-                sensed = busy
-            frozen = sensed.all(axis=1)
-            if frozen.all():
-                skipped += count
-                remaining -= count
-                chunk = min(chunk * 2, _FF_MAX_CHUNK)
-                continue
-            prefix = int(frozen.argmin())
-            # The run ends inside this chunk: rewind both streams to the
-            # chunk start, then re-consume exactly the frozen prefix.
-            self._pu_rng.bit_generator.state = pu_rng_state
-            self._pu_states = pu_states_before
-            if self._imperfect_sensing:
-                self._sensing_rng.bit_generator.state = sensing_rng_state
-            if prefix:
+            frozen = busy.all(axis=1)
+            run = count if frozen.all() else int(frozen.argmin())
+            if run:
+                for stream in streams:
+                    stream.take(run)
                 if homogeneous:
-                    self._homogeneous_blocked_chunk(prefix)
+                    blocked = draws[run - 1] >= self.homogeneous_p_o
+                    self._pu_busy = blocked.astype(np.uint8)
                 else:
-                    self._advance_pu_chunk(prefix)
-                if self._imperfect_sensing:
-                    self._sensing_rng.random((prefix, self._num_nodes))
-            return skipped + prefix
+                    self._pu_states = states[run - 1]
+            skipped += run
+            if run < count:
+                break
+            chunk *= 2
         return skipped
 
     # ------------------------------------------------------------------ #
@@ -1740,23 +1683,22 @@ class SlottedEngine:
         """Stable fingerprints of the engine's RNG stream states.
 
         One BLAKE2b digest per consumed stream over the serialized
-        bit-generator state.  Two runs that drew the same values in the
-        same order end with equal fingerprints, so the parallel-executor
-        determinism tests can assert "same draws" without shipping whole
-        generator states around.
+        bit-generator state; a row-buffered stream reports its state after
+        the rows taken, not the rows drawn ahead.  Two runs that drew the
+        same values in the same order end with equal fingerprints, so the
+        parallel-executor determinism tests can assert "same draws" without
+        shipping whole generator states around.
         """
         import hashlib
         import json
 
         fingerprints: Dict[str, str] = {}
-        for name, rng in (
-            ("pu-activity", self._pu_rng),
-            ("backoff", self._backoff_rng),
-            ("sensing-errors", self._sensing_rng),
+        for name, state in (
+            ("pu-activity", self._pu_rng.state()),
+            ("backoff", self._backoff_rng.bit_generator.state),
+            ("sensing-errors", self._sensing_rng.state()),
         ):
-            state = json.dumps(
-                rng.bit_generator.state, sort_keys=True, default=int
-            )
+            state = json.dumps(state, sort_keys=True, default=int)
             fingerprints[name] = hashlib.blake2b(
                 state.encode("utf-8"), digest_size=8
             ).hexdigest()

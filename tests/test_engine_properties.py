@@ -1,10 +1,12 @@
 """Property-based engine tests over random small deployments.
 
-Hypothesis drives deployment seeds and scenario knobs; for every drawn
-scenario the run must satisfy the conservation and termination invariants
-regardless of geometry.  Conservation is checked at the end of the run and
-again at the end of every slot of a second, hooked run, which must end in
-the same result.
+Hypothesis drives deployment seeds and scenario knobs (blocking model,
+activity model, sensing errors); for every drawn scenario the run must
+satisfy the conservation and termination invariants regardless of
+geometry.  Conservation is checked at the end of the run and again at the
+end of every slot of a second, hooked run.  The hook forces the plain slot
+loop, so that run must also end in the same result and the same RNG stream
+positions as the fast-forwarded one.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from repro.core.collector import run_addc_collection
 from repro.errors import DisconnectedNetworkError
 from repro.experiments.config import ExperimentConfig
 from repro.network.deployment import deploy_crn
+from repro.network.primary import MarkovActivity
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine
 from repro.sim.packet import DATA
 
 
-def deploy(seed: int, num_sus: int, num_pus: int, p_t: float):
+def deploy(seed: int, num_sus: int, num_pus: int, p_t: float, markov: bool):
     config = ExperimentConfig(
         area=35.0 * 35.0,
         num_pus=num_pus,
@@ -37,8 +40,10 @@ def deploy(seed: int, num_sus: int, num_pus: int, p_t: float):
         max_slots=150_000,
     )
     factory = StreamFactory(seed).spawn("prop")
+    # The Markov chain needs 0 < p_t < 1; p_t = 0 stays Bernoulli.
+    activity = MarkovActivity(p_t, burstiness=4.0) if markov and p_t > 0 else None
     try:
-        return deploy_crn(config.deployment_spec(), factory), factory
+        return deploy_crn(config.deployment_spec(), factory, activity), factory
     except DisconnectedNetworkError:
         return None, None
 
@@ -95,12 +100,26 @@ class ConservationOracle:
         return mock.patch.object(module, "SlottedEngine", engine)
 
 
-scenario = st.tuples(
-    st.integers(0, 2**31 - 1),
-    st.integers(30, 60),
-    st.integers(0, 10),
-    st.sampled_from([0.0, 0.1, 0.3]),
-)
+@st.composite
+def scenario(draw):
+    """Deployment knobs, blocking model, activity model and sensing errors.
+
+    Imperfect sensing (p_fa = 0.05, p_md = 0.1) is drawn under geometric
+    blocking only: homogeneous blocking rejects missed detections.  It
+    applies to ADDC; ``run_coolest_collection`` has no sensing knobs.
+    """
+    deployment = (
+        draw(st.integers(0, 2**31 - 1)),
+        draw(st.integers(30, 60)),
+        draw(st.integers(0, 10)),
+        draw(st.sampled_from([0.0, 0.1, 0.3])),
+        draw(st.booleans()),  # Markov rather than Bernoulli activity
+    )
+    blocking = draw(st.sampled_from(["geometric", "homogeneous"]))
+    knobs = dict(blocking=blocking)
+    if blocking == "geometric" and draw(st.booleans()):
+        knobs.update(p_false_alarm=0.05, p_missed_detection=0.1)
+    return deployment, knobs
 
 
 @settings(
@@ -108,23 +127,32 @@ scenario = st.tuples(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(scenario)
+@given(scenario())
 def test_addc_conservation_invariants(params):
-    seed, num_sus, num_pus, p_t = params
-    topology, factory = deploy(seed, num_sus, num_pus, p_t)
+    deployment, knobs = params
+    topology, factory = deploy(*deployment)
     if topology is None:
         return  # too sparse to connect: not this test's concern
     outcome = run_addc_collection(
-        topology, factory.spawn("addc"), with_bounds=False, max_slots=150_000
+        topology,
+        factory.spawn("addc"),
+        with_bounds=False,
+        max_slots=150_000,
+        **knobs,
     )
     result = outcome.result
     assert result.completed
     oracle = ConservationOracle()
     with oracle.hooked(collector):
         hooked = run_addc_collection(
-            topology, factory.spawn("addc"), with_bounds=False, max_slots=150_000
+            topology,
+            factory.spawn("addc"),
+            with_bounds=False,
+            max_slots=150_000,
+            **knobs,
         )
     assert hooked.result == result
+    assert hooked.engine.rng_positions() == outcome.engine.rng_positions()
     assert oracle.slots == result.slots_simulated
     # Conservation: every source delivers exactly its own packet.
     assert sorted(r.source for r in result.deliveries) == list(
@@ -146,23 +174,25 @@ def test_addc_conservation_invariants(params):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(scenario)
+@given(scenario())
 def test_coolest_conservation_invariants(params):
-    seed, num_sus, num_pus, p_t = params
-    topology, factory = deploy(seed, num_sus, num_pus, p_t)
+    deployment, knobs = params
+    topology, factory = deploy(*deployment)
     if topology is None:
         return
+    blocking = knobs["blocking"]
     outcome = run_coolest_collection(
-        topology, factory.spawn("coolest"), max_slots=150_000
+        topology, factory.spawn("coolest"), blocking=blocking, max_slots=150_000
     )
     result = outcome.result
     assert result.completed
     oracle = ConservationOracle()
     with oracle.hooked(coolest):
         hooked = run_coolest_collection(
-            topology, factory.spawn("coolest"), max_slots=150_000
+            topology, factory.spawn("coolest"), blocking=blocking, max_slots=150_000
         )
     assert hooked.result == result
+    assert hooked.engine.rng_positions() == outcome.engine.rng_positions()
     assert oracle.slots == result.slots_simulated
     assert sorted(r.source for r in result.deliveries) == list(
         topology.secondary.su_ids()

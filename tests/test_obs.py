@@ -359,15 +359,9 @@ class TestDeterminism:
         else:
             with obs.use_recorder(recorder):
                 result = engine.run()
-        # Post-run draws expose the exact stream positions: if the
-        # instrumented run consumed even one extra random number, these
-        # diverge.
-        positions = (
-            float(engine._backoff_rng.random()),
-            float(engine._pu_rng.random()),
-            float(engine._sensing_rng.random()),
-        )
-        return result, positions
+        # Post-run stream positions: if the instrumented run consumed even
+        # one extra random number, these diverge.
+        return result, engine.rng_positions()
 
     def test_instrumented_run_is_bit_identical(self, tiny_topology):
         baseline, baseline_positions = self.run_once(tiny_topology, None)

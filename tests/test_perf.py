@@ -9,8 +9,11 @@ CSR ``GridIndex`` must return exactly what a brute-force distance scan
 
 from __future__ import annotations
 
+import functools
 import json
 import pickle
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from repro.perf import (
 )
 from repro.rng import StreamFactory
 from repro.routing.coolest import run_coolest_collection
+from repro.sim.engine import SlottedEngine
 
 
 @pytest.fixture(autouse=True)
@@ -458,13 +462,13 @@ class TestWarmExecutorDeterminism:
 
 
 class TestFastForwardEquivalence:
-    """``fast_forward=True`` must be invisible everywhere but wall-clock.
+    """The frozen-slot fast-forward must be invisible everywhere but wall-clock.
 
-    Each case runs one collection twice over the same deployment — plain
-    loop, then fast-forwarded — and requires the identical
-    ``SimulationResult`` *and* identical post-run RNG stream positions:
-    every skipped slot consumed exactly the draws the ordinary loop would
-    have consumed.
+    Each case runs one collection twice over the same deployment — the
+    plain loop (a no-op slot hook forces it: a hook must see every slot),
+    then fast-forwarded — and requires the identical ``SimulationResult``
+    *and* identical post-run RNG stream positions: every skipped slot
+    consumed exactly the draws the ordinary loop would have consumed.
     """
 
     def _pair(self, run, activity=None, **kwargs):
@@ -475,13 +479,14 @@ class TestFastForwardEquivalence:
             activity=activity,
         )
 
-        def go(fast_forward):
+        def go():
             streams = StreamFactory(config.seed).spawn("rep-0").spawn("algo")
-            return run(
-                topology, streams, fast_forward=fast_forward, **kwargs
-            )
+            return run(topology, streams, **kwargs)
 
-        return go(False), go(True)
+        hooked = functools.partial(SlottedEngine, slot_hook=lambda engine: None)
+        with mock.patch.object(sys.modules[run.__module__], "SlottedEngine", hooked):
+            plain = go()
+        return plain, go()
 
     def _assert_identical(self, off, on):
         assert on.result == off.result
@@ -522,6 +527,71 @@ class TestFastForwardEquivalence:
     def test_coolest_baseline(self):
         off, on = self._pair(run_coolest_collection)
         self._assert_identical(off, on)
+
+
+class TestRngPositionGolden:
+    """Absolute post-run RNG positions of tiny-config runs.
+
+    Every other RNG-position check is relative (plain == fast-forwarded,
+    serial == parallel, resumed == uninterrupted), so a stream-position
+    error that both sides share passes them all.  These digests pin the
+    state each stream reaches when every slot draws its row straight from
+    the generator; ``sensing-errors`` at ``72694b528e1c2cba`` is the
+    never-drawn stream.  ``run_coolest_collection`` has no sensing knobs,
+    so imperfect sensing is pinned for ADDC only.
+    """
+
+    @pytest.mark.parametrize(
+        "run, kwargs, expected",
+        [
+            (
+                run_addc_collection,
+                dict(with_bounds=False),
+                ("797e475696e2c4d9", "f8c6e803860aafdf", "72694b528e1c2cba"),
+            ),
+            (
+                run_addc_collection,
+                dict(with_bounds=False, blocking="homogeneous"),
+                ("010f6df793fd44e9", "f8c6e803860aafdf", "72694b528e1c2cba"),
+            ),
+            (
+                run_addc_collection,
+                dict(with_bounds=False, p_false_alarm=0.05, p_missed_detection=0.1),
+                ("e8a20418358d79cd", "9ffe42ba49baecd4", "01a41cb13f5b4817"),
+            ),
+            (
+                run_coolest_collection,
+                dict(),
+                ("1d0ce713142cf315", "d1baa9806460c00e", "72694b528e1c2cba"),
+            ),
+            (
+                run_coolest_collection,
+                dict(blocking="homogeneous"),
+                ("113fb2239a783486", "4fb5f77b65c09404", "72694b528e1c2cba"),
+            ),
+        ],
+        ids=[
+            "addc-geometric",
+            "addc-homogeneous",
+            "addc-imperfect-sensing",
+            "coolest-geometric",
+            "coolest-homogeneous",
+        ],
+    )
+    def test_rng_positions_are_pinned(self, run, kwargs, expected):
+        config = tiny_config()
+        topology = deploy_crn(
+            config.deployment_spec(), StreamFactory(config.seed).spawn("rep-0")
+        )
+        streams = StreamFactory(config.seed).spawn("rep-0").spawn("algo")
+        outcome = run(topology, streams, **kwargs)
+        pu_activity, backoff, sensing_errors = expected
+        assert outcome.engine.rng_positions() == {
+            "pu-activity": pu_activity,
+            "backoff": backoff,
+            "sensing-errors": sensing_errors,
+        }
+        assert outcome.engine.fastforward_slots > 0
 
 
 class TestBatchDrawEquivalence:

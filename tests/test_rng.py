@@ -1,12 +1,13 @@
-"""Tests for the named random-stream factory."""
+"""Tests for the named random-stream factory and the row-buffered streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.rng import StreamFactory, derive_seed
+from repro.rng import RowStream, StreamFactory, derive_seed
+from repro.rng.streams import ROW_BLOCK_UNIFORMS
 
 
 class TestDeriveSeed:
@@ -68,3 +69,65 @@ class TestStreamFactory:
 @pytest.mark.parametrize("seed", [0, 1, 2**63, -5])
 def test_factory_accepts_any_integer_seed(seed):
     StreamFactory(seed).stream("s").random()
+
+
+def _fresh(seed: int) -> np.random.Generator:
+    return StreamFactory(seed).stream("rows")
+
+
+class TestRowStream:
+    """``RowStream`` against an independent oracle: a fresh generator.
+
+    Rows taken in any interleaving of ``peek``, ``take`` and ``random``
+    must be the rows a same-seed generator's ``random((taken, width))``
+    returns, and ``state()`` must be that generator's state afterwards.
+    Counts reach two refill blocks, so interleavings cross refills.
+    """
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 115])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_interleavings_match_a_fresh_generator(self, width, data):
+        largest = 2 * ROW_BLOCK_UNIFORMS // max(1, width)
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["peek", "take", "random"]),
+                    st.integers(0, largest),
+                ),
+                max_size=8,
+            )
+        )
+        oracle = _fresh(width).random((sum(count for _, count in ops) + 1, width))
+        rows = RowStream(_fresh(width), width)
+        taken = 0
+        for op, count in ops:
+            if op == "peek":
+                got = rows.peek(count)
+                want = oracle[taken : taken + count]
+            elif op == "take":
+                got = rows.take(count)
+                want = oracle[taken : taken + count]
+                taken += count
+            else:
+                got = rows.random(width)
+                want = oracle[taken]
+                taken += 1
+            np.testing.assert_array_equal(got, want)
+        reference = _fresh(width)
+        reference.random((taken, width))
+        assert rows.state() == reference.bit_generator.state
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 115])
+    def test_never_drawn_and_peek_only_streams_report_the_fresh_state(self, width):
+        fresh_state = _fresh(width).bit_generator.state
+        assert RowStream(_fresh(width), width).state() == fresh_state
+        rows = RowStream(_fresh(width), width)
+        rows.peek(3)
+        assert rows.state() == fresh_state
+
+    def test_random_reshapes_one_row(self):
+        rows = RowStream(_fresh(6), 6)
+        np.testing.assert_array_equal(
+            rows.random((3, 2)), _fresh(6).random((3, 2))
+        )
