@@ -1,12 +1,12 @@
 """Base-vs-change performance gate over the e2ebench ``fig6c-sweep`` workload.
 
-    python3 benchmarks/e2e_gate.py BASE_TREE CHANGE_TREE
+    python3 benchmarks/e2e_gate.py BASE_TREE CHANGE_TREE [--pairs N]
 
 Both arguments are checkouts of this repository (CI uses ``git worktree``
 for the merge base).  The gate runs ``e2ebench/run.py --workload
 fig6c-sweep --seed 2012 --trace 0`` from the root of each checkout, in
-three pairs whose order alternates (base then change, change then base,
-base then change) so a host that drifts in speed hits both sides alike.
+``N`` pairs (default 3) whose order alternates (base then change, change
+then base, ...) so a host that drifts in speed hits both sides alike.
 It reads ``run_seconds`` and every ``end_to_end`` metric's ``better`` and
 ``bound`` from the base checkout's ``BENCHMARK.json``, so a change cannot
 loosen its own bounds, and exits 1 when
@@ -15,6 +15,12 @@ loosen its own bounds, and exits 1 when
   metric's bound (exactly at the bound passes);
 * any run reports ``correct: false`` or prints no result line;
 * the change's failed share of operations is higher than the base's.
+
+For each metric it also prints each side's quartiles and in how many
+pairs the change read strictly better.  A gain is claimable (``claim:
+yes``) when the change is better in at least nine tenths of the pairs
+and the medians differ by more than the base's own q1-q3 distance; claim
+a gain from ten or more pairs, not from the default three.
 
 Only fig6c-sweep is gated here: e2ebench/README.md reports that the
 ``service-mix`` workload's normalized wall spreads about 10% from run to
@@ -28,6 +34,7 @@ cannot move this yardstick.
 
 from __future__ import annotations
 
+import argparse
 import json
 import statistics
 import subprocess
@@ -69,11 +76,51 @@ def worse_by(better: str, base: float, change: float) -> float:
     return delta / base
 
 
+def _values(runs: Sequence[Dict], name: str) -> List[Optional[float]]:
+    return [(run.get("metrics") or {}).get(name, {}).get("value") for run in runs]
+
+
 def _median(runs: Sequence[Dict], name: str) -> Optional[float]:
-    values = [(run.get("metrics") or {}).get(name, {}).get("value") for run in runs]
+    values = _values(runs, name)
     if not values or any(value is None for value in values):
         return None
     return statistics.median(values)
+
+
+def quartiles(values: Sequence[float]) -> List[float]:
+    """``[q1, median, q3]`` of ``values`` (inclusive method)."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def pair_evidence(
+    metric: Dict, base: Sequence[Dict], change: Sequence[Dict]
+) -> Optional[Dict]:
+    """One metric's paired evidence; ``None`` when a run lacks the value.
+
+    Run ``i`` of each side forms pair ``i``.  ``wins`` counts pairs where
+    the change is strictly better (ties count for neither side);
+    ``claimable`` is the gain rule of the module docstring.
+    """
+    name, better = metric["name"], metric["better"]
+    before, after = _values(base, name), _values(change, name)
+    if not before or not after or None in before or None in after:
+        return None
+    wins = sum(worse_by(better, b, c) < 0 for b, c in zip(before, after))
+    base_q, change_q = quartiles(before), quartiles(after)
+    pairs = min(len(before), len(after))
+    claimable = (
+        wins >= 0.9 * pairs
+        and abs(change_q[1] - base_q[1]) > base_q[2] - base_q[0]
+    )
+    return {
+        "base": base_q,
+        "change": change_q,
+        "wins": wins,
+        "pairs": pairs,
+        "claimable": claimable,
+    }
 
 
 def _failed_share(runs: Sequence[Dict]) -> float:
@@ -115,14 +162,18 @@ def verdict(
 
 
 def main(argv: Sequence[str]) -> int:
-    if len(argv) != 2:
-        sys.stderr.write("usage: e2e_gate.py BASE_TREE CHANGE_TREE\n")
-        return 2
-    base_tree, change_tree = (Path(arg).resolve() for arg in argv)
+    parser = argparse.ArgumentParser(prog="e2e_gate.py")
+    parser.add_argument("base_tree", type=Path)
+    parser.add_argument("change_tree", type=Path)
+    parser.add_argument("--pairs", type=int, default=PAIRS)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    base_tree, change_tree = args.base_tree.resolve(), args.change_tree.resolve()
     spec = json.loads((base_tree / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     runs: Dict[str, List[Dict]] = {"base": [], "change": []}
-    for pair in range(PAIRS):
+    for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
             tree = base_tree if side == "base" else change_tree
@@ -141,10 +192,21 @@ def main(argv: Sequence[str]) -> int:
         if before is not None and after is not None:
             worse = worse_by(metric["better"], before, after)
             print(f"{name:<12} {before:>14.6g} {after:>14.6g} {worse:>+9.1%}")
+    for metric in metrics:
+        evidence = pair_evidence(metric, runs["base"], runs["change"])
+        if evidence is not None:
+            base_q = " / ".join(f"{value:.6g}" for value in evidence["base"])
+            change_q = " / ".join(f"{value:.6g}" for value in evidence["change"])
+            print(
+                f"{metric['name']:<12} q1/median/q3 base {base_q}, change {change_q}; "
+                f"change better in {evidence['wins']} of {evidence['pairs']} pairs; "
+                f"claim: {'yes' if evidence['claimable'] else 'no'}"
+            )
     problems = verdict(metrics, runs["base"], runs["change"])
     for problem in problems:
         print(problem)
-    print(f"E2E GATE: {'FAIL' if problems else 'PASS'} ({WORKLOAD}, {PAIRS} pairs)")
+    verdict_word = "FAIL" if problems else "PASS"
+    print(f"E2E GATE: {verdict_word} ({WORKLOAD}, {args.pairs} pairs)")
     return 1 if problems else 0
 
 

@@ -60,7 +60,7 @@ class ClockFacadeRule(BannedNameRule):
 
 #: Facade entry points whose first argument is a metric/span name.
 _METRIC_CALLS = frozenset(
-    {"counter_add", "gauge_set", "observe", "span", "timed"}
+    {"counter_add", "gauge_set", "observe", "span", "span_add", "timed"}
 )
 
 #: The closed grammar of metric names: lowercase dotted constants

@@ -64,6 +64,7 @@ __all__ = [
     "profile",
     "merge_snapshot",
     "span",
+    "span_add",
     "timed",
     # Re-exported submodule APIs (imported at the bottom of this module).
     "NdjsonTraceWriter",
@@ -215,6 +216,16 @@ def span(name: str):
     if _recorder.enabled:
         return _Span(name)
     return _NULL_SPAN
+
+
+def span_add(name: str, total_s: float, count: int = 1) -> None:
+    """Fold ``count`` intervals timed elsewhere, ``total_s`` in all, into
+    the span ``name``.
+
+    For code that keeps its own clock-read accumulators in a hot loop and
+    publishes them once; min and max see the batch mean.
+    """
+    _recorder.span_add(name, total_s, count)
 
 
 def timed(name: str):

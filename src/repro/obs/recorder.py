@@ -144,14 +144,19 @@ class SpanStats:
         self.min_s = float("inf")
         self.max_s = 0.0
 
-    def add(self, elapsed_s: float) -> None:
-        """Fold one timed interval into the statistics."""
-        self.count += 1
+    def add(self, elapsed_s: float, count: int = 1) -> None:
+        """Fold ``count`` timed intervals totalling ``elapsed_s`` seconds.
+
+        A batch (``count > 1``) adds to the count and total, and its mean
+        is what min and max see: the individual intervals are not known.
+        """
+        self.count += count
         self.total_s += elapsed_s
-        if elapsed_s < self.min_s:
-            self.min_s = elapsed_s
-        if elapsed_s > self.max_s:
-            self.max_s = elapsed_s
+        mean_s = elapsed_s / count
+        if mean_s < self.min_s:
+            self.min_s = mean_s
+        if mean_s > self.max_s:
+            self.max_s = mean_s
 
     def to_dict(self) -> Dict:
         """JSON-serializable form (manifest ``profile`` entries, ms units)."""
@@ -181,7 +186,7 @@ class NullRecorder:
     ) -> None:
         """Discard a histogram observation."""
 
-    def span_add(self, name: str, elapsed_s: float) -> None:
+    def span_add(self, name: str, elapsed_s: float, count: int = 1) -> None:
         """Discard a span timing."""
 
     def snapshot(self) -> Dict:
@@ -232,13 +237,13 @@ class MetricsRecorder(NullRecorder):
             self.histograms[name] = histogram
         histogram.observe(value)
 
-    def span_add(self, name: str, elapsed_s: float) -> None:
-        """Fold one timed interval into the named span's statistics."""
+    def span_add(self, name: str, elapsed_s: float, count: int = 1) -> None:
+        """Fold ``count`` timed intervals into the named span's statistics."""
         stats = self.spans.get(name)
         if stats is None:
             stats = SpanStats()
             self.spans[name] = stats
-        stats.add(elapsed_s)
+        stats.add(elapsed_s, count)
 
     def snapshot(self) -> Dict:
         """All metric values as one JSON-serializable, name-sorted dict."""

@@ -89,12 +89,7 @@ class CentralizedScheduler:
         self._queues: List[Deque[Packet]] = [deque() for _ in range(num_nodes)]
         self._pu_busy: List[int] = [0] * num_nodes
         self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
-        self._pu_incidence = np.zeros(
-            (num_nodes, topology.primary.num_pus), dtype=np.uint8
-        )
-        for pu_index, nodes in enumerate(sense_map.pu_hearers):
-            for node in nodes:
-                self._pu_incidence[node, pu_index] = 1
+        self._pu_incidence = sense_map.pu_incidence()
         self._positions = topology.secondary.positions
         self._base = topology.secondary.base_station
         self._separation = sense_map.pu_protection_range
@@ -170,7 +165,8 @@ class CentralizedScheduler:
     def _recompute_pu_busy(self) -> None:
         if self.topology.primary.num_pus == 0:
             return
-        counts = self._pu_incidence @ self._pu_states.astype(np.uint8)
+        incidence = self._pu_incidence
+        counts = incidence @ self._pu_states.astype(incidence.dtype)
         self._pu_busy = counts.tolist()
 
     def _ready_transmitters(self) -> List[int]:

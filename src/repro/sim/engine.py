@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +81,21 @@ _MIN_DISTANCE = 1e-6
 
 #: First fast-forward peek, in rows; it doubles up to the streams' cap.
 _FF_MIN_CHUNK = 16
+
+#: Span names of the engine's timing accumulators.  The slot loop times
+#: each executed slot and its phases with bare clock reads; run() publishes
+#: the per-run totals once, with one count per slot (per fast-forward
+#: attempt for ``fast_forward``).
+_PHASE_SPANS = {
+    "slot": "engine.slot",
+    "pu_redraw": "engine.phase.pu_redraw",
+    "sensing": "engine.phase.sensing",
+    "backoff": "engine.phase.backoff",
+    "adjudicate": "engine.phase.adjudicate",
+    "deliver": "engine.phase.deliver",
+    "frozen_wait": "engine.phase.frozen_wait",
+    "fast_forward": "engine.phase.fast_forward",
+}
 
 
 class SlottedEngine:
@@ -423,14 +438,15 @@ class SlottedEngine:
         # toggles).  Cached so the per-slot paths never rescan the states.
         self._active_pus = np.zeros(0, dtype=np.int64)
         self._active_pu_list: List[int] = []
-        # Dense PU -> secondary-node hearing incidence; one uint8 matrix
-        # product per slot replaces per-toggle Python loops.
-        self._pu_incidence = np.zeros(
-            (num_nodes, topology.primary.num_pus), dtype=np.uint8
-        )
-        for pu_index, nodes in enumerate(sense_map.pu_hearers):
-            for node in nodes:
-                self._pu_incidence[node, pu_index] = 1
+        # Dense PU -> secondary-node hearing incidence; one matrix product
+        # per slot replaces per-toggle Python loops.  Its dtype holds the
+        # PU count, so busy counts never wrap.
+        self._pu_incidence = sense_map.pu_incidence()
+        # Who hears each SU's transmission, as sets for the per-slot
+        # freeze test.
+        self._hearers: List[FrozenSet[int]] = [
+            frozenset(neighbors) for neighbors in sense_map.su_neighbors
+        ]
         if detector is not None:
             # log(1 - P_d) per (node, in-range PU): one matvec per slot
             # yields each node's probability of missing every active PU.
@@ -514,6 +530,8 @@ class SlottedEngine:
         #: runs the ordinary loop (its PU states come from run()).
         self._ff_armed = False
         self._ff_slots = 0
+        #: ``(total_s, count)`` per _PHASE_SPANS key, set by _run_loop.
+        self._phase_totals: Dict[str, Tuple[float, int]] = {}
 
         self._result = SimulationResult(
             num_packets=0, slot_duration_ms=self.slot_duration_ms
@@ -617,6 +635,7 @@ class SlottedEngine:
         self._queues[node].clear()
         self._active.discard(node)
         self._active_mask[node] = False
+        self._extra_wait[node] = 0.0
         self._ongoing.pop(node, None)
         self._down.discard(node)
         self._stranded.discard(node)
@@ -902,33 +921,84 @@ class SlottedEngine:
         return result
 
     def _run_loop(self) -> SimulationResult:
-        """The slot loop proper (split out of :meth:`run` for profiling)."""
-        while (
-            self._result.delivered + self._result.packets_lost
-            < self._result.num_packets
-        ):
+        """The slot loop proper (split out of :meth:`run` for profiling).
+
+        Each executed slot runs the phases of the module docstring in
+        order.  Their durations go into local accumulators at the phase
+        boundaries, one clock read each, and land in ``_phase_totals`` at
+        the end; the clock never feeds simulation state.  A spectrum
+        handoff counts as sensing, and the on-air bookkeeping of
+        multi-slot packets as adjudication.
+        """
+        clock = obs.monotonic_s
+        result = self._result
+        slot_s = pu_redraw_s = sensing_s = backoff_s = 0.0
+        adjudicate_s = deliver_s = frozen_wait_s = fast_forward_s = 0.0
+        executed = delivering = ff_attempts = 0
+        while result.delivered + result.packets_lost < result.num_packets:
             if self._slot >= self.max_slots:
-                self._result.completed = False
-                self._result.slots_simulated = self._slot
-                return self._result
+                break
             if self._ff_armed:
+                start = clock()
                 self._try_fast_forward()
+                fast_forward_s += clock() - start
+                ff_attempts += 1
                 if self._slot >= self.max_slots:
                     continue
-            with obs.span("engine.slot"):
-                if self._has_faults:
-                    self._process_faults()
+            start = clock()
+            if self._has_faults:
+                self._process_faults()
+            if self._pending_arrivals:
                 self._inject_arrivals()
-                with obs.span("engine.phase.pu_redraw"):
-                    self._advance_pu_states()
-                self._contend_and_transmit()
-                if self.slot_hook is not None:
-                    self.slot_hook(self)
+            mark = clock()
+            self._advance_pu_states()
+            now = clock()
+            pu_redraw_s += now - mark
+            mark = now
+            if self.packet_slots > 1:
+                self._handoff_check()
+            ready = self._sense_ready()
+            now = clock()
+            sensing_s += now - mark
+            mark = now
+            transmitters = self._resolve_freezes(ready)
+            now = clock()
+            backoff_s += now - mark
+            mark = now
+            completing, concurrent = self._on_air(transmitters)
+            outcomes = self._adjudicate(completing, concurrent)
+            now = clock()
+            adjudicate_s += now - mark
+            mark = now
+            self._finish_slot(completing, outcomes, concurrent)
+            now = clock()
+            if completing:
+                deliver_s += now - mark
+                delivering += 1
+            else:
+                frozen_wait_s += now - mark
+            if self.slot_hook is not None:
+                self.slot_hook(self)
+                now = clock()
+            slot_s += now - start
+            executed += 1
             self._slot += 1
 
-        self._result.completed = True
-        self._result.slots_simulated = self._slot
-        return self._result
+        result.completed = (
+            result.delivered + result.packets_lost >= result.num_packets
+        )
+        result.slots_simulated = self._slot
+        self._phase_totals = {
+            "slot": (slot_s, executed),
+            "pu_redraw": (pu_redraw_s, executed),
+            "sensing": (sensing_s, executed),
+            "backoff": (backoff_s, executed),
+            "adjudicate": (adjudicate_s, executed),
+            "deliver": (deliver_s, delivering),
+            "frozen_wait": (frozen_wait_s, executed - delivering),
+            "fast_forward": (fast_forward_s, ff_attempts),
+        }
+        return result
 
     def _publish_metrics(self, result: SimulationResult) -> None:
         """Publish one run's headline outcomes to the installed recorder.
@@ -950,6 +1020,9 @@ class SlottedEngine:
         obs.gauge_set("engine.max_backlog", result.max_backlog)
         for record in result.deliveries:
             obs.observe("engine.packet_delay_slots", record.delay_slots)
+        for key, (total_s, count) in self._phase_totals.items():
+            if count:
+                obs.span_add(_PHASE_SPANS[key], total_s, count)
 
     # ------------------------------------------------------------------ #
     # PU activity                                                         #
@@ -993,15 +1066,16 @@ class SlottedEngine:
         self._active_pu_list = [int(i) for i in self._active_pus]
         if self.topology.primary.num_pus == 0:
             return
+        dtype = self._pu_incidence.dtype
         if self._num_channels == 1:
-            self._pu_busy = self._pu_incidence @ self._pu_states.astype(np.uint8)
+            self._pu_busy = self._pu_incidence @ self._pu_states.astype(dtype)
             return
         states = self._pu_states
         for channel in range(self._num_channels):
             ids = self._pu_ids_by_channel[channel]
             self._busy_columns[channel] = self._incidence_by_channel[
                 channel
-            ] @ states[ids].astype(np.uint8)
+            ] @ states[ids].astype(dtype)
 
     def _blocked_on(self, node: int, channel: int) -> bool:
         """Whether PU activity blocks ``node`` on ``channel`` this slot."""
@@ -1059,10 +1133,9 @@ class SlottedEngine:
         self._slot = slot + skipped
         # Per-slot bookkeeping of a frozen wait, applied in bulk: each
         # skipped slot counted every eligible waiter as frozen-by-PU and
-        # zeroed the fairness carry-over of every active node.
+        # zeroed every fairness carry-over.
         self._result.frozen_slot_count += skipped * int(waiters.size)
-        if self._active:
-            self._extra_wait[self._active_mask] = 0.0
+        self._extra_wait.fill(0.0)
         if self.blocking != "homogeneous":
             self._recompute_pu_busy()
         self.last_slot_su_links = []
@@ -1092,9 +1165,8 @@ class SlottedEngine:
                 states = self.topology.primary.activity.next_states_batch(
                     self._pu_states, draws
                 )
-                busy = (
-                    states.astype(np.uint8) @ self._pu_incidence[waiters].T
-                ) > 0
+                incidence = self._pu_incidence[waiters].T
+                busy = (states.astype(incidence.dtype) @ incidence) > 0
             if self._imperfect_sensing:
                 sensing = self._sensing_rng.peek(count)[:, waiters]
                 busy = np.where(
@@ -1179,142 +1251,136 @@ class SlottedEngine:
             pool = [c for c in pool if score(c) == best_score]
         return pool[int(self._backoff_rng.integers(0, len(pool)))]
 
-    def _select_transmitters(self) -> List[Tuple[float, int, int, int]]:
-        """Resolve intra-slot contention.
+    def _sense_ready(self) -> List[Tuple[float, int]]:
+        """This slot's ready nodes as ``(expiry, node)``, in expiry order.
 
+        A node is ready when it is backlogged, past its hold-off, not
+        mid-transmission, and senses its spectrum free.  Equal expiries
+        keep ascending node order: the ``(expiry, node)`` key.
+        """
+        if self._imperfect_sensing:
+            sensing_draws = self._sensing_rng.random(self._num_nodes)
+        if not self._active:
+            return []
+        # Readiness scan, vectorized over full per-node arrays.  Every step
+        # is a mask (order-independent), so no container iteration order
+        # can leak into results.
+        eligible = self._active_mask & (self._hold_until_slot <= self._slot)
+        ongoing = self._ongoing
+        if ongoing:
+            # Mid-transmission nodes (multi-slot packets) sit out.
+            eligible[
+                np.fromiter(ongoing.keys(), dtype=np.int64, count=len(ongoing))
+            ] = False
+        if self.detector is not None:
+            # Energy detection: P(sensed busy) = 1 - P(miss every active
+            # in-range PU) * P(no false alarm), vectorized per slot.
+            miss_all = np.exp(self._miss_log @ self._pu_states.astype(float))
+            p_sensed_busy = 1.0 - miss_all * (
+                1.0 - self.detector.false_alarm_probability
+            )
+            sensed = sensing_draws < p_sensed_busy
+        else:
+            if self._num_channels == 1:
+                busy = self._pu_busy > 0
+            else:
+                busy = self._busy_columns[self._node_channel, self._node_index] > 0
+            if self._imperfect_sensing:
+                sensed = np.where(
+                    busy,
+                    sensing_draws >= self.p_missed_detection,
+                    sensing_draws < self.p_false_alarm,
+                )
+            else:
+                sensed = busy
+        # Sensing faults pin the detector output, consuming no draws; a
+        # node under both faults senses busy (stuck-busy wins).
+        if self._stuck_idle:
+            sensed = sensed.copy()
+            sensed[
+                np.fromiter(
+                    self._stuck_idle, dtype=np.int64, count=len(self._stuck_idle)
+                )
+            ] = False
+        if self._stuck_busy:
+            sensed = sensed.copy()
+            sensed[
+                np.fromiter(
+                    self._stuck_busy, dtype=np.int64, count=len(self._stuck_busy)
+                )
+            ] = True
+        ready_nodes = np.nonzero(eligible & ~sensed)[0]
+        self._result.frozen_slot_count += (
+            int(np.count_nonzero(eligible)) - ready_nodes.size
+        )
+        if not ready_nodes.size:
+            return []
+        self._result.opportunity_slot_count += int(ready_nodes.size)
+        self._result.contention_slot_count += 1
+        expiries = self._extra_wait[ready_nodes] + self._backoff[ready_nodes]
+        return sorted(zip(expiries.tolist(), ready_nodes.tolist()))
+
+    def _resolve_freezes(
+        self, ready: List[Tuple[float, int]]
+    ) -> List[Tuple[float, int, int, int]]:
+        """Run the slot's countdowns in expiry order; return the winners.
+
+        A ready node freezes when a transmission on its channel that it
+        hears started no later than its expiry; otherwise it transmits.
         Returns ``(expiry, node, receiver, channel)`` tuples; the channel
         is always 0 in the single-channel model.
         """
-        extra_wait = self._extra_wait
-        backoff = self._backoff
+        if not ready:
+            return []
+        hearers = self._hearers
         node_channel = self._node_channel
-        with obs.span("engine.phase.sensing"):
-            if self._imperfect_sensing:
-                sensing_draws = self._sensing_rng.random(self._num_nodes)
-            if self.detector is not None:
-                # Energy detection: P(sensed busy) = 1 - P(miss every active
-                # in-range PU) * P(no false alarm), vectorized per slot.
-                miss_all = np.exp(self._miss_log @ self._pu_states.astype(float))
-                p_sensed_busy = 1.0 - miss_all * (
-                    1.0 - self.detector.false_alarm_probability
-                )
-            ongoing = self._ongoing
-            # Readiness scan, vectorized over full per-node arrays.  Every
-            # step is a mask (order-independent), so no container iteration
-            # order can leak into results; the stable sort below pins the
-            # ordering to (expiry, node), exactly the old sorted-tuple order.
-            if self._active:
-                eligible = self._active_mask & (self._hold_until_slot <= self._slot)
-                if ongoing:
-                    # Mid-transmission nodes (multi-slot packets) sit out.
-                    eligible[
-                        np.fromiter(ongoing.keys(), dtype=np.int64, count=len(ongoing))
-                    ] = False
-                if self.detector is not None:
-                    sensed = sensing_draws < p_sensed_busy
-                else:
-                    if self._num_channels == 1:
-                        busy = self._pu_busy > 0
-                    else:
-                        busy = (
-                            self._busy_columns[node_channel, self._node_index] > 0
-                        )
-                    if self._imperfect_sensing:
-                        sensed = np.where(
-                            busy,
-                            sensing_draws >= self.p_missed_detection,
-                            sensing_draws < self.p_false_alarm,
-                        )
-                    else:
-                        sensed = busy
-                # Sensing faults pin the detector output, consuming no draws;
-                # a node under both faults senses busy (stuck-busy wins).
-                if self._stuck_idle:
-                    sensed = sensed.copy()
-                    sensed[
-                        np.fromiter(
-                            self._stuck_idle,
-                            dtype=np.int64,
-                            count=len(self._stuck_idle),
-                        )
-                    ] = False
-                if self._stuck_busy:
-                    sensed = sensed.copy()
-                    sensed[
-                        np.fromiter(
-                            self._stuck_busy,
-                            dtype=np.int64,
-                            count=len(self._stuck_busy),
-                        )
-                    ] = True
-                ready_nodes = np.nonzero(eligible & ~sensed)[0]
-                frozen_by_pu = int(np.count_nonzero(eligible)) - ready_nodes.size
-            else:
-                ready_nodes = np.zeros(0, dtype=np.int64)
-                frozen_by_pu = 0
-            self._result.frozen_slot_count += frozen_by_pu
-            self._result.opportunity_slot_count += int(ready_nodes.size)
-            if ready_nodes.size:
-                self._result.contention_slot_count += 1
-            expiries = extra_wait[ready_nodes] + backoff[ready_nodes]
-            # ready_nodes is ascending, so a stable sort on expiry alone keeps
-            # equal expiries in ascending-node order: the (expiry, node) key.
-            order = np.argsort(expiries, kind="stable")
-            ready: List[Tuple[float, int]] = list(
-                zip(expiries[order].tolist(), ready_nodes[order].tolist())
-            )
-
-        with obs.span("engine.phase.backoff"):
-            neighbors = self.sense_map.su_neighbors
-            # One contention domain per channel: a transmission only freezes
-            # same-channel neighbors.
-            blocked_at: List[Dict[int, float]] = [
-                {} for _ in range(self._num_channels)
-            ]
-            # Transmissions still in flight from earlier slots hold their
-            # neighborhoods from the very start of this slot.
-            for node, (_, channel, _, _) in self._ongoing.items():
-                channel_blocks = blocked_at[channel]
-                for neighbor in neighbors[node]:
-                    channel_blocks[neighbor] = 0.0
-            transmitters: List[Tuple[float, int, int, int]] = []
-            for expiry, node in ready:
-                channel = int(node_channel[node])
-                block_time = blocked_at[channel].get(node)
-                if block_time is not None and block_time <= expiry:
-                    # Frozen mid-countdown (lines 6-7): keep the remainder.
-                    consumed = max(0.0, block_time - extra_wait[node])
-                    backoff[node] = max(backoff[node] - consumed, 1e-12)
-                    if self.trace is not None:
-                        self.trace.record(
-                            TraceEvent(
-                                slot=self._slot,
-                                kind=TraceKind.FREEZE,
-                                node=node,
-                                time_in_slot=block_time,
-                            )
-                        )
-                    continue
-
-                packet = self._queues[node][0]
-                receiver = self.policy.next_hop(node, packet)
-                transmitters.append((expiry, node, receiver, channel))
-                channel_blocks = blocked_at[channel]
-                for neighbor in neighbors[node]:
-                    current = channel_blocks.get(neighbor)
-                    if current is None or expiry < current:
-                        channel_blocks[neighbor] = expiry
+        # Transmissions on the air, by start time: those still in flight
+        # from earlier slots hold their hearers from the slot's start, and
+        # each winner is appended at its expiry.  Every entry therefore
+        # starts no later than the ready node being tested, and the first
+        # entry that node hears is the earliest transmission blocking it.
+        on_air: List[Tuple[float, int, FrozenSet[int]]] = [
+            (0.0, channel, hearers[node])
+            for node, (_, channel, _, _) in self._ongoing.items()
+        ]
+        transmitters: List[Tuple[float, int, int, int]] = []
+        for expiry, node in ready:
+            channel = int(node_channel[node])
+            block_time = None
+            for start, on_channel, heard_by in on_air:
+                if on_channel == channel and node in heard_by:
+                    block_time = start
+                    break
+            if block_time is not None:
+                # Frozen mid-countdown (lines 6-7): keep the remainder.
+                consumed = max(0.0, block_time - self._extra_wait[node])
+                self._backoff[node] = max(self._backoff[node] - consumed, 1e-12)
                 if self.trace is not None:
                     self.trace.record(
                         TraceEvent(
                             slot=self._slot,
-                            kind=TraceKind.TX_START,
+                            kind=TraceKind.FREEZE,
                             node=node,
-                            peer=receiver,
-                            packet_id=packet.packet_id,
-                            time_in_slot=expiry,
+                            time_in_slot=block_time,
                         )
                     )
+                continue
+
+            packet = self._queues[node][0]
+            receiver = self.policy.next_hop(node, packet)
+            transmitters.append((expiry, node, receiver, channel))
+            on_air.append((expiry, channel, hearers[node]))
+            if self.trace is not None:
+                self.trace.record(
+                    TraceEvent(
+                        slot=self._slot,
+                        kind=TraceKind.TX_START,
+                        node=node,
+                        peer=receiver,
+                        packet_id=packet.packet_id,
+                        time_in_slot=expiry,
+                    )
+                )
         return transmitters
 
     def _adjudicate(
@@ -1369,16 +1435,19 @@ class SlottedEngine:
                     signal[index] *= factor
 
         # Capture rule: among links sharing a receiver, only the strongest
-        # signal can be decoded.  Group by receiver and take each group's
-        # running max; the winner is the *first* index achieving that max,
-        # matching the historical strictly-greater replacement scan.
-        receiver_groups, group_of = np.unique(rx_nodes, return_inverse=True)
-        best = np.full(receiver_groups.size, -np.inf)
-        np.maximum.at(best, group_of, signal)
-        achieves_max = np.nonzero(signal == best[group_of])[0]
-        first_winner = np.full(receiver_groups.size, count, dtype=np.int64)
-        np.minimum.at(first_winner, group_of[achieves_max], achieves_max)
-        ok = first_winner[group_of] == np.arange(count)
+        # signal can be decoded, and of equal signals the first link.  Link
+        # i loses iff some link j to its receiver has a stronger signal, or
+        # an equal one with j < i.  Distinct receivers all pass.
+        if len(set(rx_nodes)) == count:
+            ok = np.ones(count, dtype=bool)
+        else:
+            receivers = np.asarray(rx_nodes)
+            shared = receivers[:, None] == receivers[None, :]
+            other = signal[None, :]
+            own = signal[:, None]
+            earlier = np.tri(count, k=-1, dtype=bool)
+            beaten = shared & ((other > own) | ((other == own) & earlier))
+            ok = ~beaten.any(axis=1)
 
         if not self.sir_check:
             if completing is concurrent:
@@ -1442,31 +1511,38 @@ class SlottedEngine:
             self._result.handoffs += 1
             self._draw_backoff(node)
 
-    def _contend_and_transmit(self) -> None:
-        if self.packet_slots > 1:
-            self._handoff_check()
-        new_transmitters = self._select_transmitters()
-        if self.packet_slots == 1:
-            completing = new_transmitters
-            concurrent = new_transmitters
-        else:
-            end_slot = self._slot + self.packet_slots - 1
-            for expiry, node, receiver, channel in new_transmitters:
-                self._ongoing[node] = (receiver, channel, end_slot, expiry)
-            concurrent = [
-                (expiry, node, receiver, channel)
-                for node, (receiver, channel, _, expiry) in self._ongoing.items()
-            ]
-            completing = [
-                (expiry, node, receiver, channel)
-                for node, (receiver, channel, finish, expiry) in (
-                    self._ongoing.items()
-                )
-                if finish == self._slot
-            ]
-        with obs.span("engine.phase.adjudicate"):
-            outcomes = self._adjudicate(completing, concurrent)
+    def _on_air(
+        self, new_transmitters: List[Tuple[float, int, int, int]]
+    ) -> Tuple[List[Tuple[float, int, int, int]], List[Tuple[float, int, int, int]]]:
+        """``(completing, concurrent)`` transmissions of this slot.
 
+        With single-slot packets both are the slot's winners; longer
+        packets stay on the air and complete ``packet_slots`` slots later.
+        """
+        if self.packet_slots == 1:
+            return new_transmitters, new_transmitters
+        end_slot = self._slot + self.packet_slots - 1
+        for expiry, node, receiver, channel in new_transmitters:
+            self._ongoing[node] = (receiver, channel, end_slot, expiry)
+        concurrent = [
+            (expiry, node, receiver, channel)
+            for node, (receiver, channel, _, expiry) in self._ongoing.items()
+        ]
+        completing = [
+            (expiry, node, receiver, channel)
+            for node, (receiver, channel, finish, expiry) in self._ongoing.items()
+            if finish == self._slot
+        ]
+        return completing, concurrent
+
+    def _finish_slot(
+        self,
+        completing: List[Tuple[float, int, int, int]],
+        outcomes: List[bool],
+        concurrent: List[Tuple[float, int, int, int]],
+    ) -> None:
+        # Slot end: the concurrent set for the validator, deliveries,
+        # fairness waits, backoff redraws.
         self.last_slot_su_links = [
             (node, receiver) for _, node, receiver, _ in concurrent
         ]
@@ -1476,26 +1552,13 @@ class SlottedEngine:
             count = len(concurrent)
             histogram = self._result.concurrent_tx_histogram
             histogram[count] = histogram.get(count, 0) + 1
-
-        if completing:
-            with obs.span("engine.phase.deliver"):
-                self._finish_slot(completing, outcomes)
-        else:
-            with obs.span("engine.phase.frozen_wait"):
-                self._finish_slot(completing, outcomes)
         # A slot with nothing on the air arms the fast-forward: the next
         # slots are frozen candidates until someone transmits again.
         self._ff_armed = self._ff_enabled and not concurrent
-
-    def _finish_slot(
-        self,
-        completing: List[Tuple[float, int, int, int]],
-        outcomes: List[bool],
-    ) -> None:
-        # Slot end: deliveries, fairness waits, backoff redraws.
+        # Inactive nodes already carry no fairness wait, so this zeroes
+        # the active ones'.
         extra_wait = self._extra_wait
-        if self._active:
-            extra_wait[self._active_mask] = 0.0
+        extra_wait.fill(0.0)
 
         newly_active: List[int] = []
         finished_nodes: List[int] = []

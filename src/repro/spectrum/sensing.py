@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.network.topology import CrnTopology
 
@@ -90,6 +92,22 @@ class CarrierSenseMap:
             for target in targets:
                 inverted[target].append(source)
         return inverted
+
+    def pu_incidence(self) -> np.ndarray:
+        """Dense ``(node, PU)`` matrix with a 1 where the PU blocks the node.
+
+        Its dtype is the narrowest unsigned integer that holds the PU count,
+        so ``incidence @ states.astype(incidence.dtype)`` counts each node's
+        active in-range PUs without wrapping (in ``uint8``, 256 active PUs
+        would count as 0 and read as a free spectrum).
+        """
+        num_pus = len(self.pu_hearers)
+        incidence = np.zeros(
+            (len(self.pus_heard_by), num_pus), dtype=np.min_scalar_type(num_pus)
+        )
+        for pu_index, nodes in enumerate(self.pu_hearers):
+            incidence[nodes, pu_index] = 1
+        return incidence
 
     def pu_count_in_range(self, node: int) -> int:
         """Number of PUs whose transmissions block secondary node ``node``."""

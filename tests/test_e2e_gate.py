@@ -95,3 +95,75 @@ class TestVerdict:
 def test_worse_by_is_signed_by_direction():
     assert gate.worse_by("lower", 2.0, 3.0) == pytest.approx(0.5)
     assert gate.worse_by("higher", 2.0, 3.0) == pytest.approx(-0.5)
+
+
+class TestPairedEvidence:
+    WALL = METRICS[0]
+
+    def test_quartiles_of_ten(self):
+        assert gate.quartiles(list(range(1, 11))) == pytest.approx([3.25, 5.5, 7.75])
+        assert gate.quartiles([4.0]) == [4.0, 4.0, 4.0]
+
+    def test_a_clear_gain_is_claimable(self):
+        base = [run(wall=10.0 + 0.1 * i) for i in range(10)]
+        change = [run(wall=8.0 + 0.1 * i) for i in range(10)]
+        evidence = gate.pair_evidence(self.WALL, base, change)
+        assert evidence["wins"] == 10 and evidence["pairs"] == 10
+        assert evidence["base"][1] == pytest.approx(10.45)
+        assert evidence["change"][1] == pytest.approx(8.45)
+        assert evidence["claimable"]
+
+    def test_eight_wins_in_ten_is_not_a_claim(self):
+        base = [run(wall=10.0)] * 10
+        change = [run(wall=8.0)] * 8 + [run(wall=12.0)] * 2
+        evidence = gate.pair_evidence(self.WALL, base, change)
+        assert evidence["wins"] == 8
+        assert not evidence["claimable"]
+
+    def test_ties_count_for_neither_side(self):
+        evidence = gate.pair_evidence(self.WALL, [run()] * 10, [run()] * 10)
+        assert evidence["wins"] == 0
+        assert not evidence["claimable"]
+
+    def test_a_gap_inside_the_base_spread_is_not_a_claim(self):
+        # The change wins every pair, but by less than the base's own
+        # q1-q3 distance.
+        base = [run(wall=10.0 + i) for i in range(10)]
+        change = [run(wall=9.5 + i) for i in range(10)]
+        evidence = gate.pair_evidence(self.WALL, base, change)
+        assert evidence["wins"] == 10
+        assert not evidence["claimable"]
+
+    def test_higher_is_better_metrics_win_upward(self):
+        ops = METRICS[1]
+        evidence = gate.pair_evidence(ops, [run(ops=1.0)] * 10, [run(ops=2.0)] * 10)
+        assert evidence["wins"] == 10 and evidence["claimable"]
+
+    def test_a_missing_value_gives_no_evidence(self):
+        silent = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+        assert gate.pair_evidence(self.WALL, [run()] * 2, [run(), silent]) is None
+
+
+def test_main_runs_the_requested_pairs_alternating(tmp_path, monkeypatch, capsys):
+    base_tree, change_tree = tmp_path / "base", tmp_path / "change"
+    for tree in (base_tree, change_tree):
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(
+            '{"run_seconds": 0, "end_to_end": '
+            '[{"name": "wall_s", "better": "lower", "bound": 0.25}]}'
+        )
+    order = []
+
+    def fake_run(tree, seconds):
+        order.append(tree.name)
+        return run(wall=1.0 if tree.name == "base" else 0.5)
+
+    monkeypatch.setattr(gate, "run_once", fake_run)
+    assert gate.main([str(base_tree), str(change_tree), "--pairs", "4"]) == 0
+    assert order == ["base", "change", "change", "base"] * 2
+    out = capsys.readouterr().out
+    assert "change better in 4 of 4 pairs; claim: yes" in out
+    assert "E2E GATE: PASS (fig6c-sweep, 4 pairs)" in out
+    order.clear()
+    assert gate.main([str(base_tree), str(change_tree)]) == 0
+    assert len(order) == 2 * gate.PAIRS == 6

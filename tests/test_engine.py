@@ -15,9 +15,12 @@ import pytest
 from repro.core.addc import AddcPolicy
 from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.config import ExperimentConfig
 from repro.geometry.distance import euclidean
 from repro.graphs.tree import build_collection_tree
+from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
+from repro.scheduling.centralized import CentralizedScheduler
 from repro.sim.engine import SlottedEngine
 from repro.sim.packet import Packet
 from repro.sim.trace import TraceKind, TraceLog
@@ -356,6 +359,50 @@ class TestHomogeneousBlocking:
     def test_invalid_blocking_mode(self, tiny_topology, streams):
         with pytest.raises(ConfigurationError):
             make_engine(tiny_topology, streams.spawn("e13"), blocking="bogus")
+
+
+class TestPuBusyCounts:
+    """A busy count must hold every PU an SU can hear: in ``uint8``, 256
+    active PUs count as 0 and the SU reads its spectrum as free."""
+
+    @pytest.fixture(scope="class")
+    def crowded(self):
+        config = ExperimentConfig(
+            area=20.0 * 20.0, num_pus=256, num_sus=8, p_t=0.5, repetitions=1
+        )
+        factory = StreamFactory(5)
+        topology = deploy_crn(config.deployment_spec(), factory.spawn("crowded"))
+        return topology, factory
+
+    def hearing_all(self, topology, sense_map):
+        return next(
+            node
+            for node in topology.secondary.su_ids()
+            if len(sense_map.pus_heard_by[node]) == 256
+        )
+
+    def test_an_su_hearing_256_active_pus_is_blocked(self, crowded):
+        topology, factory = crowded
+        engine, sense_map, _ = make_engine(topology, factory.spawn("engine"))
+        node = self.hearing_all(topology, sense_map)
+        engine._pu_states = np.ones(256, dtype=bool)
+        engine._recompute_pu_busy()
+        assert engine._pu_busy[node] == 256
+        assert engine._blocked_on(node, 0)
+
+    def test_the_centralized_scheduler_counts_them_too(self, crowded):
+        topology, factory = crowded
+        _, sense_map, _ = make_engine(topology, factory.spawn("engine"))
+        tree = build_collection_tree(
+            topology.secondary.graph, topology.secondary.base_station
+        )
+        scheduler = CentralizedScheduler(
+            topology, tree, sense_map, factory.spawn("central")
+        )
+        node = self.hearing_all(topology, sense_map)
+        scheduler._pu_states = np.ones(256, dtype=bool)
+        scheduler._recompute_pu_busy()
+        assert scheduler._pu_busy[node] == 256
 
 
 class TestEngineErrors:

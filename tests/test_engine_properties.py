@@ -4,9 +4,11 @@ Hypothesis drives deployment seeds and scenario knobs (blocking model,
 activity model, sensing errors); for every drawn scenario the run must
 satisfy the conservation and termination invariants regardless of
 geometry.  Conservation is checked at the end of the run and again at the
-end of every slot of a second, hooked run.  The hook forces the plain slot
-loop, so that run must also end in the same result and the same RNG stream
-positions as the fast-forwarded one.
+end of every slot of a second, hooked run, together with the contention
+invariant that an inactive node carries no fairness wait.  The hook forces
+the plain slot loop, so that run must also end in the same result and the
+same RNG stream positions as the fast-forwarded one.  The capture rule of
+SIR adjudication is checked against a scalar reference.
 """
 
 from __future__ import annotations
@@ -14,20 +16,25 @@ from __future__ import annotations
 import functools
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.collector as collector
 import repro.routing.coolest as coolest
+from repro.core.addc import AddcPolicy
 from repro.core.collector import run_addc_collection
 from repro.errors import DisconnectedNetworkError
 from repro.experiments.config import ExperimentConfig
+from repro.graphs.tree import build_collection_tree
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.deployment import deploy_crn
 from repro.network.primary import MarkovActivity
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine
 from repro.sim.packet import DATA
+from repro.spectrum.sensing import CarrierSenseMap
 
 
 def deploy(seed: int, num_sus: int, num_pus: int, p_t: float, markov: bool):
@@ -54,7 +61,9 @@ class ConservationOracle:
     Every data packet the run was given is, at each slot boundary,
     delivered, lost, queued at a node, a future arrival, an arrival
     deferred for a down node, or held by the policy (Coolest holds a
-    source's data until its route reply lands).
+    source's data until its route reply lands).  It also asserts that no
+    inactive node (drained, down or dead) carries a fairness wait: the
+    slot end zeroes every wait at once on that invariant.
     """
 
     def __init__(self) -> None:
@@ -87,6 +96,12 @@ class ConservationOracle:
             f"{result.packets_lost} lost + {queued} queued + {pending} "
             f"pending + {deferred} deferred + {held} held != "
             f"{result.num_packets} packets"
+        )
+        stale = np.nonzero(engine._extra_wait[~engine._active_mask])[0]
+        assert stale.size == 0, (
+            f"slot {engine.slot}: inactive nodes "
+            f"{np.nonzero(~engine._active_mask)[0][stale].tolist()} "
+            "carry a fairness wait"
         )
         self.slots += 1
 
@@ -200,3 +215,140 @@ def test_coolest_conservation_invariants(params):
     # Control traffic inflates attempts beyond delivered data hops.
     data_hops = sum(r.hops for r in result.deliveries)
     assert sum(result.tx_successes.values()) >= data_hops
+
+
+def test_a_crashed_node_keeps_no_fairness_wait():
+    """Crash a node the slot after it transmitted and kept a backlog.
+
+    Its fairness wait is nonzero when it dies; retiring it must zero the
+    wait, or the inactive-node invariant breaks from that slot on.
+    """
+    topology, factory = deploy(11, 40, 4, 0.1, False)
+    holders = []
+
+    def first_wait(engine):
+        waiting = np.nonzero(engine._extra_wait)[0]
+        if waiting.size and not holders:
+            holders.append((engine.slot, int(waiting[0])))
+
+    with mock.patch.object(
+        collector,
+        "SlottedEngine",
+        functools.partial(SlottedEngine, slot_hook=first_wait),
+    ):
+        run_addc_collection(topology, factory.spawn("addc"), with_bounds=False)
+    slot, victim = holders[0]
+    plan = FaultPlan.from_events([FaultEvent.crash(slot + 1, victim)])
+    oracle = ConservationOracle()
+    with oracle.hooked(collector):
+        outcome = run_addc_collection(
+            topology, factory.spawn("addc"), with_bounds=False, fault_plan=plan
+        )
+    result = outcome.result
+    assert result.completed
+    assert result.nodes_departed == 1
+    assert oracle.slots == result.slots_simulated
+
+
+@functools.lru_cache(maxsize=1)
+def capture_engine():
+    """A single-channel engine whose positions the capture test redraws."""
+    topology, factory = deploy(3, 12, 6, 0.3, False)
+    sense_map = CarrierSenseMap(topology, 20.0)
+    tree = build_collection_tree(
+        topology.secondary.graph, topology.secondary.base_station
+    )
+    policy = AddcPolicy(tree)
+    return SlottedEngine(topology, sense_map, policy, factory.spawn("capture"))
+
+
+def reference_outcomes(engine, links, active_pus, sir_check):
+    """Scalar rule: the first strongest link per receiver wins capture,
+    then it must meet ``eta_s`` over every other transmitter and PU."""
+    positions = engine._positions
+    tx = np.array([sender for sender, _ in links])
+    rx = np.array([receiver for _, receiver in links])
+    # The engine's own signal arithmetic, so exact ties stay exact.
+    deltas = positions[tx] - positions[rx]
+    distance = np.maximum(np.hypot(deltas[:, 0], deltas[:, 1]), 1e-6)
+    signal = (engine._su_power * distance ** (-engine.alpha)).tolist()
+
+    def power_at(source, power, receiver):
+        dx, dy = source - positions[receiver]
+        return power * max(float(np.hypot(dx, dy)), 1e-6) ** (-engine.alpha)
+
+    outcomes = []
+    for index, (_, receiver) in enumerate(links):
+        rivals = [j for j, (_, other) in enumerate(links) if other == receiver]
+        strongest = max(signal[j] for j in rivals)
+        captured = index == min(j for j in rivals if signal[j] == strongest)
+        if not sir_check:
+            outcomes.append(captured)
+            continue
+        interference = sum(
+            power_at(positions[sender], engine._su_power, receiver)
+            for j, (sender, _) in enumerate(links)
+            if j != index
+        ) + sum(
+            power_at(engine._pu_positions[pu], engine._pu_power, receiver)
+            for pu in active_pus
+        )
+        sir = signal[index] / interference if interference > 0 else float("inf")
+        outcomes.append(captured and sir >= engine.eta_s)
+    return outcomes
+
+
+@st.composite
+def concurrent_set(draw):
+    """Links into three shared receivers from transmitters on a small
+    integer grid, where mirrored offsets give exactly equal signals."""
+    engine = capture_engine()
+    senders = draw(
+        st.lists(
+            st.integers(3, engine._num_nodes - 1), min_size=1, max_size=7,
+            unique=True,
+        )
+    )
+    receivers = [draw(st.integers(0, 2)) for _ in senders]
+    coordinate = st.integers(-3, 3)
+    points = {
+        node: (draw(coordinate), draw(coordinate))
+        for node in [0, 1, 2, *senders]
+    }
+    completing = [draw(st.booleans()) for _ in senders]
+    active_pus = draw(
+        st.lists(
+            st.integers(0, engine._pu_positions.shape[0] - 1), max_size=3,
+            unique=True,
+        )
+    )
+    return list(zip(senders, receivers)), points, completing, sorted(active_pus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(concurrent_set(), st.booleans())
+def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
+    links, points, completing_flags, active_pus = drawn
+    engine = capture_engine()
+    positions = engine._positions.copy()
+    for node, point in points.items():
+        positions[node] = point
+    with mock.patch.multiple(
+        engine,
+        _positions=positions,
+        _active_pus=np.array(active_pus, dtype=np.int64),
+        sir_check=sir_check,
+    ):
+        concurrent = [
+            (0.1, sender, receiver, 0) for sender, receiver in links
+        ]
+        expected = reference_outcomes(engine, links, active_pus, sir_check)
+        assert engine._adjudicate(concurrent, concurrent) == expected
+        completing = [
+            link for link, done in zip(concurrent, completing_flags) if done
+        ]
+        assert engine._adjudicate(completing, concurrent) == [
+            outcome
+            for outcome, done in zip(expected, completing_flags)
+            if done
+        ]

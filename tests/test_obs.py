@@ -81,6 +81,18 @@ class TestRecorder:
         assert stats["min_ms"] == pytest.approx(10.0)
         assert stats["max_ms"] == pytest.approx(30.0)
 
+    def test_batched_span_add_counts_each_interval(self):
+        recorder = MetricsRecorder()
+        recorder.span_add("s", 0.030)
+        recorder.span_add("s", 0.040, count=4)
+        stats = recorder.profile()["s"]
+        assert stats["count"] == 5
+        assert stats["total_ms"] == pytest.approx(70.0)
+        assert stats["mean_ms"] == pytest.approx(14.0)
+        # The batch's intervals are unknown: min and max see its mean.
+        assert stats["min_ms"] == pytest.approx(10.0)
+        assert stats["max_ms"] == pytest.approx(30.0)
+
     def test_reset(self):
         recorder = MetricsRecorder()
         recorder.counter_add("x")
@@ -96,6 +108,14 @@ class TestFacade:
         obs.observe("ghost", 1.0)
         assert obs.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         assert obs.profile() == {}
+
+    def test_span_add_facade(self):
+        obs.span_add("ghost.span", 1.0, 3)  # discarded by the null default
+        recorder = MetricsRecorder()
+        with obs.use_recorder(recorder):
+            obs.span_add("a.span", 0.5, 5)
+        assert recorder.spans["a.span"].count == 5
+        assert recorder.spans["a.span"].total_s == pytest.approx(0.5)
 
     def test_null_span_is_shared_noop(self):
         first = obs.span("a")
@@ -384,6 +404,33 @@ class TestDeterminism:
         assert recorder.counters["engine.slots"] == baseline.slots_simulated
         histogram = recorder.histograms["engine.packet_delay_slots"]
         assert histogram.count == baseline.delivered
+
+    def test_engine_phases_add_up(self, tiny_topology):
+        recorder = MetricsRecorder()
+        result, _ = self.run_once(tiny_topology, recorder)
+        spans = recorder.spans
+        slot = spans["engine.slot"]
+        assert slot.count + recorder.counters["engine.fastforward_slots"] == (
+            result.slots_simulated
+        )
+        # Every executed slot passes each phase once, and ends in exactly
+        # one of deliver / frozen_wait.
+        for phase in ("pu_redraw", "sensing", "backoff", "adjudicate"):
+            assert spans[f"engine.phase.{phase}"].count == slot.count
+        deliver = spans["engine.phase.deliver"]
+        frozen_wait = spans["engine.phase.frozen_wait"]
+        assert deliver.count + frozen_wait.count == slot.count
+        # Phases are disjoint intervals inside their slot, and
+        # fast-forward runs between slots, inside the run.
+        phases = [
+            stats for name, stats in spans.items()
+            if name.startswith("engine.phase.") and name != "engine.phase.fast_forward"
+        ]
+        assert len(phases) == 6
+        assert sum(stats.total_s for stats in phases) <= slot.total_s
+        fast_forward = spans["engine.phase.fast_forward"]
+        assert fast_forward.count > 0
+        assert slot.total_s + fast_forward.total_s <= spans["engine.run"].total_s
 
     def test_instrumented_sweep_matches_goldens(self):
         config = ExperimentConfig(

@@ -303,6 +303,22 @@ RULE_FIXTURES = {
 # Further cases for rules that check more than one thing, keyed
 # "<rule id>-<case>"; same (flagging_path, bad_source, clean_source) shape.
 MORE_FIXTURES = {
+    "OBS002-batched-span": (
+        "repro/sim/phases.py",
+        (
+            "import repro.obs as obs\n\n\n"
+            "def publish(phase: str, total_s: float, count: int) -> None:\n"
+            "    obs.span_add('engine.phase.' + phase, total_s, count)\n\n\n"
+            "__all__ = ['publish']\n"
+        ),
+        (
+            "import repro.obs as obs\n\n"
+            "_PHASES = {'sensing': 'engine.phase.sensing'}\n\n\n"
+            "def publish(phase: str, total_s: float, count: int) -> None:\n"
+            "    obs.span_add(_PHASES[phase], total_s, count)\n\n\n"
+            "__all__ = ['publish']\n"
+        ),
+    ),
     "PERF002-nested-worker": (
         "repro/perf/fanout.py",
         (
