@@ -46,8 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import zeta as _riemann_zeta
-
 from repro.errors import ConfigurationError, PcrDomainError
 
 __all__ = [
@@ -93,7 +91,9 @@ def zeta_series_bound(alpha: float, variant: str = "paper") -> float:
     if variant == "safe":
         return 1.0 / (alpha - 2.0)
     if variant == "exact":
-        return float(_riemann_zeta(alpha - 1.0)) - 1.0
+        from scipy.special import zeta  # imported on first use: SciPy is slow to load
+
+        return float(zeta(alpha - 1.0)) - 1.0
     raise ConfigurationError(
         f"unknown zeta bound variant {variant!r}; choose from {_VALID_BOUNDS}"
     )

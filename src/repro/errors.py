@@ -103,7 +103,8 @@ class PcrDomainError(ReproError):
     becomes non-positive for ``alpha`` greater than roughly 4.25 because the
     derivation bounds the Riemann zeta function by ``zeta(x) <= 1/(x-1)``,
     which is only valid as ``x -> 1``.  When the paper's bound is requested
-    in that regime this error is raised; the ``tight`` bound never raises.
+    in that regime this error is raised; the ``safe`` and ``exact`` bounds
+    never raise.
     """
 
     code = "pcr-domain"

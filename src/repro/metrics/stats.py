@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.errors import ConfigurationError
 
@@ -75,7 +74,9 @@ def t_confidence_interval(
     sample = _check_sample(values, minimum=2)
     mean = float(sample.mean())
     stderr = float(sample.std(ddof=1)) / math.sqrt(sample.size)
-    quantile = float(_scipy_stats.t.ppf((1.0 + confidence) / 2.0, sample.size - 1))
+    from scipy.stats import t  # imported on first use: SciPy is slow to load
+
+    quantile = float(t.ppf((1.0 + confidence) / 2.0, sample.size - 1))
     margin = quantile * stderr
     return ConfidenceInterval(
         mean=mean, lower=mean - margin, upper=mean + margin, confidence=confidence
@@ -156,5 +157,7 @@ def comparison_significant(
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     a = _check_sample(baseline, minimum=2)
     b = _check_sample(treatment, minimum=2)
-    _, p_value = _scipy_stats.ttest_ind(a, b, equal_var=False)
+    from scipy.stats import ttest_ind  # imported on first use: SciPy is slow to load
+
+    _, p_value = ttest_ind(a, b, equal_var=False)
     return bool(p_value < alpha), float(p_value)

@@ -118,11 +118,12 @@ class RowStream:
         """The next ``count`` rows, shape ``(count, width)``, not consumed."""
         short = self._next + count - self._rows.shape[0]
         if short > 0:
-            fresh = self._generator.random(
-                (max(short, self._block_rows), self._width)
-            )
-            self._rows = np.concatenate((self._rows[self._next :], fresh))
-            self._rows.setflags(write=False)  # callers get views: keep them intact
+            kept = self._rows.shape[0] - self._next
+            rows = np.empty((kept + max(short, self._block_rows), self._width))
+            rows[:kept] = self._rows[self._next :]
+            self._generator.random(out=rows[kept:])
+            rows.setflags(write=False)  # callers get views: keep them intact
+            self._rows = rows
             self._next = 0
         return self._rows[self._next : self._next + count]
 

@@ -29,7 +29,6 @@ import math
 from typing import List
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.errors import ConfigurationError
 
@@ -38,6 +37,8 @@ __all__ = ["q_function", "EnergyDetector"]
 
 def q_function(x):
     """The Gaussian tail function Q(x) = P(N(0,1) > x) (vectorized)."""
+    from scipy.special import erfc  # imported on first use: SciPy is slow to load
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 

@@ -29,7 +29,8 @@ class ScriptedRng:
     """Minimal numpy-Generator stand-in replaying scripted values.
 
     ``random()`` pops from the script (cycling its last value when
-    exhausted); the vector forms return constants sized to match.
+    exhausted); the vector forms (``size`` or ``out``) return constants
+    sized to match.
     """
 
     def __init__(self, script: List[float]):
@@ -43,7 +44,10 @@ class ScriptedRng:
             return value
         return self._script[-1] if self._script else 0.5
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self._next()
+            return out
         if size is None:
             return self._next()
         return np.full(size, self._next())

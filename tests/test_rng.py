@@ -131,3 +131,34 @@ class TestRowStream:
         np.testing.assert_array_equal(
             rows.random((3, 2)), _fresh(6).random((3, 2))
         )
+
+    @pytest.mark.parametrize("width", [1, 115, 2000])
+    def test_refill_across_a_partly_consumed_buffer(self, width):
+        block = ROW_BLOCK_UNIFORMS // width
+        rows = RowStream(_fresh(width), width)
+        rows.take(block - 3)
+        before = rows.peek(3)
+        kept = before.copy()
+        got = rows.peek(10)  # 3 untaken rows plus a fresh block
+        oracle = _fresh(width).random((block + 7, width))
+        np.testing.assert_array_equal(got, oracle[block - 3 :])
+        np.testing.assert_array_equal(before, kept)  # earlier views stay valid
+        assert not got.flags.writeable
+        rows.take(10)
+        reference = _fresh(width)
+        reference.random((block + 7, width))
+        assert rows.state() == reference.bit_generator.state
+
+    @pytest.mark.parametrize("width", [1, 115, 2000])
+    def test_peek_longer_than_one_block(self, width):
+        block = ROW_BLOCK_UNIFORMS // width
+        rows = RowStream(_fresh(width), width)
+        rows.take(5)
+        got = rows.peek(3 * block + 2)
+        oracle = _fresh(width).random((3 * block + 7, width))
+        np.testing.assert_array_equal(got, oracle[5:])
+        rows.take(3 * block)
+        reference = _fresh(width)
+        reference.random((3 * block + 5, width))
+        assert rows.state() == reference.bit_generator.state
+        np.testing.assert_array_equal(rows.take(2), oracle[3 * block + 5 :])
