@@ -7,6 +7,9 @@ for the merge base).  The gate runs ``e2ebench/run.py --workload
 fig6c-sweep --seed 2012 --trace 0`` from the root of each checkout, in
 ``N`` pairs (default 3) whose order alternates (base then change, change
 then base, ...) so a host that drifts in speed hits both sides alike.
+Before the first pair it byte-compiles ``src/`` in both checkouts
+(``python -m compileall -q src``), so neither side's ``setup_s`` pays for
+stale ``.pyc`` files; it exits 2 when either compile fails.
 It reads ``run_seconds`` and every ``end_to_end`` metric's ``better`` and
 ``bound`` from the base checkout's ``BENCHMARK.json``, so a change cannot
 loosen its own bounds, and exits 1 when
@@ -47,6 +50,17 @@ SEED = 2012
 PAIRS = 3
 #: A run is a few tens of seconds; one that takes this long is hung.
 RUN_TIMEOUT_S = 1800
+
+
+def compile_tree(tree: Path) -> bool:
+    """Byte-compile ``tree``'s ``src/``; whether every module compiled."""
+    done = subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src"],
+        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    if done.returncode != 0:
+        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
+    return done.returncode == 0
 
 
 def run_once(tree: Path, seconds: float) -> Dict:
@@ -172,6 +186,10 @@ def main(argv: Sequence[str]) -> int:
     base_tree, change_tree = args.base_tree.resolve(), args.change_tree.resolve()
     spec = json.loads((base_tree / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
+    for tree in (base_tree, change_tree):
+        if not compile_tree(tree):
+            print(f"E2E GATE: ERROR (cannot byte-compile {tree / 'src'})")
+            return 2
     runs: Dict[str, List[Dict]] = {"base": [], "change": []}
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")

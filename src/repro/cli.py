@@ -351,7 +351,7 @@ def _cmd_job(args: argparse.Namespace) -> int:
     save = getattr(args, "save", None)
     if save:
         # The manifest execute_job writes, minus the trace: two CLI runs
-        # saving into one directory must not share a trace/ shard dir.
+        # saving into one directory must not overwrite one trace.ndjson.
         manifest = obs.build_manifest(
             seed=spec.seed,
             config=spec.config(),

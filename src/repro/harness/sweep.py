@@ -56,12 +56,6 @@ from repro.harness.supervisor import (
 )
 from repro.obs.manifest import config_fingerprint
 from repro.obs.progress import Heartbeat
-from repro.obs.tracing import (
-    TraceContext,
-    build_repetition_spans,
-    shard_filename,
-    write_shard,
-)
 from repro.perf.executor import RepetitionOutcome, SweepWorkItem
 
 if TYPE_CHECKING:
@@ -196,8 +190,6 @@ def run_checkpointed_sweep(
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
     progress: Optional[Heartbeat] = None,
-    trace: Optional[TraceContext] = None,
-    trace_dir: Optional[Union[str, Path]] = None,
     pool=None,
     chaos: Optional["ChaosOptions"] = None,
 ) -> SweepRunResult:
@@ -224,13 +216,10 @@ def run_checkpointed_sweep(
     assembled anyway, and the result is flagged ``status: "partial"``
     rather than aborting the sweep.
 
-    ``trace`` + ``trace_dir`` enable distributed ``trace/v2`` span
-    capture: each worker writes one shard per repetition, and replayed
-    (journalled) repetitions re-derive their shards here from the
-    journalled profiles — a pure function of ``(trace, point, rep,
-    profile)`` — so a ``SIGKILL``-and-resume run yields the same shard
-    set as an uninterrupted one.  Requires an installed recorder
-    (``collect_metrics`` rides on :func:`obs.enabled`).
+    With a recorder installed (:func:`obs.enabled`), every fresh outcome
+    carries its repetition's span profile and the journal keeps it for
+    replays; :func:`repro.obs.tracing.merge_shards` builds the job's
+    ``trace/v2`` tree from those profiles.
     """
     # Validate before any work runs or any journal is created.
     if on_incomplete not in ("raise", "skip"):
@@ -243,19 +232,12 @@ def run_checkpointed_sweep(
         for _, config in points
     ]
     collect = obs.enabled()
-    if trace is not None and trace_dir is not None and collect:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    else:
-        trace_dir = None
     items = [
         SweepWorkItem(
             point_index=index,
             repetition=rep,
             config=config,
             collect_metrics=collect,
-            trace=trace if trace_dir is not None else None,
-            trace_dir=str(trace_dir) if trace_dir is not None else None,
             chaos=chaos,
         )
         for index, (_, config) in enumerate(points)
@@ -329,21 +311,6 @@ def run_checkpointed_sweep(
             outcome = cached[key] if key in cached else fresh.get(key)
             if outcome is None:
                 continue  # quarantined: recorded in run.failures
-            if trace_dir is not None and outcome.profile is not None:
-                # Journal-replayed repetitions never reached a worker this
-                # run: re-derive their shards from the journalled profile
-                # so resumed and uninterrupted runs merge identical traces.
-                shard = trace_dir / shard_filename(index, rep)
-                if not shard.exists():
-                    write_shard(
-                        shard,
-                        trace.trace_id,
-                        index,
-                        rep,
-                        build_repetition_spans(
-                            trace, index, rep, outcome.profile
-                        ),
-                    )
             if outcome.metrics is not None:
                 obs.merge_snapshot(outcome.metrics, outcome.profile)
             obs.counter_add("sweep.repetitions")

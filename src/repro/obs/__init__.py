@@ -88,8 +88,6 @@ __all__ = [
     "TraceContext",
     "SpanRecord",
     "build_repetition_spans",
-    "shard_filename",
-    "write_shard",
     "load_spans",
     "merge_shards",
     "write_trace",
@@ -97,7 +95,7 @@ __all__ = [
     "structure_digest",
     "span_stats",
     "render_tree",
-    # Manifest diffing (the perf ratchet), from repro.obs.diff.
+    # Manifest diffing, from repro.obs.diff.
     "diff_manifests",
     "render_diff",
 ]
@@ -275,11 +273,9 @@ from repro.obs.tracing import (  # noqa: E402
     load_spans,
     merge_shards,
     render_tree,
-    shard_filename,
     span_stats,
     structural_form,
     structure_digest,
-    write_shard,
     write_trace,
 )
 

@@ -193,7 +193,7 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
 
     Handles both schemas: a ``trace/v1`` event file yields schema,
     event/drop counts, the slot span, per-kind counts, and the number of
-    distinct nodes touched; a ``trace/v2`` span file (shard or merged) is
+    distinct nodes touched; a merged ``trace/v2`` span file is
     delegated to :func:`repro.obs.tracing.span_stats` — per-span-name
     p50/p95/p99 duration summaries plus, with ``top > 0``, the ``top``
     slowest individual spans.  Always JSON-serializable.

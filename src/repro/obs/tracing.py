@@ -18,20 +18,23 @@ deterministic:
   (:data:`TIMING_FIELDS`), which is exactly what
   :func:`structure_digest` hashes.
 
-Workers emit one NDJSON **shard** per ``(point, repetition)`` work item;
-:func:`merge_shards` folds them into one causally-ordered per-job trace
-in submission order — the same discipline as
+Each ``(point, repetition)`` work item returns its span profile to the
+parent, which journals it; :func:`merge_shards` rebuilds every
+repetition's subtree from those ``(point, repetition, profile)`` triples
+(:func:`build_repetition_spans` is a pure function of the context and
+the profile) and folds them into one causally-ordered per-job trace in
+submission order — the same discipline as
 :meth:`~repro.obs.recorder.MetricsRecorder.merge_snapshot` — so the
 merged trace is independent of worker completion order.  A repetition
-replayed from a checkpoint journal re-derives its shard from the
-journalled profile (:func:`build_repetition_spans` is a pure function of
-the context and the profile), which is why a SIGKILL'd-and-resumed job
-merges to the same tree as an uninterrupted one.
+replayed from a checkpoint journal carries its journalled profile, which
+is why a SIGKILL'd-and-resumed job merges to the same tree as an
+uninterrupted one.
 
 Line shapes::
 
-    {"schema": "trace/v2", "trace_id": "9c0f...", "shard": "point-0.rep-1", "spans": 4}
-    {"span_id": "job/point-0/rep-1", "parent_id": "job/point-0", "name": "rep", ...}
+    {"merged": true, "schema": "trace/v2", "spans": 7, "trace_id": "9c0f..."}
+    {"span_id": "job", "parent_id": null, "name": "fig6c", ...}
+    {"span_id": "job/point-0/rep-1", "parent_id": "job/point-0", "name": "rep-1", ...}
     ...
 
 Loading a ``trace/v1`` file here (or a ``trace/v2`` file with the v1
@@ -42,7 +45,6 @@ schemas, so mixed-era tooling fails loudly instead of misparsing.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -57,8 +59,6 @@ __all__ = [
     "SpanIdAllocator",
     "SpanRecord",
     "build_repetition_spans",
-    "shard_filename",
-    "write_shard",
     "load_spans",
     "merge_shards",
     "write_trace",
@@ -74,8 +74,6 @@ TRACE_V2_SCHEMA = "trace/v2"
 #: the same spec (wall-clock measurements).  Everything else — ids,
 #: names, parentage, counts, ordering — is deterministic.
 TIMING_FIELDS = ("total_ms", "mean_ms", "min_ms", "max_ms")
-
-_SHARD_NAME_RE = re.compile(r"^point-(\d+)\.rep-(\d+)$")
 
 
 class SpanIdAllocator:
@@ -100,9 +98,9 @@ class SpanIdAllocator:
 class TraceContext:
     """The deterministic identity a span tree grows under.
 
-    Picklable by design: it rides a :class:`~repro.perf.executor.
-    SweepWorkItem` into spawn workers, which derive their repetition
-    span ids from it with no coordination.
+    Span ids derive from it by walking the name path, so the parent
+    rebuilds any repetition's subtree from ``(point, repetition,
+    profile)`` with no coordination.
     """
 
     trace_id: str
@@ -216,36 +214,6 @@ def build_repetition_spans(
     return spans
 
 
-def shard_filename(point_index: int, repetition: int) -> str:
-    """The canonical shard name of one work item (sort-stable)."""
-    return f"point-{int(point_index):04d}.rep-{int(repetition):04d}.ndjson"
-
-
-def write_shard(
-    path: Union[str, Path],
-    trace_id: str,
-    point_index: int,
-    repetition: int,
-    spans: Sequence[SpanRecord],
-) -> None:
-    """Atomically write one worker shard as ``trace/v2`` NDJSON."""
-    target = Path(path)
-    header = {
-        "schema": TRACE_V2_SCHEMA,
-        "trace_id": str(trace_id),
-        "shard": f"point-{int(point_index)}.rep-{int(repetition)}",
-        "spans": len(spans),
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(span.to_dict(), sort_keys=True) for span in spans)
-    try:
-        atomic_write_text(target, "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ObservabilityError(
-            f"cannot write trace shard {target}: {exc}"
-        ) from exc
-
-
 def _check_schema(path: Union[str, Path], header: Dict) -> None:
     schema = header.get("schema")
     if schema == TRACE_V2_SCHEMA:
@@ -268,11 +236,9 @@ def load_spans(
     """Load one ``trace/v2`` file; returns ``(header, spans)``.
 
     Validates the header schema (a ``trace/v1`` file raises an error
-    naming both versions), an optional trailing footer, and the declared
-    span count.
+    naming both versions) and the header's declared span count.
     """
     header: Optional[Dict] = None
-    footer: Optional[Dict] = None
     spans: List[SpanRecord] = []
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
@@ -294,13 +260,6 @@ def load_spans(
                     _check_schema(path, line)
                     header = line
                     continue
-                if footer is not None:
-                    raise ObservabilityError(
-                        f"trace file {path} has span lines after its footer"
-                    )
-                if line.get("schema") == TRACE_V2_SCHEMA and line.get("footer"):
-                    footer = line
-                    continue
                 spans.append(SpanRecord.from_dict(line))
     except OSError as exc:
         raise ObservabilityError(
@@ -308,9 +267,7 @@ def load_spans(
         ) from exc
     if header is None:
         raise ObservabilityError(f"trace file {path} is empty (no header line)")
-    declared = (
-        footer.get("spans") if footer is not None else header.get("spans")
-    )
+    declared = header.get("spans")
     if declared is not None and int(declared) != len(spans):
         raise ObservabilityError(
             f"trace file {path} declares {declared} spans but contains "
@@ -319,47 +276,30 @@ def load_spans(
     return header, spans
 
 
-def _shard_key(path: Path, header: Dict) -> Tuple[int, int]:
-    """The submission-order key ``(point, rep)`` of one shard."""
-    match = _SHARD_NAME_RE.match(str(header.get("shard", "")))
-    if match is None:
-        raise ObservabilityError(
-            f"trace shard {path} has no 'point-<i>.rep-<j>' shard label "
-            f"(got {header.get('shard')!r})"
-        )
-    return int(match.group(1)), int(match.group(2))
-
-
 def merge_shards(
     trace_id: str,
-    shard_paths: Iterable[Union[str, Path]],
+    shards: Iterable[Tuple[int, int, Optional[Dict]]],
     job_name: Optional[str] = None,
 ) -> List[SpanRecord]:
-    """Fold worker shards into one causally-ordered per-job span list.
+    """Fold per-repetition span profiles into one per-job span list.
 
-    Shards are sorted by their ``(point, repetition)`` submission key —
-    **never** by argument or completion order — so the merge is
-    invariant under any shuffling of ``shard_paths`` (the
-    ``merge_snapshot`` discipline, applied to traces).  Every shard must
-    carry the job's ``trace_id``; a stray shard from another job is a
-    hard error, not a silent mix-up.
+    ``shards`` are ``(point, repetition, profile)`` triples: what each
+    work item returned, or what the journal replayed.  Each becomes its
+    repetition subtree through :func:`build_repetition_spans`, ordered
+    by the ``(point, repetition)`` submission key — **never** by argument
+    or completion order — so the merge is invariant under any shuffling
+    of ``shards`` (the ``merge_snapshot`` discipline, applied to traces).
 
     The result starts with the root ``job`` span and one synthetic
     ``point-<i>`` span per sweep point (timing folded up from its
     repetitions), followed by each repetition subtree in order.
     """
     root = TraceContext.for_job(trace_id)
-    loaded: List[Tuple[Tuple[int, int], List[SpanRecord]]] = []
-    for path in shard_paths:
-        path = Path(path)
-        header, spans = load_spans(path)
-        if header.get("trace_id") != trace_id:
-            raise ObservabilityError(
-                f"trace shard {path} belongs to trace "
-                f"{header.get('trace_id')!r}, not {trace_id!r}"
-            )
-        loaded.append((_shard_key(path, header), spans))
-    loaded.sort(key=lambda item: item[0])
+    by_point: Dict[int, List[List[SpanRecord]]] = {}
+    for point, rep, profile in sorted(shards, key=lambda shard: shard[:2]):
+        by_point.setdefault(point, []).append(
+            build_repetition_spans(root, point, rep, profile)
+        )
 
     job_span = SpanRecord(
         span_id=root.span_id,
@@ -368,33 +308,26 @@ def merge_shards(
         count=1,
     )
     merged: List[SpanRecord] = [job_span]
-    by_point: Dict[int, List[Tuple[int, List[SpanRecord]]]] = {}
-    for (point, rep), spans in loaded:
-        by_point.setdefault(point, []).append((rep, spans))
-    job_total = 0.0
-    job_timed = False
-    for point in sorted(by_point):
+    point_totals: List[float] = []
+    for point, subtrees in by_point.items():
         point_context = root.child(f"point-{point}")
         point_span = SpanRecord(
             span_id=point_context.span_id,
             parent_id=point_context.parent_id,
             name=f"point-{point}",
-            count=len(by_point[point]),
+            count=len(subtrees),
         )
         merged.append(point_span)
-        total = 0.0
-        timed = False
-        for _rep, spans in sorted(by_point[point], key=lambda item: item[0]):
+        rep_totals = []
+        for spans in subtrees:
             merged.extend(spans)
-            if spans and spans[0].total_ms is not None:
-                total += spans[0].total_ms
-                timed = True
-        if timed:
-            point_span.total_ms = total
-            job_total += total
-            job_timed = True
-    if job_timed:
-        job_span.total_ms = job_total
+            if spans[0].total_ms is not None:
+                rep_totals.append(spans[0].total_ms)
+        if rep_totals:
+            point_span.total_ms = sum(rep_totals)
+            point_totals.append(point_span.total_ms)
+    if point_totals:
+        job_span.total_ms = sum(point_totals)
     return merged
 
 

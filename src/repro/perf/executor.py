@@ -31,7 +31,6 @@ Determinism contract
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional
 
 import repro.obs as obs
@@ -39,12 +38,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     RepetitionMeasurement,
     run_comparison_repetition,
-)
-from repro.obs.tracing import (
-    TraceContext,
-    build_repetition_spans,
-    shard_filename,
-    write_shard,
 )
 
 if TYPE_CHECKING:
@@ -68,12 +61,6 @@ class SweepWorkItem:
     #: MetricsRecorder` and ships its snapshot/profile back for the
     #: parent to merge (deterministically, in submission order).
     collect_metrics: bool = False
-    #: Deterministic trace identity for this job (``trace/v2``); when set
-    #: together with ``trace_dir`` and ``collect_metrics``, the worker
-    #: writes one span shard per repetition as it completes.
-    trace: Optional[TraceContext] = None
-    #: Directory receiving ``point-NNNN.rep-NNNN.ndjson`` shards.
-    trace_dir: Optional[str] = None
     #: Fault cocktail for a chaos repetition (ADDC under injected
     #: faults); ``None`` runs the ADDC-vs-Coolest comparison.
     chaos: Optional["ChaosOptions"] = None
@@ -85,7 +72,9 @@ class RepetitionOutcome:
 
     ``metrics`` is the worker's recorder snapshot when metrics were
     collected; a chaos repetition always carries its per-repetition
-    resilience record under ``metrics["chaos"]``.
+    resilience record under ``metrics["chaos"]``.  ``profile`` is the
+    worker's span profile, from which the parent builds the repetition's
+    ``trace/v2`` subtree.
     """
 
     point_index: int
@@ -120,21 +109,6 @@ def execute_work_item(item: SweepWorkItem) -> RepetitionOutcome:
             measurement, record = _run_repetition(item)
         metrics = recorder.snapshot()
         profile = recorder.profile()
-        if item.trace is not None and item.trace_dir is not None:
-            # One trace/v2 shard per repetition.  Span identity derives
-            # only from the job fingerprint and (point, repetition), so a
-            # crashed-and-resumed sweep re-derives identical shards from
-            # its journalled profiles.
-            write_shard(
-                Path(item.trace_dir)
-                / shard_filename(item.point_index, item.repetition),
-                item.trace.trace_id,
-                item.point_index,
-                item.repetition,
-                build_repetition_spans(
-                    item.trace, item.point_index, item.repetition, profile
-                ),
-            )
     else:
         measurement, record = _run_repetition(item)
     if record is not None:

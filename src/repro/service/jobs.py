@@ -38,7 +38,7 @@ from repro.faults.sweep import (
 from repro.harness import RetryPolicy, SweepRunResult, run_checkpointed_sweep
 from repro.harness.sweep import sweep_fingerprint
 from repro.obs.manifest import RunManifest, build_manifest
-from repro.obs.tracing import TraceContext, merge_shards, write_trace
+from repro.obs.tracing import merge_shards, write_trace
 
 __all__ = [
     "JOB_KINDS",
@@ -226,19 +226,19 @@ class JobSpec:
 
 @dataclass
 class JobRunResult:
-    """What one executed job hands back (exactly one side is set)."""
+    """What one executed job hands back.
+
+    ``sweep`` is the harness run, with every surviving repetition's
+    outcome; a chaos job also sets ``chaos``, its resilience view.
+    """
 
     spec: JobSpec
-    sweep: Optional[SweepRunResult] = None
+    sweep: SweepRunResult
     chaos: Optional[ChaosSweepResult] = None
 
     @property
-    def _result(self):
-        return self.chaos if self.chaos is not None else self.sweep
-
-    @property
     def status(self) -> str:
-        return self._result.status
+        return self.sweep.status
 
     @property
     def complete(self) -> bool:
@@ -246,19 +246,19 @@ class JobRunResult:
 
     @property
     def points(self) -> List[Tuple[float, ComparisonPoint]]:
-        return self.sweep.points if self.sweep is not None else []
+        return self.sweep.points
 
     @property
     def failures(self) -> List[Dict]:
-        return [record.to_dict() for record in self._result.failures]
+        return [record.to_dict() for record in self.sweep.failures]
 
     @property
     def cached_items(self) -> int:
-        return self._result.cached_items
+        return self.sweep.cached_items
 
     @property
     def resumed(self) -> bool:
-        return self._result.resumed
+        return self.sweep.resumed
 
     def manifest_extra(self, workers: int = 1) -> Dict:
         """The manifest ``extra`` block (same shape the CLI always wrote)."""
@@ -277,8 +277,6 @@ def run_job(
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
     progress=None,
-    trace: Optional[TraceContext] = None,
-    trace_dir: Optional[Union[str, Path]] = None,
     pool=None,
 ) -> JobRunResult:
     """Execute one job under the crash-safe harness.
@@ -287,8 +285,7 @@ def run_job(
     workers, durable journalling when ``checkpoint_path`` is given,
     fingerprint-checked resume, quarantine instead of abort.  Results
     are byte-identical for any worker count and any kill/resume history.
-    ``trace``/``trace_dir`` enable per-repetition ``trace/v2`` span
-    shards.  ``pool`` injects a caller-owned
+    ``pool`` injects a caller-owned
     :class:`~repro.perf.pool.WarmWorkerPool` that stays warm across jobs
     (the daemon's cross-job pool).
     """
@@ -302,8 +299,6 @@ def run_job(
         workers=workers,
         policy=policy,
         progress=progress,
-        trace=trace,
-        trace_dir=trace_dir,
         pool=pool,
         chaos=chaos,
     )
@@ -311,6 +306,7 @@ def run_job(
         config = spec.config()
         return JobRunResult(
             spec=spec,
+            sweep=result,
             chaos=ChaosSweepResult.from_run(
                 config, chaos, config.repetitions, result
             ),
@@ -360,19 +356,18 @@ def execute_job(
     the ambient recorder afterwards so daemon-level totals still add up.
 
     Every job is traced end to end: the trace id **is** the job
-    fingerprint, workers drop one ``trace/v2`` shard per repetition next
-    to the journal (``<base>/trace/``), and the shards merge — always in
-    submission order, whatever order workers finished in — into
-    ``<base>/trace.ndjson``, where ``<base>`` is the journal's directory
-    (or the artifact's, when running without a journal).
+    fingerprint, and the span profiles the repetitions returned (or the
+    journal replayed) merge — always in submission order, whatever order
+    workers finished in — into ``<base>/trace.ndjson``, where ``<base>``
+    is the journal's directory (or the artifact's, when running without
+    a journal).  Every durable write of the job happens in this process.
     """
     base = (
         Path(checkpoint_path).parent
         if checkpoint_path is not None
         else Path(artifact_path).parent
     )
-    trace_context = TraceContext.for_job(spec.fingerprint())
-    trace_dir = base / "trace"
+    base.mkdir(parents=True, exist_ok=True)
     recorder = obs.MetricsRecorder()
     started = obs.monotonic_s()
     with obs.use_recorder(recorder):
@@ -383,8 +378,6 @@ def execute_job(
             workers=workers,
             policy=policy,
             progress=progress,
-            trace=trace_context,
-            trace_dir=trace_dir,
             pool=pool,
         )
         manifest_extra = result.manifest_extra(workers)
@@ -400,11 +393,15 @@ def execute_job(
     if obs.enabled():
         obs.merge_snapshot(recorder.snapshot(), recorder.profile())
     save_job_artifact(result, artifact_path, manifest=manifest)
-    if trace_dir.exists():
-        shards = sorted(trace_dir.glob("point-*.rep-*.ndjson"))
-        if shards:
-            spans = merge_shards(
-                trace_context.trace_id, shards, job_name=spec.sweep_name()
-            )
-            write_trace(base / "trace.ndjson", trace_context.trace_id, spans)
+    if result.sweep.outcomes:
+        trace_id = spec.fingerprint()
+        spans = merge_shards(
+            trace_id,
+            [
+                (outcome.point_index, outcome.repetition, outcome.profile)
+                for outcome in result.sweep.outcomes
+            ],
+            job_name=spec.sweep_name(),
+        )
+        write_trace(base / "trace.ndjson", trace_id, spans)
     return result

@@ -158,12 +158,39 @@ def test_main_runs_the_requested_pairs_alternating(tmp_path, monkeypatch, capsys
         order.append(tree.name)
         return run(wall=1.0 if tree.name == "base" else 0.5)
 
+    def fake_compile(tree):
+        order.append(f"compile {tree.name}")
+        return True
+
     monkeypatch.setattr(gate, "run_once", fake_run)
+    monkeypatch.setattr(gate, "compile_tree", fake_compile)
     assert gate.main([str(base_tree), str(change_tree), "--pairs", "4"]) == 0
-    assert order == ["base", "change", "change", "base"] * 2
+    # Both trees are byte-compiled before the first run.
+    assert order[:2] == ["compile base", "compile change"]
+    assert order[2:] == ["base", "change", "change", "base"] * 2
     out = capsys.readouterr().out
     assert "change better in 4 of 4 pairs; claim: yes" in out
     assert "E2E GATE: PASS (fig6c-sweep, 4 pairs)" in out
     order.clear()
     assert gate.main([str(base_tree), str(change_tree)]) == 0
-    assert len(order) == 2 * gate.PAIRS == 6
+    assert len(order) == 2 + 2 * gate.PAIRS == 8
+
+
+def test_a_tree_that_does_not_compile_stops_the_gate(tmp_path, monkeypatch, capsys):
+    base_tree, change_tree = tmp_path / "base", tmp_path / "change"
+    for tree in (base_tree, change_tree):
+        (tree / "src").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text(
+            '{"run_seconds": 0, "end_to_end": '
+            '[{"name": "wall_s", "better": "lower", "bound": 0.25}]}'
+        )
+    (change_tree / "src" / "broken.py").write_text("def f(:\n")
+    assert gate.compile_tree(base_tree)
+    assert not gate.compile_tree(change_tree)
+
+    def never(tree, seconds):
+        raise AssertionError("a run started although a tree did not compile")
+
+    monkeypatch.setattr(gate, "run_once", never)
+    assert gate.main([str(base_tree), str(change_tree)]) == 2
+    assert "cannot byte-compile" in capsys.readouterr().out

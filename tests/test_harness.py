@@ -600,8 +600,6 @@ class TestCheckpointedSweep:
         )
         (chaos_dir / "artifact.json").unlink()
         (chaos_dir / "trace.ndjson").unlink()
-        for shard in (chaos_dir / "trace").glob("*.ndjson"):
-            shard.unlink()
         assert run_chaos_job(chaos_dir, workers=workers, resume=True) == (
             reference
         )

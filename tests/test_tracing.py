@@ -5,10 +5,13 @@ The acceptance contract:
 * **identity** — every id in a trace is deterministic: the trace id is
   the job fingerprint, span ids walk the name path, and no clock or
   randomness participates;
-* **merging** — shards fold in submission order, so the merged trace is
-  invariant under any worker completion order;
+* **merging** — ``(point, repetition, profile)`` triples fold in
+  submission order, so the merged trace is invariant under any worker
+  completion order;
 * **resume** — a job replayed from its checkpoint journal re-derives a
   trace structurally identical to the uninterrupted run;
+* **one writer** — the parent writes ``trace.ndjson`` from the outcomes
+  it holds; no per-repetition files exist;
 * **schema hygiene** — loading a ``trace/v1`` file with the v2 loader
   (or vice versa) fails loudly, naming both versions.
 """
@@ -16,7 +19,6 @@ The acceptance contract:
 from __future__ import annotations
 
 import json
-import pickle
 import random
 
 import pytest
@@ -24,6 +26,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.errors import ObservabilityError
+from repro.harness import FAIL_FAST
 from repro.obs.tracing import (
     TIMING_FIELDS,
     TRACE_V2_SCHEMA,
@@ -34,11 +37,9 @@ from repro.obs.tracing import (
     load_spans,
     merge_shards,
     render_tree,
-    shard_filename,
     span_stats,
     structural_form,
     structure_digest,
-    write_shard,
     write_trace,
 )
 from repro.service.jobs import JobSpec, execute_job
@@ -63,7 +64,7 @@ def tiny_spec(**kwargs) -> JobSpec:
 
 
 def _profile(slot_ms: float) -> dict:
-    """A minimal worker span profile, parameterized for distinct shards."""
+    """A minimal worker span profile, parameterized for distinct reps."""
     return {
         "sweep.repetition": {
             "count": 1,
@@ -109,11 +110,6 @@ class TestTraceContext:
         assert rep.parent_id == "job/point-3"
         assert rep.trace_id == "abc"
 
-    def test_context_is_picklable_for_spawn_workers(self):
-        context = TraceContext.for_job("abc").child("point-0")
-        clone = pickle.loads(pickle.dumps(context))
-        assert clone == context
-
     def test_allocator_numbers_repeats(self):
         allocator = SpanIdAllocator()
         assert allocator.allocate("sensing") == "sensing"
@@ -132,25 +128,32 @@ class TestTraceContext:
 
 
 # --------------------------------------------------------------------------- #
-# shard io
+# trace file io
 # --------------------------------------------------------------------------- #
+
+
+def _triples():
+    """Three points of two repetitions, each with a distinct profile."""
+    triples = []
+    slot_ms = 1.0
+    for point in range(3):
+        for rep in range(2):
+            triples.append((point, rep, _profile(slot_ms)))
+            slot_ms += 0.5
+    return triples
 
 
 class TestShardIO:
     def test_round_trip(self, tmp_path):
-        context = TraceContext.for_job("abc")
-        spans = build_repetition_spans(context, 0, 0, _profile(2.0))
-        path = tmp_path / shard_filename(0, 0)
-        write_shard(path, "abc", 0, 0, spans)
+        spans = merge_shards("abc", _triples(), job_name="demo")
+        path = tmp_path / "trace.ndjson"
+        write_trace(path, "abc", spans)
         header, loaded = load_spans(path)
         assert header["schema"] == TRACE_V2_SCHEMA
         assert header["trace_id"] == "abc"
-        assert header["shard"] == "point-0.rep-0"
+        assert header["merged"] is True
+        assert header["spans"] == len(spans)
         assert [s.to_dict() for s in loaded] == [s.to_dict() for s in spans]
-
-    def test_shard_filename_is_sort_stable(self):
-        names = [shard_filename(p, r) for p in (0, 2, 10) for r in (0, 3)]
-        assert names == sorted(names)
 
     def test_declared_count_mismatch_raises(self, tmp_path):
         path = tmp_path / "bad.ndjson"
@@ -198,33 +201,14 @@ class TestShardIO:
     def test_trace_stats_dispatches_on_schema(self, tmp_path):
         """The stats scanner serves both eras from one entry point."""
         path = tmp_path / "trace.ndjson"
-        context = TraceContext.for_job("abc")
         write_trace(
-            path,
-            "abc",
-            merge_shards(
-                "abc",
-                [self._shard(tmp_path, context, 0, 0)],
-                job_name="demo",
-            ),
+            path, "abc", merge_shards("abc", [(0, 0, _profile(2.0))], "demo")
         )
         stats = obs.trace_stats(path, top=2)
         assert stats["schema"] == TRACE_V2_SCHEMA
         assert stats["trace_id"] == "abc"
         assert "engine.slot" in stats["names"]
         assert len(stats["slowest"]) == 2
-
-    @staticmethod
-    def _shard(tmp_path, context, point, rep, slot_ms=2.0):
-        path = tmp_path / shard_filename(point, rep)
-        write_shard(
-            path,
-            context.trace_id,
-            point,
-            rep,
-            build_repetition_spans(context, point, rep, _profile(slot_ms)),
-        )
-        return path
 
 
 # --------------------------------------------------------------------------- #
@@ -233,27 +217,13 @@ class TestShardIO:
 
 
 class TestMergeShards:
-    def _shards(self, tmp_path, context):
-        paths = []
-        slot_ms = 1.0
-        for point in range(3):
-            for rep in range(2):
-                paths.append(
-                    TestShardIO._shard(
-                        tmp_path, context, point, rep, slot_ms=slot_ms
-                    )
-                )
-                slot_ms += 0.5
-        return paths
-
-    def test_merge_is_invariant_under_shard_order(self, tmp_path):
+    def test_merge_is_invariant_under_shard_order(self):
         """Any worker completion order merges to the same trace."""
-        context = TraceContext.for_job("abc")
-        paths = self._shards(tmp_path, context)
-        reference = merge_shards("abc", paths, job_name="demo")
+        triples = _triples()
+        reference = merge_shards("abc", triples, job_name="demo")
         rng = random.Random(7)
         for _ in range(5):
-            shuffled = list(paths)
+            shuffled = list(triples)
             rng.shuffle(shuffled)
             merged = merge_shards("abc", shuffled, job_name="demo")
             assert [s.to_dict() for s in merged] == [
@@ -261,10 +231,8 @@ class TestMergeShards:
             ]
             assert structure_digest(merged) == structure_digest(reference)
 
-    def test_point_spans_fold_repetition_timing(self, tmp_path):
-        context = TraceContext.for_job("abc")
-        paths = self._shards(tmp_path, context)
-        merged = merge_shards("abc", paths, job_name="demo")
+    def test_point_spans_fold_repetition_timing(self):
+        merged = merge_shards("abc", _triples(), job_name="demo")
         assert merged[0].span_id == "job"
         assert merged[0].name == "demo"
         by_id = {span.span_id: span for span in merged}
@@ -278,16 +246,6 @@ class TestMergeShards:
         assert merged[0].total_ms == pytest.approx(
             sum(by_id[f"job/point-{p}"].total_ms for p in range(3))
         )
-
-    def test_foreign_shard_is_a_hard_error(self, tmp_path):
-        ours = TraceContext.for_job("abc")
-        theirs = TraceContext.for_job("def")
-        paths = [
-            TestShardIO._shard(tmp_path, ours, 0, 0),
-            TestShardIO._shard(tmp_path, theirs, 0, 1),
-        ]
-        with pytest.raises(ObservabilityError, match="belongs to trace"):
-            merge_shards("abc", paths)
 
     def test_structural_form_strips_only_timing(self):
         span = SpanRecord(
@@ -303,13 +261,8 @@ class TestMergeShards:
             "count": 3,
         }
 
-    def test_render_tree_indents_by_parentage(self, tmp_path):
-        context = TraceContext.for_job("abc")
-        merged = merge_shards(
-            "abc",
-            [TestShardIO._shard(tmp_path, context, 0, 0)],
-            job_name="demo",
-        )
+    def test_render_tree_indents_by_parentage(self):
+        merged = merge_shards("abc", [(0, 0, _profile(2.0))], job_name="demo")
         text = render_tree("abc", merged)
         lines = text.splitlines()
         assert lines[0].startswith("trace abc")
@@ -387,7 +340,7 @@ class TestJobTraceLifecycle:
 
     def test_resumed_job_recreates_the_same_trace_structure(self, tmp_path):
         """Kill-and-resume merges to the uninterrupted trace, bit for bit
-        in structure: the journal replays re-derive identical shards."""
+        in structure: journal replays carry the profiles fresh runs do."""
         spec = tiny_spec()
         execute_job(
             spec,
@@ -396,11 +349,9 @@ class TestJobTraceLifecycle:
         )
         _header, reference = load_spans(tmp_path / "trace.ndjson")
 
-        # SIGKILL aftermath: the merged trace and every shard are gone,
-        # only the durable journal survives.
+        # SIGKILL aftermath: the merged trace is gone, only the durable
+        # journal survives.
         (tmp_path / "trace.ndjson").unlink()
-        for shard in (tmp_path / "trace").glob("*.ndjson"):
-            shard.unlink()
         (tmp_path / "artifact.json").unlink()
 
         execute_job(
@@ -467,3 +418,42 @@ class TestJobTraceLifecycle:
         span_ids = {span.span_id for span in spans}
         assert "job/point-0/rep-0" in span_ids
         assert "engine.slot" in {span.name for span in spans}
+
+    def test_job_into_a_fresh_directory_writes_no_per_rep_files(self, tmp_path):
+        """The job creates its directory and writes only the artifact,
+        its manifest, the journal and the merged trace."""
+        spec = tiny_spec(repetitions=1)
+        job_dir = tmp_path / "jobs" / spec.fingerprint()
+        execute_job(
+            spec,
+            job_dir / "artifact.json",
+            checkpoint_path=job_dir / "journal.ndjson",
+        )
+        assert (job_dir / "trace.ndjson").is_file()
+        assert not (job_dir / "trace").exists()
+        assert all(path.is_file() for path in job_dir.iterdir())
+
+    def test_quarantined_repetition_leaves_no_span(self, tmp_path, monkeypatch):
+        import repro.perf.executor as executor_module
+
+        real = executor_module.execute_work_item
+
+        def poisoned(item):
+            if item.repetition == 1:
+                raise ValueError("deterministic poison")
+            return real(item)
+
+        monkeypatch.setattr(executor_module, "execute_work_item", poisoned)
+        spec = tiny_spec(repetitions=3)
+        result = execute_job(
+            spec,
+            tmp_path / "artifact.json",
+            checkpoint_path=tmp_path / "journal.ndjson",
+            policy=FAIL_FAST,
+        )
+        assert result.status == "partial"
+        _header, spans = load_spans(tmp_path / "trace.ndjson")
+        reps = sorted(span.name for span in spans if span.name.startswith("rep-"))
+        assert reps == ["rep-0", "rep-2"]
+        by_id = {span.span_id: span for span in spans}
+        assert by_id["job/point-0"].count == 2
