@@ -77,7 +77,7 @@ __all__ = [
 #: The gate's fixed seed: the grid is a regression surface, not a survey.
 GATE_SEED = 20120612
 
-#: The tiny topology every scenario simulates on (the service smoke's).
+#: The tiny topology every scenario simulates on.
 _TINY = {"area": 900.0, "num_pus": 4, "num_sus": 20, "max_slots": 200_000}
 
 

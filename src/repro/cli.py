@@ -22,13 +22,12 @@ Commands
 ``trace``      NDJSON traces: ``export`` (stream a run's events to disk),
                ``stats`` (summarize a trace/v1 or trace/v2 file), and
                ``tree`` (render a job's merged trace/v2 span tree)
-``checkpoint`` crash-safe journals: ``inspect`` (summarize), ``verify``
-               (validate), ``smoke`` (run/kill/resume byte-identity check)
+``checkpoint`` crash-safe journals: ``inspect`` (summarize) and ``verify``
+               (validate)
 ``serve``      run the fault-tolerant experiment daemon (service/v1 over
                a local AF_UNIX socket; see docs/SERVICE.md)
 ``service``    talk to a running daemon: ``submit``, ``status``, ``top``
-               (live telemetry), ``result``, ``ping``, ``shutdown``, and
-               ``smoke`` (CI kill/restart/cache end-to-end check)
+               (live telemetry), ``result``, ``ping`` and ``shutdown``
 
 ``fig6``, ``compare`` and ``chaos`` are jobs: each builds the same
 :class:`~repro.service.jobs.JobSpec` that ``service submit`` sends and runs
@@ -91,9 +90,8 @@ def _collect(config: ExperimentConfig, label: str, activity=None, **options):
     """One ADDC collection on a fresh deployment drawn from lineage ``label``.
 
     The RNG stream layout depends only on ``config.seed`` and ``label``, so
-    two calls with the same arguments replay the identical simulation —
-    which is what the determinism smoke check exploits.  ``options`` go
-    to :func:`~repro.core.collector.run_addc_collection`.
+    two calls with the same arguments replay the identical simulation.
+    ``options`` go to :func:`~repro.core.collector.run_addc_collection`.
     """
     streams = StreamFactory(config.seed).spawn(label)
     topology = deploy_crn(config.deployment_spec(), streams, activity=activity)
@@ -221,8 +219,7 @@ def _job_spec(args: argparse.Namespace):
         scale=args.scale,
         seed=args.seed,
         blocking=args.blocking,
-        # The CI smoke run is the same job at one repetition.
-        repetitions=1 if getattr(args, "smoke", False) else args.repetitions,
+        repetitions=args.repetitions,
         p_t=args.p_t,
         subfigure=args.subfigure if args.kind == "fig6" else None,
         chaos=chaos,
@@ -290,25 +287,6 @@ _RENDERERS = {
 }
 
 
-def _chaos_smoke_failure(records) -> Optional[str]:
-    """Why a chaos record breaks the delivery books, or ``None``."""
-    for record in records:
-        rep = record["repetition"]
-        delivered, lost = record["delivered"], record["packets_lost"]
-        if not record["completed"]:
-            return f"rep {rep} did not complete"
-        if delivered + lost != record["num_packets"]:
-            return (
-                f"rep {rep}: delivered + lost != expected "
-                f"({delivered} + {lost} != {record['num_packets']})"
-            )
-        if record["packets_orphaned"] > lost:
-            return f"rep {rep}: more orphans than losses"
-        if not 0.0 <= record["availability"] <= 1.0:
-            return f"rep {rep}: availability outside [0, 1]"
-    return None
-
-
 def _cmd_job(args: argparse.Namespace) -> int:
     """``fig6`` / ``compare`` / ``chaos``: run the job, render, save."""
     from repro import obs
@@ -341,13 +319,6 @@ def _cmd_job(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if getattr(args, "smoke", False):
-        # CI sanity run: the delivery books must balance exactly.
-        failure = _chaos_smoke_failure(job.chaos.records)
-        if failure is not None:
-            print(f"SMOKE FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("chaos smoke OK")
     save = getattr(args, "save", None)
     if save:
         # The manifest execute_job writes, minus the trace: two CLI runs
@@ -409,96 +380,11 @@ def _cmd_chaos_gate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _result_fingerprint(result) -> tuple:
-    """The outcome fields two identical runs must agree on exactly."""
-    return (
-        result.completed,
-        result.slots_simulated,
-        result.delivered,
-        result.delay_slots,
-        result.collisions,
-        result.total_transmissions,
-        result.packets_lost,
-    )
-
-
-def _obs_smoke(args: argparse.Namespace) -> int:
-    """CI sanity: instrumentation collects data and changes nothing."""
-    import json
-    import tempfile
-    from pathlib import Path
-
-    from repro import obs
-
-    config = _config_from(args).with_overrides(repetitions=1)
-    baseline = _collect(config, "cli-obs-smoke", with_bounds=False)
-
-    recorder = obs.MetricsRecorder()
-    start = obs.monotonic_s()
-    with obs.use_recorder(recorder):
-        instrumented = _collect(config, "cli-obs-smoke", with_bounds=False)
-    wall_time_s = obs.monotonic_s() - start
-
-    if _result_fingerprint(instrumented.result) != _result_fingerprint(
-        baseline.result
-    ):
-        print(
-            "SMOKE FAIL: instrumented run diverged from baseline "
-            f"({_result_fingerprint(instrumented.result)} != "
-            f"{_result_fingerprint(baseline.result)})",
-            file=sys.stderr,
-        )
-        return 1
-    profile = recorder.profile()
-    if "engine.slot" not in profile or "engine.run" not in profile:
-        print(
-            f"SMOKE FAIL: profile is missing engine spans ({sorted(profile)})",
-            file=sys.stderr,
-        )
-        return 1
-    if recorder.counters.get("engine.runs") != 1:
-        print(
-            "SMOKE FAIL: expected engine.runs == 1, got "
-            f"{recorder.counters.get('engine.runs')}",
-            file=sys.stderr,
-        )
-        return 1
-
-    manifest = obs.build_manifest(
-        seed=config.seed,
-        config=config,
-        wall_time_s=wall_time_s,
-        recorder=recorder,
-    )
-    path = Path(tempfile.mkdtemp()) / "smoke.manifest.json"
-    obs.write_manifest(path, manifest)
-    loaded = obs.load_manifest(path)
-    if not loaded.profile or loaded.config_hash != manifest.config_hash:
-        print(
-            "SMOKE FAIL: manifest did not round-trip through " f"{path}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json:
-        print(json.dumps(loaded.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(obs.render_report(loaded))
-    print("obs smoke OK")
-    return 0
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
     from repro import obs
 
-    if args.smoke:
-        return _obs_smoke(args)
-    if args.manifest is None:
-        print(
-            "obs report needs a manifest path (or --smoke)", file=sys.stderr
-        )
-        return 2
     manifest = obs.load_manifest(args.manifest)
     if args.json:
         print(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
@@ -675,93 +561,6 @@ def _cmd_checkpoint_verify(args: argparse.Namespace) -> int:
     for problem in problems:
         print(f"{args.path}: {problem}", file=sys.stderr)
     return 1
-
-
-def _cmd_checkpoint_smoke(args: argparse.Namespace) -> int:
-    """CI resume smoke: run, tear the journal mid-record, resume, compare.
-
-    Simulates the exact on-disk state a ``SIGKILL`` leaves behind — a
-    journal cut mid-line — then asserts the resumed sweep's saved artifact
-    is byte-identical to the uninterrupted run's.  (The real signal-driven
-    kill tests live in ``tests/test_harness.py``; this check is the fast,
-    deterministic CI variant.)
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro import obs
-    from repro.harness import verify_checkpoint
-    from repro.service.jobs import JobSpec, run_job, save_job_artifact
-
-    spec = JobSpec(
-        kind="fig6",
-        subfigure="c",
-        values=FIG6_SWEEPS["fig6c"].values[:2],
-        seed=20120612,
-        repetitions=2,
-        overrides={
-            "area": 30.0 * 30.0,
-            "num_pus": 4,
-            "num_sus": 20,
-            "max_slots": 200_000,
-        },
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        full_journal = base / "full.checkpoint.ndjson"
-        kill_journal = base / "kill.checkpoint.ndjson"
-        full = run_job(spec, checkpoint_path=full_journal, workers=args.workers)
-        save_job_artifact(full, base / "full.json")
-        run_job(spec, checkpoint_path=kill_journal, workers=args.workers)
-        # Tear the journal the way SIGKILL does: keep the header plus one
-        # whole record, then cut the next record mid-line.
-        lines = kill_journal.read_bytes().split(b"\n")
-        if len(lines) < 4:
-            print("SMOKE FAIL: journal too short to tear", file=sys.stderr)
-            return 1
-        kill_journal.write_bytes(
-            b"\n".join(lines[:2]) + b"\n" + lines[2][: len(lines[2]) // 2]
-        )
-        recorder = obs.MetricsRecorder()
-        with obs.use_recorder(recorder):
-            resumed = run_job(
-                spec,
-                checkpoint_path=kill_journal,
-                resume=True,
-                workers=args.workers,
-            )
-        save_job_artifact(resumed, base / "resumed.json")
-        if resumed.cached_items != 1:
-            print(
-                "SMOKE FAIL: expected 1 cached item after the tear, got "
-                f"{resumed.cached_items}",
-                file=sys.stderr,
-            )
-            return 1
-        if recorder.counters.get("harness.checkpoint.torn_tail") != 1:
-            print(
-                "SMOKE FAIL: torn tail was not detected "
-                f"({recorder.counters})",
-                file=sys.stderr,
-            )
-            return 1
-        full_bytes = (base / "full.json").read_bytes()
-        resumed_bytes = (base / "resumed.json").read_bytes()
-        if full_bytes != resumed_bytes:
-            print(
-                "SMOKE FAIL: resumed artifact differs from uninterrupted run",
-                file=sys.stderr,
-            )
-            return 1
-        problems = verify_checkpoint(kill_journal)
-        if problems:
-            print(
-                f"SMOKE FAIL: resumed journal fails verify: {problems}",
-                file=sys.stderr,
-            )
-            return 1
-    print("checkpoint smoke OK")
-    return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -958,153 +757,6 @@ def _cmd_service_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_service_smoke(args: argparse.Namespace) -> int:
-    """CI end-to-end daemon check: backpressure, SIGKILL recovery, cache.
-
-    Starts a real daemon subprocess with a capacity-1 queue, then
-    asserts the three service guarantees in order: a full queue answers
-    ``retry_after`` (never blocks), a SIGKILL'd daemon resumes its
-    backlog on restart and produces artifacts byte-identical to an
-    uninterrupted in-process run (RNG stream positions included), and a
-    repeat submission is served from the cache without admitting a job.
-    """
-    import json
-    import signal as _signal
-    import tempfile
-    from pathlib import Path
-
-    from repro.experiments.runner import run_comparison_repetition
-    from repro.harness import load_checkpoint
-    from repro.obs.clock import sleep_s
-    from repro.service.client import ServiceClient, spawn_daemon
-    from repro.service.jobs import JobSpec, run_job, save_job_artifact
-
-    tiny = {"area": 900.0, "num_pus": 4, "num_sus": 20, "max_slots": 200_000}
-    job_a = JobSpec(kind="compare", seed=20120612, repetitions=3, overrides=tiny)
-    job_b = JobSpec(kind="compare", seed=7, repetitions=1, overrides=tiny)
-    job_c = JobSpec(kind="compare", seed=8, repetitions=1, overrides=tiny)
-    fp_a = job_a.fingerprint()
-    fp_b = job_b.fingerprint()
-
-    def fail(message: str) -> int:
-        print(f"SMOKE FAIL: {message}", file=sys.stderr)
-        return 1
-
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        state = base / "state"
-        sock = base / "service.sock"
-        reference = base / "reference.json"
-        # The uninterrupted in-process reference the daemon must match.
-        save_job_artifact(run_job(job_a), reference)
-        client = ServiceClient(sock, timeout_s=60.0)
-
-        with spawn_daemon(sock, state, queue_capacity=1) as daemon:
-            if not client.wait_for_ping():
-                return fail("daemon never answered ping")
-            first = client.submit(job_a)
-            if first.get("type") != "accepted":
-                return fail(f"submit A answered {first.get('type')!r}")
-            # Wait for A to go in-flight so B takes the only queue slot.
-            for _ in range(200):
-                if client.status().get("inflight") == 1:
-                    break
-                sleep_s(0.05)
-            else:
-                return fail("job A never started")
-            second = client.submit(job_b)
-            if second.get("type") != "accepted":
-                return fail(f"submit B answered {second.get('type')!r}")
-            third = client.submit(job_c)
-            if third.get("type") != "retry_after":
-                return fail(
-                    "expected typed backpressure for a full queue, got "
-                    f"{third.get('type')!r}"
-                )
-            if not third.get("retry_after_s", 0) > 0:
-                return fail("retry_after carried no backoff hint")
-            # SIGKILL once job A has >= 1 durable repetition journalled.
-            journal = state / "jobs" / fp_a / "checkpoint.ndjson"
-            for _ in range(600):
-                if (
-                    journal.exists()
-                    and len(journal.read_bytes().split(b"\n")) >= 3
-                ):
-                    break
-                sleep_s(0.05)
-            else:
-                return fail("job A journalled nothing to kill over")
-            daemon.send_signal(_signal.SIGKILL)
-            daemon.wait(timeout=30)
-
-        interrupted = not (state / "cache" / f"{fp_a}.json").exists()
-
-        with spawn_daemon(sock, state, queue_capacity=1) as daemon:
-            if not client.wait_for_ping():
-                return fail("restarted daemon never answered ping")
-            if interrupted and client.status().get("jobs_recovered", 0) < 1:
-                return fail("restart recovered no jobs")
-            final_a = client.wait_for_result(fp_a)
-            final_b = client.wait_for_result(fp_b)
-            for label, final in (("A", final_a), ("B", final_b)):
-                if (
-                    final.get("type") != "completed"
-                    or final.get("status") != "complete"
-                ):
-                    return fail(
-                        f"job {label} ended {final.get('type')!r} "
-                        f"({final.get('status')!r})"
-                    )
-            artifact = (state / "cache" / f"{fp_a}.json").read_bytes()
-            if artifact != reference.read_bytes():
-                return fail(
-                    "recovered artifact differs from the uninterrupted "
-                    "reference run"
-                )
-            # RNG stream positions: the recovered journal must agree with
-            # a fresh in-process run, repetition by repetition.
-            entries = load_checkpoint(journal).entries
-            config_a = job_a.config()
-            for rep in range(config_a.repetitions):
-                expected = run_comparison_repetition(config_a, rep)
-                got = entries[(0, rep)].measurement.rng_positions
-                if got != expected.rng_positions:
-                    return fail(f"repetition {rep} RNG positions diverged")
-            before = client.status()
-            hit = client.submit(job_a)
-            if hit.get("type") != "cache_hit":
-                return fail(
-                    f"resubmission answered {hit.get('type')!r}, "
-                    "expected cache_hit"
-                )
-            if not hit.get("provenance", {}).get("fingerprint") == fp_a:
-                return fail("cache hit carried no provenance record")
-            after = client.status()
-            if after.get("jobs_admitted") != before.get("jobs_admitted"):
-                return fail("cache hit still admitted a job (compute leak)")
-            if after.get("cache_hits", 0) < 1:
-                return fail("cache_hits counter did not move")
-            if not interrupted:
-                print(
-                    "note: job A completed before the SIGKILL landed; "
-                    "identity checks still cover the journal"
-                )
-            if client.shutdown().get("type") != "draining":
-                return fail("shutdown was not acknowledged with draining")
-            daemon.wait(timeout=120)
-
-        snapshot_path = state / "service-state.json"
-        if not snapshot_path.exists():
-            return fail("drain left no service-state snapshot")
-        snapshot = json.loads(snapshot_path.read_text())
-        if snapshot.get("schema") != "service-state/v1":
-            return fail(f"snapshot schema is {snapshot.get('schema')!r}")
-        if not (state / "service-state.manifest.json").exists():
-            return fail("drain left no manifest next to the snapshot")
-    print("service smoke OK")
-    return 0
-
-
 def _add_scale_options(
     parser: argparse.ArgumentParser, repetitions: bool = False
 ) -> None:
@@ -1129,12 +781,12 @@ def _add_scale_options(
     parser.add_argument("--p-t", type=float, default=None, help="override p_t")
 
 
-def _add_workers(parser: argparse.ArgumentParser, default: int = 1) -> None:
+def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=default,
-        help=f"worker processes (default: {default}; 1 = serial; results "
+        default=1,
+        help="worker processes (default: 1; 1 = serial; results "
         "are identical for any value)",
     )
 
@@ -1288,11 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
         commands, "chaos", "ADDC over repeated deployments under faults"
     )
     _add_chaos_options(chaos)
-    chaos.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast CI mode: one repetition plus accounting checks",
-    )
     chaos_sub = chaos.add_subparsers(dest="chaos_command")
     gate = chaos_sub.add_parser(
         "gate",
@@ -1380,21 +1027,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_commands = obs_parser.add_subparsers(dest="obs_command", required=True)
 
-    obs_report = obs_commands.add_parser(
-        "report", help="render a run manifest (or --smoke self-check)"
-    )
-    obs_report.add_argument(
-        "manifest", nargs="?", default=None, help="path to a *.manifest.json"
-    )
+    obs_report = obs_commands.add_parser("report", help="render a run manifest")
+    obs_report.add_argument("manifest", help="path to a *.manifest.json")
     obs_report.add_argument(
         "--json", action="store_true", help="emit the manifest as JSON"
     )
-    obs_report.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI mode: instrumented run, determinism check, manifest round-trip",
-    )
-    _add_scale_options(obs_report)
     obs_report.set_defaults(handler=_cmd_obs_report)
 
     obs_export = obs_commands.add_parser(
@@ -1506,14 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkpoint_verify.set_defaults(handler=_cmd_checkpoint_verify)
 
-    checkpoint_smoke = checkpoint_commands.add_parser(
-        "smoke",
-        help="CI mode: run a tiny sweep, tear the journal, resume, "
-        "assert byte-identical artifacts",
-    )
-    _add_workers(checkpoint_smoke, default=2)
-    checkpoint_smoke.set_defaults(handler=_cmd_checkpoint_smoke)
-
     serve = commands.add_parser(
         "serve",
         help="run the fault-tolerant experiment daemon (service/v1)",
@@ -1600,14 +1229,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between snapshots (default: 2)",
     )
     service_top.set_defaults(handler=_cmd_service_top)
-
-    service_smoke = service_commands.add_parser(
-        "smoke",
-        help="CI mode: start a daemon, fill the queue, SIGKILL it "
-        "mid-run, restart, assert byte-identical recovery and a "
-        "cache hit",
-    )
-    service_smoke.set_defaults(handler=_cmd_service_smoke)
 
     lint = commands.add_parser(
         "lint",

@@ -5,7 +5,8 @@ running the scenario grid, so they pin the gate's *mechanics*: the
 manifest round-trips through the perf-ratchet differ, a gated figure
 moving the wrong way is a regression, ungated figures never gate, and
 the synthetic-violation canary actually fails a contract.  The grid
-itself is exercised by ``test_chaos_scenarios`` and the CI smoke run.
+itself is exercised by ``test_chaos_scenarios`` and the CI
+``chaos gate --smoke`` step.
 """
 
 from __future__ import annotations
@@ -182,6 +183,6 @@ class TestCliWiring:
         assert args.smoke and args.synthetic_violation
         assert args.baseline == "BENCH_resilience.json"
         # The flat `chaos` sweep is a job, not the gate.
-        flat = parser.parse_args(["chaos", "--smoke"])
+        flat = parser.parse_args(["chaos"])
         assert flat.handler is not _cmd_chaos_gate
         assert flat.kind == "chaos"

@@ -54,6 +54,8 @@ class TestChaosCheckpointResume:
 
         assert main(_chaos_args(tmp_path, "reference", [])) == 0
         reference = (tmp_path / "reference.json").read_bytes()
+        records = json.loads(reference)["repetitions"]
+        assert all(0.0 <= record["availability"] <= 1.0 for record in records)
 
         assert (
             main(
@@ -116,8 +118,6 @@ class TestServiceCli:
         assert serve.socket == submit.socket
         assert serve.queue_capacity == 4
         assert submit.scale == "quick"
-        smoke = parser.parse_args(["service", "smoke"])
-        assert smoke.service_command == "smoke"
 
     def test_submit_spec_matches_one_shot_fingerprints(self):
         """A ``service submit`` spec and the equivalent one-shot CLI run

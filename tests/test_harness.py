@@ -579,6 +579,8 @@ class TestCheckpointedSweep:
         assert resumed.resumed
         assert resumed.cached_items == 1
         assert resumed.status == "complete"
+        # The repaired, resumed journal is itself a valid journal.
+        assert verify_checkpoint(journal) == []
         assert _artifact_bytes(
             tmp_path, f"resumed-{workers}", "fig6c", resumed.points
         ) == _artifact_bytes(tmp_path, f"plain-{workers}", "fig6c", plain_points)

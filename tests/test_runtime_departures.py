@@ -6,6 +6,14 @@ import pytest
 
 from repro.core.collector import run_addc_collection
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults import FaultEvent, FaultPlan
+
+
+def crashes(*events):
+    """A fault plan of crash-stop departures, one per ``(slot, node)``."""
+    return FaultPlan.from_events(
+        [FaultEvent.crash(slot, node) for slot, node in events]
+    )
 
 
 class TestRuntimeDepartures:
@@ -14,7 +22,7 @@ class TestRuntimeDepartures:
             quick_topology,
             streams.spawn("dep-1"),
             blocking="homogeneous",
-            departure_schedule={50: [5], 300: [9, 14]},
+            fault_plan=crashes((50, 5), (300, 9), (300, 14)),
             with_bounds=False,
         )
         result = outcome.result
@@ -34,7 +42,7 @@ class TestRuntimeDepartures:
             quick_topology,
             streams.spawn("dep-2"),
             blocking="homogeneous",
-            departure_schedule={0: [7]},
+            fault_plan=crashes((0, 7)),
             with_bounds=False,
         )
         result = outcome.result
@@ -68,7 +76,7 @@ class TestRuntimeDepartures:
             quick_topology,
             streams.spawn("dep-5"),
             blocking="homogeneous",
-            departure_schedule={200: [relay]},
+            fault_plan=crashes((200, relay)),
             with_bounds=False,
         )
         result = outcome.result
@@ -96,7 +104,7 @@ class TestRuntimeDepartures:
             quick_topology,
             streams.spawn("dep-7"),
             blocking="homogeneous",
-            departure_schedule={1: [relay]},
+            fault_plan=crashes((1, relay)),
             with_bounds=False,
         )
         result = outcome.result
@@ -113,14 +121,14 @@ class TestRuntimeDepartures:
             run_addc_collection(
                 quick_topology,
                 streams.spawn("dep-8"),
-                departure_schedule={10: [0]},  # the base station
+                fault_plan=crashes((10, 0)),  # the base station
                 with_bounds=False,
             )
         with pytest.raises(ConfigurationError):
             run_addc_collection(
                 quick_topology,
                 streams.spawn("dep-9"),
-                departure_schedule={-3: [5]},
+                fault_plan=crashes((-3, 5)),
                 with_bounds=False,
             )
 
@@ -158,7 +166,7 @@ class TestRuntimeDepartures:
             streams=streams.spawn("dep-10"),
             alpha=4.0,
             eta_s=db_to_linear(8.0),
-            departure_schedule={5: [3]},
+            fault_plan=crashes((5, 3)),
             max_slots=100_000,
         )
         engine.load_snapshot()
@@ -171,7 +179,7 @@ class TestRuntimeDepartures:
                 quick_topology,
                 streams.spawn("dep-11"),
                 blocking="homogeneous",
-                departure_schedule={100: [4]},
+                fault_plan=crashes((100, 4)),
                 with_bounds=False,
             ).result
             for _ in range(2)

@@ -31,6 +31,7 @@ from repro.errors import (
     ProtocolError,
     ServiceError,
 )
+from repro.experiments.runner import run_comparison_repetition
 from repro.harness import RetryPolicy, load_checkpoint
 from repro.harness.sweep import sweep_fingerprint
 from repro.obs.manifest import build_manifest
@@ -800,6 +801,12 @@ class TestCrashRecovery:
             for key, entry in load_checkpoint(journal).entries.items()
         }
         assert resumed_positions == completed_positions
+        # ... and equal a fresh in-process recomputation, rep by rep.
+        config = spec.config()
+        assert resumed_positions == {
+            (0, rep): run_comparison_repetition(config, rep).rng_positions
+            for rep in range(config.repetitions)
+        }
 
 
 # --------------------------------------------------------------------------- #
