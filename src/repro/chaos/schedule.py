@@ -118,9 +118,9 @@ class ChaosSchedule:
 class ChaosWorker:
     """A picklable executor wrapper applying one :class:`ChaosSchedule`.
 
-    ``executor`` must be a top-level callable (PERF002: spawn workers
-    pickle by reference).  ``state_dir`` holds the first-attempt markers
-    and must exist on a filesystem all worker processes share.
+    ``executor`` must be a top-level callable: spawn workers pickle it by
+    reference.  ``state_dir`` holds the first-attempt markers and must
+    exist on a filesystem all worker processes share.
     """
 
     executor: Callable

@@ -402,9 +402,11 @@ def verify_checkpoint(
 ) -> List[str]:
     """Validate a journal read-only; returns human-readable problems.
 
-    Checks the schema header, every record's shape, duplicate
-    ``(point, repetition)`` keys, the item count against the header's
+    Checks the schema header and every record's shape (both through
+    :func:`load_checkpoint`), the item count against the header's
     ``total_items``, and (when given) the expected ``config_hash``.  A
+    duplicate ``(point, repetition)`` key is not reported: a sweep only
+    journals items its journal lacks, and the loader keeps the first.  A
     torn tail is reported but — unlike mid-file corruption — is not an
     error: resume repairs it.
     """

@@ -9,8 +9,6 @@ Examples
     Machine-readable findings and summary counts.
 ``reprolint --strict src/``
     Additionally report suppression comments that silence nothing.
-``reprolint --update-baseline src/``
-    Rewrite the committed baseline to cover exactly the current findings.
 ``reprolint --list-rules``
     Print the rule pack with ids and default severities.
 
@@ -24,7 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.lint.config import LintConfig
@@ -80,34 +78,19 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="also report unused suppression comments (SUP001)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of accepted findings "
-        "(default: config `baseline`; '' disables)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to cover exactly the current findings",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule pack and exit"
     )
     parser.set_defaults(handler=run)
 
 
-def _load_config(args: argparse.Namespace) -> Tuple[LintConfig, Path]:
-    """The effective config plus the directory baselines resolve against."""
+def _load_config(args: argparse.Namespace) -> LintConfig:
+    """The effective config: pyproject, then command-line overrides."""
     if args.config is not None:
-        config_path = Path(args.config)
-        config = LintConfig.from_pyproject(config_path)
-        base_dir = config_path.resolve().parent
+        config = LintConfig.from_pyproject(Path(args.config))
     else:
         start = Path(args.paths[0]) if args.paths else Path.cwd()
         start_dir = start if start.is_dir() else start.parent
         config = LintConfig.discover(start_dir if start.exists() else Path.cwd())
-        base_dir = Path.cwd()
     if args.select:
         config.select = [rule.strip() for rule in args.select.split(",") if rule.strip()]
     if args.ignore:
@@ -120,7 +103,7 @@ def _load_config(args: argparse.Namespace) -> Tuple[LintConfig, Path]:
         config.fail_on = Severity.from_name(args.fail_on)
     if args.strict:
         config.strict = True
-    return config, base_dir
+    return config
 
 
 def _print_report(report: LintReport, fmt: str, fail_on: Severity) -> None:
@@ -129,11 +112,6 @@ def _print_report(report: LintReport, fmt: str, fail_on: Severity) -> None:
             "diagnostics": [d.as_dict() for d in report.diagnostics],
             "files_checked": report.files_checked,
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
-            "stale_baseline": [
-                {"rule": entry.rule, "path": entry.path, "message": entry.message}
-                for entry in report.stale_baseline
-            ],
             "fail_on": str(fail_on),
         }
         print(json.dumps(payload, indent=2))
@@ -142,15 +120,9 @@ def _print_report(report: LintReport, fmt: str, fail_on: Severity) -> None:
         print(diagnostic.format_human())
     summary = (
         f"{len(report.diagnostics)} finding(s) in {report.files_checked} file(s)"
-        f" ({report.suppressed} suppressed, {report.baselined} baselined)"
+        f" ({report.suppressed} suppressed)"
     )
     print(("" if not report.diagnostics else "\n") + summary)
-    if report.stale_baseline:
-        print(
-            f"note: {len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} "
-            "(fixed findings); run --update-baseline to ratchet them out"
-        )
 
 
 def run(args: argparse.Namespace) -> int:
@@ -176,31 +148,13 @@ def run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        config, base_dir = _load_config(args)
+        config = _load_config(args)
         missing = [path for path in args.paths if not Path(path).exists()]
         if missing:
             print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
             return 2
-
-        baseline_path: Optional[Path] = None
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline) if args.baseline else None
-        elif config.baseline:
-            baseline_path = base_dir / config.baseline
-        if args.update_baseline and baseline_path is None:
-            print(
-                "error: --update-baseline needs a baseline path "
-                "(--baseline or config `baseline`)",
-                file=sys.stderr,
-            )
-            return 2
-
         report = lint_paths(
-            [Path(path) for path in args.paths],
-            config,
-            strict=config.strict,
-            baseline_path=baseline_path,
-            update_baseline=args.update_baseline,
+            [Path(path) for path in args.paths], config, strict=config.strict
         )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ The linter reads its settings from the ``[tool.reprolint]`` table::
     select = []                         # optional allow-list of rule ids
     ignore = []                         # rule ids to disable entirely
     strict = false                      # report unused suppressions (SUP001)
-    baseline = "lint-baseline.json"     # committed finding baseline (ratchet)
 
     [tool.reprolint.severity]
     DET002 = "error"                    # per-rule severity overrides
@@ -139,8 +138,6 @@ class LintConfig:
     rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Report unused suppression comments (SUP001); also via --strict.
     strict: bool = False
-    #: Committed baseline file, relative to the config file's directory.
-    baseline: Optional[str] = None
 
     def rule_enabled(self, rule_id: str) -> bool:
         """Whether a rule survives the ``select``/``ignore`` filters."""
@@ -173,8 +170,6 @@ class LintConfig:
         config.select = [str(rule) for rule in table.get("select", [])]
         config.ignore = [str(rule) for rule in table.get("ignore", [])]
         config.strict = bool(table.get("strict", False))
-        if table.get("baseline"):
-            config.baseline = str(table["baseline"])
         for rule_id, name in table.get("severity", {}).items():
             config.severity_overrides[str(rule_id)] = Severity.from_name(str(name))
         for rule_id, options in table.get("rules", {}).items():

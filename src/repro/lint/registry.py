@@ -6,7 +6,7 @@ Each rule declares an ``id`` (stable, used in suppressions and config), a
 ``default_options`` that ``[tool.reprolint.rules.<id>]`` entries override
 key-by-key.  ``check`` receives a :class:`ModuleContext` (parsed AST plus
 path/config helpers) and yields ``(node_or_location, message)`` findings via
-:meth:`ModuleContext.diagnostic`.
+:meth:`ModuleContext.diagnostic`; ``finish`` runs once after the last file.
 
 Rules that ban dotted names outside (or inside) a path set subclass
 :class:`BannedNameRule` and only declare what they ban: one matcher
@@ -206,6 +206,14 @@ class Rule:
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         """Yield diagnostics for ``module``; implemented by subclasses."""
         raise NotImplementedError
+
+    def finish(self) -> Iterator[Diagnostic]:
+        """Yield findings that need every file; called once after the last.
+
+        The runner makes one instance per run, so a rule may collect state
+        in :meth:`check` and report it here (RNG010 groups stream names).
+        """
+        return iter(())
 
     @classmethod
     def summary_row(cls) -> str:

@@ -13,10 +13,8 @@ from repro.lint.rules import (
     invariants,
     lineage,
     observability,
-    ordering,
     rng,
     robustness,
-    spawnsafety,
 )
 
 __all__ = [
@@ -26,7 +24,5 @@ __all__ = [
     "hygiene",
     "lineage",
     "observability",
-    "ordering",
     "robustness",
-    "spawnsafety",
 ]

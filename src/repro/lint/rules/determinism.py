@@ -2,9 +2,11 @@
 
 Bit-for-bit replay of the paper's Fig. 4/6 curves and the Lemma 4-7
 empirical checks requires that simulator hot paths never read wall-clock
-time or entropy (DET001) and never let hash/insertion order of a ``set``
-leak into results (DET002; string hashing is randomised per process unless
-``PYTHONHASHSEED`` is pinned, so set order is not stable across runs).
+dates or entropy (DET001; clock reads are OBS001's everywhere outside
+``repro/obs``), never let hash/insertion order of a ``set`` leak into
+results (DET002; string hashing is randomised per process unless
+``PYTHONHASHSEED`` is pinned, so set order is not stable across runs), and
+that a ``spawn`` worker sees the same module state as the parent (PERF002).
 """
 
 from __future__ import annotations
@@ -15,40 +17,30 @@ from typing import Iterator, Optional
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import BannedNameRule, ModuleContext, Rule, register_rule
 
-__all__ = ["CLOCK_READS", "WallClockRule", "SetIterationRule"]
-
-#: Process-clock reads: banned in hot paths (DET001), outside the clock
-#: facade (OBS001), and in ``while`` tests as deadline polls (ROB002).
-CLOCK_READS = (
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-)
+__all__ = ["WallClockRule", "SetIterationRule", "GlobalRebindRule"]
 
 
 @register_rule
 class WallClockRule(BannedNameRule):
-    """DET001: no wall-clock/entropy reads in simulator hot paths.
+    """DET001: no wall-clock dates or entropy in simulator hot paths.
 
     Scoped (via the ``paths`` option) to ``repro/sim`` and ``repro/core``:
-    a ``time.time()`` in a metrics hot path silently turns a deterministic
-    replay into a machine-dependent one.  Wall-clock reads for *reporting*
-    belong outside these packages (e.g. ``repro/experiments``).
+    a ``datetime.now()`` or ``os.urandom()`` in a hot path silently turns
+    a deterministic replay into a machine-dependent one.  Process-clock
+    reads (``time.time``, ``time.perf_counter``) are OBS001's: it bans
+    them everywhere outside the ``repro/obs`` clock facade.
     """
 
     id = "DET001"
     name = "wall-clock"
     description = (
-        "wall-clock/entropy reads (time.time, datetime.now, os.urandom, ...) "
-        "are banned in simulator hot paths"
+        "wall-clock dates and entropy (datetime.now, os.urandom, uuid, "
+        "secrets) are banned in simulator hot paths"
     )
     default_severity = Severity.ERROR
     default_options = {"paths": ["repro/sim/*", "repro/core/*"]}
     scope_option = "paths"
-    banned_names = CLOCK_READS + (
+    banned_names = (
         "datetime.now",
         "datetime.utcnow",
         "datetime.today",
@@ -129,3 +121,40 @@ class SetIterationRule(Rule):
                             f"`{node.func.id}(...)` over {described} depends on "
                             "set order; use sorted(...) instead",
                         )
+
+
+@register_rule
+class GlobalRebindRule(Rule):
+    """PERF002: module globals are not rebound after import.
+
+    Sweep workers start with the ``spawn`` method: each one re-imports
+    every module and sees a global as import left it, never as the parent
+    rebound it.  A ``global`` statement therefore lets the parent and its
+    workers compute on different state, and serial and parallel sweeps
+    stop being byte-identical.  The ``allow`` option lists the modules
+    that hold process-local state by design: the ``repro.obs`` recorder
+    facade (each worker installs its own) and the storage fault hook.
+    """
+
+    id = "PERF002"
+    name = "global-rebind"
+    description = (
+        "`global` statement rebinds module state after import; spawn "
+        "workers re-import the module and never see the new value"
+    )
+    default_severity = Severity.ERROR
+    default_options = {"allow": ["repro/obs/__init__.py", "repro/storage.py"]}
+
+    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
+        if module.in_paths(module.option(self, "allow")):
+            return
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Global):
+                names = ", ".join(f"`{name}`" for name in node.names)
+                yield module.diagnostic(
+                    self,
+                    node,
+                    f"`global` rebinds module state ({names}) after import; "
+                    "spawn workers re-import and see the pristine value — "
+                    "pass the state explicitly",
+                )

@@ -237,8 +237,8 @@ class UnusedSuppressionRule(Rule):
     underlying violation was fixed (delete the comment) or the rule id /
     line placement is wrong (the violation is being reported anyway and
     the comment gives false confidence).  Detection has to run *after*
-    both lint tiers — a comment may exist solely to silence a
-    whole-program finding — so the runner emits these diagnostics itself
+    every rule, ``finish`` included — a comment may exist solely to
+    silence an RNG010 finding — so the runner emits these diagnostics itself
     from suppression-usage accounting; this class only anchors the rule
     id in the registry (config, severity overrides, ``--list-rules``).
     Enabled in ``--strict`` runs (and via ``strict = true`` in
@@ -255,5 +255,5 @@ class UnusedSuppressionRule(Rule):
     default_options = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        # Runner-emitted after both tiers; nothing to do per module.
+        # Runner-emitted after every rule; nothing to do per module.
         return iter(())

@@ -1,183 +1,98 @@
-"""RNG01x: whole-program stream-lineage dataflow rules.
+"""RNG010: one literal stream name, one requesting function.
 
 The bit-identity contract hangs on :class:`repro.rng.StreamFactory`
 lineages being collision-free *across the whole program*: two components
 that request ``stream("x")`` from the same factory draw **identical**
 values, silently correlating what the model treats as independent
-randomness.  No per-file pass can see that — these rules run in the
-project tier over every module's extracted stream call sites.
-
-* **RNG010** — the same literal stream name is requested from two
-  unrelated call paths (neither function transitively calls the other).
-* **RNG011** — a non-literal stream name whose provenance is neither a
-  function parameter, a module-level constant, nor a loop index: the
-  lineage cannot be audited statically.
-* **RNG012** — stream creation inside a loop with a name that does not
-  vary per iteration (and a factory that does not either): every
-  iteration draws the same values.
+randomness.  No single file shows that, so the rule collects every
+``.stream("<literal>")`` site in :meth:`~StreamCollisionRule.check` and
+groups them by name in :meth:`~StreamCollisionRule.finish`, once per run.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 from typing import Dict, Iterator, List, Tuple
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.project import ProjectContext, ProjectRule
-from repro.lint.registry import register_rule
+from repro.lint.registry import ModuleContext, Rule, module_name_for, register_rule
 
-__all__ = ["StreamCollisionRule", "DynamicStreamNameRule", "LoopInvariantStreamRule"]
+__all__ = ["StreamCollisionRule"]
 
-_SITE = Tuple[str, str, int, int]  # (module, function, lineno, col)
+_MODULE_SCOPE = "<module>"
 
 
-def _stream_sites(project: ProjectContext, rule, allow_key: str = "allow"):
-    """All stream call sites outside the rule's allow-listed paths."""
-    allow = project.option(rule, allow_key)
-    for module_name, facts in project.modules.items():
-        if project.module_in_paths(module_name, allow):
+def _stream_sites(node: ast.AST, scope: str) -> Iterator[Tuple[str, str, ast.Call]]:
+    """``(name, enclosing qualname, call)`` of each ``.stream("<literal>")``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == _MODULE_SCOPE else f"{scope}.{child.name}"
+            yield from _stream_sites(child, inner)
             continue
-        for call in facts.stream_calls:
-            yield module_name, facts, call
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "stream"
+            and child.args
+            and isinstance(child.args[0], ast.Constant)
+            and isinstance(child.args[0].value, str)
+        ):
+            yield child.args[0].value, scope, child
+        yield from _stream_sites(child, scope)
 
 
 @register_rule
-class StreamCollisionRule(ProjectRule):
-    """RNG010: one literal stream name, several unrelated lineages.
+class StreamCollisionRule(Rule):
+    """RNG010: one literal stream name, requested from several functions.
 
-    Groups every ``.stream("name")`` call site project-wide by its
-    literal name.  When a name is requested from two different functions
-    and neither reaches the other through the (resolvable) call graph,
-    the lineages are unrelated — if they ever share a factory, both draw
-    the same values.  Re-requests inside one function are the documented
-    re-request pattern and stay legal; helper chains (one site's function
-    calls the other's) are one lineage, not two.
+    A name requested from two different functions is reported once,
+    anchored at its first site (by path, then line).  Re-requests inside
+    one function are the documented re-request pattern and stay legal.
+    A deliberate mirror (an oracle that must see the engine's exact
+    draws) carries a ``# reprolint: disable=RNG010`` comment at the
+    anchor, with its justification.
     """
 
     id = "RNG010"
     name = "stream-collision"
     description = (
-        "same literal stream name requested from unrelated call paths; "
+        "same literal stream name requested from two functions; "
         "colliding lineages draw identical values"
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/rng/*"]}
 
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        by_name: Dict[str, List[_SITE]] = {}
-        for module_name, facts, call in _stream_sites(project, self):
-            if call.method != "stream" or call.name_kind != "literal" or not call.literal:
-                continue
-            by_name.setdefault(call.literal, []).append(
-                (module_name, call.function, call.lineno, call.col)
+    def __init__(self) -> None:
+        #: name -> [(function label, site diagnostic without a message)]
+        self._sites: Dict[str, List[Tuple[str, Diagnostic]]] = {}
+
+    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
+        if module.in_paths(module.option(self, "allow")):
+            return iter(())
+        module_name = module_name_for(module.relpath)
+        for name, function, call in _stream_sites(module.tree, _MODULE_SCOPE):
+            self._sites.setdefault(name, []).append(
+                (f"{module_name}:{function}", module.diagnostic(self, call, ""))
             )
-        for stream_name in sorted(by_name):
-            sites = sorted(set(by_name[stream_name]))
-            functions = sorted({(module, function) for module, function, _, _ in sites})
+        return iter(())
+
+    def finish(self) -> Iterator[Diagnostic]:
+        for stream_name in sorted(self._sites):
+            sites = self._sites[stream_name]
+            functions = sorted({function for function, _ in sites})
             if len(functions) < 2:
                 continue
-            unrelated = self._unrelated_pairs(project, functions)
-            if not unrelated:
-                continue
             anchor = min(
-                sites, key=lambda site: (project.modules[site[0]].relpath, site[2], site[3])
+                (site for _, site in sites), key=lambda d: (d.path, d.line, d.col)
             )
-            described = ", ".join(
-                f"{module}:{function}" for module, function in functions
-            )
-            yield project.diagnostic(
-                self,
-                project.modules[anchor[0]].relpath,
-                anchor[2],
-                anchor[3],
-                f"stream name {stream_name!r} is requested from "
-                f"{len(functions)} unrelated call paths ({described}); "
-                "colliding lineages draw identical values from a shared "
-                "factory — derive distinct names or route one through the other",
-            )
-
-    @staticmethod
-    def _unrelated_pairs(
-        project: ProjectContext, functions: List[Tuple[str, str]]
-    ) -> bool:
-        """Whether any two sites are mutually unreachable in the call graph."""
-        closures = {
-            site: set(project.call_closure(site[0], site[1])) for site in functions
-        }
-        for i, first in enumerate(functions):
-            for second in functions[i + 1 :]:
-                if second not in closures[first] and first not in closures[second]:
-                    return True
-        return False
-
-
-@register_rule
-class DynamicStreamNameRule(ProjectRule):
-    """RNG011: stream names must have auditable provenance.
-
-    A name built from anything other than literals, function parameters,
-    module-level constants, or loop indices cannot be traced back to a
-    registered lineage — replays may silently re-use or split streams.
-    """
-
-    id = "RNG011"
-    name = "dynamic-stream-name"
-    description = (
-        "stream name is not derived from a parameter, registered constant, "
-        "or loop index; its lineage cannot be audited"
-    )
-    default_severity = Severity.WARNING
-    default_options = {"allow": ["repro/rng/*"]}
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for module_name, facts, call in _stream_sites(project, self):
-            if call.name_kind != "dynamic":
-                continue
-            yield project.diagnostic(
-                self,
-                facts.relpath,
-                call.lineno,
-                call.col,
-                f"`.{call.method}(...)` name in `{call.function}` has "
-                "unauditable provenance; derive it from a parameter, a "
-                "module-level constant, or a loop index",
-            )
-
-
-@register_rule
-class LoopInvariantStreamRule(ProjectRule):
-    """RNG012: per-iteration streams need per-iteration names.
-
-    ``streams.stream("fixed")`` inside a loop returns a generator in the
-    *same initial state* every iteration — the loop replays one stream N
-    times instead of drawing N independent ones.  Either the name or the
-    factory must vary with the loop (``f"trial-{i}"`` or a factory spawned
-    from a loop-derived lineage).
-    """
-
-    id = "RNG012"
-    name = "loop-invariant-stream"
-    description = (
-        "stream created inside a loop with a loop-invariant name and "
-        "factory; every iteration draws identical values"
-    )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/rng/*"]}
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for module_name, facts, call in _stream_sites(project, self):
-            if not call.in_loop:
-                continue
-            if call.name_kind in ("loop", "dynamic"):
-                continue  # varies per iteration, or RNG011's finding already
-            if call.receiver_kind == "loop":
-                continue  # fresh factory each iteration
-            yield project.diagnostic(
-                self,
-                facts.relpath,
-                call.lineno,
-                call.col,
-                f"`.{call.method}(...)` in a loop in `{call.function}` uses "
-                "a loop-invariant name on a loop-invariant factory; every "
-                "iteration draws the same values — derive the name from the "
-                "loop index",
+            yield dataclasses.replace(
+                anchor,
+                message=(
+                    f"stream name {stream_name!r} is requested from "
+                    f"{len(functions)} functions ({', '.join(functions)}); "
+                    "colliding lineages draw identical values from a shared "
+                    "factory — derive distinct names or route one through "
+                    "the other"
+                ),
             )

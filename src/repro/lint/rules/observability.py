@@ -30,7 +30,6 @@ from repro.lint.registry import (
     dotted_name,
     register_rule,
 )
-from repro.lint.rules.determinism import CLOCK_READS
 
 __all__ = ["ClockFacadeRule", "LiteralMetricNameRule"]
 
@@ -40,8 +39,7 @@ class ClockFacadeRule(BannedNameRule):
     """OBS001: clock reads go through ``repro.obs.clock``, nowhere else.
 
     Applies to the whole ``repro`` tree except the allow-listed facade
-    (``repro/obs/*`` by default).  DET001 already bans clocks in the
-    simulator hot paths; this rule closes the rest of the package so span
+    (``repro/obs/*`` by default), simulator hot paths included, so span
     timing and wall-time reporting have exactly one audited entry point —
     use :func:`repro.obs.clock.monotonic_s` / ``wall_clock_iso`` instead.
     """
@@ -54,7 +52,14 @@ class ClockFacadeRule(BannedNameRule):
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/obs/*"]}
-    banned_names = CLOCK_READS
+    banned_names = (
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+    )
     reason = "bypasses the clock facade; use repro.obs.clock.monotonic_s()"
 
 

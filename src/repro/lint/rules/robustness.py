@@ -28,15 +28,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import (
-    BannedNameRule,
-    ModuleContext,
-    Rule,
-    dotted_name,
-    ends_with_dotted,
-    register_rule,
-)
-from repro.lint.rules.determinism import CLOCK_READS
+from repro.lint.registry import BannedNameRule, ModuleContext, Rule, register_rule
 
 __all__ = [
     "SilentBroadExceptRule",
@@ -123,26 +115,23 @@ class SilentBroadExceptRule(Rule):
 
 @register_rule
 class WallClockBackoffRule(BannedNameRule):
-    """ROB002: no wall-clock sleeps or deadline loops outside the facade.
+    """ROB002: no wall-clock sleeps outside the facade.
 
-    Flags (a) any ``time.sleep`` call — including through an alias bound
-    by ``from time import sleep`` or ``import time as t`` — and (b)
-    ``while`` loops whose test reads ``time.monotonic``/``time.time``/
-    ``time.perf_counter``: the classic hand-rolled retry/backoff/deadline
-    loop.  Such loops cannot be driven by an injected clock, so their
-    retry behaviour is untestable without burning real seconds, and they
-    stall the single-threaded service loop.  Use
-    :func:`repro.obs.clock.sleep_s` (injectable, like the supervisor's
-    ``sleep=`` argument) and deadlines computed from
-    :func:`repro.obs.clock.monotonic_s` instead.  The facade itself
+    Flags any ``time.sleep`` call — including through an alias bound by
+    ``from time import sleep`` or ``import time as t``.  A hand-rolled
+    retry/backoff wait cannot be driven by an injected clock, so its
+    behaviour is untestable without burning real seconds, and it stalls
+    the single-threaded service loop.  Use :func:`repro.obs.clock.sleep_s`
+    (injectable, like the supervisor's ``sleep=`` argument) instead; a
+    deadline loop's clock read is OBS001's.  The facade itself
     (``repro/obs/*`` by default) is exempt.
     """
 
     id = "ROB002"
     name = "wall-clock-backoff"
     description = (
-        "time.sleep and wall-clock deadline loops are banned outside "
-        "repro/obs; inject repro.obs.clock.sleep_s / monotonic_s"
+        "time.sleep is banned outside repro/obs; inject "
+        "repro.obs.clock.sleep_s"
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/obs/*"]}
@@ -151,28 +140,6 @@ class WallClockBackoffRule(BannedNameRule):
         "blocks on the wall clock; retry/backoff must go through an "
         "injected sleep (repro.obs.clock.sleep_s)"
     )
-
-    def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        yield from super().check(module)
-        if not self.applies_to(module):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.While):
-                continue
-            for call in ast.walk(node.test):
-                name = dotted_name(call.func) if isinstance(call, ast.Call) else None
-                if name is None:
-                    continue
-                origin, _ = module.resolve(name)
-                if any(ends_with_dotted(origin, clock) for clock in CLOCK_READS):
-                    yield module.diagnostic(
-                        self,
-                        node,
-                        f"`while` test reads `{name}`: a wall-clock "
-                        "deadline loop; compute deadlines from "
-                        "repro.obs.clock.monotonic_s and inject it",
-                    )
-                    break
 
 
 @register_rule

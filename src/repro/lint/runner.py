@@ -1,16 +1,11 @@
-"""Two-phase lint driver: per-file analysis, then the project tier.
+"""One-pass lint driver: every file once, then each rule's ``finish``.
 
-Phase one treats every file independently: parse, run the per-file
-rules, extract the :class:`~repro.lint.facts.ModuleFacts` summary, and
-collect suppression comments.  Every run is cold and serial: each file
-is read and analyzed once, in sorted order.
-
-Phase two assembles the facts into a
-:class:`~repro.lint.project.ProjectContext` and runs the whole-program
-rules (RNG010/011/012, PERF002, DET003) over it.  Then
-suppression-usage accounting emits SUP001 for dead suppression comments
-(``--strict``), and finally findings are split against the committed
-baseline (ratchet policy; see :mod:`repro.lint.baseline`).
+Every run is cold and serial: each file is read, parsed and checked by
+every enabled rule once, in sorted order, against one rule instance per
+run.  After the last file each rule's :meth:`~repro.lint.registry.Rule.finish`
+reports what needed every file (RNG010's stream-name groups).  Then
+suppression comments filter the findings, and under ``--strict``
+suppression-usage accounting emits SUP001 for dead comments.
 """
 
 from __future__ import annotations
@@ -20,19 +15,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.facts import ModuleFacts, extract_facts, module_name_for
-from repro.lint.project import ProjectContext, project_rules
-from repro.lint.registry import ModuleContext, all_rules
+from repro.lint.registry import ModuleContext, Rule, all_rules
 from repro.lint.suppress import SuppressionIndex, parse_suppressions
 
 __all__ = [
     "LintReport",
-    "FileAnalysis",
     "iter_python_files",
-    "analyze_source",
     "lint_source",
     "lint_paths",
 ]
@@ -48,11 +38,6 @@ class LintReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Findings filtered out because the committed baseline covers them.
-    baselined: int = 0
-    #: Baseline entries that matched nothing — fixed findings awaiting
-    #: a ratchet (``--update-baseline``).
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
 
     def worst_severity(self) -> Optional[Severity]:
         """Highest severity present, or None when the run is clean."""
@@ -64,17 +49,6 @@ class LintReport:
         """Whether any finding is at or above the ``fail_on`` threshold."""
         worst = self.worst_severity()
         return worst is not None and worst >= fail_on
-
-
-@dataclass
-class FileAnalysis:
-    """Phase-one products for one file."""
-
-    relpath: str
-    facts: ModuleFacts
-    #: Per-file-tier diagnostics *before* suppression filtering.
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    suppressions: SuppressionIndex = field(default_factory=SuppressionIndex)
 
 
 def iter_python_files(
@@ -101,113 +75,62 @@ def _relpath(path: Path) -> str:
         return path.as_posix()
 
 
-def _file_rules() -> List[type]:
-    return [
-        rule_class
-        for rule_class in all_rules()
-        if getattr(rule_class, "tier", "file") != "project"
-    ]
-
-
-def analyze_source(source: str, relpath: str, config: LintConfig) -> FileAnalysis:
-    """Phase one for a single module: parse, per-file rules, facts."""
+def _check_source(
+    source: str, relpath: str, config: LintConfig, rules: List[Rule]
+) -> List[Diagnostic]:
+    """Parse one module and run every rule's ``check`` over it."""
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
-        return FileAnalysis(
-            relpath=relpath,
-            facts=ModuleFacts(relpath=relpath, module=module_name_for(relpath)),
-            diagnostics=[
-                Diagnostic(
-                    rule_id=PARSE_RULE_ID,
-                    path=relpath,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    severity=Severity.ERROR,
-                    message=f"syntax error: {exc.msg}",
-                )
-            ],
-        )
+        return [
+            Diagnostic(
+                rule_id=PARSE_RULE_ID,
+                path=relpath,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                severity=Severity.ERROR,
+                message=f"syntax error: {exc.msg}",
+            )
+        ]
     module = ModuleContext(relpath=relpath, source=source, tree=tree, config=config)
     found: List[Diagnostic] = []
-    for rule_class in _file_rules():
-        if not config.rule_enabled(rule_class.id):
-            continue
-        found.extend(rule_class().check(module))
-    found.sort(key=lambda d: (d.line, d.col, d.rule_id))
-    return FileAnalysis(
-        relpath=relpath,
-        facts=extract_facts(relpath, tree),
-        diagnostics=found,
-        suppressions=parse_suppressions(source),
-    )
+    for rule in rules:
+        found.extend(rule.check(module))
+    return found
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: Optional[LintConfig] = None,
-    strict: Optional[bool] = None,
-) -> List[Diagnostic]:
-    """Lint one module given as a string, through the *full* pipeline.
-
-    Both tiers run — the whole-program rules see a single-module project
-    — so every registered rule is exercisable from a string fixture.
-    Suppression comments are honoured; ``strict`` (default: the config's
-    ``strict`` flag) additionally reports unused suppressions.  Returns
-    the surviving diagnostics sorted by location.
-    """
-    config = config or LintConfig()
-    analysis = analyze_source(source, path, config)
-    diagnostics, _ = _filter_and_project(
-        {path: analysis},
-        config,
-        strict=config.strict if strict is None else strict,
-    )
-    return diagnostics
-
-
-def _filter_and_project(
-    analyses: Dict[str, FileAnalysis], config: LintConfig, strict: bool
+def _lint(
+    sources: Dict[str, str], config: LintConfig, strict: bool
 ) -> Tuple[List[Diagnostic], int]:
-    """Phase two: suppression filtering, project rules, SUP001.
+    """Lint ``{relpath: source}``; returns ``(sorted diagnostics, suppressed)``."""
+    rules = [
+        rule_class()
+        for rule_class in all_rules()
+        if config.rule_enabled(rule_class.id)
+    ]
+    found: List[Diagnostic] = []
+    suppressions: Dict[str, SuppressionIndex] = {}
+    for relpath in sorted(sources):
+        found.extend(_check_source(sources[relpath], relpath, config, rules))
+        suppressions[relpath] = parse_suppressions(sources[relpath])
+    for rule in rules:
+        found.extend(rule.finish())
 
-    Returns ``(diagnostics, suppressed_count)`` with diagnostics sorted.
-    """
     suppressed = 0
     kept: List[Diagnostic] = []
-    for relpath in sorted(analyses):
-        analysis = analyses[relpath]
-        for diagnostic in analysis.diagnostics:
-            if diagnostic.rule_id == PARSE_RULE_ID:
-                kept.append(diagnostic)  # a file that cannot parse cannot opt out
-            elif analysis.suppressions.is_suppressed(
-                diagnostic.rule_id, diagnostic.line
-            ):
-                suppressed += 1
-            else:
-                kept.append(diagnostic)
-
-    project = ProjectContext.build(
-        [analysis.facts for analysis in analyses.values()], config
-    )
-    by_relpath = {analysis.relpath: analysis for analysis in analyses.values()}
-    for rule_class in project_rules():
-        if not config.rule_enabled(rule_class.id):
-            continue
-        for diagnostic in rule_class().check_project(project):
-            analysis = by_relpath.get(diagnostic.path)
-            if analysis is not None and analysis.suppressions.is_suppressed(
-                diagnostic.rule_id, diagnostic.line
-            ):
-                suppressed += 1
-            else:
-                kept.append(diagnostic)
+    for diagnostic in found:
+        # A file that cannot parse cannot opt out.
+        if diagnostic.rule_id != PARSE_RULE_ID and suppressions[
+            diagnostic.path
+        ].is_suppressed(diagnostic.rule_id, diagnostic.line):
+            suppressed += 1
+        else:
+            kept.append(diagnostic)
 
     if strict and config.rule_enabled(SUPPRESSION_RULE_ID):
         severity = config.severity_for(SUPPRESSION_RULE_ID, Severity.WARNING)
-        for relpath in sorted(analyses):
-            for entry in analyses[relpath].suppressions.unused():
+        for relpath in sorted(suppressions):
+            for entry in suppressions[relpath].unused():
                 scope = (
                     "file-level suppression"
                     if entry.target_line is None
@@ -231,47 +154,40 @@ def _filter_and_project(
     return kept, suppressed
 
 
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    config: Optional[LintConfig] = None,
+    strict: Optional[bool] = None,
+) -> List[Diagnostic]:
+    """Lint one module given as a string, through the full pipeline.
+
+    Suppression comments are honoured; ``strict`` (default: the config's
+    ``strict`` flag) additionally reports unused suppressions.  Returns
+    the surviving diagnostics sorted by location.
+    """
+    config = config or LintConfig()
+    diagnostics, _ = _lint(
+        {path: source}, config, strict=config.strict if strict is None else strict
+    )
+    return diagnostics
+
+
 def lint_paths(
     paths: Sequence[Path],
     config: Optional[LintConfig] = None,
     *,
     strict: Optional[bool] = None,
-    baseline_path: Optional[Path] = None,
-    update_baseline: bool = False,
 ) -> LintReport:
-    """Lint files and directories; the main entry point behind the CLI.
-
-    ``baseline_path`` filters known findings; with ``update_baseline`` the
-    file is rewritten to cover exactly the current findings (ratchet).
-    """
+    """Lint files and directories; the main entry point behind the CLI."""
     config = config or LintConfig()
-    report = LintReport()
-
-    files: Dict[str, Path] = {}
+    sources: Dict[str, str] = {}
     for path in iter_python_files([Path(p) for p in paths], config):
         relpath = _relpath(path)
         if not config.is_excluded(relpath):
-            files[relpath] = path
-
-    analyses = {
-        relpath: analyze_source(
-            files[relpath].read_bytes().decode("utf-8"), relpath, config
-        )
-        for relpath in sorted(files)
-    }
-    diagnostics, report.suppressed = _filter_and_project(
-        analyses, config, strict=config.strict if strict is None else strict
+            sources[relpath] = path.read_bytes().decode("utf-8")
+    report = LintReport(files_checked=len(sources))
+    report.diagnostics, report.suppressed = _lint(
+        sources, config, strict=config.strict if strict is None else strict
     )
-    report.files_checked = len(files)
-
-    if baseline_path is not None:
-        baseline = Baseline.load(baseline_path)
-        if update_baseline:
-            baseline = baseline.updated_from(diagnostics)
-            baseline.save(baseline_path)
-        diagnostics, report.baselined, report.stale_baseline = baseline.split(
-            diagnostics
-        )
-
-    report.diagnostics = diagnostics
     return report

@@ -17,8 +17,8 @@ for the justification, e.g.::
     rng = np.random.default_rng(seed)  # reprolint: disable=RNG002 -- deprecated fallback
 
 Every suppression is tracked as a :class:`SuppressionEntry` that counts
-how many findings it actually silenced — across *both* lint tiers, since
-a comment may exist solely to quiet a whole-program rule.  Entries whose
+how many findings it actually silenced — including findings a rule
+reports from ``finish`` after the last file (RNG010).  Entries whose
 count stays zero are dead comments; ``--strict`` runs report them as
 SUP001.
 """

@@ -21,8 +21,9 @@ Determinism contract
 * Workers are started with the ``spawn`` method (fresh interpreters; no
   fork-time RNG or import-state inheritance).
 * Work items are plain picklable data; :func:`execute_work_item` is a
-  **top-level module function** (enforced by reprolint rule PERF002) so
-  it pickles under ``spawn``.
+  **top-level module function** so it pickles under ``spawn`` (a lambda
+  or nested worker fails
+  ``tests/test_perf.py::TestParallelDeterminism::test_point_results_identical_workers_2``).
 * Results are gathered in **submission order**, never completion order,
   and metric snapshots are merged in that same order — the parent-side
   registry is reproducible even though worker finish times are not.
@@ -97,9 +98,9 @@ def execute_work_item(item: SweepWorkItem) -> RepetitionOutcome:
     """Run one work item (the worker entry point).
 
     Top-level by design so it is picklable under the ``spawn`` start
-    method; reprolint rule PERF002 keeps it that way.  Also runs inline
-    in the parent when ``workers=1`` — the serial and parallel paths
-    execute the same code.
+    method; the ``workers=2`` determinism tests in ``tests/test_perf.py``
+    fail if it is not.  Also runs inline in the parent when ``workers=1``
+    — the serial and parallel paths execute the same code.
     """
     metrics: Optional[Dict] = None
     profile: Optional[Dict] = None

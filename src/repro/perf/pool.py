@@ -36,11 +36,10 @@ class WarmWorkerPool:
     The pool is a context manager; exit calls ``close``.
     """
 
-    def __init__(self, workers: int, start_method: str = "spawn") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.start_method = start_method
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
@@ -54,7 +53,7 @@ class WarmWorkerPool:
         if self._closed:
             raise RuntimeError("WarmWorkerPool is closed")
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context("spawn")
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=context
             )

@@ -83,6 +83,7 @@ class CentralizedScheduler:
         self.sense_map = sense_map
         self.slot_duration_ms = float(slot_duration_ms)
         self.max_slots = int(max_slots)
+        # reprolint: disable=RNG010 -- Deliberate: the centralized-scheduler oracle must see the exact PU activity realization the engine simulates (paired comparison, docs/DESIGN.md); the mirrored stream name is the mechanism.
         self._pu_rng = streams.stream("pu-activity")
 
         num_nodes = topology.secondary.num_nodes
