@@ -1,12 +1,16 @@
-"""Base-vs-change performance gate over the e2ebench ``fig6c-sweep`` workload.
+"""Base-vs-change performance gate over one e2ebench workload.
 
     python3 benchmarks/e2e_gate.py BASE_TREE CHANGE_TREE [--pairs N]
+        [--workload NAME] [--seed S]
 
 Both arguments are checkouts of this repository (CI uses ``git worktree``
-for the merge base).  The gate runs ``e2ebench/run.py --workload
-fig6c-sweep --seed 2012 --trace 0`` from the root of each checkout, in
-``N`` pairs (default 3) whose order alternates (base then change, change
-then base, ...) so a host that drifts in speed hits both sides alike.
+for the merge base).  The gate runs ``e2ebench/run.py --workload NAME
+--seed S --trace 0`` from the root of each checkout, in ``N`` pairs
+(default 3) whose order alternates (base then change, change then base,
+...) so a host that drifts in speed hits both sides alike.  ``NAME`` is a
+workload listed in the base checkout's ``BENCHMARK.json`` (default
+``fig6c-sweep``) and ``S`` the workload seed (default 2012); other values
+give evidence on a second workload or a held-out seed.
 Before the first pair it byte-compiles ``src/`` in both checkouts
 (``python -m compileall -q src``), so neither side's ``setup_s`` pays for
 stale ``.pyc`` files; it exits 2 when either compile fails.
@@ -25,10 +29,11 @@ yes``) when the change is better in at least nine tenths of the pairs
 and the medians differ by more than the base's own q1-q3 distance; claim
 a gain from ten or more pairs, not from the default three.
 
-Only fig6c-sweep is gated here: e2ebench/README.md reports that the
+CI gates fig6c-sweep only: e2ebench/README.md reports that the
 ``service-mix`` workload's normalized wall spreads about 10% from run to
 run on a 20% bound, so three runs of it cannot tell a regression from a
-slow host phase.
+slow host phase.  Run ``--workload service-mix --pairs 10`` for evidence
+on it.
 
 The gate imports nothing from ``repro``: the program under test is only
 ever run as a subprocess inside its own checkout, so a program change
@@ -63,15 +68,15 @@ def compile_tree(tree: Path) -> bool:
     return done.returncode == 0
 
 
-def run_once(tree: Path, seconds: float) -> Dict:
-    """One untraced e2ebench run in ``tree``; its JSON result line.
+def run_once(tree: Path, seconds: float, workload: str, seed: int) -> Dict:
+    """One untraced e2ebench run of ``workload`` in ``tree``; its JSON result line.
 
     A run that exits without a result line counts as an incorrect run
     with no metrics.
     """
     command = [
-        sys.executable, "e2ebench/run.py", "--workload", WORKLOAD,
-        "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0",
+        sys.executable, "e2ebench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(
         command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
@@ -180,22 +185,31 @@ def main(argv: Sequence[str]) -> int:
     parser.add_argument("base_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--pairs", type=int, default=PAIRS)
+    parser.add_argument("--workload", default=WORKLOAD)
+    parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     base_tree, change_tree = args.base_tree.resolve(), args.change_tree.resolve()
     spec = json.loads((base_tree / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
+    workloads = [workload["name"] for workload in spec.get("workloads", ())]
+    if args.workload not in workloads:
+        parser.error(
+            f"--workload must be one of {', '.join(workloads)} "
+            f"(the base checkout's BENCHMARK.json), got {args.workload!r}"
+        )
     for tree in (base_tree, change_tree):
         if not compile_tree(tree):
             print(f"E2E GATE: ERROR (cannot byte-compile {tree / 'src'})")
             return 2
+    print(f"workload {args.workload}, seed {args.seed}", flush=True)
     runs: Dict[str, List[Dict]] = {"base": [], "change": []}
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
             tree = base_tree if side == "base" else change_tree
-            result = run_once(tree, spec["run_seconds"])
+            result = run_once(tree, spec["run_seconds"], args.workload, args.seed)
             runs[side].append(result)
             values = " ".join(
                 f"{name}={entry.get('value')}"
@@ -224,7 +238,7 @@ def main(argv: Sequence[str]) -> int:
     for problem in problems:
         print(problem)
     verdict_word = "FAIL" if problems else "PASS"
-    print(f"E2E GATE: {verdict_word} ({WORKLOAD}, {args.pairs} pairs)")
+    print(f"E2E GATE: {verdict_word} ({args.workload}, {args.pairs} pairs)")
     return 1 if problems else 0
 
 

@@ -100,8 +100,9 @@ class Graph:
         """Unit-disk graph: edge iff Euclidean distance ``<= radius``.
 
         This is exactly how ``G_s`` is induced by the SU transmission radius
-        ``r`` in the paper.  Uses a grid spatial index, so construction is
-        near-linear for bounded densities.
+        ``r`` in the paper.  Uses a grid spatial index queried for every
+        point in one batched pass, so construction is near-linear for
+        bounded densities.
         """
         from repro.geometry.spatial_index import GridIndex
 
@@ -110,8 +111,8 @@ class Graph:
         if positions.shape[0] == 0:
             return graph
         index = GridIndex(positions, cell_size=max(radius, 1e-9))
-        for u in range(positions.shape[0]):
-            for v in index.query_radius(positions[u], radius):
+        for u, neighbors in enumerate(index.query_radius_many(positions, radius)):
+            for v in neighbors:
                 if v > u:
                     graph.add_edge(u, v)
         return graph

@@ -24,8 +24,12 @@ __all__ = ["derive_seed", "StreamFactory", "RowStream"]
 
 #: Uniforms a :class:`RowStream` draws per refill, and the most a caller
 #: should peek at once.  Counts of uniforms, not rows, so a wide stream
-#: buffers no more memory than a narrow one.
-ROW_BLOCK_UNIFORMS = 2 ** 17
+#: buffers no more memory than a narrow one.  A refill block (64 KiB)
+#: stays below glibc's default 128 KiB mmap threshold: larger blocks,
+#: once one is freed, raise that threshold and then come from the heap,
+#: where their leftovers made a process's peak RSS jump by about a block
+#: with unrelated allocation changes.  The block also stays in cache.
+ROW_BLOCK_UNIFORMS = 2 ** 13
 ROW_PEEK_UNIFORMS = 2 ** 19
 
 

@@ -223,11 +223,13 @@ class SlottedEngine:
         (``blackout_failures``).
     slot_hook:
         Optional callable invoked as ``slot_hook(engine)`` at the end of
-        every simulated slot, with ``last_slot_su_links`` and
-        ``last_slot_active_pus`` reflecting that slot.  Used by the test
-        suite to run the SIR validator against every concurrent set.  A
-        hook must see every slot, so it turns the frozen-slot fast-forward
-        off: a hooked run is the plain slot-by-slot loop.
+        every simulated slot, with ``last_slot_su_links``,
+        ``last_slot_su_channels`` and ``last_slot_active_pus`` reflecting
+        that slot; the engine builds those lists only when a hook is
+        installed.  Used by the test suite to run the SIR validator
+        against every concurrent set.  A hook must see every slot, so it
+        turns the frozen-slot fast-forward off: a hooked run is the plain
+        slot-by-slot loop.
     """
 
     def __init__(
@@ -390,7 +392,7 @@ class SlottedEngine:
         self._drawn = np.zeros(num_nodes)
         self._extra_wait = np.zeros(num_nodes)
         self._collision_streak: List[int] = [0] * num_nodes
-        self._hold_until_slot = np.zeros(num_nodes, dtype=np.int64)
+        self._hold_until_slot: List[int] = [0] * num_nodes
         # Future packet arrivals (continuous-collection workloads), as a
         # heap ordered by birth slot.
         self._pending_arrivals: List[Tuple[int, int, Packet]] = []
@@ -401,10 +403,16 @@ class SlottedEngine:
         # Energy accounting: the slot each node first became active.
         self._first_active_slot: Dict[int, int] = {}
         self._active: set = set()
-        # Boolean mirror of ``_active`` kept in lockstep at every add /
-        # discard so the per-slot readiness scan is one mask op instead
-        # of a set materialization.
-        self._active_mask = np.zeros(num_nodes, dtype=bool)
+        # Who may contend, as the mask the per-slot readiness scan reads:
+        # the active nodes past their hold-off.  Every add to / discard
+        # from _active writes it too, a hold-off start clears the node,
+        # and _release_holds sets it again once its release slot is due.
+        # _holds is a heap of (release slot, node): every active node
+        # still holding off has an entry, and stale entries (the node
+        # left, or a later hold-off replaced the window) are dropped when
+        # they reach the top.
+        self._eligible_mask = np.zeros(num_nodes, dtype=bool)
+        self._holds: List[Tuple[int, int]] = []
         self._node_index = np.arange(num_nodes, dtype=np.int64)
         self._pu_busy = np.zeros(num_nodes, dtype=np.uint8)
         self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
@@ -511,7 +519,8 @@ class SlottedEngine:
         self._result = SimulationResult(
             num_packets=0, slot_duration_ms=self.slot_duration_ms
         )
-        # Exposed for the SIR validator: the concurrent set of the last slot.
+        # Exposed for the SIR validator: the concurrent set of the last
+        # slot, kept up to date only while a slot_hook is installed.
         self.last_slot_su_links: List[Tuple[int, int]] = []
         self.last_slot_su_channels: List[int] = []
         self.last_slot_active_pus: List[int] = []
@@ -609,7 +618,7 @@ class SlottedEngine:
         self._result.packets_lost += lost
         self._queues[node].clear()
         self._active.discard(node)
-        self._active_mask[node] = False
+        self._eligible_mask[node] = False
         self._extra_wait[node] = 0.0
         self._ongoing.pop(node, None)
         self._down.discard(node)
@@ -633,7 +642,7 @@ class SlottedEngine:
                 self._result.active_slot_spans.get(node, 0) + span
             )
             self._active.discard(node)
-            self._active_mask[node] = False
+            self._eligible_mask[node] = False
             self._extra_wait[node] = 0.0
         self._ongoing.pop(node, None)
         if self.trace is not None:
@@ -836,7 +845,7 @@ class SlottedEngine:
                     self._result.active_slot_spans.get(sender, 0) + span
                 )
                 self._active.discard(sender)
-                self._active_mask[sender] = False
+                self._eligible_mask[sender] = False
                 self._extra_wait[sender] = 0.0
 
     def _process_faults(self) -> None:
@@ -1030,8 +1039,7 @@ class SlottedEngine:
         # 1 - p_o.  PU interference is folded into the blocking, so
         # _pu_states stays all-inactive.
         if self._num_channels == 1:
-            blocked = self._pu_rng.random(self._num_nodes) >= self.homogeneous_p_o
-            self._pu_busy = blocked.astype(np.uint8)
+            self._pu_busy = self._pu_rng.random(self._num_nodes) >= self.homogeneous_p_o
             return
         draws = self._pu_rng.random((self._num_nodes, self._num_channels))
         self._busy_columns = (draws >= self.homogeneous_p_o).astype(np.int64).T
@@ -1054,9 +1062,10 @@ class SlottedEngine:
 
     def _blocked_on(self, node: int, channel: int) -> bool:
         """Whether PU activity blocks ``node`` on ``channel`` this slot."""
+        # bool() of the scalar: comparing a numpy bool with 0 is slow.
         if self._num_channels == 1:
-            return self._pu_busy[node] > 0
-        return self._busy_columns[channel][node] > 0
+            return bool(self._pu_busy[node])
+        return bool(self._busy_columns[channel][node])
 
     # ------------------------------------------------------------------ #
     # Frozen-slot fast-forward                                            #
@@ -1069,8 +1078,10 @@ class SlottedEngine:
         and in statically eligible scenarios (``_ff_enabled``).  The
         *horizon* is the first slot at which anything other than a frozen
         wait could possibly happen: a hold-off window expires, a scheduled
-        arrival is born, or a fault event fires.  Inside the window the
-        eligible-waiter set is constant, so a slot is frozen exactly when
+        arrival is born, or a fault event fires; the first hold-off
+        release is the top of the ``_holds`` heap once due and stale
+        entries are popped.  Inside the window the eligible-waiter set
+        (``_eligible_mask``) is constant, so a slot is frozen exactly when
         every waiter senses busy — a pure function of that slot's
         PU-activity and sensing-error draws, evaluated here in batches.
 
@@ -1095,12 +1106,12 @@ class SlottedEngine:
             horizon = min(horizon, min(self._fault_expiries))
         if self._pending_arrivals:
             horizon = min(horizon, int(self._pending_arrivals[0][0]))
-        holding = self._active_mask & (self._hold_until_slot > slot)
-        if holding.any():
-            horizon = min(horizon, int(self._hold_until_slot[holding].min()))
+        self._release_holds()
+        if self._holds:
+            horizon = min(horizon, self._holds[0][0])
         if horizon <= slot:
             return
-        waiters = np.nonzero(self._active_mask & ~holding)[0]
+        waiters = np.nonzero(self._eligible_mask)[0]
         skipped = self._scan_frozen_prefix(waiters, horizon - slot)
         if skipped == 0:
             return
@@ -1113,9 +1124,6 @@ class SlottedEngine:
         self._extra_wait.fill(0.0)
         if self.blocking != "homogeneous":
             self._recompute_pu_busy()
-        self.last_slot_su_links = []
-        self.last_slot_su_channels = []
-        self.last_slot_active_pus = list(self._active_pu_list)
 
     def _scan_frozen_prefix(self, waiters: np.ndarray, window: int) -> int:
         """Length of the frozen-slot run starting now, capped at ``window``.
@@ -1155,8 +1163,7 @@ class SlottedEngine:
                 for stream in streams:
                     stream.take(run)
                 if homogeneous:
-                    blocked = draws[run - 1] >= self.homogeneous_p_o
-                    self._pu_busy = blocked.astype(np.uint8)
+                    self._pu_busy = draws[run - 1] >= self.homogeneous_p_o
                 else:
                     self._pu_states = states[run - 1]
             skipped += run
@@ -1174,7 +1181,12 @@ class SlottedEngine:
         if node in self._active:
             return
         self._active.add(node)
-        self._active_mask[node] = True
+        release = self._hold_until_slot[node]
+        if release <= self._slot:
+            self._eligible_mask[node] = True
+        else:
+            # Its hold-off entry may have been dropped while it was away.
+            heapq.heappush(self._holds, (release, node))
         if node not in self._first_active_slot:
             self._first_active_slot[node] = self._slot
         self._draw_backoff(node)
@@ -1237,13 +1249,15 @@ class SlottedEngine:
             sensing_draws = self._sensing_rng.random(self._num_nodes)
         if not self._active:
             return []
+        self._release_holds()
         # Readiness scan, vectorized over full per-node arrays.  Every step
         # is a mask (order-independent), so no container iteration order
         # can leak into results.
-        eligible = self._active_mask & (self._hold_until_slot <= self._slot)
+        eligible = self._eligible_mask
         ongoing = self._ongoing
         if ongoing:
             # Mid-transmission nodes (multi-slot packets) sit out.
+            eligible = eligible.copy()
             eligible[
                 np.fromiter(ongoing.keys(), dtype=np.int64, count=len(ongoing))
             ] = False
@@ -1257,7 +1271,11 @@ class SlottedEngine:
             sensed = sensing_draws < p_sensed_busy
         else:
             if self._num_channels == 1:
-                busy = self._pu_busy > 0
+                busy = self._pu_busy
+                if self.blocking == "geometric":
+                    # Counts of the active PUs each node hears; homogeneous
+                    # blocking keeps its bool draw row as it is.
+                    busy = busy > 0
             else:
                 busy = self._busy_columns[self._node_channel, self._node_index] > 0
             if self._imperfect_sensing:
@@ -1292,6 +1310,9 @@ class SlottedEngine:
             return []
         self._result.opportunity_slot_count += int(ready_nodes.size)
         self._result.contention_slot_count += 1
+        if ready_nodes.size == 1:
+            node = int(ready_nodes[0])
+            return [(float(self._extra_wait[node] + self._backoff[node]), node)]
         expiries = self._extra_wait[ready_nodes] + self._backoff[ready_nodes]
         return sorted(zip(expiries.tolist(), ready_nodes.tolist()))
 
@@ -1394,12 +1415,16 @@ class SlottedEngine:
         tx_pos = self._positions[tx_nodes]
         rx_pos = self._positions[rx_nodes]
 
-        # Signal powers at the receivers.
-        deltas = tx_pos - rx_pos
-        signal_dist = np.maximum(
-            np.hypot(deltas[:, 0], deltas[:, 1]), _MIN_DISTANCE
+        # Received SU power, one k x k pass: gains[i, j] is transmitter
+        # j's power at receiver i.  Link i's signal is the diagonal
+        # (hypot is sign-symmetric, so rx - tx gives the tx - rx distance
+        # bit for bit); the rest is same-slot SU interference.
+        tx_deltas = rx_pos[:, None, :] - tx_pos[None, :, :]
+        tx_dist = np.maximum(
+            np.hypot(tx_deltas[..., 0], tx_deltas[..., 1]), _MIN_DISTANCE
         )
-        signal = self._su_power * signal_dist ** (-self.alpha)
+        gains = self._su_power * tx_dist ** (-self.alpha)
+        signal = gains.diagonal().copy()
         if self._link_loss:
             # Link-degradation faults: extra path loss on specific directed
             # links weakens the *signal* only (interference terms keep
@@ -1432,17 +1457,11 @@ class SlottedEngine:
 
         # Interference at each receiver: all other *same-channel* SU
         # transmitters ...
-        tx_deltas = rx_pos[:, None, :] - tx_pos[None, :, :]
-        tx_dist = np.maximum(
-            np.hypot(tx_deltas[..., 0], tx_deltas[..., 1]), _MIN_DISTANCE
-        )
-        su_interference = self._su_power * tx_dist ** (-self.alpha)
-        np.fill_diagonal(su_interference, 0.0)
+        np.fill_diagonal(gains, 0.0)
         if self._num_channels > 1:
             channel_array = np.asarray(channels)
-            same_channel = channel_array[:, None] == channel_array[None, :]
-            su_interference = su_interference * same_channel
-        interference = su_interference.sum(axis=1)
+            gains = gains * (channel_array[:, None] == channel_array[None, :])
+        interference = gains.sum(axis=1)
 
         # ... plus every active *same-channel* PU.
         active = self._active_pus
@@ -1461,8 +1480,9 @@ class SlottedEngine:
                 pu_terms = pu_terms * same_channel_pu
             interference = interference + pu_terms.sum(axis=1)
 
-        with np.errstate(divide="ignore"):
-            sir = np.where(interference > 0.0, signal / interference, np.inf)
+        sir = np.divide(
+            signal, interference, out=np.full(count, np.inf), where=interference > 0.0
+        )
         success = ok & (sir >= self.eta_s)
         if completing is concurrent:
             return success.tolist()
@@ -1518,11 +1538,14 @@ class SlottedEngine:
     ) -> None:
         # Slot end: the concurrent set for the validator, deliveries,
         # fairness waits, backoff redraws.
-        self.last_slot_su_links = [
-            (node, receiver) for _, node, receiver, _ in concurrent
-        ]
-        self.last_slot_su_channels = [channel for _, _, _, channel in concurrent]
-        self.last_slot_active_pus = list(self._active_pu_list)
+        if self.slot_hook is not None:
+            self.last_slot_su_links = [
+                (node, receiver) for _, node, receiver, _ in concurrent
+            ]
+            self.last_slot_su_channels = [
+                channel for _, _, _, channel in concurrent
+            ]
+            self.last_slot_active_pus = list(self._active_pu_list)
         if concurrent:
             count = len(concurrent)
             histogram = self._result.concurrent_tx_histogram
@@ -1555,14 +1578,7 @@ class SlottedEngine:
                 # exponentially and retries; this is *not* a collision
                 # (ADDC's collision-free property is about contention).
                 self._result.blackout_failures += 1
-                streak = min(
-                    self._collision_streak[node] + 1, self.max_backoff_exponent
-                )
-                self._collision_streak[node] = streak
-                window = 1 << streak
-                self._hold_until_slot[node] = (
-                    self._slot + 1 + int(self._backoff_rng.integers(0, window))
-                )
+                self._start_hold_off(node)
                 if self.trace is not None:
                     self.trace.record(
                         TraceEvent(
@@ -1577,14 +1593,7 @@ class SlottedEngine:
                 # stays queued and is retransmitted after an exponentially
                 # growing random hold-off (the paper's footnote 2).
                 self._result.collisions += 1
-                streak = min(
-                    self._collision_streak[node] + 1, self.max_backoff_exponent
-                )
-                self._collision_streak[node] = streak
-                window = 1 << streak
-                self._hold_until_slot[node] = (
-                    self._slot + 1 + int(self._backoff_rng.integers(0, window))
-                )
+                self._start_hold_off(node)
                 if self.trace is not None:
                     self.trace.record(
                         TraceEvent(
@@ -1693,10 +1702,41 @@ class SlottedEngine:
                 self._result.active_slot_spans.get(node, 0) + span
             )
             self._active.discard(node)
-            self._active_mask[node] = False
+            self._eligible_mask[node] = False
             extra_wait[node] = 0.0
         for node in newly_active:
             self._activate(node)
+
+    def _start_hold_off(self, node: int) -> None:
+        """Hold ``node`` off for a random number of slots (footnote 2).
+
+        The window grows binary-exponentially with the node's failure
+        streak, capped at ``2 ** max_backoff_exponent`` slots.
+        """
+        streak = min(self._collision_streak[node] + 1, self.max_backoff_exponent)
+        self._collision_streak[node] = streak
+        release = self._slot + 1 + int(self._backoff_rng.integers(0, 1 << streak))
+        self._hold_until_slot[node] = release
+        self._eligible_mask[node] = False
+        heapq.heappush(self._holds, (release, node))
+
+    def _release_holds(self) -> None:
+        """Make nodes whose hold-off ends by this slot eligible again.
+
+        Pops due entries and stale ones (the node is inactive or holds
+        off until another slot) from the top of ``_holds``, so afterwards
+        the top, if any, is the earliest pending release.
+        """
+        holds = self._holds
+        slot = self._slot
+        while holds:
+            release, node = holds[0]
+            pending = node in self._active and self._hold_until_slot[node] == release
+            if pending and release > slot:
+                return
+            heapq.heappop(holds)
+            if pending:
+                self._eligible_mask[node] = True
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #

@@ -30,6 +30,14 @@ def run(wall=1.0, ops=1.0, correct=True, attempted=100, failed=0):
     }
 
 
+#: A BENCHMARK.json for fake checkouts: two workloads, one gated metric.
+SPEC = (
+    '{"run_seconds": 0, '
+    '"workloads": [{"name": "fig6c-sweep"}, {"name": "service-mix"}], '
+    '"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}'
+)
+
+
 def flagged(problems):
     regressions = [p for p in problems if p.startswith("REGRESSION")]
     return sorted(p.split()[1].rstrip(":") for p in regressions)
@@ -148,13 +156,11 @@ def test_main_runs_the_requested_pairs_alternating(tmp_path, monkeypatch, capsys
     base_tree, change_tree = tmp_path / "base", tmp_path / "change"
     for tree in (base_tree, change_tree):
         tree.mkdir()
-        (tree / "BENCHMARK.json").write_text(
-            '{"run_seconds": 0, "end_to_end": '
-            '[{"name": "wall_s", "better": "lower", "bound": 0.25}]}'
-        )
+        (tree / "BENCHMARK.json").write_text(SPEC)
     order = []
 
-    def fake_run(tree, seconds):
+    def fake_run(tree, seconds, workload, seed):
+        assert (workload, seed) == ("fig6c-sweep", 2012)
         order.append(tree.name)
         return run(wall=1.0 if tree.name == "base" else 0.5)
 
@@ -180,17 +186,45 @@ def test_a_tree_that_does_not_compile_stops_the_gate(tmp_path, monkeypatch, caps
     base_tree, change_tree = tmp_path / "base", tmp_path / "change"
     for tree in (base_tree, change_tree):
         (tree / "src").mkdir(parents=True)
-        (tree / "BENCHMARK.json").write_text(
-            '{"run_seconds": 0, "end_to_end": '
-            '[{"name": "wall_s", "better": "lower", "bound": 0.25}]}'
-        )
+        (tree / "BENCHMARK.json").write_text(SPEC)
     (change_tree / "src" / "broken.py").write_text("def f(:\n")
     assert gate.compile_tree(base_tree)
     assert not gate.compile_tree(change_tree)
 
-    def never(tree, seconds):
+    def never(tree, seconds, workload, seed):
         raise AssertionError("a run started although a tree did not compile")
 
     monkeypatch.setattr(gate, "run_once", never)
     assert gate.main([str(base_tree), str(change_tree)]) == 2
     assert "cannot byte-compile" in capsys.readouterr().out
+
+
+def test_workload_and_seed_reach_every_run(tmp_path, monkeypatch, capsys):
+    base_tree, change_tree = tmp_path / "base", tmp_path / "change"
+    for tree in (base_tree, change_tree):
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(SPEC)
+    calls = []
+
+    def fake_run(tree, seconds, workload, seed):
+        calls.append((tree.name, workload, seed))
+        return run()
+
+    monkeypatch.setattr(gate, "run_once", fake_run)
+    monkeypatch.setattr(gate, "compile_tree", lambda tree: True)
+    argv = [str(base_tree), str(change_tree), "--pairs", "2"]
+    assert gate.main(argv + ["--workload", "service-mix", "--seed", "7"]) == 0
+    assert calls == [
+        ("base", "service-mix", 7),
+        ("change", "service-mix", 7),
+        ("change", "service-mix", 7),
+        ("base", "service-mix", 7),
+    ]
+    out = capsys.readouterr().out
+    assert "workload service-mix, seed 7" in out
+    assert "E2E GATE: PASS (service-mix, 2 pairs)" in out
+    # Only a workload the base checkout's BENCHMARK.json lists is accepted.
+    calls.clear()
+    with pytest.raises(SystemExit) as exit_info:
+        gate.main(argv + ["--workload", "paper-rep"])
+    assert exit_info.value.code == 2 and calls == []

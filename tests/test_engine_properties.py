@@ -4,11 +4,14 @@ Hypothesis drives deployment seeds and scenario knobs (blocking model,
 activity model, sensing errors); for every drawn scenario the run must
 satisfy the conservation and termination invariants regardless of
 geometry.  Conservation is checked at the end of the run and again at the
-end of every slot of a second, hooked run, together with the contention
-invariant that an inactive node carries no fairness wait.  The hook forces
-the plain slot loop, so that run must also end in the same result and the
-same RNG stream positions as the fast-forwarded one.  The capture rule of
-SIR adjudication is checked against a scalar reference.
+end of every slot of a second, hooked run, together with two contention
+invariants: an inactive node carries no fairness wait, and the engine's
+incrementally kept eligible set equals its full recomputation.  A third
+property adds crashes, outages with rejoins, base-station blackouts and
+multi-slot packets.  The hook forces the plain slot loop, so that run must
+also end in the same result and the same RNG stream positions as the
+fast-forwarded one.  The capture rule and multi-channel SIR of
+adjudication are checked against a scalar reference.
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ class ConservationOracle:
     deferred for a down node, or held by the policy (Coolest holds a
     source's data until its route reply lands).  It also asserts that no
     inactive node (drained, down or dead) carries a fairness wait: the
-    slot end zeroes every wait at once on that invariant.
+    slot end zeroes every wait at once on that invariant.  Last, the
+    engine's incrementally kept set of nodes that may contend must equal
+    its definition recomputed over every node: active and past its
+    hold-off.
     """
 
     def __init__(self) -> None:
@@ -97,11 +103,19 @@ class ConservationOracle:
             f"pending + {deferred} deferred + {held} held != "
             f"{result.num_packets} packets"
         )
-        stale = np.nonzero(engine._extra_wait[~engine._active_mask])[0]
+        active = np.zeros(engine._num_nodes, dtype=bool)
+        active[list(engine._active)] = True
+        stale = np.nonzero(engine._extra_wait[~active])[0]
         assert stale.size == 0, (
             f"slot {engine.slot}: inactive nodes "
-            f"{np.nonzero(~engine._active_mask)[0][stale].tolist()} "
+            f"{np.nonzero(~active)[0][stale].tolist()} "
             "carry a fairness wait"
+        )
+        eligible = active & (np.asarray(engine._hold_until_slot) <= engine.slot)
+        drift = np.nonzero(engine._eligible_mask != eligible)[0]
+        assert drift.size == 0, (
+            f"slot {engine.slot}: the eligible set disagrees with "
+            f"active & past hold-off at nodes {drift.tolist()}"
         )
         self.slots += 1
 
@@ -217,6 +231,80 @@ def test_coolest_conservation_invariants(params):
     assert sum(result.tx_successes.values()) >= data_hops
 
 
+@st.composite
+def adversity(draw):
+    """Packet length plus up to three crash, outage or blackout events.
+
+    Nodes are drawn as raw integers and mapped onto the deployment's SUs
+    by the test.  Outages recover 5-60 slots later, so rejoins happen
+    mid-run; blackouts make deliveries to the sink hold off and retry.
+    """
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["crash", "outage", "bs-blackout"]),
+                st.integers(0, 80),  # onset slot
+                st.integers(0, 10**6),  # node, modulo the SU count
+                st.integers(5, 60),  # outage or blackout length
+            ),
+            max_size=3,
+        )
+    )
+    return draw(st.sampled_from([1, 2, 3])), events
+
+
+def fault_plan_for(topology, events):
+    su_ids = list(topology.secondary.su_ids())
+    plan = []
+    for kind, slot, raw_node, length in events:
+        node = su_ids[raw_node % len(su_ids)]
+        if kind == "crash":
+            plan.append(FaultEvent.crash(slot, node))
+        elif kind == "outage":
+            plan.append(FaultEvent.outage(slot, node, slot + length))
+        else:
+            plan.append(FaultEvent.bs_blackout(slot, slot + length))
+    return FaultPlan.from_events(plan)
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scenario(), adversity())
+def test_addc_invariants_under_faults_and_long_packets(params, hazards):
+    """Crashes, outages with rejoins, blackout hold-offs and multi-slot
+    packets: every slot still conserves data and keeps the eligible set
+    equal to its definition, and the hooked plain loop ends where the
+    fast-forwarded run did."""
+    deployment, knobs = params
+    packet_slots, events = hazards
+    if knobs["blocking"] == "homogeneous":
+        # Mean-field blocking at p_t = 0.3 rarely frees a node for three
+        # slots running, so long packets there starve past max_slots.
+        packet_slots = 1
+    topology, factory = deploy(*deployment)
+    if topology is None:
+        return
+    knobs = dict(
+        knobs,
+        packet_slots=packet_slots,
+        fault_plan=fault_plan_for(topology, events),
+        with_bounds=False,
+        max_slots=150_000,
+    )
+    outcome = run_addc_collection(topology, factory.spawn("addc"), **knobs)
+    result = outcome.result
+    assert result.completed
+    oracle = ConservationOracle()
+    with oracle.hooked(collector):
+        hooked = run_addc_collection(topology, factory.spawn("addc"), **knobs)
+    assert hooked.result == result
+    assert hooked.engine.rng_positions() == outcome.engine.rng_positions()
+    assert oracle.slots == result.slots_simulated
+
+
 def test_a_crashed_node_keeps_no_fairness_wait():
     """Crash a node the slot after it transmitted and kept a backlog.
 
@@ -252,7 +340,7 @@ def test_a_crashed_node_keeps_no_fairness_wait():
 
 @functools.lru_cache(maxsize=1)
 def capture_engine():
-    """A single-channel engine whose positions the capture test redraws."""
+    """An engine whose positions and channels the capture test redraws."""
     topology, factory = deploy(3, 12, 6, 0.3, False)
     sense_map = CarrierSenseMap(topology, 20.0)
     tree = build_collection_tree(
@@ -262,9 +350,10 @@ def capture_engine():
     return SlottedEngine(topology, sense_map, policy, factory.spawn("capture"))
 
 
-def reference_outcomes(engine, links, active_pus, sir_check):
+def reference_outcomes(engine, links, channels, active_pus, pu_channels, sir_check):
     """Scalar rule: the first strongest link per receiver wins capture,
-    then it must meet ``eta_s`` over every other transmitter and PU."""
+    then it must meet ``eta_s`` over every other transmitter and PU on
+    its channel (no interferer at all is an infinite SIR)."""
     positions = engine._positions
     tx = np.array([sender for sender, _ in links])
     rx = np.array([receiver for _, receiver in links])
@@ -285,13 +374,15 @@ def reference_outcomes(engine, links, active_pus, sir_check):
         if not sir_check:
             outcomes.append(captured)
             continue
+        channel = channels[index]
         interference = sum(
             power_at(positions[sender], engine._su_power, receiver)
             for j, (sender, _) in enumerate(links)
-            if j != index
+            if j != index and channels[j] == channel
         ) + sum(
             power_at(engine._pu_positions[pu], engine._pu_power, receiver)
             for pu in active_pus
+            if pu_channels[pu] == channel
         )
         sir = signal[index] / interference if interference > 0 else float("inf")
         outcomes.append(captured and sir >= engine.eta_s)
@@ -301,7 +392,8 @@ def reference_outcomes(engine, links, active_pus, sir_check):
 @st.composite
 def concurrent_set(draw):
     """Links into three shared receivers from transmitters on a small
-    integer grid, where mirrored offsets give exactly equal signals."""
+    integer grid, where mirrored offsets give exactly equal signals, on
+    one to three channels (every link and PU on a drawn channel)."""
     engine = capture_engine()
     senders = draw(
         st.lists(
@@ -316,33 +408,50 @@ def concurrent_set(draw):
         for node in [0, 1, 2, *senders]
     }
     completing = [draw(st.booleans()) for _ in senders]
-    active_pus = draw(
-        st.lists(
-            st.integers(0, engine._pu_positions.shape[0] - 1), max_size=3,
-            unique=True,
-        )
+    num_pus = engine._pu_positions.shape[0]
+    active_pus = draw(st.lists(st.integers(0, num_pus - 1), max_size=3, unique=True))
+    num_channels = draw(st.integers(1, 3))
+    channel = st.integers(0, num_channels - 1)
+    channels = [draw(channel) for _ in senders]
+    pu_channels = [draw(channel) for _ in range(num_pus)]
+    return (
+        list(zip(senders, receivers)),
+        points,
+        completing,
+        sorted(active_pus),
+        num_channels,
+        channels,
+        pu_channels,
     )
-    return list(zip(senders, receivers)), points, completing, sorted(active_pus)
 
 
 @settings(max_examples=300, deadline=None)
 @given(concurrent_set(), st.booleans())
 def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
-    links, points, completing_flags, active_pus = drawn
+    (
+        links, points, completing_flags, active_pus,
+        num_channels, channels, pu_channels,
+    ) = drawn
     engine = capture_engine()
     positions = engine._positions.copy()
     for node, point in points.items():
         positions[node] = point
+    plan = mock.Mock(pu_channels=np.array(pu_channels, dtype=np.int64))
     with mock.patch.multiple(
         engine,
         _positions=positions,
         _active_pus=np.array(active_pus, dtype=np.int64),
+        _num_channels=num_channels,
+        channel_plan=plan,
         sir_check=sir_check,
     ):
         concurrent = [
-            (0.1, sender, receiver, 0) for sender, receiver in links
+            (0.1, sender, receiver, channel)
+            for (sender, receiver), channel in zip(links, channels)
         ]
-        expected = reference_outcomes(engine, links, active_pus, sir_check)
+        expected = reference_outcomes(
+            engine, links, channels, active_pus, pu_channels, sir_check
+        )
         assert engine._adjudicate(concurrent, concurrent) == expected
         completing = [
             link for link, done in zip(concurrent, completing_flags) if done

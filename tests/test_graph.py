@@ -82,6 +82,27 @@ class TestFromPositions:
             for v in range(u + 1, 25):
                 assert graph.has_edge(u, v) == (matrix[u, v] <= radius)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**31 - 1))
+    def test_adjacency_order_matches_one_query_per_point(self, count, seed):
+        """Adjacency order feeds tree and route tie-breaks, so the batched
+        build must insert edges exactly as the per-point loop did."""
+        from repro.geometry.spatial_index import GridIndex
+
+        rng = np.random.default_rng(seed)
+        positions = rng.random((count, 2)) * 25.0
+        radius = 6.0
+        reference = Graph(count)
+        index = GridIndex(positions, cell_size=radius)
+        for u in range(count):
+            for v in index.query_radius(positions[u], radius):
+                if v > u:
+                    reference.add_edge(u, v)
+        graph = Graph.from_positions(positions, radius)
+        assert [list(graph.neighbors(u)) for u in range(count)] == [
+            list(reference.neighbors(u)) for u in range(count)
+        ]
+
     def test_empty_positions(self):
         graph = Graph.from_positions(np.empty((0, 2)), 1.0)
         assert graph.num_nodes == 0

@@ -150,6 +150,24 @@ class TestRowStream:
         assert rows.state() == reference.bit_generator.state
 
     @pytest.mark.parametrize("width", [1, 115, 2000])
+    def test_handed_out_rows_stay_intact_across_a_refill(self, width):
+        """Rows taken one per slot, as the slot loop does, keep their
+        values after the refill that starts the next block."""
+        block = ROW_BLOCK_UNIFORMS // width
+        oracle = _fresh(width).random((2 * block, width))
+        rows = RowStream(_fresh(width), width)
+        held = [rows.random(width) for _ in range(block)]
+        held.append(rows.random(width))  # the refill
+        held.extend(rows.random(width) for _ in range(block - 1))
+        for index, row in enumerate(held):
+            np.testing.assert_array_equal(row, oracle[index])
+
+    def test_a_refill_block_stays_below_the_default_mmap_threshold(self):
+        # glibc serves 128 KiB and up with mmap until the first such block
+        # is freed; keeping refills under it keeps peak RSS steady.
+        assert ROW_BLOCK_UNIFORMS * np.dtype(np.float64).itemsize < 128 * 1024
+
+    @pytest.mark.parametrize("width", [1, 115, 2000])
     def test_peek_longer_than_one_block(self, width):
         block = ROW_BLOCK_UNIFORMS // width
         rows = RowStream(_fresh(width), width)
