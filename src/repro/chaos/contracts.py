@@ -7,7 +7,7 @@ Contracts are to resilience what reprolint rules are to source hygiene:
 each has a stable ``id`` usable in reports, a human rationale, and an
 ``evaluate`` method yielding :class:`ContractCheck` verdicts — and the
 ``addc-repro chaos gate`` CLI fails (exit 1) when any check fails, the
-same way ``obs diff`` fails on a ratcheted perf regression.
+same way it fails on a ratcheted figure regression.
 
 The registry :data:`CONTRACTS` is the closed vocabulary the gate runs:
 

@@ -16,9 +16,8 @@ Commands
 ``scenario``   list or run a named scenario preset
 ``report``     regenerate the full evaluation record (slow)
 ``lint``       run reprolint (determinism & paper-invariant checks)
-``obs``        observability: ``report`` (render/verify a run manifest),
-               ``export`` (manifest or live stats -> Prometheus text), and
-               ``diff`` (manifest-vs-manifest figure comparison)
+``obs``        observability: ``report`` (render/verify a run manifest) and
+               ``export`` (manifest or live stats -> Prometheus text)
 ``trace``      NDJSON traces: ``export`` (stream a run's events to disk),
                ``stats`` (summarize a trace/v1 or trace/v2 file), and
                ``tree`` (render a job's merged trace/v2 span tree)
@@ -513,28 +512,6 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.obs.diff import load_manifest_dict
-
-    rows = obs.diff_manifests(
-        load_manifest_dict(args.old),
-        load_manifest_dict(args.new),
-        tolerance_pct=args.fail_on_regression,
-    )
-    if args.json:
-        print(
-            json.dumps(
-                [row.to_dict() for row in rows], indent=2, sort_keys=True
-            )
-        )
-    else:
-        print(obs.render_diff(rows, args.fail_on_regression))
-    return 1 if any(row.regression for row in rows) else 0
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
@@ -1050,27 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write to a file instead of stdout"
     )
     obs_export.set_defaults(handler=_cmd_obs_export)
-
-    obs_diff = obs_commands.add_parser(
-        "diff",
-        help="compare two manifests' figures (the chaos gate's ratchet)",
-    )
-    obs_diff.add_argument(
-        "old", help="baseline manifest (e.g. BENCH_resilience.json)"
-    )
-    obs_diff.add_argument("new", help="fresh manifest to compare")
-    obs_diff.add_argument(
-        "--fail-on-regression",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit nonzero when a gated figure moved the wrong way by "
-        "more than PCT%%",
-    )
-    obs_diff.add_argument(
-        "--json", action="store_true", help="emit the rows as JSON"
-    )
-    obs_diff.set_defaults(handler=_cmd_obs_diff)
 
     trace_parser = commands.add_parser(
         "trace", help="NDJSON trace export and inspection (trace/v1)"

@@ -11,8 +11,10 @@ worker's metric snapshot, when one was collected) or one quarantined-item
 
 Crash-safety contract
 ---------------------
-* Appends are one ``write()`` of a full ``\\n``-terminated line, flushed
-  and fsynced before the append returns — a record either exists whole
+* The line discipline is :mod:`repro.storage`'s: appends are one
+  ``write()`` of a full ``\\n``-terminated line, flushed and fsynced
+  before the append returns
+  (:func:`~repro.storage.append_record`) — a record either exists whole
   or not at all, except for the final line a ``SIGKILL`` may tear.
 * The loader validates every line; a torn *tail* (the last line fails to
   parse or lacks its newline) is truncated away — with ``repair=True``
@@ -28,12 +30,9 @@ Crash-safety contract
 from __future__ import annotations
 
 import dataclasses
-import io
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro._version import __version__
@@ -41,7 +40,13 @@ from repro.errors import CheckpointError
 from repro.experiments.runner import RepetitionMeasurement
 from repro.obs.clock import wall_clock_iso
 from repro.perf.executor import RepetitionOutcome
-from repro.storage import fsync_dir
+from repro.storage import (
+    RecordError,
+    append_record,
+    open_append,
+    read_records,
+    truncate_torn_tail,
+)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -104,90 +109,58 @@ class CheckpointState:
         return self.header.get("config_hash")
 
 
-def _parse_line(path: Union[str, Path], number: int, line: str) -> Dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint journal {path} is corrupt at line {number}: {exc}"
-        ) from exc
-    if not isinstance(record, dict):
-        raise CheckpointError(
-            f"checkpoint journal {path} is corrupt at line {number}: "
-            "expected a JSON object"
-        )
-    return record
-
-
 def load_checkpoint(
     path: Union[str, Path], repair: bool = False
 ) -> CheckpointState:
     """Read and validate a ``checkpoint/v1`` journal.
 
-    A torn final line (the one write a SIGKILL can interrupt) is dropped
-    — and, with ``repair=True``, physically truncated from the file so the
-    next append starts on a clean boundary.  Any malformed line *before*
-    the tail means real corruption and raises
+    A torn final line (the one write a SIGKILL can interrupt; see
+    :func:`repro.storage.read_records`) is dropped — and, with
+    ``repair=True``, physically truncated from the file so the next
+    append starts on a clean boundary.  Any malformed line *before* the
+    tail means real corruption and raises
     :class:`~repro.errors.CheckpointError` naming the path and line.
     """
     target = Path(path)
     try:
-        raw = target.read_bytes()
+        records, valid_bytes, torn = read_records(target)
+    except RecordError as exc:
+        raise CheckpointError(
+            f"checkpoint journal {target} is corrupt at {exc}"
+        ) from exc
     except OSError as exc:
         raise CheckpointError(
             f"cannot read checkpoint journal {target}: {exc}"
         ) from exc
-    if not raw:
+    if not torn and not valid_bytes:
         raise CheckpointError(f"checkpoint journal {target} is empty")
 
-    state = CheckpointState(path=target, header={})
-    offset = 0
-    number = 0
-    for chunk in raw.split(b"\n"):
-        is_last = offset + len(chunk) >= len(raw)
-        if not chunk and not is_last:
-            offset += len(chunk) + 1
-            continue
-        if not chunk:
-            break
-        number += 1
-        torn = False
-        record: Optional[Dict] = None
-        try:
-            record = _parse_line(target, number, chunk.decode("utf-8"))
-        except (CheckpointError, UnicodeDecodeError):
-            if is_last:
-                torn = True  # the one line a kill may have interrupted
-            else:
-                raise
-        if not torn and is_last and record is not None:
-            # Parsed but missing its terminating newline: the flush was
-            # cut mid-write; treat as torn so the append boundary is clean.
-            torn = True
-        if torn:
-            state.torn_tail = True
-            obs.counter_add("harness.checkpoint.torn_tail")
-            break
-        assert record is not None
-        if number == 1:
-            if record.get("schema") != CHECKPOINT_SCHEMA:
-                raise CheckpointError(
-                    f"{target} is not a checkpoint journal "
-                    f"(expected schema {CHECKPOINT_SCHEMA!r}, got "
-                    f"{record.get('schema')!r})"
-                )
-            state.header = record
-        else:
-            _absorb_record(state, target, number, record)
-        offset += len(chunk) + 1
-        state.valid_bytes = min(offset, len(raw))
-    if number == 0 or not state.header:
+    state = CheckpointState(
+        path=target, header={}, torn_tail=torn, valid_bytes=valid_bytes
+    )
+    if torn:
+        obs.counter_add("harness.checkpoint.torn_tail")
+    if not records:
         raise CheckpointError(
             f"checkpoint journal {target} has no valid header line"
         )
-    if state.torn_tail and repair:
-        with open(target, "r+b") as handle:
-            handle.truncate(state.valid_bytes)
+    header = records[0]
+    if header.get("schema") != CHECKPOINT_SCHEMA:
+        raise CheckpointError(
+            f"{target} is not a checkpoint journal "
+            f"(expected schema {CHECKPOINT_SCHEMA!r}, got "
+            f"{header.get('schema')!r})"
+        )
+    state.header = header
+    for number, record in enumerate(records[1:], start=2):
+        _absorb_record(state, target, number, record)
+    if torn and repair:
+        try:
+            truncate_torn_tail(target, valid_bytes)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot repair checkpoint journal {target}: {exc}"
+            ) from exc
     return state
 
 
@@ -207,7 +180,7 @@ def _absorb_record(
             )
         except (KeyError, TypeError, ValueError, CheckpointError) as exc:
             raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line {number}: {exc}"
+                f"checkpoint journal {path} is corrupt at record {number}: {exc}"
             ) from exc
         # Duplicates can only carry identical payloads (measurements are
         # deterministic functions of (config, repetition)); first wins.
@@ -216,13 +189,13 @@ def _absorb_record(
         failure = record.get("record")
         if not isinstance(failure, dict):
             raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line {number}: "
+                f"checkpoint journal {path} is corrupt at record {number}: "
                 "failure record is not an object"
             )
         state.failures.append(failure)
     else:
         raise CheckpointError(
-            f"checkpoint journal {path} is corrupt at line {number}: "
+            f"checkpoint journal {path} is corrupt at record {number}: "
             f"unknown record kind {kind!r}"
         )
 
@@ -237,9 +210,9 @@ class CheckpointWriter:
     :func:`load_checkpoint` validated (and repaired) first.
     """
 
-    def __init__(self, path: Union[str, Path], handle: io.BufferedWriter) -> None:
+    def __init__(self, path: Union[str, Path], handle: BinaryIO) -> None:
         self.path = Path(path)
-        self._handle: Optional[io.BufferedWriter] = handle
+        self._handle: Optional[BinaryIO] = handle
         self.records_written = 0
 
     # ------------------------------------------------------------------ #
@@ -257,17 +230,21 @@ class CheckpointWriter:
     ) -> "CheckpointWriter":
         """Start a fresh journal at ``path`` (refuses to clobber one)."""
         target = Path(path)
-        if target.exists():
-            raise CheckpointError(
-                f"checkpoint journal {target} already exists; resume it or "
-                "delete it before starting a fresh sweep"
-            )
         try:
-            handle = open(target, "xb")
+            # open_append also fsyncs the directory: the journal's
+            # *existence* is a directory entry, and a power loss must not
+            # undo the creation of a journal whose records were acknowledged.
+            handle = open_append(target)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot create checkpoint journal {target}: {exc}"
             ) from exc
+        if handle.tell():  # append mode starts at the end of a non-empty file
+            handle.close()
+            raise CheckpointError(
+                f"checkpoint journal {target} already exists; resume it or "
+                "delete it before starting a fresh sweep"
+            )
         writer = cls(target, handle)
         header = {
             "schema": CHECKPOINT_SCHEMA,
@@ -280,24 +257,15 @@ class CheckpointWriter:
         if extra:
             header.update(extra)
         writer._append(header)
-        try:
-            # The appends fsync the file, but the journal's *existence* is a
-            # directory entry: flush it too, or a power loss can silently
-            # undo the creation of a journal whose records were acknowledged.
-            fsync_dir(target.parent)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot sync directory of checkpoint journal {target}: {exc}"
-            ) from exc
         return writer
 
     @classmethod
     def append_to(cls, state: CheckpointState) -> "CheckpointWriter":
         """Continue the journal a :func:`load_checkpoint` call validated."""
         try:
-            handle = open(state.path, "r+b")
-            handle.truncate(state.valid_bytes)
-            handle.seek(0, os.SEEK_END)
+            if state.torn_tail:
+                truncate_torn_tail(state.path, state.valid_bytes)
+            handle = open_append(state.path)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot reopen checkpoint journal {state.path}: {exc}"
@@ -313,11 +281,8 @@ class CheckpointWriter:
             raise CheckpointError(
                 f"checkpoint journal {self.path} is closed"
             )
-        line = json.dumps(record, sort_keys=True) + "\n"
         try:
-            self._handle.write(line.encode("utf-8"))
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            append_record(self._handle, record)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot append to checkpoint journal {self.path}: {exc}"
@@ -354,15 +319,8 @@ class CheckpointWriter:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Flush and close the journal (idempotent)."""
+        """Close the journal (idempotent); every append was already fsynced."""
         if self._handle is not None:
-            try:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-            except OSError:
-                # Closing must never mask the exception that got us here;
-                # the acknowledged records were already fsynced.
-                pass  # best-effort final flush; records were already fsynced
             self._handle.close()
             self._handle = None
 

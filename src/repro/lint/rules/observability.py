@@ -87,7 +87,7 @@ def _is_obs_facade_call(name: str, from_obs_names: frozenset) -> bool:
 class LiteralMetricNameRule(Rule):
     """OBS002: metric/span names are literal dotted constants.
 
-    The diff ratchet, the Prometheus exporter, and ``trace/v2`` span
+    The chaos gate's ratchet, the Prometheus exporter, and ``trace/v2`` span
     identity all treat metric names as a fixed vocabulary; a computed
     name (f-string, concatenation, ``str.format``) mints unbounded
     families nobody can ratchet or grep.  Names looked up from a literal

@@ -146,16 +146,18 @@ class WallClockBackoffRule(BannedNameRule):
 class AtomicWriteBypassRule(BannedNameRule):
     """ROB003: durable writes go through ``repro.storage``, nowhere else.
 
-    Flags calls to ``os.replace``/``os.rename`` and to
-    ``tempfile.NamedTemporaryFile``/``tempfile.mkstemp`` (including
-    aliases bound by ``from os import replace`` etc.) outside the
-    allow-listed storage module.  A temp-file-plus-rename written by hand
+    Flags calls to ``os.replace``/``os.rename``, to
+    ``tempfile.NamedTemporaryFile``/``tempfile.mkstemp``, and to
+    ``os.fsync`` (including aliases bound by ``from os import replace``
+    etc.) outside the allow-listed storage module.  A temp-file-plus-rename written by hand
     almost always skips one of the three syncs atomicity needs — file
     fsync before the rename, and parent-directory fsync after — so a
     crash can leave an empty or torn artifact under the final name,
     which downstream loaders then trust.
     :func:`repro.storage.atomic_write_text` is the one audited
-    implementation; build the payload string and hand it over.  Scratch
+    implementation; build the payload string and hand it over.  A bare
+    ``os.fsync`` marks a hand-rolled durable append: NDJSON record files
+    append through :func:`repro.storage.append_record`.  Scratch
     *directories* (``tempfile.mkdtemp``/``TemporaryDirectory``) are not
     write-rename patterns and stay legal.
     """
@@ -163,8 +165,9 @@ class AtomicWriteBypassRule(BannedNameRule):
     id = "ROB003"
     name = "atomic-write-bypass"
     description = (
-        "os.replace/os.rename and tempfile file factories are banned "
-        "outside repro/storage.py; use repro.storage.atomic_write_text"
+        "os.replace/os.rename, tempfile file factories and os.fsync are "
+        "banned outside repro/storage.py; use repro.storage.atomic_write_text "
+        "or repro.storage.append_record"
     )
     default_severity = Severity.ERROR
     default_options = {"allow": ["repro/storage.py"]}
@@ -173,8 +176,10 @@ class AtomicWriteBypassRule(BannedNameRule):
         "os.rename",
         "tempfile.NamedTemporaryFile",
         "tempfile.mkstemp",
+        "os.fsync",
     )
     reason = (
-        "hand-rolls an atomic write; a missed fsync here becomes a torn "
-        "artifact — use repro.storage.atomic_write_text"
+        "hand-rolls a durable write; a missed fsync here becomes a torn "
+        "artifact — use repro.storage.atomic_write_text or "
+        "repro.storage.append_record"
     )

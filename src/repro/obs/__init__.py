@@ -95,9 +95,6 @@ __all__ = [
     "structure_digest",
     "span_stats",
     "render_tree",
-    # Manifest diffing, from repro.obs.diff.
-    "diff_manifests",
-    "render_diff",
 ]
 
 _NULL = NullRecorder()
@@ -261,7 +258,6 @@ from repro.obs.manifest import (  # noqa: E402
     manifest_path_for,
     write_manifest,
 )
-from repro.obs.diff import diff_manifests, render_diff  # noqa: E402
 from repro.obs.export import render_prometheus  # noqa: E402
 from repro.obs.progress import Heartbeat  # noqa: E402
 from repro.obs.report import render_report  # noqa: E402

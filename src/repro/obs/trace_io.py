@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
+from repro.obs.tracing import load_spans, read_trace_records, span_stats
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
-from repro.storage import atomic_write_text
+from repro.storage import write_records
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -74,7 +75,7 @@ def export_trace(log: TraceLog, path: Union[str, Path]) -> None:
     """Write a complete :class:`TraceLog` to ``path`` as ``trace/v1`` NDJSON.
 
     The write is atomic and durable
-    (:func:`repro.storage.atomic_write_text`), mirroring
+    (:func:`repro.storage.write_records`), mirroring
     :func:`repro.experiments.io.save_sweep`.  A truncated log's ``dropped``
     count lands in the header.
     """
@@ -85,77 +86,49 @@ def export_trace(log: TraceLog, path: Union[str, Path]) -> None:
         "dropped": log.dropped,
         "max_events": log.max_events,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps(event_to_dict(event), sort_keys=True) for event in log
-    )
     try:
-        atomic_write_text(target, "\n".join(lines) + "\n")
+        write_records(target, [header, *(event_to_dict(event) for event in log)])
     except OSError as exc:
         raise ObservabilityError(f"cannot write trace file {target}: {exc}") from exc
 
 
-def _scan(path: Union[str, Path]) -> Iterator[Tuple[Dict, Dict]]:
-    """Yield ``(header, line_object)`` pairs for every event line.
+def _scan(path: Union[str, Path], records: List[Dict]) -> Tuple[Dict, List[Dict]]:
+    """``(header, event lines)`` of one ``trace/v1`` file's records.
 
     Validates the header first and the footer (when present) last; raises
     :class:`ObservabilityError` naming the path on any malformation.
     """
-    header: Optional[Dict] = None
-    footer: Optional[Dict] = None
-    events_seen = 0
-    try:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ObservabilityError(
-                        f"trace file {path} line {number} is not JSON: {exc}"
-                    ) from exc
-                if not isinstance(line, dict):
-                    raise ObservabilityError(
-                        f"trace file {path} line {number} is not a JSON object"
-                    )
-                if header is None:
-                    schema = line.get("schema")
-                    if schema != TRACE_SCHEMA:
-                        if schema == "trace/v2":
-                            raise ObservabilityError(
-                                f"trace file {path} has schema 'trace/v2' "
-                                f"(job spans), expected {TRACE_SCHEMA!r} "
-                                "(simulator events); load it with "
-                                "repro.obs.tracing.load_spans / "
-                                "`addc-repro trace tree` instead"
-                            )
-                        raise ObservabilityError(
-                            f"trace file {path} has schema "
-                            f"{schema!r}, expected {TRACE_SCHEMA!r}"
-                        )
-                    header = line
-                    continue
-                if footer is not None:
-                    raise ObservabilityError(
-                        f"trace file {path} has event lines after its footer"
-                    )
-                if line.get("schema") == TRACE_SCHEMA and line.get("footer"):
-                    footer = line
-                    continue
-                events_seen += 1
-                yield header, line
-    except OSError as exc:
-        raise ObservabilityError(f"cannot read trace file {path}: {exc}") from exc
-    if header is None:
-        raise ObservabilityError(f"trace file {path} is empty (no header line)")
+    header, events = records[0], records[1:]
+    schema = header.get("schema")
+    if schema == "trace/v2":
+        raise ObservabilityError(
+            f"trace file {path} has schema 'trace/v2' "
+            f"(job spans), expected {TRACE_SCHEMA!r} "
+            "(simulator events); load it with "
+            "repro.obs.tracing.load_spans / "
+            "`addc-repro trace tree` instead"
+        )
+    if schema != TRACE_SCHEMA:
+        raise ObservabilityError(
+            f"trace file {path} has schema {schema!r}, expected {TRACE_SCHEMA!r}"
+        )
+    footers = [
+        index
+        for index, line in enumerate(events)
+        if line.get("schema") == TRACE_SCHEMA and line.get("footer")
+    ]
+    if footers and footers[0] != len(events) - 1:
+        raise ObservabilityError(
+            f"trace file {path} has event lines after its footer"
+        )
+    footer = events.pop() if footers else None
     declared = footer.get("events") if footer is not None else header.get("events")
-    if declared is not None and declared != events_seen:
+    if declared is not None and declared != len(events):
         raise ObservabilityError(
             f"trace file {path} declares {declared} events but contains "
-            f"{events_seen}"
+            f"{len(events)}"
         )
+    return header, events
 
 
 def load_trace(path: Union[str, Path]) -> TraceLog:
@@ -164,28 +137,12 @@ def load_trace(path: Union[str, Path]) -> TraceLog:
     The reconstructed log carries the original ``max_events`` cap and
     ``dropped`` count, so a truncated capture round-trips faithfully.
     """
-    header: Optional[Dict] = None
-    events = []
-    for header, line in _scan(path):
-        events.append(event_from_dict(line))
-    if header is None:
-        # Zero-event file: the exhausted scan above already validated it.
-        header = _header_of(path)
+    header, lines = _scan(path, read_trace_records(path))
     max_events = header.get("max_events")
     log = TraceLog(max_events=int(max_events) if max_events is not None else None)
-    log._events.extend(events)
+    log._events.extend(event_from_dict(line) for line in lines)
     log.dropped = int(header.get("dropped", 0) or 0)
     return log
-
-
-def _header_of(path: Union[str, Path]) -> Dict:
-    """Parse just the first line of an already-validated trace file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if raw:
-                return json.loads(raw)
-    raise ObservabilityError(f"trace file {path} is empty (no header line)")
 
 
 def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
@@ -198,26 +155,19 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
     p50/p95/p99 duration summaries plus, with ``top > 0``, the ``top``
     slowest individual spans.  Always JSON-serializable.
     """
-    try:
-        first = _header_of(path)
-    except (json.JSONDecodeError, OSError):
-        first = {}  # let the trace/v1 scanner produce its precise error
-    if isinstance(first, dict) and first.get("schema") == "trace/v2":
-        from repro.obs.tracing import load_spans, span_stats
-
+    records = read_trace_records(path)
+    if records[0].get("schema") == "trace/v2":
         header, spans = load_spans(path)
         summary = span_stats(spans, top=top)
         summary["dropped"] = int(header.get("dropped", 0) or 0)
         summary["trace_id"] = header.get("trace_id")
         return summary
+    header, lines = _scan(path, records)
     kinds: Dict[str, int] = {}
     nodes = set()
     first_slot: Optional[int] = None
     last_slot: Optional[int] = None
-    events = 0
-    header: Dict = {}
-    for header, line in _scan(path):
-        events += 1
+    for line in lines:
         kind = str(line.get("kind"))
         kinds[kind] = kinds.get(kind, 0) + 1
         nodes.add(line.get("node"))
@@ -229,11 +179,9 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
             first_slot = slot
         if last_slot is None or slot > last_slot:
             last_slot = slot
-    if not header:
-        header = _header_of(path)
     return {
         "schema": TRACE_SCHEMA,
-        "events": events,
+        "events": len(lines),
         "dropped": int(header.get("dropped", 0) or 0),
         "first_slot": first_slot,
         "last_slot": last_slot,

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
-from repro.storage import atomic_write_text
+from repro.storage import RecordError, read_records, write_records
 
 __all__ = [
     "TRACE_V2_SCHEMA",
@@ -60,6 +60,7 @@ __all__ = [
     "SpanRecord",
     "build_repetition_spans",
     "load_spans",
+    "read_trace_records",
     "merge_shards",
     "write_trace",
     "structural_form",
@@ -214,6 +215,29 @@ def build_repetition_spans(
     return spans
 
 
+def read_trace_records(path: Union[str, Path]) -> List[Dict]:
+    """Every record of a trace file of either schema, header first.
+
+    Trace files are written whole, so unlike a journal a torn final line
+    (:func:`repro.storage.read_records`) is refused, as is an empty file;
+    errors are :class:`ObservabilityError` naming the path.
+    """
+    try:
+        records, _valid_bytes, torn = read_records(path)
+    except RecordError as exc:
+        raise ObservabilityError(f"trace file {path} is corrupt at {exc}") from exc
+    except OSError as exc:
+        raise ObservabilityError(f"cannot read trace file {path}: {exc}") from exc
+    if torn:
+        raise ObservabilityError(
+            f"trace file {path} ends in a torn line; trace files are "
+            "written whole, so it is incomplete"
+        )
+    if not records:
+        raise ObservabilityError(f"trace file {path} is empty (no header line)")
+    return records
+
+
 def _check_schema(path: Union[str, Path], header: Dict) -> None:
     schema = header.get("schema")
     if schema == TRACE_V2_SCHEMA:
@@ -238,35 +262,10 @@ def load_spans(
     Validates the header schema (a ``trace/v1`` file raises an error
     naming both versions) and the header's declared span count.
     """
-    header: Optional[Dict] = None
-    spans: List[SpanRecord] = []
-    try:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ObservabilityError(
-                        f"trace file {path} line {number} is not JSON: {exc}"
-                    ) from exc
-                if not isinstance(line, dict):
-                    raise ObservabilityError(
-                        f"trace file {path} line {number} is not a JSON object"
-                    )
-                if header is None:
-                    _check_schema(path, line)
-                    header = line
-                    continue
-                spans.append(SpanRecord.from_dict(line))
-    except OSError as exc:
-        raise ObservabilityError(
-            f"cannot read trace file {path}: {exc}"
-        ) from exc
-    if header is None:
-        raise ObservabilityError(f"trace file {path} is empty (no header line)")
+    records = read_trace_records(path)
+    header = records[0]
+    _check_schema(path, header)
+    spans = [SpanRecord.from_dict(line) for line in records[1:]]
     declared = header.get("spans")
     if declared is not None and int(declared) != len(spans):
         raise ObservabilityError(
@@ -342,10 +341,8 @@ def write_trace(
         "merged": True,
         "spans": len(spans),
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(span.to_dict(), sort_keys=True) for span in spans)
     try:
-        atomic_write_text(target, "\n".join(lines) + "\n")
+        write_records(target, [header, *(span.to_dict() for span in spans)])
     except OSError as exc:
         raise ObservabilityError(
             f"cannot write trace file {target}: {exc}"

@@ -8,9 +8,10 @@ from disk with **zero** engine compute, and every hit is appended to a
 durable ``cache-log.ndjson`` provenance trail recording exactly which
 spec was answered from which artifact, when.
 
-The provenance log shares the torn-tail discipline of ``checkpoint/v1``
-journals: a ``SIGKILL`` landing inside one append can tear at most the
-final line, so opening the cache truncates a torn tail (counted on
+The provenance log shares the record-file discipline of
+``checkpoint/v1`` journals (:mod:`repro.storage`): a ``SIGKILL``
+landing inside one append can tear at most the final line, so opening
+the cache truncates a torn tail (counted on
 ``service.cache.torn_tail``) instead of refusing to load — while
 corruption anywhere *before* the tail still raises
 :class:`~repro.errors.ServiceError`, because a mangled interior record
@@ -20,14 +21,20 @@ means something other than a crash touched the log.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import repro.obs as obs
 from repro.errors import ServiceError
 from repro.service.jobs import JobSpec
-from repro.storage import fsync_dir
+from repro.storage import (
+    RecordError,
+    append_record,
+    fsync_dir,
+    open_append,
+    read_records,
+    truncate_torn_tail,
+)
 
 __all__ = ["ResultCache"]
 
@@ -66,7 +73,12 @@ class ResultCache:
             raise ServiceError(f"cache entry {path} is unreadable: {exc}") from exc
 
     def record_hit(self, fingerprint: str, spec: JobSpec) -> Dict:
-        """Append one durable ``cache_hit`` provenance record; returns it."""
+        """Append one durable ``cache_hit`` provenance record; returns it.
+
+        The first hit creates the log and fsyncs the cache directory
+        (:func:`repro.storage.open_append`), so a power loss cannot drop
+        the log's directory entry along with hits already acknowledged.
+        """
         record = {
             "kind": "cache_hit",
             "fingerprint": fingerprint,
@@ -74,68 +86,40 @@ class ResultCache:
             "artifact": self.artifact_path(fingerprint).name,
             "job": spec.to_dict(),
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
         try:
-            with open(self.log_path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+            with open_append(self.log_path) as handle:
+                append_record(handle, record)
         except OSError as exc:
             raise ServiceError(
                 f"cannot append cache provenance to {self.log_path}: {exc}"
             ) from exc
         return record
 
-    def _scan_log(self) -> tuple:
+    def _scan_log(self) -> Tuple[List[Dict], int, bool]:
         """``(records, valid_bytes, torn)`` for the provenance log.
 
-        Mirrors the ``checkpoint/v1`` loader: a record is valid only when
-        it parses as a JSON object *and* its line ends in a newline.  The
-        final line failing either test is a torn tail (the one write a
-        crash can lose); any earlier line failing is corruption and
-        raises :class:`ServiceError`.
+        The torn-tail rule is :func:`repro.storage.read_records`'s; an
+        interior line that is not a complete JSON object raises
+        :class:`ServiceError`.
         """
-        raw = self.log_path.read_bytes()
-        lines = raw.splitlines(keepends=True)
-        records: list = []
-        valid_bytes = 0
-        for index, line in enumerate(lines):
-            body = line.rstrip(b"\r\n")
-            if not body.strip():
-                valid_bytes += len(line)
-                continue
-            record = None
-            try:
-                record = json.loads(body)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                record = None
-            complete = line.endswith(b"\n")
-            if isinstance(record, dict) and complete:
-                records.append(record)
-                valid_bytes += len(line)
-                continue
-            if index == len(lines) - 1:
-                return records, valid_bytes, True
+        try:
+            return read_records(self.log_path)
+        except RecordError as exc:
             raise ServiceError(
                 f"cache provenance log {self.log_path} is corrupt at "
-                f"record {index + 1}: not a complete JSON object"
-            )
-        return records, valid_bytes, False
+                f"record {exc.line}: not a complete JSON object"
+            ) from exc
 
     def _repair_log_tail(self) -> None:
         """Truncate a torn final line so the cache loads after a crash."""
         if not self.log_path.exists():
             return
         _records, valid_bytes, torn = self._scan_log()
-        if not torn:
-            return
-        with open(self.log_path, "r+b") as handle:
-            handle.truncate(valid_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
-        obs.counter_add("service.cache.torn_tail")
+        if torn:
+            truncate_torn_tail(self.log_path, valid_bytes)
+            obs.counter_add("service.cache.torn_tail")
 
-    def hit_records(self) -> list:
+    def hit_records(self) -> List[Dict]:
         """All provenance records, oldest first (empty if no hits yet).
 
         Tolerates a torn final line (returns the valid prefix); interior
@@ -143,8 +127,7 @@ class ResultCache:
         """
         if not self.log_path.exists():
             return []
-        records, _valid_bytes, _torn = self._scan_log()
-        return records
+        return self._scan_log()[0]
 
     def sync(self) -> None:
         """fsync the cache directory (call after a new artifact lands)."""

@@ -8,18 +8,37 @@ too.  These helpers centralize the full discipline: write a temporary
 sibling, fsync the file, rename over the target, then fsync the parent
 directory.
 
-Both helpers raise plain :class:`OSError`; callers wrap it in their own
-domain error (``ExperimentIOError``, ``ObservabilityError``, ...) so the
-failure names the artifact that could not be written.
+The same module owns the NDJSON record files (``checkpoint/v1``
+journals, the service's ``cache-log.ndjson``, ``trace/v1`` and
+``trace/v2`` files): what makes a record line valid, what a crash may
+tear, and how a record is appended durably.  A record line is one JSON
+object with sorted keys, ended by a newline.  Journals and logs grow one
+fsynced append at a time, so a ``SIGKILL`` can tear only the final line;
+trace files are written whole through :func:`write_records`.
+
+Every helper raises plain :class:`OSError` or :class:`ValueError`;
+callers wrap it in their own domain error (``CheckpointError``,
+``ObservabilityError``, ...) so the failure names the file at fault.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-__all__ = ["fsync_dir", "atomic_write_text", "set_chaos_hook"]
+__all__ = [
+    "fsync_dir",
+    "atomic_write_text",
+    "set_chaos_hook",
+    "RecordError",
+    "read_records",
+    "write_records",
+    "open_append",
+    "append_record",
+    "truncate_torn_tail",
+]
 
 #: Chaos injection point (:mod:`repro.chaos.storage`): ``None`` in
 #: production.  When installed, the hook observes every durable write
@@ -88,3 +107,92 @@ def atomic_write_text(
         except OSError:
             pass
         raise
+
+
+class RecordError(ValueError):
+    """A record line before the final one is not a complete JSON object.
+
+    Only the final line can tear in a crash, so damage anywhere else
+    means something other than a crash touched the file.
+    """
+
+    def __init__(self, line: int) -> None:
+        super().__init__(f"line {line}: not a complete JSON object")
+        self.line = line
+
+
+def _record_line(record: Dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def read_records(path: Union[str, Path]) -> Tuple[List[Dict], int, bool]:
+    """Parse an NDJSON record file: ``(records, valid_bytes, torn)``.
+
+    Blank lines are skipped.  The final non-blank line is *torn* when it
+    does not parse as a JSON object or has no newline: it is left out of
+    ``records``, and ``valid_bytes`` ends where it starts.  Any earlier
+    line failing to parse raises :class:`RecordError` with its 1-based
+    line number.  Without a torn tail ``valid_bytes`` is the file size.
+    """
+    raw = Path(path).read_bytes()
+    lines = raw.split(b"\n")  # the bytes after the last newline come last
+    final = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+    records: List[Dict] = []
+    offset = 0
+    for index in range(final + 1):
+        line = lines[index]
+        if line.strip():
+            try:
+                record = json.loads(line) if index < len(lines) - 1 else None
+            except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+                record = None
+            if not isinstance(record, dict):
+                if index == final:
+                    return records, offset, True
+                raise RecordError(index + 1)
+            records.append(record)
+        offset += len(line) + 1
+    return records, len(raw), False
+
+
+def write_records(path: Union[str, Path], records: Iterable[Dict]) -> None:
+    """Write a whole record file atomically (:func:`atomic_write_text`)."""
+    atomic_write_text(path, "".join(_record_line(record) for record in records))
+
+
+def open_append(path: Union[str, Path]) -> BinaryIO:
+    """Open a record file for :func:`append_record`, creating it durably.
+
+    Appends fsync the file, but a new file's *existence* is a directory
+    entry: when this call creates the file it fsyncs the parent directory
+    too, or a power loss could drop the whole file, records and all.
+    """
+    target = Path(path)
+    try:
+        handle = open(target, "xb")
+    except FileExistsError:
+        return open(target, "ab")
+    try:
+        fsync_dir(target.parent)
+    except OSError:
+        handle.close()
+        raise
+    return handle
+
+
+def append_record(handle: BinaryIO, record: Dict) -> None:
+    """Append one record line: one write, one flush, one fsync.
+
+    A record therefore exists whole or not at all once this returns,
+    except for the final line a kill inside the write may tear.
+    """
+    handle.write(_record_line(record).encode("utf-8"))
+    handle.flush()
+    os.fsync(handle.fileno())
+
+
+def truncate_torn_tail(path: Union[str, Path], valid_bytes: int) -> None:
+    """Cut a record file back to its valid prefix and fsync the result."""
+    with open(path, "r+b") as handle:
+        handle.truncate(valid_bytes)
+        os.fsync(handle.fileno())

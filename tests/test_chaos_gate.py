@@ -2,8 +2,8 @@
 
 These tests build synthetic :class:`GateReport` objects instead of
 running the scenario grid, so they pin the gate's *mechanics*: the
-manifest round-trips through the perf-ratchet differ, a gated figure
-moving the wrong way is a regression, ungated figures never gate, and
+manifest round-trips through the ratchet, a gated figure moving the
+wrong way is a regression, ungated figures never gate, and
 the synthetic-violation canary actually fails a contract.  The grid
 itself is exercised by ``test_chaos_scenarios`` and the CI
 ``chaos gate --smoke`` step.
@@ -24,6 +24,7 @@ from repro.chaos import (
     require_passed,
     write_gate_baseline,
 )
+from repro.chaos.gate import diff_manifests
 from repro.chaos.scenarios import figure
 from repro.errors import ObservabilityError, ResilienceContractError
 from repro.obs.manifest import build_manifest, write_manifest
@@ -129,6 +130,37 @@ class TestRatchet:
         diff_against_baseline(report, baseline, tolerance_pct=5.0)
         assert report.regressions == 0
         assert report.passed
+
+    def test_leaving_a_zero_baseline_is_a_regression(self):
+        def manifest(repair_slots: float, delivery: float) -> dict:
+            figures = {
+                "repair_worst_slots": {"value": repair_slots},
+                "delivery_ratio": {"value": delivery, "higher_better": True},
+            }
+            return {"extra": {"resilience": {"figures": figures}}}
+
+        # No percentage tolerance covers a move off zero in the wrong
+        # direction; the same move in the right direction is fine.
+        rows = {
+            row.name: row
+            for row in diff_manifests(
+                manifest(0.0, 0.0), manifest(3.0, 0.5), tolerance_pct=400.0
+            )
+        }
+        repair = rows["resilience.repair_worst_slots"]
+        assert repair.regression and repair.delta_pct == float("inf")
+        delivery = rows["resilience.delivery_ratio"]
+        assert not delivery.regression and delivery.delta_pct == float("inf")
+        # Zero to zero is no move at all.
+        same = diff_manifests(
+            manifest(0.0, 0.0), manifest(0.0, 0.0), tolerance_pct=5.0
+        )
+        assert all(row.delta_pct == 0.0 and not row.regression for row in same)
+
+    def test_no_shared_figures_is_an_error(self):
+        empty = build_manifest().to_dict()
+        with pytest.raises(ObservabilityError, match="no comparable"):
+            diff_manifests(empty, empty, tolerance_pct=5.0)
 
     def test_foreign_baseline_is_refused(self, tmp_path):
         baseline = tmp_path / "foreign.json"

@@ -26,7 +26,6 @@ MODULES = [
     "repro.lint.registry",
     "repro.lint.suppress",
     "repro.network.primary",
-    "repro.workloads.sweep",
     "repro.metrics.stats",
 ]
 

@@ -564,6 +564,7 @@ class TestCli:
             ["service", "smoke"],
             ["obs", "report", "--smoke"],
             ["chaos", "--smoke"],
+            ["obs", "diff", "old.json", "new.json", "--fail-on-regression", "5"],
         ],
     )
     def test_retired_benches_and_options_are_usage_errors(self, argv, capsys):
@@ -684,118 +685,25 @@ class TestPrometheusExport:
 
 
 # --------------------------------------------------------------------------- #
-# manifest diff: the perf ratchet
+# obs export: Prometheus text from a manifest file
 # --------------------------------------------------------------------------- #
 
 
-def _ratchet_manifest(mean_ms: float, wall: float = 10.0) -> dict:
+def _profiled_manifest(mean_ms: float) -> dict:
     recorder = MetricsRecorder()
     recorder.counter_add("engine.slots", 1000)
     recorder.span_add("engine.slot", mean_ms / 1e3)
-    manifest = obs.build_manifest(recorder=recorder, wall_time_s=wall)
+    manifest = obs.build_manifest(recorder=recorder, wall_time_s=10.0)
     return json.loads(json.dumps(dataclasses.asdict(manifest)))
 
 
-class TestManifestDiff:
-    def test_equal_manifests_have_no_regression(self):
-        from repro.obs.diff import diff_manifests
-
-        manifest = _ratchet_manifest(2.0)
-        rows = diff_manifests(manifest, manifest, tolerance_pct=5.0)
-        assert rows
-        assert not any(row.regression for row in rows)
-        assert all(row.delta_pct == 0.0 for row in rows)
-
-    def test_synthetic_regression_is_flagged(self):
-        from repro.obs.diff import diff_manifests
-
-        rows = diff_manifests(
-            _ratchet_manifest(2.0), _ratchet_manifest(4.0), tolerance_pct=50.0
-        )
-        flagged = {row.name for row in rows if row.regression}
-        assert "profile.engine.slot.mean_ms" in flagged
-
-    def test_machine_shape_figures_never_gate(self):
-        from repro.obs.diff import diff_manifests
-
-        # wall_time_s doubles, but it is informational (machine-shape).
-        rows = diff_manifests(
-            _ratchet_manifest(2.0, wall=10.0),
-            _ratchet_manifest(2.0, wall=20.0),
-            tolerance_pct=5.0,
-        )
-        wall = next(row for row in rows if row.name == "wall_time_s")
-        assert not wall.gated
-        assert not wall.regression
-
-    def test_leaving_a_zero_baseline_is_a_regression(self):
-        from repro.obs.diff import diff_manifests
-
-        def manifest(repair_slots: float, delivery: float) -> dict:
-            figures = {
-                "repair_worst_slots": {"value": repair_slots},
-                "delivery_ratio": {"value": delivery, "higher_better": True},
-            }
-            return {"extra": {"resilience": {"figures": figures}}}
-
-        # No percentage tolerance covers a move off zero in the wrong
-        # direction; the same move in the right direction is fine.
-        rows = {
-            row.name: row
-            for row in diff_manifests(
-                manifest(0.0, 0.0), manifest(3.0, 0.5), tolerance_pct=400.0
-            )
-        }
-        repair = rows["resilience.repair_worst_slots"]
-        assert repair.regression and repair.delta_pct == float("inf")
-        delivery = rows["resilience.delivery_ratio"]
-        assert not delivery.regression and delivery.delta_pct == float("inf")
-        # Zero to zero is no move at all.
-        same = diff_manifests(
-            manifest(0.0, 0.0), manifest(0.0, 0.0), tolerance_pct=5.0
-        )
-        assert all(row.delta_pct == 0.0 and not row.regression for row in same)
-
-    def test_no_shared_figures_is_an_error(self):
-        from repro.obs.diff import diff_manifests
-
-        empty = json.loads(
-            json.dumps(dataclasses.asdict(obs.build_manifest()))
-        )
-        with pytest.raises(ObservabilityError, match="no comparable"):
-            diff_manifests(empty, empty, tolerance_pct=5.0)
-
-
 class TestRatchetCli:
+    """``obs export`` from a manifest file."""
+
     def _write(self, tmp_path, name, mean_ms):
         path = tmp_path / name
-        path.write_text(json.dumps(_ratchet_manifest(mean_ms)))
+        path.write_text(json.dumps(_profiled_manifest(mean_ms)))
         return path
-
-    def test_diff_exits_zero_without_regression(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", 2.0)
-        new = self._write(tmp_path, "new.json", 2.02)
-        code = cli_main(
-            ["obs", "diff", str(old), str(new), "--fail-on-regression", "5"]
-        )
-        assert code == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_diff_exits_nonzero_on_regression(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", 2.0)
-        new = self._write(tmp_path, "new.json", 20.0)
-        code = cli_main(
-            ["obs", "diff", str(old), str(new), "--fail-on-regression", "5"]
-        )
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_diff_json_output(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", 2.0)
-        code = cli_main(["obs", "diff", str(old), str(old), "--json"])
-        assert code == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert any(r["name"] == "profile.engine.slot.mean_ms" for r in rows)
 
     def test_export_prometheus_from_manifest(self, tmp_path, capsys):
         manifest = self._write(tmp_path, "run.manifest.json", 2.0)

@@ -233,6 +233,26 @@ RULE_FIXTURES = {
 # Further cases for rules that check more than one thing, keyed
 # "<rule id>-<case>"; same (flagging_path, bad_source, clean_source) shape.
 MORE_FIXTURES = {
+    "ROB003-fsynced-append": (
+        "repro/service/audit.py",
+        (
+            "import json\n"
+            "import os\n\n\n"
+            "def log(path, record):\n"
+            "    with open(path, 'a') as handle:\n"
+            "        handle.write(json.dumps(record) + '\\n')\n"
+            "        handle.flush()\n"
+            "        os.fsync(handle.fileno())\n\n\n"
+            "__all__ = ['log']\n"
+        ),
+        (
+            "from repro.storage import append_record, open_append\n\n\n"
+            "def log(path, record):\n"
+            "    with open_append(path) as handle:\n"
+            "        append_record(handle, record)\n\n\n"
+            "__all__ = ['log']\n"
+        ),
+    ),
     "OBS002-batched-span": (
         "repro/sim/phases.py",
         (

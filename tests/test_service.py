@@ -408,6 +408,27 @@ class TestResultCache:
         assert "service.cache.torn_tail" not in recorder.counters
         assert len(reopened.hit_records()) == 1
 
+    def test_first_hit_creates_the_log_durably(self, tmp_path):
+        """The log's existence is a directory entry: the hit that creates
+        it fsyncs the cache directory once, later hits never do."""
+        import repro.storage as storage
+
+        cache = ResultCache(tmp_path / "cache")
+        seen = []
+        previous = storage.set_chaos_hook(
+            lambda op, path, payload: seen.append((op, path))
+        )
+        try:
+            cache.record_hit("a" * 8, tiny_spec())
+            first = list(seen)
+            seen.clear()
+            cache.record_hit("b" * 8, tiny_spec(seed=1))
+        finally:
+            storage.set_chaos_hook(previous)
+        assert first == [("fsync_dir", cache.root)]
+        assert seen == []
+        assert len(cache.hit_records()) == 2
+
 
 # --------------------------------------------------------------------------- #
 # client heartbeat deadline (injected clock, no daemon required)

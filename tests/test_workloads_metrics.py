@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.experiments.config import ExperimentConfig
 from repro.metrics.aggregate import (
     relative_delay_reduction_percent,
     summarize_delays,
 )
 from repro.workloads.snapshot import partial_snapshot_workload, snapshot_workload
-from repro.workloads.sweep import sweep_configs
 
 
 class TestSnapshotWorkload:
@@ -38,27 +36,6 @@ class TestSnapshotWorkload:
     def test_partial_rejects_base_station(self, quick_topology):
         with pytest.raises(WorkloadError):
             partial_snapshot_workload(quick_topology.secondary, [0])
-
-
-class TestSweepConfigs:
-    def test_replaces_field(self):
-        base = ExperimentConfig.quick_scale()
-        points = sweep_configs(base, "p_t", [0.1, 0.2])
-        assert [p.value for p in points] == [0.1, 0.2]
-        assert points[0].config.p_t == 0.1
-        assert points[0].config.num_sus == base.num_sus
-
-    def test_unknown_field(self):
-        with pytest.raises(ConfigurationError):
-            sweep_configs(ExperimentConfig.quick_scale(), "nope", [1])
-
-    def test_empty_values(self):
-        with pytest.raises(ConfigurationError):
-            sweep_configs(ExperimentConfig.quick_scale(), "p_t", [])
-
-    def test_non_dataclass(self):
-        with pytest.raises(ConfigurationError):
-            sweep_configs({"p_t": 0.3}, "p_t", [0.1])
 
 
 class TestAggregation:
