@@ -2,9 +2,11 @@
 
 :mod:`repro.storage` exposes one chaos hook
 (:func:`repro.storage.set_chaos_hook`) observing every durable write
-before it happens.  This module turns that hook into a *scheduled* fault
-plan: the k-th intercepted write fails with ``ENOSPC``, ``EIO``, or a
-torn write — the write indices and fault kinds drawn once, up front, from
+before it happens: whole-file writes, directory fsyncs, and record
+appends and tail truncations.  This module turns that hook into a
+*scheduled* fault plan over whole-file writes: the k-th intercepted
+:func:`~repro.storage.atomic_write_text` fails with ``ENOSPC``, ``EIO``,
+or a torn write — the write indices and fault kinds drawn once, up front, from
 a **named** chaos RNG stream (:func:`storage_fault_plan`), never from an
 experiment stream.  An empty schedule therefore leaves every run
 bit-identical to an uninstrumented one, which is itself a gated contract
@@ -200,6 +202,8 @@ class StorageChaos:
         return False
 
     def _hook(self, op: str, path: Path, payload: Optional[str]) -> None:
+        # Only whole-file writes are scheduled: appends and directory
+        # fsyncs pass untouched and leave the write indices where they are.
         if op != "atomic_write_text":
             return
         if self.plan.match and self.plan.match not in path.name:

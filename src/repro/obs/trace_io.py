@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.tracing import load_spans, read_trace_records, span_stats
+from repro.obs.tracing import read_trace_records, span_stats, spans_from_records
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
 from repro.storage import write_records
 
@@ -157,7 +157,7 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
     """
     records = read_trace_records(path)
     if records[0].get("schema") == "trace/v2":
-        header, spans = load_spans(path)
+        header, spans = spans_from_records(path, records)
         summary = span_stats(spans, top=top)
         summary["dropped"] = int(header.get("dropped", 0) or 0)
         summary["trace_id"] = header.get("trace_id")

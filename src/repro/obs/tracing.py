@@ -60,6 +60,7 @@ __all__ = [
     "SpanRecord",
     "build_repetition_spans",
     "load_spans",
+    "spans_from_records",
     "read_trace_records",
     "merge_shards",
     "write_trace",
@@ -262,7 +263,15 @@ def load_spans(
     Validates the header schema (a ``trace/v1`` file raises an error
     naming both versions) and the header's declared span count.
     """
-    records = read_trace_records(path)
+    return spans_from_records(path, read_trace_records(path))
+
+
+def spans_from_records(
+    path: Union[str, Path], records: List[Dict]
+) -> Tuple[Dict, List[SpanRecord]]:
+    """:func:`load_spans` over records :func:`read_trace_records` already
+    read from ``path`` (named in errors), so a caller that has read the
+    file to see its schema does not read it again."""
     header = records[0]
     _check_schema(path, header)
     spans = [SpanRecord.from_dict(line) for line in records[1:]]

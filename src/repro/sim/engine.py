@@ -55,6 +55,7 @@ a slot hook, energy detector, channel plan or replayed activity turns it off.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
@@ -1409,22 +1410,64 @@ class SlottedEngine:
             # only shape under homogeneous blocking, where _pu_states
             # never toggles).
             return [True]
-        tx_nodes = [node for _, node, _, _ in concurrent]
         rx_nodes = [receiver for _, _, receiver, _ in concurrent]
-        channels = [channel for _, _, _, channel in concurrent]
-        tx_pos = self._positions[tx_nodes]
-        rx_pos = self._positions[rx_nodes]
+        signal, interference = self._link_budget(concurrent)
 
-        # Received SU power, one k x k pass: gains[i, j] is transmitter
-        # j's power at receiver i.  Link i's signal is the diagonal
-        # (hypot is sign-symmetric, so rx - tx gives the tx - rx distance
-        # bit for bit); the rest is same-slot SU interference.
-        tx_deltas = rx_pos[:, None, :] - tx_pos[None, :, :]
-        tx_dist = np.maximum(
-            np.hypot(tx_deltas[..., 0], tx_deltas[..., 1]), _MIN_DISTANCE
+        # Capture rule: among links sharing a receiver, only the strongest
+        # signal can be decoded, and of equal signals the first link.
+        # Distinct receivers all pass.
+        if len(set(rx_nodes)) == count:
+            success = [True] * count
+        else:
+            strongest: Dict[int, int] = {}
+            for index, receiver in enumerate(rx_nodes):
+                best = strongest.get(receiver)
+                if best is None or signal[index] > signal[best]:
+                    strongest[receiver] = index
+            success = [
+                strongest[receiver] == index
+                for index, receiver in enumerate(rx_nodes)
+            ]
+
+        if self.sir_check:
+            eta_s = self.eta_s
+            for index, noise in enumerate(interference):
+                sir = signal[index] / noise if noise > 0.0 else math.inf
+                success[index] = success[index] and sir >= eta_s
+        if completing is concurrent:
+            return success
+        index_of = {node: index for index, (_, node, _, _) in enumerate(concurrent)}
+        return [success[index_of[node]] for _, node, _, _ in completing]
+
+    def _link_budget(
+        self, concurrent: List[Tuple[float, int, int, int]]
+    ) -> Tuple[List[float], List[float]]:
+        """``(signal, interference)`` at each concurrent link's receiver.
+
+        numpy computes only the elementwise received-power blocks (k x k
+        over the SU transmitters, k x m over the active PUs), so every
+        power is bit for bit what a whole-matrix pass gives; the rest
+        runs in plain Python over their rows, which on the 2-4 links of a
+        typical contended slot is cheaper than numpy's per-call dispatch.
+        Interference sums keep numpy's ``sum(axis=1)`` order on a
+        C-contiguous row: one term at a time in index order below 8
+        terms, numpy's own pairwise sum from 8 up.
+        """
+        count = len(concurrent)
+        _, tx_nodes, rx_nodes, channels = zip(*concurrent)
+        points = self._positions.take(rx_nodes + tx_nodes, axis=0)
+        rx_pos = points[:count]
+
+        # Received SU power: gains[i][j] is transmitter j's power at
+        # receiver i.  Link i's signal is the diagonal (hypot is
+        # sign-symmetric, so rx - tx gives the tx - rx distance bit for
+        # bit); the rest is same-slot SU interference.
+        deltas = rx_pos[:, None] - points[count:]
+        distance = np.maximum(
+            np.hypot(deltas[..., 0], deltas[..., 1]), _MIN_DISTANCE
         )
-        gains = self._su_power * tx_dist ** (-self.alpha)
-        signal = gains.diagonal().copy()
+        gains = (self._su_power * distance ** (-self.alpha)).tolist()
+        signal = [row[index] for index, row in enumerate(gains)]
         if self._link_loss:
             # Link-degradation faults: extra path loss on specific directed
             # links weakens the *signal* only (interference terms keep
@@ -1434,40 +1477,33 @@ class SlottedEngine:
                 if factor is not None:
                     signal[index] *= factor
 
-        # Capture rule: among links sharing a receiver, only the strongest
-        # signal can be decoded, and of equal signals the first link.  Link
-        # i loses iff some link j to its receiver has a stronger signal, or
-        # an equal one with j < i.  Distinct receivers all pass.
-        if len(set(rx_nodes)) == count:
-            ok = np.ones(count, dtype=bool)
-        else:
-            receivers = np.asarray(rx_nodes)
-            shared = receivers[:, None] == receivers[None, :]
-            other = signal[None, :]
-            own = signal[:, None]
-            earlier = np.tri(count, k=-1, dtype=bool)
-            beaten = shared & ((other > own) | ((other == own) & earlier))
-            ok = ~beaten.any(axis=1)
-
-        if not self.sir_check:
-            if completing is concurrent:
-                return ok.tolist()
-            index_of = {node: index for index, node in enumerate(tx_nodes)}
-            return [bool(ok[index_of[node]]) for _, node, _, _ in completing]
-
         # Interference at each receiver: all other *same-channel* SU
         # transmitters ...
-        np.fill_diagonal(gains, 0.0)
+        for index, row in enumerate(gains):
+            row[index] = 0.0
         if self._num_channels > 1:
-            channel_array = np.asarray(channels)
-            gains = gains * (channel_array[:, None] == channel_array[None, :])
-        interference = gains.sum(axis=1)
+            gains = [
+                [
+                    term if other == channel else 0.0
+                    for term, other in zip(row, channels)
+                ]
+                for row, channel in zip(gains, channels)
+            ]
+        if count < 8:
+            # Not sum(): from Python 3.12 it compensates float rounding.
+            interference = []
+            for row in gains:
+                total = 0.0
+                for term in row:
+                    total += term
+                interference.append(total)
+        else:
+            interference = np.array(gains).sum(axis=1).tolist()
 
         # ... plus every active *same-channel* PU.
         active = self._active_pus
         if active.size:
-            pu_pos = self._pu_positions[active]
-            pu_deltas = rx_pos[:, None, :] - pu_pos[None, :, :]
+            pu_deltas = rx_pos[:, None] - self._pu_positions[active]
             pu_dist = np.maximum(
                 np.hypot(pu_deltas[..., 0], pu_deltas[..., 1]), _MIN_DISTANCE
             )
@@ -1478,16 +1514,11 @@ class SlottedEngine:
                     np.asarray(channels)[:, None] == pu_channels[None, :]
                 )
                 pu_terms = pu_terms * same_channel_pu
-            interference = interference + pu_terms.sum(axis=1)
-
-        sir = np.divide(
-            signal, interference, out=np.full(count, np.inf), where=interference > 0.0
-        )
-        success = ok & (sir >= self.eta_s)
-        if completing is concurrent:
-            return success.tolist()
-        index_of = {node: index for index, node in enumerate(tx_nodes)}
-        return [bool(success[index_of[node]]) for _, node, _, _ in completing]
+            interference = [
+                su + pu
+                for su, pu in zip(interference, pu_terms.sum(axis=1).tolist())
+            ]
+        return signal, interference
 
     def _handoff_check(self) -> None:
         """Abort in-flight transmissions whose channel a PU has reclaimed.

@@ -42,8 +42,11 @@ __all__ = [
 
 #: Chaos injection point (:mod:`repro.chaos.storage`): ``None`` in
 #: production.  When installed, the hook observes every durable write
-#: *before* it happens and may raise :class:`OSError` to simulate a full
-#: disk, an I/O fault, or a torn write.  The hook must never consume
+#: *before* it happens — called with the operation's name
+#: (``atomic_write_text``, ``fsync_dir``, ``open_append``,
+#: ``append_record``, ``truncate_torn_tail``), the file, and the text
+#: about to land, if any — and may raise :class:`OSError` to simulate a
+#: full disk, an I/O fault, or a torn write.  The hook must never consume
 #: experiment RNG — fault schedules are precomputed on named chaos
 #: streams — so an installed-but-empty schedule leaves runs bit-identical.
 _chaos_hook: Optional[Callable[[str, Path, Optional[str]], None]] = None
@@ -168,6 +171,8 @@ def open_append(path: Union[str, Path]) -> BinaryIO:
     too, or a power loss could drop the whole file, records and all.
     """
     target = Path(path)
+    if _chaos_hook is not None:
+        _chaos_hook("open_append", target, None)
     try:
         handle = open(target, "xb")
     except FileExistsError:
@@ -186,13 +191,18 @@ def append_record(handle: BinaryIO, record: Dict) -> None:
     A record therefore exists whole or not at all once this returns,
     except for the final line a kill inside the write may tear.
     """
-    handle.write(_record_line(record).encode("utf-8"))
+    line = _record_line(record)
+    if _chaos_hook is not None:
+        _chaos_hook("append_record", Path(handle.name), line)
+    handle.write(line.encode("utf-8"))
     handle.flush()
     os.fsync(handle.fileno())
 
 
 def truncate_torn_tail(path: Union[str, Path], valid_bytes: int) -> None:
     """Cut a record file back to its valid prefix and fsync the result."""
+    if _chaos_hook is not None:
+        _chaos_hook("truncate_torn_tail", Path(path), None)
     with open(path, "r+b") as handle:
         handle.truncate(valid_bytes)
         os.fsync(handle.fileno())

@@ -15,6 +15,7 @@ import json
 import pytest
 
 import repro.obs as obs
+import repro.storage as storage
 from repro.chaos import (
     FAULT_KINDS,
     StorageChaos,
@@ -23,9 +24,12 @@ from repro.chaos import (
     storage_fault_plan,
     tear_ndjson_tail,
 )
-from repro.errors import ChaosError
+from repro.errors import ChaosError, CheckpointError, ServiceError
+from repro.harness import CheckpointWriter, load_checkpoint
 from repro.obs.recorder import MetricsRecorder
 from repro.rng import StreamFactory
+from repro.service.cache import ResultCache
+from repro.service.jobs import JobSpec
 from repro.storage import atomic_write_text
 
 
@@ -183,6 +187,75 @@ class TestStorageChaos:
             # inner scope shadowed it.
             atomic_write_text(tmp_path / "after.json", "{}")
             assert outer_chaos.writes_seen == 1
+
+
+@pytest.fixture
+def enospc_on():
+    """Install a storage hook raising ``ENOSPC`` before each ``op`` call."""
+    previous = storage.set_chaos_hook(None)
+
+    def install(op):
+        def hook(seen_op, path, payload):
+            if seen_op == op:
+                raise OSError(errno.ENOSPC, f"chaos: no space for {path}")
+
+        storage.set_chaos_hook(hook)
+
+    yield install
+    storage.set_chaos_hook(previous)
+
+
+class TestAppendFaults:
+    """A failed record append surfaces as its caller's domain error."""
+
+    def test_journal_append_raises_checkpoint_error(self, tmp_path, enospc_on):
+        path = tmp_path / "sweep.ckpt.ndjson"
+        with CheckpointWriter.create(path, "sweep", "hash", 2) as writer:
+            enospc_on("append_record")
+            with pytest.raises(
+                CheckpointError, match="cannot append to checkpoint journal"
+            ) as caught:
+                writer.append_failure({"kind": "failure", "point": 0})
+        assert caught.value.__cause__.errno == errno.ENOSPC
+        assert writer.records_written == 1  # the header only
+        assert len(load_checkpoint(path).failures) == 0
+
+    def test_journal_tail_repair_raises_checkpoint_error(
+        self, tmp_path, enospc_on
+    ):
+        path = tmp_path / "sweep.ckpt.ndjson"
+        with CheckpointWriter.create(path, "sweep", "hash", 2) as writer:
+            writer.append_failure({"kind": "failure", "point": 0})
+        tear_ndjson_tail(path)
+        state = load_checkpoint(path)
+        assert state.torn_tail
+        enospc_on("truncate_torn_tail")
+        with pytest.raises(
+            CheckpointError, match="cannot reopen checkpoint journal"
+        ):
+            CheckpointWriter.append_to(state)
+
+    def test_cache_log_append_raises_service_error(self, tmp_path, enospc_on):
+        cache = ResultCache(tmp_path / "cache")
+        spec = JobSpec(kind="compare", seed=1, repetitions=1)
+        cache.record_hit("a" * 8, spec)
+        enospc_on("append_record")
+        with pytest.raises(
+            ServiceError, match="cannot append cache provenance"
+        ) as caught:
+            cache.record_hit("b" * 8, spec)
+        assert caught.value.__cause__.errno == errno.ENOSPC
+        assert [hit["fingerprint"] for hit in cache.hit_records()] == ["a" * 8]
+
+    def test_storage_chaos_schedules_whole_file_writes_only(self, tmp_path):
+        plan = StorageFaultPlan((StorageFault(0, "enospc"),))
+        with StorageChaos(plan) as chaos:
+            with storage.open_append(tmp_path / "j.ndjson") as handle:
+                storage.append_record(handle, {"n": 1})
+            assert chaos.writes_seen == 0
+            with pytest.raises(OSError):
+                atomic_write_text(tmp_path / "a.json", "{}")
+        assert chaos.injected == [(0, "enospc", str(tmp_path / "a.json"))]
 
 
 class TestTearNdjsonTail:

@@ -389,15 +389,20 @@ def reference_outcomes(engine, links, channels, active_pus, pu_channels, sir_che
     return outcomes
 
 
+#: Node ids the capture test places: receivers 0-2, senders 3 and up.
+CAPTURE_NODES = 24
+
+
 @st.composite
 def concurrent_set(draw):
     """Links into three shared receivers from transmitters on a small
     integer grid, where mirrored offsets give exactly equal signals, on
-    one to three channels (every link and PU on a drawn channel)."""
+    one to three channels (every link and PU on a drawn channel).  Up to
+    20 senders, so interference sums of 8 terms and more are drawn."""
     engine = capture_engine()
     senders = draw(
         st.lists(
-            st.integers(3, engine._num_nodes - 1), min_size=1, max_size=7,
+            st.integers(3, CAPTURE_NODES - 1), min_size=1, max_size=20,
             unique=True,
         )
     )
@@ -433,7 +438,7 @@ def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
         num_channels, channels, pu_channels,
     ) = drawn
     engine = capture_engine()
-    positions = engine._positions.copy()
+    positions = np.zeros((CAPTURE_NODES, 2))
     for node, point in points.items():
         positions[node] = point
     plan = mock.Mock(pu_channels=np.array(pu_channels, dtype=np.int64))
@@ -461,3 +466,190 @@ def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
             for outcome, done in zip(expected, completing_flags)
             if done
         ]
+
+
+def matrix_adjudication(engine, concurrent):
+    """The whole-matrix numpy formula the engine adjudicated with before
+    its per-link rewrite, kept verbatim as the bit-level reference:
+    ``(signal, interference, sir, captured)`` per concurrent link."""
+    count = len(concurrent)
+    tx_nodes = [node for _, node, _, _ in concurrent]
+    rx_nodes = [receiver for _, _, receiver, _ in concurrent]
+    channels = [channel for _, _, _, channel in concurrent]
+    tx_pos = engine._positions[tx_nodes]
+    rx_pos = engine._positions[rx_nodes]
+
+    tx_deltas = rx_pos[:, None, :] - tx_pos[None, :, :]
+    tx_dist = np.maximum(np.hypot(tx_deltas[..., 0], tx_deltas[..., 1]), 1e-6)
+    gains = engine._su_power * tx_dist ** (-engine.alpha)
+    signal = gains.diagonal().copy()
+    if engine._link_loss:
+        for index in range(count):
+            factor = engine._link_loss.get((tx_nodes[index], rx_nodes[index]))
+            if factor is not None:
+                signal[index] *= factor
+
+    if len(set(rx_nodes)) == count:
+        ok = np.ones(count, dtype=bool)
+    else:
+        receivers = np.asarray(rx_nodes)
+        shared = receivers[:, None] == receivers[None, :]
+        other = signal[None, :]
+        own = signal[:, None]
+        earlier = np.tri(count, k=-1, dtype=bool)
+        beaten = shared & ((other > own) | ((other == own) & earlier))
+        ok = ~beaten.any(axis=1)
+
+    np.fill_diagonal(gains, 0.0)
+    if engine._num_channels > 1:
+        channel_array = np.asarray(channels)
+        gains = gains * (channel_array[:, None] == channel_array[None, :])
+    interference = gains.sum(axis=1)
+
+    active = engine._active_pus
+    if active.size:
+        pu_pos = engine._pu_positions[active]
+        pu_deltas = rx_pos[:, None, :] - pu_pos[None, :, :]
+        pu_dist = np.maximum(np.hypot(pu_deltas[..., 0], pu_deltas[..., 1]), 1e-6)
+        pu_terms = engine._pu_power * pu_dist ** (-engine.alpha)
+        if engine._num_channels > 1:
+            pu_channels = engine.channel_plan.pu_channels[active]
+            same_channel_pu = np.asarray(channels)[:, None] == pu_channels[None, :]
+            pu_terms = pu_terms * same_channel_pu
+        interference = interference + pu_terms.sum(axis=1)
+
+    sir = np.divide(
+        signal, interference, out=np.full(count, np.inf), where=interference > 0.0
+    )
+    return signal.tolist(), interference.tolist(), sir.tolist(), ok.tolist()
+
+
+def float_bits(values):
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("count", range(1, 41))
+def test_link_budget_matches_the_matrix_formula_bit_for_bit(count):
+    """Signal, interference and SIR of every link equal the whole-matrix
+    formula's floats bit for bit, on one to three channels, with and
+    without link-loss faults and active PUs; so do the outcomes, at an
+    ``eta_s`` set exactly to one link's SIR so the ``>=`` edge is hit."""
+    engine = capture_engine()
+    rng = np.random.default_rng(count)
+    receivers = max(1, count // 3)
+    num_pus = 8
+    for num_channels in (1, 2, 3):
+        for with_pus in (False, True):
+            for with_loss in (False, True):
+                positions = rng.uniform(0.0, 35.0, (count + receivers, 2))
+                # Sender 0 sits on receiver `count`: that pair hits the clamp.
+                positions[count] = positions[0]
+                rx_nodes = rng.integers(count, count + receivers, count).tolist()
+                channels = rng.integers(0, num_channels, count).tolist()
+                concurrent = [
+                    (0.1, sender, receiver, channel)
+                    for sender, (receiver, channel) in enumerate(
+                        zip(rx_nodes, channels)
+                    )
+                ]
+                active = (
+                    np.flatnonzero(rng.random(num_pus) < 0.5)
+                    if with_pus
+                    else np.array([], dtype=np.int64)
+                )
+                link_loss = {
+                    (sender, receiver): 10.0 ** (-rng.uniform(1.0, 20.0) / 10.0)
+                    for sender, receiver in enumerate(rx_nodes)
+                    if with_loss and rng.random() < 0.5
+                }
+                plan = mock.Mock(
+                    pu_channels=rng.integers(0, num_channels, num_pus)
+                )
+                with mock.patch.multiple(
+                    engine,
+                    _positions=positions,
+                    _pu_positions=rng.uniform(0.0, 35.0, (num_pus, 2)),
+                    _active_pus=active,
+                    _num_channels=num_channels,
+                    _link_loss=link_loss,
+                    channel_plan=plan,
+                ):
+                    signal, interference, sir, captured = matrix_adjudication(
+                        engine, concurrent
+                    )
+                    got_signal, got_interference = engine._link_budget(concurrent)
+                    assert float_bits(got_signal) == float_bits(signal)
+                    assert float_bits(got_interference) == float_bits(interference)
+                    got_sir = [
+                        power / noise if noise > 0.0 else float("inf")
+                        for power, noise in zip(got_signal, got_interference)
+                    ]
+                    assert float_bits(got_sir) == float_bits(sir)
+                    finite = [value for value in sir if value != float("inf")]
+                    eta_s = finite[len(finite) // 2] if finite else engine.eta_s
+                    for sir_check in (False, True):
+                        with mock.patch.multiple(
+                            engine, eta_s=eta_s, sir_check=sir_check
+                        ):
+                            expected = [
+                                ok and (not sir_check or value >= eta_s)
+                                for ok, value in zip(captured, sir)
+                            ]
+                            assert engine._adjudicate(concurrent) == expected
+
+
+def sequential_sum(row):
+    total = -0.0
+    for term in row:
+        total += term
+    return total
+
+
+def pairwise_sum(row):
+    """numpy's pairwise summation of a contiguous float64 run: eight
+    partial sums over blocks of up to 128 terms, halves beyond that."""
+    count = len(row)
+    if count < 8:
+        return sequential_sum(row)
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        return pairwise_sum(row[:half]) + pairwise_sum(row[half:])
+    partial = list(row[:8])
+    index = 8
+    while index < count - count % 8:
+        for lane in range(8):
+            partial[lane] += row[index + lane]
+        index += 8
+    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+        (partial[4] + partial[5]) + (partial[6] + partial[7])
+    )
+    for term in row[index:]:
+        total += term
+    return total
+
+
+def test_numpy_row_sums_are_sequential_below_8_terms_and_pairwise_from_8():
+    """The summation order the engine's interference sums reproduce: a
+    C-contiguous row's ``sum(axis=1)`` adds one term at a time below 8
+    terms and pairwise from 8 up.  A numpy release that changes either
+    order fails here before it silently moves a simulated outcome."""
+    rng = np.random.default_rng(2012)
+    for count in range(1, 41):
+        orders_differ = False
+        for _ in range(40):
+            block = rng.random((count, count)) * 10.0 ** rng.integers(
+                -8, 9, (count, count)
+            )
+            rows = block.tolist()
+            sums = block.sum(axis=1).tolist()
+            if count < 8:
+                assert sums == [sequential_sum(row) for row in rows]
+            else:
+                assert sums == [pairwise_sum(row) for row in rows]
+                orders_differ |= sums != [sequential_sum(row) for row in rows]
+        assert count < 8 or orders_differ
+    # Eight terms: each tiny term alone rounds away against 1.0, pairs do not.
+    terms = [1.0] + [2.0 ** -53] * 7
+    assert np.array([terms]).sum(axis=1).tolist() == [1.0 + 3 * 2.0 ** -52]
+    assert sequential_sum(terms) == 1.0

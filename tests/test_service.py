@@ -425,8 +425,13 @@ class TestResultCache:
             cache.record_hit("b" * 8, tiny_spec(seed=1))
         finally:
             storage.set_chaos_hook(previous)
-        assert first == [("fsync_dir", cache.root)]
-        assert seen == []
+        log = cache.log_path
+        assert first == [
+            ("open_append", log),
+            ("fsync_dir", cache.root),
+            ("append_record", log),
+        ]
+        assert seen == [("open_append", log), ("append_record", log)]
         assert len(cache.hit_records()) == 2
 
 

@@ -119,11 +119,15 @@ class TestAppend:
         path = tmp_path / "j.ndjson"
         with open_append(path) as handle:
             append_record(handle, {"n": 1})
-        assert hook_calls == [("fsync_dir", tmp_path)]
+        assert hook_calls == [
+            ("open_append", path),
+            ("fsync_dir", tmp_path),
+            ("append_record", path),
+        ]
         hook_calls.clear()
         with open_append(path) as handle:
             append_record(handle, {"n": 2})
-        assert hook_calls == []
+        assert hook_calls == [("open_append", path), ("append_record", path)]
         assert read_records(path) == ([{"n": 1}, {"n": 2}], 18, False)
 
     def test_truncate_torn_tail_restores_a_clean_boundary(self, tmp_path):

@@ -210,6 +210,28 @@ class TestShardIO:
         assert "engine.slot" in stats["names"]
         assert len(stats["slowest"]) == 2
 
+    def test_trace_stats_reads_a_v2_file_once(self, tmp_path, monkeypatch):
+        """The schema peek's records feed the span loader: one read, and
+        the summary equals the one built from a separate load."""
+        import repro.obs.tracing as tracing
+
+        path = tmp_path / "trace.ndjson"
+        spans = merge_shards("abc", [(0, 0, _profile(2.0))], "demo")
+        write_trace(path, "abc", spans)
+        header, loaded = load_spans(path)
+        expected = span_stats(loaded, top=2)
+        expected["dropped"] = int(header.get("dropped", 0) or 0)
+        expected["trace_id"] = header.get("trace_id")
+        reads = []
+        real_read = tracing.read_records
+        monkeypatch.setattr(
+            tracing,
+            "read_records",
+            lambda target: (reads.append(target), real_read(target))[1],
+        )
+        assert obs.trace_stats(path, top=2) == expected
+        assert reads == [path]
+
 
 # --------------------------------------------------------------------------- #
 # merging: submission order, not completion order
