@@ -216,7 +216,9 @@ class SlottedEngine:
         asks ``policy.on_node_rejoin(node)`` each slot until the node
         re-attaches (e.g. via :func:`repro.graphs.repair.attach_node`);
         the reattachment slot is recorded per fault in
-        ``SimulationResult.fault_records``.  Sensing faults pin a node's
+        ``SimulationResult.fault_records``.  Once no scheduled recovery is
+        left that could bring an attachment point back, nodes still
+        waiting retire like partitioned ones.  Sensing faults pin a node's
         detector busy (never transmits) or idle (transmits into PU
         activity); link-degradation events subtract ``extra_loss_db`` from
         the received signal of one directed link in SIR adjudication; a
@@ -359,9 +361,10 @@ class SlottedEngine:
         self._dead: set = set()
         # Transient-outage state: nodes currently powered off or stranded
         # (detached by a repair, waiting for a parent), their scheduled
-        # rejoin slots, open fault records, and buffered arrivals.
+        # rejoin slots, open fault records, and buffered arrivals.  A
+        # stranded node maps to the record of the outage that stranded it.
         self._down: set = set()
-        self._stranded: set = set()
+        self._stranded: Dict[int, FaultRecord] = {}
         self._rejoin_at: Dict[int, int] = {}
         self._open_outages: Dict[int, FaultRecord] = {}
         self._deferred_arrivals: Dict[int, List[Packet]] = {}
@@ -623,7 +626,7 @@ class SlottedEngine:
         self._extra_wait[node] = 0.0
         self._ongoing.pop(node, None)
         self._down.discard(node)
-        self._stranded.discard(node)
+        self._stranded.pop(node, None)
         self._rejoin_at.pop(node, None)
         self._open_outages.pop(node, None)
         self._stuck_busy.discard(node)
@@ -709,7 +712,7 @@ class SlottedEngine:
             # detached.  It waits (queue intact, arrivals buffered) and
             # retries attachment every slot from the next one on.
             self._down.add(stranded)
-            self._stranded.add(stranded)
+            self._stranded[stranded] = record
             self._rejoin_at[stranded] = self._slot + 1
             self._suspend(stranded)
 
@@ -748,7 +751,7 @@ class SlottedEngine:
     def _complete_rejoin(self, node: int) -> None:
         """A down node re-attached to the routing structure: bring it back."""
         self._down.discard(node)
-        self._stranded.discard(node)
+        self._stranded.pop(node, None)
         self._rejoin_at.pop(node, None)
         self._result.nodes_recovered += 1
         record = self._open_outages.pop(node, None)
@@ -770,6 +773,12 @@ class SlottedEngine:
         A wave-by-wave loop lets a whole stranded subtree reconnect in the
         recovery slot: once the recovered node is back on the backbone,
         its former descendants find parents in later waves.
+
+        Attachment points only come back when some down node rejoins.  So
+        when every waiting node is due, none of them attached, and no
+        recovery is scheduled for a later slot, the waiting nodes are cut
+        off for good: they retire, and their data counts as lost and as
+        orphaned by the outage that took them down or stranded them.
         """
         due = sorted(
             node
@@ -795,6 +804,12 @@ class SlottedEngine:
                 else:
                     waiting.append(node)
             due = waiting
+        if due and all(at <= self._slot for at in self._rejoin_at.values()):
+            for node in due:
+                record = self._open_outages.get(node) or self._stranded.get(node)
+                lost = self._retire(node)
+                if record is not None:
+                    record.packets_orphaned += lost
 
     def _abort_doomed_transmissions(self) -> None:
         """Abort in-flight transmissions aimed at nodes that just went away.

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.core.collector as collector
 import repro.routing.coolest as coolest
@@ -273,6 +273,16 @@ def fault_plan_for(topology, events):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(scenario(), adversity())
+# An outage strands two nodes and its node then crashes while down: no
+# attachment point can come back, so the stranded nodes must retire
+# rather than wait out max_slots.
+@example(
+    params=((1422, 45, 0, 0.0, False), {"blocking": "geometric"}),
+    hazards=(
+        3,
+        [("crash", 36, 0, 5), ("crash", 43, 14931, 5), ("outage", 34, 96966, 18)],
+    ),
+)
 def test_addc_invariants_under_faults_and_long_packets(params, hazards):
     """Crashes, outages with rejoins, blackout hold-offs and multi-slot
     packets: every slot still conserves data and keeps the eligible set
