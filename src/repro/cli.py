@@ -580,6 +580,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint.cli import main as lint_main
+
+    return lint_main(args.args)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the experiment daemon until SIGTERM/SIGINT (graceful drain)."""
     from repro import obs
@@ -1186,13 +1192,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service_top.set_defaults(handler=_cmd_service_top)
 
+    # Every argument goes to reprolint's own parser, leading options
+    # included: with no "-" prefix here, `--select` is not an option of
+    # this parser, so REMAINDER takes it.
     lint = commands.add_parser(
         "lint",
         help="run reprolint, the determinism & paper-invariant linter",
+        add_help=False,
+        prefix_chars="+",
     )
-    from repro.lint.cli import configure_parser as _configure_lint_parser
-
-    _configure_lint_parser(lint)
+    lint.add_argument("args", nargs=argparse.REMAINDER)
+    lint.set_defaults(handler=_cmd_lint)
 
     return parser
 

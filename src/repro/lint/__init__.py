@@ -12,41 +12,29 @@ through one alias-resolving matcher
 stream names from every file and reports the collisions once, after the
 last file.
 
-Supporting machinery: a plugin rule registry
-(:mod:`repro.lint.registry`) with per-rule severities and options,
-``# reprolint: disable=RULE`` suppressions with unused-suppression
-accounting (:mod:`repro.lint.suppress`) — the one way to accept a
-finding — ``[tool.reprolint]`` pyproject configuration
-(:mod:`repro.lint.config`), and a CLI (:mod:`repro.lint.cli`) exposed as
-both ``reprolint`` and ``addc-repro lint``.
+Supporting machinery: the rule pack as one tuple
+(:data:`repro.lint.rules.RULES`), each rule carrying its path scopes as
+class constants; ``# reprolint: disable=RULE`` suppressions with
+unused-suppression accounting (:mod:`repro.lint.suppress`) — the one way
+to accept a finding, since every finding fails the run; and a CLI
+(:mod:`repro.lint.cli`) exposed as both ``reprolint`` and
+``addc-repro lint``.
 
-The built-in rule pack lives in :mod:`repro.lint.rules`; see
-``docs/LINTING.md`` for the rule-by-rule mapping to the paper's
-reproducibility needs.
+The rule-by-rule mapping to the paper's reproducibility needs is in
+``docs/LINTING.md``.
 """
 
-from repro.lint.config import LintConfig, path_matches
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import (
-    ModuleContext,
-    Rule,
-    all_rules,
-    get_rule,
-    module_name_for,
-    register_rule,
-)
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import ModuleContext, Rule, module_name_for, path_matches
+from repro.lint.rules import RULES
 from repro.lint.runner import LintReport, lint_paths, lint_source
 
 __all__ = [
     "Diagnostic",
-    "Severity",
-    "LintConfig",
     "path_matches",
     "Rule",
+    "RULES",
     "ModuleContext",
-    "register_rule",
-    "all_rules",
-    "get_rule",
     "module_name_for",
     "LintReport",
     "lint_paths",

@@ -1,47 +1,16 @@
 """Diagnostic records emitted by :mod:`repro.lint` rules.
 
 A :class:`Diagnostic` pins one finding to a ``path:line:col`` location and
-carries the rule id, a human-readable message, and a :class:`Severity`.
-Severities are ordered (``INFO < WARNING < ERROR``) so callers can gate the
-process exit code on a threshold (see ``fail_on`` in
-:class:`repro.lint.config.LintConfig`).
+carries the rule id and a human-readable message.  Every finding fails
+the run; a ``# reprolint: disable=`` comment is the one way to accept it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.errors import ConfigurationError
-
-__all__ = ["Severity", "Diagnostic"]
-
-
-class Severity(enum.IntEnum):
-    """Ordered severity ladder for lint findings."""
-
-    INFO = 10
-    WARNING = 20
-    ERROR = 30
-
-    @classmethod
-    def from_name(cls, name: str) -> "Severity":
-        """Parse a case-insensitive severity name.
-
-        >>> Severity.from_name("warning") is Severity.WARNING
-        True
-        """
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            valid = ", ".join(level.name.lower() for level in cls)
-            raise ConfigurationError(
-                f"unknown severity {name!r}; expected one of: {valid}"
-            ) from None
-
-    def __str__(self) -> str:
-        return self.name.lower()
+__all__ = ["Diagnostic"]
 
 
 @dataclass(frozen=True)
@@ -49,29 +18,27 @@ class Diagnostic:
     """One lint finding, anchored to a source location.
 
     ``line`` is 1-based (as reported by :mod:`ast`); ``col`` is 0-based.
+
+    >>> Diagnostic("RNG001", "repro/a.py", 3, 4, "nope").format_human()
+    'repro/a.py:3:4: RNG001 nope'
     """
 
     rule_id: str
     path: str
     line: int
     col: int
-    severity: Severity
     message: str
 
     def format_human(self) -> str:
-        """``path:line:col: RULE severity: message`` — the CLI's text form."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule_id} {self.severity}: {self.message}"
-        )
+        """``path:line:col: RULE message`` — the CLI's text form."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form used by ``reprolint --format json``."""
+        """JSON-serialisable form of the finding."""
         return {
             "rule": self.rule_id,
             "path": self.path,
             "line": self.line,
             "col": self.col,
-            "severity": str(self.severity),
             "message": self.message,
         }

@@ -1,14 +1,14 @@
-"""Rule plugin registry and the per-module context rules run against.
+"""The rule base classes and the per-module context rules run against.
 
-A rule is a subclass of :class:`Rule` decorated with :func:`register_rule`.
-Each rule declares an ``id`` (stable, used in suppressions and config), a
-``name``, a ``description``, a ``default_severity``, and optional
-``default_options`` that ``[tool.reprolint.rules.<id>]`` entries override
-key-by-key.  ``check`` receives a :class:`ModuleContext` (parsed AST plus
-path/config helpers) and yields ``(node_or_location, message)`` findings via
-:meth:`ModuleContext.diagnostic`; ``finish`` runs once after the last file.
+A rule is a subclass of :class:`Rule` listed in
+:data:`repro.lint.rules.RULES`.  Each rule declares an ``id`` (stable, used
+in suppressions and ``--select``), a ``name`` and a ``description``; its
+path scopes (``allow``, ``paths``, ...) are class constants.  ``check``
+receives a :class:`ModuleContext` (parsed AST plus path helpers) and
+yields findings built by :meth:`ModuleContext.diagnostic`; ``finish``
+runs once after the last file.  Every finding fails the run.
 
-Rules that ban dotted names outside (or inside) a path set subclass
+Rules that ban dotted names outside a path set subclass
 :class:`BannedNameRule` and only declare what they ban: one matcher
 resolves the module's import aliases and checks every call and import.
 """
@@ -16,28 +16,42 @@ resolves the module's import aliases and checks every call and import.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fnmatch import fnmatch
 from functools import cached_property
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Type
+from pathlib import PurePosixPath
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-from repro.lint.config import LintConfig, path_matches
-from repro.lint.diagnostics import Diagnostic, Severity
+from repro.lint.diagnostics import Diagnostic
 
 __all__ = [
     "ModuleContext",
     "Rule",
     "BannedNameRule",
-    "register_rule",
-    "all_rules",
-    "get_rule",
+    "path_matches",
     "dotted_name",
     "ends_with_dotted",
     "module_name_for",
     "import_bindings",
 ]
 
-_REGISTRY: Dict[str, Type["Rule"]] = {}
+
+def path_matches(relpath: str, patterns: Sequence[str]) -> bool:
+    """Whether ``relpath`` matches any glob pattern by path suffix.
+
+    Suffix matching lets ``repro/rng/*`` scope a rule no matter which
+    directory the linter runs from or which tree it lints.
+
+    >>> path_matches("src/repro/rng/streams.py", ["repro/rng/*"])
+    True
+    >>> path_matches("src/repro/sim/engine.py", ["repro/rng/*"])
+    False
+    """
+    parts = PurePosixPath(relpath.replace("\\", "/")).parts
+    suffixes = ["/".join(parts[i:]) for i in range(len(parts))]
+    return any(
+        fnmatch(suffix, pattern) for suffix in suffixes for pattern in patterns
+    )
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -133,7 +147,6 @@ class ModuleContext:
     relpath: str
     source: str
     tree: ast.Module
-    config: LintConfig = field(default_factory=LintConfig)
 
     @property
     def is_dunder_init(self) -> bool:
@@ -167,41 +180,29 @@ class ModuleContext:
             return name, False
         return origin + dot + rest, True
 
-    def in_paths(self, patterns: List[str]) -> bool:
+    def in_paths(self, patterns: Sequence[str]) -> bool:
         """Suffix-match this module's path against glob ``patterns``."""
         return path_matches(self.relpath, patterns)
-
-    def option(self, rule: "Rule", key: str) -> Any:
-        """Resolve a rule option: pyproject override, else rule default."""
-        options = self.config.options_for(rule.id)
-        if key in options:
-            return options[key]
-        if key in rule.default_options:
-            return rule.default_options[key]
-        raise ConfigurationError(f"rule {rule.id} has no option {key!r}")
 
     def diagnostic(
         self, rule: "Rule", node: ast.AST, message: str
     ) -> Diagnostic:
-        """Build a diagnostic for ``node`` with the rule's effective severity."""
+        """Build a diagnostic of ``rule`` anchored at ``node``."""
         return Diagnostic(
             rule_id=rule.id,
             path=self.relpath,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            severity=self.config.severity_for(rule.id, rule.default_severity),
             message=message,
         )
 
 
 class Rule:
-    """Base class for reprolint rules; subclass and :func:`register_rule`."""
+    """Base class for reprolint rules; list each in ``repro.lint.rules.RULES``."""
 
     id: str = ""
     name: str = ""
     description: str = ""
-    default_severity: Severity = Severity.WARNING
-    default_options: Dict[str, Any] = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         """Yield diagnostics for ``module``; implemented by subclasses."""
@@ -217,7 +218,7 @@ class Rule:
 
     @classmethod
     def summary_row(cls) -> str:
-        return f"{cls.id:<8} {str(cls.default_severity):<8} {cls.name}: {cls.description}"
+        return f"{cls.id:<8} {cls.name}: {cls.description}"
 
 
 class BannedNameRule(Rule):
@@ -227,20 +228,19 @@ class BannedNameRule(Rule):
     ``datetime.now`` also catches ``datetime.datetime.now``),
     ``banned_modules`` (the module and every member of it, reached through
     an import), and ``reason``, the message tail.  The ban applies outside
-    the paths of the ``allow`` option, or, when ``scope_option`` is
-    ``"paths"``, only inside them.  Calls are matched after resolving
-    import aliases, and every import binding of a banned name is flagged
-    at the import statement.
+    the ``allow`` paths; a rule scoped the other way round overrides
+    :meth:`applies_to`.  Calls are matched after resolving import aliases,
+    and every import binding of a banned name is flagged at the import
+    statement.
     """
 
     banned_names: Tuple[str, ...] = ()
     banned_modules: Tuple[str, ...] = ()
     reason: str = ""
-    scope_option: str = "allow"
+    allow: Tuple[str, ...] = ()
 
     def applies_to(self, module: ModuleContext) -> bool:
-        inside = module.in_paths(module.option(self, self.scope_option))
-        return inside if self.scope_option == "paths" else not inside
+        return not module.in_paths(self.allow)
 
     def bans(self, origin: str, bound: bool) -> bool:
         """Whether a resolved dotted name is banned by this rule."""
@@ -271,31 +271,3 @@ class BannedNameRule(Rule):
                 yield module.diagnostic(
                     self, node, f"call to `{name}`{alias} {self.reason}"
                 )
-
-
-def register_rule(rule_class: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
-    if not rule_class.id or not rule_class.name:
-        raise ConfigurationError(
-            f"rule {rule_class.__name__} must define a non-empty id and name"
-        )
-    existing = _REGISTRY.get(rule_class.id)
-    if existing is not None and existing is not rule_class:
-        raise ConfigurationError(f"duplicate rule id {rule_class.id}")
-    _REGISTRY[rule_class.id] = rule_class
-    return rule_class
-
-
-def all_rules() -> List[Type[Rule]]:
-    """Every registered rule class, sorted by id (imports the rule pack)."""
-    import repro.lint.rules  # noqa: F401  (populates the registry on import)
-
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    """Look up one rule class by id."""
-    for rule_class in all_rules():
-        if rule_class.id == rule_id:
-            return rule_class
-    raise ConfigurationError(f"unknown rule id {rule_id!r}")

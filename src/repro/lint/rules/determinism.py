@@ -14,18 +14,17 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import BannedNameRule, ModuleContext, Rule, register_rule
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import BannedNameRule, ModuleContext, Rule
 
 __all__ = ["WallClockRule", "SetIterationRule", "GlobalRebindRule"]
 
 
-@register_rule
 class WallClockRule(BannedNameRule):
     """DET001: no wall-clock dates or entropy in simulator hot paths.
 
-    Scoped (via the ``paths`` option) to ``repro/sim`` and ``repro/core``:
-    a ``datetime.now()`` or ``os.urandom()`` in a hot path silently turns
+    Scoped to ``repro/sim``, ``repro/core`` and ``repro/metrics``: a
+    ``datetime.now()`` or ``os.urandom()`` in a hot path silently turns
     a deterministic replay into a machine-dependent one.  Process-clock
     reads (``time.time``, ``time.perf_counter``) are OBS001's: it bans
     them everywhere outside the ``repro/obs`` clock facade.
@@ -37,9 +36,7 @@ class WallClockRule(BannedNameRule):
         "wall-clock dates and entropy (datetime.now, os.urandom, uuid, "
         "secrets) are banned in simulator hot paths"
     )
-    default_severity = Severity.ERROR
-    default_options = {"paths": ["repro/sim/*", "repro/core/*"]}
-    scope_option = "paths"
+    paths = ("repro/sim/*", "repro/core/*", "repro/metrics/*")
     banned_names = (
         "datetime.now",
         "datetime.utcnow",
@@ -55,6 +52,9 @@ class WallClockRule(BannedNameRule):
         "counters / injected clocks through instead"
     )
 
+    def applies_to(self, module: ModuleContext) -> bool:
+        return module.in_paths(self.paths)
+
 
 def _set_expr(node: ast.AST) -> Optional[str]:
     """Describe ``node`` if it builds a set, else None."""
@@ -68,7 +68,6 @@ def _set_expr(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register_rule
 class SetIterationRule(Rule):
     """DET002: don't feed unordered ``set`` iteration into results.
 
@@ -86,11 +85,9 @@ class SetIterationRule(Rule):
         "iteration order of sets is not reproducible; wrap in sorted(...) "
         "before feeding results"
     )
-    default_severity = Severity.WARNING
-    default_options = {"order_sensitive_calls": ["list", "tuple", "enumerate"]}
+    order_sensitive_calls = frozenset({"list", "tuple", "enumerate"})
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        order_sensitive = set(module.option(self, "order_sensitive_calls"))
         for node in ast.walk(module.tree):
             if isinstance(node, ast.For):
                 described = _set_expr(node.iter)
@@ -112,7 +109,7 @@ class SetIterationRule(Rule):
                             "ordered result; wrap in sorted(...)",
                         )
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id in order_sensitive and node.args:
+                if node.func.id in self.order_sensitive_calls and node.args:
                     described = _set_expr(node.args[0])
                     if described:
                         yield module.diagnostic(
@@ -123,7 +120,6 @@ class SetIterationRule(Rule):
                         )
 
 
-@register_rule
 class GlobalRebindRule(Rule):
     """PERF002: module globals are not rebound after import.
 
@@ -131,7 +127,7 @@ class GlobalRebindRule(Rule):
     every module and sees a global as import left it, never as the parent
     rebound it.  A ``global`` statement therefore lets the parent and its
     workers compute on different state, and serial and parallel sweeps
-    stop being byte-identical.  The ``allow`` option lists the modules
+    stop being byte-identical.  ``allow`` lists the modules
     that hold process-local state by design: the ``repro.obs`` recorder
     facade (each worker installs its own) and the storage fault hook.
     """
@@ -142,11 +138,10 @@ class GlobalRebindRule(Rule):
         "`global` statement rebinds module state after import; spawn "
         "workers re-import the module and never see the new value"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/obs/__init__.py", "repro/storage.py"]}
+    allow = ("repro/obs/__init__.py", "repro/storage.py")
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
+        if module.in_paths(self.allow):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Global):

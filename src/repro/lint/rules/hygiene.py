@@ -6,8 +6,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set
 
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, register_rule
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import ModuleContext, Rule
 
 __all__ = [
     "MutableDefaultRule",
@@ -37,7 +37,6 @@ def _is_mutable_default(node: ast.AST) -> bool:
     return False
 
 
-@register_rule
 class MutableDefaultRule(Rule):
     """API001: no mutable default arguments.
 
@@ -50,8 +49,6 @@ class MutableDefaultRule(Rule):
     id = "API001"
     name = "mutable-default"
     description = "mutable default argument; default to None and build inside"
-    default_severity = Severity.ERROR
-    default_options = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):
@@ -71,7 +68,6 @@ class MutableDefaultRule(Rule):
                     )
 
 
-@register_rule
 class BareExceptRule(Rule):
     """API002: no bare ``except:`` clauses.
 
@@ -84,8 +80,6 @@ class BareExceptRule(Rule):
     id = "API002"
     name = "bare-except"
     description = "bare `except:`; catch a concrete exception type"
-    default_severity = Severity.ERROR
-    default_options = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):
@@ -146,7 +140,6 @@ def _public_defs(tree: ast.Module) -> List[ast.stmt]:
     ]
 
 
-@register_rule
 class AllDriftRule(Rule):
     """API003: keep ``__all__`` present and in sync with the module body.
 
@@ -161,8 +154,7 @@ class AllDriftRule(Rule):
     id = "API003"
     name = "all-drift"
     description = "__all__ missing or out of sync with the module's public defs"
-    default_severity = Severity.WARNING
-    default_options = {"exempt": ["conftest.py", "setup.py"]}
+    exempt = ("conftest.py", "setup.py")
 
     @staticmethod
     def _has_module_getattr(tree: ast.Module) -> bool:
@@ -178,7 +170,7 @@ class AllDriftRule(Rule):
         # __init__.py is NOT exempt (its re-export list can dangle).
         if basename.startswith("_") and basename != "__init__.py":
             return
-        if module.in_paths(module.option(self, "exempt")):
+        if module.in_paths(self.exempt):
             return
         assign = _literal_all(module.tree)
         if assign is None:
@@ -229,7 +221,6 @@ class AllDriftRule(Rule):
                 )
 
 
-@register_rule
 class UnusedSuppressionRule(Rule):
     """SUP001: ``# reprolint: disable=RULE`` comments must suppress something.
 
@@ -240,19 +231,17 @@ class UnusedSuppressionRule(Rule):
     every rule, ``finish`` included — a comment may exist solely to
     silence an RNG010 finding — so the runner emits these diagnostics itself
     from suppression-usage accounting; this class only anchors the rule
-    id in the registry (config, severity overrides, ``--list-rules``).
-    Enabled in ``--strict`` runs (and via ``strict = true`` in
-    ``[tool.reprolint]``).
+    id in :data:`repro.lint.rules.RULES` (``--select``, ``--list-rules``).
+    A comment naming only rules that did not run (left out of
+    ``--select``) is not reported.
     """
 
     id = "SUP001"
     name = "unused-suppression"
     description = (
         "suppression comment matches no finding; delete it or fix its "
-        "rule id/placement (reported in --strict runs)"
+        "rule id/placement"
     )
-    default_severity = Severity.WARNING
-    default_options = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         # Runner-emitted after every rule; nothing to do per module.

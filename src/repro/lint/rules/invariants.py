@@ -15,8 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, register_rule
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import ModuleContext, Rule
 
 __all__ = ["PaperConstantRule", "FloatEqualityRule"]
 
@@ -35,7 +35,6 @@ _PAPER_CONSTANTS = {
 }
 
 
-@register_rule
 class PaperConstantRule(Rule):
     """INV001: paper constants must not be re-derived as magic floats.
 
@@ -52,32 +51,24 @@ class PaperConstantRule(Rule):
         "magic-float copy of a paper constant; import it from "
         "repro.core.pcr / repro.core.packing"
     )
-    default_severity = Severity.ERROR
-    default_options = {
-        # The rule's own module hosts the deny-list values by necessity.
-        "allow": [
-            "repro/core/pcr.py",
-            "repro/core/packing.py",
-            "repro/lint/rules/invariants.py",
-        ],
-        "tolerance": 1e-6,
-        "constants": {},  # extra name -> value pairs from pyproject
-    }
+    # The rule's own module hosts the deny-list values by necessity.
+    allow = (
+        "repro/core/pcr.py",
+        "repro/core/packing.py",
+        "repro/lint/rules/invariants.py",
+    )
+    tolerance = 1e-6
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
+        if module.in_paths(self.allow):
             return
-        tolerance = float(module.option(self, "tolerance"))
-        constants = dict(_PAPER_CONSTANTS)
-        for name, value in dict(module.option(self, "constants")).items():
-            constants[str(name)] = (float(value), "its canonical definition")
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Constant):
                 continue
             if not isinstance(node.value, float):
                 continue
-            for name, (value, source) in constants.items():
-                if abs(node.value - value) <= tolerance * max(1.0, abs(value)):
+            for name, (value, source) in _PAPER_CONSTANTS.items():
+                if abs(node.value - value) <= self.tolerance * max(1.0, abs(value)):
                     yield module.diagnostic(
                         self,
                         node,
@@ -98,7 +89,6 @@ def _is_floatish(node: ast.AST) -> bool:
     return False
 
 
-@register_rule
 class FloatEqualityRule(Rule):
     """INV002: no exact float ``==``/``!=`` in geometry/spectrum/core.
 
@@ -115,13 +105,10 @@ class FloatEqualityRule(Rule):
         "exact float ==/!= comparison; use math.isclose or "
         "repro.core.numeric helpers"
     )
-    default_severity = Severity.WARNING
-    default_options = {
-        "paths": ["repro/geometry/*", "repro/spectrum/*", "repro/core/*"]
-    }
+    paths = ("repro/geometry/*", "repro/spectrum/*", "repro/core/*")
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if not module.in_paths(module.option(self, "paths")):
+        if not module.in_paths(self.paths):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):

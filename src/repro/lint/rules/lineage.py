@@ -15,8 +15,8 @@ import ast
 import dataclasses
 from typing import Dict, Iterator, List, Tuple
 
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, module_name_for, register_rule
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import ModuleContext, Rule, module_name_for
 
 __all__ = ["StreamCollisionRule"]
 
@@ -42,7 +42,6 @@ def _stream_sites(node: ast.AST, scope: str) -> Iterator[Tuple[str, str, ast.Cal
         yield from _stream_sites(child, scope)
 
 
-@register_rule
 class StreamCollisionRule(Rule):
     """RNG010: one literal stream name, requested from several functions.
 
@@ -60,15 +59,14 @@ class StreamCollisionRule(Rule):
         "same literal stream name requested from two functions; "
         "colliding lineages draw identical values"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/rng/*"]}
+    allow = ("repro/rng/*",)
 
     def __init__(self) -> None:
         #: name -> [(function label, site diagnostic without a message)]
         self._sites: Dict[str, List[Tuple[str, Diagnostic]]] = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
+        if module.in_paths(self.allow):
             return iter(())
         module_name = module_name_for(module.relpath)
         for name, function, call in _stream_sites(module.tree, _MODULE_SCOPE):

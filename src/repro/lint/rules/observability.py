@@ -22,24 +22,22 @@ import ast
 import re
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Severity
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import (
     BannedNameRule,
     ModuleContext,
     Rule,
     dotted_name,
-    register_rule,
 )
 
 __all__ = ["ClockFacadeRule", "LiteralMetricNameRule"]
 
 
-@register_rule
 class ClockFacadeRule(BannedNameRule):
     """OBS001: clock reads go through ``repro.obs.clock``, nowhere else.
 
     Applies to the whole ``repro`` tree except the allow-listed facade
-    (``repro/obs/*`` by default), simulator hot paths included, so span
+    (``repro/obs/*``), simulator hot paths included, so span
     timing and wall-time reporting have exactly one audited entry point —
     use :func:`repro.obs.clock.monotonic_s` / ``wall_clock_iso`` instead.
     """
@@ -50,8 +48,7 @@ class ClockFacadeRule(BannedNameRule):
         "direct time.time()/time.perf_counter() reads are banned outside "
         "repro/obs; use repro.obs.clock"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/obs/*"]}
+    allow = ("repro/obs/*",)
     banned_names = (
         "time.time",
         "time.time_ns",
@@ -83,7 +80,6 @@ def _is_obs_facade_call(name: str, from_obs_names: frozenset) -> bool:
     return parts[-2] == "obs"
 
 
-@register_rule
 class LiteralMetricNameRule(Rule):
     """OBS002: metric/span names are literal dotted constants.
 
@@ -101,12 +97,8 @@ class LiteralMetricNameRule(Rule):
         "obs facade metric/span names must be literal dotted constants "
         "(no f-strings, concatenation, or str.format)"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": []}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        if module.in_paths(module.option(self, "allow")):
-            return
         from_obs_names = frozenset(
             local
             for _, local, origin in module.imports

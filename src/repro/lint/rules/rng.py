@@ -10,13 +10,11 @@ global generators whose seeding is invisible to the experiment harness).
 
 from __future__ import annotations
 
-from repro.lint.diagnostics import Severity
-from repro.lint.registry import BannedNameRule, register_rule
+from repro.lint.registry import BannedNameRule
 
 __all__ = ["StdlibRandomRule", "NumpyGlobalRngRule"]
 
 
-@register_rule
 class StdlibRandomRule(BannedNameRule):
     """RNG001: the stdlib ``random`` module is banned.
 
@@ -28,15 +26,13 @@ class StdlibRandomRule(BannedNameRule):
     id = "RNG001"
     name = "random-module"
     description = "stdlib `random` is banned; use repro.rng.StreamFactory streams"
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/rng/*"]}
+    allow = ("repro/rng/*",)
     banned_modules = ("random",)
     reason = (
         "uses stdlib `random`; use repro.rng.StreamFactory named streams instead"
     )
 
 
-@register_rule
 class NumpyGlobalRngRule(BannedNameRule):
     """RNG002: no direct ``numpy.random`` entry points outside ``repro/rng``.
 
@@ -54,8 +50,7 @@ class NumpyGlobalRngRule(BannedNameRule):
         "direct numpy.random calls/imports are banned outside repro/rng; "
         "accept an injected Generator"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/rng/*"]}
+    allow = ("repro/rng/*",)
     banned_modules = ("numpy.random",)
     reason = (
         "bypasses repro.rng.StreamFactory; accept an np.random.Generator "

@@ -27,8 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import BannedNameRule, ModuleContext, Rule, register_rule
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import BannedNameRule, ModuleContext, Rule
 
 __all__ = [
     "SilentBroadExceptRule",
@@ -66,7 +66,6 @@ def _is_silent(statement: ast.stmt) -> bool:
     )
 
 
-@register_rule
 class SilentBroadExceptRule(Rule):
     """ROB001: no silently-swallowed broad exception handlers.
 
@@ -87,8 +86,6 @@ class SilentBroadExceptRule(Rule):
         "broad exception handler with a do-nothing body; handle, log, or "
         "re-raise — silent swallows turn failures into bad data"
     )
-    default_severity = Severity.ERROR
-    default_options: dict = {}
 
     def check(self, module: ModuleContext) -> Iterator[Diagnostic]:
         for node in ast.walk(module.tree):
@@ -113,7 +110,6 @@ class SilentBroadExceptRule(Rule):
             )
 
 
-@register_rule
 class WallClockBackoffRule(BannedNameRule):
     """ROB002: no wall-clock sleeps outside the facade.
 
@@ -124,7 +120,7 @@ class WallClockBackoffRule(BannedNameRule):
     the single-threaded service loop.  Use :func:`repro.obs.clock.sleep_s`
     (injectable, like the supervisor's ``sleep=`` argument) instead; a
     deadline loop's clock read is OBS001's.  The facade itself
-    (``repro/obs/*`` by default) is exempt.
+    (``repro/obs/*``) is exempt.
     """
 
     id = "ROB002"
@@ -133,8 +129,7 @@ class WallClockBackoffRule(BannedNameRule):
         "time.sleep is banned outside repro/obs; inject "
         "repro.obs.clock.sleep_s"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/obs/*"]}
+    allow = ("repro/obs/*",)
     banned_names = ("time.sleep",)
     reason = (
         "blocks on the wall clock; retry/backoff must go through an "
@@ -142,7 +137,6 @@ class WallClockBackoffRule(BannedNameRule):
     )
 
 
-@register_rule
 class AtomicWriteBypassRule(BannedNameRule):
     """ROB003: durable writes go through ``repro.storage``, nowhere else.
 
@@ -169,8 +163,7 @@ class AtomicWriteBypassRule(BannedNameRule):
         "banned outside repro/storage.py; use repro.storage.atomic_write_text "
         "or repro.storage.append_record"
     )
-    default_severity = Severity.ERROR
-    default_options = {"allow": ["repro/storage.py"]}
+    allow = ("repro/storage.py",)
     banned_names = (
         "os.replace",
         "os.rename",

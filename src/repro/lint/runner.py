@@ -1,11 +1,11 @@
 """One-pass lint driver: every file once, then each rule's ``finish``.
 
 Every run is cold and serial: each file is read, parsed and checked by
-every enabled rule once, in sorted order, against one rule instance per
+every selected rule once, in sorted order, against one rule instance per
 run.  After the last file each rule's :meth:`~repro.lint.registry.Rule.finish`
 reports what needed every file (RNG010's stream-name groups).  Then
-suppression comments filter the findings, and under ``--strict``
-suppression-usage accounting emits SUP001 for dead comments.
+suppression comments filter the findings, and suppression-usage
+accounting emits SUP001 for dead comments.  Every finding fails the run.
 """
 
 from __future__ import annotations
@@ -13,12 +13,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.config import LintConfig
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import ModuleContext, Rule, all_rules
-from repro.lint.suppress import SuppressionIndex, parse_suppressions
+from repro.errors import ConfigurationError
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import ModuleContext, Rule
+from repro.lint.rules import RULES
+from repro.lint.suppress import (
+    ALL,
+    SuppressionEntry,
+    SuppressionIndex,
+    parse_suppressions,
+)
 
 __all__ = [
     "LintReport",
@@ -29,42 +35,26 @@ __all__ = [
 
 PARSE_RULE_ID = "PARSE"
 SUPPRESSION_RULE_ID = "SUP001"
+_KNOWN = frozenset(rule_class.id for rule_class in RULES)
 
 
 @dataclass
 class LintReport:
-    """Aggregate outcome of one lint run."""
+    """Aggregate outcome of one lint run; any diagnostic fails it."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
 
-    def worst_severity(self) -> Optional[Severity]:
-        """Highest severity present, or None when the run is clean."""
-        if not self.diagnostics:
-            return None
-        return max(diagnostic.severity for diagnostic in self.diagnostics)
 
-    def failed(self, fail_on: Severity) -> bool:
-        """Whether any finding is at or above the ``fail_on`` threshold."""
-        worst = self.worst_severity()
-        return worst is not None and worst >= fail_on
-
-
-def iter_python_files(
-    paths: Sequence[Path], config: LintConfig
-) -> Iterable[Path]:
-    """Expand files/directories into non-excluded ``.py`` files, sorted."""
-    collected: List[Path] = []
+def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
+    """Expand files/directories into ``.py`` files, sorted per directory."""
     for path in paths:
         path = Path(path)
         if path.is_dir():
-            collected.extend(sorted(path.rglob("*.py")))
+            yield from sorted(path.rglob("*.py"))
         else:
-            collected.append(path)
-    for candidate in collected:
-        if not config.is_excluded(candidate.as_posix()):
-            yield candidate
+            yield path
 
 
 def _relpath(path: Path) -> str:
@@ -75,9 +65,19 @@ def _relpath(path: Path) -> str:
         return path.as_posix()
 
 
-def _check_source(
-    source: str, relpath: str, config: LintConfig, rules: List[Rule]
-) -> List[Diagnostic]:
+def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
+    """One instance of each rule in ``select`` (every rule when None)."""
+    if select is None:
+        return [rule_class() for rule_class in RULES]
+    unknown = sorted(set(select) - _KNOWN)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown rule id(s): {', '.join(unknown)} (see --list-rules)"
+        )
+    return [rule_class() for rule_class in RULES if rule_class.id in select]
+
+
+def _check_source(source: str, relpath: str, rules: List[Rule]) -> List[Diagnostic]:
     """Parse one module and run every rule's ``check`` over it."""
     try:
         tree = ast.parse(source, filename=relpath)
@@ -88,30 +88,35 @@ def _check_source(
                 path=relpath,
                 line=exc.lineno or 1,
                 col=(exc.offset or 1) - 1,
-                severity=Severity.ERROR,
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    module = ModuleContext(relpath=relpath, source=source, tree=tree, config=config)
+    module = ModuleContext(relpath=relpath, source=source, tree=tree)
     found: List[Diagnostic] = []
     for rule in rules:
         found.extend(rule.check(module))
     return found
 
 
+def _dead(entry: SuppressionEntry, ran: AbstractSet[str]) -> bool:
+    """Whether an unused entry is dead rather than waiting on a rule left out.
+
+    Every rule it names must have run, or be unknown to the pack (a typo
+    silences nothing whatever runs).
+    """
+    names = _KNOWN if ALL in entry.rules else entry.rules
+    return all(name in ran or name not in _KNOWN for name in names)
+
+
 def _lint(
-    sources: Dict[str, str], config: LintConfig, strict: bool
+    sources: Dict[str, str], select: Optional[Sequence[str]]
 ) -> Tuple[List[Diagnostic], int]:
     """Lint ``{relpath: source}``; returns ``(sorted diagnostics, suppressed)``."""
-    rules = [
-        rule_class()
-        for rule_class in all_rules()
-        if config.rule_enabled(rule_class.id)
-    ]
+    rules = _selected_rules(select)
     found: List[Diagnostic] = []
     suppressions: Dict[str, SuppressionIndex] = {}
     for relpath in sorted(sources):
-        found.extend(_check_source(sources[relpath], relpath, config, rules))
+        found.extend(_check_source(sources[relpath], relpath, rules))
         suppressions[relpath] = parse_suppressions(sources[relpath])
     for rule in rules:
         found.extend(rule.finish())
@@ -127,10 +132,12 @@ def _lint(
         else:
             kept.append(diagnostic)
 
-    if strict and config.rule_enabled(SUPPRESSION_RULE_ID):
-        severity = config.severity_for(SUPPRESSION_RULE_ID, Severity.WARNING)
+    ran = {rule.id for rule in rules}
+    if SUPPRESSION_RULE_ID in ran:
         for relpath in sorted(suppressions):
             for entry in suppressions[relpath].unused():
+                if not _dead(entry, ran):
+                    continue
                 scope = (
                     "file-level suppression"
                     if entry.target_line is None
@@ -142,7 +149,6 @@ def _lint(
                         path=relpath,
                         line=entry.comment_line,
                         col=0,
-                        severity=severity,
                         message=(
                             f"{scope} for {', '.join(entry.rules)} matches no "
                             "finding; delete the comment or fix its placement"
@@ -157,37 +163,25 @@ def _lint(
 def lint_source(
     source: str,
     path: str = "<string>",
-    config: Optional[LintConfig] = None,
-    strict: Optional[bool] = None,
+    select: Optional[Sequence[str]] = None,
 ) -> List[Diagnostic]:
     """Lint one module given as a string, through the full pipeline.
 
-    Suppression comments are honoured; ``strict`` (default: the config's
-    ``strict`` flag) additionally reports unused suppressions.  Returns
-    the surviving diagnostics sorted by location.
+    ``select`` limits the run to those rule ids (default: every rule).
+    Suppression comments are honoured and dead ones reported (SUP001).
+    Returns the surviving diagnostics sorted by location.
     """
-    config = config or LintConfig()
-    diagnostics, _ = _lint(
-        {path: source}, config, strict=config.strict if strict is None else strict
-    )
+    diagnostics, _ = _lint({path: source}, select)
     return diagnostics
 
 
 def lint_paths(
-    paths: Sequence[Path],
-    config: Optional[LintConfig] = None,
-    *,
-    strict: Optional[bool] = None,
+    paths: Sequence[Path], select: Optional[Sequence[str]] = None
 ) -> LintReport:
     """Lint files and directories; the main entry point behind the CLI."""
-    config = config or LintConfig()
     sources: Dict[str, str] = {}
-    for path in iter_python_files([Path(p) for p in paths], config):
-        relpath = _relpath(path)
-        if not config.is_excluded(relpath):
-            sources[relpath] = path.read_bytes().decode("utf-8")
+    for path in iter_python_files(paths):
+        sources[_relpath(path)] = path.read_bytes().decode("utf-8")
     report = LintReport(files_checked=len(sources))
-    report.diagnostics, report.suppressed = _lint(
-        sources, config, strict=config.strict if strict is None else strict
-    )
+    report.diagnostics, report.suppressed = _lint(sources, select)
     return report

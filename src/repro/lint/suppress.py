@@ -14,13 +14,13 @@ Rule lists are comma-separated (``disable=RNG001,RNG002``) and ``all``
 disables every rule.  Anything after the rule list is free text — use it
 for the justification, e.g.::
 
-    rng = np.random.default_rng(seed)  # reprolint: disable=RNG002 -- deprecated fallback
+    if gain == 0.0:  # reprolint: disable=INV002 -- exact-zero guard
 
 Every suppression is tracked as a :class:`SuppressionEntry` that counts
 how many findings it actually silenced — including findings a rule
 reports from ``finish`` after the last file (RNG010).  Entries whose
-count stays zero are dead comments; ``--strict`` runs report them as
-SUP001.
+count stays zero are dead comments, reported as SUP001 when the rules
+they name ran.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-__all__ = ["SuppressionEntry", "SuppressionIndex", "parse_suppressions"]
+__all__ = ["ALL", "SuppressionEntry", "SuppressionIndex", "parse_suppressions"]
 
 _MARKER = re.compile(
     r"#\s*reprolint:\s*(?P<scope>disable(?:-file)?)\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)"
 )
-_ALL = "all"
+ALL = "all"
 
 
 @dataclass
@@ -53,7 +53,7 @@ class SuppressionEntry:
     def matches(self, rule_id: str, line: int) -> bool:
         if self.target_line is not None and self.target_line != line:
             return False
-        return _ALL in self.rules or rule_id in self.rules
+        return ALL in self.rules or rule_id in self.rules
 
 
 @dataclass

@@ -14,9 +14,8 @@ helpers attach the uncertainty those means carry:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -83,54 +82,27 @@ def t_confidence_interval(
     )
 
 
-# Seed of the legacy `seed=`-less call path, kept so historical results
-# (and the golden regression fixtures) replay bit-for-bit.
-_LEGACY_BOOTSTRAP_SEED = 0
-
-
 def bootstrap_confidence_interval(
     values: Sequence[float],
     confidence: float = 0.95,
     resamples: int = 2000,
-    seed: Optional[int] = None,
     *,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> ConfidenceInterval:
     """Percentile-bootstrap confidence interval for the mean.
 
-    Resampling randomness should be injected by the caller so it is tracked
-    by the experiment's :class:`repro.rng.StreamFactory`::
+    Resampling randomness is injected by the caller so it is tracked by
+    the experiment's :class:`repro.rng.StreamFactory`::
 
         ci = bootstrap_confidence_interval(
             delays, rng=streams.stream("bootstrap")
         )
-
-    ``seed=`` is a deprecated fallback (it creates a generator the stream
-    factory cannot see); omitting both draws from a fixed legacy seed so
-    existing call sites keep returning identical intervals.
     """
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     if resamples < 100:
         raise ConfigurationError(f"resamples must be >= 100, got {resamples}")
     sample = _check_sample(values, minimum=2)
-    if rng is not None:
-        if seed is not None:
-            raise ConfigurationError("pass either rng= or seed=, not both")
-    else:
-        if seed is not None:
-            warnings.warn(
-                "bootstrap_confidence_interval(seed=...) is deprecated; pass "
-                "rng=StreamFactory(seed).stream('bootstrap') so the draw is "
-                "tracked by the reproducibility contract",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        # Deprecated fallback: an untracked, seed-addressed generator.
-        # reprolint: disable=RNG002 -- legacy seeded path, kept for bit-compat
-        rng = np.random.default_rng(
-            _LEGACY_BOOTSTRAP_SEED if seed is None else seed
-        )
     indices = rng.integers(0, sample.size, size=(resamples, sample.size))
     means = sample[indices].mean(axis=1)
     alpha = (1.0 - confidence) / 2.0

@@ -21,7 +21,6 @@ MODULES = [
     "repro.core.pcr",
     "repro.core.fairness",
     "repro.core.numeric",
-    "repro.lint.config",
     "repro.lint.diagnostics",
     "repro.lint.registry",
     "repro.lint.suppress",

@@ -4,17 +4,14 @@ Three layers:
 
 * per-rule fixtures — every rule in the pack has one snippet it must flag
   and one it must leave alone,
-* framework behaviour — suppression comments, pyproject config (excludes,
-  severity overrides, select/ignore, rule options), CLI formats/exit codes,
+* framework behaviour — suppression comments, rule selection, path
+  scoping, CLI output and exit codes,
 * the repo gate — linting ``src/`` at HEAD must come back clean, so any
   new determinism or paper-invariant violation fails tier-1.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 from pathlib import Path
 
 import pytest
@@ -23,22 +20,16 @@ import repro
 import repro.cli
 from repro.errors import ConfigurationError
 from repro.lint import (
+    RULES,
     Diagnostic,
-    LintConfig,
-    Severity,
-    all_rules,
-    get_rule,
     lint_paths,
     lint_source,
     path_matches,
 )
-from repro.lint.cli import main as reprolint_main
-from repro.lint.config import _parse_minimal_toml, load_pyproject_table
+from repro.lint.cli import build_parser, main as reprolint_main
 from repro.lint.suppress import parse_suppressions
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
-REPO_ROOT = SRC_DIR.parent
-PYPROJECT = REPO_ROOT / "pyproject.toml"
 
 
 def rule_ids(diagnostics) -> set:
@@ -272,17 +263,6 @@ MORE_FIXTURES = {
 }
 ALL_FIXTURES = {**RULE_FIXTURES, **MORE_FIXTURES}
 
-# Rules whose fixtures need a non-default config (SUP001 only reports in
-# strict runs).
-RULE_FIXTURE_CONFIGS = {
-    "SUP001": lambda: LintConfig(strict=True),
-}
-
-
-def fixture_config(rule_id):
-    factory = RULE_FIXTURE_CONFIGS.get(rule_id)
-    return factory() if factory else None
-
 
 def fixture_rule(case):
     return case.split("-")[0]
@@ -293,7 +273,7 @@ class TestRuleFixtures:
     def test_positive_fixture_fires(self, case):
         rule_id = fixture_rule(case)
         path, bad, _ = ALL_FIXTURES[case]
-        diagnostics = lint_source(bad, path=path, config=fixture_config(rule_id))
+        diagnostics = lint_source(bad, path=path)
         assert rule_id in rule_ids(diagnostics), (
             f"{rule_id} should flag:\n{bad}"
         )
@@ -305,13 +285,13 @@ class TestRuleFixtures:
     def test_negative_fixture_clean(self, case):
         rule_id = fixture_rule(case)
         path, _, good = ALL_FIXTURES[case]
-        diagnostics = lint_source(good, path=path, config=fixture_config(rule_id))
+        diagnostics = lint_source(good, path=path)
         assert rule_id not in rule_ids(diagnostics), (
             f"{rule_id} should not flag:\n{good}"
         )
 
     def test_every_registered_rule_has_fixtures(self):
-        assert {rule.id for rule in all_rules()} == set(RULE_FIXTURES)
+        assert [rule.id for rule in RULES] == sorted(RULE_FIXTURES), "one entry per id"
         assert {fixture_rule(case) for case in MORE_FIXTURES} <= set(RULE_FIXTURES)
 
     @pytest.mark.parametrize(
@@ -327,7 +307,7 @@ class TestRuleFixtures:
         ids=["OBS001", "DET001", "ROB002", "RNG002-submodule", "RNG002-package", "ROB003"],
     )
     def test_aliased_module_import_does_not_evade_ban(self, rule_id, path, source):
-        assert rule_id in rule_ids(lint_source(source, path=path, config=LintConfig()))
+        assert rule_id in rule_ids(lint_source(source, path=path))
 
     def test_aliased_clock_import_is_clean_inside_the_facade(self):
         source = (
@@ -337,7 +317,7 @@ class TestRuleFixtures:
             "    return _time.perf_counter()\n\n\n"
             "__all__ = ['wait']\n"
         )
-        assert lint_source(source, path="repro/obs/clock.py", config=LintConfig()) == []
+        assert lint_source(source, path="repro/obs/clock.py") == []
 
     def test_rng002_flags_numpy_random_import(self):
         diagnostics = lint_source(
@@ -355,6 +335,7 @@ class TestRuleFixtures:
     def test_det001_only_fires_in_hot_paths(self):
         source = "import os\n\nsalt = os.urandom(8)\n"
         assert "DET001" in rule_ids(lint_source(source, path="repro/sim/x.py"))
+        assert "DET001" in rule_ids(lint_source(source, path="repro/metrics/x.py"))
         assert "DET001" not in rule_ids(
             lint_source(source, path="repro/experiments/report.py")
         )
@@ -429,7 +410,6 @@ class TestRuleFixtures:
     def test_syntax_error_reported_as_parse_diagnostic(self):
         diagnostics = lint_source("def broken(:\n", path="repro/x.py")
         assert [d.rule_id for d in diagnostics] == ["PARSE"]
-        assert diagnostics[0].severity is Severity.ERROR
 
     def test_rob001_flags_bare_except_with_pass(self):
         source = "try:\n    x = 1\nexcept:\n    pass\n\n__all__ = []\n"
@@ -590,115 +570,33 @@ class TestSuppressions:
 
 
 class TestConfig:
-    def write_pyproject(self, tmp_path: Path, body: str) -> Path:
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(body, encoding="utf-8")
-        return pyproject
-
-    def test_excludes_respected(self, tmp_path):
-        package = tmp_path / "repro" / "sim"
-        package.mkdir(parents=True)
-        (package / "bad.py").write_text("import random\n", encoding="utf-8")
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        (legacy / "old.py").write_text("import random\n", encoding="utf-8")
-        pyproject = self.write_pyproject(
-            tmp_path,
-            "[tool.reprolint]\nexclude = [\"legacy/*\"]\n",
-        )
-        config = LintConfig.from_pyproject(pyproject)
-        report = lint_paths([tmp_path], config)
-        assert report.files_checked == 1
-        assert {d.rule_id for d in report.diagnostics} >= {"RNG001"}
-        assert all("legacy" not in d.path for d in report.diagnostics)
-
-    def test_severity_override_and_fail_on(self, tmp_path):
-        pyproject = self.write_pyproject(
-            tmp_path,
-            "[tool.reprolint]\nfail_on = \"error\"\n\n"
-            "[tool.reprolint.severity]\nDET002 = \"info\"\n",
-        )
-        config = LintConfig.from_pyproject(pyproject)
-        diagnostics = lint_source(
-            "a = list(set([1, 2]))\n", path="repro/a.py", config=config
-        )
-        assert [d.severity for d in diagnostics] == [Severity.INFO]
-        report = lint_paths([], config)
-        report.diagnostics.extend(diagnostics)
-        assert not report.failed(config.fail_on)
+    """Rule selection and path scoping; neither reads a configuration file."""
 
     def test_select_and_ignore(self):
-        config = LintConfig(select=["RNG001"])
+        """``select`` runs exactly the listed rules and ignores the rest."""
         source = "import random\n\nimport time\n\nstart = time.time()\n"
-        assert rule_ids(lint_source(source, "repro/sim/a.py", config)) == {"RNG001"}
-        config = LintConfig(ignore=["RNG001"])
-        assert "RNG001" not in rule_ids(
-            lint_source(source, "repro/sim/a.py", config)
-        )
-
-    def test_rule_option_override(self, tmp_path):
-        pyproject = self.write_pyproject(
-            tmp_path,
-            "[tool.reprolint]\n\n"
-            "[tool.reprolint.rules.RNG002]\nallow = [\"repro/legacy/*\"]\n",
-        )
-        config = LintConfig.from_pyproject(pyproject)
-        source = "import numpy as np\n\nrng = np.random.default_rng(0)\n"
-        assert "RNG002" not in rule_ids(
-            lint_source(source, "repro/legacy/x.py", config)
-        )
-        # The built-in allow list was *replaced*, so repro/rng now flags.
-        assert "RNG002" in rule_ids(
-            lint_source(source, "repro/rng/streams.py", config)
-        )
-
-    def test_minimal_toml_parser_parity(self):
-        body = (
-            "[tool.reprolint]\n"
-            "exclude = [\"a/*\", \"b/*\"]\n"
-            "fail_on = \"error\"\n"
-            "[tool.reprolint.severity]\n"
-            "DET002 = \"info\"\n"
-            "[tool.reprolint.rules.RNG002]\n"
-            "allow = [\"x/*\"]\n"
-        )
-        parsed = _parse_minimal_toml(body)["tool"]["reprolint"]
-        assert parsed["exclude"] == ["a/*", "b/*"]
-        assert parsed["fail_on"] == "error"
-        assert parsed["severity"]["DET002"] == "info"
-        assert parsed["rules"]["RNG002"]["allow"] == ["x/*"]
+        assert rule_ids(lint_source(source, "repro/sim/a.py", ["RNG001"])) == {"RNG001"}
+        assert rule_ids(lint_source(source, "repro/sim/a.py", ["OBS001"])) == {"OBS001"}
+        with pytest.raises(ConfigurationError):
+            lint_source(source, "repro/sim/a.py", ["NOPE999"])
 
     def test_path_matches_suffix_semantics(self):
         assert path_matches("src/repro/rng/streams.py", ["repro/rng/*"])
         assert path_matches("repro/rng/streams.py", ["repro/rng/*"])
         assert not path_matches("src/repro/sim/engine.py", ["repro/rng/*"])
 
-    def test_unknown_severity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Severity.from_name("fatal")
-
-    def test_repo_pyproject_table_loads(self):
-        table = load_pyproject_table(PYPROJECT)
-        assert "exclude" in table
-
 
 class TestFrameworkApi:
-    def test_get_rule_roundtrip(self):
-        assert get_rule("RNG001").name == "random-module"
-        with pytest.raises(ConfigurationError):
-            get_rule("NOPE999")
-
     def test_diagnostic_dict_and_human_formats(self):
         diagnostic = Diagnostic(
             rule_id="RNG001",
             path="repro/a.py",
             line=3,
             col=4,
-            severity=Severity.ERROR,
             message="nope",
         )
-        assert diagnostic.format_human() == "repro/a.py:3:4: RNG001 error: nope"
-        assert diagnostic.as_dict()["severity"] == "error"
+        assert diagnostic.format_human() == "repro/a.py:3:4: RNG001 nope"
+        assert diagnostic.as_dict()["rule"] == "RNG001"
 
     def test_lint_is_deterministic(self, tmp_path):
         package = tmp_path / "repro" / "sim"
@@ -716,18 +614,6 @@ class TestFrameworkApi:
 
 
 class TestCli:
-    def test_json_output_and_exit_code(self, tmp_path, capsys):
-        package = tmp_path / "repro" / "sim"
-        package.mkdir(parents=True)
-        (package / "bad.py").write_text("import random\n", encoding="utf-8")
-        code = reprolint_main(["--format", "json", str(tmp_path)])
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert code == 1
-        assert payload["files_checked"] == 1
-        assert payload["diagnostics"][0]["rule"] == "RNG001"
-        assert payload["diagnostics"][0]["line"] == 1
-
     def test_human_output_contains_location(self, tmp_path, capsys):
         package = tmp_path / "repro"
         package.mkdir()
@@ -752,50 +638,28 @@ class TestCli:
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert reprolint_main([str(tmp_path / "nope")]) == 2
 
-    def test_exclude_override_relints_excluded_tree(self, tmp_path, capsys):
-        """`--exclude ""` drops the config excludes (relaxed CI profile)."""
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.reprolint]\nexclude = ["bench/*"]\n', encoding="utf-8"
-        )
-        bench = tmp_path / "bench"
-        bench.mkdir()
-        (bench / "b.py").write_text("import random\n", encoding="utf-8")
-        config_args = ["--config", str(tmp_path / "pyproject.toml")]
-        assert reprolint_main(config_args + [str(bench)]) == 0
-        assert (
-            reprolint_main(config_args + ["--exclude", "", str(bench)]) == 1
-        )
+    def test_unknown_rule_id_is_usage_error(self, tmp_path, capsys):
+        assert reprolint_main(["--select", "NOPE999", str(tmp_path)]) == 2
+        assert "NOPE999" in capsys.readouterr().err
+
+    def test_help_lists_only_paths_select_and_list_rules(self):
+        actions = build_parser()._actions
+        assert [a.dest for a in actions] == ["help", "paths", "select", "list_rules"]
 
     def test_list_rules(self, capsys):
         assert reprolint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_class in all_rules():
+        for rule_class in RULES:
             assert rule_class.id in out
-
-    def test_ignore_flag(self, tmp_path, capsys):
-        package = tmp_path / "repro"
-        package.mkdir()
-        (package / "bad.py").write_text(
-            "def f(x=[]):\n    return x\n\n\n__all__ = ['f']\n", encoding="utf-8"
-        )
-        assert reprolint_main(["--ignore", "API001", str(tmp_path)]) == 0
 
 
 class TestRepoGate:
     """The tier-1 contract: the repo itself lints clean, violations fail."""
 
     def test_src_tree_is_lint_clean(self):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = reprolint_main(
-                ["--config", str(PYPROJECT), "--format", "json", str(SRC_DIR)]
-            )
-        payload = json.loads(out.getvalue())
-        findings = "\n".join(
-            f"{d['path']}:{d['line']}: {d['rule']} {d['message']}"
-            for d in payload["diagnostics"]
-        )
-        assert code == 0, f"reprolint found violations in src/:\n{findings}"
+        report = lint_paths([SRC_DIR])
+        findings = "\n".join(d.format_human() for d in report.diagnostics)
+        assert report.diagnostics == [], f"reprolint found violations in src/:\n{findings}"
 
     def test_addc_repro_lint_subcommand(self, tmp_path, capsys):
         package = tmp_path / "repro"
@@ -804,11 +668,12 @@ class TestRepoGate:
             "__all__ = ['f']\n\n\ndef f() -> int:\n    return 1\n",
             encoding="utf-8",
         )
-        code = repro.cli.main(
-            ["lint", "--config", str(PYPROJECT), str(tmp_path)]
-        )
-        assert code == 0
-        assert "finding(s)" in capsys.readouterr().out
+        assert repro.cli.main(["lint", str(tmp_path)]) == 0
+        assert "finding(s) in 1 file(s)" in capsys.readouterr().out
+        (package / "bad.py").write_text("def f(x=[]):\n    return x\n", encoding="utf-8")
+        # Leading options reach reprolint's own parser.
+        assert repro.cli.main(["lint", "--select", "RNG001", str(tmp_path)]) == 0
+        assert repro.cli.main(["lint", "--select", "API001", str(tmp_path)]) == 1
 
     def test_introduced_violation_fails(self, tmp_path, capsys):
         package = tmp_path / "repro" / "sim"
@@ -819,7 +684,7 @@ class TestRepoGate:
             + "\nimport random  # injected regression\n",
             encoding="utf-8",
         )
-        code = reprolint_main(["--config", str(PYPROJECT), str(tmp_path)])
+        code = reprolint_main([str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "RNG001" in out and "packet.py" in out
@@ -830,8 +695,7 @@ class TestRepoGate:
             target = tmp_path / Path(path).parent / f"fixture_{case.lower()}.py"
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(bad, encoding="utf-8")
-        # --strict so the SUP001 fixture reports.
-        code = reprolint_main(["--config", str(PYPROJECT), "--strict", str(tmp_path)])
+        code = reprolint_main([str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         for rule_id in RULE_FIXTURES:
@@ -863,7 +727,7 @@ class TestProjectTier:
                 ),
             },
         )
-        report = lint_paths([Path("pkg")], LintConfig(select=["RNG010"]))
+        report = lint_paths([Path("pkg")], select=["RNG010"])
         assert rule_ids(report.diagnostics) == {"RNG010"}
         assert len(report.diagnostics) == 1, (
             "one diagnostic per colliding name; a re-request in one function is legal"
@@ -873,7 +737,9 @@ class TestProjectTier:
         assert "pkg.a:f" in finding.message and "pkg.b:g" in finding.message
 
 class TestStrictSuppressions:
-    def test_unused_suppressions_reported_only_in_strict(self, tmp_path, monkeypatch):
+    """SUP001: every run reports suppressions that silence nothing."""
+
+    def test_unused_suppressions_reported(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_tree(
             tmp_path,
@@ -885,24 +751,28 @@ class TestStrictSuppressions:
                 ),
             },
         )
-        config = LintConfig(select=["RNG001", "DET002", "SUP001"])
-        relaxed = lint_paths([Path("pkg")], config)
-        assert "SUP001" not in rule_ids(relaxed.diagnostics)
-        strict = lint_paths([Path("pkg")], config, strict=True)
-        findings = [d for d in strict.diagnostics if d.rule_id == "SUP001"]
+        report = lint_paths([Path("pkg")], select=["RNG001", "DET002", "SUP001"])
+        findings = [d for d in report.diagnostics if d.rule_id == "SUP001"]
         # The file-level RNG001 suppression is used (line 3); only the
         # DET002 line suppression is dead.
         assert [d.line for d in findings] == [2]
-
-    def test_strict_config_key(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write_tree(
-            tmp_path, {"pkg/a.py": "x = 1  # reprolint: disable=DET002\n"}
+        assert "SUP001" not in rule_ids(
+            lint_paths([Path("pkg")], select=["RNG001", "DET002"]).diagnostics
         )
-        config = LintConfig.from_table({"strict": True, "select": ["DET002", "SUP001"]})
-        assert config.strict is True
-        report = lint_paths([Path("pkg")], config)
-        assert rule_ids(report.diagnostics) == {"SUP001"}
+
+    def test_suppression_for_a_rule_that_did_not_run_is_not_unused(self):
+        source = "x == 0.5  # reprolint: disable=INV002\n"
+        path = "repro/experiments/a.py"
+        assert "SUP001" not in rule_ids(lint_source(source, path, ["RNG001", "SUP001"]))
+        assert "SUP001" not in rule_ids(
+            lint_source(source.replace("INV002", "all"), path, ["RNG001", "SUP001"])
+        )
+        # A typo names no rule of the pack: dead whatever runs.
+        assert "SUP001" in rule_ids(
+            lint_source(source.replace("INV002", "INV02"), path, ["RNG001", "SUP001"])
+        )
+        # INV002 ran and found nothing outside its numeric layers.
+        assert "SUP001" in rule_ids(lint_source(source, path))
 
     def test_suppression_of_project_finding_counts_as_used(self):
         path, bad, _ = RULE_FIXTURES["RNG010"]
@@ -911,8 +781,7 @@ class TestStrictSuppressions:
             "return streams.stream('shared')  # reprolint: disable=RNG010 -- fixture\n",
             1,
         )
-        config = LintConfig(strict=True)
-        diagnostics = lint_source(suppressed, path=path, config=config)
+        diagnostics = lint_source(suppressed, path=path)
         assert "RNG010" not in rule_ids(diagnostics)
         assert "SUP001" not in rule_ids(diagnostics), (
             "a suppression consumed by a finding reported from finish() is not unused"

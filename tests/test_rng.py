@@ -98,7 +98,8 @@ class TestRowStream:
                 max_size=8,
             )
         )
-        oracle = _fresh(width).random((sum(count for _, count in ops) + 1, width))
+        # Each op reads at most `count` rows past those taken, or one row.
+        oracle = _fresh(width).random((sum(count for _, count in ops) + len(ops), width))
         rows = RowStream(_fresh(width), width)
         taken = 0
         for op, count in ops:

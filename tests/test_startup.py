@@ -82,6 +82,8 @@ def test_cli_and_daemon_never_load_scipy():
     ]
     assert "repro.cli" in imported
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    # Only `lint` itself loads the linter; it forwards its arguments.
+    assert [name for name in imported if name.startswith("repro.lint")] == []
 
 
 def test_spawn_worker_never_loads_scipy(tmp_path):

@@ -56,7 +56,9 @@ class TestTInterval:
 
 class TestBootstrap:
     def test_contains_mean_for_tight_sample(self):
-        ci = bootstrap_confidence_interval([5.0, 5.1, 4.9, 5.05, 4.95])
+        ci = bootstrap_confidence_interval(
+            [5.0, 5.1, 4.9, 5.05, 4.95], rng=np.random.default_rng(0)
+        )
         assert ci.contains(5.0)
         assert ci.half_width < 0.2
 
@@ -67,38 +69,13 @@ class TestBootstrap:
         b = bootstrap_confidence_interval(values, rng=factory.stream("bootstrap"))
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
-    def test_seed_fallback_is_deprecated_but_reproducible(self):
-        values = [1.0, 3.0, 2.0, 5.0, 4.0]
-        with pytest.warns(DeprecationWarning):
-            a = bootstrap_confidence_interval(values, seed=7)
-        with pytest.warns(DeprecationWarning):
-            b = bootstrap_confidence_interval(values, seed=7)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
-
-    def test_seed_fallback_matches_equivalent_generator(self):
-        values = [1.0, 3.0, 2.0, 5.0, 4.0]
-        with pytest.warns(DeprecationWarning):
-            legacy = bootstrap_confidence_interval(values, seed=7)
-        injected = bootstrap_confidence_interval(
-            values, rng=np.random.default_rng(7)
-        )
-        assert (legacy.lower, legacy.upper) == (injected.lower, injected.upper)
-
-    def test_default_path_matches_legacy_seed_zero(self):
-        values = [1.0, 3.0, 2.0, 5.0, 4.0]
-        default = bootstrap_confidence_interval(values)
-        explicit = bootstrap_confidence_interval(
-            values, rng=np.random.default_rng(0)
-        )
-        assert (default.lower, default.upper) == (explicit.lower, explicit.upper)
-
     def test_errors(self):
         with pytest.raises(ConfigurationError):
-            bootstrap_confidence_interval([1.0, 2.0], resamples=10)
-        with pytest.raises(ConfigurationError):
             bootstrap_confidence_interval(
-                [1.0, 2.0], seed=1, rng=np.random.default_rng(1)
+                [1.0, 2.0], resamples=10, rng=np.random.default_rng(1)
             )
+        with pytest.raises(TypeError):
+            bootstrap_confidence_interval([1.0, 2.0])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -109,7 +86,7 @@ class TestBootstrap:
         )
     )
     def test_interval_brackets_ordered(self, values):
-        ci = bootstrap_confidence_interval(values)
+        ci = bootstrap_confidence_interval(values, rng=np.random.default_rng(0))
         assert ci.lower <= ci.upper
         assert min(values) - 1e-9 <= ci.lower
         assert ci.upper <= max(values) + 1e-9
