@@ -59,6 +59,14 @@ class TestGoldenValues:
         result = outcome.result
         assert result.completed
         assert result.delay_slots == 1131
+        # The frozen-slot fast-forward and the row-buffered streams must
+        # skip the same slots and leave every stream where they did.
+        assert outcome.engine.fastforward_slots == 905
+        assert outcome.engine.rng_positions() == {
+            "pu-activity": "1b0bd2ca5c8576de",
+            "backoff": "beac4f315b5834cd",
+            "sensing-errors": "5bcf126d88213de2",
+        }
 
     def test_coolest_run(self, golden_topology):
         outcome = run_coolest_collection(
@@ -68,3 +76,9 @@ class TestGoldenValues:
         result = outcome.result
         assert result.completed
         assert result.delay_slots == 7363
+        assert outcome.engine.fastforward_slots == 6446
+        assert outcome.engine.rng_positions() == {
+            "pu-activity": "d2461589a66f1a6f",
+            "backoff": "02cff7fe4c1ca6b1",
+            "sensing-errors": "8f104b00920690fc",
+        }
