@@ -17,9 +17,10 @@ from datetime import datetime, timezone
 __all__ = ["monotonic_s", "sleep_s", "wall_clock_iso"]
 
 
-def monotonic_s() -> float:
-    """Monotonic high-resolution timestamp in seconds (span timing)."""
-    return _time.perf_counter()
+#: Monotonic high-resolution timestamp in seconds (span timing).  Bound
+#: to ``time.perf_counter`` itself rather than wrapped, so a read costs no
+#: extra Python frame: the slot loop makes several per executed slot.
+monotonic_s = _time.perf_counter
 
 
 def sleep_s(seconds: float) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -107,15 +107,27 @@ class RowStream:
     :meth:`peek` ahead and then :meth:`take` exactly the rows it uses, and
     nothing is ever rewound.  :meth:`state` reports the generator state
     after exactly the taken rows.
+
+    With a ``threshold``, each block is compared once as it is drawn and
+    the rows are bool, ``uniform >= threshold``: for consumers that only
+    ever ask that question of a draw (the mean-field blocking rows).  The
+    generator is consumed exactly as without one.
     """
 
-    def __init__(self, generator: np.random.Generator, width: int) -> None:
+    def __init__(
+        self,
+        generator: np.random.Generator,
+        width: int,
+        threshold: Optional[float] = None,
+    ) -> None:
         self._generator = generator
         self._width = int(width)
+        self._threshold = threshold
         self._block_rows = max(1, ROW_BLOCK_UNIFORMS // max(1, self._width))
         #: Rows a caller may peek at once to stay within the memory bound.
         self.max_peek = max(1, ROW_PEEK_UNIFORMS // max(1, self._width))
-        self._rows = np.empty((0, self._width))
+        self._dtype = float if threshold is None else bool
+        self._rows = np.empty((0, self._width), dtype=self._dtype)
         self._next = 0
 
     def peek(self, count: int) -> np.ndarray:
@@ -123,9 +135,19 @@ class RowStream:
         short = self._next + count - self._rows.shape[0]
         if short > 0:
             kept = self._rows.shape[0] - self._next
-            rows = np.empty((kept + max(short, self._block_rows), self._width))
+            rows = np.empty(
+                (kept + max(short, self._block_rows), self._width),
+                dtype=self._dtype,
+            )
             rows[:kept] = self._rows[self._next :]
-            self._generator.random(out=rows[kept:])
+            if self._threshold is None:
+                self._generator.random(out=rows[kept:])
+            else:
+                np.greater_equal(
+                    self._generator.random(rows[kept:].shape),
+                    self._threshold,
+                    out=rows[kept:],
+                )
             rows.setflags(write=False)  # callers get views: keep them intact
             self._rows = rows
             self._next = 0
@@ -138,7 +160,8 @@ class RowStream:
         return rows
 
     def random(self, size: Union[int, Tuple[int, ...]]) -> np.ndarray:
-        """One row shaped ``size``: the draw ``generator.random(size)`` makes."""
+        """One row shaped ``size``: the draw ``generator.random(size)`` makes
+        (compared with the threshold, if the stream has one)."""
         return self.take(1)[0].reshape(size)
 
     def state(self) -> Dict[str, Any]:

@@ -91,6 +91,9 @@ class CentralizedScheduler:
         self._pu_busy: List[int] = [0] * num_nodes
         self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
         self._pu_incidence = sense_map.pu_incidence()
+        # float32 so the per-slot product runs in BLAS; the counts (at
+        # most the PU count, < 2**24) stay exact.
+        self._pu_incidence32 = self._pu_incidence.astype(np.float32)
         self._positions = topology.secondary.positions
         self._base = topology.secondary.base_station
         self._separation = sense_map.pu_protection_range
@@ -166,9 +169,8 @@ class CentralizedScheduler:
     def _recompute_pu_busy(self) -> None:
         if self.topology.primary.num_pus == 0:
             return
-        incidence = self._pu_incidence
-        counts = incidence @ self._pu_states.astype(incidence.dtype)
-        self._pu_busy = counts.tolist()
+        counts = self._pu_incidence32 @ self._pu_states.astype(np.float32)
+        self._pu_busy = counts.astype(self._pu_incidence.dtype).tolist()
 
     def _ready_transmitters(self) -> List[int]:
         """Backlogged, PU-free nodes this slot, in scheduling priority.

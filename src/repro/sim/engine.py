@@ -99,6 +99,22 @@ _PHASE_SPANS = {
 }
 
 
+def _frozen_prefix(busy: np.ndarray) -> int:
+    """Leading rows of the 2-D bool ``busy`` that are all True.
+
+    Row ``t`` is slot ``t``'s sensing outcome for each waiter, so this is
+    the number of frozen slots before the first one in which any waiter
+    senses its spectrum free.  One flat ``argmin`` finds the first False
+    in row-major order, hence the first row holding one; if that entry is
+    True there is no False at all.  With no column every row is frozen.
+    """
+    count, width = busy.shape
+    if width == 0:
+        return count
+    first = int(busy.argmin())
+    return count if busy.flat[first] else first // width
+
+
 class SlottedEngine:
     """Simulates one data-collection run over a deployed CRN.
 
@@ -395,6 +411,9 @@ class SlottedEngine:
         self._backoff = np.zeros(num_nodes)
         self._drawn = np.zeros(num_nodes)
         self._extra_wait = np.zeros(num_nodes)
+        # Nodes given a fairness wait at the last slot end: the only
+        # nonzero entries of _extra_wait, zeroed before the next slot end.
+        self._waited: List[int] = []
         self._collision_streak: List[int] = [0] * num_nodes
         self._hold_until_slot: List[int] = [0] * num_nodes
         # Future packet arrivals (continuous-collection workloads), as a
@@ -429,6 +448,14 @@ class SlottedEngine:
         # per slot replaces per-toggle Python loops.  Its dtype holds the
         # PU count, so busy counts never wrap.
         self._pu_incidence = sense_map.pu_incidence()
+        # The same matrix in float32 for the geometric products: numpy
+        # sends float products to BLAS but loops over integer ones, and
+        # the counts (at most the PU count, < 2**24) stay exact.
+        self._pu_incidence32 = (
+            self._pu_incidence.astype(np.float32)
+            if blocking == "geometric"
+            else None
+        )
         # Who hears each SU's transmission, as sets for the per-slot
         # freeze test.
         self._hearers: List[FrozenSet[int]] = [
@@ -487,14 +514,19 @@ class SlottedEngine:
         self._busy_columns = np.zeros(
             (self._num_channels, num_nodes), dtype=np.int64
         )
-        # One row per slot: PU activity, or each node's (and channel's)
-        # mean-field blocking draw.
-        self._pu_rng = RowStream(
-            streams.stream("pu-activity"),
-            num_nodes * self._num_channels
-            if blocking == "homogeneous"
-            else topology.primary.num_pus,
-        )
+        # One row per slot: PU activity, or whether each node (on each
+        # channel) is blocked under the mean field, compared with p_o
+        # once per drawn block.
+        if blocking == "homogeneous":
+            self._pu_rng = RowStream(
+                streams.stream("pu-activity"),
+                num_nodes * self._num_channels,
+                threshold=self.homogeneous_p_o,
+            )
+        else:
+            self._pu_rng = RowStream(
+                streams.stream("pu-activity"), topology.primary.num_pus
+            )
         self._slot = 0
         self._started = False
 
@@ -1053,22 +1085,25 @@ class SlottedEngine:
         # Lemma 7 mean field: every secondary node is blocked i.i.d. per
         # slot (and, in multi-channel mode, per channel) with probability
         # 1 - p_o.  PU interference is folded into the blocking, so
-        # _pu_states stays all-inactive.
+        # _pu_states stays all-inactive.  The stream's rows are already
+        # the bool ``draw >= p_o``.
         if self._num_channels == 1:
-            self._pu_busy = self._pu_rng.random(self._num_nodes) >= self.homogeneous_p_o
+            self._pu_busy = self._pu_rng.take(1)[0]
             return
-        draws = self._pu_rng.random((self._num_nodes, self._num_channels))
-        self._busy_columns = (draws >= self.homogeneous_p_o).astype(np.int64).T
+        self._busy_columns = self._pu_rng.random(
+            (self._num_nodes, self._num_channels)
+        ).T
 
     def _recompute_pu_busy(self) -> None:
         self._active_pus = np.nonzero(self._pu_states)[0]
         self._active_pu_list = [int(i) for i in self._active_pus]
         if self.topology.primary.num_pus == 0:
             return
-        dtype = self._pu_incidence.dtype
         if self._num_channels == 1:
-            self._pu_busy = self._pu_incidence @ self._pu_states.astype(dtype)
+            counts = self._pu_incidence32 @ self._pu_states.astype(np.float32)
+            self._pu_busy = counts.astype(self._pu_incidence.dtype)
             return
+        dtype = self._pu_incidence.dtype
         states = self._pu_states
         for channel in range(self._num_channels):
             ids = self._pu_ids_by_channel[channel]
@@ -1137,7 +1172,7 @@ class SlottedEngine:
         # skipped slot counted every eligible waiter as frozen-by-PU and
         # zeroed every fairness carry-over.
         self._result.frozen_slot_count += skipped * int(waiters.size)
-        self._extra_wait.fill(0.0)
+        self._clear_fairness_waits()
         if self.blocking != "homogeneous":
             self._recompute_pu_busy()
 
@@ -1159,13 +1194,14 @@ class SlottedEngine:
             count = min(chunk, max_chunk, window - skipped)
             draws = self._pu_rng.peek(count)
             if homogeneous:
-                busy = draws[:, waiters] >= self.homogeneous_p_o
+                # Bool rows: the blocking draws compared at refill.
+                busy = draws[:, waiters]
             else:
                 states = self.topology.primary.activity.next_states_batch(
                     self._pu_states, draws
                 )
-                incidence = self._pu_incidence[waiters].T
-                busy = (states.astype(incidence.dtype) @ incidence) > 0
+                incidence = self._pu_incidence32[waiters].T
+                busy = (states.astype(np.float32) @ incidence) > 0
             if self._imperfect_sensing:
                 sensing = self._sensing_rng.peek(count)[:, waiters]
                 busy = np.where(
@@ -1173,13 +1209,12 @@ class SlottedEngine:
                     sensing >= self.p_missed_detection,
                     sensing < self.p_false_alarm,
                 )
-            frozen = busy.all(axis=1)
-            run = count if frozen.all() else int(frozen.argmin())
+            run = _frozen_prefix(busy)
             if run:
                 for stream in streams:
                     stream.take(run)
                 if homogeneous:
-                    self._pu_busy = draws[run - 1] >= self.homogeneous_p_o
+                    self._pu_busy = draws[run - 1]
                 else:
                     self._pu_states = states[run - 1]
             skipped += run
@@ -1599,10 +1634,9 @@ class SlottedEngine:
         # A slot with nothing on the air arms the fast-forward: the next
         # slots are frozen candidates until someone transmits again.
         self._ff_armed = self._ff_enabled and not concurrent
-        # Inactive nodes already carry no fairness wait, so this zeroes
-        # the active ones'.
+        self._clear_fairness_waits()
         extra_wait = self._extra_wait
-        extra_wait.fill(0.0)
+        waited = self._waited
 
         newly_active: List[int] = []
         finished_nodes: List[int] = []
@@ -1729,6 +1763,7 @@ class SlottedEngine:
 
             if self.policy.fairness_wait:
                 extra_wait[node] = self.contention_window_ms - self._drawn[node]
+                waited.append(node)
             if self._queues[node]:
                 self._draw_backoff(node)
             else:
@@ -1752,6 +1787,17 @@ class SlottedEngine:
             extra_wait[node] = 0.0
         for node in newly_active:
             self._activate(node)
+
+    def _clear_fairness_waits(self) -> None:
+        """Zero the fairness waits the last slot end gave out.
+
+        Those nodes hold the only nonzero waits: retiring, suspending or
+        aborting a node zeroes its own, so a full-width fill is not needed.
+        """
+        extra_wait = self._extra_wait
+        for node in self._waited:
+            extra_wait[node] = 0.0
+        self._waited.clear()
 
     def _start_hold_off(self, node: int) -> None:
         """Hold ``node`` off for a random number of slots (footnote 2).

@@ -404,6 +404,46 @@ class TestPuBusyCounts:
         scheduler._recompute_pu_busy()
         assert scheduler._pu_busy[node] == 256
 
+    def test_float32_products_equal_the_integer_product(self, crowded):
+        """Both per-slot products run in float32 (BLAS); on random PU
+        states and with every PU active they give the integer counts."""
+        topology, factory = crowded
+        engine, sense_map, _ = make_engine(topology, factory.spawn("engine"))
+        tree = build_collection_tree(
+            topology.secondary.graph, topology.secondary.base_station
+        )
+        scheduler = CentralizedScheduler(
+            topology, tree, sense_map, factory.spawn("central")
+        )
+        incidence = sense_map.pu_incidence()
+        rng = np.random.default_rng(11)
+        for states in [rng.random(256) < p for p in (0.05, 0.5, 0.95)] + [
+            np.ones(256, dtype=bool)
+        ]:
+            expected = incidence @ states.astype(incidence.dtype)
+            engine._pu_states = states
+            engine._recompute_pu_busy()
+            assert engine._pu_busy.dtype == incidence.dtype
+            np.testing.assert_array_equal(engine._pu_busy, expected)
+            scheduler._pu_states = states
+            scheduler._recompute_pu_busy()
+            assert scheduler._pu_busy == expected.tolist()
+
+    @pytest.mark.parametrize("num_pus", [3, 255, 256, 4000])
+    def test_float32_counts_stay_exact_on_random_incidence(self, num_pus):
+        rng = np.random.default_rng(num_pus)
+        incidence = (rng.random((60, num_pus)) < 0.2).astype(
+            np.min_scalar_type(num_pus)
+        )
+        incidence[0] = 1  # one node hears every PU
+        as_float = incidence.astype(np.float32)
+        for states in (rng.random((5, num_pus)) < 0.5, np.ones((1, num_pus), bool)):
+            expected = states.astype(incidence.dtype) @ incidence.T
+            counts = (states.astype(np.float32) @ as_float.T).astype(
+                incidence.dtype
+            )
+            np.testing.assert_array_equal(counts, expected)
+
 
 class TestEngineErrors:
     def test_run_without_workload(self, tiny_topology, streams):

@@ -22,6 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import repro.core.collector as collector
 import repro.routing.coolest as coolest
@@ -35,7 +36,7 @@ from repro.network.deployment import deploy_crn
 from repro.network.primary import MarkovActivity
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
-from repro.sim.engine import SlottedEngine
+from repro.sim.engine import SlottedEngine, _frozen_prefix
 from repro.sim.packet import DATA
 from repro.spectrum.sensing import CarrierSenseMap
 
@@ -283,6 +284,13 @@ def fault_plan_for(topology, events):
         [("crash", 36, 0, 5), ("crash", 43, 14931, 5), ("outage", 34, 96966, 18)],
     ),
 )
+# Geometric blocking at p_t = 0.3 with 3-slot packets and no fault: 17 of
+# 30 packets by max_slots before the draw was clamped (see below and
+# test_long_packets_starve_under_geometric_blocking_at_high_p_t).
+@example(
+    params=((0, 30, 8, 0.3, False), {"blocking": "geometric"}),
+    hazards=(3, []),
+)
 def test_addc_invariants_under_faults_and_long_packets(params, hazards):
     """Crashes, outages with rejoins, blackout hold-offs and multi-slot
     packets: every slot still conserves data and keeps the eligible set
@@ -290,9 +298,13 @@ def test_addc_invariants_under_faults_and_long_packets(params, hazards):
     fast-forwarded run did."""
     deployment, knobs = params
     packet_slots, events = hazards
-    if knobs["blocking"] == "homogeneous":
+    if knobs["blocking"] == "homogeneous" or deployment[3] >= 0.3:
+        # A k-slot packet needs its sender's spectrum free k slots running,
+        # and a PU turning on mid-packet forces a handoff that restarts it.
         # Mean-field blocking at p_t = 0.3 rarely frees a node for three
-        # slots running, so long packets there starve past max_slots.
+        # slots running; under geometric blocking a relay that hears m PUs
+        # at p_t = 0.3 has (0.7 ** m) ** k of it, so long packets starve
+        # past max_slots there too (the model, not an engine fault).
         packet_slots = 1
     topology, factory = deploy(*deployment)
     if topology is None:
@@ -313,6 +325,29 @@ def test_addc_invariants_under_faults_and_long_packets(params, hazards):
     assert hooked.result == result
     assert hooked.engine.rng_positions() == outcome.engine.rng_positions()
     assert oracle.slots == result.slots_simulated
+
+
+def test_long_packets_starve_under_geometric_blocking_at_high_p_t():
+    """The deployment the long-packet property's clamp exists for: with
+    no fault at all, 2-slot packets take over ten times the slots of
+    1-slot ones, and PUs turning on mid-packet force handoffs."""
+    topology, factory = deploy(0, 30, 8, 0.3, False)
+    results = [
+        run_addc_collection(
+            topology,
+            factory.spawn("addc"),
+            blocking="geometric",
+            packet_slots=packet_slots,
+            with_bounds=False,
+            max_slots=150_000,
+        ).result
+        for packet_slots in (1, 2)
+    ]
+    short, long = results
+    assert short.completed and long.completed
+    assert long.slots_simulated > 10 * short.slots_simulated
+    assert short.handoffs == 0
+    assert long.handoffs > 0
 
 
 def test_a_crashed_node_keeps_no_fairness_wait():
@@ -346,6 +381,30 @@ def test_a_crashed_node_keeps_no_fairness_wait():
     assert result.completed
     assert result.nodes_departed == 1
     assert oracle.slots == result.slots_simulated
+
+
+@st.composite
+def busy_chunks(draw):
+    """A fast-forward chunk's sensing outcomes: slots x waiters, True for
+    busy, with frozen rows (all True) drawn often enough to form runs."""
+    count = draw(st.integers(1, 40))
+    width = draw(st.integers(0, 6))
+    busy = draw(arrays(bool, (count, width)))
+    frozen_rows = draw(arrays(bool, count))
+    busy[frozen_rows] = True
+    return busy
+
+
+@settings(max_examples=200, deadline=None)
+@given(busy_chunks())
+@example(np.ones((5, 3), dtype=bool))  # the whole chunk is frozen
+@example(np.zeros((4, 0), dtype=bool))  # no waiters: every slot is frozen
+@example(np.array([[True, True], [True, False], [False, False]]))
+def test_frozen_prefix_matches_the_row_reduction(busy):
+    """One flat argmin finds the frozen run the per-row reduction does."""
+    frozen = busy.all(axis=1)
+    expected = busy.shape[0] if frozen.all() else int(frozen.argmin())
+    assert _frozen_prefix(busy) == expected
 
 
 @functools.lru_cache(maxsize=1)

@@ -120,6 +120,40 @@ class TestRowStream:
         assert rows.state() == reference.bit_generator.state
 
     @pytest.mark.parametrize("width", [0, 1, 7, 115])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_thresholded_stream_is_its_twin_compared(self, width, data):
+        """A ``threshold`` stream hands out exactly ``raw >= threshold`` of
+        an unthresholded twin's rows, and its ``state()`` stays the twin's,
+        across refills and at ``max_peek``."""
+        threshold = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+        largest = 2 * ROW_BLOCK_UNIFORMS // max(1, width)
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["peek", "take", "random", "max_peek"]),
+                    st.integers(0, largest),
+                ),
+                max_size=8,
+            )
+        )
+        raw = RowStream(_fresh(width), width)
+        rows = RowStream(_fresh(width), width, threshold=threshold)
+        assert rows.max_peek == raw.max_peek
+        for op, count in ops:
+            if op == "peek":
+                got, want = rows.peek(count), raw.peek(count)
+            elif op == "take":
+                got, want = rows.take(count), raw.take(count)
+            elif op == "random":
+                got, want = rows.random(width), raw.random(width)
+            else:
+                got, want = rows.peek(rows.max_peek), raw.peek(raw.max_peek)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, want >= threshold)
+            assert rows.state() == raw.state()
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 115])
     def test_never_drawn_and_peek_only_streams_report_the_fresh_state(self, width):
         fresh_state = _fresh(width).bit_generator.state
         assert RowStream(_fresh(width), width).state() == fresh_state
