@@ -517,16 +517,14 @@ class SlottedEngine:
         # One row per slot: PU activity, or whether each node (on each
         # channel) is blocked under the mean field, compared with p_o
         # once per drawn block.
-        if blocking == "homogeneous":
-            self._pu_rng = RowStream(
-                streams.stream("pu-activity"),
-                num_nodes * self._num_channels,
-                threshold=self.homogeneous_p_o,
-            )
-        else:
-            self._pu_rng = RowStream(
-                streams.stream("pu-activity"), topology.primary.num_pus
-            )
+        homogeneous = blocking == "homogeneous"
+        self._pu_rng = RowStream(
+            streams.stream("pu-activity"),
+            num_nodes * self._num_channels
+            if homogeneous
+            else topology.primary.num_pus,
+            threshold=self.homogeneous_p_o if homogeneous else None,
+        )
         self._slot = 0
         self._started = False
 
