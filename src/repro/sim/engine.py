@@ -1168,7 +1168,8 @@ class SlottedEngine:
         self._slot = slot + skipped
         # Per-slot bookkeeping of a frozen wait, applied in bulk: each
         # skipped slot counted every eligible waiter as frozen-by-PU and
-        # zeroed every fairness carry-over.
+        # zeroed every fairness carry-over (none while arming needs a
+        # slot with nothing on the air: that slot end gave no wait).
         self._result.frozen_slot_count += skipped * int(waiters.size)
         self._clear_fairness_waits()
         if self.blocking != "homogeneous":

@@ -284,9 +284,10 @@ def fault_plan_for(topology, events):
         [("crash", 36, 0, 5), ("crash", 43, 14931, 5), ("outage", 34, 96966, 18)],
     ),
 )
-# Geometric blocking at p_t = 0.3 with 3-slot packets and no fault: 17 of
-# 30 packets by max_slots before the draw was clamped (see below and
-# test_long_packets_starve_under_geometric_blocking_at_high_p_t).
+# Geometric blocking at p_t = 0.3 with 3-slot packets and no fault
+# delivers 17 of 30 packets by max_slots, so the clamp below draws 1-slot
+# packets there (test_long_packets_starve_under_geometric_blocking_at_high_p_t
+# pins the starvation).
 @example(
     params=((0, 30, 8, 0.3, False), {"blocking": "geometric"}),
     hazards=(3, []),
@@ -302,9 +303,10 @@ def test_addc_invariants_under_faults_and_long_packets(params, hazards):
         # A k-slot packet needs its sender's spectrum free k slots running,
         # and a PU turning on mid-packet forces a handoff that restarts it.
         # Mean-field blocking at p_t = 0.3 rarely frees a node for three
-        # slots running; under geometric blocking a relay that hears m PUs
-        # at p_t = 0.3 has (0.7 ** m) ** k of it, so long packets starve
-        # past max_slots there too (the model, not an engine fault).
+        # slots running; under geometric blocking, p_t = 0.3 frees a relay
+        # that hears m PUs for k slots running with probability
+        # 0.7 ** (m * k), so long packets starve past max_slots there too
+        # (the model, not an engine fault).
         packet_slots = 1
     topology, factory = deploy(*deployment)
     if topology is None:
