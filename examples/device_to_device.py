@@ -15,28 +15,22 @@ Run with::
 from __future__ import annotations
 
 from repro import ExperimentConfig, StreamFactory, deploy_crn
-from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
+from repro.core.pcr import db_to_linear
 from repro.metrics.breakdown import hop_latencies
 from repro.routing.unicast import UnicastPolicy
 from repro.sim.engine import SlottedEngine
 from repro.sim.trace import TraceLog
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import sensing_at_pcr
 
 
 def run_flows(topology, streams, flows, routing, trace=None):
     config = ExperimentConfig.quick_scale()
-    pcr = compute_pcr(
-        PcrParameters(
-            alpha=config.alpha,
-            pu_power=config.pu_power,
-            su_power=config.su_power,
-            pu_radius=config.pu_radius,
-            su_radius=config.su_radius,
-            eta_p_db=config.eta_p_db,
-            eta_s_db=config.eta_s_db,
-        )
+    _, sense_map, _ = sensing_at_pcr(
+        topology,
+        alpha=config.alpha,
+        eta_p_db=config.eta_p_db,
+        eta_s_db=config.eta_s_db,
     )
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     policy = UnicastPolicy(topology, flows, routing=routing)
     engine = SlottedEngine(
         topology=topology,

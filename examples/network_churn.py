@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from repro import ExperimentConfig, StreamFactory, deploy_crn
 from repro.core.addc import AddcPolicy
-from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
+from repro.core.pcr import db_to_linear
 from repro.graphs.repair import attach_node, detach_node, orphaned_subtree
 from repro.graphs.tree import build_collection_tree
 from repro.sim.engine import SlottedEngine
 from repro.sim.packet import Packet
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import sensing_at_pcr
 
 
 def main() -> None:
@@ -30,18 +30,12 @@ def main() -> None:
     topology = deploy_crn(config.deployment_spec(), streams)
     graph = topology.secondary.graph
 
-    pcr = compute_pcr(
-        PcrParameters(
-            alpha=config.alpha,
-            pu_power=config.pu_power,
-            su_power=config.su_power,
-            pu_radius=config.pu_radius,
-            su_radius=config.su_radius,
-            eta_p_db=config.eta_p_db,
-            eta_s_db=config.eta_s_db,
-        )
+    _, sense_map, _ = sensing_at_pcr(
+        topology,
+        alpha=config.alpha,
+        eta_p_db=config.eta_p_db,
+        eta_s_db=config.eta_s_db,
     )
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     tree = build_collection_tree(graph, topology.secondary.base_station)
     churn_rng = streams.stream("churn-choices")
 

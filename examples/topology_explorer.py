@@ -13,10 +13,9 @@ Run with::
 from __future__ import annotations
 
 from repro import ExperimentConfig, StreamFactory, deploy_crn
-from repro.core.pcr import PcrParameters, compute_pcr
 from repro.graphs.tree import build_collection_tree
 from repro.spectrum.opportunity import per_node_opportunity_probability
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import sensing_at_pcr
 from repro.viz.ascii_map import render_deployment, render_field, render_tree_summary
 
 
@@ -27,16 +26,11 @@ def main() -> None:
     tree = build_collection_tree(
         topology.secondary.graph, topology.secondary.base_station
     )
-    pcr = compute_pcr(
-        PcrParameters(
-            alpha=config.alpha,
-            pu_power=config.pu_power,
-            su_power=config.su_power,
-            pu_radius=config.pu_radius,
-            su_radius=config.su_radius,
-            eta_p_db=config.eta_p_db,
-            eta_s_db=config.eta_s_db,
-        )
+    pcr, sense_map, _ = sensing_at_pcr(
+        topology,
+        alpha=config.alpha,
+        eta_p_db=config.eta_p_db,
+        eta_s_db=config.eta_s_db,
     )
 
     print("== Deployment and backbone ==")
@@ -46,7 +40,6 @@ def main() -> None:
     print(render_tree_summary(tree))
 
     print("\n== Spectrum-opportunity landscape ==")
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     p_o = per_node_opportunity_probability(sense_map, config.p_t)
     print("per-node probability of a PU-free slot (dark = blocked often):")
     print(render_field(topology, 1.0 - p_o))

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from repro.core.analysis import TheoreticalBounds
@@ -95,14 +96,7 @@ def _collect(config: ExperimentConfig, label: str, activity=None, **options):
     streams = StreamFactory(config.seed).spawn(label)
     topology = deploy_crn(config.deployment_spec(), streams, activity=activity)
     return run_addc_collection(
-        topology,
-        streams.spawn("addc"),
-        eta_p_db=config.eta_p_db,
-        eta_s_db=config.eta_s_db,
-        alpha=config.alpha,
-        blocking=config.blocking,
-        max_slots=config.max_slots,
-        **options,
+        topology, streams.spawn("addc"), **config.run_options(), **options
     )
 
 
@@ -128,15 +122,9 @@ def _cmd_pcr(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    # Every PcrParameters field is a config field of the same name.
     params = PcrParameters(
-        alpha=config.alpha,
-        pu_power=config.pu_power,
-        su_power=config.su_power,
-        pu_radius=config.pu_radius,
-        su_radius=config.su_radius,
-        eta_p_db=config.eta_p_db,
-        eta_s_db=config.eta_s_db,
-        zeta_bound=config.zeta_bound,
+        **{f.name: getattr(config, f.name) for f in fields(PcrParameters)}
     )
     pcr = compute_pcr(params)
     streams = StreamFactory(config.seed).spawn("cli-bounds")

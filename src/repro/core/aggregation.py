@@ -119,37 +119,22 @@ def run_aggregation(
     pattern changes, so (collection delay / aggregation latency) isolates
     the cost of collecting *raw* data.
     """
-    from repro.core.analysis import opportunity_probability
-    from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
+    from repro.core.pcr import db_to_linear
     from repro.graphs.tree import build_bfs_tree, build_collection_tree
     from repro.sim.engine import SlottedEngine
-    from repro.spectrum.sensing import CarrierSenseMap
+    from repro.spectrum.sensing import sensing_at_pcr
 
-    pcr = compute_pcr(
-        PcrParameters(
-            alpha=alpha,
-            pu_power=topology.primary.power,
-            su_power=topology.secondary.power,
-            pu_radius=topology.primary.radius,
-            su_radius=topology.secondary.radius,
-            eta_p_db=eta_p_db,
-            eta_s_db=eta_s_db,
-            zeta_bound=zeta_bound,
-        )
+    _, sense_map, homogeneous_p_o = sensing_at_pcr(
+        topology,
+        alpha=alpha,
+        eta_p_db=eta_p_db,
+        eta_s_db=eta_s_db,
+        zeta_bound=zeta_bound,
+        blocking=blocking,
     )
     builder = build_collection_tree if use_cds_tree else build_bfs_tree
     tree = builder(topology.secondary.graph, topology.secondary.base_station)
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     policy = AggregationPolicy(tree)
-    homogeneous_p_o = None
-    if blocking == "homogeneous":
-        homogeneous_p_o = opportunity_probability(
-            topology.primary.activity.stationary_probability,
-            pcr.kappa,
-            topology.secondary.radius,
-            topology.primary.num_pus,
-            topology.region.area,
-        )
     engine = SlottedEngine(
         topology=topology,
         sense_map=sense_map,

@@ -11,16 +11,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.addc import AddcPolicy
-from repro.core.analysis import TheoreticalBounds, opportunity_probability
+from repro.core.analysis import TheoreticalBounds
 from repro.errors import ConfigurationError
-from repro.core.pcr import PcrParameters, PcrResult, compute_pcr, db_to_linear
+from repro.core.pcr import PcrResult, db_to_linear
 from repro.graphs.tree import CollectionTree, build_bfs_tree, build_collection_tree
 from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine
 from repro.sim.results import SimulationResult
 from repro.sim.trace import TraceLog
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import CarrierSenseMap, sensing_at_pcr
 
 __all__ = ["CollectionOutcome", "run_addc_collection"]
 
@@ -76,27 +76,22 @@ def run_addc_collection(
     ``num_channels > 1`` spreads the PUs uniformly over that many licensed
     channels (the paper's model is the single-channel case).
     """
-    pcr_params = PcrParameters(
+    if p_t is None:
+        p_t = topology.primary.activity.stationary_probability
+    pcr, sense_map, homogeneous_p_o = sensing_at_pcr(
+        topology,
         alpha=alpha,
-        pu_power=topology.primary.power,
-        su_power=topology.secondary.power,
-        pu_radius=topology.primary.radius,
-        su_radius=topology.secondary.radius,
         eta_p_db=eta_p_db,
         eta_s_db=eta_s_db,
         zeta_bound=zeta_bound,
+        blocking=blocking,
+        p_t=p_t,
+        num_channels=num_channels,
     )
-    pcr = compute_pcr(pcr_params)
-
     builder = build_collection_tree if use_cds_tree else build_bfs_tree
     tree = builder(topology.secondary.graph, topology.secondary.base_station)
-
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     policy = AddcPolicy(
         tree, fairness_wait=fairness_wait, graph=topology.secondary.graph
-    )
-    effective_p_t = (
-        p_t if p_t is not None else topology.primary.activity.stationary_probability
     )
     channel_plan = None
     if num_channels > 1:
@@ -105,17 +100,6 @@ def run_addc_collection(
         channel_plan = ChannelPlan.uniform(
             topology.primary.num_pus, num_channels, streams.stream("channel-plan")
         )
-    homogeneous_p_o = None
-    if blocking == "homogeneous":
-        # Per-channel mean field: with C channels, each carries N/C PUs on
-        # average, so the per-channel opportunity probability uses N/C.
-        homogeneous_p_o = opportunity_probability(
-            effective_p_t,
-            pcr.kappa,
-            topology.secondary.radius,
-            topology.primary.num_pus / num_channels,
-            topology.region.area,
-        )
     engine = SlottedEngine(
         topology=topology,
         sense_map=sense_map,
@@ -123,7 +107,6 @@ def run_addc_collection(
         streams=streams,
         alpha=alpha,
         eta_s=db_to_linear(eta_s_db),
-        sir_check=True,
         blocking=blocking,
         homogeneous_p_o=homogeneous_p_o,
         p_false_alarm=p_false_alarm,
@@ -155,7 +138,7 @@ def run_addc_collection(
             num_sus=topology.secondary.num_sus,
             num_pus=topology.primary.num_pus,
             area=topology.region.area,
-            p_t=effective_p_t,
+            p_t=p_t,
             kappa=pcr.kappa,
             su_radius=topology.secondary.radius,
             delta=tree.max_degree(),

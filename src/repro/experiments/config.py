@@ -17,7 +17,7 @@ the ADDC/Coolest ordering carry over; see EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.network.deployment import DeploymentSpec
@@ -109,6 +109,25 @@ class ExperimentConfig:
             su_radius=self.su_radius,
             p_t=self.p_t,
         )
+
+    def run_options(self) -> Dict[str, Any]:
+        """The keyword arguments this config gives every collection run.
+
+        Accepted by :func:`~repro.core.collector.run_addc_collection` and
+        :func:`~repro.routing.coolest.run_coolest_collection`; together
+        with :meth:`deployment_spec`, ``repetitions`` and ``seed`` they
+        cover every field.
+        """
+        return {
+            "alpha": self.alpha,
+            "eta_p_db": self.eta_p_db,
+            "eta_s_db": self.eta_s_db,
+            "zeta_bound": self.zeta_bound,
+            "blocking": self.blocking,
+            "slot_duration_ms": self.slot_duration_ms,
+            "contention_window_ms": self.contention_window_ms,
+            "max_slots": self.max_slots,
+        }
 
     @property
     def pu_density(self) -> float:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
-from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
+from repro.core.pcr import db_to_linear
 from repro.errors import ConfigurationError
 from repro.geometry.distance import euclidean
 from repro.geometry.region import SquareRegion
@@ -29,7 +27,7 @@ from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
 from repro.routing.unicast import UnicastPolicy
 from repro.sim.engine import SlottedEngine
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import sensing_at_pcr
 
 __all__ = ["connectivity_probability", "delay_vs_distance"]
 
@@ -80,18 +78,13 @@ def delay_vs_distance(
     """
     if num_flows < 2:
         raise ConfigurationError(f"num_flows must be >= 2, got {num_flows}")
-    pcr = compute_pcr(
-        PcrParameters(
-            alpha=alpha,
-            pu_power=topology.primary.power,
-            su_power=topology.secondary.power,
-            pu_radius=topology.primary.radius,
-            su_radius=topology.secondary.radius,
-            eta_p_db=eta_p_db,
-            eta_s_db=eta_s_db,
-        )
+    _, sense_map, homogeneous_p_o = sensing_at_pcr(
+        topology,
+        alpha=alpha,
+        eta_p_db=eta_p_db,
+        eta_s_db=eta_s_db,
+        blocking=blocking,
     )
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     base = topology.secondary.base_station
     positions = topology.secondary.positions
     distances = [
@@ -104,18 +97,6 @@ def delay_vs_distance(
         distances[int(round(i * (len(distances) - 1) / (num_flows - 1)))]
         for i in range(num_flows)
     ]
-
-    homogeneous_p_o = None
-    if blocking == "homogeneous":
-        from repro.core.analysis import opportunity_probability
-
-        homogeneous_p_o = opportunity_probability(
-            topology.primary.activity.stationary_probability,
-            pcr.kappa,
-            topology.secondary.radius,
-            topology.primary.num_pus,
-            topology.region.area,
-        )
 
     rows: List[Tuple[float, int, int]] = []
     for index, (distance, node) in enumerate(picks):

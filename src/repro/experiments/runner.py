@@ -123,27 +123,11 @@ def run_comparison_repetition(
         addc = run_addc_collection(
             topology,
             factory.spawn("addc"),
-            eta_p_db=config.eta_p_db,
-            eta_s_db=config.eta_s_db,
-            alpha=config.alpha,
-            zeta_bound=config.zeta_bound,
-            blocking=config.blocking,
-            max_slots=config.max_slots,
-            contention_window_ms=config.contention_window_ms,
-            slot_duration_ms=config.slot_duration_ms,
             with_bounds=False,
+            **config.run_options(),
         )
         coolest = run_coolest_collection(
-            topology,
-            factory.spawn("coolest"),
-            eta_p_db=config.eta_p_db,
-            eta_s_db=config.eta_s_db,
-            alpha=config.alpha,
-            zeta_bound=config.zeta_bound,
-            blocking=config.blocking,
-            max_slots=config.max_slots,
-            contention_window_ms=config.contention_window_ms,
-            slot_duration_ms=config.slot_duration_ms,
+            topology, factory.spawn("coolest"), **config.run_options()
         )
     positions = {}
     if addc.engine is not None:
@@ -333,6 +317,9 @@ def run_addc_only(
     structure); returns the delay statistics in milliseconds.
     """
     reps = repetitions if repetitions is not None else config.repetitions
+    options = config.run_options()
+    if zeta_bound is not None:
+        options["zeta_bound"] = zeta_bound
     delays: List[float] = []
     root = StreamFactory(config.seed)
     for rep in range(reps):
@@ -342,19 +329,10 @@ def run_addc_only(
             outcome = run_addc_collection(
                 topology,
                 factory.spawn("addc"),
-                eta_p_db=config.eta_p_db,
-                eta_s_db=config.eta_s_db,
-                alpha=config.alpha,
-                zeta_bound=(
-                    zeta_bound if zeta_bound is not None else config.zeta_bound
-                ),
                 fairness_wait=fairness_wait,
                 use_cds_tree=use_cds_tree,
-                blocking=config.blocking,
-                max_slots=config.max_slots,
-                contention_window_ms=config.contention_window_ms,
-                slot_duration_ms=config.slot_duration_ms,
                 with_bounds=False,
+                **options,
             )
         obs.counter_add("sweep.repetitions")
         delays.append(_require_complete(outcome.result.delay_ms, "ADDC", rep))

@@ -9,7 +9,7 @@ at the paper's full scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List
 
 from repro.core.analysis import (
@@ -54,16 +54,10 @@ def theory_curve(
     points: List[TheoryPoint] = []
     for x_value, config in sweep_point_configs(FIG6_SWEEPS[sweep_name], base):
         try:
+            # Every PcrParameters field is a config field of the same name.
             pcr = compute_pcr(
                 PcrParameters(
-                    alpha=config.alpha,
-                    pu_power=config.pu_power,
-                    su_power=config.su_power,
-                    pu_radius=config.pu_radius,
-                    su_radius=config.su_radius,
-                    eta_p_db=config.eta_p_db,
-                    eta_s_db=config.eta_s_db,
-                    zeta_bound=config.zeta_bound,
+                    **{f.name: getattr(config, f.name) for f in fields(PcrParameters)}
                 )
             )
         except PcrDomainError:

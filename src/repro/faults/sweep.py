@@ -118,16 +118,9 @@ def run_chaos_repetition(
         outcome = run_addc_collection(
             topology,
             factory.spawn("addc"),
-            eta_p_db=config.eta_p_db,
-            eta_s_db=config.eta_s_db,
-            alpha=config.alpha,
-            zeta_bound=config.zeta_bound,
-            blocking=config.blocking,
             fault_plan=plan,
-            max_slots=config.max_slots,
-            contention_window_ms=config.contention_window_ms,
-            slot_duration_ms=config.slot_duration_ms,
             with_bounds=False,
+            **config.run_options(),
         )
     report = resilience_report(outcome.result, topology.secondary.num_sus)
     positions = {}

@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.analysis import opportunity_probability
-from repro.core.pcr import PcrParameters, PcrResult, compute_pcr, db_to_linear
+from repro.core.pcr import PcrResult, db_to_linear
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.dijkstra import dijkstra_bottleneck, dijkstra_node_weighted
 from repro.network.topology import CrnTopology
@@ -43,7 +42,7 @@ from repro.sim.engine import SlottedEngine
 from repro.sim.packet import Packet
 from repro.sim.results import SimulationResult
 from repro.sim.trace import TraceLog
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import CarrierSenseMap, sensing_at_pcr
 
 __all__ = ["CoolestPolicy", "CoolestOutcome", "run_coolest_collection"]
 
@@ -314,37 +313,23 @@ def run_coolest_collection(
     arriving mid-discovery strands them on their stale paths (hop-by-hop
     forwarding reroutes fine).
     """
-    pcr_params = PcrParameters(
+    if csma_range is None:
+        csma_range = topology.secondary.radius
+    if p_t is None:
+        p_t = topology.primary.activity.stationary_probability
+    pcr, sense_map, homogeneous_p_o = sensing_at_pcr(
+        topology,
         alpha=alpha,
-        pu_power=topology.primary.power,
-        su_power=topology.secondary.power,
-        pu_radius=topology.primary.radius,
-        su_radius=topology.secondary.radius,
         eta_p_db=eta_p_db,
         eta_s_db=eta_s_db,
         zeta_bound=zeta_bound,
-    )
-    pcr = compute_pcr(pcr_params)
-    if csma_range is None:
-        csma_range = topology.secondary.radius
-    sense_map = CarrierSenseMap(
-        topology, pu_protection_range=pcr.pcr, su_csma_range=csma_range
-    )
-    effective_p_t = (
-        p_t if p_t is not None else topology.primary.activity.stationary_probability
+        blocking=blocking,
+        p_t=p_t,
+        su_csma_range=csma_range,
     )
     policy = CoolestPolicy(
-        topology, effective_p_t, metric=metric, route_discovery=route_discovery
+        topology, p_t, metric=metric, route_discovery=route_discovery
     )
-    homogeneous_p_o = None
-    if blocking == "homogeneous":
-        homogeneous_p_o = opportunity_probability(
-            effective_p_t,
-            pcr.kappa,
-            topology.secondary.radius,
-            topology.primary.num_pus,
-            topology.region.area,
-        )
     engine = SlottedEngine(
         topology=topology,
         sense_map=sense_map,
@@ -352,7 +337,6 @@ def run_coolest_collection(
         streams=streams,
         alpha=alpha,
         eta_s=db_to_linear(eta_s_db),
-        sir_check=True,
         blocking=blocking,
         homogeneous_p_o=homogeneous_p_o,
         fault_plan=fault_plan,

@@ -15,7 +15,7 @@ general CRN network simulator: any traffic matrix expressible as
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, GraphError
 from repro.graphs.bfs import bfs_parents
@@ -166,24 +166,18 @@ def run_unicast(
     the result carries the usual delivery records (delivery record ``i``
     belongs to flow ``i``).
     """
-    from repro.core.analysis import opportunity_probability
-    from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
+    from repro.core.pcr import db_to_linear
     from repro.sim.engine import SlottedEngine
-    from repro.spectrum.sensing import CarrierSenseMap
+    from repro.spectrum.sensing import sensing_at_pcr
 
-    pcr = compute_pcr(
-        PcrParameters(
-            alpha=alpha,
-            pu_power=topology.primary.power,
-            su_power=topology.secondary.power,
-            pu_radius=topology.primary.radius,
-            su_radius=topology.secondary.radius,
-            eta_p_db=eta_p_db,
-            eta_s_db=eta_s_db,
-            zeta_bound=zeta_bound,
-        )
+    _, sense_map, homogeneous_p_o = sensing_at_pcr(
+        topology,
+        alpha=alpha,
+        eta_p_db=eta_p_db,
+        eta_s_db=eta_s_db,
+        zeta_bound=zeta_bound,
+        blocking=blocking,
     )
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     policy = UnicastPolicy(
         topology,
         flows,
@@ -191,15 +185,6 @@ def run_unicast(
         p_t=topology.primary.activity.stationary_probability,
         fairness_wait=fairness_wait,
     )
-    homogeneous_p_o = None
-    if blocking == "homogeneous":
-        homogeneous_p_o = opportunity_probability(
-            topology.primary.activity.stationary_probability,
-            pcr.kappa,
-            topology.secondary.radius,
-            topology.primary.num_pus,
-            topology.region.area,
-        )
     engine = SlottedEngine(
         topology=topology,
         sense_map=sense_map,

@@ -23,18 +23,17 @@ contend for when a coordinator assigns the slots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 import numpy as np
 
-from repro.core.pcr import PcrParameters, PcrResult, compute_pcr
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.tree import CollectionTree, build_collection_tree
 from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
 from repro.sim.packet import Packet
 from repro.sim.results import PacketRecord, SimulationResult
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import CarrierSenseMap, sensing_at_pcr
 
 __all__ = ["CentralizedScheduler", "run_centralized_collection"]
 
@@ -269,18 +268,13 @@ def run_centralized_collection(
     ``aggregation=True`` schedules the aggregation convergecast instead —
     the minimum-latency aggregation setting of Wan et al. [25].
     """
-    params = PcrParameters(
+    _, sense_map, _ = sensing_at_pcr(
+        topology,
         alpha=alpha,
-        pu_power=topology.primary.power,
-        su_power=topology.secondary.power,
-        pu_radius=topology.primary.radius,
-        su_radius=topology.secondary.radius,
         eta_p_db=eta_p_db,
         eta_s_db=eta_s_db,
         zeta_bound=zeta_bound,
     )
-    pcr: PcrResult = compute_pcr(params)
-    sense_map = CarrierSenseMap(topology, pcr.pcr)
     tree = build_collection_tree(
         topology.secondary.graph, topology.secondary.base_station
     )

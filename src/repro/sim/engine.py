@@ -83,6 +83,14 @@ _MIN_DISTANCE = 1e-6
 #: First fast-forward peek, in rows; it doubles up to the streams' cap.
 _FF_MIN_CHUNK = 16
 
+#: Collision recovery per the paper's footnote 2: after each failed
+#: transmission a node holds off for a uniformly random number of slots
+#: from a binary-exponentially growing window (reset on success), capped
+#: at ``2 ** MAX_BACKOFF_EXPONENT`` slots.  Without it, saturated
+#: hidden-terminal scenarios livelock — every slot recreates the same
+#: colliding set.
+MAX_BACKOFF_EXPONENT = 8
+
 #: Span names of the engine's timing accumulators.  The slot loop times
 #: each executed slot and its phases with bare clock reads; run() publishes
 #: the per-run totals once, with one count per slot (per fast-forward
@@ -115,6 +123,19 @@ def _frozen_prefix(busy: np.ndarray) -> int:
     return count if busy.flat[first] else first // width
 
 
+def _sensed_busy(
+    busy: np.ndarray, draws: np.ndarray, p_false_alarm: float, p_missed: float
+) -> np.ndarray:
+    """Imperfect sensing: what nodes sense given whether they are ``busy``.
+
+    A busy node senses busy unless its uniform draw falls below the
+    missed-detection probability; a free node senses busy when its draw
+    falls below the false-alarm probability.  The slot loop and the
+    fast-forward scan both apply this rule, so they agree draw for draw.
+    """
+    return np.where(busy, draws >= p_missed, draws < p_false_alarm)
+
+
 class SlottedEngine:
     """Simulates one data-collection run over a deployed CRN.
 
@@ -133,10 +154,6 @@ class SlottedEngine:
         Path-loss exponent of the physical interference model.
     eta_s:
         Linear SIR decoding threshold of the secondary network.
-    sir_check:
-        Adjudicate every transmission with the physical model (default).
-        Disabling it trusts the PCR guarantee unconditionally; tests use
-        the validator to show both agree for ADDC.
     blocking:
         How PU activity blocks SUs.  ``"geometric"`` (default) uses the
         exact deployed PU positions: an SU is blocked while any active PU
@@ -150,13 +167,6 @@ class SlottedEngine:
     homogeneous_p_o:
         The per-slot opportunity probability for ``blocking="homogeneous"``
         (Lemma 7's ``p_o``); required in that mode.
-    max_backoff_exponent:
-        Collision recovery per the paper's footnote 2: after each failed
-        transmission a node holds off for a uniformly random number of
-        slots from a binary-exponentially growing window (reset on
-        success), capped at ``2 ** max_backoff_exponent`` slots.  Without
-        it, saturated hidden-terminal scenarios livelock — every slot
-        recreates the same colliding set.
     p_false_alarm / p_missed_detection:
         Imperfect spectrum sensing (the concern of the paper's references
         [3]-[5]).  Per node per slot: with probability ``p_false_alarm`` a
@@ -259,10 +269,8 @@ class SlottedEngine:
         streams: StreamFactory,
         alpha: float = 4.0,
         eta_s: float = 10.0 ** 0.8,
-        sir_check: bool = True,
         blocking: str = "geometric",
         homogeneous_p_o: Optional[float] = None,
-        max_backoff_exponent: int = 8,
         p_false_alarm: float = 0.0,
         p_missed_detection: float = 0.0,
         channel_plan=None,
@@ -308,16 +316,10 @@ class SlottedEngine:
         self.policy = policy
         self.alpha = float(alpha)
         self.eta_s = float(eta_s)
-        self.sir_check = bool(sir_check)
         self.blocking = blocking
         self.homogeneous_p_o = (
             float(homogeneous_p_o) if homogeneous_p_o is not None else None
         )
-        if max_backoff_exponent < 0:
-            raise ConfigurationError(
-                f"max_backoff_exponent must be >= 0, got {max_backoff_exponent}"
-            )
-        self.max_backoff_exponent = int(max_backoff_exponent)
         if packet_slots < 1:
             raise ConfigurationError(
                 f"packet_slots must be >= 1, got {packet_slots}"
@@ -445,15 +447,18 @@ class SlottedEngine:
         self._active_pus = np.zeros(0, dtype=np.int64)
         self._active_pu_list: List[int] = []
         # Dense PU -> secondary-node hearing incidence; one matrix product
-        # per slot replaces per-toggle Python loops.  Its dtype holds the
-        # PU count, so busy counts never wrap.
-        self._pu_incidence = sense_map.pu_incidence()
-        # The same matrix in float32 for the geometric products: numpy
-        # sends float products to BLAS but loops over integer ones, and
-        # the counts (at most the PU count, < 2**24) stay exact.
+        # per slot replaces per-toggle Python loops.  The products run in
+        # float32 (numpy sends float products to BLAS but loops over
+        # integer ones) and the counts, at most the PU count < 2**24, stay
+        # exact; they are kept in the incidence's dtype, which never
+        # wraps.  Single-channel mean-field runs never count PUs, so they
+        # keep no copy.
+        incidence = sense_map.pu_incidence()
+        self._count_dtype = incidence.dtype
+        multichannel = channel_plan is not None and channel_plan.num_channels > 1
         self._pu_incidence32 = (
-            self._pu_incidence.astype(np.float32)
-            if blocking == "geometric"
+            incidence.astype(np.float32)
+            if blocking == "geometric" or multichannel
             else None
         )
         # Who hears each SU's transmission, as sets for the per-slot
@@ -483,24 +488,30 @@ class SlottedEngine:
         self.channel_strategy = channel_strategy
         self._num_channels = 1 if channel_plan is None else channel_plan.num_channels
         self._node_channel = np.zeros(num_nodes, dtype=np.int64)
-        if channel_plan is not None:
-            if channel_plan.num_pus != topology.primary.num_pus:
-                raise ConfigurationError(
-                    f"channel plan covers {channel_plan.num_pus} PUs, topology "
-                    f"has {topology.primary.num_pus}"
-                )
-            self._pu_ids_by_channel = [
-                channel_plan.pus_on_channel(c) for c in range(self._num_channels)
-            ]
-            self._incidence_by_channel = [
-                self._pu_incidence[:, ids] for ids in self._pu_ids_by_channel
-            ]
+        if (
+            channel_plan is not None
+            and channel_plan.num_pus != topology.primary.num_pus
+        ):
+            raise ConfigurationError(
+                f"channel plan covers {channel_plan.num_pus} PUs, topology "
+                f"has {topology.primary.num_pus}"
+            )
+        if multichannel:
+            # PU -> licensed channel one-hot: the incidence times it,
+            # with each row scaled by the PU's state, counts every node's
+            # active in-range PUs per channel in one product.
+            num_pus = topology.primary.num_pus
+            self._pu_channel_onehot = np.zeros(
+                (num_pus, self._num_channels), dtype=np.float32
+            )
+            self._pu_channel_onehot[np.arange(num_pus), channel_plan.pu_channels] = 1
             # Static local channel loads: PUs of channel c inside each
             # node's protection range (the "least-blocked" knowledge).
-            self._static_channel_load = [
-                incidence.sum(axis=1).tolist()
-                for incidence in self._incidence_by_channel
-            ]
+            self._static_channel_load = (
+                (self._pu_incidence32 @ self._pu_channel_onehot)
+                .T.astype(np.int64)
+                .tolist()
+            )
             # Adaptive statistics: per node, per channel.
             self._channel_attempts = [
                 [0] * self._num_channels for _ in range(num_nodes)
@@ -1099,15 +1110,13 @@ class SlottedEngine:
             return
         if self._num_channels == 1:
             counts = self._pu_incidence32 @ self._pu_states.astype(np.float32)
-            self._pu_busy = counts.astype(self._pu_incidence.dtype)
+            self._pu_busy = counts.astype(self._count_dtype)
             return
-        dtype = self._pu_incidence.dtype
-        states = self._pu_states
-        for channel in range(self._num_channels):
-            ids = self._pu_ids_by_channel[channel]
-            self._busy_columns[channel] = self._incidence_by_channel[
-                channel
-            ] @ states[ids].astype(dtype)
+        # Row c of the transpose: every node's active PUs on channel c.
+        self._busy_columns = (
+            self._pu_incidence32
+            @ (self._pu_channel_onehot * self._pu_states[:, None])
+        ).T
 
     def _blocked_on(self, node: int, channel: int) -> bool:
         """Whether PU activity blocks ``node`` on ``channel`` this slot."""
@@ -1202,11 +1211,11 @@ class SlottedEngine:
                 incidence = self._pu_incidence32[waiters].T
                 busy = (states.astype(np.float32) @ incidence) > 0
             if self._imperfect_sensing:
-                sensing = self._sensing_rng.peek(count)[:, waiters]
-                busy = np.where(
+                busy = _sensed_busy(
                     busy,
-                    sensing >= self.p_missed_detection,
-                    sensing < self.p_false_alarm,
+                    self._sensing_rng.peek(count)[:, waiters],
+                    self.p_false_alarm,
+                    self.p_missed_detection,
                 )
             run = _frozen_prefix(busy)
             if run:
@@ -1329,10 +1338,11 @@ class SlottedEngine:
             else:
                 busy = self._busy_columns[self._node_channel, self._node_index] > 0
             if self._imperfect_sensing:
-                sensed = np.where(
+                sensed = _sensed_busy(
                     busy,
-                    sensing_draws >= self.p_missed_detection,
-                    sensing_draws < self.p_false_alarm,
+                    sensing_draws,
+                    self.p_false_alarm,
+                    self.p_missed_detection,
                 )
             else:
                 sensed = busy
@@ -1439,8 +1449,7 @@ class SlottedEngine:
         A link succeeds iff (a) no stronger concurrent signal targets its
         receiver (single-radio capture, RS mode) and (b) its SIR over all
         other concurrent SU transmitters plus all active PUs meets
-        ``eta_s``.  With ``sir_check=False``, only the capture rule (a)
-        applies — the PCR guarantee replaces (b).
+        ``eta_s``.
 
         ``concurrent`` lists every transmission on the air during the slot
         (multi-slot packets still in flight included); it defaults to
@@ -1478,11 +1487,10 @@ class SlottedEngine:
                 for index, receiver in enumerate(rx_nodes)
             ]
 
-        if self.sir_check:
-            eta_s = self.eta_s
-            for index, noise in enumerate(interference):
-                sir = signal[index] / noise if noise > 0.0 else math.inf
-                success[index] = success[index] and sir >= eta_s
+        eta_s = self.eta_s
+        for index, noise in enumerate(interference):
+            sir = signal[index] / noise if noise > 0.0 else math.inf
+            success[index] = success[index] and sir >= eta_s
         if completing is concurrent:
             return success
         index_of = {node: index for index, (_, node, _, _) in enumerate(concurrent)}
@@ -1802,9 +1810,9 @@ class SlottedEngine:
         """Hold ``node`` off for a random number of slots (footnote 2).
 
         The window grows binary-exponentially with the node's failure
-        streak, capped at ``2 ** max_backoff_exponent`` slots.
+        streak, capped at ``2 ** MAX_BACKOFF_EXPONENT`` slots.
         """
-        streak = min(self._collision_streak[node] + 1, self.max_backoff_exponent)
+        streak = min(self._collision_streak[node] + 1, MAX_BACKOFF_EXPONENT)
         self._collision_streak[node] = streak
         release = self._slot + 1 + int(self._backoff_rng.integers(0, 1 << streak))
         self._hold_until_slot[node] = release

@@ -20,18 +20,25 @@ ranges:
 
 * ``pu_hearers[k]`` — secondary nodes blocked while PU ``k`` transmits,
 * ``su_neighbors[i]`` — secondary nodes that hear secondary node ``i``.
+
+:func:`sensing_at_pcr` is every simulated run's starting point: Eq. 16's
+PCR for a deployed topology, the map at that range and, under mean-field
+blocking, Lemma 7's ``p_o``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.topology import CrnTopology
 
-__all__ = ["CarrierSenseMap"]
+if TYPE_CHECKING:
+    from repro.core.pcr import PcrResult
+
+__all__ = ["CarrierSenseMap", "sensing_at_pcr"]
 
 
 class CarrierSenseMap:
@@ -112,3 +119,55 @@ class CarrierSenseMap:
     def pu_count_in_range(self, node: int) -> int:
         """Number of PUs whose transmissions block secondary node ``node``."""
         return len(self.pus_heard_by[node])
+
+
+def sensing_at_pcr(
+    topology: CrnTopology,
+    *,
+    alpha: float,
+    eta_p_db: float,
+    eta_s_db: float,
+    zeta_bound: str = "paper",
+    blocking: str = "geometric",
+    p_t: Optional[float] = None,
+    num_channels: int = 1,
+    su_csma_range: Optional[float] = None,
+) -> Tuple["PcrResult", CarrierSenseMap, Optional[float]]:
+    """The PCR of ``topology``, its carrier-sense map and Lemma 7's ``p_o``.
+
+    The PCR is Eq. 16 over the deployed powers and radii; the map protects
+    PUs at the PCR and senses SUs at ``su_csma_range`` (default: the PCR,
+    ADDC's choice).  ``p_o`` is ``None`` unless ``blocking="homogeneous"``;
+    it uses ``p_t`` (default: the activity's stationary probability) and,
+    with ``num_channels`` channels, the mean ``N / C`` PUs per channel.
+    """
+    # Imported here: repro.core's package imports reach back into this
+    # module.
+    from repro.core.analysis import opportunity_probability
+    from repro.core.pcr import PcrParameters, compute_pcr
+
+    pcr = compute_pcr(
+        PcrParameters(
+            alpha=alpha,
+            pu_power=topology.primary.power,
+            su_power=topology.secondary.power,
+            pu_radius=topology.primary.radius,
+            su_radius=topology.secondary.radius,
+            eta_p_db=eta_p_db,
+            eta_s_db=eta_s_db,
+            zeta_bound=zeta_bound,
+        )
+    )
+    sense_map = CarrierSenseMap(topology, pcr.pcr, su_csma_range)
+    p_o = None
+    if blocking == "homogeneous":
+        if p_t is None:
+            p_t = topology.primary.activity.stationary_probability
+        p_o = opportunity_probability(
+            p_t,
+            pcr.kappa,
+            topology.secondary.radius,
+            topology.primary.num_pus / num_channels,
+            topology.region.area,
+        )
+    return pcr, sense_map, p_o

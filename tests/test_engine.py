@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.geometry.distance import euclidean
 from repro.graphs.tree import build_collection_tree
+from repro.network.channels import ChannelPlan
 from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
 from repro.scheduling.centralized import CentralizedScheduler
@@ -428,6 +429,47 @@ class TestPuBusyCounts:
             scheduler._pu_states = states
             scheduler._recompute_pu_busy()
             assert scheduler._pu_busy == expected.tolist()
+
+    @pytest.mark.parametrize("blocking", ["geometric", "homogeneous"])
+    def test_multichannel_counts_equal_the_per_channel_integer_products(
+        self, crowded, blocking
+    ):
+        """One float32 product over the PU -> channel one-hot gives each
+        channel's integer count (a product over that channel's PUs only),
+        and the static channel loads are those counts with every PU on."""
+        topology, factory = crowded
+        _, sense_map, _ = make_engine(topology, factory.spawn("engine"))
+        plan = ChannelPlan.uniform(256, 3, np.random.default_rng(3))
+        engine = SlottedEngine(
+            topology,
+            sense_map,
+            AddcPolicy(
+                build_collection_tree(
+                    topology.secondary.graph, topology.secondary.base_station
+                )
+            ),
+            factory.spawn("multichannel"),
+            blocking=blocking,
+            homogeneous_p_o=0.5,
+            channel_plan=plan,
+        )
+        incidence = sense_map.pu_incidence()
+        by_channel = [incidence[:, plan.pus_on_channel(c)] for c in range(3)]
+        assert engine._static_channel_load == [
+            columns.sum(axis=1).tolist() for columns in by_channel
+        ]
+        rng = np.random.default_rng(12)
+        for states in [rng.random(256) < p for p in (0.05, 0.5, 0.95)] + [
+            np.ones(256, dtype=bool)
+        ]:
+            engine._pu_states = states
+            engine._recompute_pu_busy()
+            for channel, columns in enumerate(by_channel):
+                ids = plan.pus_on_channel(channel)
+                np.testing.assert_array_equal(
+                    engine._busy_columns[channel],
+                    columns @ states[ids].astype(incidence.dtype),
+                )
 
     @pytest.mark.parametrize("num_pus", [3, 255, 256, 4000])
     def test_float32_counts_stay_exact_on_random_incidence(self, num_pus):

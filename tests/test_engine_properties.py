@@ -513,13 +513,14 @@ def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
     for node, point in points.items():
         positions[node] = point
     plan = mock.Mock(pu_channels=np.array(pu_channels, dtype=np.int64))
+    # Every SIR clears an eta_s of 0, which leaves the capture rule alone.
     with mock.patch.multiple(
         engine,
         _positions=positions,
         _active_pus=np.array(active_pus, dtype=np.int64),
         _num_channels=num_channels,
         channel_plan=plan,
-        sir_check=sir_check,
+        eta_s=engine.eta_s if sir_check else 0.0,
     ):
         concurrent = [
             (0.1, sender, receiver, channel)
@@ -658,12 +659,11 @@ def test_link_budget_matches_the_matrix_formula_bit_for_bit(count):
                     assert float_bits(got_sir) == float_bits(sir)
                     finite = [value for value in sir if value != float("inf")]
                     eta_s = finite[len(finite) // 2] if finite else engine.eta_s
-                    for sir_check in (False, True):
-                        with mock.patch.multiple(
-                            engine, eta_s=eta_s, sir_check=sir_check
-                        ):
+                    # An eta_s of 0 checks the capture rule on its own.
+                    for threshold in (0.0, eta_s):
+                        with mock.patch.object(engine, "eta_s", threshold):
                             expected = [
-                                ok and (not sir_check or value >= eta_s)
+                                ok and value >= threshold
                                 for ok, value in zip(captured, sir)
                             ]
                             assert engine._adjudicate(concurrent) == expected

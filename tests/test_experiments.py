@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
+from repro.core.collector import run_addc_collection
+from repro.core.pcr import PcrParameters
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fig4 import FIG4_SWEEPS, Fig4Row, figure4_rows
+from repro.experiments.fig4 import FIG4_SWEEPS, figure4_rows
 from repro.experiments.fig6 import FIG6_SWEEPS, run_fig6_sweep, sweep_point_configs
 from repro.experiments.report import (
     render_ablation_table,
@@ -21,6 +24,7 @@ from repro.experiments.runner import (
     run_comparison_point,
 )
 from repro.metrics.aggregate import summarize_delays
+from repro.routing.coolest import run_coolest_collection
 
 
 class TestExperimentConfig:
@@ -50,6 +54,37 @@ class TestExperimentConfig:
         assert spec.area == config.area
         assert spec.num_pus == config.num_pus
         assert spec.p_t == config.p_t
+
+    def test_every_field_reaches_a_run(self):
+        config = ExperimentConfig.quick_scale().with_overrides(
+            pu_power=11.0,
+            su_power=12.0,
+            pu_radius=9.0,
+            su_radius=8.0,
+            p_t=0.2,
+            alpha=3.5,
+            eta_p_db=9.0,
+            eta_s_db=7.0,
+            zeta_bound="safe",
+            blocking="geometric",
+            slot_duration_ms=2.0,
+            contention_window_ms=0.7,
+            max_slots=1234,
+        )
+        names = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        spec = dataclasses.asdict(config.deployment_spec())
+        options = config.run_options()
+        assert not set(spec) & set(options)
+        assert (set(spec) & names) | set(options) | {"repetitions", "seed"} == names
+        for name in set(spec) & names:
+            assert spec[name] == getattr(config, name)
+        for name, value in options.items():
+            assert value == getattr(config, name)
+        # Both collection runners take every option by that name.
+        for runner in (run_addc_collection, run_coolest_collection):
+            assert set(options) <= set(inspect.signature(runner).parameters)
+        # The PCR a config implies reads its fields by the same names.
+        assert {field.name for field in dataclasses.fields(PcrParameters)} <= names
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigurationError):

@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.analysis import opportunity_probability
+from repro.core.pcr import PcrParameters, compute_pcr
 from repro.errors import ConfigurationError
-from repro.network.topology import CrnTopology
 from repro.spectrum.opportunity import (
     mean_opportunity_probability,
     per_node_opportunity_probability,
 )
 from repro.spectrum.pathloss import path_loss, received_power
-from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sensing import CarrierSenseMap, sensing_at_pcr
 from repro.spectrum.sir import SirValidator, sir_at_receiver
 
 
@@ -165,6 +166,67 @@ class TestCarrierSenseMap:
     def test_invalid_protection_range(self, quick_topology):
         with pytest.raises(ConfigurationError):
             CarrierSenseMap(quick_topology, -1.0)
+
+
+class TestSensingAtPcr:
+    THRESHOLDS = {"alpha": 4.0, "eta_p_db": 8.0, "eta_s_db": 8.0}
+
+    def lemma7(self, topology, kappa, num_pus):
+        return opportunity_probability(
+            topology.primary.activity.stationary_probability,
+            kappa,
+            topology.secondary.radius,
+            num_pus,
+            topology.region.area,
+        )
+
+    def test_pcr_is_eq16_over_the_deployment(self, quick_topology):
+        pcr, sense, _ = sensing_at_pcr(quick_topology, **self.THRESHOLDS)
+        assert pcr == compute_pcr(
+            PcrParameters(
+                pu_power=quick_topology.primary.power,
+                su_power=quick_topology.secondary.power,
+                pu_radius=quick_topology.primary.radius,
+                su_radius=quick_topology.secondary.radius,
+                **self.THRESHOLDS,
+            )
+        )
+        assert sense.pu_protection_range == pcr.pcr
+        assert sense.su_csma_range == pcr.pcr
+
+    def test_p_o_is_lemma7_bit_for_bit_on_one_channel(self, quick_topology):
+        pcr, _, p_o = sensing_at_pcr(
+            quick_topology, blocking="homogeneous", **self.THRESHOLDS
+        )
+        expected = self.lemma7(quick_topology, pcr.kappa, quick_topology.primary.num_pus)
+        assert p_o.hex() == expected.hex()
+
+    def test_p_o_counts_pus_per_channel(self, quick_topology):
+        pcr, _, p_o = sensing_at_pcr(
+            quick_topology, blocking="homogeneous", num_channels=3, **self.THRESHOLDS
+        )
+        num_pus = quick_topology.primary.num_pus
+        assert p_o == self.lemma7(quick_topology, pcr.kappa, num_pus / 3)
+        assert p_o > self.lemma7(quick_topology, pcr.kappa, num_pus)
+
+    def test_p_t_overrides_the_stationary_probability(self, quick_topology):
+        pcr, _, p_o = sensing_at_pcr(
+            quick_topology, blocking="homogeneous", p_t=0.1, **self.THRESHOLDS
+        )
+        area = quick_topology.region.area
+        radius = quick_topology.secondary.radius
+        num_pus = quick_topology.primary.num_pus
+        assert p_o == opportunity_probability(0.1, pcr.kappa, radius, num_pus, area)
+
+    def test_geometric_blocking_has_no_p_o(self, quick_topology):
+        assert sensing_at_pcr(quick_topology, **self.THRESHOLDS)[2] is None
+
+    def test_su_csma_range_reaches_the_map(self, quick_topology):
+        pcr, sense, _ = sensing_at_pcr(
+            quick_topology, su_csma_range=12.0, **self.THRESHOLDS
+        )
+        assert sense.su_csma_range == 12.0
+        assert sense.pu_protection_range == pcr.pcr
 
 
 class TestOpportunity:
