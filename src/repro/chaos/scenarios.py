@@ -22,6 +22,7 @@ and whether it gates), ``evidence`` feeds the contract layer
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 from pathlib import Path
@@ -46,8 +47,8 @@ from repro.errors import (
 from repro.experiments.config import ExperimentConfig
 from repro.faults.sweep import (
     ChaosOptions,
+    ChaosSweepResult,
     run_chaos_repetition,
-    run_chaos_sweep,
     save_chaos_run,
 )
 from repro.harness.checkpoint import load_checkpoint
@@ -86,6 +87,24 @@ def scenario_config(seed: int, repetitions: int = 1) -> ExperimentConfig:
     return ExperimentConfig.quick_scale().with_overrides(
         seed=seed, repetitions=repetitions, **_TINY
     )
+
+
+def _chaos_sweep(
+    seed: int,
+    repetitions: int,
+    options: ChaosOptions,
+    journal: Path,
+    resume: bool = False,
+) -> ChaosSweepResult:
+    """A journalled chaos job on :func:`scenario_config`'s scenario."""
+    spec = JobSpec(
+        kind="chaos",
+        seed=seed,
+        repetitions=repetitions,
+        overrides=_TINY,
+        chaos=dataclasses.asdict(options),
+    )
+    return run_job(spec, checkpoint_path=journal, resume=resume).chaos
 
 
 def figure(value: float, higher_better: bool, gated: bool = True) -> Dict:
@@ -216,7 +235,6 @@ def run_storage_scenario(
     """Write faults, torn journals, and cache-integrity probes."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    config = scenario_config(seed, repetitions=2)
     options = ChaosOptions(
         intensity=0.2, horizon_slots=800, sensing_fault_fraction=0.0
     )
@@ -225,9 +243,7 @@ def run_storage_scenario(
     reference_dir = workdir / "reference"
     reference_dir.mkdir()
     reference_journal = reference_dir / "journal.ndjson"
-    reference = run_chaos_sweep(
-        config, options, checkpoint_path=reference_journal, workers=1
-    )
+    reference = _chaos_sweep(seed, 2, options, reference_journal)
     reference_artifact = reference_dir / "chaos.json"
     save_chaos_run(reference_artifact, reference)
     reference_bytes = reference_artifact.read_bytes()
@@ -307,17 +323,9 @@ def run_storage_scenario(
     resume_dir = workdir / "resume"
     resume_dir.mkdir()
     resume_journal = resume_dir / "journal.ndjson"
-    run_chaos_sweep(
-        config, options, checkpoint_path=resume_journal, workers=1
-    )
+    _chaos_sweep(seed, 2, options, resume_journal)
     tear_ndjson_tail(resume_journal)
-    resumed = run_chaos_sweep(
-        config,
-        options,
-        checkpoint_path=resume_journal,
-        resume=True,
-        workers=1,
-    )
+    resumed = _chaos_sweep(seed, 2, options, resume_journal, resume=True)
     resumed_artifact = resume_dir / "chaos.json"
     save_chaos_run(resumed_artifact, resumed)
     resume_identical = (

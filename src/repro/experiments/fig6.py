@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ComparisonPoint, run_sweep_points
+from repro.experiments.runner import ComparisonPoint, _run_plain_sweep
 from repro.obs.progress import Heartbeat
 
 __all__ = ["Fig6Sweep", "FIG6_SWEEPS", "sweep_point_configs", "run_fig6_sweep"]
@@ -126,10 +126,6 @@ def run_fig6_sweep(
     on_incomplete: str = "skip",
     progress: Optional[Heartbeat] = None,
     workers: int = 1,
-    checkpoint_path=None,
-    resume: bool = False,
-    policy=None,
-    allow_partial: bool = False,
 ) -> List[Tuple[float, ComparisonPoint]]:
     """Run one sub-figure end to end; returns (x-value, comparison) pairs.
 
@@ -144,17 +140,13 @@ def run_fig6_sweep(
     shared warm ``spawn`` pool; results are bit-identical to the serial
     default for any worker count.
 
-    Every call runs through the crash-safe harness
-    (:func:`repro.harness.run_checkpointed_sweep`); ``checkpoint_path`` /
-    ``resume`` / ``policy`` add durable per-repetition journalling,
-    supervised retries, and bit-identical resume after a kill
-    (docs/ROBUSTNESS.md).  Without either, a failing repetition is not
-    retried (:data:`~repro.harness.FAIL_FAST`).  A partial outcome
-    (quarantined items) raises :class:`~repro.errors.PartialSweepError`
-    unless ``allow_partial=True``, in which case the surviving points are
-    returned.  Callers needing the full resilience record (status,
-    failures, stats) should use :func:`repro.service.jobs.run_job`, as
-    the CLI does.
+    The repetitions run through the harness
+    (:func:`repro.harness.run_checkpointed_sweep`) with
+    :data:`~repro.harness.FAIL_FAST`: a failing repetition is not
+    retried, and raises :class:`~repro.errors.PartialSweepError`.
+    Callers needing a journal, retries, resume or the partial result
+    with its resilience record (status, failures, stats) use
+    :func:`repro.service.jobs.run_job`, as the CLI does.
     """
     if values is not None:
         sweep = Fig6Sweep(
@@ -164,15 +156,11 @@ def run_fig6_sweep(
             values=tuple(values),
             description=sweep.description,
         )
-    return run_sweep_points(
+    return _run_plain_sweep(
         sweep.name,
         sweep_point_configs(sweep, base),
         repetitions=repetitions,
         on_incomplete=on_incomplete,
         progress=progress,
         workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        policy=policy,
-        allow_partial=allow_partial,
-    ).points
+    )

@@ -32,7 +32,6 @@ __all__ = [
     "run_comparison_repetition",
     "assemble_comparison_point",
     "run_comparison_point",
-    "run_sweep_points",
     "run_addc_only",
 ]
 
@@ -204,10 +203,6 @@ def run_comparison_point(
     on_incomplete: str = "raise",
     progress: Optional[Heartbeat] = None,
     workers: int = 1,
-    checkpoint_path=None,
-    resume: bool = False,
-    policy=None,
-    allow_partial: bool = False,
 ) -> ComparisonPoint:
     """Run ADDC and Coolest over ``repetitions`` fresh deployments.
 
@@ -228,38 +223,23 @@ def run_comparison_point(
     so the result is bit-identical to the serial default (``workers=1``)
     for any worker count and completion order.
 
-    Every call runs through :func:`repro.harness.run_checkpointed_sweep`.
-    ``checkpoint_path`` / ``resume`` / ``policy`` engage its crash-safety:
-    every repetition is journalled durably, workers are supervised with
-    the given :class:`~repro.harness.RetryPolicy`, and a killed run
-    resumes bit-identically.  Without either, a failing repetition is
-    not retried (:data:`~repro.harness.FAIL_FAST`).  If repetitions were
-    quarantined the point is assembled from the survivors only when
-    ``allow_partial=True``; otherwise a
-    :class:`~repro.errors.PartialSweepError` naming each failure's error
-    type and message is raised.
+    The repetitions run through :func:`repro.harness.run_checkpointed_sweep`
+    with :data:`~repro.harness.FAIL_FAST`: a failing repetition is not
+    retried, and raises a :class:`~repro.errors.PartialSweepError` naming
+    the error's type and message.  Journalled, retried or partial runs
+    go through :func:`repro.service.jobs.run_job`, as the CLI's do.
     """
-    result = run_sweep_points(
+    return _run_plain_sweep(
         "comparison",
         [(0.0, config)],
         repetitions=repetitions,
         on_incomplete=on_incomplete,
         progress=progress,
         workers=workers,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        policy=policy,
-        allow_partial=allow_partial,
-    )
-    if not result.points:
-        raise SimulationError(
-            "every repetition of the comparison point was quarantined; "
-            "see the failure records"
-        )
-    return result.points[0][1]
+    )[0][1]
 
 
-def run_sweep_points(
+def _run_plain_sweep(
     name: str,
     points: List[Tuple[float, ExperimentConfig]],
     *,
@@ -267,41 +247,33 @@ def run_sweep_points(
     on_incomplete: str,
     progress: Optional[Heartbeat],
     workers: int,
-    checkpoint_path,
-    resume: bool,
-    policy,
-    allow_partial: bool,
-):
-    """Run ``points`` through the harness, raising on a partial result.
+) -> List[Tuple[float, ComparisonPoint]]:
+    """Run ``points`` fail-fast and unjournalled; raise unless complete.
 
     The shared body of :func:`run_comparison_point` and
-    :func:`~repro.experiments.fig6.run_fig6_sweep`; returns the
-    :class:`~repro.harness.SweepRunResult`.
+    :func:`~repro.experiments.fig6.run_fig6_sweep`.
     """
     from repro.errors import PartialSweepError
     from repro.harness import FAIL_FAST, run_checkpointed_sweep
 
-    if policy is None and checkpoint_path is None:
-        policy = FAIL_FAST
     result = run_checkpointed_sweep(
         name,
         points,
         repetitions=repetitions,
         on_incomplete=on_incomplete,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
         workers=workers,
-        policy=policy,
+        policy=FAIL_FAST,
         progress=progress,
     )
-    if result.status != "complete" and not allow_partial:
+    if result.status != "complete":
         failed = "; ".join(record.describe() for record in result.failures)
         raise PartialSweepError(
             f"sweep {name} is partial (quarantined items: "
             f"{failed or 'dropped points ' + str(result.dropped_points)}); "
-            "pass allow_partial=True to accept the surviving points"
+            "run it as a job (repro.service.jobs.run_job) to keep the "
+            "surviving points"
         )
-    return result
+    return result.points
 
 
 def run_addc_only(

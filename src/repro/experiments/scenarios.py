@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.network.primary import ActivityModel, BernoulliActivity, MarkovActivity
+from repro.network.primary import ActivityModel, MarkovActivity
 
 __all__ = ["Scenario", "get_scenario", "list_scenarios", "SCENARIOS"]
 

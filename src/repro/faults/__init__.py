@@ -22,7 +22,6 @@ __all__ = [
     "chaos_plan",
     "crash_plan",
     "mtbf_outage_plan",
-    "run_chaos_sweep",
     "save_chaos_run",
 ]
 
@@ -33,7 +32,6 @@ __all__ = [
 _SWEEP_EXPORTS = {
     "ChaosOptions",
     "ChaosSweepResult",
-    "run_chaos_sweep",
     "save_chaos_run",
 }
 

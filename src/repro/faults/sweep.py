@@ -7,8 +7,11 @@ whole RNG lineage re-derives from
 :func:`~repro.perf.executor.execute_work_item` under
 :func:`~repro.harness.sweep.run_checkpointed_sweep`, supervised, traced,
 and journalled into a ``checkpoint/v1`` file like any fig6 or compare
-sweep.  A chaos sweep killed at any instant resumes from its last durable
-record and saves a byte-identical artifact.
+sweep.  A chaos job (:func:`repro.service.jobs.run_job` with
+``kind="chaos"``) is the one way to run one; its
+:class:`ChaosSweepResult` is the resilience view of the sweep.  A chaos
+sweep killed at any instant resumes from its last durable record and
+saves a byte-identical artifact.
 
 Per-repetition resilience numbers (delivery, availability, repair times)
 ride in the outcome's ``metrics`` dict under a ``"chaos"`` key —
@@ -30,8 +33,8 @@ from repro.errors import ExperimentIOError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RepetitionMeasurement
 from repro.faults.generators import chaos_plan
-from repro.harness.supervisor import FailureRecord, RetryPolicy
-from repro.harness.sweep import SweepRunResult, run_checkpointed_sweep
+from repro.harness.supervisor import FailureRecord
+from repro.harness.sweep import SweepRunResult
 from repro.metrics.aggregate import RunStatistics, summarize_delays
 from repro.metrics.resilience import resilience_report
 from repro.network.deployment import deploy_crn
@@ -44,7 +47,6 @@ __all__ = [
     "ChaosOptions",
     "ChaosSweepResult",
     "run_chaos_repetition",
-    "run_chaos_sweep",
     "save_chaos_run",
 ]
 
@@ -234,41 +236,6 @@ class ChaosSweepResult:
             "resumed": self.resumed,
             "config_hash": self.config_hash,
         }
-
-
-def run_chaos_sweep(
-    config: ExperimentConfig,
-    options: ChaosOptions,
-    repetitions: Optional[int] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    workers: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    progress=None,
-    pool=None,
-) -> ChaosSweepResult:
-    """Run ``repetitions`` chaos collections under the crash-safe harness.
-
-    One :func:`~repro.harness.sweep.run_checkpointed_sweep` run with
-    ``chaos=options``: supervised execution, durable journalling,
-    fingerprint-checked resume, quarantine on exhausted retries — and
-    byte-identical artifacts whether the sweep ran through or was killed
-    and resumed.
-    """
-    reps = repetitions if repetitions is not None else config.repetitions
-    run = run_checkpointed_sweep(
-        CHAOS_SWEEP_NAME,
-        [(0.0, config)],
-        repetitions=reps,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        workers=workers,
-        policy=policy,
-        progress=progress,
-        pool=pool,
-        chaos=options,
-    )
-    return ChaosSweepResult.from_run(config, options, reps, run)
 
 
 def save_chaos_run(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List
+from typing import List
 
 from repro.errors import GraphError
 from repro.graphs.bfs import bfs_parents

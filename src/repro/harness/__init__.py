@@ -4,12 +4,14 @@ Three layers (see docs/ROBUSTNESS.md):
 
 * :mod:`repro.harness.checkpoint` — append-only ``checkpoint/v1``
   journals: every completed ``(point, repetition)`` is fsynced to disk
-  before it is acknowledged, a torn tail is repaired on load, and replay
-  is bit-exact.
-* :mod:`repro.harness.supervisor` — supervised worker pools: per-item
-  deadlines, bounded retries with deterministic exponential backoff,
-  ``BrokenProcessPool`` recovery with exact crash attribution, and
-  quarantine of poison items into structured :class:`FailureRecord`\\ s.
+  before it is acknowledged, loading is read-only, a torn tail is
+  truncated when the journal is reopened for appending, and replay is
+  bit-exact.
+* :mod:`repro.harness.supervisor` — one scheduling loop for serial
+  (in-parent) and pooled runs: per-item deadlines, bounded retries with
+  deterministic exponential backoff, ``BrokenProcessPool`` recovery with
+  exact crash attribution, and quarantine of poison items into
+  structured :class:`FailureRecord`\\ s.
 * :mod:`repro.harness.sweep` — :func:`run_checkpointed_sweep`, gluing
   both into the one path every sweep (fig6, compare, chaos, service
   jobs) runs through, so a killed-and-resumed sweep is byte-identical to

@@ -16,10 +16,11 @@ Crash-safety contract
   before the append returns
   (:func:`~repro.storage.append_record`) — a record either exists whole
   or not at all, except for the final line a ``SIGKILL`` may tear.
-* The loader validates every line; a torn *tail* (the last line fails to
-  parse or lacks its newline) is truncated away — with ``repair=True``
-  the file itself is truncated to the last valid record so subsequent
-  appends start clean — and counted on ``harness.checkpoint.torn_tail``.
+* The loader validates every line without touching the file; a torn
+  *tail* (the last line fails to parse or lacks its newline) is dropped
+  and counted on ``harness.checkpoint.torn_tail``.  Only
+  :meth:`CheckpointWriter.append_to` repairs it, truncating the file to
+  the last valid record so subsequent appends start clean.
   Corruption anywhere *before* the tail is not a torn write and raises
   :class:`~repro.errors.CheckpointError`.
 * Replaying a journal is bit-exact: measurements round-trip through JSON
@@ -109,15 +110,13 @@ class CheckpointState:
         return self.header.get("config_hash")
 
 
-def load_checkpoint(
-    path: Union[str, Path], repair: bool = False
-) -> CheckpointState:
-    """Read and validate a ``checkpoint/v1`` journal.
+def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
+    """Read and validate a ``checkpoint/v1`` journal, read-only.
 
     A torn final line (the one write a SIGKILL can interrupt; see
-    :func:`repro.storage.read_records`) is dropped — and, with
-    ``repair=True``, physically truncated from the file so the next
-    append starts on a clean boundary.  Any malformed line *before* the
+    :func:`repro.storage.read_records`) is dropped and flagged in
+    ``torn_tail``; :meth:`CheckpointWriter.append_to` truncates it from
+    the file before the next append.  Any malformed line *before* the
     tail means real corruption and raises
     :class:`~repro.errors.CheckpointError` naming the path and line.
     """
@@ -154,13 +153,6 @@ def load_checkpoint(
     state.header = header
     for number, record in enumerate(records[1:], start=2):
         _absorb_record(state, target, number, record)
-    if torn and repair:
-        try:
-            truncate_torn_tail(target, valid_bytes)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot repair checkpoint journal {target}: {exc}"
-            ) from exc
     return state
 
 
@@ -207,7 +199,7 @@ class CheckpointWriter:
     returning, so the journal never loses an acknowledged record to a
     later crash.  Use :meth:`create` for a fresh journal (writes the
     header) or :meth:`append_to` to continue one that
-    :func:`load_checkpoint` validated (and repaired) first.
+    :func:`load_checkpoint` validated first.
     """
 
     def __init__(self, path: Union[str, Path], handle: BinaryIO) -> None:
@@ -226,7 +218,6 @@ class CheckpointWriter:
         name: str,
         config_hash: str,
         total_items: int,
-        extra: Optional[Dict] = None,
     ) -> "CheckpointWriter":
         """Start a fresh journal at ``path`` (refuses to clobber one)."""
         target = Path(path)
@@ -254,14 +245,16 @@ class CheckpointWriter:
             "package_version": __version__,
             "created_utc": wall_clock_iso(),
         }
-        if extra:
-            header.update(extra)
         writer._append(header)
         return writer
 
     @classmethod
     def append_to(cls, state: CheckpointState) -> "CheckpointWriter":
-        """Continue the journal a :func:`load_checkpoint` call validated."""
+        """Continue the journal a :func:`load_checkpoint` call validated.
+
+        A torn tail the load found is truncated here, so the first new
+        record starts on a clean line boundary.
+        """
         try:
             if state.torn_tail:
                 truncate_torn_tail(state.path, state.valid_bytes)
@@ -334,7 +327,7 @@ class CheckpointWriter:
 
 def inspect_checkpoint(path: Union[str, Path]) -> Dict:
     """A JSON-ready summary of one journal (``checkpoint inspect``)."""
-    state = load_checkpoint(path, repair=False)
+    state = load_checkpoint(path)
     per_point: Dict[int, int] = {}
     for point_index, _ in sorted(state.entries):
         per_point[point_index] = per_point.get(point_index, 0) + 1
@@ -370,7 +363,7 @@ def verify_checkpoint(
     """
     problems: List[str] = []
     try:
-        state = load_checkpoint(path, repair=False)
+        state = load_checkpoint(path)
     except CheckpointError as exc:
         return [str(exc)]
     if state.torn_tail:

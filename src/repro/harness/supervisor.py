@@ -1,7 +1,9 @@
 """Supervised execution of sweep work items: deadlines, retries, quarantine.
 
-:class:`WorkerSupervisor` fans work items over a warm ``spawn`` process
-pool (or runs them inline for ``workers=1``) and survives:
+:class:`WorkerSupervisor` runs work items through one scheduling loop,
+on a warm ``spawn`` process pool or, for ``workers=1`` (or a single
+item), on an in-parent executor that runs each item as it is submitted.
+It survives:
 
 * a worker that **raises** — bounded retries with exponential backoff;
 * a worker that **hangs** — a per-item deadline, enforced by rebuilding
@@ -13,13 +15,15 @@ pool (or runs them inline for ``workers=1``) and survives:
   exactly and innocent bystanders are never charged an attempt;
 * a **poison item** — after ``max_attempts`` failures it is quarantined
   into a structured :class:`FailureRecord` instead of aborting the sweep,
-  and (for non-crash kinds) given one last inline serial attempt at the
-  end, so transient pool trouble cannot permanently cost a data point.
+  and (for non-crash kinds) given one last serial attempt in the parent
+  at the end, so transient pool trouble cannot permanently cost a data
+  point.
 
 Determinism contract: the supervisor consumes **no RNG streams** — backoff
 is a deterministic schedule on an injected monotonic clock
 (:func:`repro.obs.clock.monotonic_s`), and results are returned in
-submission order regardless of completion order.  ``KeyboardInterrupt`` cancels pending futures and re-raises
+submission order regardless of completion order.  ``KeyboardInterrupt``
+cancels pending futures and re-raises
 immediately, leaving completed results with the caller's ``on_result``
 callback (the checkpoint journal), so a Ctrl-C'd sweep resumes where it
 stopped.
@@ -39,6 +43,7 @@ from repro.perf.pool import WarmWorkerPool
 
 __all__ = [
     "FAIL_FAST",
+    "capped_backoff_s",
     "RetryPolicy",
     "FailureRecord",
     "ItemTracker",
@@ -50,13 +55,32 @@ __all__ = [
 #: slot-stamped ``kind`` vocabulary of :class:`repro.sim.results.FaultRecord`).
 FAILURE_KINDS = ("error", "timeout", "crash")
 
+#: The ``stats`` entry each failure kind counts on.
+_KIND_STATS = {
+    "error": "worker_errors",
+    "timeout": "timeouts",
+    "crash": "worker_crashes",
+}
+
+
+def capped_backoff_s(attempt: int, base_s: float, max_s: float) -> float:
+    """``base_s * 2**(attempt - 1)``, capped at ``max_s``.
+
+    The one backoff schedule: supervised retries
+    (:meth:`RetryPolicy.backoff_s`) and the daemon queue's shed delay
+    (:class:`repro.service.queue.JobQueue`) both double per attempt.
+    """
+    if attempt < 1:
+        raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
+    return min(base_s * 2.0 ** (attempt - 1), max_s)
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deadline, retry, and backoff knobs for supervised execution.
 
     ``backoff_s(attempt)`` is a pure deterministic schedule —
-    ``base * factor**(attempt-1)`` capped at ``backoff_max_s`` — with *no
+    ``base * 2**(attempt-1)`` capped at ``backoff_max_s`` — with *no
     jitter*, deliberately: the supervisor must not consume RNG streams
     (bit-identity) and retry collisions are impossible with one parent.
     """
@@ -66,7 +90,6 @@ class RetryPolicy:
     #: Total attempts per item before quarantine (first try included).
     max_attempts: int = 3
     backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
     backoff_max_s: float = 30.0
     #: Give non-crash quarantined items one final serial in-parent try.
     inline_retry: bool = True
@@ -82,19 +105,10 @@ class RetryPolicy:
             )
         if self.backoff_base_s < 0 or self.backoff_max_s < 0:
             raise ConfigurationError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
 
     def backoff_s(self, attempt: int) -> float:
         """Wait before re-running an item that failed ``attempt`` times."""
-        if attempt < 1:
-            raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
-        return min(
-            self.backoff_base_s * self.backoff_factor ** (attempt - 1),
-            self.backoff_max_s,
-        )
+        return capped_backoff_s(attempt, self.backoff_base_s, self.backoff_max_s)
 
 
 #: The policy of plain (unjournalled, policy-less) sweep callers: one
@@ -237,13 +251,37 @@ def _new_stats() -> Dict[str, int]:
     }
 
 
+class _InParentExecutor:
+    """The executor of serial runs: ``submit`` runs ``fn`` in the parent.
+
+    It returns an already-completed future, so the scheduling loop treats
+    an in-parent call like a pool item that finished at once: a deadline
+    can never expire on it (an in-parent call cannot be interrupted).
+    """
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except (KeyboardInterrupt, SystemExit, GeneratorExit):
+            raise
+        except BaseException as exc:  # supervised boundary
+            future.set_exception(exc)
+        return future
+
+    def rebuild(self) -> None:
+        """Nothing to rebuild: there are no worker processes."""
+
+
 class WorkerSupervisor:
     """Run work items under a supervised ``spawn`` process pool.
 
-    ``workers=1`` executes inline (no pool, no pickling) with the same
-    retry/backoff/quarantine policy, so checkpointing and serial runs
-    share one code path; deadlines are pool-only (an inline call cannot
-    be interrupted).  ``clock`` and ``sleep`` are injectable for tests.
+    ``workers=1`` (or a single item) runs every item in the parent (no
+    pool, no pickling) through the same scheduling loop, with the same
+    retry/backoff/quarantine policy; deadlines are pool-only (an
+    in-parent call cannot be interrupted).  ``clock`` and ``sleep`` are
+    injectable for tests; the loop sleeps until the earliest backoff
+    ends, so a fake clock must advance when ``sleep`` is called.
 
     ``pool`` injects a caller-owned :class:`~repro.perf.pool.WarmWorkerPool`
     (e.g. the service daemon's process-lifetime pool): the supervisor
@@ -290,346 +328,297 @@ class WorkerSupervisor:
             ItemTracker(index=index, item=item, policy=self.policy)
             for index, item in enumerate(items)
         ]
-        stats = _new_stats()
-        if self.workers == 1 or len(trackers) <= 1:
-            run = self._run_inline(fn, trackers, on_result, stats)
-        else:
-            run = self._run_pool(fn, trackers, on_result, stats)
+        run = SupervisedRun(outcomes=[None] * len(trackers), stats=_new_stats())
+        # Quarantine records by item index, in quarantine order.
+        quarantined: Dict[int, FailureRecord] = {}
+
+        def complete(tracker: ItemTracker, outcome: object) -> None:
+            run.outcomes[tracker.index] = outcome
+            if on_result is not None:
+                on_result(tracker.index, outcome)
+
+        def fail(tracker: ItemTracker, kind: str, now: float, error: Dict) -> bool:
+            return self._fail(tracker, kind, now, error, run, quarantined)
+
+        in_parent = _InParentExecutor()
+        pool: Optional[WarmWorkerPool] = None
+        if self.workers > 1 and len(trackers) > 1:
+            # An injected pool stays warm across runs; an owned one lives
+            # for this run only.  Recovery rebuilds either *in place*.
+            pool = self._injected_pool or WarmWorkerPool(self.workers)
+        try:
+            self._schedule(
+                fn,
+                trackers,
+                in_parent if pool is None else pool,
+                1 if pool is None else self.workers,
+                complete,
+                fail,
+                run.stats,
+            )
+        except KeyboardInterrupt:
+            # A Ctrl-C mid-sweep must not lose gathered work: completed
+            # results already reached on_result (the journal); cancel
+            # everything pending and surface the interrupt so the caller
+            # can flush and the user can --resume later.  The pool's
+            # workers may hold half-executed items, so even an injected
+            # pool is abandoned, not kept warm.
+            if pool is not None:
+                pool.abandon()
+            raise
+        if pool is not None and pool is not self._injected_pool:
+            pool.close()
         if self.policy.inline_retry:
-            self._rescue_inline(fn, run, trackers, on_result)
+            self._rescue(fn, run, trackers, quarantined, in_parent, complete)
         return run
 
     # ------------------------------------------------------------------ #
-    # Inline (workers == 1) path                                          #
+    # The scheduling loop                                                 #
     # ------------------------------------------------------------------ #
 
-    def _run_inline(
+    def _schedule(
         self,
         fn: Callable,
         trackers: List[ItemTracker],
-        on_result: Optional[Callable[[int, object], None]],
+        executor,
+        capacity: int,
+        complete: Callable[[ItemTracker, object], None],
+        fail: Callable[[ItemTracker, str, float, Dict], bool],
         stats: Dict[str, int],
-    ) -> SupervisedRun:
-        outcomes: List[Optional[object]] = [None] * len(trackers)
-        failures: List[FailureRecord] = []
-        for tracker in trackers:
-            while True:
-                try:
-                    outcome = fn(tracker.item)
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:  # supervised boundary
-                    if isinstance(exc, (SystemExit, GeneratorExit)):
-                        raise
-                    verdict = tracker.record_failure(
-                        "error", self._clock(), error_record(exc)
-                    )
-                    stats["worker_errors"] += 1
-                    if verdict == "quarantine":
-                        self._quarantine(tracker, failures, stats)
-                        break
-                    stats["retries"] += 1
-                    obs.counter_add("harness.retries")
-                    self._sleep(self.policy.backoff_s(tracker.attempts))
-                else:
-                    outcomes[tracker.index] = outcome
-                    if on_result is not None:
-                        on_result(tracker.index, outcome)
-                    break
-        return SupervisedRun(outcomes=outcomes, failures=failures, stats=stats)
+    ) -> None:
+        """Run ``trackers`` to completion or quarantine on ``executor``.
 
-    # ------------------------------------------------------------------ #
-    # Pool path                                                           #
-    # ------------------------------------------------------------------ #
-
-    def _run_pool(
-        self,
-        fn: Callable,
-        trackers: List[ItemTracker],
-        on_result: Optional[Callable[[int, object], None]],
-        stats: Dict[str, int],
-    ) -> SupervisedRun:
-        outcomes: List[Optional[object]] = [None] * len(trackers)
-        failures: List[FailureRecord] = []
+        At most ``capacity`` items are in flight.  ``complete`` takes each
+        outcome; ``fail`` charges each failed attempt and answers whether
+        the item runs again (after its backoff).  Deadline and crash
+        recovery call ``executor.rebuild()``.
+        """
         pending: List[ItemTracker] = list(trackers)
         probe_queue: List[ItemTracker] = []
         in_flight: Dict[Future, ItemTracker] = {}
         probing: Optional[ItemTracker] = None
-        # An injected pool stays warm across runs; an owned one lives for
-        # this run only.  Recovery rebuilds either *in place*.
-        pool = self._injected_pool
-        owned = pool is None
-        if owned:
-            pool = WarmWorkerPool(self.workers)
+
+        def rebuild() -> None:
+            stats["pool_rebuilds"] += 1
+            obs.counter_add("harness.pool_rebuilds")
+            executor.rebuild()
 
         def submit(tracker: ItemTracker) -> bool:
             now = self._clock()
             tracker.mark_submitted(now)
             try:
-                future = pool.submit(fn, tracker.item)
+                future = executor.submit(fn, tracker.item)
             except BrokenProcessPool:
                 # The pool died between harvest and submit; rebuild and
                 # let the main loop retry the submission.
-                stats["pool_rebuilds"] += 1
-                obs.counter_add("harness.pool_rebuilds")
-                pool.rebuild()
+                rebuild()
                 return False
             in_flight[future] = tracker
             return True
 
-        try:
-            while pending or probe_queue or in_flight or probing is not None:
-                now = self._clock()
-                # --- submissions -------------------------------------- #
-                if probing is None and probe_queue and not in_flight:
-                    candidate = probe_queue[0]
-                    if candidate.not_before <= now:
-                        probe_queue.pop(0)
-                        probing = candidate
-                        if not submit(candidate):
-                            probe_queue.insert(0, candidate)
-                            probing = None
-                            continue
-                elif probing is None and not probe_queue:
-                    ready = [t for t in pending if t.not_before <= now]
-                    for tracker in ready:
-                        if len(in_flight) >= self.workers:
-                            break
-                        pending.remove(tracker)
-                        if not submit(tracker):
-                            pending.insert(0, tracker)
-                            break
-                if not in_flight:
-                    waiting = probe_queue + pending
-                    if not waiting and probing is None:
-                        break
-                    wake = min(t.not_before for t in waiting) if waiting else now
-                    self._sleep(max(wake - self._clock(), 0.0))
-                    continue
-                # --- wait, bounded by the earliest live deadline ------- #
-                timeout = None
-                deadlines = [
-                    t.deadline for t in in_flight.values() if t.deadline is not None
-                ]
-                if deadlines:
-                    timeout = max(min(deadlines) - self._clock(), 0.0)
-                done, _ = wait(
-                    set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                now = self._clock()
-                # --- harvest completions ------------------------------ #
-                broken = False
-                for future in done:
-                    tracker = in_flight.pop(future, None)
-                    if tracker is None:
+        while pending or probe_queue or in_flight or probing is not None:
+            now = self._clock()
+            # --- submissions ------------------------------------------ #
+            if probing is None and probe_queue and not in_flight:
+                candidate = probe_queue[0]
+                if candidate.not_before <= now:
+                    probe_queue.pop(0)
+                    probing = candidate
+                    if not submit(candidate):
+                        probe_queue.insert(0, candidate)
+                        probing = None
                         continue
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        if probing is tracker:
-                            # Isolation probe: the crash is attributed.
-                            probing = None
-                            stats["worker_crashes"] += 1
-                            self._fail(
-                                tracker,
-                                "crash",
-                                now,
-                                {
-                                    "code": "worker-crash",
-                                    "type": "BrokenProcessPool",
-                                    "message": (
-                                        "worker process died while running "
-                                        "this item in isolation"
-                                    ),
-                                },
-                                probe_queue,
-                                failures,
-                                stats,
-                            )
-                        else:
-                            # Collective break: every in-flight item is a
-                            # suspect; probe them one at a time, charging
-                            # no attempts until a crash is attributed.
-                            probe_queue.append(tracker)
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as exc:  # worker raised
-                        if isinstance(exc, (SystemExit, GeneratorExit)):
-                            raise
-                        if probing is tracker:
-                            probing = None
-                        stats["worker_errors"] += 1
-                        self._fail(
-                            tracker,
-                            "error",
-                            now,
-                            error_record(exc),
-                            pending,
-                            failures,
-                            stats,
-                        )
-                    else:
-                        if probing is tracker:
-                            probing = None
-                        outcomes[tracker.index] = outcome
-                        if on_result is not None:
-                            on_result(tracker.index, outcome)
-                if broken:
-                    # Sweep the remaining (equally broken) futures into
-                    # the probe queue and start over on a fresh pool.
-                    for future, tracker in list(in_flight.items()):
-                        if probing is tracker:
-                            probing = None
-                        probe_queue.append(tracker)
-                    in_flight.clear()
-                    stats["pool_rebuilds"] += 1
-                    obs.counter_add("harness.pool_rebuilds")
-                    pool.rebuild()
+            elif probing is None and not probe_queue:
+                ready = [t for t in pending if t.not_before <= now]
+                for tracker in ready:
+                    if len(in_flight) >= capacity:
+                        break
+                    pending.remove(tracker)
+                    if not submit(tracker):
+                        pending.insert(0, tracker)
+                        break
+            if not in_flight:
+                waiting = probe_queue + pending
+                if not waiting and probing is None:
+                    break
+                wake = min(t.not_before for t in waiting) if waiting else now
+                self._sleep(max(wake - self._clock(), 0.0))
+                continue
+            # --- wait, bounded by the earliest live deadline ----------- #
+            timeout = None
+            deadlines = [
+                t.deadline for t in in_flight.values() if t.deadline is not None
+            ]
+            if deadlines:
+                timeout = max(min(deadlines) - self._clock(), 0.0)
+            done, _ = wait(
+                set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
+            )
+            now = self._clock()
+            # --- harvest completions ---------------------------------- #
+            broken = False
+            for future in done:
+                tracker = in_flight.pop(future, None)
+                if tracker is None:
                     continue
-                # --- enforce deadlines -------------------------------- #
-                now = self._clock()
-                expired = [
-                    tracker
-                    for tracker in in_flight.values()
-                    if tracker.deadline_expired(now)
-                ]
-                if expired:
-                    survivors = [
-                        tracker
-                        for tracker in in_flight.values()
-                        if tracker not in expired
-                    ]
-                    in_flight.clear()
-                    for tracker in expired:
-                        if probing is tracker:
-                            probing = None
-                        stats["timeouts"] += 1
-                        obs.counter_add("harness.timeouts")
-                        self._fail(
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    if probing is tracker:
+                        # Isolation probe: the crash is attributed.
+                        probing = None
+                        if fail(
                             tracker,
-                            "timeout",
+                            "crash",
                             now,
                             {
-                                "code": "worker-timeout",
-                                "type": "WorkerTimeoutError",
+                                "code": "worker-crash",
+                                "type": "BrokenProcessPool",
                                 "message": (
-                                    "item exceeded its "
-                                    f"{self.policy.timeout_s}s deadline"
+                                    "worker process died while running "
+                                    "this item in isolation"
                                 ),
                             },
-                            pending,
-                            failures,
-                            stats,
-                        )
-                    # Innocent in-flight items lost their worker with the
-                    # pool; resubmit them penalty-free, ahead of the rest.
-                    for tracker in reversed(survivors):
-                        tracker.deadline = None
-                        if probing is tracker:
-                            probing = None
-                            probe_queue.insert(0, tracker)
-                        else:
-                            pending.insert(0, tracker)
-                    stats["pool_rebuilds"] += 1
-                    obs.counter_add("harness.pool_rebuilds")
-                    pool.rebuild()
-        except KeyboardInterrupt:
-            # Satellite: a Ctrl-C mid-sweep must not lose gathered work.
-            # Completed results already reached on_result (the journal);
-            # cancel everything pending and surface the interrupt so the
-            # caller can flush and the user can --resume later.  The
-            # pool's workers may hold half-executed items, so even an
-            # injected pool is abandoned, not kept warm.
-            pool.abandon()
-            raise
-        else:
-            if owned:
-                pool.close()
-        return SupervisedRun(outcomes=outcomes, failures=failures, stats=stats)
+                        ):
+                            probe_queue.append(tracker)
+                    else:
+                        # Collective break: every in-flight item is a
+                        # suspect; probe them one at a time, charging no
+                        # attempts until a crash is attributed.
+                        probe_queue.append(tracker)
+                except KeyboardInterrupt:
+                    raise
+                except BaseException as exc:  # worker raised
+                    if isinstance(exc, (SystemExit, GeneratorExit)):
+                        raise
+                    if probing is tracker:
+                        probing = None
+                    if fail(tracker, "error", now, error_record(exc)):
+                        pending.append(tracker)
+                else:
+                    if probing is tracker:
+                        probing = None
+                    complete(tracker, outcome)
+            if broken:
+                # Sweep the remaining (equally broken) futures into the
+                # probe queue and start over on a fresh pool.
+                for future, tracker in list(in_flight.items()):
+                    if probing is tracker:
+                        probing = None
+                    probe_queue.append(tracker)
+                in_flight.clear()
+                rebuild()
+                continue
+            # --- enforce deadlines ------------------------------------ #
+            now = self._clock()
+            expired = [
+                tracker
+                for tracker in in_flight.values()
+                if tracker.deadline_expired(now)
+            ]
+            if expired:
+                survivors = [
+                    tracker
+                    for tracker in in_flight.values()
+                    if tracker not in expired
+                ]
+                in_flight.clear()
+                for tracker in expired:
+                    if probing is tracker:
+                        probing = None
+                    if fail(
+                        tracker,
+                        "timeout",
+                        now,
+                        {
+                            "code": "worker-timeout",
+                            "type": "WorkerTimeoutError",
+                            "message": (
+                                "item exceeded its "
+                                f"{self.policy.timeout_s}s deadline"
+                            ),
+                        },
+                    ):
+                        pending.append(tracker)
+                # Innocent in-flight items lost their worker with the
+                # pool; resubmit them penalty-free, ahead of the rest.
+                for tracker in reversed(survivors):
+                    tracker.deadline = None
+                    if probing is tracker:
+                        probing = None
+                        probe_queue.insert(0, tracker)
+                    else:
+                        pending.insert(0, tracker)
+                rebuild()
 
     # ------------------------------------------------------------------ #
-    # Shared failure bookkeeping                                          #
+    # Failure bookkeeping                                                 #
     # ------------------------------------------------------------------ #
 
+    @staticmethod
     def _fail(
-        self,
         tracker: ItemTracker,
         kind: str,
         now: float,
         error: Dict,
-        retry_queue: List[ItemTracker],
-        failures: List[FailureRecord],
-        stats: Dict[str, int],
-    ) -> None:
-        verdict = tracker.record_failure(kind, now, error)
-        if verdict == "quarantine":
-            self._quarantine(tracker, failures, stats)
-            return
-        stats["retries"] += 1
-        obs.counter_add("harness.retries")
-        retry_queue.append(tracker)
-
-    @staticmethod
-    def _quarantine(
-        tracker: ItemTracker,
-        failures: List[FailureRecord],
-        stats: Dict[str, int],
-    ) -> None:
+        run: SupervisedRun,
+        quarantined: Dict[int, FailureRecord],
+    ) -> bool:
+        """Charge one failed attempt; ``True`` when the item runs again."""
+        run.stats[_KIND_STATS[kind]] += 1
+        if kind == "timeout":
+            obs.counter_add("harness.timeouts")
+        if tracker.record_failure(kind, now, error) == "retry":
+            run.stats["retries"] += 1
+            obs.counter_add("harness.retries")
+            return True
         record = tracker.failure_record()
-        failures.append(record)
-        stats["quarantined"] += 1
+        run.failures.append(record)
+        quarantined[tracker.index] = record
+        run.stats["quarantined"] += 1
         obs.counter_add("harness.quarantined")
+        return False
 
     # ------------------------------------------------------------------ #
-    # Graceful degradation: last-chance inline retries                    #
+    # Graceful degradation: a last serial attempt in the parent           #
     # ------------------------------------------------------------------ #
 
-    def _rescue_inline(
+    def _rescue(
         self,
         fn: Callable,
         run: SupervisedRun,
         trackers: List[ItemTracker],
-        on_result: Optional[Callable[[int, object], None]],
+        quarantined: Dict[int, FailureRecord],
+        in_parent: _InParentExecutor,
+        complete: Callable[[ItemTracker, object], None],
     ) -> None:
-        """One serial in-parent attempt for non-crash quarantined items.
+        """One in-parent attempt for each non-crash quarantined item.
 
         A crash-kind item killed its worker process; re-running it in the
         parent would risk the whole sweep, so crashes stay quarantined.
-        Timeouts run un-deadlined here (the deadline protected pool
-        throughput, which no longer applies to a serial last chance).
+        Timeouts run un-deadlined here (an in-parent call cannot be
+        interrupted, and the deadline protected pool throughput, which no
+        longer applies to a serial last chance).  An item that fails
+        again stays quarantined with its error record refreshed.
         """
-        if not run.failures:
+        candidates = [
+            trackers[index]
+            for index, record in quarantined.items()
+            if record.kind != "crash"
+        ]
+        if not candidates:
             return
-        lookup = {
-            (
-                int(getattr(tracker.item, "point_index", tracker.index)),
-                int(getattr(tracker.item, "repetition", 0)),
-            ): tracker
-            for tracker in trackers
-        }
-        rescued: List[FailureRecord] = []
-        for record in run.failures:
-            if record.kind == "crash":
-                continue
-            tracker = lookup.get((record.point_index, record.repetition))
-            if tracker is None or run.outcomes[tracker.index] is not None:
-                continue
-            try:
-                outcome = fn(tracker.item)
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:  # stays quarantined
-                if isinstance(exc, (SystemExit, GeneratorExit)):
-                    raise
-                record.error = error_record(exc)
-                continue
-            run.outcomes[tracker.index] = outcome
-            if on_result is not None:
-                on_result(tracker.index, outcome)
-            rescued.append(record)
+
+        def rescued(tracker: ItemTracker, outcome: object) -> None:
+            complete(tracker, outcome)
+            run.failures.remove(quarantined.pop(tracker.index))
             run.stats["inline_rescues"] += 1
             run.stats["quarantined"] -= 1
             obs.counter_add("harness.inline_rescues")
-        for record in rescued:
-            run.failures.remove(record)
+
+        def refresh(tracker: ItemTracker, kind: str, now: float, error: Dict) -> bool:
+            quarantined[tracker.index].error = error
+            return False
+
+        self._schedule(fn, candidates, in_parent, 1, rescued, refresh, run.stats)

@@ -2,15 +2,16 @@
 
 :func:`run_checkpointed_sweep` is how every repetition runs: the plain
 drivers (:func:`~repro.experiments.runner.run_comparison_point`,
-:func:`~repro.experiments.fig6.run_fig6_sweep`), the chaos sweep
-(:func:`~repro.faults.sweep.run_chaos_sweep`) and service jobs all call
-it.  It fans ``(point, repetition)`` work items through a
-:class:`~repro.harness.supervisor.WorkerSupervisor` — inline for
-``workers=1``, a warm ``spawn`` pool otherwise — and, given a
-``checkpoint_path``, journals every completed repetition into a
-``checkpoint/v1`` file, so a sweep killed at any instant — ``SIGKILL``
-included — resumes from its last durable record and finishes
-**byte-identical** to an uninterrupted run.
+:func:`~repro.experiments.fig6.run_fig6_sweep`, which take no journal,
+policy or partial options and run fail-fast) and the jobs of
+:func:`repro.service.jobs.run_job` (fig6, compare and chaos; the CLI and
+the daemon) all call it.  It fans ``(point, repetition)`` work items
+through a :class:`~repro.harness.supervisor.WorkerSupervisor` — whose one
+scheduling loop runs them in the parent for ``workers=1`` and on a warm
+``spawn`` pool otherwise — and, given a ``checkpoint_path``, journals
+every completed repetition into a ``checkpoint/v1`` file, so a sweep
+killed at any instant — ``SIGKILL`` included — resumes from its last
+durable record and finishes **byte-identical** to an uninterrupted run.
 
 How byte-identity survives a crash
 ----------------------------------
@@ -162,7 +163,7 @@ def _open_journal(
 ) -> Tuple[Optional[CheckpointState], CheckpointWriter]:
     """Create or resume the journal; returns ``(prior_state, writer)``."""
     if resume and checkpoint_path.exists():
-        state = load_checkpoint(checkpoint_path, repair=True)
+        state = load_checkpoint(checkpoint_path)
         if state.config_hash != fingerprint:
             raise CheckpointError(
                 f"checkpoint journal {checkpoint_path} was written for a "
@@ -198,9 +199,11 @@ def run_checkpointed_sweep(
     Parameters mirror :func:`~repro.experiments.fig6.run_fig6_sweep` plus
     the harness knobs: ``checkpoint_path`` names the ``checkpoint/v1``
     journal (``None`` supervises without durability); ``resume=True``
-    replays a compatible existing journal — config-fingerprint checked —
-    and re-runs only the missing items; ``policy`` sets deadlines, retry
-    budgets and backoff (:class:`~repro.harness.supervisor.RetryPolicy`).
+    replays a compatible existing journal — config-fingerprint checked,
+    a torn tail truncated only once the journal is reopened for
+    appending — and re-runs only the missing items; ``policy`` sets
+    deadlines, retry budgets and backoff
+    (:class:`~repro.harness.supervisor.RetryPolicy`).
     ``pool`` injects a caller-owned
     :class:`~repro.perf.pool.WarmWorkerPool` whose processes stay warm
     after the run (the daemon's cross-job pool).  ``chaos`` turns every

@@ -1,9 +1,11 @@
 """Repetition progress heartbeats (rate + ETA on stderr).
 
 Long sweeps were previously silent for minutes; a :class:`Heartbeat`
-passed to :func:`repro.experiments.runner.run_comparison_point` reports
-completed repetitions, throughput, and the estimated time remaining,
-throttled so the output stays readable.
+passed as ``progress`` to a sweep (the plain drivers,
+:func:`repro.harness.run_checkpointed_sweep` or
+:func:`repro.service.jobs.run_job`) ticks as each repetition completes
+and reports throughput and the estimated time remaining, throttled so
+the output stays readable.
 """
 
 from __future__ import annotations

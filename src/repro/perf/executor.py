@@ -12,9 +12,10 @@ else.
 
 :func:`repro.harness.run_checkpointed_sweep` is the only driver: it
 builds the items, runs them through the
-:class:`~repro.harness.supervisor.WorkerSupervisor` (inline for
-``workers=1``, a warm ``spawn`` pool otherwise), journals each
-:class:`RepetitionOutcome`, and assembles the results.
+:class:`~repro.harness.supervisor.WorkerSupervisor` (one scheduling loop;
+the items run in the parent for ``workers=1``, on a warm ``spawn`` pool
+otherwise), journals each :class:`RepetitionOutcome`, and assembles the
+results.
 
 Determinism contract
 --------------------
@@ -99,8 +100,8 @@ def execute_work_item(item: SweepWorkItem) -> RepetitionOutcome:
 
     Top-level by design so it is picklable under the ``spawn`` start
     method; the ``workers=2`` determinism tests in ``tests/test_perf.py``
-    fail if it is not.  Also runs inline in the parent when ``workers=1``
-    — the serial and parallel paths execute the same code.
+    fail if it is not.  Also runs in the parent when ``workers=1`` — the
+    serial and parallel paths execute the same code.
     """
     metrics: Optional[Dict] = None
     profile: Optional[Dict] = None

@@ -87,18 +87,10 @@ class ExperimentService:
         queue_capacity: int = 4,
         workers: int = 1,
         policy: Optional[RetryPolicy] = None,
-        backoff_base_s: float = 1.0,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 60.0,
     ) -> None:
         self.state = ServiceState(state_dir)
         self.cache = ResultCache(self.state.cache_dir)
-        self.queue = JobQueue(
-            capacity=queue_capacity,
-            backoff_base_s=backoff_base_s,
-            backoff_factor=backoff_factor,
-            backoff_max_s=backoff_max_s,
-        )
+        self.queue = JobQueue(capacity=queue_capacity)
         self.workers = workers
         self.policy = policy
         # One warm worker pool for the daemon's whole lifetime: processes

@@ -18,9 +18,15 @@ from typing import List, Optional
 
 import repro.obs as obs
 from repro.errors import ConfigurationError
+from repro.harness.supervisor import capped_backoff_s
 from repro.service.jobs import JobSpec
 
 __all__ = ["Admission", "JobEntry", "JobQueue"]
+
+#: The shed delay: 1 s after the first consecutive shed, doubling with
+#: each further one, capped at 60 s.
+SHED_BACKOFF_BASE_S = 1.0
+SHED_BACKOFF_MAX_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -52,23 +58,10 @@ class Admission:
 class JobQueue:
     """A bounded FIFO of :class:`JobEntry` with shed-instead-of-block."""
 
-    def __init__(
-        self,
-        capacity: int = 4,
-        backoff_base_s: float = 1.0,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 60.0,
-    ) -> None:
+    def __init__(self, capacity: int = 4) -> None:
         if capacity < 1:
             raise ConfigurationError(f"queue capacity must be >= 1, got {capacity}")
-        if backoff_base_s <= 0 or backoff_factor < 1 or backoff_max_s <= 0:
-            raise ConfigurationError(
-                "backoff parameters must be positive (factor >= 1)"
-            )
         self.capacity = capacity
-        self._backoff_base_s = backoff_base_s
-        self._backoff_factor = backoff_factor
-        self._backoff_max_s = backoff_max_s
         self._cond = threading.Condition()
         self._pending: List[JobEntry] = []
         self._running: Optional[JobEntry] = None
@@ -88,10 +81,10 @@ class JobQueue:
                     return Admission("duplicate", fingerprint, position=index + 1)
             if len(self._pending) >= self.capacity or self._closed:
                 self._consecutive_sheds += 1
-                retry_after_s = min(
-                    self._backoff_base_s
-                    * self._backoff_factor ** (self._consecutive_sheds - 1),
-                    self._backoff_max_s,
+                retry_after_s = capped_backoff_s(
+                    self._consecutive_sheds,
+                    SHED_BACKOFF_BASE_S,
+                    SHED_BACKOFF_MAX_S,
                 )
                 return Admission(
                     "shed", fingerprint, retry_after_s=retry_after_s

@@ -17,7 +17,6 @@ wait primitive.
 
 from __future__ import annotations
 
-import os
 import selectors
 import signal
 import socket

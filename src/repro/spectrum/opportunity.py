@@ -9,8 +9,6 @@ against both the analytic formula and empirical slot statistics.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.errors import ConfigurationError

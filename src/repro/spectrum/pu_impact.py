@@ -13,7 +13,7 @@ Attach :class:`PuImpactProbe` as the engine's ``slot_hook``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -8,8 +8,6 @@ measurable claim rather than a narrative.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.collector import run_addc_collection
 from repro.routing.coolest import run_coolest_collection
 

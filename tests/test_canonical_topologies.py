@@ -7,7 +7,6 @@ constructions must survive.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.graphs.cds import build_cds

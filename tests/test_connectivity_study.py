@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -10,7 +9,6 @@ from repro.experiments.connectivity import (
     connectivity_probability,
     delay_vs_distance,
 )
-from repro.rng import StreamFactory
 
 
 class TestConnectivityProbability:

@@ -15,7 +15,6 @@ from repro.routing.temperature import (
     path_highest_temperature,
     path_mixed_temperature,
 )
-from repro.rng import StreamFactory
 from repro.sim.packet import DATA, RREP, RREQ, Packet
 from repro.spectrum.sensing import CarrierSenseMap
 

@@ -185,17 +185,19 @@ class TestJournal:
         good_size = path.stat().st_size
         with open(path, "ab") as handle:
             handle.write(b'{"kind": "repetition", "point": 0, "re')
+        torn_bytes = path.read_bytes()
         recorder = MetricsRecorder()
         with obs.use_recorder(recorder):
-            state = load_checkpoint(path, repair=False)
+            state = load_checkpoint(path)
         assert state.torn_tail
         assert sorted(state.entries) == [(0, 0), (0, 1), (0, 2)]
         assert state.valid_bytes == good_size
         assert recorder.counters["harness.checkpoint.torn_tail"] == 1
-        # repair=False left the file alone; repair=True truncates it.
-        assert path.stat().st_size > good_size
-        load_checkpoint(path, repair=True)
-        assert path.stat().st_size == good_size
+        # Loading is read-only; append_to is the one place that repairs.
+        assert path.read_bytes() == torn_bytes
+        CheckpointWriter.append_to(state).close()
+        assert path.stat().st_size == state.valid_bytes
+        assert path.read_bytes() == torn_bytes[:good_size]
         assert not load_checkpoint(path).torn_tail
 
     def test_valid_final_line_without_newline_is_torn(self, tmp_path):
@@ -268,9 +270,7 @@ class TestJournal:
 
 class TestRetryPolicy:
     def test_backoff_schedule_is_deterministic_and_capped(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.5, backoff_factor=2.0, backoff_max_s=30.0
-        )
+        policy = RetryPolicy(backoff_base_s=0.5, backoff_max_s=30.0)
         assert [policy.backoff_s(a) for a in range(1, 9)] == [
             0.5,
             1.0,
@@ -288,7 +288,7 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_factor=0.5)
+            RetryPolicy(backoff_max_s=-1.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy().backoff_s(0)
         with pytest.raises(ConfigurationError):
@@ -355,13 +355,33 @@ class _Flaky:
         return item * 10
 
 
+class _FakeClock:
+    """A clock that moves only when the supervisor sleeps on it.
+
+    The scheduling loop sleeps until the earliest backoff ends and then
+    reads the clock again, so the clock must advance on ``sleep``.
+    """
+
+    def __init__(self, slept):
+        self.now = 0.0
+        self.slept = slept
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
+
+
 class TestSupervisorInline:
     def _supervisor(self, slept=None, **policy_kwargs):
+        clock = _FakeClock(slept if slept is not None else [])
         return WorkerSupervisor(
             workers=1,
             policy=RetryPolicy(**policy_kwargs),
-            clock=lambda: 0.0,
-            sleep=(slept.append if slept is not None else (lambda _s: None)),
+            clock=clock,
+            sleep=clock.sleep,
         )
 
     def test_retry_then_success_with_backoff_sleeps(self):
@@ -848,36 +868,26 @@ class TestPartialSweeps:
             save_sweep(artifact, "fig6c", plain_points, status="mostly-done")
 
     def test_run_fig6_sweep_raises_on_partial_without_opt_in(
-        self, tmp_path, monkeypatch
+        self, monkeypatch
     ):
+        """The plain driver is fail-fast: one attempt, no rescue, and a
+        quarantined item raises; keeping survivors takes a job run."""
         import repro.perf.executor as executor_module
 
         real = executor_module.execute_work_item
+        poisoned_calls = []
 
         def poisoned(item):
             if item.point_index == 0 and item.repetition == 1:
+                poisoned_calls.append(item)
                 raise ValueError("deterministic poison")
             return real(item)
 
         monkeypatch.setattr(executor_module, "execute_work_item", poisoned)
-        policy = RetryPolicy(
-            max_attempts=1, backoff_base_s=0.0, inline_retry=False
-        )
-        with pytest.raises(PartialSweepError, match="allow_partial"):
-            run_fig6_sweep(
-                tiny_sweep(),
-                tiny_config(),
-                checkpoint_path=tmp_path / "a.ckpt",
-                policy=policy,
-            )
-        points = run_fig6_sweep(
-            tiny_sweep(),
-            tiny_config(),
-            checkpoint_path=tmp_path / "b.ckpt",
-            policy=policy,
-            allow_partial=True,
-        )
-        assert len(points) == 2
+        with pytest.raises(PartialSweepError, match="deterministic poison") as info:
+            run_fig6_sweep(tiny_sweep(), tiny_config())
+        assert "run_job" in str(info.value)
+        assert len(poisoned_calls) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -1009,7 +1019,7 @@ class TestSignals:
         assert process.returncode == 130, process.stderr
         # The journal survived the interrupt with every acknowledged
         # record intact and loadable.
-        state = load_checkpoint(journal, repair=True)
+        state = load_checkpoint(journal)
         assert len(state.entries) >= 2
         assert len(state.entries) < 8, "interrupt arrived after completion"
         self._resume_and_compare(tmp_path, journal, driver_reference)

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
-import pytest
 
 from repro.core.addc import AddcPolicy
 from repro.core.pcr import db_to_linear

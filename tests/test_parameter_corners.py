@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pcr import PcrParameters, compute_pcr
 from repro.errors import PcrDomainError
 from repro.routing.coolest import run_coolest_collection
-from repro.routing.unicast import UnicastPolicy
 
 
 class TestPcrDomainFuzz:

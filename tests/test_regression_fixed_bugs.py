@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph
 from repro.graphs.repair import detach_node, orphaned_subtree
 from repro.graphs.tree import build_collection_tree
 

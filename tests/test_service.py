@@ -265,21 +265,21 @@ class TestJobQueue:
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
             JobQueue(capacity=0)
-        with pytest.raises(ConfigurationError):
-            JobQueue(backoff_factor=0.5)
 
     def test_full_queue_sheds_with_exponential_backoff(self):
-        queue = JobQueue(capacity=1, backoff_base_s=1.0, backoff_max_s=3.0)
+        queue = JobQueue(capacity=1)
         assert queue.offer(tiny_spec(), "a").decision == "queued"
         sheds = [
-            queue.offer(tiny_spec(seed=i), f"s{i}") for i in range(4)
+            queue.offer(tiny_spec(seed=i), f"s{i}") for i in range(8)
         ]
-        assert [s.decision for s in sheds] == ["shed"] * 4
-        # 1, 2, 4 -> capped at 3, then stays capped.
-        assert [s.retry_after_s for s in sheds] == [1.0, 2.0, 3.0, 3.0]
+        assert [s.decision for s in sheds] == ["shed"] * 8
+        # 1 s, doubling -> capped at 60 s, then stays capped.
+        assert [s.retry_after_s for s in sheds] == [
+            1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0
+        ]
 
     def test_backoff_resets_after_admission(self):
-        queue = JobQueue(capacity=1, backoff_base_s=1.0)
+        queue = JobQueue(capacity=1)
         queue.offer(tiny_spec(), "a")
         assert queue.offer(tiny_spec(seed=1), "b").retry_after_s == 1.0
         entry = queue.take(timeout_s=0)

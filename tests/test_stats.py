@@ -69,6 +69,25 @@ class TestBootstrap:
         b = bootstrap_confidence_interval(values, rng=factory.stream("bootstrap"))
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
+    def test_interval_pinned_for_a_seeded_generator(self):
+        """The interval is a function of the injected generator alone.
+
+        Seven values keep every resample mean a left-to-right sum, so
+        the pinned bits do not depend on numpy's SIMD reductions.
+        """
+        values = [12.73, 9.41, 15.02, 10.88, 13.67, 11.19, 8.96]
+        ci = bootstrap_confidence_interval(
+            values, rng=np.random.default_rng(2012)
+        )
+        assert (ci.lower.hex(), ci.upper.hex()) == (
+            "0x1.470a3d70a3d71p+3",
+            "0x1.a9b101767dce3p+3",
+        )
+        other = bootstrap_confidence_interval(
+            values, rng=np.random.default_rng(2013)
+        )
+        assert (other.lower, other.upper) != (ci.lower, ci.upper)
+
     def test_errors(self):
         with pytest.raises(ConfigurationError):
             bootstrap_confidence_interval(
