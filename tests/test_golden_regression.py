@@ -48,6 +48,17 @@ class TestGoldenValues:
         assert result.delay_slots == 2443
         assert result.total_transmissions == 158
         assert result.collisions == 26
+        # Sensing tallies: waiters frozen by PU activity, ready nodes, and
+        # slots with at least one ready node.
+        assert result.frozen_slot_count == 10926
+        assert result.opportunity_slot_count == 514
+        assert result.contention_slot_count == 142
+        assert outcome.engine.fastforward_slots == 2173
+        assert outcome.engine.rng_positions() == {
+            "pu-activity": "fb3172fe0093bb83",
+            "backoff": "523fa29ac175f0b0",
+            "sensing-errors": "b1ef2e0fe80ac39d",
+        }
 
     def test_addc_homogeneous_run(self, golden_topology):
         outcome = run_addc_collection(
@@ -59,6 +70,9 @@ class TestGoldenValues:
         result = outcome.result
         assert result.completed
         assert result.delay_slots == 1131
+        assert result.frozen_slot_count == 8720
+        assert result.opportunity_slot_count == 140
+        assert result.contention_slot_count == 127
         # The frozen-slot fast-forward and the row-buffered streams must
         # skip the same slots and leave every stream where they did.
         assert outcome.engine.fastforward_slots == 905
@@ -76,6 +90,9 @@ class TestGoldenValues:
         result = outcome.result
         assert result.completed
         assert result.delay_slots == 7363
+        assert result.frozen_slot_count == 24081
+        assert result.opportunity_slot_count == 1305
+        assert result.contention_slot_count == 466
         assert outcome.engine.fastforward_slots == 6446
         assert outcome.engine.rng_positions() == {
             "pu-activity": "d2461589a66f1a6f",
