@@ -104,8 +104,8 @@ class RowStream:
     ``generator.random(width)`` call would have returned: rows are drawn
     ahead in blocks (one ``random((rows, width))`` fill consumes the
     generator exactly like that many single-row calls), so a consumer can
-    :meth:`peek` ahead and then :meth:`take` exactly the rows it uses, and
-    nothing is ever rewound.  :meth:`state` reports the generator state
+    :meth:`peek` ahead and then :meth:`take` (or :meth:`skip`) exactly the
+    rows it uses, and nothing is ever rewound.  :meth:`state` reports the generator state
     after exactly the taken rows.
 
     With a ``threshold``, each block is compared once as it is drawn and
@@ -159,10 +159,25 @@ class RowStream:
         self._next += count
         return rows
 
+    def take_row(self) -> np.ndarray:
+        """Consume and return the next row, shape ``(width,)``: ``take(1)[0]``
+        without the intermediate ``(1, width)`` view."""
+        if self._next == self._rows.shape[0]:
+            self.peek(1)
+        row = self._rows[self._next]
+        self._next += 1
+        return row
+
+    def skip(self, count: int) -> None:
+        """Consume the next ``count`` rows without handing them out."""
+        if self._next + count > self._rows.shape[0]:
+            self.peek(count)
+        self._next += count
+
     def random(self, size: Union[int, Tuple[int, ...]]) -> np.ndarray:
         """One row shaped ``size``: the draw ``generator.random(size)`` makes
         (compared with the threshold, if the stream has one)."""
-        return self.take(1)[0].reshape(size)
+        return self.take_row().reshape(size)
 
     def state(self) -> Dict[str, Any]:
         """The generator state after exactly the taken rows."""

@@ -9,8 +9,17 @@ Per-slot procedure
 1. **PU activity.**  Every PU redraws its slotted activity (Bernoulli or
    Markov).  Active PUs block every secondary node within the PU protection
    range (the PCR) — the regulatory constraint both ADDC and baselines obey.
-2. **Contention.**  Every backlogged SU whose protection range is PU-free is
-   *ready*; its would-be expiry time inside the slot is
+   Under the mean field each node is instead blocked i.i.d. with
+   probability ``1 - p_o``, one row of draws per slot.
+2. **Contention.**  Only the *eligible* nodes sense: backlogged, past any
+   collision hold-off, and not mid-transmission.  Their busy states, and
+   no other node's, are computed: under geometric blocking their rows of
+   the PU-incidence product (active PUs heard), under the mean field their
+   entries of the slot's blocking row (the energy detector's and the
+   multi-channel counts are full-width products, read at the eligible
+   nodes).  Every eligible SU that senses its
+   protection range PU-free is *ready*; the rest count as frozen by PU
+   activity.  A ready SU's would-be expiry time inside the slot is
    ``extra_wait + backoff`` (both below the contention window
    ``tau_c < tau``, so an unobstructed timer always fires within the slot).
    Ready SUs are processed in expiry order:
@@ -24,7 +33,9 @@ Per-slot procedure
 
    Timer ties have probability zero with continuous draws (the paper's
    no-simultaneous-expiry assumption); exact float ties break
-   deterministically in favour of the earlier-sorted node.
+   deterministically in favour of the earlier-sorted node.  A slot with
+   nobody ready and nothing on the air skips the freeze resolution and
+   step 3.
 3. **Physical outcome.**  At slot end every transmission is adjudicated by
    the physical interference model: the receiver decodes iff the link SIR —
    signal over the summed interference of all other concurrent SU
@@ -407,12 +418,13 @@ class SlottedEngine:
         self._su_power = topology.secondary.power
         self._base_station = topology.secondary.base_station
         self._queues: List[Deque[Packet]] = [deque() for _ in range(num_nodes)]
-        # Contention state as flat numpy arrays: the per-slot readiness
-        # scan gathers/filters them vectorized; scalar reads/writes in the
-        # sequential resolution loop behave exactly like the old lists.
-        self._backoff = np.zeros(num_nodes)
-        self._drawn = np.zeros(num_nodes)
-        self._extra_wait = np.zeros(num_nodes)
+        # Per-node contention scalars as Python lists: the slot loop reads
+        # and writes them one node at a time, which a list does without
+        # numpy's per-element dispatch, and Python float arithmetic is
+        # float64's, bit for bit.
+        self._backoff: List[float] = [0.0] * num_nodes
+        self._drawn: List[float] = [0.0] * num_nodes
+        self._extra_wait: List[float] = [0.0] * num_nodes
         # Nodes given a fairness wait at the last slot end: the only
         # nonzero entries of _extra_wait, zeroed before the next slot end.
         self._waited: List[int] = []
@@ -438,21 +450,25 @@ class SlottedEngine:
         # they reach the top.
         self._eligible_mask = np.zeros(num_nodes, dtype=bool)
         self._holds: List[Tuple[int, int]] = []
-        self._node_index = np.arange(num_nodes, dtype=np.int64)
-        self._pu_busy = np.zeros(num_nodes, dtype=np.uint8)
+        # The slot's mean-field blocking row (single channel): bool, one
+        # entry per node.  Geometric blocking keeps no per-node row.
+        self._pu_busy = np.zeros(num_nodes, dtype=bool)
         self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
+        self._pu_states32 = np.zeros(topology.primary.num_pus, dtype=np.float32)
         # Indices of currently active PUs, refreshed on every state change
         # (stays empty under homogeneous blocking, where _pu_states never
         # toggles).  Cached so the per-slot paths never rescan the states.
         self._active_pus = np.zeros(0, dtype=np.int64)
-        self._active_pu_list: List[int] = []
-        # Dense PU -> secondary-node hearing incidence; one matrix product
-        # per slot replaces per-toggle Python loops.  The products run in
-        # float32 (numpy sends float products to BLAS but loops over
-        # integer ones) and the counts, at most the PU count < 2**24, stay
-        # exact; they are kept in the incidence's dtype, which never
-        # wraps.  Single-channel mean-field runs never count PUs, so they
-        # keep no copy.
+        # Dense PU -> secondary-node hearing incidence.  A node's busy
+        # count is its row times the float32 PU states, taken only for the
+        # rows read: the nodes that sense this slot, or one transmitter.
+        # The products run in float32 (numpy sends float products to BLAS
+        # but loops over integer ones) and the counts, at most the PU
+        # count < 2**24, are exact in any summation order, so a product
+        # over some rows equals those rows of the full product; counts
+        # handed out are in the incidence's dtype, which never wraps.
+        # Single-channel mean-field runs never count PUs, so they keep no
+        # copy.
         incidence = sense_map.pu_incidence()
         self._count_dtype = incidence.dtype
         multichannel = channel_plan is not None and channel_plan.num_channels > 1
@@ -487,7 +503,7 @@ class SlottedEngine:
         self.channel_plan = channel_plan
         self.channel_strategy = channel_strategy
         self._num_channels = 1 if channel_plan is None else channel_plan.num_channels
-        self._node_channel = np.zeros(num_nodes, dtype=np.int64)
+        self._node_channel: List[int] = [0] * num_nodes
         if (
             channel_plan is not None
             and channel_plan.num_pus != topology.primary.num_pus
@@ -520,8 +536,8 @@ class SlottedEngine:
                 [0] * self._num_channels for _ in range(num_nodes)
             ]
         # Per-channel blocked counts: row c is the busy count of every
-        # node on channel c.  Single-channel mode uses self._pu_busy
-        # directly and leaves this array untouched.
+        # node on channel c.  Single-channel mode leaves this array
+        # untouched.
         self._busy_columns = np.zeros(
             (self._num_channels, num_nodes), dtype=np.int64
         )
@@ -536,6 +552,18 @@ class SlottedEngine:
             else topology.primary.num_pus,
             threshold=self.homogeneous_p_o if homogeneous else None,
         )
+        #: Rows the fast-forward scan peeks at most at once, over every
+        #: stream it reads.
+        self._ff_max_chunk = (
+            min(self._pu_rng.max_peek, self._sensing_rng.max_peek)
+            if self._imperfect_sensing
+            else self._pu_rng.max_peek
+        )
+        # Policy hooks, looked up once.
+        self._next_hop = policy.next_hop
+        self._fairness_wait = bool(policy.fairness_wait)
+        self._on_data_arrival = getattr(policy, "on_data_arrival", None)
+        self._on_control_arrival = getattr(policy, "on_control_arrival", None)
         self._slot = 0
         self._started = False
 
@@ -1002,15 +1030,20 @@ class SlottedEngine:
             now = clock()
             sensing_s += now - mark
             mark = now
-            transmitters = self._resolve_freezes(ready)
-            now = clock()
-            backoff_s += now - mark
-            mark = now
-            completing, concurrent = self._on_air(transmitters)
-            outcomes = self._adjudicate(completing, concurrent)
-            now = clock()
-            adjudicate_s += now - mark
-            mark = now
+            if ready or self._ongoing:
+                transmitters = self._resolve_freezes(ready)
+                now = clock()
+                backoff_s += now - mark
+                mark = now
+                completing, concurrent = self._on_air(transmitters)
+                outcomes = self._adjudicate(completing, concurrent)
+                now = clock()
+                adjudicate_s += now - mark
+                mark = now
+            else:
+                # Nobody ready and nothing on the air: no freezes to
+                # resolve, nothing to adjudicate.
+                completing = outcomes = concurrent = []
             self._finish_slot(completing, outcomes, concurrent)
             now = clock()
             if completing:
@@ -1097,20 +1130,20 @@ class SlottedEngine:
         # _pu_states stays all-inactive.  The stream's rows are already
         # the bool ``draw >= p_o``.
         if self._num_channels == 1:
-            self._pu_busy = self._pu_rng.take(1)[0]
+            self._pu_busy = self._pu_rng.take_row()
             return
         self._busy_columns = self._pu_rng.random(
             (self._num_nodes, self._num_channels)
         ).T
 
     def _recompute_pu_busy(self) -> None:
-        self._active_pus = np.nonzero(self._pu_states)[0]
-        self._active_pu_list = [int(i) for i in self._active_pus]
-        if self.topology.primary.num_pus == 0:
-            return
+        """Refresh what the PU states feed: the active-PU list and, with
+        one channel, the float32 states each busy count multiplies."""
+        self._active_pus = self._pu_states.nonzero()[0]
         if self._num_channels == 1:
-            counts = self._pu_incidence32 @ self._pu_states.astype(np.float32)
-            self._pu_busy = counts.astype(self._count_dtype)
+            self._pu_states32 = self._pu_states.astype(np.float32)
+            return
+        if self.topology.primary.num_pus == 0:
             return
         # Row c of the transpose: every node's active PUs on channel c.
         self._busy_columns = (
@@ -1121,9 +1154,11 @@ class SlottedEngine:
     def _blocked_on(self, node: int, channel: int) -> bool:
         """Whether PU activity blocks ``node`` on ``channel`` this slot."""
         # bool() of the scalar: comparing a numpy bool with 0 is slow.
-        if self._num_channels == 1:
+        if self._num_channels > 1:
+            return bool(self._busy_columns[channel][node])
+        if self.blocking == "homogeneous":
             return bool(self._pu_busy[node])
-        return bool(self._busy_columns[channel][node])
+        return bool(self._pu_incidence32[node] @ self._pu_states32)
 
     # ------------------------------------------------------------------ #
     # Frozen-slot fast-forward                                            #
@@ -1169,7 +1204,7 @@ class SlottedEngine:
             horizon = min(horizon, self._holds[0][0])
         if horizon <= slot:
             return
-        waiters = np.nonzero(self._eligible_mask)[0]
+        waiters = self._eligible_mask.nonzero()[0]
         skipped = self._scan_frozen_prefix(waiters, horizon - slot)
         if skipped == 0:
             return
@@ -1179,7 +1214,7 @@ class SlottedEngine:
         # skipped slot counted every eligible waiter as frozen-by-PU and
         # zeroed every fairness carry-over (none while arming needs a
         # slot with nothing on the air: that slot end gave no wait).
-        self._result.frozen_slot_count += skipped * int(waiters.size)
+        self._result.frozen_slot_count += skipped * waiters.size
         self._clear_fairness_waits()
         if self.blocking != "homogeneous":
             self._recompute_pu_busy()
@@ -1192,35 +1227,35 @@ class SlottedEngine:
         With no waiter every slot is frozen, so the whole window goes.
         """
         homogeneous = self.blocking == "homogeneous"
-        streams = [self._pu_rng]
-        if self._imperfect_sensing:
-            streams.append(self._sensing_rng)
-        max_chunk = min(stream.max_peek for stream in streams)
+        pu_rng = self._pu_rng
+        imperfect = self._imperfect_sensing
+        if not homogeneous:
+            incidence = self._pu_incidence32[waiters].T
         skipped = 0
         chunk = _FF_MIN_CHUNK
         while skipped < window:
-            count = min(chunk, max_chunk, window - skipped)
-            draws = self._pu_rng.peek(count)
+            count = min(chunk, self._ff_max_chunk, window - skipped)
+            draws = pu_rng.peek(count)
             if homogeneous:
                 # Bool rows: the blocking draws compared at refill.
-                busy = draws[:, waiters]
+                busy = draws.take(waiters, axis=1)
             else:
                 states = self.topology.primary.activity.next_states_batch(
                     self._pu_states, draws
                 )
-                incidence = self._pu_incidence32[waiters].T
                 busy = (states.astype(np.float32) @ incidence) > 0
-            if self._imperfect_sensing:
+            if imperfect:
                 busy = _sensed_busy(
                     busy,
-                    self._sensing_rng.peek(count)[:, waiters],
+                    self._sensing_rng.peek(count).take(waiters, axis=1),
                     self.p_false_alarm,
                     self.p_missed_detection,
                 )
             run = _frozen_prefix(busy)
             if run:
-                for stream in streams:
-                    stream.take(run)
+                pu_rng.skip(run)
+                if imperfect:
+                    self._sensing_rng.skip(run)
                 if homogeneous:
                     self._pu_busy = draws[run - 1]
                 else:
@@ -1302,16 +1337,16 @@ class SlottedEngine:
 
         A node is ready when it is backlogged, past its hold-off, not
         mid-transmission, and senses its spectrum free.  Equal expiries
-        keep ascending node order: the ``(expiry, node)`` key.
+        keep ascending node order: the ``(expiry, node)`` key.  Only the
+        eligible nodes sense, so only their busy states are computed: the
+        slot's full-width sensing-error row is still drawn, and read at
+        those nodes.
         """
         if self._imperfect_sensing:
-            sensing_draws = self._sensing_rng.random(self._num_nodes)
+            sensing_draws = self._sensing_rng.take_row()
         if not self._active:
             return []
         self._release_holds()
-        # Readiness scan, vectorized over full per-node arrays.  Every step
-        # is a mask (order-independent), so no container iteration order
-        # can leak into results.
         eligible = self._eligible_mask
         ongoing = self._ongoing
         if ongoing:
@@ -1320,6 +1355,11 @@ class SlottedEngine:
             eligible[
                 np.fromiter(ongoing.keys(), dtype=np.int64, count=len(ongoing))
             ] = False
+        # Every step below is elementwise over the ascending eligible
+        # indices, so no container iteration order can leak into results.
+        idx = eligible.nonzero()[0]
+        if not idx.size:
+            return []
         if self.detector is not None:
             # Energy detection: P(sensed busy) = 1 - P(miss every active
             # in-range PU) * P(no false alarm), vectorized per slot.
@@ -1327,20 +1367,21 @@ class SlottedEngine:
             p_sensed_busy = 1.0 - miss_all * (
                 1.0 - self.detector.false_alarm_probability
             )
-            sensed = sensing_draws < p_sensed_busy
+            sensed = sensing_draws[idx] < p_sensed_busy[idx]
         else:
-            if self._num_channels == 1:
-                busy = self._pu_busy
-                if self.blocking == "geometric":
-                    # Counts of the active PUs each node hears; homogeneous
-                    # blocking keeps its bool draw row as it is.
-                    busy = busy > 0
+            if self._num_channels > 1:
+                channels = [self._node_channel[node] for node in idx.tolist()]
+                busy = self._busy_columns[channels, idx] > 0
+            elif self.blocking == "homogeneous":
+                # The bool blocking draws, compared with p_o at refill.
+                busy = self._pu_busy[idx]
             else:
-                busy = self._busy_columns[self._node_channel, self._node_index] > 0
+                # The eligible rows of the busy-count product.
+                busy = (self._pu_incidence32[idx] @ self._pu_states32) > 0
             if self._imperfect_sensing:
                 sensed = _sensed_busy(
                     busy,
-                    sensing_draws,
+                    sensing_draws[idx],
                     self.p_false_alarm,
                     self.p_missed_detection,
                 )
@@ -1349,32 +1390,25 @@ class SlottedEngine:
         # Sensing faults pin the detector output, consuming no draws; a
         # node under both faults senses busy (stuck-busy wins).
         if self._stuck_idle:
-            sensed = sensed.copy()
-            sensed[
-                np.fromiter(
-                    self._stuck_idle, dtype=np.int64, count=len(self._stuck_idle)
-                )
-            ] = False
+            sensed = sensed & ~np.isin(idx, list(self._stuck_idle))
         if self._stuck_busy:
-            sensed = sensed.copy()
-            sensed[
-                np.fromiter(
-                    self._stuck_busy, dtype=np.int64, count=len(self._stuck_busy)
-                )
-            ] = True
-        ready_nodes = np.nonzero(eligible & ~sensed)[0]
-        self._result.frozen_slot_count += (
-            int(np.count_nonzero(eligible)) - ready_nodes.size
-        )
-        if not ready_nodes.size:
+            sensed = sensed | np.isin(idx, list(self._stuck_busy))
+        ready_nodes = idx[~sensed].tolist()
+        count = len(ready_nodes)
+        result = self._result
+        result.frozen_slot_count += idx.size - count
+        if not count:
             return []
-        self._result.opportunity_slot_count += int(ready_nodes.size)
-        self._result.contention_slot_count += 1
-        if ready_nodes.size == 1:
-            node = int(ready_nodes[0])
-            return [(float(self._extra_wait[node] + self._backoff[node]), node)]
-        expiries = self._extra_wait[ready_nodes] + self._backoff[ready_nodes]
-        return sorted(zip(expiries.tolist(), ready_nodes.tolist()))
+        result.opportunity_slot_count += count
+        result.contention_slot_count += 1
+        extra_wait = self._extra_wait
+        backoff = self._backoff
+        if count == 1:
+            node = ready_nodes[0]
+            return [(extra_wait[node] + backoff[node], node)]
+        return sorted(
+            [(extra_wait[node] + backoff[node], node) for node in ready_nodes]
+        )
 
     def _resolve_freezes(
         self, ready: List[Tuple[float, int]]
@@ -1390,6 +1424,9 @@ class SlottedEngine:
             return []
         hearers = self._hearers
         node_channel = self._node_channel
+        extra_wait = self._extra_wait
+        backoff = self._backoff
+        trace = self.trace
         # Transmissions on the air, by start time: those still in flight
         # from earlier slots hold their hearers from the slot's start, and
         # each winner is appended at its expiry.  Every entry therefore
@@ -1401,7 +1438,7 @@ class SlottedEngine:
         ]
         transmitters: List[Tuple[float, int, int, int]] = []
         for expiry, node in ready:
-            channel = int(node_channel[node])
+            channel = node_channel[node]
             block_time = None
             for start, on_channel, heard_by in on_air:
                 if on_channel == channel and node in heard_by:
@@ -1409,10 +1446,10 @@ class SlottedEngine:
                     break
             if block_time is not None:
                 # Frozen mid-countdown (lines 6-7): keep the remainder.
-                consumed = max(0.0, block_time - self._extra_wait[node])
-                self._backoff[node] = max(self._backoff[node] - consumed, 1e-12)
-                if self.trace is not None:
-                    self.trace.record(
+                consumed = max(0.0, block_time - extra_wait[node])
+                backoff[node] = max(backoff[node] - consumed, 1e-12)
+                if trace is not None:
+                    trace.record(
                         TraceEvent(
                             slot=self._slot,
                             kind=TraceKind.FREEZE,
@@ -1423,11 +1460,11 @@ class SlottedEngine:
                 continue
 
             packet = self._queues[node][0]
-            receiver = self.policy.next_hop(node, packet)
+            receiver = self._next_hop(node, packet)
             transmitters.append((expiry, node, receiver, channel))
             on_air.append((expiry, channel, hearers[node]))
-            if self.trace is not None:
-                self.trace.record(
+            if trace is not None:
+                trace.record(
                     TraceEvent(
                         slot=self._slot,
                         kind=TraceKind.TX_START,
@@ -1633,7 +1670,7 @@ class SlottedEngine:
             self.last_slot_su_channels = [
                 channel for _, _, _, channel in concurrent
             ]
-            self.last_slot_active_pus = list(self._active_pu_list)
+            self.last_slot_active_pus = self._active_pus.tolist()
         if concurrent:
             count = len(concurrent)
             histogram = self._result.concurrent_tx_histogram
@@ -1642,32 +1679,39 @@ class SlottedEngine:
         # slots are frozen candidates until someone transmits again.
         self._ff_armed = self._ff_enabled and not concurrent
         self._clear_fairness_waits()
+        if not completing:
+            return
+        result = self._result
+        queues = self._queues
+        trace = self.trace
         extra_wait = self._extra_wait
         waited = self._waited
+        multislot = self.packet_slots > 1
+        multichannel = self._num_channels > 1
 
         newly_active: List[int] = []
         finished_nodes: List[int] = []
         for (_, node, receiver, channel), success in zip(completing, outcomes):
-            if self.packet_slots > 1:
+            if multislot:
                 del self._ongoing[node]
-            self._result.tx_attempts[node] = self._result.tx_attempts.get(node, 0) + 1
-            if self._num_channels > 1:
+            result.tx_attempts[node] = result.tx_attempts.get(node, 0) + 1
+            if multichannel:
                 self._channel_attempts[node][channel] += 1
                 if success:
                     self._channel_successes[node][channel] += 1
             if self._blocked_on(node, channel):
                 # A missed detection let this node transmit while a PU was
                 # active inside its protection range (on its channel).
-                self._result.pu_violations += 1
+                result.pu_violations += 1
             if self._bs_blackouts > 0 and receiver == self._base_station:
                 # Base-station blackout: the sink is not listening, so the
                 # delivery fails regardless of SIR.  The sender backs off
                 # exponentially and retries; this is *not* a collision
                 # (ADDC's collision-free property is about contention).
-                self._result.blackout_failures += 1
+                result.blackout_failures += 1
                 self._start_hold_off(node)
-                if self.trace is not None:
-                    self.trace.record(
+                if trace is not None:
+                    trace.record(
                         TraceEvent(
                             slot=self._slot,
                             kind=TraceKind.TX_ABORT,
@@ -1679,10 +1723,10 @@ class SlottedEngine:
                 # Hidden-terminal collision or capture loss: the packet
                 # stays queued and is retransmitted after an exponentially
                 # growing random hold-off (the paper's footnote 2).
-                self._result.collisions += 1
+                result.collisions += 1
                 self._start_hold_off(node)
-                if self.trace is not None:
-                    self.trace.record(
+                if trace is not None:
+                    trace.record(
                         TraceEvent(
                             slot=self._slot,
                             kind=TraceKind.TX_COLLISION,
@@ -1692,18 +1736,18 @@ class SlottedEngine:
                     )
             else:
                 self._collision_streak[node] = 0
-                packet = self._queues[node].popleft()
+                packet = queues[node].popleft()
                 packet.hops += 1
                 if packet.route is not None:
                     packet.route_pos += 1
-                self._result.tx_successes[node] = (
-                    self._result.tx_successes.get(node, 0) + 1
+                result.tx_successes[node] = (
+                    result.tx_successes.get(node, 0) + 1
                 )
-                self._result.rx_successes[receiver] = (
-                    self._result.rx_successes.get(receiver, 0) + 1
+                result.rx_successes[receiver] = (
+                    result.rx_successes.get(receiver, 0) + 1
                 )
-                if self.trace is not None:
-                    self.trace.record(
+                if trace is not None:
+                    trace.record(
                         TraceEvent(
                             slot=self._slot,
                             kind=TraceKind.TX_SUCCESS,
@@ -1721,7 +1765,7 @@ class SlottedEngine:
                 else:
                     arrived = receiver == self._base_station
                 if packet.is_data and arrived:
-                    self._result.deliveries.append(
+                    result.deliveries.append(
                         PacketRecord(
                             packet_id=packet.packet_id,
                             source=packet.source,
@@ -1730,8 +1774,8 @@ class SlottedEngine:
                             hops=packet.hops,
                         )
                     )
-                    if self.trace is not None:
-                        self.trace.record(
+                    if trace is not None:
+                        trace.record(
                             TraceEvent(
                                 slot=self._slot,
                                 kind=TraceKind.DELIVERY,
@@ -1744,40 +1788,40 @@ class SlottedEngine:
                     # A control packet reached its final node: let the
                     # policy react (e.g. answer an RREQ with an RREP, or
                     # release a data packet on RREP arrival).
-                    handler = getattr(self.policy, "on_control_arrival", None)
+                    handler = self._on_control_arrival
                     spawned = handler(packet, receiver) if handler else []
                     for new_packet in spawned:
-                        self._queues[receiver].append(new_packet)
+                        queues[receiver].append(new_packet)
                         self._note_queue(receiver)
                     if spawned and receiver not in self._active:
                         newly_active.append(receiver)
                 else:
-                    data_handler = getattr(self.policy, "on_data_arrival", None)
+                    data_handler = self._on_data_arrival
                     if data_handler is not None and packet.is_data:
                         # Aggregating policies absorb arriving data and
                         # decide what (if anything) the relay forwards.
                         spawned = data_handler(packet, receiver)
                         for new_packet in spawned:
-                            self._queues[receiver].append(new_packet)
+                            queues[receiver].append(new_packet)
                             self._note_queue(receiver)
                         if spawned and receiver not in self._active:
                             newly_active.append(receiver)
                     else:
-                        self._queues[receiver].append(packet)
+                        queues[receiver].append(packet)
                         self._note_queue(receiver)
                         if receiver not in self._active:
                             newly_active.append(receiver)
 
-            if self.policy.fairness_wait:
+            if self._fairness_wait:
                 extra_wait[node] = self.contention_window_ms - self._drawn[node]
                 waited.append(node)
-            if self._queues[node]:
+            if queues[node]:
                 self._draw_backoff(node)
             else:
                 finished_nodes.append(node)
 
         for node in finished_nodes:
-            if self._queues[node]:
+            if queues[node]:
                 # A later same-slot transmission (possible on another
                 # channel) delivered into this node after it drained its
                 # own queue: it stays active with a fresh backoff.
@@ -1786,8 +1830,8 @@ class SlottedEngine:
             # Record the contention span for energy accounting (the node
             # may re-activate later; spans accumulate).
             span = self._slot - self._first_active_slot.pop(node, self._slot) + 1
-            self._result.active_slot_spans[node] = (
-                self._result.active_slot_spans.get(node, 0) + span
+            result.active_slot_spans[node] = (
+                result.active_slot_spans.get(node, 0) + span
             )
             self._active.discard(node)
             self._eligible_mask[node] = False
@@ -1880,6 +1924,26 @@ class SlottedEngine:
                 state.encode("utf-8"), digest_size=8
             ).hexdigest()
         return fingerprints
+
+    def busy_counts(self, nodes) -> np.ndarray:
+        """Active PUs each of ``nodes`` hears this slot, in the dtype of
+        the sensing map's PU incidence.
+
+        Shape ``(len(nodes),)`` with one channel and ``(len(nodes), C)``,
+        one count per channel, with a channel plan.  Under the mean field
+        a count is the slot's blocking draw: 1 when blocked, else 0.
+        """
+        if self._num_channels > 1:
+            counts = self._busy_columns[:, nodes].T
+        elif self.blocking == "homogeneous":
+            counts = self._pu_busy[nodes]
+        else:
+            counts = self._pu_incidence32[nodes] @ self._pu_states32
+        return counts.astype(self._count_dtype)
+
+    def fairness_waits(self) -> np.ndarray:
+        """Each node's fairness wait (ms) into the next slot, as a copy."""
+        return np.array(self._extra_wait)
 
     def queue_length(self, node: int) -> int:
         """Current queue length at a node (for tests and live inspection)."""

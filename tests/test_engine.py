@@ -388,7 +388,7 @@ class TestPuBusyCounts:
         node = self.hearing_all(topology, sense_map)
         engine._pu_states = np.ones(256, dtype=bool)
         engine._recompute_pu_busy()
-        assert engine._pu_busy[node] == 256
+        assert engine.busy_counts([node]).tolist() == [256]
         assert engine._blocked_on(node, 0)
 
     def test_the_centralized_scheduler_counts_them_too(self, crowded):
@@ -424,8 +424,9 @@ class TestPuBusyCounts:
             expected = incidence @ states.astype(incidence.dtype)
             engine._pu_states = states
             engine._recompute_pu_busy()
-            assert engine._pu_busy.dtype == incidence.dtype
-            np.testing.assert_array_equal(engine._pu_busy, expected)
+            counts = engine.busy_counts(np.arange(len(expected)))
+            assert counts.dtype == incidence.dtype
+            np.testing.assert_array_equal(counts, expected)
             scheduler._pu_states = states
             scheduler._recompute_pu_busy()
             assert scheduler._pu_busy == expected.tolist()

@@ -106,7 +106,7 @@ class ConservationOracle:
         )
         active = np.zeros(engine._num_nodes, dtype=bool)
         active[list(engine._active)] = True
-        stale = np.nonzero(engine._extra_wait[~active])[0]
+        stale = np.nonzero(engine.fairness_waits()[~active])[0]
         assert stale.size == 0, (
             f"slot {engine.slot}: inactive nodes "
             f"{np.nonzero(~active)[0][stale].tolist()} "
@@ -362,7 +362,7 @@ def test_a_crashed_node_keeps_no_fairness_wait():
     holders = []
 
     def first_wait(engine):
-        waiting = np.nonzero(engine._extra_wait)[0]
+        waiting = np.nonzero(engine.fairness_waits())[0]
         if waiting.size and not holders:
             holders.append((engine.slot, int(waiting[0])))
 

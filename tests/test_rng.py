@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.addc import AddcPolicy
+from repro.experiments.config import ExperimentConfig
+from repro.graphs.tree import build_collection_tree
+from repro.network.channels import ChannelPlan
+from repro.network.deployment import deploy_crn
 from repro.rng import RowStream, StreamFactory, derive_seed
 from repro.rng.streams import ROW_BLOCK_UNIFORMS
+from repro.sim.engine import SlottedEngine
+from repro.spectrum.sensing import sensing_at_pcr
 
 
 class TestDeriveSeed:
@@ -154,6 +164,49 @@ class TestRowStream:
             assert rows.state() == raw.state()
 
     @pytest.mark.parametrize("width", [0, 1, 7, 115])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_row_takes_and_skips_match_single_row_draws(self, width, data):
+        """Any interleaving of ``take_row``, ``skip``, ``peek`` and ``take``
+        hands out the rows of plain ``generator.random(width)`` calls, one
+        call per row consumed, and ``state()`` stays that generator's."""
+        largest = 2 * ROW_BLOCK_UNIFORMS // max(1, width)
+        ops = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["take_row", "skip", "peek", "take"]),
+                    st.integers(0, largest),
+                ),
+                max_size=8,
+            )
+        )
+        plain = _fresh(width)
+        rows = RowStream(_fresh(width), width)
+
+        def plain_rows(generator, count):
+            return np.array(
+                [generator.random(width) for _ in range(count)]
+            ).reshape(count, width)
+
+        for op, count in ops:
+            if op == "take_row":
+                got = rows.take_row()
+                assert got.shape == (width,)
+                np.testing.assert_array_equal(got, plain.random(width))
+            elif op == "skip":
+                rows.skip(count)
+                plain_rows(plain, count)
+            elif op == "peek":
+                np.testing.assert_array_equal(
+                    rows.peek(count), plain_rows(copy.deepcopy(plain), count)
+                )
+            else:
+                np.testing.assert_array_equal(
+                    rows.take(count), plain_rows(plain, count)
+                )
+            assert rows.state() == plain.bit_generator.state
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 115])
     def test_never_drawn_and_peek_only_streams_report_the_fresh_state(self, width):
         fresh_state = _fresh(width).bit_generator.state
         assert RowStream(_fresh(width), width).state() == fresh_state
@@ -215,3 +268,72 @@ class TestRowStream:
         reference.random((3 * block + 5, width))
         assert rows.state() == reference.bit_generator.state
         np.testing.assert_array_equal(rows.take(2), oracle[3 * block + 5 :])
+
+
+@functools.lru_cache(maxsize=None)
+def _geometric_engine(channels: int):
+    """A geometric-blocking engine, its PU incidence and each PU's channel."""
+    config = ExperimentConfig(
+        area=40.0 * 40.0, num_pus=30, num_sus=60, repetitions=1
+    )
+    factory = StreamFactory(3)
+    topology = deploy_crn(config.deployment_spec(), factory.spawn("busy"))
+    _, sense_map, _ = sensing_at_pcr(
+        topology, alpha=4.0, eta_p_db=8.0, eta_s_db=8.0
+    )
+    num_pus = topology.primary.num_pus
+    plan = (
+        ChannelPlan.uniform(num_pus, channels, np.random.default_rng(4))
+        if channels > 1
+        else None
+    )
+    engine = SlottedEngine(
+        topology,
+        sense_map,
+        AddcPolicy(
+            build_collection_tree(
+                topology.secondary.graph, topology.secondary.base_station
+            )
+        ),
+        factory.spawn("engine"),
+        channel_plan=plan,
+    )
+    pu_channels = (
+        np.zeros(num_pus, dtype=np.int64) if plan is None else plan.pu_channels
+    )
+    return engine, sense_map.pu_incidence(), pu_channels
+
+
+class TestBusyCountRows:
+    """The engine counts busy PUs only for the rows it reads: the busy
+    counts of any subset of nodes, in any order, must be those rows of
+    the full integer product, per channel with a channel plan."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_rows_are_those_rows_of_the_full_product(self, channels, data):
+        engine, incidence, pu_channels = _geometric_engine(channels)
+        num_nodes, num_pus = incidence.shape
+        states = np.array(
+            data.draw(st.lists(st.booleans(), min_size=num_pus, max_size=num_pus)),
+            dtype=bool,
+        )
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, num_nodes - 1), unique=True)),
+            dtype=np.int64,
+        )
+        engine._pu_states = states
+        engine._recompute_pu_busy()
+        full = np.stack(
+            [
+                incidence @ (states & (pu_channels == channel)).astype(incidence.dtype)
+                for channel in range(channels)
+            ],
+            axis=1,
+        )
+        got = engine.busy_counts(rows)
+        assert got.dtype == incidence.dtype
+        np.testing.assert_array_equal(
+            got, full[rows] if channels > 1 else full[rows, 0]
+        )

@@ -36,10 +36,11 @@ def observe_blocking(topology, streams, blocking, p_o=None, slots=4000):
     sense_map = CarrierSenseMap(topology, pcr.pcr)
     tree = build_collection_tree(topology.secondary.graph, 0)
     history = []
+    nodes = np.arange(topology.secondary.num_nodes)
 
     def hook(engine):
         if engine.slot < slots:
-            history.append(list(engine._pu_busy))
+            history.append(engine.busy_counts(nodes))
 
     engine = SlottedEngine(
         topology=topology,
