@@ -29,6 +29,9 @@ __all__ = ["derive_seed", "StreamFactory", "RowStream"]
 #: once one is freed, raise that threshold and then come from the heap,
 #: where their leftovers made a process's peak RSS jump by about a block
 #: with unrelated allocation changes.  The block also stays in cache.
+#: A thresholded stream draws its floats one block at a time for the
+#: same reason: a whole-peek float temporary (4 MiB at a 2000-wide
+#: paper-scale peek) made the mean-field repetition's peak RSS jump.
 ROW_BLOCK_UNIFORMS = 2 ** 13
 ROW_PEEK_UNIFORMS = 2 ** 19
 
@@ -105,8 +108,8 @@ class RowStream:
     ahead in blocks (one ``random((rows, width))`` fill consumes the
     generator exactly like that many single-row calls), so a consumer can
     :meth:`peek` ahead and then :meth:`take` (or :meth:`skip`) exactly the
-    rows it uses, and nothing is ever rewound.  :meth:`state` reports the generator state
-    after exactly the taken rows.
+    rows it uses, and nothing is ever rewound.  :meth:`state` reports the
+    generator state after exactly the taken rows.
 
     With a ``threshold``, each block is compared once as it is drawn and
     the rows are bool, ``uniform >= threshold``: for consumers that only
@@ -143,11 +146,16 @@ class RowStream:
             if self._threshold is None:
                 self._generator.random(out=rows[kept:])
             else:
-                np.greater_equal(
-                    self._generator.random(rows[kept:].shape),
-                    self._threshold,
-                    out=rows[kept:],
-                )
+                # One block of float draws at a time, so a long peek's
+                # temporary stays a block; consecutive random() calls
+                # consume the generator exactly like one.
+                for start in range(kept, rows.shape[0], self._block_rows):
+                    block = rows[start : start + self._block_rows]
+                    np.greater_equal(
+                        self._generator.random(block.shape),
+                        self._threshold,
+                        out=block,
+                    )
             rows.setflags(write=False)  # callers get views: keep them intact
             self._rows = rows
             self._next = 0
