@@ -1222,7 +1222,7 @@ class SlottedEngine:
     def _scan_frozen_prefix(self, waiters: np.ndarray, window: int) -> int:
         """Length of the frozen-slot run starting now, capped at ``window``.
 
-        Peeks at doubling chunks of rows and takes exactly the frozen
+        Peeks at doubling chunks of rows and consumes exactly the frozen
         prefix, leaving the PU state where the slot-by-slot loop would.
         With no waiter every slot is frozen, so the whole window goes.
         """
