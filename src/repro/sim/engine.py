@@ -1338,9 +1338,9 @@ class SlottedEngine:
         A node is ready when it is backlogged, past its hold-off, not
         mid-transmission, and senses its spectrum free.  Equal expiries
         keep ascending node order: the ``(expiry, node)`` key.  Only the
-        eligible nodes sense, so only their busy states are computed: the
-        slot's full-width sensing-error row is still drawn, and read at
-        those nodes.
+        eligible nodes sense, so only their busy states are computed; the
+        slot's sensing-error row is drawn for every node, as the stream
+        hands out rows, and read at the eligible ones.
         """
         if self._imperfect_sensing:
             sensing_draws = self._sensing_rng.take_row()
