@@ -52,15 +52,26 @@ Per-slot procedure
    waits ``tau_c - t_i`` of wall clock before its next backoff draw
    (line 12) when the policy asks for it.
 
-With ``packet_slots > 1``, step 2's winners stay on the air across slots,
-blocking their neighbourhoods from each subsequent slot's start, and the
-paper's spectrum-handoff rule aborts them when a PU reclaims the channel
-mid-flight; adjudication happens at the final slot.  See docs/MODEL.md for
-the full semantics.
-
 After a slot with nothing on the air, the engine skips the run of slots in
 which every waiting node senses busy in one step (see _try_fast_forward);
 a slot hook, energy detector, channel plan or replayed activity turns it off.
+
+The paper core (one channel, perfect sensing, 1-slot packets, no faults,
+no future arrivals, no slot hook: every Fig. 6 point and Theorem 2 check)
+is the procedure above and nothing else.  Each extension enters the slot
+path at one place, behind a guard the core skips:
+
+* faults: ``_process_faults``; future arrivals: ``_inject_arrivals``;
+* multi-slot packets: ``_handoff_check`` (the paper's spectrum handoff
+  aborts a packet whose channel a PU reclaims mid-flight) and ``_on_air``
+  (winners stay on the air, adjudicated at their final slot);
+* flat sensing errors: ``_sensed_busy``; energy detector: its branch of
+  ``_sense_ready``; multi-channel: ``_pick_channel`` at each backoff draw;
+* PU-protection violations (only with missed detections, a detector or
+  stuck-idle faults): ``_blocked_on``; the slot hook: each slot's end.
+
+A node leaves the active set only through ``_deactivate``, which closes
+its listening span.  See docs/MODEL.md for the full semantics.
 """
 
 from __future__ import annotations
@@ -344,27 +355,16 @@ class SlottedEngine:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
         self.p_false_alarm = float(p_false_alarm)
         self.p_missed_detection = float(p_missed_detection)
-        self._imperfect_sensing = p_false_alarm > 0.0 or p_missed_detection > 0.0
-        if p_missed_detection > 0.0 and blocking == "homogeneous":
-            raise ConfigurationError(
-                "missed detections need blocking='geometric': the mean-field "
-                "model folds PU interference into the blocking itself, so a "
-                "missed detection there would grant a consequence-free "
-                "transmission (false alarms alone are fine in either mode)"
-            )
         self.detector = detector
-        if detector is not None:
-            if blocking == "homogeneous":
-                raise ConfigurationError(
-                    "energy detection needs blocking='geometric' (the "
-                    "mean-field model has no PU positions to detect)"
-                )
-            if channel_plan is not None and channel_plan.num_channels > 1:
-                raise ConfigurationError(
-                    "energy detection currently supports the single-channel "
-                    "model only"
-                )
-            self._imperfect_sensing = True
+        self._imperfect_sensing = (
+            p_false_alarm > 0.0 or p_missed_detection > 0.0 or detector is not None
+        )
+        multichannel = channel_plan is not None and channel_plan.num_channels > 1
+        if detector is not None and multichannel:
+            raise ConfigurationError(
+                "energy detection currently supports the single-channel "
+                "model only"
+            )
         self._sensing_rng = RowStream(
             streams.stream("sensing-errors"), topology.secondary.num_nodes
         )
@@ -373,14 +373,22 @@ class SlottedEngine:
         fault_plan.validate_for(
             topology.secondary.su_ids(), topology.secondary.base_station
         )
-        if blocking == "homogeneous" and any(
-            event.kind == "stuck-idle" for event in fault_plan
-        ):
+        # Only a node that senses a PU-busy spectrum free can violate PU
+        # protection: a missed detection (flat or the detector's) or a
+        # detector stuck idle.  Without one the per-transmission check goes.
+        self._violations_possible = (
+            p_missed_detection > 0.0
+            or detector is not None
+            or any(event.kind == "stuck-idle" for event in fault_plan)
+        )
+        if blocking == "homogeneous" and self._violations_possible:
             raise ConfigurationError(
-                "stuck-idle sensing faults need blocking='geometric': the "
-                "mean-field model folds PU interference into the blocking, "
-                "so a pinned-idle detector there would transmit consequence-"
-                "free (stuck-busy faults are fine in either mode)"
+                "missed detections, energy detection and stuck-idle faults "
+                "need blocking='geometric': the mean-field model folds PU "
+                "interference into the blocking and has no PU positions, so "
+                "a node sensing a busy spectrum free there would transmit "
+                "consequence-free (false alarms and stuck-busy faults are "
+                "fine in either mode)"
             )
         # Onset events per slot; same-slot events apply in authoring order.
         self._fault_onsets = fault_plan.onsets_by_slot()
@@ -388,14 +396,11 @@ class SlottedEngine:
         self._fault_expiries: Dict[int, List[FaultEvent]] = {}
         self._has_faults = bool(self._fault_onsets)
         self._dead: set = set()
-        # Transient-outage state: nodes currently powered off or stranded
-        # (detached by a repair, waiting for a parent), their scheduled
-        # rejoin slots, open fault records, and buffered arrivals.  A
-        # stranded node maps to the record of the outage that stranded it.
-        self._down: set = set()
-        self._stranded: Dict[int, FaultRecord] = {}
-        self._rejoin_at: Dict[int, int] = {}
-        self._open_outages: Dict[int, FaultRecord] = {}
+        # Transient-outage state: each node currently down (powered off,
+        # or stranded: detached by a repair, waiting for a parent) mapped
+        # to its scheduled rejoin slot and the record of the outage that
+        # took it down or stranded it; and buffered arrivals.
+        self._down: Dict[int, Tuple[int, FaultRecord]] = {}
         self._deferred_arrivals: Dict[int, List[Packet]] = {}
         # Sensing-fault and link-degradation state (active windows).
         self._stuck_busy: set = set()
@@ -437,9 +442,9 @@ class SlottedEngine:
         # Multi-slot transmissions in flight: node -> (receiver, channel,
         # end_slot, expiry_at_start).  Empty whenever packet_slots == 1.
         self._ongoing: Dict[int, Tuple[int, int, int, float]] = {}
-        # Energy accounting: the slot each node first became active.
-        self._first_active_slot: Dict[int, int] = {}
-        self._active: set = set()
+        # The nodes contending, each mapped to the slot it became active
+        # (its listening span's start, for energy accounting).
+        self._active: Dict[int, int] = {}
         # Who may contend, as the mask the per-slot readiness scan reads:
         # the active nodes past their hold-off.  Every add to / discard
         # from _active writes it too, a hold-off start clears the node,
@@ -471,7 +476,6 @@ class SlottedEngine:
         # copy.
         incidence = sense_map.pu_incidence()
         self._count_dtype = incidence.dtype
-        multichannel = channel_plan is not None and channel_plan.num_channels > 1
         self._pu_incidence32 = (
             incidence.astype(np.float32)
             if blocking == "geometric" or multichannel
@@ -570,12 +574,9 @@ class SlottedEngine:
         # Frozen-slot fast-forward: statically eligible scenarios only;
         # dynamic hazards (in-flight packets, fault windows, pinned
         # sensing) are re-checked per attempt in _try_fast_forward.
-        if blocking == "homogeneous":
-            activity_supported = True
-        else:
-            activity_supported = isinstance(
-                topology.primary.activity, (BernoulliActivity, MarkovActivity)
-            )
+        activity_supported = blocking == "homogeneous" or isinstance(
+            topology.primary.activity, (BernoulliActivity, MarkovActivity)
+        )
         self._ff_enabled = (
             slot_hook is None
             and detector is None
@@ -616,14 +617,12 @@ class SlottedEngine:
         packet_id = 0
         for node in self.topology.secondary.su_ids():
             for _ in range(packets_per_su):
-                self._queues[node].append(
-                    Packet(packet_id=packet_id, source=node, birth_slot=0)
+                self._enqueue(
+                    node, Packet(packet_id=packet_id, source=node, birth_slot=0)
                 )
-                self._note_queue(node)
                 packet_id += 1
-        self._result.num_packets = packet_id
-        for node in self.topology.secondary.su_ids():
             self._activate(node)
+        self._result.num_packets = packet_id
 
     def load_packets(
         self, packets: List[Packet], expected_deliveries: Optional[int] = None
@@ -667,61 +666,50 @@ class SlottedEngine:
         self._result.num_packets = expected_deliveries
         for packet in immediate:
             start = packet.route[packet.route_pos] if packet.route else packet.source
-            self._queues[start].append(packet)
-            self._note_queue(start)
+            self._enqueue(start, packet)
             self._activate(start)
 
-
-    def _note_queue(self, node: int) -> None:
-        """Track the peak backlog per node (the data-accumulation effect)."""
-        length = len(self._queues[node])
+    def _enqueue(self, node: int, packet: Packet) -> None:
+        """Queue ``packet`` at ``node``, tracking the peak backlog per node
+        (the data-accumulation effect)."""
+        queue = self._queues[node]
+        queue.append(packet)
         peaks = self._result.peak_queue_lengths
-        if length > peaks.get(node, 0):
-            peaks[node] = length
+        if len(queue) > peaks.get(node, 0):
+            peaks[node] = len(queue)
 
     def _retire(self, node: int) -> int:
         """Remove a node from the network for good; returns lost data packets."""
         if node in self._dead:
             return 0
         self._dead.add(node)
-        lost = sum(1 for packet in self._queues[node] if packet.is_data)
-        deferred = self._deferred_arrivals.pop(node, None)
-        if deferred:
-            lost += sum(1 for packet in deferred if packet.is_data)
-        self._result.packets_lost += lost
+        lost = self._lose(self._queues[node])
+        lost += self._lose(self._deferred_arrivals.pop(node, ()))
         self._queues[node].clear()
-        self._active.discard(node)
-        self._eligible_mask[node] = False
-        self._extra_wait[node] = 0.0
+        self._deactivate(node)
         self._ongoing.pop(node, None)
-        self._down.discard(node)
-        self._stranded.pop(node, None)
-        self._rejoin_at.pop(node, None)
-        self._open_outages.pop(node, None)
+        self._down.pop(node, None)
         self._stuck_busy.discard(node)
         self._stuck_idle.discard(node)
+        return lost
+
+    def _lose(self, packets) -> int:
+        """Count the data packets among ``packets`` as lost; returns how many."""
+        lost = sum(1 for packet in packets if packet.is_data)
+        self._result.packets_lost += lost
         return lost
 
     def _suspend(self, node: int) -> None:
         """Freeze a node's contention state for transient downtime.
 
         Unlike :meth:`_retire`, the queue survives (unless the fault said
-        to drop it) and the activity span closes so energy accounting does
-        not bill the downtime as listening.
+        to drop it); both close the activity span, so energy accounting
+        does not bill the downtime as listening.
         """
-        if node in self._active:
-            span = self._slot - self._first_active_slot.pop(node, self._slot) + 1
-            self._result.active_slot_spans[node] = (
-                self._result.active_slot_spans.get(node, 0) + span
-            )
-            self._active.discard(node)
-            self._eligible_mask[node] = False
-            self._extra_wait[node] = 0.0
+        self._deactivate(node)
         self._ongoing.pop(node, None)
         if self.trace is not None:
-            self.trace.record(
-                TraceEvent(slot=self._slot, kind=TraceKind.NODE_DOWN, node=node)
-            )
+            self._trace(TraceKind.NODE_DOWN, node)
 
     def _departure_handler(self, kind: str):
         """The policy hook that repairs the routing structure for ``kind``."""
@@ -737,12 +725,17 @@ class SlottedEngine:
             )
         return handler
 
+    def _record_fault(self, event: FaultEvent, **fields) -> FaultRecord:
+        """Open the result's record of ``event``, applied this slot."""
+        record = FaultRecord(event.kind, event.node, self._slot, **fields)
+        self._result.fault_records.append(record)
+        return record
+
     def _apply_crash(self, event: FaultEvent) -> None:
         node = event.node
         if node in self._dead:
             return
-        record = FaultRecord(kind="crash", node=node, slot=self._slot)
-        self._result.fault_records.append(record)
+        record = self._record_fault(event)
         self._result.nodes_departed += 1
         was_down = node in self._down
         lost = self._retire(node)
@@ -762,15 +755,10 @@ class SlottedEngine:
         node = event.node
         if node in self._dead or node in self._down:
             return
-        record = FaultRecord(kind="outage", node=node, slot=self._slot)
-        self._result.fault_records.append(record)
-        self._open_outages[node] = record
-        self._down.add(node)
-        self._rejoin_at[node] = int(event.until)
+        record = self._record_fault(event)
+        self._down[node] = (int(event.until), record)
         if event.drop_queue:
-            orphaned = sum(1 for packet in self._queues[node] if packet.is_data)
-            self._result.packets_lost += orphaned
-            record.packets_orphaned = orphaned
+            record.packets_orphaned = self._lose(self._queues[node])
             self._queues[node].clear()
         self._suspend(node)
         handler = self._departure_handler("outage")
@@ -780,59 +768,43 @@ class SlottedEngine:
             # The repair found no parent for this node: it is alive but
             # detached.  It waits (queue intact, arrivals buffered) and
             # retries attachment every slot from the next one on.
-            self._down.add(stranded)
-            self._stranded[stranded] = record
-            self._rejoin_at[stranded] = self._slot + 1
+            self._down[stranded] = (self._slot + 1, record)
             self._suspend(stranded)
 
     def _apply_windowed(self, event: FaultEvent) -> None:
         """Activate a sensing, link, or blackout fault window."""
-        record = FaultRecord(
-            kind=event.kind,
-            node=event.node,
-            slot=self._slot,
-            recovered_slot=int(event.until),
-        )
-        self._result.fault_records.append(record)
+        self._record_fault(event, recovered_slot=int(event.until))
         self._fault_expiries.setdefault(int(event.until), []).append(event)
-        self._has_faults = True
-        if event.kind == "stuck-busy":
-            self._stuck_busy.add(event.node)
-        elif event.kind == "stuck-idle":
-            self._stuck_idle.add(event.node)
-        elif event.kind == "link-degradation":
-            self._link_loss[(event.node, event.peer)] = 10.0 ** (
-                -event.extra_loss_db / 10.0
-            )
-        else:  # bs-blackout
-            self._bs_blackouts += 1
+        self._set_window(event, True)
 
-    def _expire_fault(self, event: FaultEvent) -> None:
-        if event.kind == "stuck-busy":
-            self._stuck_busy.discard(event.node)
-        elif event.kind == "stuck-idle":
-            self._stuck_idle.discard(event.node)
-        elif event.kind == "link-degradation":
-            self._link_loss.pop((event.node, event.peer), None)
+    def _set_window(self, event: FaultEvent, on: bool) -> None:
+        """Open or close the fault window of ``event``."""
+        if event.kind == "link-degradation":
+            link = (event.node, event.peer)
+            if on:
+                self._link_loss[link] = 10.0 ** (-event.extra_loss_db / 10.0)
+            else:
+                self._link_loss.pop(link, None)
         elif event.kind == "bs-blackout":
-            self._bs_blackouts = max(self._bs_blackouts - 1, 0)
+            self._bs_blackouts = max(self._bs_blackouts + (1 if on else -1), 0)
+        else:
+            pinned = self._stuck_busy if event.kind == "stuck-busy" else self._stuck_idle
+            if on:
+                pinned.add(event.node)
+            else:
+                pinned.discard(event.node)
 
     def _complete_rejoin(self, node: int) -> None:
         """A down node re-attached to the routing structure: bring it back."""
-        self._down.discard(node)
-        self._stranded.pop(node, None)
-        self._rejoin_at.pop(node, None)
+        _, record = self._down.pop(node)
         self._result.nodes_recovered += 1
-        record = self._open_outages.pop(node, None)
-        if record is not None:
+        if record.node == node:
+            # Its own outage ends; a stranded node's record is another's.
             record.recovered_slot = self._slot
         if self.trace is not None:
-            self.trace.record(
-                TraceEvent(slot=self._slot, kind=TraceKind.NODE_REJOIN, node=node)
-            )
+            self._trace(TraceKind.NODE_REJOIN, node)
         for packet in self._deferred_arrivals.pop(node, []):
-            self._queues[node].append(packet)
-            self._note_queue(node)
+            self._enqueue(node, packet)
         if self._queues[node]:
             self._activate(node)
 
@@ -851,7 +823,7 @@ class SlottedEngine:
         """
         due = sorted(
             node
-            for node, at_slot in self._rejoin_at.items()
+            for node, (at_slot, _) in self._down.items()
             if at_slot <= self._slot and node not in self._dead
         )
         if not due:
@@ -873,12 +845,10 @@ class SlottedEngine:
                 else:
                     waiting.append(node)
             due = waiting
-        if due and all(at <= self._slot for at in self._rejoin_at.values()):
+        if due and all(at <= self._slot for at, _ in self._down.values()):
             for node in due:
-                record = self._open_outages.get(node) or self._stranded.get(node)
-                lost = self._retire(node)
-                if record is not None:
-                    record.packets_orphaned += lost
+                _, record = self._down[node]
+                record.packets_orphaned += self._retire(node)
 
     def _abort_doomed_transmissions(self) -> None:
         """Abort in-flight transmissions aimed at nodes that just went away.
@@ -905,38 +875,25 @@ class SlottedEngine:
             del self._ongoing[sender]
             if receiver in self._dead:
                 packet = self._queues[sender].popleft()
-                if packet.is_data:
-                    self._result.packets_lost += 1
-                    record = records.get(receiver)
-                    if record is not None:
-                        record.packets_orphaned += 1
+                record = records.get(receiver)
+                if self._lose([packet]) and record is not None:
+                    record.packets_orphaned += 1
                 if self.trace is not None:
-                    self.trace.record(
-                        TraceEvent(
-                            slot=self._slot,
-                            kind=TraceKind.TX_ABORT,
-                            node=sender,
-                            peer=receiver,
-                            packet_id=packet.packet_id,
-                        )
+                    self._trace(
+                        TraceKind.TX_ABORT,
+                        sender,
+                        peer=receiver,
+                        packet_id=packet.packet_id,
                     )
             if self._queues[sender]:
                 self._draw_backoff(sender)
             else:
-                span = self._slot - self._first_active_slot.pop(
-                    sender, self._slot
-                ) + 1
-                self._result.active_slot_spans[sender] = (
-                    self._result.active_slot_spans.get(sender, 0) + span
-                )
-                self._active.discard(sender)
-                self._eligible_mask[sender] = False
-                self._extra_wait[sender] = 0.0
+                self._deactivate(sender)
 
     def _process_faults(self) -> None:
         """Apply this slot's fault expiries, onsets, and rejoin attempts."""
         for event in self._fault_expiries.pop(self._slot, ()):
-            self._expire_fault(event)
+            self._set_window(event, False)
         onsets = self._fault_onsets.pop(self._slot, ())
         for event in onsets:
             if event.kind == "crash":
@@ -947,7 +904,7 @@ class SlottedEngine:
                 self._apply_windowed(event)
         if onsets:
             self._abort_doomed_transmissions()
-        if self._rejoin_at:
+        if self._down:
             self._attempt_rejoins()
 
     def _inject_arrivals(self) -> None:
@@ -958,8 +915,7 @@ class SlottedEngine:
             _, _, packet = heapq.heappop(self._pending_arrivals)
             start = packet.route[packet.route_pos] if packet.route else packet.source
             if start in self._dead:
-                if packet.is_data:
-                    self._result.packets_lost += 1
+                self._lose([packet])
                 continue
             if start in self._down:
                 # Down-but-recovering source: hold the sample until the
@@ -967,8 +923,7 @@ class SlottedEngine:
                 self._deferred_arrivals.setdefault(start, []).append(packet)
                 self._result.arrivals_deferred += 1
                 continue
-            self._queues[start].append(packet)
-            self._note_queue(start)
+            self._enqueue(start, packet)
             self._activate(start)
 
     # ------------------------------------------------------------------ #
@@ -982,7 +937,7 @@ class SlottedEngine:
         if self._started:
             raise SimulationError("engine instances are single-use")
         self._started = True
-        self._initialize_pu_states()
+        self._draw_pu_states(initial=True)
         with obs.span("engine.run"):
             result = self._run_loop()
         if obs.enabled():
@@ -1020,7 +975,9 @@ class SlottedEngine:
             if self._pending_arrivals:
                 self._inject_arrivals()
             mark = clock()
-            self._advance_pu_states()
+            if self._slot:
+                # Slot 0 uses the initial states drawn in run().
+                self._draw_pu_states()
             now = clock()
             pu_redraw_s += now - mark
             mark = now
@@ -1062,6 +1019,10 @@ class SlottedEngine:
             result.delivered + result.packets_lost >= result.num_packets
         )
         result.slots_simulated = self._slot
+        # A run cut by max_slots ends with nodes still contending: their
+        # spans close at the last simulated slot.
+        for node in sorted(self._active):
+            self._deactivate(node, self._slot - 1)
         self._phase_totals = {
             "slot": (slot_s, executed),
             "pu_redraw": (pu_redraw_s, executed),
@@ -1102,39 +1063,32 @@ class SlottedEngine:
     # PU activity                                                         #
     # ------------------------------------------------------------------ #
 
-    def _initialize_pu_states(self) -> None:
+    def _draw_pu_states(self, initial: bool = False) -> None:
+        """Draw one slot's PU activity: the ``initial`` states, then each
+        later slot's transition from the last.
+
+        Under the Lemma 7 mean field every secondary node is instead
+        blocked i.i.d. per slot (and per channel) with probability
+        ``1 - p_o``; PU interference is folded into the blocking, so
+        ``_pu_states`` stays all-inactive.  The stream's rows are already
+        the bool ``draw >= p_o``.
+        """
         if self.blocking == "homogeneous":
-            self._draw_homogeneous_blocking()
+            if self._num_channels == 1:
+                self._pu_busy = self._pu_rng.take_row()
+            else:
+                self._busy_columns = self._pu_rng.random(
+                    (self._num_nodes, self._num_channels)
+                ).T
             return
         activity = self.topology.primary.activity
-        self._pu_states = activity.initial_states(
-            self.topology.primary.num_pus, self._pu_rng
-        )
+        if initial:
+            self._pu_states = activity.initial_states(
+                self.topology.primary.num_pus, self._pu_rng
+            )
+        else:
+            self._pu_states = activity.next_states(self._pu_states, self._pu_rng)
         self._recompute_pu_busy()
-
-    def _advance_pu_states(self) -> None:
-        if self._slot == 0:
-            # Slot 0 uses the initial states drawn in run().
-            return
-        if self.blocking == "homogeneous":
-            self._draw_homogeneous_blocking()
-            return
-        activity = self.topology.primary.activity
-        self._pu_states = activity.next_states(self._pu_states, self._pu_rng)
-        self._recompute_pu_busy()
-
-    def _draw_homogeneous_blocking(self) -> None:
-        # Lemma 7 mean field: every secondary node is blocked i.i.d. per
-        # slot (and, in multi-channel mode, per channel) with probability
-        # 1 - p_o.  PU interference is folded into the blocking, so
-        # _pu_states stays all-inactive.  The stream's rows are already
-        # the bool ``draw >= p_o``.
-        if self._num_channels == 1:
-            self._pu_busy = self._pu_rng.take_row()
-            return
-        self._busy_columns = self._pu_rng.random(
-            (self._num_nodes, self._num_channels)
-        ).T
 
     def _recompute_pu_busy(self) -> None:
         """Refresh what the PU states feed: the active-PU list and, with
@@ -1153,12 +1107,7 @@ class SlottedEngine:
 
     def _blocked_on(self, node: int, channel: int) -> bool:
         """Whether PU activity blocks ``node`` on ``channel`` this slot."""
-        # bool() of the scalar: comparing a numpy bool with 0 is slow.
-        if self._num_channels > 1:
-            return bool(self._busy_columns[channel][node])
-        if self.blocking == "homogeneous":
-            return bool(self._pu_busy[node])
-        return bool(self._pu_incidence32[node] @ self._pu_states32)
+        return bool(self.busy_counts([node]).flat[channel])
 
     # ------------------------------------------------------------------ #
     # Frozen-slot fast-forward                                            #
@@ -1187,7 +1136,7 @@ class SlottedEngine:
         if (
             slot == 0
             or self._ongoing
-            or self._rejoin_at
+            or self._down
             or self._stuck_busy
             or self._stuck_idle
         ):
@@ -1274,15 +1223,13 @@ class SlottedEngine:
         """Node gained traffic: draw a backoff if it was idle."""
         if node in self._active:
             return
-        self._active.add(node)
+        self._active[node] = self._slot
         release = self._hold_until_slot[node]
         if release <= self._slot:
             self._eligible_mask[node] = True
         else:
             # Its hold-off entry may have been dropped while it was away.
             heapq.heappush(self._holds, (release, node))
-        if node not in self._first_active_slot:
-            self._first_active_slot[node] = self._slot
         self._draw_backoff(node)
 
     def _draw_backoff(self, node: int) -> None:
@@ -1291,14 +1238,7 @@ class SlottedEngine:
         self._backoff[node] = value
         self._drawn[node] = value
         if self.trace is not None:
-            self.trace.record(
-                TraceEvent(
-                    slot=self._slot,
-                    kind=TraceKind.BACKOFF_DRAW,
-                    node=node,
-                    time_in_slot=value,
-                )
-            )
+            self._trace(TraceKind.BACKOFF_DRAW, node, time_in_slot=value)
         if self._num_channels > 1:
             self._node_channel[node] = self._pick_channel(node)
 
@@ -1316,20 +1256,19 @@ class SlottedEngine:
             if current in pool:
                 return current
             strategy = "random-idle"
-        if strategy == "least-blocked":
-            best = min(self._static_channel_load[c][node] for c in pool)
-            pool = [
-                c for c in pool if self._static_channel_load[c][node] == best
-            ]
-        elif strategy == "adaptive":
-            def score(channel: int) -> float:
-                attempts = self._channel_attempts[node][channel]
-                if attempts == 0:
-                    return 1.0  # optimistic initialization
-                return self._channel_successes[node][channel] / attempts
-
-            best_score = max(score(c) for c in pool)
-            pool = [c for c in pool if score(c) == best_score]
+        if strategy != "random-idle":
+            # Keep the best-scoring channels of the pool, ties randomly.
+            if strategy == "least-blocked":
+                scores = {c: -self._static_channel_load[c][node] for c in pool}
+            else:  # adaptive: success per attempt, optimistic when untried
+                attempts = self._channel_attempts[node]
+                successes = self._channel_successes[node]
+                scores = {
+                    c: successes[c] / attempts[c] if attempts[c] else 1.0
+                    for c in pool
+                }
+            best = max(scores.values())
+            pool = [c for c in pool if scores[c] == best]
         return pool[int(self._backoff_rng.integers(0, len(pool)))]
 
     def _sense_ready(self) -> List[Tuple[float, int]]:
@@ -1449,14 +1388,7 @@ class SlottedEngine:
                 consumed = max(0.0, block_time - extra_wait[node])
                 backoff[node] = max(backoff[node] - consumed, 1e-12)
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            slot=self._slot,
-                            kind=TraceKind.FREEZE,
-                            node=node,
-                            time_in_slot=block_time,
-                        )
-                    )
+                    self._trace(TraceKind.FREEZE, node, time_in_slot=block_time)
                 continue
 
             packet = self._queues[node][0]
@@ -1464,22 +1396,19 @@ class SlottedEngine:
             transmitters.append((expiry, node, receiver, channel))
             on_air.append((expiry, channel, hearers[node]))
             if trace is not None:
-                trace.record(
-                    TraceEvent(
-                        slot=self._slot,
-                        kind=TraceKind.TX_START,
-                        node=node,
-                        peer=receiver,
-                        packet_id=packet.packet_id,
-                        time_in_slot=expiry,
-                    )
+                self._trace(
+                    TraceKind.TX_START,
+                    node,
+                    peer=receiver,
+                    packet_id=packet.packet_id,
+                    time_in_slot=expiry,
                 )
         return transmitters
 
     def _adjudicate(
         self,
         completing: List[Tuple[float, int, int, int]],
-        concurrent: Optional[List[Tuple[float, int, int, int]]] = None,
+        concurrent: List[Tuple[float, int, int, int]],
     ) -> List[bool]:
         """Physical-model outcome for the transmissions completing this slot.
 
@@ -1489,14 +1418,12 @@ class SlottedEngine:
         ``eta_s``.
 
         ``concurrent`` lists every transmission on the air during the slot
-        (multi-slot packets still in flight included); it defaults to
-        ``completing`` in the single-slot-packet model.
+        (multi-slot packets still in flight included); with single-slot
+        packets it is ``completing`` itself.
         """
-        if concurrent is None:
-            concurrent = completing
-        count = len(concurrent)
         if not completing:
             return []
+        count = len(concurrent)
         if count == 1 and len(completing) == 1 and self._active_pus.size == 0:
             # A lone transmitter with no active PU: the capture rule holds
             # trivially and the interference sum is exactly zero, so the
@@ -1648,11 +1575,9 @@ class SlottedEngine:
             (expiry, node, receiver, channel)
             for node, (receiver, channel, _, expiry) in self._ongoing.items()
         ]
-        completing = [
-            (expiry, node, receiver, channel)
-            for node, (receiver, channel, finish, expiry) in self._ongoing.items()
-            if finish == self._slot
-        ]
+        completing = [tx for tx in concurrent if self._ongoing[tx[1]][2] == self._slot]
+        for _, node, _, _ in completing:
+            del self._ongoing[node]
         return completing, concurrent
 
     def _finish_slot(
@@ -1686,53 +1611,39 @@ class SlottedEngine:
         trace = self.trace
         extra_wait = self._extra_wait
         waited = self._waited
-        multislot = self.packet_slots > 1
         multichannel = self._num_channels > 1
 
         newly_active: List[int] = []
         finished_nodes: List[int] = []
         for (_, node, receiver, channel), success in zip(completing, outcomes):
-            if multislot:
-                del self._ongoing[node]
             result.tx_attempts[node] = result.tx_attempts.get(node, 0) + 1
             if multichannel:
                 self._channel_attempts[node][channel] += 1
                 if success:
                     self._channel_successes[node][channel] += 1
-            if self._blocked_on(node, channel):
+            if self._violations_possible and self._blocked_on(node, channel):
                 # A missed detection let this node transmit while a PU was
                 # active inside its protection range (on its channel).
                 result.pu_violations += 1
-            if self._bs_blackouts > 0 and receiver == self._base_station:
-                # Base-station blackout: the sink is not listening, so the
-                # delivery fails regardless of SIR.  The sender backs off
-                # exponentially and retries; this is *not* a collision
-                # (ADDC's collision-free property is about contention).
-                result.blackout_failures += 1
+            # A base-station blackout fails the delivery regardless of SIR:
+            # the sink is not listening.  It is *not* a collision (ADDC's
+            # collision-free property is about contention).
+            blackout = self._bs_blackouts > 0 and receiver == self._base_station
+            if blackout or not success:
+                # The packet stays queued and is retransmitted after an
+                # exponentially growing random hold-off (the paper's
+                # footnote 2), as after a hidden-terminal collision or a
+                # capture loss.
+                if blackout:
+                    result.blackout_failures += 1
+                else:
+                    result.collisions += 1
                 self._start_hold_off(node)
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            slot=self._slot,
-                            kind=TraceKind.TX_ABORT,
-                            node=node,
-                            peer=receiver,
-                        )
-                    )
-            elif not success:
-                # Hidden-terminal collision or capture loss: the packet
-                # stays queued and is retransmitted after an exponentially
-                # growing random hold-off (the paper's footnote 2).
-                result.collisions += 1
-                self._start_hold_off(node)
-                if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            slot=self._slot,
-                            kind=TraceKind.TX_COLLISION,
-                            node=node,
-                            peer=receiver,
-                        )
+                    self._trace(
+                        TraceKind.TX_ABORT if blackout else TraceKind.TX_COLLISION,
+                        node,
+                        peer=receiver,
                     )
             else:
                 self._collision_streak[node] = 0
@@ -1747,70 +1658,16 @@ class SlottedEngine:
                     result.rx_successes.get(receiver, 0) + 1
                 )
                 if trace is not None:
-                    trace.record(
-                        TraceEvent(
-                            slot=self._slot,
-                            kind=TraceKind.TX_SUCCESS,
-                            node=node,
-                            peer=receiver,
-                            packet_id=packet.packet_id,
-                        )
+                    self._trace(
+                        TraceKind.TX_SUCCESS,
+                        node,
+                        peer=receiver,
+                        packet_id=packet.packet_id,
                     )
-                if packet.route is not None:
-                    # Routed packets (unicast flows, control traffic)
-                    # arrive only at their route's final node — possibly a
-                    # plain SU, possibly the base station acting as a relay
-                    # mid-route.
-                    arrived = packet.at_route_end
-                else:
-                    arrived = receiver == self._base_station
-                if packet.is_data and arrived:
-                    result.deliveries.append(
-                        PacketRecord(
-                            packet_id=packet.packet_id,
-                            source=packet.source,
-                            birth_slot=packet.birth_slot,
-                            delivered_slot=self._slot,
-                            hops=packet.hops,
-                        )
-                    )
-                    if trace is not None:
-                        trace.record(
-                            TraceEvent(
-                                slot=self._slot,
-                                kind=TraceKind.DELIVERY,
-                                node=receiver,
-                                peer=node,
-                                packet_id=packet.packet_id,
-                            )
-                        )
-                elif packet.route is not None and packet.at_route_end:
-                    # A control packet reached its final node: let the
-                    # policy react (e.g. answer an RREQ with an RREP, or
-                    # release a data packet on RREP arrival).
-                    handler = self._on_control_arrival
-                    spawned = handler(packet, receiver) if handler else []
-                    for new_packet in spawned:
-                        queues[receiver].append(new_packet)
-                        self._note_queue(receiver)
-                    if spawned and receiver not in self._active:
+                for new_packet in self._deliver(packet, node, receiver):
+                    self._enqueue(receiver, new_packet)
+                    if receiver not in self._active:
                         newly_active.append(receiver)
-                else:
-                    data_handler = self._on_data_arrival
-                    if data_handler is not None and packet.is_data:
-                        # Aggregating policies absorb arriving data and
-                        # decide what (if anything) the relay forwards.
-                        spawned = data_handler(packet, receiver)
-                        for new_packet in spawned:
-                            queues[receiver].append(new_packet)
-                            self._note_queue(receiver)
-                        if spawned and receiver not in self._active:
-                            newly_active.append(receiver)
-                    else:
-                        queues[receiver].append(packet)
-                        self._note_queue(receiver)
-                        if receiver not in self._active:
-                            newly_active.append(receiver)
 
             if self._fairness_wait:
                 extra_wait[node] = self.contention_window_ms - self._drawn[node]
@@ -1826,18 +1683,76 @@ class SlottedEngine:
                 # channel) delivered into this node after it drained its
                 # own queue: it stays active with a fresh backoff.
                 self._draw_backoff(node)
-                continue
-            # Record the contention span for energy accounting (the node
-            # may re-activate later; spans accumulate).
-            span = self._slot - self._first_active_slot.pop(node, self._slot) + 1
-            result.active_slot_spans[node] = (
-                result.active_slot_spans.get(node, 0) + span
-            )
-            self._active.discard(node)
-            self._eligible_mask[node] = False
-            extra_wait[node] = 0.0
+            else:
+                self._deactivate(node)
         for node in newly_active:
             self._activate(node)
+
+    def _deliver(self, packet: Packet, node: int, receiver: int) -> List[Packet]:
+        """Hand a decoded ``packet`` to ``receiver``; return what it queues.
+
+        A data packet at its destination is recorded as delivered and
+        queues nothing.  A control packet at its route's end goes to the
+        policy (an RREQ answered with an RREP, a data packet released on
+        RREP arrival), and an aggregating policy absorbs relayed data and
+        decides what the relay forwards.  Any other packet is relayed.
+        """
+        if packet.route is not None:
+            # Routed packets (unicast flows, control traffic) arrive only
+            # at their route's final node — possibly a plain SU, possibly
+            # the base station acting as a relay mid-route.
+            arrived = packet.at_route_end
+        else:
+            arrived = receiver == self._base_station
+        if packet.is_data and arrived:
+            self._result.deliveries.append(
+                PacketRecord(
+                    packet_id=packet.packet_id,
+                    source=packet.source,
+                    birth_slot=packet.birth_slot,
+                    delivered_slot=self._slot,
+                    hops=packet.hops,
+                )
+            )
+            if self.trace is not None:
+                self._trace(
+                    TraceKind.DELIVERY,
+                    receiver,
+                    peer=node,
+                    packet_id=packet.packet_id,
+                )
+            return []
+        if packet.route is not None and arrived:
+            handler = self._on_control_arrival
+            return handler(packet, receiver) if handler else []
+        if self._on_data_arrival is not None and packet.is_data:
+            return self._on_data_arrival(packet, receiver)
+        return [packet]
+
+    def _deactivate(self, node: int, last_slot: Optional[int] = None) -> None:
+        """``node`` stops contending: the one exit from the active set.
+
+        Its listening span (energy accounting) closes, covering its
+        activation slot through ``last_slot`` (default: this slot) and
+        accumulating over re-activations, and its contention state
+        clears.  A drained queue, a suspension, an abort, a retirement and
+        the end of a capped run all leave through here.
+        """
+        first = self._active.pop(node, None)
+        if first is None:
+            return
+        last = self._slot if last_slot is None else last_slot
+        spans = self._result.active_slot_spans
+        spans[node] = spans.get(node, 0) + last - first + 1
+        self._eligible_mask[node] = False
+        self._extra_wait[node] = 0.0
+
+    def _trace(self, kind: TraceKind, node: int, **fields) -> None:
+        """Record a ``kind`` event at this slot; callers check
+        ``self.trace`` first, so untraced runs make no call."""
+        self.trace.record(
+            TraceEvent(slot=self._slot, kind=kind, node=node, **fields)
+        )
 
     def _clear_fairness_waits(self) -> None:
         """Zero the fairness waits the last slot end gave out.

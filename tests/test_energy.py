@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.collector import run_addc_collection
 from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.metrics.energy import EnergyModel, energy_consumption
+from repro.network.deployment import deploy_crn
+from repro.rng import StreamFactory
 from repro.routing.coolest import run_coolest_collection
 
 
@@ -78,3 +82,44 @@ class TestEnergyConsumption:
         coolest_report = energy_consumption(coolest.result)
         assert coolest_report.tx_joules > addc_report.tx_joules
         assert coolest_report.total_joules > addc_report.total_joules
+
+
+class TestListeningSpans:
+    """Every way out of contention bills the listening span up to it."""
+
+    @pytest.fixture(scope="class")
+    def topology(self):
+        config = ExperimentConfig.quick_scale()
+        return deploy_crn(config.deployment_spec(), StreamFactory(7).spawn("t"))
+
+    @staticmethod
+    def collect(topology, **kwargs):
+        return run_addc_collection(
+            topology,
+            StreamFactory(7).spawn("p"),
+            blocking="homogeneous",
+            with_bounds=False,
+            **kwargs,
+        ).result
+
+    def test_a_crashed_node_is_billed_through_its_crash_slot(self, topology):
+        # Leaf node 3 contends from slot 0 and drains its queue at slot 40.
+        assert self.collect(topology).active_slot_spans[3] == 41
+        crashed = self.collect(
+            topology, fault_plan=FaultPlan.from_events([FaultEvent.crash(21, 3)])
+        )
+        assert crashed.completed
+        assert crashed.active_slot_spans[3] == 22
+        assert set(crashed.active_slot_spans) == set(topology.secondary.su_ids())
+
+    def test_a_capped_run_bills_the_nodes_still_contending(self, topology):
+        capped = self.collect(topology, max_slots=30)
+        assert not capped.completed
+        spans = capped.active_slot_spans
+        assert set(spans) == set(topology.secondary.su_ids())
+        # Spans end at the last simulated slot, 29: a node contending
+        # throughout listened 30 slots, and none listened longer.
+        assert max(spans.values()) == 30
+        assert energy_consumption(capped).listen_joules == pytest.approx(
+            sum(spans.values()) * EnergyModel().listen_per_slot
+        )

@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.core.addc import AddcPolicy
+from repro.core.collector import run_addc_collection
 from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import ExperimentConfig
@@ -21,6 +23,7 @@ from repro.graphs.tree import build_collection_tree
 from repro.network.channels import ChannelPlan
 from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
+from repro.routing.coolest import run_coolest_collection
 from repro.scheduling.centralized import CentralizedScheduler
 from repro.sim.engine import SlottedEngine
 from repro.sim.packet import Packet
@@ -531,3 +534,109 @@ class TestEngineErrors:
         assert engine.total_queued() == tiny_topology.secondary.num_sus
         assert engine.queue_length(1) == 1
         assert engine.queue_length(0) == 0
+
+
+class TestPaperCorePath:
+    """A paper-core run (one channel, perfect sensing, 1-slot packets, no
+    faults, arrivals or hook) does no work only an extension needs."""
+
+    #: Engine methods the core slot path must never call.
+    EXTENSION_ONLY = (
+        "_process_faults",
+        "_inject_arrivals",
+        "_handoff_check",
+        "_pick_channel",
+        "_blocked_on",
+        "busy_counts",
+    )
+
+    @pytest.fixture(scope="class")
+    def golden_topology(self):
+        config = ExperimentConfig(
+            area=40.0 * 40.0, num_pus=10, num_sus=50, repetitions=1
+        )
+        return deploy_crn(
+            config.deployment_spec(), StreamFactory(20120612).spawn("g")
+        )
+
+    @pytest.fixture
+    def fired(self, monkeypatch):
+        """Stub every extension-only method to raise; returns the names
+        of the stubs that fired."""
+        fired = []
+
+        def stub(name):
+            def boom(*args, **kwargs):
+                fired.append(name)
+                raise AssertionError(f"{name} ran on the paper-core path")
+
+            return boom
+
+        original_run = SlottedEngine.run
+
+        def stubbed_run(engine):
+            for name in self.EXTENSION_ONLY:
+                setattr(engine, name, stub(name))
+            return original_run(engine)
+
+        monkeypatch.setattr(SlottedEngine, "run", stubbed_run)
+        monkeypatch.setattr(engine_module, "_sensed_busy", stub("_sensed_busy"))
+        return fired
+
+    @pytest.mark.parametrize(
+        "collect, label, blocking, delay, rng",
+        [
+            (
+                run_addc_collection,
+                "addc",
+                "geometric",
+                2443,
+                ("fb3172fe0093bb83", "523fa29ac175f0b0", "b1ef2e0fe80ac39d"),
+            ),
+            (
+                run_addc_collection,
+                "addc-h",
+                "homogeneous",
+                1131,
+                ("1b0bd2ca5c8576de", "beac4f315b5834cd", "5bcf126d88213de2"),
+            ),
+            (
+                run_coolest_collection,
+                "coolest",
+                "geometric",
+                7363,
+                ("d2461589a66f1a6f", "02cff7fe4c1ca6b1", "8f104b00920690fc"),
+            ),
+            (
+                run_coolest_collection,
+                "coolest-h",
+                "homogeneous",
+                4136,
+                ("0862e8be1abc4653", "e34913231831a2fc", "c2bfffb9ff244c0e"),
+            ),
+        ],
+    )
+    def test_golden_runs_take_the_core_path(
+        self, golden_topology, fired, collect, label, blocking, delay, rng
+    ):
+        kwargs = {"with_bounds": False} if collect is run_addc_collection else {}
+        outcome = collect(
+            golden_topology,
+            StreamFactory(20120612).spawn("g").spawn(label),
+            blocking=blocking,
+            **kwargs,
+        )
+        assert fired == []
+        assert outcome.result.completed
+        assert outcome.result.delay_slots == delay
+        assert tuple(outcome.engine.rng_positions().values()) == rng
+
+    def test_the_stubs_fire_off_the_core_path(self, golden_topology, fired):
+        with pytest.raises(AssertionError, match="_handoff_check"):
+            run_addc_collection(
+                golden_topology,
+                StreamFactory(20120612).spawn("g").spawn("long"),
+                packet_slots=2,
+                with_bounds=False,
+            )
+        assert fired == ["_handoff_check"]

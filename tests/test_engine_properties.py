@@ -666,7 +666,7 @@ def test_link_budget_matches_the_matrix_formula_bit_for_bit(count):
                                 ok and value >= threshold
                                 for ok, value in zip(captured, sir)
                             ]
-                            assert engine._adjudicate(concurrent) == expected
+                            assert engine._adjudicate(concurrent, concurrent) == expected
 
 
 def sequential_sum(row):
