@@ -775,24 +775,26 @@ class SlottedEngine:
         """Activate a sensing, link, or blackout fault window."""
         self._record_fault(event, recovered_slot=int(event.until))
         self._fault_expiries.setdefault(int(event.until), []).append(event)
-        self._set_window(event, True)
+        if event.kind == "stuck-busy":
+            self._stuck_busy.add(event.node)
+        elif event.kind == "stuck-idle":
+            self._stuck_idle.add(event.node)
+        elif event.kind == "link-degradation":
+            self._link_loss[(event.node, event.peer)] = 10.0 ** (
+                -event.extra_loss_db / 10.0
+            )
+        else:  # bs-blackout
+            self._bs_blackouts += 1
 
-    def _set_window(self, event: FaultEvent, on: bool) -> None:
-        """Open or close the fault window of ``event``."""
-        if event.kind == "link-degradation":
-            link = (event.node, event.peer)
-            if on:
-                self._link_loss[link] = 10.0 ** (-event.extra_loss_db / 10.0)
-            else:
-                self._link_loss.pop(link, None)
+    def _expire_fault(self, event: FaultEvent) -> None:
+        if event.kind == "stuck-busy":
+            self._stuck_busy.discard(event.node)
+        elif event.kind == "stuck-idle":
+            self._stuck_idle.discard(event.node)
+        elif event.kind == "link-degradation":
+            self._link_loss.pop((event.node, event.peer), None)
         elif event.kind == "bs-blackout":
-            self._bs_blackouts = max(self._bs_blackouts + (1 if on else -1), 0)
-        else:
-            pinned = self._stuck_busy if event.kind == "stuck-busy" else self._stuck_idle
-            if on:
-                pinned.add(event.node)
-            else:
-                pinned.discard(event.node)
+            self._bs_blackouts = max(self._bs_blackouts - 1, 0)
 
     def _complete_rejoin(self, node: int) -> None:
         """A down node re-attached to the routing structure: bring it back."""
@@ -893,7 +895,7 @@ class SlottedEngine:
     def _process_faults(self) -> None:
         """Apply this slot's fault expiries, onsets, and rejoin attempts."""
         for event in self._fault_expiries.pop(self._slot, ()):
-            self._set_window(event, False)
+            self._expire_fault(event)
         onsets = self._fault_onsets.pop(self._slot, ())
         for event in onsets:
             if event.kind == "crash":
