@@ -1624,8 +1624,8 @@ class SlottedEngine:
                 if success:
                     self._channel_successes[node][channel] += 1
             if self._violations_possible and self._blocked_on(node, channel):
-                # A missed detection let this node transmit while a PU was
-                # active inside its protection range (on its channel).
+                # A missed detection or a stuck-idle detector let this node
+                # transmit into an active PU inside its protection range.
                 result.pu_violations += 1
             # A base-station blackout fails the delivery regardless of SIR:
             # the sink is not listening.  It is *not* a collision (ADDC's
