@@ -131,11 +131,16 @@ class ExperimentService:
 
     # ---- request handling (server loop side) --------------------------- #
 
-    def submit(self, record: Dict) -> Dict:
+    def submit(
+        self, record: Dict, subscriber: Optional[Callable[[Dict], None]] = None
+    ) -> Dict:
         """Handle one submit request; always answers, never blocks.
 
         ``record`` is the wire-form job object.  Returns a ``cache_hit``,
-        ``accepted``, ``retry_after``, or ``error`` protocol message.
+        ``accepted``, ``retry_after``, or ``error`` protocol message.  A
+        ``subscriber`` (a streaming client) is subscribed to the job before
+        the worker can take it: subscribed after the answer, it would miss
+        the events of a job that finished first and wait forever.
         """
         try:
             spec = JobSpec.from_dict(record)
@@ -152,8 +157,13 @@ class ExperimentService:
             failed = self._failed.get(fingerprint)
         if failed is not None:
             return protocol.failed(fingerprint, failed)
+        if subscriber is not None:
+            self.subscribe(fingerprint, subscriber)
         admission = self.queue.offer(spec, fingerprint)
         if admission.decision == "shed":
+            if subscriber is not None:
+                with self._lock:
+                    self._subscribers[fingerprint].remove(subscriber)
             self._count("jobs_shed")
             return protocol.retry_after(
                 admission.retry_after_s, self.queue.depth, self.queue.capacity

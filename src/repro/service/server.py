@@ -40,7 +40,8 @@ class _Connection:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.buffer = b""
-        self.send_lock = threading.Lock()
+        # Reentrant: a submit holds it across its answer (_handle_line).
+        self.send_lock = threading.RLock()
         self.callback = None  # installed when the client streams a job
         self.wants_heartbeat = False
         self.alive = True
@@ -224,22 +225,27 @@ class ServiceServer:
         elif kind == "result":
             self._send(conn, self.service.result(request["fingerprint"]))
         elif kind == "submit":
-            response = self.service.submit(request["job"])
-            if request.get("stream") and response["type"] == "accepted":
-                self._subscribe(conn, response["fingerprint"])
-            self._send(conn, response)
+            subscriber = self._subscriber(conn) if request.get("stream") else None
+            # The job may finish before its answer is sent: the service
+            # subscribes the client before queueing the job, and the send
+            # lock keeps the job's events behind the answer on the wire.
+            with conn.send_lock:
+                response = self.service.submit(request["job"], subscriber)
+                if subscriber is not None and response["type"] == "accepted":
+                    conn.wants_heartbeat = True
+                self._send(conn, response)
         elif kind == "shutdown":
             self._send(conn, protocol.draining())
             self.request_shutdown()
 
-    def _subscribe(self, conn: _Connection, fingerprint: str) -> None:
-        conn.wants_heartbeat = True
+    def _subscriber(self, conn: _Connection):
+        """The callback that streams a job's events to ``conn``."""
         if conn.callback is None:
             def deliver(message: Dict, _conn=conn) -> None:
                 self._send(_conn, message)
 
             conn.callback = deliver
-        self.service.subscribe(fingerprint, conn.callback)
+        return conn.callback
 
     def _broadcast_heartbeat(self) -> None:
         beat = self.service.heartbeat()

@@ -101,6 +101,12 @@ __all__ = ["SlottedEngine"]
 
 #: Distances below this are clamped when evaluating SIR.
 _MIN_DISTANCE = 1e-6
+_MIN_SQUARED_DISTANCE = _MIN_DISTANCE ** 2
+
+#: Relative gap below which a decision from gain estimates counts as
+#: close and the exact formula decides it (see _estimated_outcomes): four
+#: orders of magnitude above the estimates' own error.
+_DECISION_MARGIN = 1e-9
 
 #: First fast-forward peek, in rows; it doubles up to the streams' cap.
 _FF_MIN_CHUNK = 16
@@ -458,6 +464,9 @@ class SlottedEngine:
         # The slot's mean-field blocking row (single channel): bool, one
         # entry per node.  Geometric blocking keeps no per-node row.
         self._pu_busy = np.zeros(num_nodes, dtype=bool)
+        #: Whether that row is how PUs block (the Fig. 6 configuration):
+        #: tested first wherever the blocking state is drawn or read.
+        self._mean_field_row = blocking == "homogeneous" and not multichannel
         self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
         self._pu_states32 = np.zeros(topology.primary.num_pus, dtype=np.float32)
         # Indices of currently active PUs, refreshed on every state change
@@ -587,6 +596,8 @@ class SlottedEngine:
         #: runs the ordinary loop (its PU states come from run()).
         self._ff_armed = False
         self._ff_slots = 0
+        #: Contended slots the gain estimates left to the exact formula.
+        self._adjudicate_fallbacks = 0
         #: ``(total_s, count)`` per _PHASE_SPANS key, set by _run_loop.
         self._phase_totals: Dict[str, Tuple[float, int]] = {}
 
@@ -961,7 +972,9 @@ class SlottedEngine:
         slot_s = pu_redraw_s = sensing_s = backoff_s = 0.0
         adjudicate_s = deliver_s = frozen_wait_s = fast_forward_s = 0.0
         executed = delivering = ff_attempts = 0
-        while result.delivered + result.packets_lost < result.num_packets:
+        # result.delivered is len(result.deliveries), which only grows.
+        deliveries = result.deliveries
+        while len(deliveries) + result.packets_lost < result.num_packets:
             if self._slot >= self.max_slots:
                 break
             if self._ff_armed:
@@ -1053,6 +1066,7 @@ class SlottedEngine:
         obs.counter_add("engine.pu_violations", result.pu_violations)
         obs.counter_add("engine.frozen_slots", result.frozen_slot_count)
         obs.counter_add("engine.fastforward_slots", self._ff_slots)
+        obs.counter_add("engine.adjudicate_fallbacks", self._adjudicate_fallbacks)
         obs.counter_add("engine.fault_events", result.fault_event_count)
         obs.gauge_set("engine.max_backlog", result.max_backlog)
         for record in result.deliveries:
@@ -1075,13 +1089,13 @@ class SlottedEngine:
         ``_pu_states`` stays all-inactive.  The stream's rows are already
         the bool ``draw >= p_o``.
         """
+        if self._mean_field_row:
+            self._pu_busy = self._pu_rng.take_row()
+            return
         if self.blocking == "homogeneous":
-            if self._num_channels == 1:
-                self._pu_busy = self._pu_rng.take_row()
-            else:
-                self._busy_columns = self._pu_rng.random(
-                    (self._num_nodes, self._num_channels)
-                ).T
+            self._busy_columns = self._pu_rng.random(
+                (self._num_nodes, self._num_channels)
+            ).T
             return
         activity = self.topology.primary.activity
         if initial:
@@ -1150,9 +1164,14 @@ class SlottedEngine:
             horizon = min(horizon, min(self._fault_expiries))
         if self._pending_arrivals:
             horizon = min(horizon, int(self._pending_arrivals[0][0]))
-        self._release_holds()
-        if self._holds:
-            horizon = min(horizon, self._holds[0][0])
+        # The last executed slot's sensing left a pending top, and a slot
+        # with nothing on the air starts or ends no hold-off: the top is
+        # stale never, and due only when it releases in this very slot.
+        holds = self._holds
+        if holds and holds[0][0] <= slot:
+            self._release_holds()
+        if holds:
+            horizon = min(horizon, holds[0][0])
         if horizon <= slot:
             return
         waiters = self._eligible_mask.nonzero()[0]
@@ -1162,11 +1181,10 @@ class SlottedEngine:
         self._ff_slots += skipped
         self._slot = slot + skipped
         # Per-slot bookkeeping of a frozen wait, applied in bulk: each
-        # skipped slot counted every eligible waiter as frozen-by-PU and
-        # zeroed every fairness carry-over (none while arming needs a
-        # slot with nothing on the air: that slot end gave no wait).
+        # skipped slot counted every eligible waiter as frozen-by-PU.
+        # There is no fairness carry-over to zero: arming needs a slot
+        # with nothing on the air, and that slot end gave no wait.
         self._result.frozen_slot_count += skipped * waiters.size
-        self._clear_fairness_waits()
         if self.blocking != "homogeneous":
             self._recompute_pu_busy()
 
@@ -1180,15 +1198,17 @@ class SlottedEngine:
         homogeneous = self.blocking == "homogeneous"
         pu_rng = self._pu_rng
         imperfect = self._imperfect_sensing
+        max_chunk = self._ff_max_chunk
         if not homogeneous:
             incidence = self._pu_incidence32[waiters].T
         skipped = 0
         chunk = _FF_MIN_CHUNK
         while skipped < window:
-            count = min(chunk, self._ff_max_chunk, window - skipped)
+            count = min(chunk, max_chunk, window - skipped)
             draws = pu_rng.peek(count)
             if homogeneous:
-                # Bool rows: the blocking draws compared at refill.
+                # Bool rows: the blocking draws compared at refill.  The
+                # next executed slot takes its own row, so none is kept.
                 busy = draws.take(waiters, axis=1)
             else:
                 states = self.topology.primary.activity.next_states_batch(
@@ -1207,9 +1227,7 @@ class SlottedEngine:
                 pu_rng.skip(run)
                 if imperfect:
                     self._sensing_rng.skip(run)
-                if homogeneous:
-                    self._pu_busy = draws[run - 1]
-                else:
+                if not homogeneous:
                     self._pu_states = states[run - 1]
             skipped += run
             if run < count:
@@ -1285,9 +1303,9 @@ class SlottedEngine:
         """
         if self._imperfect_sensing:
             sensing_draws = self._sensing_rng.take_row()
+        self._release_holds()
         if not self._active:
             return []
-        self._release_holds()
         eligible = self._eligible_mask
         ongoing = self._ongoing
         if ongoing:
@@ -1301,33 +1319,33 @@ class SlottedEngine:
         idx = eligible.nonzero()[0]
         if not idx.size:
             return []
+        if self._mean_field_row:
+            # The bool blocking draws, compared with p_o at refill.
+            busy = self._pu_busy[idx]
+        elif self._num_channels > 1:
+            channels = [self._node_channel[node] for node in idx.tolist()]
+            busy = self._busy_columns[channels, idx] > 0
+        elif self.detector is None:
+            # The eligible rows of the busy-count product.
+            busy = (self._pu_incidence32[idx] @ self._pu_states32) > 0
         if self.detector is not None:
-            # Energy detection: P(sensed busy) = 1 - P(miss every active
-            # in-range PU) * P(no false alarm), vectorized per slot.
+            # Energy detection (one channel, geometric blocking): P(sensed
+            # busy) = 1 - P(miss every active in-range PU) * P(no false
+            # alarm), vectorized per slot.
             miss_all = np.exp(self._miss_log @ self._pu_states.astype(float))
             p_sensed_busy = 1.0 - miss_all * (
                 1.0 - self.detector.false_alarm_probability
             )
             sensed = sensing_draws[idx] < p_sensed_busy[idx]
+        elif self._imperfect_sensing:
+            sensed = _sensed_busy(
+                busy,
+                sensing_draws[idx],
+                self.p_false_alarm,
+                self.p_missed_detection,
+            )
         else:
-            if self._num_channels > 1:
-                channels = [self._node_channel[node] for node in idx.tolist()]
-                busy = self._busy_columns[channels, idx] > 0
-            elif self.blocking == "homogeneous":
-                # The bool blocking draws, compared with p_o at refill.
-                busy = self._pu_busy[idx]
-            else:
-                # The eligible rows of the busy-count product.
-                busy = (self._pu_incidence32[idx] @ self._pu_states32) > 0
-            if self._imperfect_sensing:
-                sensed = _sensed_busy(
-                    busy,
-                    sensing_draws[idx],
-                    self.p_false_alarm,
-                    self.p_missed_detection,
-                )
-            else:
-                sensed = busy
+            sensed = busy
         # Sensing faults pin the detector output, consuming no draws; a
         # node under both faults senses busy (stuck-busy wins).
         if self._stuck_idle:
@@ -1421,19 +1439,104 @@ class SlottedEngine:
 
         ``concurrent`` lists every transmission on the air during the slot
         (multi-slot packets still in flight included); with single-slot
-        packets it is ``completing`` itself.
+        packets it is ``completing`` itself.  A slot with no active PU, one
+        channel and no link-loss fault is decided from gain estimates
+        unless a decision is close (:meth:`_estimated_outcomes`); any
+        other slot, and every close one, by :meth:`_exact_outcomes`.
         """
         if not completing:
             return []
+        success = None
+        if self._active_pus.size == 0:
+            if len(concurrent) == 1:
+                # A lone transmitter with no active PU: the capture rule
+                # holds trivially and the interference sum is exactly
+                # zero, so the SIR is +inf regardless of signal strength —
+                # success either way.  This is the overwhelmingly common
+                # slot shape (homogeneous blocking never activates a PU).
+                return [True]
+            if self._num_channels == 1 and not self._link_loss:
+                success = self._estimated_outcomes(concurrent)
+                if success is None:
+                    self._adjudicate_fallbacks += 1
+        if success is None:
+            success = self._exact_outcomes(concurrent)
+        if completing is concurrent:
+            return success
+        index_of = {node: index for index, (_, node, _, _) in enumerate(concurrent)}
+        return [success[index_of[node]] for _, node, _, _ in completing]
+
+    def _estimated_outcomes(
+        self, concurrent: List[Tuple[float, int, int, int]]
+    ) -> Optional[List[bool]]:
+        """Outcomes of a PU-free single-channel slot from IEEE estimates of
+        the gains, or ``None`` when a decision is too close to call.
+
+        A gain is ``su_power * s ** (-alpha / 2)`` over the squared
+        distance ``s``, clamped at ``_MIN_DISTANCE ** 2``: plain-Python
+        float arithmetic, which IEEE 754 and libm fix, where
+        :meth:`_link_budget` computes ``hypot`` and ``** -alpha`` in numpy.
+        The two agree to a few ulps (``test_gain_estimate_premise`` bounds
+        the gap at 1e-13 relative; it measures ~1e-15), so a comparison
+        whose margin exceeds ``_DECISION_MARGIN`` relative comes out the
+        same on either.  A closer one (an SIR at ``eta_s``, two signals
+        into one receiver at a tie) returns ``None``, and the caller
+        decides the slot with :meth:`_exact_outcomes`.
+        """
         count = len(concurrent)
-        if count == 1 and len(completing) == 1 and self._active_pus.size == 0:
-            # A lone transmitter with no active PU: the capture rule holds
-            # trivially and the interference sum is exactly zero, so the
-            # SIR is +inf regardless of signal strength — success either
-            # way.  This is the overwhelmingly common slot shape (and the
-            # only shape under homogeneous blocking, where _pu_states
-            # never toggles).
-            return [True]
+        _, tx_nodes, rx_nodes, _ = zip(*concurrent)
+        points = self._positions.take(rx_nodes + tx_nodes, axis=0).tolist()
+        transmitters = points[count:]
+        exponent = -0.5 * self.alpha
+        power = self._su_power
+        eta_s = self.eta_s
+        margin = _DECISION_MARGIN * eta_s
+        signal: List[float] = []
+        success: List[bool] = []
+        floor = _MIN_SQUARED_DISTANCE
+        for index, (x, y) in enumerate(points[:count]):
+            noise = 0.0
+            for other, (tx, ty) in enumerate(transmitters):
+                dx = x - tx
+                dy = y - ty
+                squared = dx * dx + dy * dy
+                if squared < floor:
+                    squared = floor
+                gain = power * squared ** exponent
+                if other == index:
+                    own = gain
+                else:
+                    noise += gain
+            sir = own / noise if noise > 0.0 else math.inf
+            if abs(sir - eta_s) <= margin:
+                return None
+            signal.append(own)
+            success.append(sir >= eta_s)
+        if len(set(rx_nodes)) < count:
+            # The capture rule, decision by decision as _exact_outcomes
+            # makes them: each comparison must be clear of a tie.
+            strongest: Dict[int, int] = {}
+            for index, receiver in enumerate(rx_nodes):
+                best = strongest.get(receiver)
+                if best is None:
+                    strongest[receiver] = index
+                    continue
+                if abs(signal[index] - signal[best]) <= _DECISION_MARGIN * max(
+                    signal[index], signal[best]
+                ):
+                    return None
+                if signal[index] > signal[best]:
+                    strongest[receiver] = index
+            for index, receiver in enumerate(rx_nodes):
+                if strongest[receiver] != index:
+                    success[index] = False
+        return success
+
+    def _exact_outcomes(
+        self, concurrent: List[Tuple[float, int, int, int]]
+    ) -> List[bool]:
+        """Each concurrent link's outcome from :meth:`_link_budget`."""
+        count = len(concurrent)
         rx_nodes = [receiver for _, _, receiver, _ in concurrent]
         signal, interference = self._link_budget(concurrent)
 
@@ -1457,10 +1560,7 @@ class SlottedEngine:
         for index, noise in enumerate(interference):
             sir = signal[index] / noise if noise > 0.0 else math.inf
             success[index] = success[index] and sir >= eta_s
-        if completing is concurrent:
-            return success
-        index_of = {node: index for index, (_, node, _, _) in enumerate(concurrent)}
-        return [success[index_of[node]] for _, node, _, _ in completing]
+        return success
 
     def _link_budget(
         self, concurrent: List[Tuple[float, int, int, int]]
@@ -1605,7 +1705,8 @@ class SlottedEngine:
         # A slot with nothing on the air arms the fast-forward: the next
         # slots are frozen candidates until someone transmits again.
         self._ff_armed = self._ff_enabled and not concurrent
-        self._clear_fairness_waits()
+        if self._waited:
+            self._clear_fairness_waits()
         if not completing:
             return
         result = self._result

@@ -16,6 +16,8 @@ adjudication are checked against a scalar reference.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 from unittest import mock
 
@@ -25,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.collector as collector
+import repro.obs as obs
 import repro.routing.coolest as coolest
 from repro.core.addc import AddcPolicy
 from repro.core.collector import run_addc_collection
@@ -34,6 +37,7 @@ from repro.graphs.tree import build_collection_tree
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.deployment import deploy_crn
 from repro.network.primary import MarkovActivity
+from repro.obs.recorder import MetricsRecorder
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine, _frozen_prefix
@@ -724,3 +728,146 @@ def test_numpy_row_sums_are_sequential_below_8_terms_and_pairwise_from_8():
     terms = [1.0] + [2.0 ** -53] * 7
     assert np.array([terms]).sum(axis=1).tolist() == [1.0 + 3 * 2.0 ** -52]
     assert sequential_sum(terms) == 1.0
+
+
+def gain_estimate(power, alpha, dx, dy):
+    """The engine's plain-Python gain estimate (``_estimated_outcomes``)."""
+    squared = dx * dx + dy * dy
+    if squared < 1e-12:
+        squared = 1e-12
+    return power * squared ** (-0.5 * alpha)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0, 6.0])
+def test_gain_estimate_premise(alpha):
+    """The estimate is within 1e-13 relative of the numpy formula
+    ``_link_budget`` computes, over 10**5 seeded pairs, a tenth of them
+    across the 1e-6 distance clamp; the engine trusts an estimated
+    decision only when its margin exceeds 1e-9 relative."""
+    rng = np.random.default_rng(2012)
+    pairs = 100_000
+    receivers = rng.uniform(0.0, 250.0, (pairs, 2))
+    offsets = rng.uniform(-250.0, 250.0, (pairs, 2))
+    close = pairs // 10
+    offsets[:close] = rng.uniform(-1.0, 1.0, (close, 2)) * 10.0 ** rng.uniform(
+        -9.0, -5.0, (close, 1)
+    )
+    offsets[:10] = 0.0
+    deltas = receivers - (receivers + offsets)
+    distance = np.hypot(deltas[:, 0], deltas[:, 1])
+    assert (distance < 1e-6).sum() > 1000
+    for power in (1.0, 10.0):
+        exact = power * np.maximum(distance, 1e-6) ** (-alpha)
+        estimate = np.array(
+            [gain_estimate(power, alpha, dx, dy) for dx, dy in deltas.tolist()]
+        )
+        assert np.abs(estimate / exact - 1.0).max() <= 1e-13
+
+
+def test_estimated_outcomes_equal_the_exact_outcomes():
+    """Whenever the estimates decide a slot, they decide it as the exact
+    formula does: 3,000 seeded PU-free slots of 2 to 12 links into a few
+    shared receivers, some senders on their receiver (the clamp)."""
+    engine = capture_engine()
+    rng = np.random.default_rng(7)
+    decided = 0
+    for _ in range(3000):
+        count = int(rng.integers(2, 13))
+        receivers = int(rng.integers(1, count + 1))
+        positions = rng.uniform(0.0, 35.0, (count + receivers, 2))
+        if rng.random() < 0.2:
+            positions[count] = positions[0]
+        rx_nodes = rng.integers(count, count + receivers, count).tolist()
+        concurrent = [
+            (0.1, sender, receiver, 0) for sender, receiver in enumerate(rx_nodes)
+        ]
+        with mock.patch.object(engine, "_positions", positions):
+            estimated = engine._estimated_outcomes(concurrent)
+            if estimated is not None:
+                decided += 1
+                assert estimated == engine._exact_outcomes(concurrent)
+    assert decided == 3000
+
+
+def sir_at_eta_s(engine):
+    """Two links into two receivers, ``eta_s`` exactly link 0's SIR."""
+    positions = np.zeros((CAPTURE_NODES, 2))
+    positions[[0, 1, 3, 4]] = [(5.0, 5.0), (20.0, 9.0), (8.0, 6.5), (17.5, 11.0)]
+    concurrent = [(0.1, 3, 0, 0), (0.2, 4, 1, 0)]
+    with mock.patch.object(engine, "_positions", positions):
+        _, _, sir, _ = matrix_adjudication(engine, concurrent)
+    return positions, concurrent, sir[0]
+
+
+def equidistant_senders(engine):
+    """Two senders mirrored about their shared receiver: equal signals."""
+    positions = np.zeros((CAPTURE_NODES, 2))
+    positions[[0, 3, 4]] = [(10.0, 10.0), (7.0, 10.0), (13.0, 10.0)]
+    # Each link's SIR is exactly 1: an eta_s below it leaves capture,
+    # whose tie goes to the first link, to decide.
+    return positions, [(0.1, 3, 0, 0), (0.2, 4, 0, 0)], 0.5
+
+
+def clear_slot(engine):
+    """Two distinct receivers, SIRs far from ``eta_s``: no fallback."""
+    positions, concurrent, _ = sir_at_eta_s(engine)
+    return positions, concurrent, engine.eta_s
+
+
+@pytest.mark.parametrize(
+    "case, falls_back",
+    [(sir_at_eta_s, True), (equidistant_senders, True), (clear_slot, False)],
+)
+def test_close_decisions_fall_back_to_the_exact_formula(case, falls_back):
+    """A close decision goes to ``_exact_outcomes`` and is counted; the
+    outcomes are the matrix formula's either way.  With the fallback
+    stubbed to raise, exactly the close cases raise."""
+    engine = capture_engine()
+    positions, concurrent, eta_s = case(engine)
+    with mock.patch.multiple(engine, _positions=positions, eta_s=eta_s):
+        _, _, sir, captured = matrix_adjudication(engine, concurrent)
+        expected = [ok and value >= eta_s for ok, value in zip(captured, sir)]
+        before = engine._adjudicate_fallbacks
+        assert engine._adjudicate(concurrent, concurrent) == expected
+        assert engine._adjudicate_fallbacks == before + falls_back
+        with mock.patch.object(
+            engine, "_exact_outcomes", side_effect=RuntimeError("fallback")
+        ):
+            if falls_back:
+                with pytest.raises(RuntimeError, match="fallback"):
+                    engine._adjudicate(concurrent, concurrent)
+            else:
+                assert engine._adjudicate(concurrent, concurrent) == expected
+    if case is equidistant_senders:
+        assert expected == [True, False]
+    if case is sir_at_eta_s:
+        assert expected[0] is True
+
+
+def test_every_fallback_is_counted_and_published():
+    """Forcing every estimate to fall back changes no result or RNG
+    position, and each PU-free multi-transmitter slot (every one, under
+    the mean field) counts once in ``engine.adjudicate_fallbacks``."""
+    config = ExperimentConfig.quick_scale()
+    factory = StreamFactory(2012).spawn("fallbacks")
+    topology = deploy_crn(config.deployment_spec(), factory)
+    runs = []
+    for forced in (False, True):
+        recorder = MetricsRecorder()
+        forcing = (
+            mock.patch.object(SlottedEngine, "_estimated_outcomes", return_value=None)
+            if forced
+            else contextlib.nullcontext()
+        )
+        with forcing, obs.use_recorder(recorder):
+            outcome = run_coolest_collection(
+                topology, factory.spawn("coolest"), **config.run_options()
+            )
+        published = recorder.counters["engine.adjudicate_fallbacks"]
+        assert published == outcome.engine._adjudicate_fallbacks
+        runs.append((outcome, published))
+    (plain, _), (forced, fallbacks) = runs
+    assert dataclasses.asdict(forced.result) == dataclasses.asdict(plain.result)
+    assert forced.engine.rng_positions() == plain.engine.rng_positions()
+    histogram = plain.result.concurrent_tx_histogram
+    assert fallbacks == sum(n for k, n in histogram.items() if k > 1) > 0

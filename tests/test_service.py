@@ -657,6 +657,20 @@ class TestExperimentService:
         with pytest.raises(RuntimeError):
             service.pool.submit(print)
 
+    def test_a_streaming_submit_is_subscribed_before_its_job_runs(self, tmp_path):
+        service = ExperimentService(tmp_path / "state")
+        events = []
+        response = service.submit(tiny_spec().to_dict(), events.append)
+        assert response["type"] == "accepted"
+        # The worker finishes the job before the server acts on the answer.
+        service.run_next_job(timeout_s=0)
+        assert [event["type"] for event in events][-1] == "completed"
+        # A shed submit leaves no subscription behind.
+        service.queue.close()
+        shed = service.submit(tiny_spec(seed=5).to_dict(), events.append)
+        assert shed["type"] == "retry_after"
+        assert events.append not in service._subscribers[tiny_spec(seed=5).fingerprint()]
+
     def test_subscribers_get_progress_and_completed(self, tmp_path):
         service = ExperimentService(tmp_path / "state")
         spec = tiny_spec(repetitions=2)
@@ -919,6 +933,39 @@ class TestServerTransport:
         assert (
             client.wait_for_result(spec.fingerprint())["type"] == "completed"
         )
+
+    def test_a_job_finished_before_its_answer_still_streams(
+        self, server, monkeypatch
+    ):
+        """The worker runs a job while the submit that queued it is still
+        being answered (here: persisting the job waits up to 2 s for it to
+        complete, where a client subscribed after its answer never heard
+        of the completion).  The streaming client gets the acceptance,
+        then the completion; the job's events wait for the answer."""
+        served, client = server
+        service = served.service
+        persist = service.state.persist_job
+
+        def persist_after_the_job_ran(*args):
+            persist(*args)
+            for _ in range(200):
+                if service.counters()["jobs_completed"]:
+                    return
+                obs.clock.sleep_s(0.01)
+
+        monkeypatch.setattr(service.state, "persist_job", persist_after_the_job_ran)
+        events, answers = [], []
+        submit = threading.Thread(
+            target=lambda: answers.append(
+                client.submit(tiny_spec(seed=41), stream=True, on_event=events.append)
+            ),
+            daemon=True,
+        )
+        submit.start()
+        submit.join(timeout=30)
+        assert not submit.is_alive(), "the completion never reached the client"
+        assert answers[0]["type"] == "completed"
+        assert events[0]["type"] == "accepted"
 
     def test_shutdown_request_drains_and_snapshots(self, tmp_path):
         from repro.service.client import ServiceClient
