@@ -44,11 +44,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 WORKLOAD = "fig6c-sweep"
 SEED = 2012
@@ -57,36 +59,56 @@ PAIRS = 3
 RUN_TIMEOUT_S = 1800
 
 
+def _run(command: Sequence[str], tree: Path) -> Optional[Tuple[int, str, str]]:
+    """``(returncode, stdout, stderr)`` of ``command`` run in ``tree``.
+
+    The child starts in its own session.  One still running after
+    ``RUN_TIMEOUT_S`` is hung: its whole process group (a ``repro serve``
+    daemon it started included) is killed and the result is ``None``.
+    """
+    with subprocess.Popen(
+        command, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    ) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=RUN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            sys.stderr.write(f"timed out after {RUN_TIMEOUT_S} s: {' '.join(command)}\n")
+            return None
+    return child.returncode, stdout, stderr
+
+
 def compile_tree(tree: Path) -> bool:
     """Byte-compile ``tree``'s ``src/``; whether every module compiled."""
-    done = subprocess.run(
-        [sys.executable, "-m", "compileall", "-q", "src"],
-        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
-    if done.returncode != 0:
-        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
-    return done.returncode == 0
+    done = _run([sys.executable, "-m", "compileall", "-q", "src"], tree)
+    if done is None:
+        return False
+    returncode, stdout, stderr = done
+    if returncode != 0:
+        sys.stderr.write(stdout[-2000:] + stderr[-2000:])
+    return returncode == 0
 
 
 def run_once(tree: Path, seconds: float, workload: str, seed: int) -> Dict:
     """One untraced e2ebench run of ``workload`` in ``tree``; its JSON result line.
 
-    A run that exits without a result line counts as an incorrect run
-    with no metrics.
+    A run that exits without a result line, or is killed as hung, counts
+    as an incorrect run with no metrics.
     """
     command = [
         sys.executable, "e2ebench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(
-        command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
-    )
-    lines = done.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
-        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    done = _run(command, tree)
+    if done is not None:
+        _, stdout, stderr = done
+        try:
+            return json.loads(stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            sys.stderr.write(stdout[-2000:] + stderr[-2000:])
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
 
 
 def worse_by(better: str, base: float, change: float) -> float:

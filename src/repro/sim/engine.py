@@ -77,9 +77,8 @@ its listening span.  See docs/MODEL.md for the full semantics.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,11 +101,6 @@ __all__ = ["SlottedEngine"]
 #: Distances below this are clamped when evaluating SIR.
 _MIN_DISTANCE = 1e-6
 _MIN_SQUARED_DISTANCE = _MIN_DISTANCE ** 2
-
-#: Relative gap below which a decision from gain estimates counts as
-#: close and the exact formula decides it (see _estimated_outcomes): four
-#: orders of magnitude above the estimates' own error.
-_DECISION_MARGIN = 1e-9
 
 #: First fast-forward peek, in rows; it doubles up to the streams' cap.
 _FF_MIN_CHUNK = 16
@@ -596,8 +590,6 @@ class SlottedEngine:
         #: runs the ordinary loop (its PU states come from run()).
         self._ff_armed = False
         self._ff_slots = 0
-        #: Contended slots the gain estimates left to the exact formula.
-        self._adjudicate_fallbacks = 0
         #: ``(total_s, count)`` per _PHASE_SPANS key, set by _run_loop.
         self._phase_totals: Dict[str, Tuple[float, int]] = {}
 
@@ -1066,7 +1058,6 @@ class SlottedEngine:
         obs.counter_add("engine.pu_violations", result.pu_violations)
         obs.counter_add("engine.frozen_slots", result.frozen_slot_count)
         obs.counter_add("engine.fastforward_slots", self._ff_slots)
-        obs.counter_add("engine.adjudicate_fallbacks", self._adjudicate_fallbacks)
         obs.counter_add("engine.fault_events", result.fault_event_count)
         obs.gauge_set("engine.max_backlog", result.max_backlog)
         for record in result.deliveries:
@@ -1433,164 +1424,101 @@ class SlottedEngine:
         """Physical-model outcome for the transmissions completing this slot.
 
         A link succeeds iff (a) no stronger concurrent signal targets its
-        receiver (single-radio capture, RS mode) and (b) its SIR over all
-        other concurrent SU transmitters plus all active PUs meets
+        receiver (single-radio capture, RS mode; of equal signals the
+        first link wins) and (b) its SIR over all other concurrent SU
+        transmitters plus all active PUs, from :meth:`_link_budget`, meets
         ``eta_s``.
 
         ``concurrent`` lists every transmission on the air during the slot
         (multi-slot packets still in flight included); with single-slot
-        packets it is ``completing`` itself.  A slot with no active PU, one
-        channel and no link-loss fault is decided from gain estimates
-        unless a decision is close (:meth:`_estimated_outcomes`); any
-        other slot, and every close one, by :meth:`_exact_outcomes`.
+        packets it is ``completing`` itself.
         """
         if not completing:
             return []
-        success = None
-        if self._active_pus.size == 0:
-            if len(concurrent) == 1:
-                # A lone transmitter with no active PU: the capture rule
-                # holds trivially and the interference sum is exactly
-                # zero, so the SIR is +inf regardless of signal strength —
-                # success either way.  This is the overwhelmingly common
-                # slot shape (homogeneous blocking never activates a PU).
-                return [True]
-            if self._num_channels == 1 and not self._link_loss:
-                success = self._estimated_outcomes(concurrent)
-                if success is None:
-                    self._adjudicate_fallbacks += 1
-        if success is None:
-            success = self._exact_outcomes(concurrent)
-        if completing is concurrent:
-            return success
-        index_of = {node: index for index, (_, node, _, _) in enumerate(concurrent)}
-        return [success[index_of[node]] for _, node, _, _ in completing]
-
-    def _estimated_outcomes(
-        self, concurrent: List[Tuple[float, int, int, int]]
-    ) -> Optional[List[bool]]:
-        """Outcomes of a PU-free single-channel slot from IEEE estimates of
-        the gains, or ``None`` when a decision is too close to call.
-
-        A gain is ``su_power * s ** (-alpha / 2)`` over the squared
-        distance ``s``, clamped at ``_MIN_DISTANCE ** 2``: plain-Python
-        float arithmetic, which IEEE 754 and libm fix, where
-        :meth:`_link_budget` computes ``hypot`` and ``** -alpha`` in numpy.
-        The two agree to a few ulps (``test_gain_estimate_premise`` bounds
-        the gap at 1e-13 relative; it measures ~1e-15), so a comparison
-        whose margin exceeds ``_DECISION_MARGIN`` relative comes out the
-        same on either.  A closer one (an SIR at ``eta_s``, two signals
-        into one receiver at a tie) returns ``None``, and the caller
-        decides the slot with :meth:`_exact_outcomes`.
-        """
         count = len(concurrent)
-        _, tx_nodes, rx_nodes, _ = zip(*concurrent)
-        points = self._positions.take(rx_nodes + tx_nodes, axis=0).tolist()
-        transmitters = points[count:]
-        exponent = -0.5 * self.alpha
-        power = self._su_power
+        if count == 1 and self._active_pus.size == 0:
+            # A lone transmitter with no active PU: the capture rule
+            # holds trivially and the interference sum is exactly
+            # zero, so the SIR is +inf regardless of signal strength —
+            # success either way.  This is the overwhelmingly common
+            # slot shape (homogeneous blocking never activates a PU).
+            return [True]
+        _, tx_nodes, rx_nodes, channels = zip(*concurrent)
+        signal, interference = self._link_budget(tx_nodes, rx_nodes, channels)
         eta_s = self.eta_s
-        margin = _DECISION_MARGIN * eta_s
-        signal: List[float] = []
-        success: List[bool] = []
-        floor = _MIN_SQUARED_DISTANCE
-        for index, (x, y) in enumerate(points[:count]):
-            noise = 0.0
-            for other, (tx, ty) in enumerate(transmitters):
-                dx = x - tx
-                dy = y - ty
-                squared = dx * dx + dy * dy
-                if squared < floor:
-                    squared = floor
-                gain = power * squared ** exponent
-                if other == index:
-                    own = gain
-                else:
-                    noise += gain
-            sir = own / noise if noise > 0.0 else math.inf
-            if abs(sir - eta_s) <= margin:
-                return None
-            signal.append(own)
-            success.append(sir >= eta_s)
+        # No interference at all is an infinite SIR.
+        success = [
+            noise <= 0.0 or power / noise >= eta_s
+            for power, noise in zip(signal, interference)
+        ]
         if len(set(rx_nodes)) < count:
-            # The capture rule, decision by decision as _exact_outcomes
-            # makes them: each comparison must be clear of a tie.
-            strongest: Dict[int, int] = {}
-            for index, receiver in enumerate(rx_nodes):
-                best = strongest.get(receiver)
-                if best is None:
-                    strongest[receiver] = index
-                    continue
-                if abs(signal[index] - signal[best]) <= _DECISION_MARGIN * max(
-                    signal[index], signal[best]
-                ):
-                    return None
-                if signal[index] > signal[best]:
-                    strongest[receiver] = index
-            for index, receiver in enumerate(rx_nodes):
-                if strongest[receiver] != index:
-                    success[index] = False
-        return success
-
-    def _exact_outcomes(
-        self, concurrent: List[Tuple[float, int, int, int]]
-    ) -> List[bool]:
-        """Each concurrent link's outcome from :meth:`_link_budget`."""
-        count = len(concurrent)
-        rx_nodes = [receiver for _, _, receiver, _ in concurrent]
-        signal, interference = self._link_budget(concurrent)
-
-        # Capture rule: among links sharing a receiver, only the strongest
-        # signal can be decoded, and of equal signals the first link.
-        # Distinct receivers all pass.
-        if len(set(rx_nodes)) == count:
-            success = [True] * count
-        else:
+            # Capture rule: among links sharing a receiver, only the
+            # strongest signal can be decoded.
             strongest: Dict[int, int] = {}
             for index, receiver in enumerate(rx_nodes):
                 best = strongest.get(receiver)
                 if best is None or signal[index] > signal[best]:
                     strongest[receiver] = index
-            success = [
-                strongest[receiver] == index
-                for index, receiver in enumerate(rx_nodes)
-            ]
-
-        eta_s = self.eta_s
-        for index, noise in enumerate(interference):
-            sir = signal[index] / noise if noise > 0.0 else math.inf
-            success[index] = success[index] and sir >= eta_s
-        return success
+            for index, receiver in enumerate(rx_nodes):
+                if strongest[receiver] != index:
+                    success[index] = False
+        if completing is concurrent:
+            return success
+        index_of = {node: index for index, (_, node, _, _) in enumerate(concurrent)}
+        return [success[index_of[node]] for _, node, _, _ in completing]
 
     def _link_budget(
-        self, concurrent: List[Tuple[float, int, int, int]]
+        self,
+        tx_nodes: Tuple[int, ...],
+        rx_nodes: Tuple[int, ...],
+        channels: Tuple[int, ...],
     ) -> Tuple[List[float], List[float]]:
-        """``(signal, interference)`` at each concurrent link's receiver.
+        """``(signal, interference)`` at each concurrent link's receiver,
+        for links given as columns: transmitters, receivers, channels.
 
-        numpy computes only the elementwise received-power blocks (k x k
-        over the SU transmitters, k x m over the active PUs), so every
-        power is bit for bit what a whole-matrix pass gives; the rest
-        runs in plain Python over their rows, which on the 2-4 links of a
-        typical contended slot is cheaper than numpy's per-call dispatch.
-        Interference sums keep numpy's ``sum(axis=1)`` order on a
-        C-contiguous row: one term at a time in index order below 8
-        terms, numpy's own pairwise sum from 8 up.
+        The engine's one definition of an SU gain: ``su_power * s **
+        (-alpha / 2)`` over the squared distance ``s``, clamped at
+        ``_MIN_DISTANCE ** 2``, in plain-Python float arithmetic, which
+        IEEE 754 and libm fix whatever SIMD level numpy dispatches to.
+        Each receiver sums its same-channel SU interference one term at a
+        time in index order.  The active-PU block stays numpy
+        (``sum(axis=1)`` over a C-contiguous row) and is added last.
         """
-        count = len(concurrent)
-        _, tx_nodes, rx_nodes, channels = zip(*concurrent)
+        count = len(tx_nodes)
         points = self._positions.take(rx_nodes + tx_nodes, axis=0)
-        rx_pos = points[:count]
+        coords = points.tolist()
+        senders = list(enumerate(coords[count:]))
+        groups: Iterable[List[Tuple[int, List[float]]]] = [senders]
+        if self._num_channels > 1:
+            # Only same-channel transmitters interfere: one pass per
+            # channel, each over its links in index order.
+            by_channel: Dict[int, List[Tuple[int, List[float]]]] = {}
+            for sender, channel in zip(senders, channels):
+                by_channel.setdefault(channel, []).append(sender)
+            groups = by_channel.values()
 
-        # Received SU power: gains[i][j] is transmitter j's power at
-        # receiver i.  Link i's signal is the diagonal (hypot is
-        # sign-symmetric, so rx - tx gives the tx - rx distance bit for
-        # bit); the rest is same-slot SU interference.
-        deltas = rx_pos[:, None] - points[count:]
-        distance = np.maximum(
-            np.hypot(deltas[..., 0], deltas[..., 1]), _MIN_DISTANCE
-        )
-        gains = (self._su_power * distance ** (-self.alpha)).tolist()
-        signal = [row[index] for index, row in enumerate(gains)]
+        exponent = -0.5 * self.alpha
+        power = self._su_power
+        floor = _MIN_SQUARED_DISTANCE
+        signal = [0.0] * count
+        interference = [0.0] * count
+        for group in groups:
+            for index, _ in group:
+                x, y = coords[index]
+                # Not sum(): from Python 3.12 it compensates float rounding.
+                noise = 0.0
+                for other, (tx, ty) in group:
+                    dx = x - tx
+                    dy = y - ty
+                    squared = dx * dx + dy * dy
+                    if squared < floor:
+                        squared = floor
+                    gain = power * squared ** exponent
+                    if other == index:
+                        signal[index] = gain
+                    else:
+                        noise += gain
+                interference[index] = noise
         if self._link_loss:
             # Link-degradation faults: extra path loss on specific directed
             # links weakens the *signal* only (interference terms keep
@@ -1600,33 +1528,10 @@ class SlottedEngine:
                 if factor is not None:
                     signal[index] *= factor
 
-        # Interference at each receiver: all other *same-channel* SU
-        # transmitters ...
-        for index, row in enumerate(gains):
-            row[index] = 0.0
-        if self._num_channels > 1:
-            gains = [
-                [
-                    term if other == channel else 0.0
-                    for term, other in zip(row, channels)
-                ]
-                for row, channel in zip(gains, channels)
-            ]
-        if count < 8:
-            # Not sum(): from Python 3.12 it compensates float rounding.
-            interference = []
-            for row in gains:
-                total = 0.0
-                for term in row:
-                    total += term
-                interference.append(total)
-        else:
-            interference = np.array(gains).sum(axis=1).tolist()
-
-        # ... plus every active *same-channel* PU.
+        # Every active *same-channel* PU adds to the interference last.
         active = self._active_pus
         if active.size:
-            pu_deltas = rx_pos[:, None] - self._pu_positions[active]
+            pu_deltas = points[:count, None] - self._pu_positions[active]
             pu_dist = np.maximum(
                 np.hypot(pu_deltas[..., 0], pu_deltas[..., 1]), _MIN_DISTANCE
             )

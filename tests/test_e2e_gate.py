@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import signal
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,3 +232,43 @@ def test_workload_and_seed_reach_every_run(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         gate.main(argv + ["--workload", "paper-rep"])
     assert exit_info.value.code == 2 and calls == []
+
+
+#: A fake checkout's e2ebench/run.py that hangs: it starts one sleeping
+#: grandchild (as a hung run leaves its ``repro serve`` daemon), records
+#: its pid, then sleeps past the gate's timeout.
+HUNG_RUN = """\
+import subprocess, sys, time
+grandchild = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open("grandchild.pid", "w") as handle:
+    handle.write(str(grandchild.pid))
+time.sleep(60)
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_hung_run_is_killed_with_its_process_group(tmp_path, monkeypatch):
+    (tmp_path / "e2ebench").mkdir()
+    (tmp_path / "e2ebench" / "run.py").write_text(HUNG_RUN)
+    monkeypatch.setattr(gate, "RUN_TIMEOUT_S", 1)
+    pid_file = tmp_path / "grandchild.pid"
+    try:
+        record = gate.run_once(tmp_path, 0, "fig6c-sweep", 2012)
+        assert record == {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(pid)
+    finally:
+        if pid_file.exists() and running(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)

@@ -11,13 +11,13 @@ property adds crashes, outages with rejoins, base-station blackouts and
 multi-slot packets.  The hook forces the plain slot loop, so that run must
 also end in the same result and the same RNG stream positions as the
 fast-forwarded one.  The capture rule and multi-channel SIR of
-adjudication are checked against a scalar reference.
+adjudication are checked against a scalar reference, bit for bit against
+the engine's gain definition written out pair by pair, and against
+``SirValidator``, a numpy SIR model that shares no code with the engine.
 """
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import functools
 from unittest import mock
 
@@ -27,7 +27,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.collector as collector
-import repro.obs as obs
 import repro.routing.coolest as coolest
 from repro.core.addc import AddcPolicy
 from repro.core.collector import run_addc_collection
@@ -37,12 +36,12 @@ from repro.graphs.tree import build_collection_tree
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.deployment import deploy_crn
 from repro.network.primary import MarkovActivity
-from repro.obs.recorder import MetricsRecorder
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine, _frozen_prefix
 from repro.sim.packet import DATA
 from repro.spectrum.sensing import CarrierSenseMap
+from repro.spectrum.sir import SirValidator
 
 
 def deploy(seed: int, num_sus: int, num_pus: int, p_t: float, markov: bool):
@@ -425,17 +424,30 @@ def capture_engine():
     return SlottedEngine(topology, sense_map, policy, factory.spawn("capture"))
 
 
+def ieee_gain(power, alpha, dx, dy):
+    """The engine's one definition of an SU gain, over one pair's offset:
+    plain-Python IEEE arithmetic on the squared distance, clamped at
+    ``1e-6 ** 2``."""
+    squared = dx * dx + dy * dy
+    if squared < 1e-12:
+        squared = 1e-12
+    return power * squared ** (-0.5 * alpha)
+
+
 def reference_outcomes(engine, links, channels, active_pus, pu_channels, sir_check):
     """Scalar rule: the first strongest link per receiver wins capture,
     then it must meet ``eta_s`` over every other transmitter and PU on
     its channel (no interferer at all is an infinite SIR)."""
     positions = engine._positions
-    tx = np.array([sender for sender, _ in links])
-    rx = np.array([receiver for _, receiver in links])
-    # The engine's own signal arithmetic, so exact ties stay exact.
-    deltas = positions[tx] - positions[rx]
-    distance = np.maximum(np.hypot(deltas[:, 0], deltas[:, 1]), 1e-6)
-    signal = (engine._su_power * distance ** (-engine.alpha)).tolist()
+    # The engine's own gain definition, so exact ties stay exact.
+    signal = [
+        ieee_gain(
+            engine._su_power,
+            engine.alpha,
+            *(positions[receiver] - positions[sender]).tolist(),
+        )
+        for sender, receiver in links
+    ]
 
     def power_at(source, power, receiver):
         dx, dy = source - positions[receiver]
@@ -545,20 +557,25 @@ def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
 
 
 def matrix_adjudication(engine, concurrent):
-    """The whole-matrix numpy formula the engine adjudicated with before
-    its per-link rewrite, kept verbatim as the bit-level reference:
-    ``(signal, interference, sir, captured)`` per concurrent link."""
+    """The engine's gain definition written out pair by pair, as the
+    bit-level reference: ``(signal, interference, sir, captured)`` per
+    concurrent link.  Every SU power is ``ieee_gain`` of its own pair;
+    each receiver adds its other same-channel transmitters' powers one at
+    a time in index order; the active-PU block is the numpy formula
+    verbatim; capture is decided over the whole matrix of signals."""
     count = len(concurrent)
     tx_nodes = [node for _, node, _, _ in concurrent]
     rx_nodes = [receiver for _, _, receiver, _ in concurrent]
     channels = [channel for _, _, _, channel in concurrent]
-    tx_pos = engine._positions[tx_nodes]
-    rx_pos = engine._positions[rx_nodes]
+    points = engine._positions.tolist()
 
-    tx_deltas = rx_pos[:, None, :] - tx_pos[None, :, :]
-    tx_dist = np.maximum(np.hypot(tx_deltas[..., 0], tx_deltas[..., 1]), 1e-6)
-    gains = engine._su_power * tx_dist ** (-engine.alpha)
-    signal = gains.diagonal().copy()
+    def su_power_at(receiver, sender):
+        (x, y), (tx, ty) = points[receiver], points[sender]
+        return ieee_gain(engine._su_power, engine.alpha, x - tx, y - ty)
+
+    signal = np.array(
+        [su_power_at(receiver, sender) for sender, receiver in zip(tx_nodes, rx_nodes)]
+    )
     if engine._link_loss:
         for index in range(count):
             factor = engine._link_loss.get((tx_nodes[index], rx_nodes[index]))
@@ -576,14 +593,18 @@ def matrix_adjudication(engine, concurrent):
         beaten = shared & ((other > own) | ((other == own) & earlier))
         ok = ~beaten.any(axis=1)
 
-    np.fill_diagonal(gains, 0.0)
-    if engine._num_channels > 1:
-        channel_array = np.asarray(channels)
-        gains = gains * (channel_array[:, None] == channel_array[None, :])
-    interference = gains.sum(axis=1)
+    sums = []
+    for index, receiver in enumerate(rx_nodes):
+        total = 0.0
+        for other, sender in enumerate(tx_nodes):
+            if other != index and channels[other] == channels[index]:
+                total += su_power_at(receiver, sender)
+        sums.append(total)
+    interference = np.array(sums)
 
     active = engine._active_pus
     if active.size:
+        rx_pos = engine._positions[rx_nodes]
         pu_pos = engine._pu_positions[active]
         pu_deltas = rx_pos[:, None, :] - pu_pos[None, :, :]
         pu_dist = np.maximum(np.hypot(pu_deltas[..., 0], pu_deltas[..., 1]), 1e-6)
@@ -600,16 +621,24 @@ def matrix_adjudication(engine, concurrent):
     return signal.tolist(), interference.tolist(), sir.tolist(), ok.tolist()
 
 
+def link_budget(engine, concurrent):
+    """The engine's ``(signal, interference)`` for ``concurrent`` links."""
+    _, tx_nodes, rx_nodes, channels = zip(*concurrent)
+    return engine._link_budget(tx_nodes, rx_nodes, channels)
+
+
 def float_bits(values):
     return [float(value).hex() for value in values]
 
 
 @pytest.mark.parametrize("count", range(1, 41))
 def test_link_budget_matches_the_matrix_formula_bit_for_bit(count):
-    """Signal, interference and SIR of every link equal the whole-matrix
-    formula's floats bit for bit, on one to three channels, with and
-    without link-loss faults and active PUs; so do the outcomes, at an
-    ``eta_s`` set exactly to one link's SIR so the ``>=`` edge is hit."""
+    """Signal, interference and SIR of every link equal the pair-by-pair
+    reference's floats bit for bit, on one to three channels, with and
+    without link-loss faults and active PUs, with one sender on its
+    receiver (the distance clamp); so do ``_adjudicate``'s outcomes, at
+    an ``eta_s`` of 0 and at one set exactly to one link's SIR so the
+    ``>=`` edge is hit."""
     engine = capture_engine()
     rng = np.random.default_rng(count)
     receivers = max(1, count // 3)
@@ -653,7 +682,7 @@ def test_link_budget_matches_the_matrix_formula_bit_for_bit(count):
                     signal, interference, sir, captured = matrix_adjudication(
                         engine, concurrent
                     )
-                    got_signal, got_interference = engine._link_budget(concurrent)
+                    got_signal, got_interference = link_budget(engine, concurrent)
                     assert float_bits(got_signal) == float_bits(signal)
                     assert float_bits(got_interference) == float_bits(interference)
                     got_sir = [
@@ -705,10 +734,11 @@ def pairwise_sum(row):
 
 
 def test_numpy_row_sums_are_sequential_below_8_terms_and_pairwise_from_8():
-    """The summation order the engine's interference sums reproduce: a
-    C-contiguous row's ``sum(axis=1)`` adds one term at a time below 8
-    terms and pairwise from 8 up.  A numpy release that changes either
-    order fails here before it silently moves a simulated outcome."""
+    """The summation order of the engine's active-PU interference block,
+    which still sums in numpy: a C-contiguous row's ``sum(axis=1)`` adds
+    one term at a time below 8 terms and pairwise from 8 up.  A numpy
+    release that changes either order fails here before it silently
+    moves a simulated outcome."""
     rng = np.random.default_rng(2012)
     for count in range(1, 41):
         orders_differ = False
@@ -730,20 +760,14 @@ def test_numpy_row_sums_are_sequential_below_8_terms_and_pairwise_from_8():
     assert sequential_sum(terms) == 1.0
 
 
-def gain_estimate(power, alpha, dx, dy):
-    """The engine's plain-Python gain estimate (``_estimated_outcomes``)."""
-    squared = dx * dx + dy * dy
-    if squared < 1e-12:
-        squared = 1e-12
-    return power * squared ** (-0.5 * alpha)
-
-
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 5.0, 6.0])
 def test_gain_estimate_premise(alpha):
-    """The estimate is within 1e-13 relative of the numpy formula
-    ``_link_budget`` computes, over 10**5 seeded pairs, a tenth of them
-    across the 1e-6 distance clamp; the engine trusts an estimated
-    decision only when its margin exceeds 1e-9 relative."""
+    """The engine's gain definition (``ieee_gain``) is within 1e-13
+    relative of numpy's ``power * max(hypot, 1e-6) ** -alpha``, the
+    formula of ``repro.spectrum.sir``, over 10**5 seeded pairs, a tenth
+    of them across the 1e-6 distance clamp.  The engine and a numpy SIR
+    model therefore decide alike any link whose SIR clears ``eta_s`` by
+    more than 1e-9 relative (``test_adjudication_agrees_with_the_sir_validator``)."""
     rng = np.random.default_rng(2012)
     pairs = 100_000
     receivers = rng.uniform(0.0, 250.0, (pairs, 2))
@@ -758,45 +782,21 @@ def test_gain_estimate_premise(alpha):
     assert (distance < 1e-6).sum() > 1000
     for power in (1.0, 10.0):
         exact = power * np.maximum(distance, 1e-6) ** (-alpha)
-        estimate = np.array(
-            [gain_estimate(power, alpha, dx, dy) for dx, dy in deltas.tolist()]
+        defined = np.array(
+            [ieee_gain(power, alpha, dx, dy) for dx, dy in deltas.tolist()]
         )
-        assert np.abs(estimate / exact - 1.0).max() <= 1e-13
-
-
-def test_estimated_outcomes_equal_the_exact_outcomes():
-    """Whenever the estimates decide a slot, they decide it as the exact
-    formula does: 3,000 seeded PU-free slots of 2 to 12 links into a few
-    shared receivers, some senders on their receiver (the clamp)."""
-    engine = capture_engine()
-    rng = np.random.default_rng(7)
-    decided = 0
-    for _ in range(3000):
-        count = int(rng.integers(2, 13))
-        receivers = int(rng.integers(1, count + 1))
-        positions = rng.uniform(0.0, 35.0, (count + receivers, 2))
-        if rng.random() < 0.2:
-            positions[count] = positions[0]
-        rx_nodes = rng.integers(count, count + receivers, count).tolist()
-        concurrent = [
-            (0.1, sender, receiver, 0) for sender, receiver in enumerate(rx_nodes)
-        ]
-        with mock.patch.object(engine, "_positions", positions):
-            estimated = engine._estimated_outcomes(concurrent)
-            if estimated is not None:
-                decided += 1
-                assert estimated == engine._exact_outcomes(concurrent)
-    assert decided == 3000
+        assert np.abs(defined / exact - 1.0).max() <= 1e-13
 
 
 def sir_at_eta_s(engine):
-    """Two links into two receivers, ``eta_s`` exactly link 0's SIR."""
+    """Two links into two receivers, ``eta_s`` exactly link 0's SIR as
+    the engine computes it: the ``>=`` edge."""
     positions = np.zeros((CAPTURE_NODES, 2))
     positions[[0, 1, 3, 4]] = [(5.0, 5.0), (20.0, 9.0), (8.0, 6.5), (17.5, 11.0)]
     concurrent = [(0.1, 3, 0, 0), (0.2, 4, 1, 0)]
     with mock.patch.object(engine, "_positions", positions):
-        _, _, sir, _ = matrix_adjudication(engine, concurrent)
-    return positions, concurrent, sir[0]
+        signal, interference = link_budget(engine, concurrent)
+    return positions, concurrent, signal[0] / interference[0]
 
 
 def equidistant_senders(engine):
@@ -808,66 +808,70 @@ def equidistant_senders(engine):
     return positions, [(0.1, 3, 0, 0), (0.2, 4, 0, 0)], 0.5
 
 
-def clear_slot(engine):
-    """Two distinct receivers, SIRs far from ``eta_s``: no fallback."""
-    positions, concurrent, _ = sir_at_eta_s(engine)
-    return positions, concurrent, engine.eta_s
-
-
-@pytest.mark.parametrize(
-    "case, falls_back",
-    [(sir_at_eta_s, True), (equidistant_senders, True), (clear_slot, False)],
-)
-def test_close_decisions_fall_back_to_the_exact_formula(case, falls_back):
-    """A close decision goes to ``_exact_outcomes`` and is counted; the
-    outcomes are the matrix formula's either way.  With the fallback
-    stubbed to raise, exactly the close cases raise."""
+@pytest.mark.parametrize("case", [sir_at_eta_s, equidistant_senders])
+def test_close_decisions_follow_the_reference(case):
+    """Decisions at the edge of the rule: an SIR exactly at ``eta_s``
+    succeeds and fails one ulp of ``eta_s`` higher, and of two equal
+    signals into one receiver the first link is captured."""
     engine = capture_engine()
     positions, concurrent, eta_s = case(engine)
     with mock.patch.multiple(engine, _positions=positions, eta_s=eta_s):
         _, _, sir, captured = matrix_adjudication(engine, concurrent)
         expected = [ok and value >= eta_s for ok, value in zip(captured, sir)]
-        before = engine._adjudicate_fallbacks
         assert engine._adjudicate(concurrent, concurrent) == expected
-        assert engine._adjudicate_fallbacks == before + falls_back
-        with mock.patch.object(
-            engine, "_exact_outcomes", side_effect=RuntimeError("fallback")
-        ):
-            if falls_back:
-                with pytest.raises(RuntimeError, match="fallback"):
-                    engine._adjudicate(concurrent, concurrent)
-            else:
-                assert engine._adjudicate(concurrent, concurrent) == expected
     if case is equidistant_senders:
         assert expected == [True, False]
     if case is sir_at_eta_s:
-        assert expected[0] is True
+        assert sir[0] == eta_s and expected[0] is True
+        above = float(np.nextafter(eta_s, np.inf))
+        with mock.patch.multiple(engine, _positions=positions, eta_s=above):
+            assert engine._adjudicate(concurrent, concurrent)[0] is False
 
 
-def test_every_fallback_is_counted_and_published():
-    """Forcing every estimate to fall back changes no result or RNG
-    position, and each PU-free multi-transmitter slot (every one, under
-    the mean field) counts once in ``engine.adjudicate_fallbacks``."""
-    config = ExperimentConfig.quick_scale()
-    factory = StreamFactory(2012).spawn("fallbacks")
-    topology = deploy_crn(config.deployment_spec(), factory)
-    runs = []
-    for forced in (False, True):
-        recorder = MetricsRecorder()
-        forcing = (
-            mock.patch.object(SlottedEngine, "_estimated_outcomes", return_value=None)
-            if forced
-            else contextlib.nullcontext()
+def test_adjudication_agrees_with_the_sir_validator():
+    """An oracle that shares no code with the engine: the paper's SIR
+    model as ``SirValidator`` writes it in numpy.  Over 3,000 seeded
+    single-channel slots of 2 to 12 links into distinct receivers, half
+    of them with active PUs, every link whose validator SIR is more than
+    1e-9 relative away from ``eta_s`` gets the validator's outcome, and
+    almost every link is decided that way."""
+    engine = capture_engine()
+    validator = SirValidator(
+        engine.alpha,
+        eta_p=1.0,
+        eta_s=engine.eta_s,
+        pu_power=engine._pu_power,
+        su_power=engine._su_power,
+    )
+    rng = np.random.default_rng(36)
+    pu_positions = rng.uniform(0.0, 35.0, (8, 2))
+    links = decided = successes = 0
+    for slot in range(3000):
+        count = int(rng.integers(2, 13))
+        senders = rng.uniform(0.0, 35.0, (count, 2))
+        # Sender i transmits to receiver count + i, a few units away.
+        positions = np.vstack([senders, senders + rng.uniform(-6.0, 6.0, (count, 2))])
+        concurrent = [(0.1, sender, count + sender, 0) for sender in range(count)]
+        active = (
+            np.flatnonzero(rng.random(8) < 0.3)
+            if slot % 2
+            else np.array([], dtype=np.int64)
         )
-        with forcing, obs.use_recorder(recorder):
-            outcome = run_coolest_collection(
-                topology, factory.spawn("coolest"), **config.run_options()
-            )
-        published = recorder.counters["engine.adjudicate_fallbacks"]
-        assert published == outcome.engine._adjudicate_fallbacks
-        runs.append((outcome, published))
-    (plain, _), (forced, fallbacks) = runs
-    assert dataclasses.asdict(forced.result) == dataclasses.asdict(plain.result)
-    assert forced.engine.rng_positions() == plain.engine.rng_positions()
-    histogram = plain.result.concurrent_tx_histogram
-    assert fallbacks == sum(n for k, n in histogram.items() if k > 1) > 0
+        pu_links = [(pu_positions[pu], pu_positions[pu] + 1.0) for pu in active]
+        su_links = [(positions[sender], positions[count + sender]) for sender in range(count)]
+        with mock.patch.multiple(
+            engine,
+            _positions=positions,
+            _pu_positions=pu_positions,
+            _active_pus=active,
+        ):
+            outcomes = engine._adjudicate(concurrent, concurrent)
+        report = validator.validate(pu_links, su_links)
+        for outcome, sir in zip(outcomes, report.su_sirs):
+            links += 1
+            if abs(sir - engine.eta_s) > 1e-9 * engine.eta_s:
+                decided += 1
+                successes += outcome
+                assert outcome == (sir >= engine.eta_s)
+    assert decided >= 0.999 * links
+    assert 0.1 * decided < successes < 0.9 * decided
