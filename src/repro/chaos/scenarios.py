@@ -45,12 +45,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.faults.sweep import (
-    ChaosOptions,
-    ChaosSweepResult,
-    run_chaos_repetition,
-    save_chaos_run,
-)
+from repro.faults.sweep import ChaosOptions, run_chaos_repetition
 from repro.harness.checkpoint import load_checkpoint
 from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
 from repro.harness.sweep import run_checkpointed_sweep
@@ -89,24 +84,6 @@ def scenario_config(seed: int, repetitions: int = 1) -> ExperimentConfig:
     )
 
 
-def _chaos_sweep(
-    seed: int,
-    repetitions: int,
-    options: ChaosOptions,
-    journal: Path,
-    resume: bool = False,
-) -> ChaosSweepResult:
-    """A journalled chaos job on :func:`scenario_config`'s scenario."""
-    spec = JobSpec(
-        kind="chaos",
-        seed=seed,
-        repetitions=repetitions,
-        overrides=_TINY,
-        chaos=dataclasses.asdict(options),
-    )
-    return run_job(spec, checkpoint_path=journal, resume=resume).chaos
-
-
 def figure(value: float, higher_better: bool, gated: bool = True) -> Dict:
     """One ratchet figure, direction and gating declared at the source."""
     return {
@@ -135,9 +112,7 @@ def _plain_repetition(config: ExperimentConfig, repetition: int):
         **config.run_options(),
     )
     report = resilience_report(outcome.result, topology.secondary.num_sus)
-    positions = {}
-    if outcome.engine is not None:
-        positions["addc"] = outcome.engine.rng_positions()
+    positions = {"addc": outcome.engine.rng_positions()}
     return outcome.result, report, positions
 
 
@@ -243,9 +218,16 @@ def run_storage_scenario(
     reference_dir = workdir / "reference"
     reference_dir.mkdir()
     reference_journal = reference_dir / "journal.ndjson"
-    reference = _chaos_sweep(seed, 2, options, reference_journal)
+    spec = JobSpec(
+        kind="chaos",
+        seed=seed,
+        repetitions=2,
+        overrides=_TINY,
+        chaos=dataclasses.asdict(options),
+    )
+    reference = run_job(spec, checkpoint_path=reference_journal)
     reference_artifact = reference_dir / "chaos.json"
-    save_chaos_run(reference_artifact, reference)
+    save_job_artifact(spec, reference, reference_artifact)
     reference_bytes = reference_artifact.read_bytes()
     reference_positions = {
         key: entry.measurement.rng_positions
@@ -261,14 +243,14 @@ def run_storage_scenario(
     write_failed_loud = False
     with StorageChaos(enospc_plan) as chaos:
         try:
-            save_chaos_run(fault_dir / "chaos.json", reference)
+            save_job_artifact(spec, reference, fault_dir / "chaos.json")
         except ExperimentIOError as exc:
             write_failed_loud = "enospc" in str(exc).lower() and not (
                 fault_dir / "chaos.json"
             ).exists()
     faults_injected = len(chaos.injected)
     # The same write retried without chaos lands byte-identically.
-    save_chaos_run(fault_dir / "chaos.json", reference)
+    save_job_artifact(spec, reference, fault_dir / "chaos.json")
     retry_identical = (
         fault_dir / "chaos.json"
     ).read_bytes() == reference_bytes
@@ -304,13 +286,13 @@ def run_storage_scenario(
         corrupt_refused = True
 
     # Torn provenance log: valid prefix loads, appends keep working.
-    spec = JobSpec(kind="compare", seed=seed, repetitions=1, overrides=_TINY)
-    cache.record_hit("a" * 32, spec)
-    cache.record_hit("b" * 32, spec)
+    logged = JobSpec(kind="compare", seed=seed, repetitions=1, overrides=_TINY)
+    cache.record_hit("a" * 32, logged)
+    cache.record_hit("b" * 32, logged)
     tear_ndjson_tail(cache.log_path)
     reopened = ResultCache(workdir / "cache")
     recovered = reopened.hit_records()
-    reopened.record_hit("d" * 32, spec)
+    reopened.record_hit("d" * 32, logged)
     after_append = reopened.hit_records()
     torn_log_recovered = (
         len(recovered) == 1
@@ -323,11 +305,11 @@ def run_storage_scenario(
     resume_dir = workdir / "resume"
     resume_dir.mkdir()
     resume_journal = resume_dir / "journal.ndjson"
-    _chaos_sweep(seed, 2, options, resume_journal)
+    run_job(spec, checkpoint_path=resume_journal)
     tear_ndjson_tail(resume_journal)
-    resumed = _chaos_sweep(seed, 2, options, resume_journal, resume=True)
+    resumed = run_job(spec, checkpoint_path=resume_journal, resume=True)
     resumed_artifact = resume_dir / "chaos.json"
-    save_chaos_run(resumed_artifact, resumed)
+    save_job_artifact(spec, resumed, resumed_artifact)
     resume_identical = (
         resumed.resumed
         and resumed_artifact.read_bytes() == reference_bytes
@@ -466,7 +448,7 @@ def run_service_scenario(
 
     # The uninterrupted in-process reference the daemon must reproduce.
     reference = workdir / "reference.json"
-    save_job_artifact(run_job(job), reference)
+    save_job_artifact(job, run_job(job), reference)
 
     evidence: Dict = {
         "acknowledged": [],

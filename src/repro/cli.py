@@ -213,15 +213,15 @@ def _job_spec(args: argparse.Namespace):
     )
 
 
-def _render_fig6(job) -> None:
-    sweep = FIG6_SWEEPS[job.spec.sweep_name()]
-    print(render_fig6_table(sweep.name, sweep.description, job.points))
+def _render_fig6(spec, run) -> None:
+    sweep = FIG6_SWEEPS[spec.sweep_name()]
+    print(render_fig6_table(sweep.name, sweep.description, run.points))
 
 
-def _render_compare(job) -> None:
-    if not job.points:
+def _render_compare(spec, run) -> None:
+    if not run.points:
         return
-    point = job.points[0][1]
+    point = run.points[0][1]
     print(
         f"ADDC    : {point.addc_delay_ms.mean:12.1f} ms "
         f"± {point.addc_delay_ms.std:.1f}"
@@ -241,13 +241,14 @@ def _render_compare(job) -> None:
         )
 
 
-def _render_chaos(job) -> None:
-    result = job.chaos
-    aggregate = result.aggregate()
+def _render_chaos(spec, run) -> None:
+    from repro.faults.sweep import chaos_aggregate, chaos_delays
+
+    aggregate = chaos_aggregate(run)
     print(
-        f"chaos sweep: {aggregate['completed']}/{result.repetitions} "
+        f"chaos sweep: {aggregate['completed']}/{spec.config().repetitions} "
         f"repetition(s) completed "
-        f"(intensity {job.spec.chaos_options().intensity})"
+        f"(intensity {spec.chaos_options().intensity})"
     )
     if aggregate["mean_availability"] is not None:
         print(f"mean availability : {aggregate['mean_availability']:.3f}")
@@ -260,10 +261,11 @@ def _render_chaos(job) -> None:
         f"fault events      : {aggregate['fault_events']} "
         f"({aggregate['outages_recovered']} recovered)"
     )
-    if result.delays is not None:
+    delays = chaos_delays(run)
+    if delays is not None:
         print(
-            f"ADDC delay        : {result.delays.mean:12.1f} ms "
-            f"± {result.delays.std:.1f}"
+            f"ADDC delay        : {delays.mean:12.1f} ms "
+            f"± {delays.std:.1f}"
         )
 
 
@@ -277,13 +279,13 @@ _RENDERERS = {
 def _cmd_job(args: argparse.Namespace) -> int:
     """``fig6`` / ``compare`` / ``chaos``: run the job, render, save."""
     from repro import obs
-    from repro.service.jobs import run_job, save_job_artifact
+    from repro.service.jobs import manifest_extra, run_job, save_job_artifact
 
     spec = _job_spec(args)
     recorder = obs.MetricsRecorder()
     start = obs.monotonic_s()
     with obs.use_recorder(recorder):
-        job = run_job(
+        run = run_job(
             spec,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
@@ -291,14 +293,14 @@ def _cmd_job(args: argparse.Namespace) -> int:
             policy=_retry_policy_from(args),
         )
     wall_time_s = obs.monotonic_s() - start
-    _RENDERERS[spec.kind](job)
-    for record in job.failures:
+    _RENDERERS[spec.kind](spec, run)
+    for record in run.failures:
         print(
-            f"quarantined: point {record['point']} rep {record['rep']} "
-            f"({record['kind']} after {record['attempts']} attempts)",
+            f"quarantined: point {record.point_index} rep {record.repetition} "
+            f"({record.kind} after {record.attempts} attempts)",
             file=sys.stderr,
         )
-    if not job.complete and not args.allow_partial:
+    if not run.complete and not args.allow_partial:
         print(
             f"PARTIAL: {spec.sweep_name()} lost repetitions; re-run with "
             "--resume to retry them, or pass --allow-partial to save the "
@@ -315,9 +317,9 @@ def _cmd_job(args: argparse.Namespace) -> int:
             config=spec.config(),
             wall_time_s=wall_time_s,
             recorder=recorder,
-            extra=job.manifest_extra(args.workers),
+            extra=manifest_extra(spec, run, args.workers),
         )
-        save_job_artifact(job, save, manifest=manifest)
+        save_job_artifact(spec, run, save, manifest=manifest)
         print(f"saved to {save}")
     return 0
 

@@ -33,10 +33,10 @@ class CollectionOutcome:
     tree: CollectionTree
     pcr: PcrResult
     sense_map: CarrierSenseMap
-    bounds: Optional[TheoreticalBounds] = None
     #: The engine that produced ``result``; exposes post-run RNG stream
     #: positions (``engine.rng_positions()``) for determinism checks.
-    engine: Optional[SlottedEngine] = None
+    engine: SlottedEngine
+    bounds: Optional[TheoreticalBounds] = None
 
 
 def run_addc_collection(

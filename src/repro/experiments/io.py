@@ -23,6 +23,8 @@ __all__ = [
     "comparison_point_to_dict",
     "comparison_point_from_dict",
     "save_sweep",
+    "sweep_payload",
+    "write_artifact",
     "load_sweep",
 ]
 
@@ -72,42 +74,71 @@ def save_sweep(
 ) -> None:
     """Write one figure sweep (x-values plus comparison points) to JSON.
 
-    The write is atomic and durable: the payload lands in a temporary
-    sibling file that replaces the target via :func:`os.replace`, and the
-    parent directory is fsynced afterwards (see :mod:`repro.storage`), so
-    neither a crash nor a power loss ever exposes a half-written sweep —
-    an overnight sweep interrupted mid-save keeps its previous good
-    artifact.
-
-    When a :class:`~repro.obs.RunManifest` is given, it is written next to
-    the artifact (``sweep.json`` gets ``sweep.manifest.json``) *after* the
-    sweep itself, so a manifest never exists without its data.
-
-    ``status="partial"`` marks a sweep the crash-safe harness degraded
-    gracefully (quarantined items, see docs/ROBUSTNESS.md); ``failures``
-    then carries the machine-readable failed-item records.  A complete
-    sweep writes the exact historical payload — no new keys — so
-    harness-run artifacts stay byte-identical to plain-run ones.
+    Written through :func:`write_artifact`, with its atomic, durable
+    write, its ``status: partial`` block and its manifest sibling.
     """
-    if status not in ("complete", "partial"):
-        raise ConfigurationError(
-            f"status must be 'complete' or 'partial', got {status!r}"
-        )
-    payload = {
+    write_artifact(
+        path,
+        sweep_payload(name, points),
+        manifest=manifest,
+        status=status,
+        failures=failures,
+    )
+
+
+def sweep_payload(
+    name: str, points: Sequence[Tuple[float, ComparisonPoint]]
+) -> Dict:
+    """The JSON payload of one figure sweep (what :func:`load_sweep` reads)."""
+    return {
         "name": name,
         "points": [
             {"x": float(x), "comparison": comparison_point_to_dict(point)}
             for x, point in points
         ],
     }
+
+
+def write_artifact(
+    path: Union[str, Path],
+    payload: Dict,
+    manifest: Optional[RunManifest] = None,
+    status: str = "complete",
+    failures: Optional[Sequence[Dict]] = None,
+) -> None:
+    """Write one experiment artifact to JSON, atomically and durably.
+
+    The payload lands in a temporary sibling file that replaces the
+    target via :func:`os.replace`, and the parent directory is fsynced
+    afterwards (see :mod:`repro.storage`), so neither a crash nor a power
+    loss ever exposes a half-written artifact — an overnight sweep
+    interrupted mid-save keeps its previous good artifact.
+
+    When a :class:`~repro.obs.RunManifest` is given, it is written next to
+    the artifact (``sweep.json`` gets ``sweep.manifest.json``) *after* the
+    artifact itself, so a manifest never exists without its data.
+
+    ``status="partial"`` marks a sweep the crash-safe harness degraded
+    gracefully (quarantined items, see docs/ROBUSTNESS.md); ``failures``
+    then carries the machine-readable failed-item records.  A complete
+    artifact is the bare payload — no new keys — so harness-run
+    artifacts stay byte-identical to plain-run ones.
+    """
+    if status not in ("complete", "partial"):
+        raise ConfigurationError(
+            f"status must be 'complete' or 'partial', got {status!r}"
+        )
     if status != "complete":
-        payload["status"] = status
-        payload["failures"] = [dict(record) for record in (failures or [])]
+        payload = dict(
+            payload,
+            status=status,
+            failures=[dict(record) for record in (failures or [])],
+        )
     target = Path(path)
     try:
         atomic_write_text(target, json.dumps(payload, indent=2, sort_keys=True))
     except OSError as exc:
-        raise ExperimentIOError(f"cannot write sweep file {target}: {exc}") from exc
+        raise ExperimentIOError(f"cannot write artifact {target}: {exc}") from exc
     if manifest is not None:
         write_manifest(manifest_path_for(target), manifest)
 

@@ -128,11 +128,10 @@ def run_comparison_repetition(
         coolest = run_coolest_collection(
             topology, factory.spawn("coolest"), **config.run_options()
         )
-    positions = {}
-    if addc.engine is not None:
-        positions["addc"] = addc.engine.rng_positions()
-    if coolest.engine is not None:
-        positions["coolest"] = coolest.engine.rng_positions()
+    positions = {
+        "addc": addc.engine.rng_positions(),
+        "coolest": coolest.engine.rng_positions(),
+    }
     return RepetitionMeasurement(
         repetition=repetition,
         addc_delay_ms=addc.result.delay_ms,

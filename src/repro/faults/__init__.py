@@ -18,26 +18,19 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "ChaosOptions",
-    "ChaosSweepResult",
     "chaos_plan",
     "crash_plan",
     "mtbf_outage_plan",
-    "save_chaos_run",
 ]
 
 # The chaos-sweep layer sits *above* the simulator (it drives collections
 # through the crash-safe harness), while this package is also imported
-# *by* the simulator for the fault-plan data model — so the sweep names
-# load lazily (PEP 562) to keep the import graph acyclic.
-_SWEEP_EXPORTS = {
-    "ChaosOptions",
-    "ChaosSweepResult",
-    "save_chaos_run",
-}
+# *by* the simulator for the fault-plan data model — so ``ChaosOptions``
+# loads lazily (PEP 562) to keep the import graph acyclic.
 
 
 def __getattr__(name):
-    if name in _SWEEP_EXPORTS:
+    if name == "ChaosOptions":
         from repro.faults import sweep as _sweep
 
         return getattr(_sweep, name)

@@ -8,10 +8,12 @@ whole RNG lineage re-derives from
 :func:`~repro.harness.sweep.run_checkpointed_sweep`, supervised, traced,
 and journalled into a ``checkpoint/v1`` file like any fig6 or compare
 sweep.  A chaos job (:func:`repro.service.jobs.run_job` with
-``kind="chaos"``) is the one way to run one; its
-:class:`ChaosSweepResult` is the resilience view of the sweep.  A chaos
-sweep killed at any instant resumes from its last durable record and
-saves a byte-identical artifact.
+``kind="chaos"``) is the one way to run one; it returns the harness's
+:class:`~repro.harness.sweep.SweepRunResult`, and the functions here
+(:func:`chaos_records`, :func:`chaos_aggregate`, :func:`chaos_payload`,
+:func:`chaos_summary`) read the resilience view off it.  A chaos sweep
+killed at any instant resumes from its last durable record and saves a
+byte-identical artifact.
 
 Per-repetition resilience numbers (delivery, availability, repair times)
 ride in the outcome's ``metrics`` dict under a ``"chaos"`` key —
@@ -22,32 +24,29 @@ can also carry an instrumented worker's counter snapshot.
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.core.collector import run_addc_collection
-from repro.errors import ExperimentIOError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RepetitionMeasurement
 from repro.faults.generators import chaos_plan
-from repro.harness.supervisor import FailureRecord
 from repro.harness.sweep import SweepRunResult
 from repro.metrics.aggregate import RunStatistics, summarize_delays
 from repro.metrics.resilience import resilience_report
 from repro.network.deployment import deploy_crn
-from repro.obs.manifest import RunManifest, manifest_path_for, write_manifest
 from repro.rng import StreamFactory
-from repro.storage import atomic_write_text
 
 __all__ = [
     "CHAOS_SWEEP_NAME",
     "ChaosOptions",
-    "ChaosSweepResult",
     "run_chaos_repetition",
-    "save_chaos_run",
+    "chaos_records",
+    "chaos_delays",
+    "chaos_aggregate",
+    "chaos_payload",
+    "chaos_summary",
 ]
 
 CHAOS_SWEEP_NAME = "chaos"
@@ -125,147 +124,93 @@ def run_chaos_repetition(
             **config.run_options(),
         )
     report = resilience_report(outcome.result, topology.secondary.num_sus)
-    positions = {}
-    if outcome.engine is not None:
-        positions["addc"] = outcome.engine.rng_positions()
     measurement = RepetitionMeasurement(
         repetition=repetition,
         addc_delay_ms=outcome.result.delay_ms,
         coolest_delay_ms=None,
-        rng_positions=positions,
+        rng_positions={"addc": outcome.engine.rng_positions()},
     )
     return measurement, _chaos_record(repetition, outcome.result, report)
 
 
-@dataclass
-class ChaosSweepResult:
-    """What a checkpointed chaos sweep hands back."""
+def chaos_records(run: SweepRunResult) -> List[Dict]:
+    """Per-repetition chaos records of a ``chaos=options`` sweep run, in
+    repetition order (quarantined repetitions are absent; see
+    ``run.failures``)."""
+    return [outcome.metrics["chaos"] for outcome in run.outcomes]
 
-    config: ExperimentConfig
-    options: ChaosOptions
-    #: Per-repetition chaos records, in repetition order (quarantined
-    #: repetitions are absent; see ``failures``).
-    records: List[Dict]
-    repetitions: int
-    delays: Optional[RunStatistics] = None
-    status: str = "complete"
-    failures: List[FailureRecord] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=dict)
-    cached_items: int = 0
-    resumed: bool = False
-    checkpoint_path: Optional[Path] = None
-    config_hash: Optional[str] = None
 
-    @classmethod
-    def from_run(
-        cls,
-        config: ExperimentConfig,
-        options: ChaosOptions,
-        repetitions: int,
-        run: SweepRunResult,
-    ) -> "ChaosSweepResult":
-        """Assemble the chaos view of one ``chaos=options`` sweep run."""
-        records = [outcome.metrics["chaos"] for outcome in run.outcomes]
-        delay_values = [
-            outcome.measurement.addc_delay_ms
-            for outcome, record in zip(run.outcomes, records)
-            if record["completed"]
-            and outcome.measurement.addc_delay_ms is not None
-        ]
-        return cls(
-            config=config,
-            options=options,
-            records=records,
-            repetitions=repetitions,
-            delays=summarize_delays(delay_values) if delay_values else None,
-            status=run.status,
-            failures=run.failures,
-            stats=run.stats,
-            cached_items=run.cached_items,
-            resumed=run.resumed,
-            checkpoint_path=run.checkpoint_path,
-            config_hash=run.config_hash,
+def chaos_delays(run: SweepRunResult) -> Optional[RunStatistics]:
+    """ADDC delay statistics over the run's completed repetitions."""
+    values = [
+        outcome.measurement.addc_delay_ms
+        for outcome in run.outcomes
+        if outcome.metrics["chaos"]["completed"]
+        and outcome.measurement.addc_delay_ms is not None
+    ]
+    return summarize_delays(values) if values else None
+
+
+def chaos_aggregate(run: SweepRunResult) -> Dict:
+    """Sweep-level totals and means, derived purely from the records."""
+    records = chaos_records(run)
+    totals = {
+        key: sum(int(record[key]) for record in records)
+        for key in (
+            "delivered",
+            "num_packets",
+            "packets_lost",
+            "packets_orphaned",
+            "fault_events",
+            "outages_recovered",
+            "outages_open",
+            "blackout_failures",
         )
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "complete"
-
-    def aggregate(self) -> Dict:
-        """Sweep-level totals and means, derived purely from ``records``."""
-        totals = {
-            key: sum(int(record[key]) for record in self.records)
-            for key in (
-                "delivered",
-                "num_packets",
-                "packets_lost",
-                "packets_orphaned",
-                "fault_events",
-                "outages_recovered",
-                "outages_open",
-                "blackout_failures",
-            )
-        }
-        count = len(self.records)
-        return {
-            "repetitions": count,
-            "completed": sum(
-                1 for record in self.records if record.get("completed")
-            ),
-            "mean_availability": (
-                sum(float(record["availability"]) for record in self.records)
-                / count
-                if count
-                else None
-            ),
-            "mean_delay_ms": (
-                self.delays.mean if self.delays is not None else None
-            ),
-            **totals,
-        }
-
-    def chaos_summary(self) -> Dict:
-        """The ``extra["chaos"]`` block for the run manifest."""
-        return {
-            "status": self.status,
-            "options": dataclasses.asdict(self.options),
-            "aggregate": self.aggregate(),
-            "stats": dict(self.stats),
-            "failures": [record.to_dict() for record in self.failures],
-            "cached_items": self.cached_items,
-            "resumed": self.resumed,
-            "config_hash": self.config_hash,
-        }
-
-
-def save_chaos_run(
-    path: Union[str, Path],
-    result: ChaosSweepResult,
-    manifest: Optional[RunManifest] = None,
-) -> None:
-    """Write one chaos sweep to JSON, atomically and durably.
-
-    Same discipline as :func:`repro.experiments.io.save_sweep`: temp
-    sibling + replace + directory fsync, manifest written after the
-    artifact.  The payload is a pure function of the sweep records, so a
-    resumed sweep saves byte-identical output.
-    """
-    payload = {
-        "name": CHAOS_SWEEP_NAME,
-        "config": dataclasses.asdict(result.config),
-        "options": dataclasses.asdict(result.options),
-        "repetitions": result.records,
-        "aggregate": result.aggregate(),
     }
-    if result.status != "complete":
-        payload["status"] = result.status
-        payload["failures"] = [record.to_dict() for record in result.failures]
-    target = Path(path)
-    try:
-        atomic_write_text(target, json.dumps(payload, indent=2, sort_keys=True))
-    except OSError as exc:
-        raise ExperimentIOError(
-            f"cannot write chaos artifact {target}: {exc}"
-        ) from exc
-    if manifest is not None:
-        write_manifest(manifest_path_for(target), manifest)
+    count = len(records)
+    delays = chaos_delays(run)
+    return {
+        "repetitions": count,
+        "completed": sum(1 for record in records if record.get("completed")),
+        "mean_availability": (
+            sum(float(record["availability"]) for record in records) / count
+            if count
+            else None
+        ),
+        "mean_delay_ms": delays.mean if delays is not None else None,
+        **totals,
+    }
+
+
+def chaos_payload(
+    config: ExperimentConfig, options: ChaosOptions, run: SweepRunResult
+) -> Dict:
+    """The artifact payload of one chaos sweep: a pure function of the
+    sweep records, so a resumed sweep saves byte-identical output."""
+    return {
+        "name": CHAOS_SWEEP_NAME,
+        "config": dataclasses.asdict(config),
+        "options": dataclasses.asdict(options),
+        "repetitions": chaos_records(run),
+        "aggregate": chaos_aggregate(run),
+    }
+
+
+def chaos_summary(options: ChaosOptions, run: SweepRunResult) -> Dict:
+    """The ``extra["chaos"]`` block for the run manifest: the harness
+    summary's audit fields plus the fault options and the aggregate."""
+    harness = run.harness_summary()
+    summary = {
+        key: harness[key]
+        for key in (
+            "status",
+            "stats",
+            "failures",
+            "cached_items",
+            "resumed",
+            "config_hash",
+        )
+    }
+    summary["options"] = dataclasses.asdict(options)
+    summary["aggregate"] = chaos_aggregate(run)
+    return summary

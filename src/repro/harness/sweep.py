@@ -101,13 +101,16 @@ def sweep_fingerprint(
 
 @dataclass
 class SweepRunResult:
-    """What a sweep hands back.
+    """What a sweep hands back — and the only result a job has.
 
     ``points`` holds the assembled ``(x, ComparisonPoint)`` pairs in sweep
     order, omitting points that ended with **zero** usable repetitions
     (those appear in ``dropped_points``); chaos sweeps leave it empty and
-    are read from ``outcomes``.  ``status`` is ``"complete"`` when every
-    scheduled item produced a measurement, else ``"partial"``.
+    are read from ``outcomes`` (:mod:`repro.faults.sweep`).  ``status`` is
+    ``"complete"`` when every scheduled item produced a measurement, else
+    ``"partial"``.  :func:`repro.service.jobs.run_job` returns it as is;
+    the job's artifact, manifest ``extra`` block and trace are written
+    from it plus the job's spec.
     """
 
     name: str

@@ -85,7 +85,6 @@ __all__ = [
     "histogram_percentile",
     # Distributed tracing (trace/v2), from repro.obs.tracing.
     "TRACE_V2_SCHEMA",
-    "TraceContext",
     "SpanRecord",
     "build_repetition_spans",
     "load_spans",
@@ -264,7 +263,6 @@ from repro.obs.report import render_report  # noqa: E402
 from repro.obs.tracing import (  # noqa: E402
     TRACE_V2_SCHEMA,
     SpanRecord,
-    TraceContext,
     build_repetition_spans,
     load_spans,
     merge_shards,

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.tracing import read_trace_records, span_stats, spans_from_records
+from repro.obs.tracing import iter_spans, iter_trace_records, span_stats
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
 from repro.storage import write_records
 
@@ -92,13 +92,8 @@ def export_trace(log: TraceLog, path: Union[str, Path]) -> None:
         raise ObservabilityError(f"cannot write trace file {target}: {exc}") from exc
 
 
-def _scan(path: Union[str, Path], records: List[Dict]) -> Tuple[Dict, List[Dict]]:
-    """``(header, event lines)`` of one ``trace/v1`` file's records.
-
-    Validates the header first and the footer (when present) last; raises
-    :class:`ObservabilityError` naming the path on any malformation.
-    """
-    header, events = records[0], records[1:]
+def _check_header(path: Union[str, Path], header: Dict) -> None:
+    """Refuse any header but ``trace/v1``'s, naming both schemas."""
     schema = header.get("schema")
     if schema == "trace/v2":
         raise ObservabilityError(
@@ -112,23 +107,36 @@ def _scan(path: Union[str, Path], records: List[Dict]) -> Tuple[Dict, List[Dict]
         raise ObservabilityError(
             f"trace file {path} has schema {schema!r}, expected {TRACE_SCHEMA!r}"
         )
-    footers = [
-        index
-        for index, line in enumerate(events)
-        if line.get("schema") == TRACE_SCHEMA and line.get("footer")
-    ]
-    if footers and footers[0] != len(events) - 1:
-        raise ObservabilityError(
-            f"trace file {path} has event lines after its footer"
-        )
-    footer = events.pop() if footers else None
+
+
+def _events(
+    path: Union[str, Path], header: Dict, records: Iterator[Dict]
+) -> Iterator[Dict]:
+    """The event lines of a ``trace/v1`` record stream after its
+    (already checked) ``header``, one at a time.
+
+    The footer (when present) must be the last line; the declared event
+    count is checked once the stream ends.  Raises
+    :class:`ObservabilityError` naming the path on any malformation.
+    """
+    footer: Optional[Dict] = None
+    count = 0
+    for line in records:
+        if footer is not None:
+            raise ObservabilityError(
+                f"trace file {path} has event lines after its footer"
+            )
+        if line.get("schema") == TRACE_SCHEMA and line.get("footer"):
+            footer = line
+            continue
+        count += 1
+        yield line
     declared = footer.get("events") if footer is not None else header.get("events")
-    if declared is not None and declared != len(events):
+    if declared is not None and declared != count:
         raise ObservabilityError(
             f"trace file {path} declares {declared} events but contains "
-            f"{len(events)}"
+            f"{count}"
         )
-    return header, events
 
 
 def load_trace(path: Union[str, Path]) -> TraceLog:
@@ -137,37 +145,43 @@ def load_trace(path: Union[str, Path]) -> TraceLog:
     The reconstructed log carries the original ``max_events`` cap and
     ``dropped`` count, so a truncated capture round-trips faithfully.
     """
-    header, lines = _scan(path, read_trace_records(path))
+    records = iter_trace_records(path)
+    header = next(records)
+    _check_header(path, header)
     max_events = header.get("max_events")
     log = TraceLog(max_events=int(max_events) if max_events is not None else None)
-    log._events.extend(event_from_dict(line) for line in lines)
+    log._events.extend(event_from_dict(line) for line in _events(path, header, records))
     log.dropped = int(header.get("dropped", 0) or 0)
     return log
 
 
 def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
-    """Single-pass summary of a trace file (no event objects built).
+    """Streaming single-pass summary of a trace file (no event objects built).
 
     Handles both schemas: a ``trace/v1`` event file yields schema,
     event/drop counts, the slot span, per-kind counts, and the number of
     distinct nodes touched; a merged ``trace/v2`` span file is
     delegated to :func:`repro.obs.tracing.span_stats` — per-span-name
     p50/p95/p99 duration summaries plus, with ``top > 0``, the ``top``
-    slowest individual spans.  Always JSON-serializable.
+    slowest individual spans.  Records are read one at a time, so an
+    event file is summarized in memory independent of its length.
+    Always JSON-serializable.
     """
-    records = read_trace_records(path)
-    if records[0].get("schema") == "trace/v2":
-        header, spans = spans_from_records(path, records)
-        summary = span_stats(spans, top=top)
+    records = iter_trace_records(path)
+    header = next(records)
+    if header.get("schema") == "trace/v2":
+        summary = span_stats(iter_spans(path, header, records), top=top)
         summary["dropped"] = int(header.get("dropped", 0) or 0)
         summary["trace_id"] = header.get("trace_id")
         return summary
-    header, lines = _scan(path, records)
+    _check_header(path, header)
     kinds: Dict[str, int] = {}
     nodes = set()
+    events = 0
     first_slot: Optional[int] = None
     last_slot: Optional[int] = None
-    for line in lines:
+    for line in _events(path, header, records):
+        events += 1
         kind = str(line.get("kind"))
         kinds[kind] = kinds.get(kind, 0) + 1
         nodes.add(line.get("node"))
@@ -181,7 +195,7 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
             last_slot = slot
     return {
         "schema": TRACE_SCHEMA,
-        "events": len(lines),
+        "events": events,
         "dropped": int(header.get("dropped", 0) or 0),
         "first_slot": first_slot,
         "last_slot": last_slot,

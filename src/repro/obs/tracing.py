@@ -11,9 +11,10 @@ deterministic:
   :func:`repro.harness.sweep.sweep_fingerprint`), so the trace of a job
   names the same experiment as its result cache entry and its
   checkpoint journal;
-* ``span_id``\\ s come from a named counter walking the tree
-  (``job``, ``job/point-0``, ``job/point-0/rep-1``, ...) — no wall
-  clock, no randomness, no PIDs.  Two runs of the same spec produce
+* every ``span_id`` is its name path in the tree (``job``,
+  ``job/point-0``, ``job/point-0/rep-1``,
+  ``job/point-0/rep-1/engine.slot``, ...) — no wall clock, no
+  randomness, no PIDs.  Two runs of the same spec produce
   byte-identical traces *modulo the timing fields*
   (:data:`TIMING_FIELDS`), which is exactly what
   :func:`structure_digest` hashes.
@@ -21,9 +22,9 @@ deterministic:
 Each ``(point, repetition)`` work item returns its span profile to the
 parent, which journals it; :func:`merge_shards` rebuilds every
 repetition's subtree from those ``(point, repetition, profile)`` triples
-(:func:`build_repetition_spans` is a pure function of the context and
-the profile) and folds them into one causally-ordered per-job trace in
-submission order — the same discipline as
+(:func:`build_repetition_spans` is a pure function of the item's
+coordinates and its profile) and folds them into one causally-ordered
+per-job trace in submission order — the same discipline as
 :meth:`~repro.obs.recorder.MetricsRecorder.merge_snapshot` — so the
 merged trace is independent of worker completion order.  A repetition
 replayed from a checkpoint journal carries its journalled profile, which
@@ -47,21 +48,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
-from repro.storage import RecordError, read_records, write_records
+from repro.storage import RecordError, iter_records, write_records
 
 __all__ = [
     "TRACE_V2_SCHEMA",
     "TIMING_FIELDS",
-    "TraceContext",
-    "SpanIdAllocator",
     "SpanRecord",
     "build_repetition_spans",
     "load_spans",
-    "spans_from_records",
-    "read_trace_records",
+    "iter_spans",
+    "iter_trace_records",
     "merge_shards",
     "write_trace",
     "structural_form",
@@ -76,51 +75,6 @@ TRACE_V2_SCHEMA = "trace/v2"
 #: the same spec (wall-clock measurements).  Everything else — ids,
 #: names, parentage, counts, ordering — is deterministic.
 TIMING_FIELDS = ("total_ms", "mean_ms", "min_ms", "max_ms")
-
-
-class SpanIdAllocator:
-    """Deterministic span ids from a named counter (no clock, no random).
-
-    The first span of a given name under a parent gets the bare name;
-    repeats get ``name:1``, ``name:2``, ...  Allocation order is the
-    caller's (deterministic) emission order, so equal trees allocate
-    equal ids.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def allocate(self, name: str) -> str:
-        count = self._counts.get(name, 0)
-        self._counts[name] = count + 1
-        return name if count == 0 else f"{name}:{count}"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The deterministic identity a span tree grows under.
-
-    Span ids derive from it by walking the name path, so the parent
-    rebuilds any repetition's subtree from ``(point, repetition,
-    profile)`` with no coordination.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
-
-    @classmethod
-    def for_job(cls, fingerprint: str) -> "TraceContext":
-        """The root context of one job: ``trace_id`` is the fingerprint."""
-        return cls(trace_id=str(fingerprint), span_id="job", parent_id=None)
-
-    def child(self, name: str) -> "TraceContext":
-        """A child context one level down the deterministic name path."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=f"{self.span_id}/{name}",
-            parent_id=self.span_id,
-        )
 
 
 @dataclass
@@ -169,42 +123,35 @@ class SpanRecord:
 
 
 def build_repetition_spans(
-    context: TraceContext,
-    point_index: int,
-    repetition: int,
-    profile: Optional[Dict],
+    point_index: int, repetition: int, profile: Optional[Dict]
 ) -> List[SpanRecord]:
     """The span subtree of one ``(point, repetition)`` work item.
 
-    A pure function of the deterministic inputs: the job context, the
-    item's coordinates, and the worker's span profile (as journalled by
-    ``checkpoint/v1``).  Fresh outcomes and journal replays therefore
-    produce identical subtrees — structure always, timings too when the
-    profile came from the same run.
+    A pure function of the deterministic inputs: the item's coordinates
+    and the worker's span profile (as journalled by ``checkpoint/v1``).
+    Fresh outcomes and journal replays therefore produce identical
+    subtrees — structure always, timings too when the profile came from
+    the same run.  Each id is the span's name path; the names of one
+    profile are distinct, so the ids are too.
     """
-    rep_context = context.child(f"point-{point_index}").child(
-        f"rep-{repetition}"
-    )
+    point_id = f"job/point-{point_index}"
+    rep_id = f"{point_id}/rep-{repetition}"
     profile = profile or {}
     rep_stats = profile.get("sweep.repetition")
     rep_span = SpanRecord(
-        span_id=rep_context.span_id,
-        parent_id=rep_context.parent_id,
-        name=f"rep-{repetition}",
+        span_id=rep_id, parent_id=point_id, name=f"rep-{repetition}"
     )
     if rep_stats is not None:
         rep_span.count = int(rep_stats.get("count", 1))
         for field in TIMING_FIELDS:
             setattr(rep_span, field, rep_stats.get(field))
     spans = [rep_span]
-    allocator = SpanIdAllocator()
     for name in sorted(profile):
         stats = profile[name]
-        child = rep_context.child(allocator.allocate(name))
         spans.append(
             SpanRecord(
-                span_id=child.span_id,
-                parent_id=child.parent_id,
+                span_id=f"{rep_id}/{name}",
+                parent_id=rep_id,
                 name=name,
                 count=int(stats.get("count", 0)),
                 total_ms=stats.get("total_ms"),
@@ -216,27 +163,32 @@ def build_repetition_spans(
     return spans
 
 
-def read_trace_records(path: Union[str, Path]) -> List[Dict]:
-    """Every record of a trace file of either schema, header first.
+def iter_trace_records(path: Union[str, Path]) -> Iterator[Dict]:
+    """Stream every record of a trace file of either schema, header first.
 
     Trace files are written whole, so unlike a journal a torn final line
-    (:func:`repro.storage.read_records`) is refused, as is an empty file;
-    errors are :class:`ObservabilityError` naming the path.
+    (:func:`repro.storage.iter_records`) is refused, as is an empty file;
+    errors are :class:`ObservabilityError` naming the path.  Records are
+    parsed as the caller consumes them (one at a time), so a torn tail
+    is refused when the stream reaches it.
     """
+    empty = True
     try:
-        records, _valid_bytes, torn = read_records(path)
+        with open(path, "rb") as handle:
+            for _offset, record in iter_records(handle):
+                if record is None:
+                    raise ObservabilityError(
+                        f"trace file {path} ends in a torn line; trace files "
+                        "are written whole, so it is incomplete"
+                    )
+                empty = False
+                yield record
     except RecordError as exc:
         raise ObservabilityError(f"trace file {path} is corrupt at {exc}") from exc
     except OSError as exc:
         raise ObservabilityError(f"cannot read trace file {path}: {exc}") from exc
-    if torn:
-        raise ObservabilityError(
-            f"trace file {path} ends in a torn line; trace files are "
-            "written whole, so it is incomplete"
-        )
-    if not records:
+    if empty:
         raise ObservabilityError(f"trace file {path} is empty (no header line)")
-    return records
 
 
 def _check_schema(path: Union[str, Path], header: Dict) -> None:
@@ -263,25 +215,28 @@ def load_spans(
     Validates the header schema (a ``trace/v1`` file raises an error
     naming both versions) and the header's declared span count.
     """
-    return spans_from_records(path, read_trace_records(path))
-
-
-def spans_from_records(
-    path: Union[str, Path], records: List[Dict]
-) -> Tuple[Dict, List[SpanRecord]]:
-    """:func:`load_spans` over records :func:`read_trace_records` already
-    read from ``path`` (named in errors), so a caller that has read the
-    file to see its schema does not read it again."""
-    header = records[0]
+    records = iter_trace_records(path)
+    header = next(records)
     _check_schema(path, header)
-    spans = [SpanRecord.from_dict(line) for line in records[1:]]
+    return header, list(iter_spans(path, header, records))
+
+
+def iter_spans(
+    path: Union[str, Path], header: Dict, records: Iterator[Dict]
+) -> Iterator[SpanRecord]:
+    """The spans of a ``trace/v2`` record stream whose ``header``
+    (already checked) was read from ``path`` (named in errors); the
+    header's declared span count is checked once the stream ends."""
+    count = 0
+    for line in records:
+        count += 1
+        yield SpanRecord.from_dict(line)
     declared = header.get("spans")
-    if declared is not None and int(declared) != len(spans):
+    if declared is not None and int(declared) != count:
         raise ObservabilityError(
             f"trace file {path} declares {declared} spans but contains "
-            f"{len(spans)}"
+            f"{count}"
         )
-    return header, spans
 
 
 def merge_shards(
@@ -301,27 +256,24 @@ def merge_shards(
     The result starts with the root ``job`` span and one synthetic
     ``point-<i>`` span per sweep point (timing folded up from its
     repetitions), followed by each repetition subtree in order.
+    ``trace_id`` names the trace (:func:`write_trace` puts it in the
+    header); no span id depends on it.
     """
-    root = TraceContext.for_job(trace_id)
     by_point: Dict[int, List[List[SpanRecord]]] = {}
     for point, rep, profile in sorted(shards, key=lambda shard: shard[:2]):
         by_point.setdefault(point, []).append(
-            build_repetition_spans(root, point, rep, profile)
+            build_repetition_spans(point, rep, profile)
         )
 
     job_span = SpanRecord(
-        span_id=root.span_id,
-        parent_id=None,
-        name=job_name or "job",
-        count=1,
+        span_id="job", parent_id=None, name=job_name or "job", count=1
     )
     merged: List[SpanRecord] = [job_span]
     point_totals: List[float] = []
     for point, subtrees in by_point.items():
-        point_context = root.child(f"point-{point}")
         point_span = SpanRecord(
-            span_id=point_context.span_id,
-            parent_id=point_context.parent_id,
+            span_id=f"job/point-{point}",
+            parent_id="job",
             name=f"point-{point}",
             count=len(subtrees),
         )
@@ -397,8 +349,13 @@ def _percentile(sorted_values: Sequence[float], quantile: float) -> float:
     )
 
 
-def span_stats(spans: Sequence[SpanRecord], top: int = 0) -> Dict:
-    """Per-name summary of a span list (JSON-serializable).
+def _by_time(entry: Tuple[float, str, str]) -> Tuple[float, str]:
+    """Slowest first, ties by span id (then emission order)."""
+    return entry[:2]
+
+
+def span_stats(spans: Iterable[SpanRecord], top: int = 0) -> Dict:
+    """Per-name summary of spans, in one pass (JSON-serializable).
 
     For every span name: how many records carry it, the summed
     ``total_ms``, and p50/p95/p99 over the records' durations — the
@@ -408,10 +365,16 @@ def span_stats(spans: Sequence[SpanRecord], top: int = 0) -> Dict:
     """
     by_name: Dict[str, List[float]] = {}
     counts: Dict[str, int] = {}
+    total = 0
+    #: ``(-total_ms, span_id, name)`` of every timed span, when ``top``.
+    timed: List[Tuple[float, str, str]] = []
     for span in spans:
+        total += 1
         counts[span.name] = counts.get(span.name, 0) + 1
         if span.total_ms is not None:
             by_name.setdefault(span.name, []).append(float(span.total_ms))
+            if top > 0:
+                timed.append((-float(span.total_ms), span.span_id, span.name))
     names: Dict[str, Dict] = {}
     for name in sorted(counts):
         durations = sorted(by_name.get(name, ()))
@@ -422,19 +385,11 @@ def span_stats(spans: Sequence[SpanRecord], top: int = 0) -> Dict:
             "p95_ms": _percentile(durations, 0.95),
             "p99_ms": _percentile(durations, 0.99),
         }
-    summary: Dict = {"schema": TRACE_V2_SCHEMA, "spans": len(spans), "names": names}
+    summary: Dict = {"schema": TRACE_V2_SCHEMA, "spans": total, "names": names}
     if top > 0:
-        slowest = sorted(
-            (span for span in spans if span.total_ms is not None),
-            key=lambda span: (-float(span.total_ms), span.span_id),
-        )[:top]
         summary["slowest"] = [
-            {
-                "span_id": span.span_id,
-                "name": span.name,
-                "total_ms": float(span.total_ms),
-            }
-            for span in slowest
+            {"span_id": span_id, "name": name, "total_ms": -negated}
+            for negated, span_id, name in sorted(timed, key=_by_time)[:top]
         ]
     return summary
 

@@ -280,7 +280,7 @@ class CoolestOutcome:
     sense_map: CarrierSenseMap
     #: The engine that produced ``result``; exposes post-run RNG stream
     #: positions (``engine.rng_positions()``) for determinism checks.
-    engine: Optional["SlottedEngine"] = None
+    engine: SlottedEngine
 
 
 def run_coolest_collection(

@@ -26,7 +26,6 @@ from repro.service.cache import ResultCache
 from repro.service.daemon import ExperimentService
 from repro.service.jobs import (
     JOB_KINDS,
-    JobRunResult,
     JobSpec,
     execute_job,
     run_job,
@@ -43,7 +42,6 @@ __all__ = [
     "Admission",
     "ExperimentService",
     "JobQueue",
-    "JobRunResult",
     "JobSpec",
     "ResultCache",
     "ServiceClient",

@@ -27,13 +27,12 @@ import repro.obs as obs
 from repro.errors import ServiceError
 from repro.experiments.config import SCALES, ExperimentConfig, resolve_config
 from repro.experiments.fig6 import FIG6_SWEEPS, sweep_point_configs
-from repro.experiments.io import save_sweep
-from repro.experiments.runner import ComparisonPoint
+from repro.experiments.io import sweep_payload, write_artifact
 from repro.faults.sweep import (
     CHAOS_SWEEP_NAME,
     ChaosOptions,
-    ChaosSweepResult,
-    save_chaos_run,
+    chaos_payload,
+    chaos_summary,
 )
 from repro.harness import RetryPolicy, SweepRunResult, run_checkpointed_sweep
 from repro.harness.sweep import sweep_fingerprint
@@ -43,7 +42,7 @@ from repro.obs.tracing import merge_shards, write_trace
 __all__ = [
     "JOB_KINDS",
     "JobSpec",
-    "JobRunResult",
+    "manifest_extra",
     "run_job",
     "save_job_artifact",
     "execute_job",
@@ -224,50 +223,14 @@ class JobSpec:
         )
 
 
-@dataclass
-class JobRunResult:
-    """What one executed job hands back.
-
-    ``sweep`` is the harness run, with every surviving repetition's
-    outcome; a chaos job also sets ``chaos``, its resilience view.
-    """
-
-    spec: JobSpec
-    sweep: SweepRunResult
-    chaos: Optional[ChaosSweepResult] = None
-
-    @property
-    def status(self) -> str:
-        return self.sweep.status
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "complete"
-
-    @property
-    def points(self) -> List[Tuple[float, ComparisonPoint]]:
-        return self.sweep.points
-
-    @property
-    def failures(self) -> List[Dict]:
-        return [record.to_dict() for record in self.sweep.failures]
-
-    @property
-    def cached_items(self) -> int:
-        return self.sweep.cached_items
-
-    @property
-    def resumed(self) -> bool:
-        return self.sweep.resumed
-
-    def manifest_extra(self, workers: int = 1) -> Dict:
-        """The manifest ``extra`` block (same shape the CLI always wrote)."""
-        extra = {"sweep": self.spec.sweep_name(), "workers": workers}
-        if self.chaos is not None:
-            extra["chaos"] = self.chaos.chaos_summary()
-        else:
-            extra["harness"] = self.sweep.harness_summary()
-        return extra
+def manifest_extra(spec: JobSpec, run: SweepRunResult, workers: int) -> Dict:
+    """The manifest ``extra`` block of one job run (the CLI's shape too)."""
+    extra: Dict = {"sweep": spec.sweep_name(), "workers": workers}
+    if spec.kind == "chaos":
+        extra["chaos"] = chaos_summary(spec.chaos_options(), run)
+    else:
+        extra["harness"] = run.harness_summary()
+    return extra
 
 
 def run_job(
@@ -278,7 +241,7 @@ def run_job(
     policy: Optional[RetryPolicy] = None,
     progress=None,
     pool=None,
-) -> JobRunResult:
+) -> SweepRunResult:
     """Execute one job under the crash-safe harness.
 
     The single execution path behind both front ends: supervised
@@ -289,8 +252,7 @@ def run_job(
     :class:`~repro.perf.pool.WarmWorkerPool` that stays warm across jobs
     (the daemon's cross-job pool).
     """
-    chaos = spec.chaos_options()
-    result = run_checkpointed_sweep(
+    return run_checkpointed_sweep(
         spec.sweep_name(),
         spec.points(),
         on_incomplete="skip",
@@ -300,22 +262,13 @@ def run_job(
         policy=policy,
         progress=progress,
         pool=pool,
-        chaos=chaos,
+        chaos=spec.chaos_options(),
     )
-    if chaos is not None:
-        config = spec.config()
-        return JobRunResult(
-            spec=spec,
-            sweep=result,
-            chaos=ChaosSweepResult.from_run(
-                config, chaos, config.repetitions, result
-            ),
-        )
-    return JobRunResult(spec=spec, sweep=result)
 
 
 def save_job_artifact(
-    result: JobRunResult,
+    spec: JobSpec,
+    run: SweepRunResult,
     path: Union[str, Path],
     manifest: Optional[RunManifest] = None,
 ) -> None:
@@ -324,16 +277,16 @@ def save_job_artifact(
     The payload is a pure function of the measured records, so a resumed
     or cached job saves bytes identical to an uninterrupted run.
     """
-    if result.chaos is not None:
-        save_chaos_run(path, result.chaos, manifest=manifest)
-        return
-    save_sweep(
+    if spec.kind == "chaos":
+        payload = chaos_payload(spec.config(), spec.chaos_options(), run)
+    else:
+        payload = sweep_payload(run.name, run.points)
+    write_artifact(
         path,
-        result.sweep.name,
-        result.sweep.points,
+        payload,
         manifest=manifest,
-        status=result.status,
-        failures=result.failures,
+        status=run.status,
+        failures=[record.to_dict() for record in run.failures],
     )
 
 
@@ -347,7 +300,7 @@ def execute_job(
     progress=None,
     extra: Optional[Dict] = None,
     pool=None,
-) -> JobRunResult:
+) -> SweepRunResult:
     """Run one job start-to-finish and persist its artifact + manifest.
 
     The daemon's per-job unit of work: the job runs under its own fresh
@@ -380,26 +333,26 @@ def execute_job(
             progress=progress,
             pool=pool,
         )
-        manifest_extra = result.manifest_extra(workers)
+        job_extra = manifest_extra(spec, result, workers)
         if extra:
-            manifest_extra.update(extra)
+            job_extra.update(extra)
         manifest = build_manifest(
             seed=spec.seed,
             config=spec.config(),
             wall_time_s=obs.monotonic_s() - started,
             recorder=recorder,
-            extra=manifest_extra,
+            extra=job_extra,
         )
     if obs.enabled():
         obs.merge_snapshot(recorder.snapshot(), recorder.profile())
-    save_job_artifact(result, artifact_path, manifest=manifest)
-    if result.sweep.outcomes:
+    save_job_artifact(spec, result, artifact_path, manifest=manifest)
+    if result.outcomes:
         trace_id = spec.fingerprint()
         spans = merge_shards(
             trace_id,
             [
                 (outcome.point_index, outcome.repetition, outcome.profile)
-                for outcome in result.sweep.outcomes
+                for outcome in result.outcomes
             ],
             job_name=spec.sweep_name(),
         )

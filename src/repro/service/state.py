@@ -21,9 +21,9 @@ The invariants that make recovery trivial:
   finishes byte-identically.
 
 Recovery therefore needs no log replay: re-enqueue every persisted job
-without an artifact, in original submission order (``seq``), with
-``resume=True`` when a journal exists.  Jobs marked failed are left
-quarantined, not retried forever.
+without an artifact, in original submission order (``seq``); the
+daemon resumes a job's journal when one exists.  Jobs marked failed are
+left quarantined, not retried forever.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ class RecoveredJob:
     spec: JobSpec
     fingerprint: str
     seq: int
-    #: A checkpoint journal exists — resume it instead of starting fresh.
-    resume: bool
 
 
 class ServiceState:
@@ -168,7 +166,6 @@ class ServiceState:
                     spec=JobSpec.from_dict(record.get("job") or {}),
                     fingerprint=fingerprint,
                     seq=int(record.get("seq", 0)),
-                    resume=(directory / "checkpoint.ndjson").exists(),
                 )
             )
         recovered.sort(key=lambda job: job.seq)

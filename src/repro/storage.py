@@ -26,13 +26,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "fsync_dir",
     "atomic_write_text",
     "set_chaos_hook",
     "RecordError",
+    "iter_records",
     "read_records",
     "write_records",
     "open_append",
@@ -128,34 +129,54 @@ def _record_line(record: Dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def read_records(path: Union[str, Path]) -> Tuple[List[Dict], int, bool]:
-    """Parse an NDJSON record file: ``(records, valid_bytes, torn)``.
+def iter_records(handle: BinaryIO) -> Iterator[Tuple[int, Optional[Dict]]]:
+    """Stream an NDJSON record file opened in binary mode, line by line.
 
-    Blank lines are skipped.  The final non-blank line is *torn* when it
-    does not parse as a JSON object or has no newline: it is left out of
-    ``records``, and ``valid_bytes`` ends where it starts.  Any earlier
+    Yields one ``(offset, record)`` pair per record line, ``offset`` being
+    the byte where the line starts; blank lines are skipped.  The final
+    non-blank line is *torn* when it does not parse as a JSON object or
+    has no newline: it comes last, as ``(offset, None)``.  Any earlier
     line failing to parse raises :class:`RecordError` with its 1-based
-    line number.  Without a torn tail ``valid_bytes`` is the file size.
+    line number once a later non-blank line shows it was not the last.
+    Only one line is held at a time, so a reader that consumes the
+    stream needs memory for one record, not for the file.
     """
-    raw = Path(path).read_bytes()
-    lines = raw.split(b"\n")  # the bytes after the last newline come last
-    final = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-    records: List[Dict] = []
     offset = 0
-    for index in range(final + 1):
-        line = lines[index]
-        if line.strip():
+    bad: Optional[Tuple[int, int]] = None  # (line number, offset) unparsed
+    for number, line in enumerate(handle, 1):
+        start = offset
+        offset += len(line)
+        if not line.strip():
+            continue
+        if bad is not None:
+            raise RecordError(bad[0])
+        record = None
+        if line.endswith(b"\n"):
             try:
-                record = json.loads(line) if index < len(lines) - 1 else None
+                record = json.loads(line)
             except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
-                record = None
-            if not isinstance(record, dict):
-                if index == final:
-                    return records, offset, True
-                raise RecordError(index + 1)
+                pass
+        if isinstance(record, dict):
+            yield start, record
+        else:
+            bad = (number, start)
+    if bad is not None:
+        yield bad[1], None
+
+
+def read_records(path: Union[str, Path]) -> Tuple[List[Dict], int, bool]:
+    """Parse a whole NDJSON record file: ``(records, valid_bytes, torn)``.
+
+    :func:`iter_records` over the file, collected.  ``valid_bytes`` ends
+    where a torn final line starts; without one it is the file size.
+    """
+    records: List[Dict] = []
+    with open(path, "rb") as handle:
+        for offset, record in iter_records(handle):
+            if record is None:
+                return records, offset, True
             records.append(record)
-        offset += len(line) + 1
-    return records, len(raw), False
+        return records, handle.tell(), False
 
 
 def write_records(path: Union[str, Path], records: Iterable[Dict]) -> None:

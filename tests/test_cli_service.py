@@ -223,7 +223,7 @@ class TestOneJobPath:
         saved = tmp_path / "cli.json"
         assert main([*argv, "--save", str(saved)]) == 0
         reference = tmp_path / "reference.json"
-        save_job_artifact(run_job(spec), reference)
+        save_job_artifact(spec, run_job(spec), reference)
         assert saved.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize(

@@ -274,6 +274,57 @@ class TestNdjsonTrace:
         assert stats["kinds"] == {"delivery": 1, "tx_start": 2}
         assert stats["nodes"] == 3  # nodes 1 and 2 plus peer 4
 
+    def test_trace_stats_streams_a_large_file(self, tmp_path):
+        """100k events (~4 MB on disk) are summarized one record at a
+        time: the allocation peak stays far below the file's size."""
+        import tracemalloc
+
+        path = tmp_path / "big.ndjson"
+        with obs.NdjsonTraceWriter(path) as writer:
+            for index in range(100_000):
+                writer.record(
+                    TraceEvent(slot=index, kind=TraceKind.TX_START, node=index % 29)
+                )
+        tracemalloc.start()
+        try:
+            stats = obs.trace_stats(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats["events"] == 100_000
+        assert stats["nodes"] == 29
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty"),
+            ('{"schema": "trace/v1"}\n{"slot": 0', "torn"),
+            ('{"schema": "trace/v99"}\n', "trace/v99"),
+            (
+                '{"schema": "trace/v1", "events": 2}\n'
+                '{"slot": 0, "kind": "tx_start", "node": 1}\n',
+                "declares 2",
+            ),
+            (
+                '{"schema": "trace/v1"}\n'
+                '{"schema": "trace/v1", "footer": true, "events": 0}\n'
+                '{"slot": 0, "kind": "tx_start", "node": 1}\n',
+                "after its footer",
+            ),
+            (
+                '{"schema": "trace/v2", "spans": 3}\n'
+                '{"span_id": "job", "parent_id": null, "name": "job"}\n',
+                "declares 3 spans",
+            ),
+        ],
+    )
+    def test_trace_stats_keeps_every_error(self, tmp_path, text, match):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(text)
+        with pytest.raises(ObservabilityError, match=match):
+            obs.trace_stats(path)
+
 
 class TestManifest:
     def test_config_fingerprint_is_order_insensitive(self):

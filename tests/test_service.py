@@ -250,7 +250,7 @@ def test_fingerprint_invariant_to_workers_and_policy(tmp_path):
     artifacts = []
     for index, job in enumerate(runs):
         target = tmp_path / f"run-{index}.json"
-        save_job_artifact(job, target)
+        save_job_artifact(spec, job, target)
         artifacts.append(target.read_bytes())
     assert artifacts[0] == artifacts[1] == artifacts[2]
     assert len({spec.fingerprint()}) == 1  # options never entered the key
@@ -532,14 +532,6 @@ class TestServiceState:
         state.mark_job_failed("ddd", {"code": "engine", "message": "boom"})
         recovered = state.recover()
         assert [job.fingerprint for job in recovered] == ["aaa", "bbb"]
-        assert all(not job.resume for job in recovered)
-
-    def test_recover_flags_resume_when_journal_exists(self, tmp_path):
-        state = ServiceState(tmp_path / "state")
-        state.persist_job(tiny_spec(), "fp1", 1)
-        state.journal_path("fp1").write_text("")
-        (job,) = state.recover()
-        assert job.resume
 
     def test_snapshot_round_trip_and_schema_gate(self, tmp_path):
         state = ServiceState(tmp_path / "state")
@@ -780,7 +772,7 @@ class TestExperimentService:
 class TestCrashRecovery:
     def _reference_bytes(self, tmp_path, spec):
         target = tmp_path / "reference.json"
-        save_job_artifact(run_job(spec), target)
+        save_job_artifact(spec, run_job(spec), target)
         return target.read_bytes()
 
     def test_restart_finishes_persisted_backlog_byte_identically(

@@ -30,9 +30,7 @@ from repro.harness import FAIL_FAST
 from repro.obs.tracing import (
     TIMING_FIELDS,
     TRACE_V2_SCHEMA,
-    SpanIdAllocator,
     SpanRecord,
-    TraceContext,
     build_repetition_spans,
     load_spans,
     merge_shards,
@@ -95,32 +93,12 @@ def _profile(slot_ms: float) -> dict:
 # --------------------------------------------------------------------------- #
 
 
-class TestTraceContext:
-    def test_trace_id_is_the_fingerprint(self):
-        spec = tiny_spec()
-        context = TraceContext.for_job(spec.fingerprint())
-        assert context.trace_id == spec.fingerprint()
-        assert context.span_id == "job"
-        assert context.parent_id is None
-
-    def test_child_walks_the_name_path(self):
-        root = TraceContext.for_job("abc")
-        rep = root.child("point-3").child("rep-1")
-        assert rep.span_id == "job/point-3/rep-1"
-        assert rep.parent_id == "job/point-3"
-        assert rep.trace_id == "abc"
-
-    def test_allocator_numbers_repeats(self):
-        allocator = SpanIdAllocator()
-        assert allocator.allocate("sensing") == "sensing"
-        assert allocator.allocate("sensing") == "sensing:1"
-        assert allocator.allocate("sensing") == "sensing:2"
-        assert allocator.allocate("backoff") == "backoff"
-
+class TestSpanIds:
+    # The complete id list of a merged trace (and the trace id) is pinned
+    # in tests/test_job_outputs.py.
     def test_repetition_spans_are_a_pure_function(self):
-        context = TraceContext.for_job("abc")
-        first = build_repetition_spans(context, 0, 1, _profile(3.0))
-        second = build_repetition_spans(context, 0, 1, _profile(3.0))
+        first = build_repetition_spans(0, 1, _profile(3.0))
+        second = build_repetition_spans(0, 1, _profile(3.0))
         assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
         assert first[0].span_id == "job/point-0/rep-1"
         names = [span.name for span in first[1:]]
@@ -223,14 +201,14 @@ class TestShardIO:
         expected["dropped"] = int(header.get("dropped", 0) or 0)
         expected["trace_id"] = header.get("trace_id")
         reads = []
-        real_read = tracing.read_records
+        real_read = tracing.iter_records
         monkeypatch.setattr(
             tracing,
-            "read_records",
-            lambda target: (reads.append(target), real_read(target))[1],
+            "iter_records",
+            lambda handle: (reads.append(handle.name), real_read(handle))[1],
         )
         assert obs.trace_stats(path, top=2) == expected
-        assert reads == [path]
+        assert reads == [str(path)]
 
 
 # --------------------------------------------------------------------------- #
