@@ -318,6 +318,7 @@ class TestNdjsonTrace:
                 "declares 3 spans",
             ),
         ],
+        ids=["empty", "torn", "schema", "events", "footer", "spans"],
     )
     def test_trace_stats_keeps_every_error(self, tmp_path, text, match):
         path = tmp_path / "bad.ndjson"
