@@ -93,9 +93,30 @@ def _profile(slot_ms: float) -> dict:
 # --------------------------------------------------------------------------- #
 
 
+class TestTraceContext:
+    # A trace's context is its trace id (the job fingerprint) and the name
+    # path of each span id. The complete id list of a merged trace is
+    # pinned in tests/test_job_outputs.py.
+    def test_trace_id_is_the_fingerprint(self, tmp_path):
+        spec = tiny_spec()
+        spans = merge_shards(spec.fingerprint(), [(0, 0, _profile(1.0))])
+        root = spans[0]
+        assert root.span_id == "job"
+        assert root.parent_id is None
+        write_trace(tmp_path / "trace.ndjson", spec.fingerprint(), spans)
+        header, _ = load_spans(tmp_path / "trace.ndjson")
+        assert header["trace_id"] == spec.fingerprint()
+
+    def test_child_walks_the_name_path(self):
+        rep = build_repetition_spans(3, 1, _profile(1.0))[0]
+        assert rep.span_id == "job/point-3/rep-1"
+        assert rep.parent_id == "job/point-3"
+        spans = merge_shards("abc", [(3, 1, _profile(1.0))])
+        point = next(s for s in spans if s.span_id == "job/point-3")
+        assert point.parent_id == "job"
+
+
 class TestSpanIds:
-    # The complete id list of a merged trace (and the trace id) is pinned
-    # in tests/test_job_outputs.py.
     def test_repetition_spans_are_a_pure_function(self):
         first = build_repetition_spans(0, 1, _profile(3.0))
         second = build_repetition_spans(0, 1, _profile(3.0))
