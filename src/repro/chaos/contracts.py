@@ -19,11 +19,13 @@ The registry :data:`CONTRACTS` is the closed vocabulary the gate runs:
 * ``bounded-repair`` — observed repair latencies stay under the scenario
   bound, and supervised retries stay within the attempt budget.
 * ``no-acknowledged-job-lost`` — every job the daemon acknowledged
-  before a ``SIGKILL`` completes after restart.
+  before a ``SIGKILL`` completes after restart and is then served from
+  the cache; fragmented, dropped and stalled responses reach the client
+  whole or as a typed error, never as a hang.
 * ``resume-identity`` — a torn-and-resumed run is byte-identical to an
   uninterrupted one, RNG stream positions included.
-* ``cache-never-serves-stale`` — torn or corrupt cache state is repaired
-  or refused loudly, never served as a result.
+* ``cache-never-serves-stale`` — a failed artifact write is loud, and
+  torn or corrupt cache state is refused, never served as a result.
 * ``empty-schedule-purity`` — chaos machinery with an empty fault
   schedule is bit-identical to the plain path (results **and** RNG
   positions), so the harness itself perturbs nothing.
@@ -32,7 +34,7 @@ The registry :data:`CONTRACTS` is the closed vocabulary the gate runs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 __all__ = [
     "ContractCheck",
@@ -90,6 +92,15 @@ class ResilienceContract:
         return self.check(
             scenario, False, f"no evidence: scenario produced no {what}"
         )
+
+    def flags(
+        self, scenario: str, evidence: Dict, table: Tuple[Tuple[str, str, str], ...]
+    ) -> Iterator[ContractCheck]:
+        """One check per ``(key, ok_detail, bad_detail)`` row: passes when
+        ``evidence[key]`` is true (an absent key fails)."""
+        for key, ok_detail, bad_detail in table:
+            ok = bool(evidence.get(key))
+            yield self.check(scenario, ok, ok_detail if ok else bad_detail)
 
 
 class MonotoneDegradationContract(ResilienceContract):
@@ -236,7 +247,9 @@ class NoAcknowledgedJobLostContract(ResilienceContract):
     name = "acknowledged jobs survive daemon death"
     description = (
         "every job acknowledged (accepted and persisted) before a "
-        "SIGKILL completes after the daemon restarts"
+        "SIGKILL completes after the daemon restarts and is then served "
+        "from the cache; a fragmented, dropped or stalled response "
+        "reaches the client whole or as a typed error, never a hang"
     )
 
     def evaluate(self, evidence: Dict) -> Iterator[ContractCheck]:
@@ -246,18 +259,44 @@ class NoAcknowledgedJobLostContract(ResilienceContract):
             return
         acknowledged = list(service.get("acknowledged") or [])
         completed = set(service.get("completed_after_restart") or [])
+        lost = [fp for fp in acknowledged if fp not in completed]
         if not acknowledged:
             yield self.check(
                 "service", False, "no job was acknowledged before the kill"
             )
-            return
-        lost = [fp for fp in acknowledged if fp not in completed]
-        yield self.check(
+        else:
+            yield self.check(
+                "service",
+                not lost,
+                f"{len(acknowledged)} acknowledged, "
+                f"{len(acknowledged) - len(lost)} completed after restart"
+                + ("" if not lost else f"; LOST: {[fp[:12] for fp in lost]}"),
+            )
+        yield from self.flags(
             "service",
-            not lost,
-            f"{len(acknowledged)} acknowledged, "
-            f"{len(acknowledged) - len(lost)} completed after restart"
-            + ("" if not lost else f"; LOST: {[fp[:12] for fp in lost]}"),
+            service,
+            (
+                (
+                    "cache_hit_after_restart",
+                    "the recovered job answered a resubmission from the cache",
+                    "the recovered job was not served from the cache",
+                ),
+                (
+                    "partial_frames_ok",
+                    "a response fragmented into 4-byte sends reassembled whole",
+                    "a fragmented response did not reassemble",
+                ),
+                (
+                    "drop_surfaced_typed",
+                    "a response dropped mid-frame raised a typed ServiceError",
+                    "a dropped response was not surfaced as a typed error",
+                ),
+                (
+                    "stall_detected_typed",
+                    "a stalled stream tripped the heartbeat deadline",
+                    "a stalled stream was not detected by the heartbeat deadline",
+                ),
+            ),
         )
 
 
@@ -313,8 +352,8 @@ class CacheNeverServesStaleContract(ResilienceContract):
     id = "cache-never-serves-stale"
     name = "torn or corrupt cache state is never served"
     description = (
-        "torn artifacts and corrupt cache entries are refused loudly; a "
-        "torn provenance log is repaired, not trusted"
+        "an artifact write that fails raises and leaves no partial file; "
+        "torn artifacts and corrupt cache entries are refused loudly"
     )
 
     def evaluate(self, evidence: Dict) -> Iterator[ContractCheck]:
@@ -322,37 +361,29 @@ class CacheNeverServesStaleContract(ResilienceContract):
         if storage is None:
             yield self.missing("storage", "cache-integrity evidence")
             return
-        for key, ok_detail, bad_detail in (
+        yield from self.flags(
+            "storage",
+            storage,
             (
-                "torn_artifact_refused",
-                "torn artifact write was refused by the loader",
-                "a torn artifact was loaded as if complete",
+                (
+                    "write_failures_loud",
+                    "ENOSPC on an artifact write raised and left no partial "
+                    "file; the retry landed byte-identically",
+                    "an ENOSPC artifact write was silent, left a partial "
+                    "file, or its retry diverged",
+                ),
+                (
+                    "torn_artifact_refused",
+                    "torn artifact write was refused by the loader",
+                    "a torn artifact was loaded as if complete",
+                ),
+                (
+                    "corrupt_cache_entry_refused",
+                    "corrupt cache entry raised a typed error",
+                    "a corrupt cache entry was served",
+                ),
             ),
-            (
-                "corrupt_cache_entry_refused",
-                "corrupt cache entry raised a typed error",
-                "a corrupt cache entry was served",
-            ),
-            (
-                "torn_cache_log_recovered",
-                "torn cache log loaded its valid prefix and accepts appends",
-                "a torn cache log blocked the cache from loading",
-            ),
-        ):
-            yield self.check(
-                "storage",
-                bool(storage.get(key)),
-                ok_detail if storage.get(key) else bad_detail,
-            )
-        service = evidence.get("service")
-        if service is not None and "torn_cache_log_served" in service:
-            yield self.check(
-                "service",
-                bool(service.get("torn_cache_log_served")),
-                "daemon restarted over a torn cache log and kept serving"
-                if service.get("torn_cache_log_served")
-                else "daemon failed to serve over a repaired cache log",
-            )
+        )
 
 
 class EmptySchedulePurityContract(ResilienceContract):

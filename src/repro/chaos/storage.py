@@ -21,10 +21,9 @@ non-atomic write pattern statically for the same reason.
 
 :func:`tear_ndjson_tail` is the append-side counterpart: it truncates an
 NDJSON journal mid-way through its final line, reproducing the one write
-a ``SIGKILL`` can tear, so torn-tail recovery paths
-(:func:`repro.harness.load_checkpoint`,
-:meth:`repro.service.cache.ResultCache.hit_records`) are testable without
-actually killing a process.
+a ``SIGKILL`` can tear, so the torn-tail recovery path
+(:func:`repro.harness.load_checkpoint`) is testable without actually
+killing a process.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ Commands
                (validate)
 ``serve``      run the fault-tolerant experiment daemon (service/v1 over
                a local AF_UNIX socket; see docs/SERVICE.md)
-``service``    talk to a running daemon: ``submit``, ``status``, ``top``
-               (live telemetry), ``result``, ``ping`` and ``shutdown``
+``service``    talk to a running daemon: ``submit``, ``top`` (live
+               telemetry), ``result``, ``ping`` and ``shutdown``
 
 ``fig6``, ``compare`` and ``chaos`` are jobs: each builds the same
 :class:`~repro.service.jobs.JobSpec` that ``service submit`` sends and runs
@@ -460,15 +460,8 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     from repro import obs
 
     if args.socket is not None:
-        from repro.service.client import ServiceClient
-
-        report = ServiceClient(args.socket).stats()
-        if report.get("type") != "stats_report":
-            print(
-                f"unexpected response type {report.get('type')!r} "
-                "(expected 'stats_report')",
-                file=sys.stderr,
-            )
+        report = _stats_report(args.socket)
+        if report is None:
             return 1
         summary = report.get("service") or {}
         gauge_names = ("queue_depth", "inflight", "capacity")
@@ -643,7 +636,6 @@ def _cmd_service_submit(args: argparse.Namespace) -> int:
 #: ``service`` verbs that send one request and print the JSON answer:
 #: verb (= the ServiceClient method) -> (help, positional arguments).
 _SERVICE_VERBS = {
-    "status": ("queue depth, in-flight job, and service counters", ()),
     "ping": ("liveness check", ()),
     "shutdown": ("ask the daemon to drain and exit", ()),
     "result": ("fetch a job's result by fingerprint", ("fingerprint",)),
@@ -651,7 +643,7 @@ _SERVICE_VERBS = {
 
 
 def _cmd_service_verb(args: argparse.Namespace) -> int:
-    """status / result / ping / shutdown — one request, JSON out."""
+    """result / ping / shutdown — one request, JSON out."""
     import json
 
     from repro.service.client import ServiceClient
@@ -661,6 +653,22 @@ def _cmd_service_verb(args: argparse.Namespace) -> int:
     response = request(*(getattr(args, name) for name in positionals))
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0 if response.get("type") not in ("error", "failed") else 1
+
+
+def _stats_report(socket_path: str) -> Optional[dict]:
+    """The daemon's ``stats_report``, or ``None`` after saying on stderr
+    what it answered instead."""
+    from repro.service.client import ServiceClient
+
+    report = ServiceClient(socket_path).stats()
+    if report.get("type") != "stats_report":
+        print(
+            f"unexpected response type {report.get('type')!r} "
+            "(expected 'stats_report')",
+            file=sys.stderr,
+        )
+        return None
+    return report
 
 
 def _render_service_top(report: dict) -> str:
@@ -707,20 +715,13 @@ def _cmd_service_top(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.clock import sleep_s
-    from repro.service.client import ServiceClient
 
-    client = ServiceClient(args.socket)
     for iteration in range(max(1, args.count)):
         if iteration:
             sleep_s(args.interval)
             print()
-        report = client.stats()
-        if report.get("type") != "stats_report":
-            print(
-                f"unexpected response type {report.get('type')!r} "
-                "(expected 'stats_report')",
-                file=sys.stderr,
-            )
+        report = _stats_report(args.socket)
+        if report is None:
             return 1
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))

@@ -235,8 +235,8 @@ class ProtocolError(ServiceError):
 class ServiceUnavailableError(ServiceError):
     """The daemon stopped talking: no heartbeat/progress within the deadline.
 
-    Raised by :class:`repro.service.client.ServiceClient` when a streamed
-    submission goes silent for longer than its configured heartbeat
+    Raised by :class:`repro.service.client.ServiceClient` when a
+    connection goes silent for longer than its configured heartbeat
     deadline — the typed signal that the daemon (or the path to it) is
     dead, as opposed to a job that is merely slow.  Callers react by
     reconnecting, polling ``result`` against a restarted daemon, or

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ComparisonPoint, _run_plain_sweep
-from repro.obs.progress import Heartbeat
 
 __all__ = ["Fig6Sweep", "FIG6_SWEEPS", "sweep_point_configs", "run_fig6_sweep"]
 
@@ -124,7 +123,7 @@ def run_fig6_sweep(
     repetitions: Optional[int] = None,
     values: Optional[Sequence[float]] = None,
     on_incomplete: str = "skip",
-    progress: Optional[Heartbeat] = None,
+    progress=None,
     workers: int = 1,
 ) -> List[Tuple[float, ComparisonPoint]]:
     """Run one sub-figure end to end; returns (x-value, comparison) pairs.
@@ -132,9 +131,9 @@ def run_fig6_sweep(
     Incomplete repetitions are skipped by default (recorded in each
     point's ``skipped_repetitions``) so one pathological deployment does
     not abort a multi-hour sweep; pass ``on_incomplete="raise"`` to get
-    the strict single-point behaviour.  A :class:`~repro.obs.Heartbeat`
-    passed as ``progress`` ticks once per repetition across the whole
-    sweep (size it ``len(sweep.values) * repetitions``).
+    the strict single-point behaviour.  ``progress``, any object with a
+    ``tick()`` method, ticks once per repetition across the whole sweep
+    (``len(sweep.values) * repetitions`` ticks).
 
     ``workers`` > 1 runs every (point × repetition) pair through one
     shared warm ``spawn`` pool; results are bit-identical to the serial

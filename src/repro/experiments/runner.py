@@ -16,7 +16,6 @@ import repro.obs as obs
 from repro.core.collector import run_addc_collection
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import ExperimentConfig
-from repro.obs.progress import Heartbeat
 from repro.metrics.aggregate import (
     RunStatistics,
     relative_delay_reduction_percent,
@@ -200,7 +199,7 @@ def run_comparison_point(
     config: ExperimentConfig,
     repetitions: Optional[int] = None,
     on_incomplete: str = "raise",
-    progress: Optional[Heartbeat] = None,
+    progress=None,
     workers: int = 1,
 ) -> ComparisonPoint:
     """Run ADDC and Coolest over ``repetitions`` fresh deployments.
@@ -213,9 +212,8 @@ def run_comparison_point(
     long sweep drivers, where one pathological deployment should cost one
     data point's precision, not the whole overnight sweep.
 
-    ``progress`` (a :class:`~repro.obs.Heartbeat`) gets one tick per
-    completed repetition; it is purely an output device and never affects
-    the run.
+    ``progress``, any object with a ``tick()`` method, gets one tick per
+    completed repetition; it never affects the run.
 
     ``workers`` > 1 fans the repetitions out over a warm ``spawn`` pool;
     each worker re-derives its RNG streams from ``(seed, repetition)``,
@@ -244,7 +242,7 @@ def _run_plain_sweep(
     *,
     repetitions: Optional[int],
     on_incomplete: str,
-    progress: Optional[Heartbeat],
+    progress,
     workers: int,
 ) -> List[Tuple[float, ComparisonPoint]]:
     """Run ``points`` fail-fast and unjournalled; raise unless complete.

@@ -56,7 +56,6 @@ from repro.harness.supervisor import (
     WorkerSupervisor,
 )
 from repro.obs.manifest import config_fingerprint
-from repro.obs.progress import Heartbeat
 from repro.perf.executor import RepetitionOutcome, SweepWorkItem
 
 if TYPE_CHECKING:
@@ -193,7 +192,7 @@ def run_checkpointed_sweep(
     resume: bool = False,
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
-    progress: Optional[Heartbeat] = None,
+    progress=None,
     pool=None,
     chaos: Optional["ChaosOptions"] = None,
 ) -> SweepRunResult:
@@ -213,8 +212,10 @@ def run_checkpointed_sweep(
     item into a fault-injection repetition (ADDC only); its outcomes are
     returned in ``outcomes`` and no comparison points are assembled.
 
-    ``progress`` ticks as each repetition completes (journal-replayed
-    repetitions tick when the journal loads).  A ``KeyboardInterrupt``
+    ``progress`` is any object with a ``tick()`` method (the daemon
+    passes one that streams ``progress`` events); it ticks as each
+    repetition completes (journal-replayed repetitions tick when the
+    journal loads).  A ``KeyboardInterrupt``
     mid-sweep cancels the pending work, flushes the journal, and
     re-raises — completed repetitions stay durable, so the same call with
     ``resume=True`` picks up where Ctrl-C struck.  Items that exhaust

@@ -81,7 +81,6 @@ __all__ = [
     "config_fingerprint",
     "render_report",
     "render_prometheus",
-    "Heartbeat",
     "histogram_percentile",
     # Distributed tracing (trace/v2), from repro.obs.tracing.
     "TRACE_V2_SCHEMA",
@@ -258,7 +257,6 @@ from repro.obs.manifest import (  # noqa: E402
     write_manifest,
 )
 from repro.obs.export import render_prometheus  # noqa: E402
-from repro.obs.progress import Heartbeat  # noqa: E402
 from repro.obs.report import render_report  # noqa: E402
 from repro.obs.tracing import (  # noqa: E402
     TRACE_V2_SCHEMA,

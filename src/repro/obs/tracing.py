@@ -240,7 +240,6 @@ def iter_spans(
 
 
 def merge_shards(
-    trace_id: str,
     shards: Iterable[Tuple[int, int, Optional[Dict]]],
     job_name: Optional[str] = None,
 ) -> List[SpanRecord]:
@@ -256,8 +255,6 @@ def merge_shards(
     The result starts with the root ``job`` span and one synthetic
     ``point-<i>`` span per sweep point (timing folded up from its
     repetitions), followed by each repetition subtree in order.
-    ``trace_id`` names the trace (:func:`write_trace` puts it in the
-    header); no span id depends on it.
     """
     by_point: Dict[int, List[List[SpanRecord]]] = {}
     for point, rep, profile in sorted(shards, key=lambda shard: shard[:2]):

@@ -9,14 +9,13 @@ harness (docs/SERVICE.md):
   ``retry_after`` with exponential server-suggested backoff; a client
   is never blocked and never hangs (:mod:`repro.service.queue`);
 * **fingerprint-keyed result cache** — identical requests are served
-  from disk with zero engine compute, every hit durably logged with
-  provenance (:mod:`repro.service.cache`);
+  from disk with zero engine compute (:mod:`repro.service.cache`);
 * **crash-safe execution** — each job runs under the supervised harness
   with its own fsynced ``checkpoint/v1`` journal; a SIGKILL'd daemon
   resumes its backlog on restart and produces byte-identical artifacts
   (:mod:`repro.service.state`, :mod:`repro.service.daemon`);
-* **graceful drain** — SIGTERM finishes the backlog, persists a
-  ``service-state/v1`` snapshot plus manifest, and tells every client;
+* **graceful drain** — SIGTERM finishes the backlog, writes a manifest
+  of the service counters, and tells every client;
 * **one orchestration layer** — :mod:`repro.service.jobs` is shared by
   the one-shot CLI and the daemon, so both fronts run the exact same
   experiment code and agree on fingerprints.
@@ -33,11 +32,10 @@ from repro.service.jobs import (
 )
 from repro.service.protocol import SERVICE_SCHEMA
 from repro.service.queue import Admission, JobQueue
-from repro.service.state import STATE_SCHEMA, ServiceState
+from repro.service.state import ServiceState
 
 __all__ = [
     "SERVICE_SCHEMA",
-    "STATE_SCHEMA",
     "JOB_KINDS",
     "Admission",
     "ExperimentService",

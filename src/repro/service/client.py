@@ -7,9 +7,9 @@ daemon's ``draining`` farewell) arrives.  All waiting is bounded by the
 socket timeout — a dead daemon produces a :class:`ServiceError`, never
 a hang.
 
-A streamed submission can additionally arm a **heartbeat deadline**: the
-daemon emits ``heartbeat``/``progress`` frames while a job runs, so a
-connection that stays open but goes silent past
+A client can additionally arm a **heartbeat deadline**, which bounds
+every read: the daemon emits ``heartbeat``/``progress`` frames while a
+streamed job runs, so a connection that stays open but goes silent past
 ``heartbeat_deadline_s`` means the daemon is stalled (wedged worker,
 yanked disk, a proxy eating frames) rather than busy.  That case raises
 the typed :class:`~repro.errors.ServiceUnavailableError` instead of
@@ -61,7 +61,12 @@ class ServiceClient:
 
     def _connect(self) -> socket.socket:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout_s)
+        if self.heartbeat_deadline_s is None:
+            sock.settimeout(self.timeout_s)
+        else:
+            # The socket timeout becomes the silence-poll interval; it
+            # must tick faster than the deadline it enforces.
+            sock.settimeout(min(self.timeout_s, self.heartbeat_deadline_s / 4))
         try:
             sock.connect(str(self.socket_path))
         except OSError as exc:
@@ -72,48 +77,33 @@ class ServiceClient:
             ) from exc
         return sock
 
-    @staticmethod
-    def _read_line(sock: socket.socket, buffer: bytes) -> tuple:
-        """Read one ``\\n``-terminated line; returns ``(line, rest)``."""
-        while b"\n" not in buffer:
-            try:
-                chunk = sock.recv(65536)
-            except socket.timeout as exc:
-                raise ServiceError(
-                    "timed out waiting for the service to respond"
-                ) from exc
-            if not chunk:
-                raise ServiceError(
-                    "service closed the connection mid-response"
-                )
-            buffer += chunk
-        line, rest = buffer.split(b"\n", 1)
-        return line, rest
-
     def _read_frame(self, sock: socket.socket, buffer: bytes) -> tuple:
-        """Read one frame, bounded by the heartbeat deadline when armed.
+        """Read one ``\\n``-terminated frame; returns ``(line, rest)``.
 
-        Without a deadline this is :meth:`_read_line`.  With one, the
-        socket timeout becomes a polling granularity: every quiet
-        interval checks how long the daemon has been silent, and silence
-        past ``heartbeat_deadline_s`` raises
+        Without a heartbeat deadline, a quiet socket timeout raises
+        :class:`ServiceError`.  With one, the socket timeout is a polling
+        granularity: every quiet interval checks how long the daemon has
+        been silent, and silence past ``heartbeat_deadline_s`` raises
         :class:`ServiceUnavailableError` — any arriving byte resets the
         clock, so a slow-but-alive daemon is never misdiagnosed.
         """
-        if self.heartbeat_deadline_s is None:
-            return self._read_line(sock, buffer)
+        deadline_s = self.heartbeat_deadline_s
         clock = self._clock if self._clock is not None else monotonic_s
         last_byte_at = clock()
         while b"\n" not in buffer:
             try:
                 chunk = sock.recv(65536)
             except socket.timeout as exc:
+                if deadline_s is None:
+                    raise ServiceError(
+                        "timed out waiting for the service to respond"
+                    ) from exc
                 silent_s = clock() - last_byte_at
-                if silent_s >= self.heartbeat_deadline_s:
+                if silent_s >= deadline_s:
                     raise ServiceUnavailableError(
                         f"no heartbeat or progress frame from the service "
                         f"for {silent_s:.1f}s (deadline "
-                        f"{self.heartbeat_deadline_s}s) — the daemon looks "
+                        f"{deadline_s}s) — the daemon looks "
                         "dead or stalled"
                     ) from exc
                 continue
@@ -131,7 +121,7 @@ class ServiceClient:
         sock = self._connect()
         try:
             sock.sendall(protocol.encode_message(message))
-            line, _rest = self._read_line(sock, b"")
+            line, _rest = self._read_frame(sock, b"")
             return protocol.decode_message(line)
         finally:
             sock.close()
@@ -140,9 +130,6 @@ class ServiceClient:
 
     def ping(self) -> Dict:
         return self.request({"type": "ping"})
-
-    def status(self) -> Dict:
-        return self.request({"type": "status"})
 
     def stats(self) -> Dict:
         """Live telemetry snapshot (``stats_report``); never blocks a job."""
@@ -175,12 +162,6 @@ class ServiceClient:
             return self.request(message)
         sock = self._connect()
         try:
-            if self.heartbeat_deadline_s is not None:
-                # The socket timeout becomes the silence-poll interval;
-                # it must tick faster than the deadline it enforces.
-                sock.settimeout(
-                    min(self.timeout_s, self.heartbeat_deadline_s / 4)
-                )
             sock.sendall(protocol.encode_message(message))
             buffer = b""
             line, buffer = self._read_frame(sock, buffer)

@@ -9,7 +9,7 @@ the test suite drives it directly.
 Lifecycle of one submission
 ---------------------------
 1. The spec is fingerprinted.  A cached artifact answers immediately
-   (``cache_hit`` + durable provenance record, zero engine compute).
+   (``cache_hit``, zero engine compute).
 2. Otherwise the bounded queue decides: ``accepted`` (job persisted to
    ``jobs/<fp>/job.json`` *before* the acknowledgement, so an accepted
    job survives SIGKILL), ``accepted(duplicate=True)`` (attached to the
@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Union
 import repro.obs as obs
 from repro.errors import ReproError, ServiceError, error_record
 from repro.harness import RetryPolicy
-from repro.obs.manifest import build_manifest, manifest_path_for, write_manifest
+from repro.obs.manifest import build_manifest, write_manifest
 from repro.perf.pool import WarmWorkerPool
 from repro.service import protocol
 from repro.service.cache import ResultCache
@@ -43,7 +43,7 @@ from repro.service.state import ServiceState
 
 __all__ = ["ExperimentService"]
 
-#: The service.* counters reported in status, snapshot, and manifest,
+#: The service.* counters reported in stats, heartbeats and the drain manifest,
 #: each mapped to its literal metric name — reprolint rule OBS002 bans
 #: computed metric names (``f"service.{name}"``), so the registry of
 #: valid names lives here, spelled out.
@@ -149,9 +149,8 @@ class ExperimentService:
             return protocol.error_response(exc)
         artifact = self.cache.load_artifact(fingerprint)
         if artifact is not None:
-            provenance = self.cache.record_hit(fingerprint, spec)
             self._count("cache_hits")
-            return protocol.cache_hit(fingerprint, artifact, provenance)
+            return protocol.cache_hit(fingerprint, artifact)
         self._count("cache_misses")
         with self._lock:
             failed = self._failed.get(fingerprint)
@@ -205,7 +204,7 @@ class ExperimentService:
         )
 
     def service_summary(self) -> Dict:
-        """The ``extra["service"]`` block for manifests and status."""
+        """The ``extra["service"]`` block for the drain manifest and stats."""
         summary = {
             "queue_depth": self.queue.depth,
             "inflight": self.queue.inflight,
@@ -213,9 +212,6 @@ class ExperimentService:
         }
         summary.update(self.counters())
         return summary
-
-    def status_report(self) -> Dict:
-        return protocol.status_report(self.service_summary())
 
     def stats(self) -> Dict:
         """Live telemetry payload: summary + quarantine + per-phase timings.
@@ -332,24 +328,17 @@ class ExperimentService:
     # ---- drain ----------------------------------------------------------- #
 
     def drain(self) -> Dict:
-        """Stop admissions and persist the ``service-state/v1`` snapshot.
+        """Stop admissions and write the drain manifest.
 
         Called after the worker thread has finished (or been joined):
-        the queue is closed, the remaining backlog and counters land in
-        the snapshot, and a run manifest with an ``extra["service"]``
-        block is written next to it for ``addc-repro obs report``.
-        Returns the snapshot payload's summary.
+        the queue is closed and a run manifest whose ``extra["service"]``
+        block carries the counters is written for ``addc-repro obs
+        report``.  Recovery never reads it: it reads ``jobs/*/job.json``.
+        Returns ``{"counters": ...}``.
         """
         self.queue.close()
         if self.pool is not None:
             self.pool.close()
-        queued = self.queue.pending_fingerprints()
-        inflight = self.queue.running_fingerprint()
-        self.state.write_snapshot(queued, inflight, self.counters())
         manifest = build_manifest(extra={"service": self.service_summary()})
-        write_manifest(manifest_path_for(self.state.snapshot_path), manifest)
-        return {
-            "queued": queued,
-            "inflight": inflight,
-            "counters": self.counters(),
-        }
+        write_manifest(self.state.drain_manifest_path, manifest)
+        return {"counters": self.counters()}

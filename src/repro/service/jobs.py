@@ -347,14 +347,12 @@ def execute_job(
         obs.merge_snapshot(recorder.snapshot(), recorder.profile())
     save_job_artifact(spec, result, artifact_path, manifest=manifest)
     if result.outcomes:
-        trace_id = spec.fingerprint()
         spans = merge_shards(
-            trace_id,
             [
                 (outcome.point_index, outcome.repetition, outcome.profile)
                 for outcome in result.outcomes
             ],
             job_name=spec.sweep_name(),
         )
-        write_trace(base / "trace.ndjson", trace_id, spans)
+        write_trace(base / "trace.ndjson", spec.fingerprint(), spans)
     return result

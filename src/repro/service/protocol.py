@@ -6,10 +6,9 @@ clients can reject a daemon from a different era.  Requests:
 
 ========== ============================================================
 ``submit``   ``{"type", "job": {...JobSpec...}, "stream": bool}``
-``status``   queue/cache/counter report
-``stats``    live telemetry: queue/cache/quarantine plus per-phase span
-             timings — answered from in-memory state, never pausing the
-             event loop or the running job
+``stats``    live telemetry: queue/cache/counters/quarantine plus
+             per-phase span timings — answered from in-memory state,
+             never pausing the event loop or the running job
 ``result``   ``{"type", "fingerprint"}`` — fetch a finished artifact
 ``ping``     liveness probe
 ``shutdown`` graceful drain (same path as SIGTERM)
@@ -17,8 +16,8 @@ clients can reject a daemon from a different era.  Requests:
 
 Responses: ``accepted``, ``cache_hit``, ``retry_after`` (typed
 backpressure — a full queue *answers*, it never blocks), ``progress``,
-``heartbeat``, ``completed``, ``failed``, ``pending``, ``status_report``,
-``stats_report``, ``pong``, ``draining``, and ``error``.
+``heartbeat``, ``completed``, ``failed``, ``pending``, ``stats_report``,
+``pong``, ``draining``, and ``error``.
 
 Malformed traffic raises :class:`~repro.errors.ProtocolError`; the daemon
 converts it into an ``error`` response for the offending client and keeps
@@ -46,7 +45,6 @@ __all__ = [
     "completed",
     "failed",
     "pending",
-    "status_report",
     "stats_report",
     "pong",
     "draining",
@@ -55,7 +53,7 @@ __all__ = [
 
 SERVICE_SCHEMA = "service/v1"
 
-REQUEST_TYPES = ("submit", "status", "stats", "result", "ping", "shutdown")
+REQUEST_TYPES = ("submit", "stats", "result", "ping", "shutdown")
 
 
 def encode_message(message: Dict) -> bytes:
@@ -115,14 +113,9 @@ def accepted(
     )
 
 
-def cache_hit(fingerprint: str, artifact: Dict, provenance: Dict) -> Dict:
+def cache_hit(fingerprint: str, artifact: Dict) -> Dict:
     """An identical request was served from the result cache, zero compute."""
-    return _response(
-        "cache_hit",
-        fingerprint=fingerprint,
-        artifact=artifact,
-        provenance=provenance,
-    )
+    return _response("cache_hit", fingerprint=fingerprint, artifact=artifact)
 
 
 def retry_after(
@@ -182,10 +175,6 @@ def pending(fingerprint: str, position: int, running: bool) -> Dict:
         position=int(position),
         running=bool(running),
     )
-
-
-def status_report(report: Dict) -> Dict:
-    return _response("status_report", **report)
 
 
 def stats_report(stats: Dict) -> Dict:

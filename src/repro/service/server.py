@@ -8,9 +8,8 @@ daemon *decides* lives in the core; this module only moves NDJSON lines.
 Shutdown discipline (SIGTERM, SIGINT, or a client ``shutdown`` request):
 stop accepting connections and admissions, let the worker finish the
 running job **and** the queued backlog (journals are fsynced per
-repetition regardless — SIGKILL loses nothing durable), persist the
-``service-state/v1`` snapshot plus a manifest, tell every connected
-client ``draining``, and exit.  Timing uses the injectable clock facade
+repetition regardless — SIGKILL loses nothing durable), write the
+drain manifest, tell every connected client ``draining``, and exit.  Timing uses the injectable clock facade
 (:func:`repro.obs.clock.monotonic_s`); the select timeout is the only
 wait primitive.
 """
@@ -218,8 +217,6 @@ class ServiceServer:
         kind = request["type"]
         if kind == "ping":
             self._send(conn, protocol.pong())
-        elif kind == "status":
-            self._send(conn, self.service.status_report())
         elif kind == "stats":
             self._send(conn, self.service.stats_report())
         elif kind == "result":
@@ -266,7 +263,7 @@ class ServiceServer:
                 return
 
     def _drain(self) -> Dict:
-        """Finish the backlog, snapshot, notify clients; returns summary."""
+        """Finish the backlog, drain the service, notify clients."""
         if self._listener is not None:
             try:
                 self._selector.unregister(self._listener)

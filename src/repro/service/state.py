@@ -3,11 +3,12 @@
 Layout under one state root::
 
     state/
-      cache/                       fingerprint-keyed artifacts + hit log
+      cache/                       fingerprint-keyed artifacts + manifests
       jobs/<fingerprint>/
         job.json                   service-job/v1: spec + seq + enqueue time
         checkpoint.ndjson          the job's checkpoint/v1 journal
-      service-state.json           service-state/v1 drain snapshot
+        trace.ndjson               the job's merged trace/v2 span tree
+      service-state.manifest.json  drain manifest: counters in extra["service"]
 
 The invariants that make recovery trivial:
 
@@ -40,13 +41,11 @@ from repro.storage import atomic_write_text, fsync_dir
 
 __all__ = [
     "JOB_SCHEMA",
-    "STATE_SCHEMA",
     "RecoveredJob",
     "ServiceState",
 ]
 
 JOB_SCHEMA = "service-job/v1"
-STATE_SCHEMA = "service-state/v1"
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,13 @@ class RecoveredJob:
 
 
 class ServiceState:
-    """Owns the state root: job records, journals, and the drain snapshot."""
+    """Owns the state root: job records and journals."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self.cache_dir = self.root / "cache"
-        self.snapshot_path = self.root / "service-state.json"
+        self.drain_manifest_path = self.root / "service-state.manifest.json"
         created = not self.jobs_dir.exists()
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -170,45 +169,3 @@ class ServiceState:
             )
         recovered.sort(key=lambda job: job.seq)
         return recovered
-
-    # ---- drain snapshot ----------------------------------------------- #
-
-    def write_snapshot(
-        self,
-        queued: List[str],
-        inflight: Optional[str],
-        counters: Dict[str, int],
-    ) -> None:
-        """Persist the ``service-state/v1`` snapshot (SIGTERM drain)."""
-        payload = {
-            "schema": STATE_SCHEMA,
-            "created_utc": obs.wall_clock_iso(),
-            "queued": list(queued),
-            "inflight": inflight,
-            "counters": {k: int(v) for k, v in sorted(counters.items())},
-        }
-        try:
-            atomic_write_text(
-                self.snapshot_path,
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            )
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot write service snapshot {self.snapshot_path}: {exc}"
-            ) from exc
-
-    def load_snapshot(self) -> Optional[Dict]:
-        if not self.snapshot_path.exists():
-            return None
-        try:
-            payload = json.loads(self.snapshot_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ServiceError(
-                f"service snapshot {self.snapshot_path} is unreadable: {exc}"
-            ) from exc
-        if payload.get("schema") != STATE_SCHEMA:
-            raise ServiceError(
-                f"service snapshot {self.snapshot_path} has schema "
-                f"{payload.get('schema')!r}, expected {STATE_SCHEMA!r}"
-            )
-        return payload

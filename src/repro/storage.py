@@ -9,11 +9,10 @@ sibling, fsync the file, rename over the target, then fsync the parent
 directory.
 
 The same module owns the NDJSON record files (``checkpoint/v1``
-journals, the service's ``cache-log.ndjson``, ``trace/v1`` and
-``trace/v2`` files): what makes a record line valid, what a crash may
-tear, and how a record is appended durably.  A record line is one JSON
-object with sorted keys, ended by a newline.  Journals and logs grow one
-fsynced append at a time, so a ``SIGKILL`` can tear only the final line;
+journals, ``trace/v1`` and ``trace/v2`` files): what makes a record line
+valid, what a crash may tear, and how a record is appended durably.  A
+record line is one JSON object with sorted keys, ended by a newline.
+Journals grow one fsynced append at a time, so a ``SIGKILL`` can tear only the final line;
 trace files are written whole through :func:`write_records`.
 
 Every helper raises plain :class:`OSError` or :class:`ValueError`;

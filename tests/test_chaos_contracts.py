@@ -83,7 +83,7 @@ def passing_evidence() -> dict:
             "rng_positions_identical": True,
             "torn_artifact_refused": True,
             "corrupt_cache_entry_refused": True,
-            "torn_cache_log_recovered": True,
+            "write_failures_loud": True,
         },
         "worker": {
             "results_identical": True,
@@ -94,7 +94,10 @@ def passing_evidence() -> dict:
             "acknowledged": ["fp1", "fp2"],
             "completed_after_restart": ["fp1", "fp2"],
             "artifact_identical": True,
-            "torn_cache_log_served": True,
+            "cache_hit_after_restart": True,
+            "partial_frames_ok": True,
+            "drop_surfaced_typed": True,
+            "stall_detected_typed": True,
         },
     }
 
@@ -199,14 +202,6 @@ def test_all_contracts_pass_on_clean_evidence():
             "cache-never-serves-stale",
         ),
         (
-            lambda e: e["storage"].update(torn_cache_log_recovered=False),
-            "cache-never-serves-stale",
-        ),
-        (
-            lambda e: e["service"].update(torn_cache_log_served=False),
-            "cache-never-serves-stale",
-        ),
-        (
             lambda e: e["degradation"]["empty_schedule"].update(
                 identical=False
             ),
@@ -221,6 +216,28 @@ def test_each_violation_fails_its_contract(mutate, contract):
     assert failures_of(checks, contract), (
         f"{contract} did not flag the violation"
     )
+
+
+@pytest.mark.parametrize(
+    "scenario, key, contract",
+    [
+        ("storage", "write_failures_loud", "cache-never-serves-stale"),
+        ("service", "partial_frames_ok", "no-acknowledged-job-lost"),
+        ("service", "drop_surfaced_typed", "no-acknowledged-job-lost"),
+        ("service", "stall_detected_typed", "no-acknowledged-job-lost"),
+        ("service", "cache_hit_after_restart", "no-acknowledged-job-lost"),
+    ],
+)
+def test_every_probe_the_grid_collects_can_fail(scenario, key, contract):
+    """A probe no contract reads validates nothing: a false one fails
+    exactly one check, in the contract whose invariant it evidences."""
+    evidence = passing_evidence()
+    assert all(check.passed for check in evaluate_contracts(evidence))
+    evidence[scenario][key] = False
+    failed = [check for check in evaluate_contracts(evidence) if not check.passed]
+    assert [(check.contract, check.scenario) for check in failed] == [
+        (contract, scenario)
+    ]
 
 
 @pytest.mark.parametrize(

@@ -104,8 +104,7 @@ class TestProxyAgainstLiveDaemon:
         with ChaosSocketProxy(server, proxy_path) as proxy:
             client = ServiceClient(proxy_path, timeout_s=30.0)
             assert client.ping()["type"] == "pong"
-            status = client.status()
-            assert status["type"] == "status_report"
+            assert client.stats()["type"] == "stats_report"
         assert proxy.connections_served == 2
         assert proxy.faults_applied == []
 
@@ -124,9 +123,9 @@ class TestProxyAgainstLiveDaemon:
             client = ServiceClient(proxy_path, timeout_s=30.0)
             # One NDJSON line arrives across many 4-byte recvs; the framed
             # reader must reassemble it into exactly the daemon's answer.
-            status = client.status()
-            assert status["type"] == "status_report"
-            assert status["capacity"] == 2
+            stats = client.stats()
+            assert stats["type"] == "stats_report"
+            assert stats["service"]["capacity"] == 2
         assert proxy.faults_applied == [(0, "partial_frames")]
 
     def test_dropped_response_raises_typed_error_not_hang(

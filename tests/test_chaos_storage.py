@@ -24,12 +24,10 @@ from repro.chaos import (
     storage_fault_plan,
     tear_ndjson_tail,
 )
-from repro.errors import ChaosError, CheckpointError, ServiceError
+from repro.errors import ChaosError, CheckpointError
 from repro.harness import CheckpointWriter, load_checkpoint
 from repro.obs.recorder import MetricsRecorder
 from repro.rng import StreamFactory
-from repro.service.cache import ResultCache
-from repro.service.jobs import JobSpec
 from repro.storage import atomic_write_text
 
 
@@ -234,18 +232,6 @@ class TestAppendFaults:
             CheckpointError, match="cannot reopen checkpoint journal"
         ):
             CheckpointWriter.append_to(state)
-
-    def test_cache_log_append_raises_service_error(self, tmp_path, enospc_on):
-        cache = ResultCache(tmp_path / "cache")
-        spec = JobSpec(kind="compare", seed=1, repetitions=1)
-        cache.record_hit("a" * 8, spec)
-        enospc_on("append_record")
-        with pytest.raises(
-            ServiceError, match="cannot append cache provenance"
-        ) as caught:
-            cache.record_hit("b" * 8, spec)
-        assert caught.value.__cause__.errno == errno.ENOSPC
-        assert [hit["fingerprint"] for hit in cache.hit_records()] == ["a" * 8]
 
     def test_storage_chaos_schedules_whole_file_writes_only(self, tmp_path):
         plan = StorageFaultPlan((StorageFault(0, "enospc"),))

@@ -35,7 +35,6 @@ from repro.experiments.fig6 import (
 )
 from repro.experiments.io import load_sweep, save_sweep
 from repro.experiments.runner import RepetitionMeasurement
-from repro.obs.progress import Heartbeat
 from repro.harness import (
     CheckpointWriter,
     FailureRecord,
@@ -650,6 +649,14 @@ class TestCheckpointedSweep:
     ):
         import repro.perf.executor as executor_module
 
+        class _Ticks:
+            """A ``progress`` stub that counts its ticks."""
+
+            done = 0
+
+            def tick(self):
+                self.done += 1
+
         seen = []
 
         def stub(item):
@@ -660,7 +667,7 @@ class TestCheckpointedSweep:
 
         monkeypatch.setattr(executor_module, "execute_work_item", stub)
         journal = tmp_path / "sweep.ckpt"
-        beat = Heartbeat(total=4, min_interval_s=3600.0)
+        beat = _Ticks()
         run_checkpointed_sweep(
             "fig6c", tiny_points(), checkpoint_path=journal, progress=beat
         )
@@ -671,7 +678,7 @@ class TestCheckpointedSweep:
         lines = journal.read_bytes().split(b"\n")
         journal.write_bytes(b"\n".join(lines[:3]) + b"\n")
         seen.clear()
-        beat = Heartbeat(total=4, min_interval_s=3600.0)
+        beat = _Ticks()
         run_checkpointed_sweep(
             "fig6c",
             tiny_points(),

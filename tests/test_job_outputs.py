@@ -178,7 +178,7 @@ def test_merged_span_ids_are_the_name_path(tmp_path):
     spec = SPECS["compare"]
     trace_id = spec.fingerprint()
     shards = [(point, rep, _PROFILE) for point in (1, 0) for rep in (1, 0)]
-    spans = merge_shards(trace_id, shards, job_name="comparison")
+    spans = merge_shards(shards, job_name="comparison")
     assert [(s.span_id, s.parent_id, s.name) for s in spans] == MERGED_IDS
     write_trace(tmp_path / "trace.ndjson", trace_id, spans)
     header, loaded = load_spans(tmp_path / "trace.ndjson")

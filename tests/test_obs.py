@@ -8,7 +8,6 @@ uninstrumented one — results AND stream positions.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 
 import pytest
@@ -23,7 +22,6 @@ from repro.experiments.io import load_sweep, save_sweep
 from repro.experiments.runner import run_comparison_point
 from repro.graphs.tree import build_collection_tree
 from repro.obs.clock import monotonic_s, wall_clock_iso
-from repro.obs.progress import Heartbeat
 from repro.obs.recorder import DEFAULT_BUCKETS, Histogram, MetricsRecorder
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine
@@ -543,48 +541,6 @@ class TestSweepManifest:
         target = tmp_path / "sweep.json"
         save_sweep(target, "fig6x", [(1.0, point)])
         assert not (tmp_path / "sweep.manifest.json").exists()
-
-
-class TestHeartbeat:
-    def test_emits_progress_lines(self):
-        sink = io.StringIO()
-        beat = Heartbeat(4, label="sweep", stream=sink, min_interval_s=0.0)
-        for _ in range(4):
-            beat.tick()
-        lines = sink.getvalue().splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("[sweep] 1/4 (25.0%)")
-        assert lines[-1].startswith("[sweep] 4/4 (100.0%)")
-        assert "ETA 0:00" in lines[-1]
-
-    def test_throttling_always_emits_final_line(self):
-        sink = io.StringIO()
-        beat = Heartbeat(100, label="x", stream=sink, min_interval_s=3600.0)
-        for _ in range(100):
-            beat.tick()
-        lines = sink.getvalue().splitlines()
-        assert lines[0].startswith("[x] 1/100")
-        assert lines[-1].startswith("[x] 100/100")
-        assert len(lines) == 2  # everything between was throttled
-
-    def test_rejects_nonpositive_total(self):
-        with pytest.raises(ValueError):
-            Heartbeat(0)
-
-    def test_runner_ticks_heartbeat(self):
-        sink = io.StringIO()
-        config = ExperimentConfig(
-            area=30.0 * 30.0,
-            num_pus=6,
-            num_sus=25,
-            repetitions=2,
-            max_slots=100_000,
-            blocking="homogeneous",
-        )
-        beat = Heartbeat(2, label="point", stream=sink, min_interval_s=0.0)
-        run_comparison_point(config, progress=beat)
-        assert beat.done == 2
-        assert "[point] 2/2 (100.0%)" in sink.getvalue()
 
 
 class TestCli:

@@ -8,7 +8,7 @@ The acceptance contract, layer by layer:
   exponential backoff), it never blocks; duplicates attach; recovery
   bypasses capacity;
 * **cache** — an identical request is served from disk with zero engine
-  compute and a durable provenance record;
+  compute, and a torn or corrupt entry is refused;
 * **fingerprints** — the cache key is invariant to spelling (dict
   insertion order) and to run *options* (workers, retry policy), and
   moves for every semantic config change;
@@ -45,7 +45,7 @@ from repro.service.jobs import (
     save_job_artifact,
 )
 from repro.service.queue import JobQueue
-from repro.service.state import STATE_SCHEMA, ServiceState
+from repro.service.state import ServiceState
 
 
 @pytest.fixture(autouse=True)
@@ -81,14 +81,14 @@ class TestProtocol:
     def test_every_response_is_schema_stamped(self):
         responses = [
             protocol.accepted("f", 1, 1),
-            protocol.cache_hit("f", {}, {}),
+            protocol.cache_hit("f", {}),
             protocol.retry_after(1.0, 4, 4),
             protocol.progress_event("f", 1, 2),
             protocol.heartbeat(0, 1, 2),
             protocol.completed("f", "complete", {}),
             protocol.failed("f", {}),
             protocol.pending("f", 1, running=False),
-            protocol.status_report({"queue_depth": 0}),
+            protocol.stats_report({"quarantined": 0}),
             protocol.pong(),
             protocol.draining(),
             protocol.error_response(ServiceError("x")),
@@ -118,6 +118,9 @@ class TestProtocol:
             protocol.parse_request({"type": "submit"})
         with pytest.raises(ProtocolError):
             protocol.parse_request({"type": "result"})
+        # ``stats`` answers everything the retired ``status`` did.
+        with pytest.raises(ProtocolError, match="unknown request type"):
+            protocol.parse_request({"type": "status"})
         assert protocol.parse_request({"type": "ping"})["type"] == "ping"
 
     def test_error_response_carries_structured_record(self):
@@ -344,95 +347,18 @@ class TestJobQueue:
 
 
 class TestResultCache:
-    def test_miss_then_hit_with_provenance(self, tmp_path):
+    def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        spec = tiny_spec()
-        fp = spec.fingerprint()
+        fp = tiny_spec().fingerprint()
         assert cache.load_artifact(fp) is None
         cache.artifact_path(fp).write_text('{"name": "comparison"}')
         assert cache.load_artifact(fp) == {"name": "comparison"}
-        record = cache.record_hit(fp, spec)
-        assert record["fingerprint"] == fp
-        assert record["job"] == spec.to_dict()
-        trail = cache.hit_records()
-        assert len(trail) == 1
-        assert trail[0]["kind"] == "cache_hit"
 
     def test_corrupt_entry_is_refused_not_served(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cache.artifact_path("f").write_text("{ torn")
         with pytest.raises(ServiceError, match="unreadable"):
             cache.load_artifact("f")
-
-    def test_torn_log_tail_is_repaired_on_open(self, tmp_path):
-        from repro.chaos import tear_ndjson_tail
-        from repro.obs.recorder import MetricsRecorder
-
-        cache = ResultCache(tmp_path / "cache")
-        cache.record_hit("a" * 8, tiny_spec())
-        cache.record_hit("b" * 8, tiny_spec(seed=1))
-        # A SIGKILL lands inside the final append: the last line tears.
-        tear_ndjson_tail(cache.log_path)
-        recorder = MetricsRecorder()
-        obs.set_recorder(recorder)
-        reopened = ResultCache(tmp_path / "cache")
-        assert recorder.counters["service.cache.torn_tail"] == 1
-        trail = reopened.hit_records()
-        assert [record["fingerprint"] for record in trail] == ["a" * 8]
-        # The repaired log keeps accepting appends on a clean boundary.
-        reopened.record_hit("c" * 8, tiny_spec(seed=2))
-        assert [
-            record["fingerprint"] for record in reopened.hit_records()
-        ] == ["a" * 8, "c" * 8]
-
-    def test_interior_log_corruption_raises_not_repairs(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.record_hit("a" * 8, tiny_spec())
-        cache.record_hit("b" * 8, tiny_spec(seed=1))
-        lines = cache.log_path.read_text().splitlines()
-        lines[0] = lines[0][: len(lines[0]) // 2]  # mangle an interior record
-        cache.log_path.write_text("\n".join(lines) + "\n")
-        # Only the *final* line can tear in a crash; damage anywhere else
-        # means tampering, and the cache must refuse to open over it.
-        with pytest.raises(ServiceError, match="corrupt at record 1"):
-            ResultCache(tmp_path / "cache")
-
-    def test_clean_log_open_counts_nothing(self, tmp_path):
-        from repro.obs.recorder import MetricsRecorder
-
-        cache = ResultCache(tmp_path / "cache")
-        cache.record_hit("a" * 8, tiny_spec())
-        recorder = MetricsRecorder()
-        obs.set_recorder(recorder)
-        reopened = ResultCache(tmp_path / "cache")
-        assert "service.cache.torn_tail" not in recorder.counters
-        assert len(reopened.hit_records()) == 1
-
-    def test_first_hit_creates_the_log_durably(self, tmp_path):
-        """The log's existence is a directory entry: the hit that creates
-        it fsyncs the cache directory once, later hits never do."""
-        import repro.storage as storage
-
-        cache = ResultCache(tmp_path / "cache")
-        seen = []
-        previous = storage.set_chaos_hook(
-            lambda op, path, payload: seen.append((op, path))
-        )
-        try:
-            cache.record_hit("a" * 8, tiny_spec())
-            first = list(seen)
-            seen.clear()
-            cache.record_hit("b" * 8, tiny_spec(seed=1))
-        finally:
-            storage.set_chaos_hook(previous)
-        log = cache.log_path
-        assert first == [
-            ("open_append", log),
-            ("fsync_dir", cache.root),
-            ("append_record", log),
-        ]
-        assert seen == [("open_append", log), ("append_record", log)]
-        assert len(cache.hit_records()) == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -533,19 +459,6 @@ class TestServiceState:
         recovered = state.recover()
         assert [job.fingerprint for job in recovered] == ["aaa", "bbb"]
 
-    def test_snapshot_round_trip_and_schema_gate(self, tmp_path):
-        state = ServiceState(tmp_path / "state")
-        assert state.load_snapshot() is None
-        state.write_snapshot(["a"], "b", {"jobs_completed": 2})
-        payload = state.load_snapshot()
-        assert payload["schema"] == STATE_SCHEMA
-        assert payload["queued"] == ["a"]
-        assert payload["inflight"] == "b"
-        assert payload["counters"]["jobs_completed"] == 2
-        state.snapshot_path.write_text('{"schema": "service-state/v9"}')
-        with pytest.raises(ServiceError, match="schema"):
-            state.load_snapshot()
-
 
 # --------------------------------------------------------------------------- #
 # daemon lifecycle (transport-free)
@@ -583,11 +496,14 @@ class TestExperimentService:
         hit = service.submit(spec.to_dict())
         assert hit["type"] == "cache_hit"
         assert hit["artifact"] == done["artifact"]
-        assert hit["provenance"]["fingerprint"] == fp
         counters = service.counters()
         assert counters["jobs_admitted"] == 1
         assert counters["cache_hits"] == 1
-        assert service.cache.hit_records()[0]["fingerprint"] == fp
+        # A hit reads the cache and writes nothing.
+        assert sorted(path.name for path in service.cache.root.iterdir()) == [
+            f"{fp}.json",
+            f"{fp}.manifest.json",
+        ]
 
     def test_full_queue_answers_retry_after(self, tmp_path):
         service = ExperimentService(tmp_path / "state", queue_capacity=1)
@@ -687,16 +603,15 @@ class TestExperimentService:
         assert service.run_next_job(timeout_s=0) == spec.fingerprint()
         assert service.counters()["jobs_completed"] == 1
 
-    def test_drain_writes_snapshot_and_manifest(self, tmp_path):
+    def test_drain_writes_the_manifest(self, tmp_path):
         service = ExperimentService(tmp_path / "state", queue_capacity=2)
         spec = tiny_spec()
         service.submit(spec.to_dict())
         service.run_next_job(timeout_s=0)
         summary = service.drain()
-        assert summary["queued"] == []
+        assert summary == {"counters": service.counters()}
         assert summary["counters"]["jobs_completed"] == 1
-        snapshot = service.state.load_snapshot()
-        assert snapshot["schema"] == STATE_SCHEMA
+        assert not (tmp_path / "state" / "service-state.json").exists()
         manifest_path = tmp_path / "state" / "service-state.manifest.json"
         assert manifest_path.exists()
         manifest = json.loads(manifest_path.read_text())
@@ -745,8 +660,8 @@ class TestExperimentService:
         assert beat["cache_misses"] == 1
 
     def test_drained_manifest_renders_a_service_section(self, tmp_path):
-        """The manifest drain() writes next to the snapshot feeds
-        ``obs report`` a SERVICE section with the real counters."""
+        """The manifest drain() writes feeds ``obs report`` a SERVICE
+        section with the real counters."""
         service = ExperimentService(tmp_path / "state", queue_capacity=2)
         spec = tiny_spec()
         service.submit(spec.to_dict())
@@ -880,9 +795,13 @@ class TestServerTransport:
 
         _server, client = server
         assert client.ping()["type"] == "pong"
-        status = client.status()
-        assert status["type"] == "status_report"
-        assert status["capacity"] == 2
+        # The retired ``status`` request gets a typed error; ``stats``
+        # carries its counters.
+        status = client.request({"type": "status"})
+        assert status["type"] == "error"
+        assert status["schema"] == protocol.SERVICE_SCHEMA
+        assert status["error"]["code"] == "service-protocol"
+        assert "unknown request type 'status'" in status["error"]["message"]
         # Malformed traffic gets a typed error; the daemon keeps serving.
         raw = socket_module.socket(
             socket_module.AF_UNIX, socket_module.SOCK_STREAM
@@ -959,7 +878,7 @@ class TestServerTransport:
         assert answers[0]["type"] == "completed"
         assert events[0]["type"] == "accepted"
 
-    def test_shutdown_request_drains_and_snapshots(self, tmp_path):
+    def test_shutdown_request_drains_and_writes_the_manifest(self, tmp_path):
         from repro.service.client import ServiceClient
         from repro.service.server import ServiceServer
 
@@ -983,7 +902,7 @@ class TestServerTransport:
         assert not thread.is_alive()
         # The drain finished the backlog before exiting.
         assert service.cache.has(spec.fingerprint())
-        assert service.state.load_snapshot()["schema"] == STATE_SCHEMA
+        assert service.state.drain_manifest_path.exists()
         assert not (tmp_path / "s.sock").exists()
 
 

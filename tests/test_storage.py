@@ -1,9 +1,8 @@
 """Tests for the NDJSON record-file primitives in :mod:`repro.storage`.
 
-Checkpoint journals, the service's cache-hit log and both trace formats
-share these helpers, so the rules pinned here — what makes a record line
-valid, what a crash may tear, and what one durable append costs — hold
-for all four file kinds.
+Checkpoint journals and both trace formats share these helpers, so the
+rules pinned here — what makes a record line valid, what a crash may
+tear, and what one durable append costs — hold for all three file kinds.
 """
 
 from __future__ import annotations

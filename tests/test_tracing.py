@@ -99,7 +99,7 @@ class TestTraceContext:
     # pinned in tests/test_job_outputs.py.
     def test_trace_id_is_the_fingerprint(self, tmp_path):
         spec = tiny_spec()
-        spans = merge_shards(spec.fingerprint(), [(0, 0, _profile(1.0))])
+        spans = merge_shards([(0, 0, _profile(1.0))])
         root = spans[0]
         assert root.span_id == "job"
         assert root.parent_id is None
@@ -111,7 +111,7 @@ class TestTraceContext:
         rep = build_repetition_spans(3, 1, _profile(1.0))[0]
         assert rep.span_id == "job/point-3/rep-1"
         assert rep.parent_id == "job/point-3"
-        spans = merge_shards("abc", [(3, 1, _profile(1.0))])
+        spans = merge_shards([(3, 1, _profile(1.0))])
         point = next(s for s in spans if s.span_id == "job/point-3")
         assert point.parent_id == "job"
 
@@ -144,7 +144,7 @@ def _triples():
 
 class TestShardIO:
     def test_round_trip(self, tmp_path):
-        spans = merge_shards("abc", _triples(), job_name="demo")
+        spans = merge_shards(_triples(), job_name="demo")
         path = tmp_path / "trace.ndjson"
         write_trace(path, "abc", spans)
         header, loaded = load_spans(path)
@@ -201,7 +201,7 @@ class TestShardIO:
         """The stats scanner serves both eras from one entry point."""
         path = tmp_path / "trace.ndjson"
         write_trace(
-            path, "abc", merge_shards("abc", [(0, 0, _profile(2.0))], "demo")
+            path, "abc", merge_shards([(0, 0, _profile(2.0))], "demo")
         )
         stats = obs.trace_stats(path, top=2)
         assert stats["schema"] == TRACE_V2_SCHEMA
@@ -215,7 +215,7 @@ class TestShardIO:
         import repro.obs.tracing as tracing
 
         path = tmp_path / "trace.ndjson"
-        spans = merge_shards("abc", [(0, 0, _profile(2.0))], "demo")
+        spans = merge_shards([(0, 0, _profile(2.0))], "demo")
         write_trace(path, "abc", spans)
         header, loaded = load_spans(path)
         expected = span_stats(loaded, top=2)
@@ -241,19 +241,19 @@ class TestMergeShards:
     def test_merge_is_invariant_under_shard_order(self):
         """Any worker completion order merges to the same trace."""
         triples = _triples()
-        reference = merge_shards("abc", triples, job_name="demo")
+        reference = merge_shards(triples, job_name="demo")
         rng = random.Random(7)
         for _ in range(5):
             shuffled = list(triples)
             rng.shuffle(shuffled)
-            merged = merge_shards("abc", shuffled, job_name="demo")
+            merged = merge_shards(shuffled, job_name="demo")
             assert [s.to_dict() for s in merged] == [
                 s.to_dict() for s in reference
             ]
             assert structure_digest(merged) == structure_digest(reference)
 
     def test_point_spans_fold_repetition_timing(self):
-        merged = merge_shards("abc", _triples(), job_name="demo")
+        merged = merge_shards(_triples(), job_name="demo")
         assert merged[0].span_id == "job"
         assert merged[0].name == "demo"
         by_id = {span.span_id: span for span in merged}
@@ -283,7 +283,7 @@ class TestMergeShards:
         }
 
     def test_render_tree_indents_by_parentage(self):
-        merged = merge_shards("abc", [(0, 0, _profile(2.0))], job_name="demo")
+        merged = merge_shards([(0, 0, _profile(2.0))], job_name="demo")
         text = render_tree("abc", merged)
         lines = text.splitlines()
         assert lines[0].startswith("trace abc")
