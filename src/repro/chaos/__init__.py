@@ -1,7 +1,7 @@
 """Injectable infrastructure chaos and the resilience contracts over it.
 
-Three fault layers, all scheduled up front on **named** chaos RNG
-streams (so an empty schedule leaves runs bit-identical):
+Three fault layers, each scheduled up front as plain data and consuming
+no RNG stream (so an empty schedule leaves runs bit-identical):
 
 * :mod:`repro.chaos.storage` — durable-write faults (``ENOSPC``,
   ``EIO``, torn writes) through the :func:`repro.storage.set_chaos_hook`
@@ -30,7 +30,6 @@ from repro.chaos.gate import (
     diff_against_baseline,
     gate_manifest,
     render_gate,
-    require_passed,
     run_gate,
     write_gate_baseline,
 )
@@ -47,7 +46,6 @@ from repro.chaos.storage import (
     StorageChaos,
     StorageFault,
     StorageFaultPlan,
-    storage_fault_plan,
     tear_ndjson_tail,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "diff_against_baseline",
     "write_gate_baseline",
     "render_gate",
-    "require_passed",
     "GATE_SEED",
     "run_scenario_grid",
     "PROXY_FAULT_KINDS",
@@ -77,7 +74,6 @@ __all__ = [
     "FAULT_KINDS",
     "StorageFault",
     "StorageFaultPlan",
-    "storage_fault_plan",
     "StorageChaos",
     "tear_ndjson_tail",
 ]

@@ -34,7 +34,7 @@ from repro.chaos.contracts import (
     render_contracts,
 )
 from repro.chaos.scenarios import GATE_SEED, run_scenario_grid
-from repro.errors import ObservabilityError, ResilienceContractError
+from repro.errors import ObservabilityError
 from repro.obs.manifest import RunManifest, build_manifest, write_manifest
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "apply_synthetic_violation",
     "write_gate_baseline",
     "render_gate",
-    "require_passed",
 ]
 
 
@@ -320,17 +319,3 @@ def render_gate(report: GateReport, tolerance_pct: Optional[float]) -> str:
     )
     parts.append(verdict)
     return "\n\n".join(parts)
-
-
-def require_passed(report: GateReport) -> None:
-    """Raise :class:`ResilienceContractError` unless the gate passed."""
-    if report.passed:
-        return
-    failed = sorted(
-        {check.contract for check in report.checks if not check.passed}
-    )
-    raise ResilienceContractError(
-        f"chaos gate failed: {report.contract_failures} contract check(s) "
-        f"down ({', '.join(failed) if failed else 'none'}), "
-        f"{report.regressions} ratcheted figure(s) regressed"
-    )

@@ -16,11 +16,11 @@ clients must survive:
   client's heartbeat deadline (:class:`ServiceUnavailableError`) exists
   to bound.
 
-Faults are keyed by accepted-connection index and precomputed
-(:meth:`ProxySchedule.from_stream` draws from a named chaos stream); the
-proxy consumes no RNG at runtime, so replaying the same schedule against
-the same request sequence reproduces the same byte-level behaviour —
-the determinism the backpressure property test relies on.
+Faults are keyed by accepted-connection index and written out up front
+as plain data (a :class:`ProxySchedule`); the proxy consumes no RNG, so
+replaying the same schedule against the same request sequence reproduces
+the same byte-level behaviour — the determinism the backpressure
+property test relies on.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import ChaosError
 from repro.obs.clock import sleep_s
-from repro.rng import StreamFactory
 
 __all__ = ["PROXY_FAULT_KINDS", "ConnectionFault", "ProxySchedule", "ChaosSocketProxy"]
 
@@ -81,70 +80,11 @@ class ProxySchedule:
                 f"proxy schedule assigns connection {connections} twice"
             )
 
-    @property
-    def empty(self) -> bool:
-        return not self.faults
-
     def fault_for(self, connection: int) -> Optional[ConnectionFault]:
         for fault in self.faults:
             if fault.connection == connection:
                 return fault
         return None
-
-    def to_dict(self) -> Dict:
-        return {
-            "faults": [
-                {
-                    "connection": fault.connection,
-                    "kind": fault.kind,
-                    "after_bytes": fault.after_bytes,
-                    "chunk": fault.chunk,
-                    "stall_s": fault.stall_s,
-                }
-                for fault in self.faults
-            ]
-        }
-
-    @classmethod
-    def from_stream(
-        cls,
-        streams: StreamFactory,
-        connections_expected: int,
-        intensity: float,
-        stream_name: str = "chaos-proxy",
-        stall_s: float = 1.0,
-    ) -> "ProxySchedule":
-        """Draw faults for a connection window from a named chaos stream.
-
-        ``intensity`` is the expected fraction of the next
-        ``connections_expected`` connections that get a fault; ``0``
-        yields an empty schedule with zero RNG consumption.
-        """
-        if connections_expected < 0 or intensity < 0:
-            raise ChaosError("connections_expected and intensity must be >= 0")
-        count = min(
-            int(round(intensity * connections_expected)), connections_expected
-        )
-        if not count:
-            return cls()
-        rng = streams.stream(stream_name)
-        chosen = sorted(
-            int(index)
-            for index in rng.choice(
-                connections_expected, size=count, replace=False
-            )
-        )
-        faults = tuple(
-            ConnectionFault(
-                connection=index,
-                kind=str(PROXY_FAULT_KINDS[int(rng.integers(0, len(PROXY_FAULT_KINDS)))]),
-                after_bytes=int(rng.integers(1, 48)),
-                chunk=int(rng.integers(1, 8)),
-                stall_s=stall_s,
-            )
-            for index in chosen
-        )
-        return cls(faults=faults)
 
 
 class ChaosSocketProxy:

@@ -381,18 +381,13 @@ def run_worker_scenario(
         chaotic_measurements[key] == clean_measurements[key]
         for key in clean_measurements
     )
-    injected = len(schedule.kill_first_attempt) + len(
-        schedule.hang_first_attempt
-    )
     evidence = {
         "all_items_completed": all_completed,
         "results_identical": results_identical,
         "stats": dict(chaotic.stats),
         "kills_scheduled": len(schedule.kill_first_attempt),
         "hangs_scheduled": len(schedule.hang_first_attempt),
-        # First-attempt-only misbehaviour: a victim needs exactly one
-        # retry, so the worst item uses two of the budgeted attempts.
-        "attempts_per_item_max": 2 if injected else 1,
+        "attempts_per_item_max": max(chaotic.submissions),
         "max_attempts": policy.max_attempts,
     }
     figures = {

@@ -2,26 +2,26 @@
 
 The harness test-suite historically proved crash recovery with ad-hoc
 subprocess ``SIGKILL`` choreography.  This module generalizes that into a
-reusable, picklable wrapper: :class:`ChaosWorker` wraps any top-level
-executor and, per a :class:`ChaosSchedule`, makes the **first attempt**
-of selected items die abruptly (``os._exit`` — indistinguishable from an
-OOM kill, so the supervisor sees a ``BrokenProcessPool``, runs its
-isolation probe, and rebuilds the pool in place) or hang past the retry
-policy's deadline (``WorkerTimeoutError`` path).  Retries then succeed,
-so a chaos-scheduled run must converge to results identical to a clean
-run — the ``repair-preserves-results`` evidence the gate checks.
+reusable, picklable wrapper: :class:`ChaosWorker` wraps a top-level
+executor of sweep work items and, per a :class:`ChaosSchedule`, makes
+the **first attempt** of selected items die abruptly (``os._exit`` —
+indistinguishable from an OOM kill, so the supervisor sees a
+``BrokenProcessPool``, runs its isolation probe, and rebuilds the pool in
+place) or hang past the retry policy's deadline (``WorkerTimeoutError``
+path).  Retries then succeed, so a chaos-scheduled run must converge to
+results identical to a clean run — the ``repair-preserves-results``
+evidence the gate checks.
 
 First-attempt detection cannot live in process memory (the crash *is* the
 point), so it is a marker file per item in ``state_dir``: absent means
 "this attempt is the first — misbehave", present means "already crashed
-once — behave".  The schedule itself is drawn from a named chaos stream
-(:meth:`ChaosSchedule.from_stream`); an empty schedule wraps the executor
-with zero behavioural difference.
+once — behave".  A schedule is plain data, written out by the scenario
+that uses it; an empty schedule wraps the executor with zero behavioural
+difference.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -30,23 +30,17 @@ from typing import Callable, Tuple
 
 from repro.errors import ChaosError
 from repro.obs.clock import sleep_s
-from repro.rng import StreamFactory
 
 __all__ = ["ChaosSchedule", "ChaosWorker", "item_key"]
 
 
 def item_key(item) -> int:
-    """A stable integer identity for one work item.
+    """The identity of one work item: its ``repetition``.
 
-    Items from the journalled sweeps carry a ``repetition`` attribute —
-    the natural key.  Anything else falls back to a BLAKE2b digest of its
-    ``repr``, which is deterministic for frozen dataclasses.
+    Every item a :class:`ChaosWorker` wraps is a journalled sweep's
+    :class:`~repro.harness.sweep.SweepWorkItem`.
     """
-    repetition = getattr(item, "repetition", None)
-    if isinstance(repetition, int):
-        return repetition
-    digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=4)
-    return int.from_bytes(digest.digest(), "big")
+    return item.repetition
 
 
 @dataclass(frozen=True)
@@ -73,45 +67,6 @@ class ChaosSchedule:
             )
         if self.hang_s <= 0:
             raise ChaosError(f"hang_s must be positive, got {self.hang_s}")
-
-    @property
-    def empty(self) -> bool:
-        return not self.kill_first_attempt and not self.hang_first_attempt
-
-    @classmethod
-    def from_stream(
-        cls,
-        streams: StreamFactory,
-        item_keys: Tuple[int, ...],
-        kill_fraction: float = 0.0,
-        hang_fraction: float = 0.0,
-        stream_name: str = "chaos-workers",
-        hang_s: float = 15.0,
-    ) -> "ChaosSchedule":
-        """Draw victims from a named chaos stream (empty at fraction 0)."""
-        if kill_fraction < 0 or hang_fraction < 0:
-            raise ChaosError("chaos fractions must be >= 0")
-        if kill_fraction + hang_fraction > 1:
-            raise ChaosError(
-                "kill_fraction + hang_fraction must not exceed 1, got "
-                f"{kill_fraction} + {hang_fraction}"
-            )
-        kills = int(round(kill_fraction * len(item_keys)))
-        hangs = int(round(hang_fraction * len(item_keys)))
-        if not kills and not hangs:
-            return cls(hang_s=hang_s)
-        rng = streams.stream(stream_name)
-        victims = [
-            item_keys[int(index)]
-            for index in rng.choice(
-                len(item_keys), size=kills + hangs, replace=False
-            )
-        ]
-        return cls(
-            kill_first_attempt=tuple(sorted(victims[:kills])),
-            hang_first_attempt=tuple(sorted(victims[kills:])),
-            hang_s=hang_s,
-        )
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ before it happens: whole-file writes, directory fsyncs, and record
 appends and tail truncations.  This module turns that hook into a
 *scheduled* fault plan over whole-file writes: the k-th intercepted
 :func:`~repro.storage.atomic_write_text` fails with ``ENOSPC``, ``EIO``,
-or a torn write — the write indices and fault kinds drawn once, up front, from
-a **named** chaos RNG stream (:func:`storage_fault_plan`), never from an
-experiment stream.  An empty schedule therefore leaves every run
-bit-identical to an uninstrumented one, which is itself a gated contract
+or a torn write — the write indices and fault kinds written out up front
+as plain data (a :class:`StorageFaultPlan`), so injection consumes no RNG
+stream.  An empty plan therefore leaves every run bit-identical to an
+uninstrumented one, which is itself a gated contract
 (``empty-schedule-purity`` in :mod:`repro.chaos.contracts`).
 
 A ``torn`` fault simulates exactly the failure :func:`atomic_write_text`
@@ -31,23 +31,21 @@ from __future__ import annotations
 import errno
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import repro.obs as obs
 import repro.storage as storage
 from repro.errors import ChaosError
-from repro.rng import StreamFactory
 
 __all__ = [
     "FAULT_KINDS",
     "StorageFault",
     "StorageFaultPlan",
-    "storage_fault_plan",
     "StorageChaos",
     "tear_ndjson_tail",
 ]
 
-#: The fault menu, in the order the schedule generator indexes it.
+#: The fault menu.
 FAULT_KINDS = ("enospc", "eio", "torn")
 
 _ERRNO = {"enospc": errno.ENOSPC, "eio": errno.EIO, "torn": errno.EIO}
@@ -103,72 +101,11 @@ class StorageFaultPlan:
                 f"storage fault plan schedules index {indices} more than once"
             )
 
-    @property
-    def empty(self) -> bool:
-        return not self.faults
-
     def fault_at(self, write_index: int) -> Optional[StorageFault]:
         for fault in self.faults:
             if fault.write_index == write_index:
                 return fault
         return None
-
-    def to_dict(self) -> Dict:
-        return {
-            "match": self.match,
-            "faults": [
-                {
-                    "write_index": fault.write_index,
-                    "kind": fault.kind,
-                    "payload_fraction": fault.payload_fraction,
-                }
-                for fault in self.faults
-            ],
-        }
-
-
-def storage_fault_plan(
-    streams: StreamFactory,
-    writes_expected: int,
-    intensity: float,
-    stream_name: str = "chaos-storage",
-    kinds: Sequence[str] = FAULT_KINDS,
-    match: str = "",
-) -> StorageFaultPlan:
-    """Draw a fault schedule from a named chaos stream.
-
-    ``intensity`` is the expected fraction of the next ``writes_expected``
-    durable writes that fail (``0`` → an empty plan drawn with **zero**
-    RNG consumption).  Indices are sampled without replacement and kinds
-    uniformly from ``kinds``, all from ``streams.stream(stream_name)`` —
-    a chaos lineage disjoint from every experiment stream by name.
-    """
-    if writes_expected < 0:
-        raise ChaosError(
-            f"writes_expected must be >= 0, got {writes_expected}"
-        )
-    if intensity < 0:
-        raise ChaosError(f"intensity must be >= 0, got {intensity}")
-    for kind in kinds:
-        if kind not in FAULT_KINDS:
-            raise ChaosError(f"unknown storage fault kind {kind!r}")
-    count = min(int(round(intensity * writes_expected)), writes_expected)
-    if not count:
-        return StorageFaultPlan(match=match)
-    rng = streams.stream(stream_name)
-    indices = sorted(
-        int(index)
-        for index in rng.choice(writes_expected, size=count, replace=False)
-    )
-    faults = tuple(
-        StorageFault(
-            write_index=index,
-            kind=str(kinds[int(rng.integers(0, len(kinds)))]),
-            payload_fraction=float(rng.uniform(0.1, 0.9)),
-        )
-        for index in indices
-    )
-    return StorageFaultPlan(faults=faults, match=match)
 
 
 class StorageChaos:

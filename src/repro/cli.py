@@ -1202,9 +1202,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # Flushed here, so a reader that went away surfaces below rather
+        # than in the interpreter's final flush.
+        sys.stdout.flush()
+        return status
     except ReproError as error:
         print(f"ERROR [{error.code}]: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush of the unsent rest cannot raise.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "ProtocolError",
     "ServiceUnavailableError",
     "ChaosError",
-    "ResilienceContractError",
     "error_record",
 ]
 
@@ -252,22 +251,10 @@ class ChaosError(ReproError):
     Distinguishes broken scenario plumbing — a proxy that cannot bind, a
     fault schedule that references writes that never happen, a scenario
     that produced no evidence — from genuine resilience findings, which
-    are reported as :class:`ResilienceContractError` or as failed
-    contract checks in the gate output.
+    are reported as failed contract checks in the gate output.
     """
 
     code = "chaos"
-
-
-class ResilienceContractError(ChaosError):
-    """A declared resilience invariant does not hold.
-
-    Raised when ``addc-repro chaos gate`` is asked to enforce contracts
-    programmatically; the message names the contract id and the scenario
-    evidence that violated it (see docs/ROBUSTNESS.md).
-    """
-
-    code = "chaos-contract"
 
 
 def error_record(exc: BaseException) -> Dict[str, str]:

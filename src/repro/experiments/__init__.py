@@ -17,7 +17,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ComparisonPoint, run_comparison_point
 from repro.experiments.fig4 import Fig4Row, figure4_rows
 from repro.experiments.fig6 import FIG6_SWEEPS, Fig6Sweep, run_fig6_sweep
-from repro.experiments.io import load_sweep, save_sweep
+from repro.experiments.io import load_sweep
 from repro.experiments.report import render_fig4_table, render_fig6_table
 from repro.experiments.report_all import generate_report
 from repro.experiments.scenarios import Scenario, get_scenario, list_scenarios
@@ -25,7 +25,6 @@ from repro.experiments.theory_curves import TheoryPoint, theory_curve
 
 __all__ = [
     "load_sweep",
-    "save_sweep",
     "generate_report",
     "Scenario",
     "get_scenario",

@@ -1,8 +1,9 @@
 """JSON persistence for experiment outputs.
 
-Long sweeps are expensive; these helpers write the measured numbers (with
-the exact configuration that produced them) to disk and read them back, so
-reports and plots never depend on an in-memory session.
+Long sweeps are expensive; :func:`write_artifact` writes the measured
+numbers (a :func:`sweep_payload`, with the exact configuration that
+produced them) to disk and :func:`load_sweep` reads them back, so reports
+and plots never depend on an in-memory session.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.storage import atomic_write_text
 __all__ = [
     "comparison_point_to_dict",
     "comparison_point_from_dict",
-    "save_sweep",
     "sweep_payload",
     "write_artifact",
     "load_sweep",
@@ -61,28 +61,6 @@ def comparison_point_from_dict(record: Dict) -> ComparisonPoint:
         coolest_delays=coolest,
         # Absent in artifacts written before skip-support existed.
         skipped_repetitions=int(record.get("skipped_repetitions", 0)),
-    )
-
-
-def save_sweep(
-    path: Union[str, Path],
-    name: str,
-    points: Sequence[Tuple[float, ComparisonPoint]],
-    manifest: Optional[RunManifest] = None,
-    status: str = "complete",
-    failures: Optional[Sequence[Dict]] = None,
-) -> None:
-    """Write one figure sweep (x-values plus comparison points) to JSON.
-
-    Written through :func:`write_artifact`, with its atomic, durable
-    write, its ``status: partial`` block and its manifest sibling.
-    """
-    write_artifact(
-        path,
-        sweep_payload(name, points),
-        manifest=manifest,
-        status=status,
-        failures=failures,
     )
 
 
@@ -146,7 +124,7 @@ def write_artifact(
 def load_sweep(
     path: Union[str, Path], allow_partial: bool = False
 ) -> Tuple[str, List[Tuple[float, ComparisonPoint]]]:
-    """Read a sweep written by :func:`save_sweep`.
+    """Read a sweep artifact written by :func:`write_artifact`.
 
     Raises
     ------

@@ -48,7 +48,7 @@ class ComparisonPoint:
     #: hit max_slots); the averages cover the surviving repetitions only.
     skipped_repetitions: int = 0
     #: Post-run RNG stream position digests per repetition (never
-    #: serialized by ``save_sweep``): one ``{"addc": {...}, "coolest":
+    #: serialized into sweep artifacts): one ``{"addc": {...}, "coolest":
     #: {...}}`` entry per repetition, including skipped ones.  Lets the
     #: determinism tests assert the parallel executor consumed every
     #: stream exactly as the serial path did.

@@ -3,14 +3,14 @@
 ``repro.faults`` scripts adversity against a running collection: crash-stop
 departures, *transient* node outages with scheduled recovery, stuck
 spectrum detectors, per-link path-loss degradation, and base-station
-blackout windows.  Plans are plain data (:class:`FaultPlan`), generated
-either by hand or by the MTBF/MTTR-style generators, and are consumed by
+blackout windows.  Plans are plain data (:class:`FaultPlan`), written
+by hand or drawn by :func:`chaos_plan` for chaos sweeps, and are consumed by
 :class:`repro.sim.engine.SlottedEngine` via its ``fault_plan`` parameter.
 Resilience metrics over the outcome live in
 :mod:`repro.metrics.resilience`.
 """
 
-from repro.faults.generators import chaos_plan, crash_plan, mtbf_outage_plan
+from repro.faults.generators import chaos_plan
 from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "FaultPlan",
     "ChaosOptions",
     "chaos_plan",
-    "crash_plan",
-    "mtbf_outage_plan",
 ]
 
 # The chaos-sweep layer sits *above* the simulator (it drives collections

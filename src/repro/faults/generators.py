@@ -1,7 +1,7 @@
-"""Stochastic fault-plan generators (MTBF/MTTR style), fully replayable.
+"""The stochastic fault-plan generator of chaos sweeps, fully replayable.
 
-Every generator draws from a *named* :class:`repro.rng.StreamFactory`
-child stream, so a chaos experiment is determined by
+:func:`chaos_plan` draws from a *named* :class:`repro.rng.StreamFactory`
+child stream, so a chaos repetition is determined by
 ``(seed, stream name, parameters)`` — rerunning it replays the identical
 fault schedule, which is what makes degradation sweeps and regression
 baselines meaningful.
@@ -15,82 +15,7 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.rng import StreamFactory
 
-__all__ = ["mtbf_outage_plan", "crash_plan", "chaos_plan"]
-
-
-def _su_list(su_ids: Iterable[int]) -> List[int]:
-    nodes = sorted(int(node) for node in su_ids)
-    if not nodes:
-        raise ConfigurationError("fault generators need at least one SU")
-    return nodes
-
-
-def mtbf_outage_plan(
-    su_ids: Iterable[int],
-    horizon_slots: int,
-    mtbf_slots: float,
-    mttr_slots: float,
-    streams: StreamFactory,
-    stream_name: str = "fault-plan",
-    drop_queue: bool = False,
-) -> FaultPlan:
-    """Independent exponential up/down cycles per node.
-
-    Each SU alternates exponentially distributed uptime (mean
-    ``mtbf_slots``) and downtime (mean ``mttr_slots``, floored at one
-    slot) until ``horizon_slots``; every down interval becomes a
-    transient :class:`~repro.faults.plan.FaultEvent` outage.  Downtime
-    spilling past the horizon is truncated to keep plans replay-bounded.
-    """
-    if horizon_slots < 1:
-        raise ConfigurationError(f"horizon_slots must be >= 1, got {horizon_slots}")
-    if mtbf_slots <= 0 or mttr_slots <= 0:
-        raise ConfigurationError(
-            f"mtbf/mttr must be positive, got {mtbf_slots}/{mttr_slots}"
-        )
-    rng = streams.stream(stream_name)
-    events: List[FaultEvent] = []
-    for node in _su_list(su_ids):
-        clock = float(rng.exponential(mtbf_slots))
-        while clock < horizon_slots - 1:
-            down_at = max(int(clock), 1)
-            downtime = max(int(round(float(rng.exponential(mttr_slots)))), 1)
-            recover_at = min(down_at + downtime, horizon_slots)
-            if recover_at <= down_at:
-                break
-            events.append(
-                FaultEvent.outage(down_at, node, recover_at, drop_queue=drop_queue)
-            )
-            clock = recover_at + float(rng.exponential(mtbf_slots))
-    return FaultPlan.from_events(events)
-
-
-def crash_plan(
-    su_ids: Iterable[int],
-    horizon_slots: int,
-    count: int,
-    streams: StreamFactory,
-    stream_name: str = "fault-plan",
-) -> FaultPlan:
-    """``count`` crash-stop departures of distinct SUs, uniform in time.
-
-    Crash slots are drawn uniformly over ``[1, horizon_slots)`` so slot 0
-    (workload loading) stays fault-free.
-    """
-    if horizon_slots < 2:
-        raise ConfigurationError(f"horizon_slots must be >= 2, got {horizon_slots}")
-    nodes = _su_list(su_ids)
-    if not 0 <= count <= len(nodes):
-        raise ConfigurationError(
-            f"count must be in [0, {len(nodes)}], got {count}"
-        )
-    rng = streams.stream(stream_name)
-    chosen = rng.choice(nodes, size=count, replace=False)
-    events = [
-        FaultEvent.crash(int(rng.integers(1, horizon_slots)), int(node))
-        for node in chosen
-    ]
-    return FaultPlan.from_events(events)
+__all__ = ["chaos_plan"]
 
 
 def chaos_plan(
@@ -121,7 +46,9 @@ def chaos_plan(
         raise ConfigurationError(
             f"sensing_fault_fraction must be in [0, 1], got {sensing_fault_fraction}"
         )
-    nodes = _su_list(su_ids)
+    nodes = sorted(int(node) for node in su_ids)
+    if not nodes:
+        raise ConfigurationError("fault generators need at least one SU")
     rng = streams.stream(stream_name)
     events: List[FaultEvent] = []
 

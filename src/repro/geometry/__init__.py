@@ -6,20 +6,12 @@ answers "who is within radius R of node i" queries through
 with brute-force-verified semantics.
 """
 
-from repro.geometry.distance import (
-    euclidean,
-    pairwise_distances,
-    distances_from,
-    within_radius_mask,
-)
+from repro.geometry.distance import euclidean
 from repro.geometry.region import SquareRegion, DiskRegion
 from repro.geometry.spatial_index import GridIndex
 
 __all__ = [
     "euclidean",
-    "pairwise_distances",
-    "distances_from",
-    "within_radius_mask",
     "SquareRegion",
     "DiskRegion",
     "GridIndex",

@@ -1,8 +1,8 @@
-"""Euclidean distance helpers over ``(n, 2)`` position arrays.
+"""The Euclidean distance ``D(., .)`` between two 2-D points.
 
-All functions accept plain sequences as well as numpy arrays and never
-mutate their inputs.  ``D(.,.)`` in the paper is the plain Euclidean metric
-(Section III), so no wrap-around/toroidal variants are provided.
+``D(.,.)`` in the paper is the plain Euclidean metric (Section III), so no
+wrap-around/toroidal variant is provided.  Range queries over position
+arrays go through :class:`repro.geometry.spatial_index.GridIndex`.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "euclidean",
-    "pairwise_distances",
-    "distances_from",
-    "within_radius_mask",
-]
+__all__ = ["euclidean"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -30,47 +25,3 @@ def euclidean(a: ArrayLike, b: ArrayLike) -> float:
     ax, ay = float(a[0]), float(a[1])
     bx, by = float(b[0]), float(b[1])
     return float(np.hypot(ax - bx, ay - by))
-
-
-def distances_from(point: ArrayLike, positions: np.ndarray) -> np.ndarray:
-    """Distances from one point to every row of ``positions``.
-
-    Parameters
-    ----------
-    point:
-        A 2-vector.
-    positions:
-        Array of shape ``(n, 2)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(n,)`` array of distances.
-    """
-    positions = np.asarray(positions, dtype=float)
-    point = np.asarray(point, dtype=float)
-    delta = positions - point[None, :]
-    return np.hypot(delta[:, 0], delta[:, 1])
-
-
-def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    """Full ``(n, n)`` distance matrix of a position array.
-
-    Intended for tests and small analytic computations; the simulator itself
-    uses :class:`repro.geometry.spatial_index.GridIndex` to avoid the
-    quadratic cost.
-    """
-    positions = np.asarray(positions, dtype=float)
-    delta = positions[:, None, :] - positions[None, :, :]
-    return np.hypot(delta[..., 0], delta[..., 1])
-
-
-def within_radius_mask(
-    point: ArrayLike, positions: np.ndarray, radius: float
-) -> np.ndarray:
-    """Boolean mask of rows of ``positions`` within ``radius`` of ``point``.
-
-    The comparison is inclusive (``<= radius``), matching the paper's
-    closed-ball transmission and sensing ranges.
-    """
-    return distances_from(point, positions) <= radius

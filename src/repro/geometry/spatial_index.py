@@ -24,7 +24,7 @@ golden-regression tests.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class GridIndex:
     --------
     >>> import numpy as np
     >>> index = GridIndex(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]), 2.0)
-    >>> sorted(index.query_radius((0.0, 0.0), 1.5))
-    [0, 1]
+    >>> index.query_radius_many([[0.0, 0.0]], 1.5)
+    [[0, 1]]
     """
 
     def __init__(self, positions: np.ndarray, cell_size: float) -> None:
@@ -101,27 +101,8 @@ class GridIndex:
         cy = np.asarray(cy, dtype=np.int64) + _COORD_LIMIT
         return (cx.astype(np.uint64) << np.uint64(32)) | cy.astype(np.uint64)
 
-    @property
-    def positions(self) -> np.ndarray:
-        """The indexed position array (do not mutate)."""
-        return self._positions
-
-    @property
-    def cell_size(self) -> float:
-        """The configured grid cell edge length."""
-        return self._cell_size
-
     def __len__(self) -> int:
         return self._positions.shape[0]
-
-    def _cell_of(self, point):
-        px, py = float(point[0]), float(point[1])
-        if not (math.isfinite(px) and math.isfinite(py)):
-            raise GeometryError(f"query point must be finite, got ({px}, {py})")
-        return (
-            int(math.floor(px / self._cell_size)),
-            int(math.floor(py / self._cell_size)),
-        )
 
     def _check_radius(self, radius: float) -> None:
         if radius < 0:
@@ -129,71 +110,19 @@ class GridIndex:
         if not math.isfinite(radius):
             raise GeometryError(f"radius must be finite, got {radius}")
 
-    def _query_one(
-        self, point, radius: float, exclude: Optional[int]
-    ) -> np.ndarray:
-        """One radius query; candidates filtered (and excluded) inline."""
-        px, py = float(point[0]), float(point[1])
-        ccx, ccy = self._cell_of((px, py))
-        reach = int(math.ceil(radius / self._cell_size))
-        x_lo = max(ccx - reach, self._min_cx)
-        x_hi = min(ccx + reach, self._max_cx)
-        y_lo = max(ccy - reach, self._min_cy)
-        y_hi = min(ccy + reach, self._max_cy)
-        if self._order.size == 0 or x_lo > x_hi or y_lo > y_hi:
-            return _EMPTY
-        keys = self._sorted_keys
-        pieces: List[np.ndarray] = []
-        for cx in range(x_lo, x_hi + 1):
-            base = (cx + _COORD_LIMIT) << 32
-            lo = int(np.searchsorted(keys, base + (y_lo + _COORD_LIMIT)))
-            hi = int(
-                np.searchsorted(keys, base + (y_hi + _COORD_LIMIT), side="right")
-            )
-            if hi > lo:
-                pieces.append(self._order[lo:hi])
-        if not pieces:
-            return _EMPTY
-        cand = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        dx = self._positions[cand, 0] - px
-        dy = self._positions[cand, 1] - py
-        keep = dx * dx + dy * dy <= radius * radius
-        if exclude is not None:
-            keep &= cand != exclude
-        return cand[keep]
-
-    def query_radius(self, point, radius: float) -> List[int]:
-        """Indices of all points within ``radius`` of ``point`` (inclusive).
-
-        Complexity is proportional to the number of candidate points in the
-        covered cells, not to the total point count.  Raises
-        :class:`~repro.errors.GeometryError` on a non-finite query point or
-        radius (NaN would otherwise bucket silently wrong).
-        """
-        self._check_radius(radius)
-        obs.counter_add("spatial.queries")
-        return self._query_one(point, radius, None).tolist()
-
-    def query_radius_excluding(self, point, radius: float, exclude: int) -> List[int]:
-        """Like :meth:`query_radius` but omitting one index (typically self).
-
-        The exclusion is applied inline during the candidate scan — no
-        second pass over the result.
-        """
-        self._check_radius(radius)
-        obs.counter_add("spatial.queries")
-        return self._query_one(point, radius, int(exclude)).tolist()
-
     def query_radius_many(
         self, points, radius: float, exclude=None
     ) -> List[List[int]]:
-        """Batched :meth:`query_radius` over an ``(m, 2)`` query array.
+        """Indices within ``radius`` (inclusive) of each row of ``points``.
 
-        One vectorized pass answers all ``m`` queries: per-query candidate
-        slices are located with two ``searchsorted`` calls per covered cell
-        column, flattened, distance-filtered elementwise, and split back
-        into per-query lists.  Each list is exactly what ``query_radius``
-        returns for that row (same indices, same order).
+        One vectorized pass answers all ``m`` queries of an ``(m, 2)``
+        query array: per-query candidate slices are located with two
+        ``searchsorted`` calls per covered cell column, flattened,
+        distance-filtered elementwise, and split back into per-query
+        lists.  Each row lists its points by ascending ``(cx, cy)`` cell,
+        insertion order within a cell.  Raises
+        :class:`~repro.errors.GeometryError` on a non-finite query point or
+        radius (NaN would otherwise bucket silently wrong).
 
         ``exclude`` (optional) is one index per query row to omit from that
         row's result — :meth:`neighbor_lists` passes ``arange(n)`` to drop
@@ -244,8 +173,8 @@ class GridIndex:
         row_valid = (x_lo <= x_hi) & (y_lo <= y_hi)
 
         # (m, 2*reach+1) grid of candidate cell columns, row-major so the
-        # flattened order is query-major with cx ascending — the same scan
-        # order the scalar query uses.
+        # flattened order is query-major with cx ascending — the scan order
+        # of the scalar reference (repro.perf.reference.ScalarGridIndex).
         noff = 2 * reach + 1
         cx = ccx[:, None] + np.arange(-reach, reach + 1)[None, :]
         valid = row_valid[:, None] & (cx >= x_lo[:, None]) & (cx <= x_hi[:, None])

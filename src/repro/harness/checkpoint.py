@@ -1,6 +1,6 @@
 """Append-only checkpoint journals (schema ``checkpoint/v1``).
 
-A journal is an NDJSON file living next to the ``save_sweep`` artifact it
+A journal is an NDJSON file living next to the sweep artifact it
 protects.  Line one is a header naming the schema, the sweep, and a
 BLAKE2b fingerprint of the exact sweep definition (name, point configs,
 repetition counts — via :func:`repro.obs.manifest.config_fingerprint`);

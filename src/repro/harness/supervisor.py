@@ -121,8 +121,8 @@ FAIL_FAST = RetryPolicy(max_attempts=1, backoff_base_s=0.0, inline_retry=False)
 class FailureRecord:
     """One quarantined work item, machine-readable (docs/ROBUSTNESS.md).
 
-    Serialized into checkpoint journals, ``save_sweep`` partial artifacts,
-    and run manifests, so a sweep's casualties are auditable long after
+    Serialized into checkpoint journals, partial sweep artifacts and run
+    manifests, so a sweep's casualties are auditable long after
     the run.  ``error`` is an :func:`repro.errors.error_record` dict.
     """
 
@@ -178,6 +178,8 @@ class ItemTracker:
     item: object
     policy: RetryPolicy
     attempts: int = 0
+    #: Accepted submissions, the in-parent rescue included.
+    submissions: int = 0
     #: Earliest clock time the item may be (re)submitted.
     not_before: float = 0.0
     #: Deadline of the in-flight attempt (set at submit time).
@@ -231,12 +233,15 @@ class SupervisedRun:
 
     ``outcomes`` is submission-ordered; quarantined slots hold ``None``.
     ``stats`` carries the resilience history (retries, pool rebuilds,
-    timeouts, inline rescues) for the run manifest.
+    timeouts, inline rescues) for the run manifest.  ``submissions``
+    counts, per item in submission order, how many times the item was
+    handed to an executor (the in-parent rescue included).
     """
 
     outcomes: List[Optional[object]]
     failures: List[FailureRecord] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=dict)
+    submissions: List[int] = field(default_factory=list)
 
 
 def _new_stats() -> Dict[str, int]:
@@ -370,6 +375,7 @@ class WorkerSupervisor:
             pool.close()
         if self.policy.inline_retry:
             self._rescue(fn, run, trackers, quarantined, in_parent, complete)
+        run.submissions = [tracker.submissions for tracker in trackers]
         return run
 
     # ------------------------------------------------------------------ #
@@ -413,6 +419,7 @@ class WorkerSupervisor:
                 # let the main loop retry the submission.
                 rebuild()
                 return False
+            tracker.submissions += 1
             in_flight[future] = tracker
             return True
 

@@ -71,14 +71,6 @@ class CrnTopology:
             )
         return self.su_index.neighbor_lists(sensing_range)
 
-    def pus_within(self, node: int, sensing_range: float) -> List[int]:
-        """PU indices within ``sensing_range`` of a secondary node."""
-        position = self.secondary.positions[node]
-        from repro.geometry.distance import distances_from
-
-        distances = distances_from(position, self.primary.positions)
-        return [int(i) for i in (distances <= sensing_range).nonzero()[0]]
-
     def __repr__(self) -> str:
         return (
             f"CrnTopology(region={self.region!r}, primary={self.primary!r}, "

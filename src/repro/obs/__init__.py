@@ -68,7 +68,6 @@ __all__ = [
     "timed",
     # Re-exported submodule APIs (imported at the bottom of this module).
     "NdjsonTraceWriter",
-    "export_trace",
     "load_trace",
     "trace_stats",
     "TRACE_SCHEMA",
@@ -281,7 +280,6 @@ _TRACE_EXPORTS = frozenset(
         "NdjsonTraceWriter",
         "event_from_dict",
         "event_to_dict",
-        "export_trace",
         "load_trace",
         "trace_stats",
     }

@@ -4,8 +4,8 @@ A manifest records everything needed to interpret — and re-run — one
 experiment artifact: the root seed, a fingerprint of the exact
 configuration, the package version, the platform, the measured wall time,
 and the metric/profile snapshot of the recorder that watched the run.
-:func:`repro.experiments.io.save_sweep` writes one alongside every sweep
-artifact when asked to.
+:func:`repro.experiments.io.write_artifact` writes one alongside every
+artifact when given one.
 """
 
 from __future__ import annotations

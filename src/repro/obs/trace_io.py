@@ -1,22 +1,22 @@
-"""Versioned NDJSON export/load for engine traces (schema ``trace/v1``).
+"""Versioned NDJSON traces of engine events (schema ``trace/v1``).
 
 One JSON object per line: a header first, then one object per
-:class:`~repro.sim.trace.TraceEvent`, and (for streamed files) a closing
-footer carrying the totals.  The format is append-friendly, so long runs
-can stream events to disk as they happen — lifting the in-memory
-``max_events`` cap — and ``grep``/``jq`` work on the artifact directly.
+:class:`~repro.sim.trace.TraceEvent`, then a closing footer carrying the
+totals.  :class:`NdjsonTraceWriter` streams events to disk as they
+happen, so a long run's trace is not held in memory, and ``grep``/``jq``
+work on the artifact directly.
 
 Line shapes::
 
-    {"schema": "trace/v1", "dropped": 0, "events": 124, "max_events": null}
-    {"slot": 0, "kind": "tx_start", "node": 3, "peer": 0, "packet_id": 1, "t": 0.41}
+    {"schema": "trace/v1", "streamed": true}
+    {"kind": "tx_start", "node": 3, "packet_id": 1, "peer": 0, "slot": 0, "t": 0.41}
     ...
-    {"schema": "trace/v1", "footer": true, "events": 124, "dropped": 0}
+    {"dropped": 0, "events": 124, "footer": true, "schema": "trace/v1"}
 
 Event fields with ``None`` values are omitted from the line; ``t`` is
-``time_in_slot``.  Exporting a truncated :class:`TraceLog` records its
-``dropped`` count in the header so offline analysis knows the tail is
-missing.
+``time_in_slot``.  :func:`load_trace` reads a file back into a
+:class:`~repro.sim.trace.TraceLog`; :func:`trace_stats` summarizes one
+without building event objects.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from typing import Dict, Iterator, Optional, Union
 from repro.errors import ObservabilityError
 from repro.obs.tracing import iter_spans, iter_trace_records, span_stats
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
-from repro.storage import write_records
 
 __all__ = [
     "TRACE_SCHEMA",
     "event_to_dict",
     "event_from_dict",
-    "export_trace",
     "load_trace",
     "trace_stats",
     "NdjsonTraceWriter",
@@ -69,27 +67,6 @@ def event_from_dict(line: Dict) -> TraceEvent:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservabilityError(f"bad trace event record {line!r}: {exc}") from exc
-
-
-def export_trace(log: TraceLog, path: Union[str, Path]) -> None:
-    """Write a complete :class:`TraceLog` to ``path`` as ``trace/v1`` NDJSON.
-
-    The write is atomic and durable
-    (:func:`repro.storage.write_records`), mirroring
-    :func:`repro.experiments.io.save_sweep`.  A truncated log's ``dropped``
-    count lands in the header.
-    """
-    target = Path(path)
-    header = {
-        "schema": TRACE_SCHEMA,
-        "events": len(log),
-        "dropped": log.dropped,
-        "max_events": log.max_events,
-    }
-    try:
-        write_records(target, [header, *(event_to_dict(event) for event in log)])
-    except OSError as exc:
-        raise ObservabilityError(f"cannot write trace file {target}: {exc}") from exc
 
 
 def _check_header(path: Union[str, Path], header: Dict) -> None:
@@ -140,18 +117,13 @@ def _events(
 
 
 def load_trace(path: Union[str, Path]) -> TraceLog:
-    """Rebuild a :class:`TraceLog` from a ``trace/v1`` NDJSON file.
-
-    The reconstructed log carries the original ``max_events`` cap and
-    ``dropped`` count, so a truncated capture round-trips faithfully.
-    """
+    """Rebuild a :class:`TraceLog` from a ``trace/v1`` NDJSON file."""
     records = iter_trace_records(path)
     header = next(records)
     _check_header(path, header)
-    max_events = header.get("max_events")
-    log = TraceLog(max_events=int(max_events) if max_events is not None else None)
-    log._events.extend(event_from_dict(line) for line in _events(path, header, records))
-    log.dropped = int(header.get("dropped", 0) or 0)
+    log = TraceLog()
+    for line in _events(path, header, records):
+        log.record(event_from_dict(line))
     return log
 
 
@@ -207,12 +179,11 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
 class NdjsonTraceWriter:
     """A streaming trace sink: engine-compatible, unbounded, on disk.
 
-    Duck-types :class:`TraceLog`'s recording surface (``record``,
-    ``dropped``), so it can be passed directly as the engine's ``trace=``
-    argument; every event goes straight to the NDJSON file instead of
-    memory, lifting the ``max_events`` cap for long runs.  Use as a
-    context manager (or call :meth:`close`) so the footer with the final
-    totals is written.
+    Duck-types :class:`TraceLog`'s ``record``, so it can be passed
+    directly as the engine's ``trace=`` argument; every event goes
+    straight to the NDJSON file instead of memory.  Use as a context
+    manager (or call :meth:`close`) so the footer with the final totals
+    is written.
 
     >>> import tempfile, os
     >>> from repro.sim.trace import TraceEvent, TraceKind
@@ -222,9 +193,6 @@ class NdjsonTraceWriter:
     >>> len(load_trace(path))
     1
     """
-
-    #: Streaming writers never drop events (kept for TraceLog parity).
-    dropped = 0
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)

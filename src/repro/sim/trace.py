@@ -1,4 +1,4 @@
-"""Bounded event trace for debugging and for behavioural tests.
+"""In-memory event trace for debugging and for behavioural tests.
 
 The fairness test for Theorem 1's property :math:`\\mathfrak P` ("before
 s_i transmits once, a PCR neighbour transmits at most twice") needs the
@@ -45,35 +45,17 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Append-only event log with an optional size cap.
+    """Append-only in-memory event log.
 
-    With ``max_events`` set, the log keeps the *earliest* events and drops
-    later ones, counting every drop in :attr:`dropped`; behavioural tests
-    care about prefixes of the schedule.  For uncapped long-run capture,
-    stream to disk with :class:`repro.obs.NdjsonTraceWriter` instead.
+    For long-run capture, stream to disk with
+    :class:`repro.obs.NdjsonTraceWriter` instead.
     """
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
-        self._max_events = max_events
-        #: Events dropped past the ``max_events`` cap.
-        self.dropped = 0
-
-    @property
-    def max_events(self) -> Optional[int]:
-        """The configured size cap (``None`` = unbounded)."""
-        return self._max_events
-
-    @property
-    def truncated(self) -> bool:
-        """Whether any event was dropped past the cap."""
-        return self.dropped > 0
 
     def record(self, event: TraceEvent) -> None:
-        """Append one event (counted in :attr:`dropped` past the cap)."""
-        if self._max_events is not None and len(self._events) >= self._max_events:
-            self.dropped += 1
-            return
+        """Append one event."""
         self._events.append(event)
 
     def __len__(self) -> int:
@@ -83,11 +65,7 @@ class TraceLog:
         return iter(self._events)
 
     def __repr__(self) -> str:
-        cap = "unbounded" if self._max_events is None else self._max_events
-        return (
-            f"TraceLog(events={len(self._events)}, max_events={cap}, "
-            f"dropped={self.dropped})"
-        )
+        return f"TraceLog(events={len(self._events)})"
 
     def of_kind(self, kind: TraceKind) -> List[TraceEvent]:
         """All recorded events of one kind, in order."""

@@ -15,11 +15,6 @@ import pytest
 import repro.chaos.schedule as schedule_module
 from repro.chaos import ChaosSchedule, ChaosWorker, item_key
 from repro.errors import ChaosError
-from repro.rng import StreamFactory
-
-
-def _double(item):
-    return item * 2
 
 
 def _describe(item):
@@ -36,11 +31,6 @@ class TestItemKey:
     def test_repetition_attribute_is_the_natural_key(self):
         assert item_key(_Item(repetition=7)) == 7
 
-    def test_fallback_digest_is_stable_and_distinct(self):
-        assert item_key("abc") == item_key("abc")
-        assert item_key("abc") != item_key("abd")
-        assert item_key(5) >= 0
-
 
 class TestChaosSchedule:
     def test_kill_and_hang_must_not_overlap(self):
@@ -53,42 +43,12 @@ class TestChaosSchedule:
         with pytest.raises(ChaosError, match="hang_s"):
             ChaosSchedule(hang_s=0.0)
 
-    def test_fraction_validation(self):
-        keys = tuple(range(10))
-        with pytest.raises(ChaosError, match=">= 0"):
-            ChaosSchedule.from_stream(
-                StreamFactory(1), keys, kill_fraction=-0.1
-            )
-        with pytest.raises(ChaosError, match="exceed 1"):
-            ChaosSchedule.from_stream(
-                StreamFactory(1), keys, kill_fraction=0.6, hang_fraction=0.6
-            )
-
-    def test_zero_fractions_yield_an_empty_schedule(self):
-        schedule = ChaosSchedule.from_stream(
-            StreamFactory(9), tuple(range(8))
-        )
-        assert schedule.empty
-
-    def test_same_seed_same_victims(self):
-        keys = tuple(range(20))
-        draw = lambda: ChaosSchedule.from_stream(  # noqa: E731
-            StreamFactory(42), keys, kill_fraction=0.2, hang_fraction=0.1
-        )
-        first, second = draw(), draw()
-        assert first == second
-        assert len(first.kill_first_attempt) == 4
-        assert len(first.hang_first_attempt) == 2
-        victims = set(first.kill_first_attempt) | set(
-            first.hang_first_attempt
-        )
-        assert victims <= set(keys)
-
 
 class TestChaosWorker:
     def test_empty_schedule_is_a_pure_passthrough(self, tmp_path):
-        worker = ChaosWorker(_double, ChaosSchedule(), str(tmp_path))
-        assert worker(21) == 42
+        worker = ChaosWorker(_describe, ChaosSchedule(), str(tmp_path))
+        item = _Item(repetition=21)
+        assert worker(item) == repr(item)
         assert list(tmp_path.iterdir()) == []  # no markers written
 
     def test_kill_in_the_main_process_is_refused_loudly(self, tmp_path):

@@ -1,10 +1,10 @@
 """Tests for repro.chaos.storage: scheduled durable-write faults.
 
-The contract under test: fault schedules are drawn once from a *named*
-chaos stream (deterministic, replayable), an empty schedule leaves the
-write path untouched, and an injected fault looks exactly like the real
-failure — ``ENOSPC``/``EIO`` errno, torn debris in the target file —
-so the recovery code exercised is the code production would run.
+The contract under test: a fault schedule is plain data (deterministic,
+replayable), an empty schedule leaves the write path untouched, and an
+injected fault looks exactly like the real failure — ``ENOSPC``/``EIO``
+errno, torn debris in the target file — so the recovery code exercised
+is the code production would run.
 """
 
 from __future__ import annotations
@@ -17,17 +17,14 @@ import pytest
 import repro.obs as obs
 import repro.storage as storage
 from repro.chaos import (
-    FAULT_KINDS,
     StorageChaos,
     StorageFault,
     StorageFaultPlan,
-    storage_fault_plan,
     tear_ndjson_tail,
 )
 from repro.errors import ChaosError, CheckpointError
 from repro.harness import CheckpointWriter, load_checkpoint
 from repro.obs.recorder import MetricsRecorder
-from repro.rng import StreamFactory
 from repro.storage import atomic_write_text
 
 
@@ -57,51 +54,6 @@ class TestPlanValidation:
             StorageFaultPlan(
                 (StorageFault(2, "eio"), StorageFault(2, "enospc"))
             )
-
-    def test_plan_round_trips_to_dict(self):
-        plan = StorageFaultPlan(
-            (StorageFault(1, "torn", 0.25),), match="artifact"
-        )
-        payload = plan.to_dict()
-        assert payload["match"] == "artifact"
-        assert payload["faults"] == [
-            {"write_index": 1, "kind": "torn", "payload_fraction": 0.25}
-        ]
-
-
-class TestPlanGeneration:
-    def test_zero_intensity_yields_empty_plan(self):
-        plan = storage_fault_plan(StreamFactory(7), 100, 0.0)
-        assert plan.empty
-        assert plan.fault_at(0) is None
-
-    def test_zero_writes_yields_empty_plan(self):
-        assert storage_fault_plan(StreamFactory(7), 0, 1.0).empty
-
-    def test_same_seed_same_plan(self):
-        draw = lambda: storage_fault_plan(  # noqa: E731
-            StreamFactory(42), 50, 0.3
-        )
-        assert draw().to_dict() == draw().to_dict()
-
-    def test_plan_shape_respects_the_menu(self):
-        plan = storage_fault_plan(StreamFactory(3), 40, 0.25)
-        assert len(plan.faults) == 10
-        indices = [fault.write_index for fault in plan.faults]
-        assert indices == sorted(indices)
-        assert len(set(indices)) == len(indices)
-        for fault in plan.faults:
-            assert 0 <= fault.write_index < 40
-            assert fault.kind in FAULT_KINDS
-            assert 0.1 <= fault.payload_fraction < 0.9
-
-    def test_validation_errors(self):
-        with pytest.raises(ChaosError, match="writes_expected"):
-            storage_fault_plan(StreamFactory(1), -1, 0.5)
-        with pytest.raises(ChaosError, match="intensity"):
-            storage_fault_plan(StreamFactory(1), 10, -0.1)
-        with pytest.raises(ChaosError, match="unknown storage fault kind"):
-            storage_fault_plan(StreamFactory(1), 10, 0.5, kinds=("gamma",))
 
 
 class TestStorageChaos:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -59,3 +66,25 @@ class TestCommands:
         assert main(["compare", "--scale", "quick", "--repetitions", "1"]) == 0
         out = capsys.readouterr().out
         assert "ADDC" in out and "Coolest" in out and "less delay" in out
+
+
+def test_a_reader_that_went_away_gets_no_traceback():
+    # The pipe's read end is closed before the child starts, so every
+    # write the child makes to stdout fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "pcr"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = child.stderr.decode("utf-8", "replace")
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
+    assert child.returncode == 1

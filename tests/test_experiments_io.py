@@ -12,7 +12,8 @@ from repro.experiments.io import (
     comparison_point_from_dict,
     comparison_point_to_dict,
     load_sweep,
-    save_sweep,
+    sweep_payload,
+    write_artifact,
 )
 from repro.experiments.runner import ComparisonPoint
 from repro.metrics.aggregate import summarize_delays
@@ -43,7 +44,7 @@ class TestRoundTrip:
     def test_sweep_round_trip(self, tmp_path):
         path = tmp_path / "fig6c.json"
         points = [(0.1, make_point(0.1)), (0.3, make_point(0.3))]
-        save_sweep(path, "fig6c", points)
+        write_artifact(path, sweep_payload("fig6c", points))
         name, loaded = load_sweep(path)
         assert name == "fig6c"
         assert [x for x, _ in loaded] == [0.1, 0.3]
@@ -51,7 +52,7 @@ class TestRoundTrip:
 
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "sweep.json"
-        save_sweep(path, "demo", [(1.0, make_point())])
+        write_artifact(path, sweep_payload("demo", [(1.0, make_point())]))
         payload = json.loads(path.read_text())
         assert payload["name"] == "demo"
         assert payload["points"][0]["x"] == 1.0
@@ -92,14 +93,14 @@ class TestErrors:
 
     def test_atomic_save_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "sweep.json"
-        save_sweep(path, "fig6c", [(0.1, make_point(0.1))])
+        write_artifact(path, sweep_payload("fig6c", [(0.1, make_point(0.1))]))
         assert path.exists()
         assert list(tmp_path.iterdir()) == [path]
 
     def test_save_overwrites_previous_artifact(self, tmp_path):
         path = tmp_path / "sweep.json"
-        save_sweep(path, "fig6c", [(0.1, make_point(0.1))])
-        save_sweep(path, "fig6c", [(0.2, make_point(0.2))])
+        write_artifact(path, sweep_payload("fig6c", [(0.1, make_point(0.1))]))
+        write_artifact(path, sweep_payload("fig6c", [(0.2, make_point(0.2))]))
         name, points = load_sweep(path)
         assert name == "fig6c"
         assert [x for x, _ in points] == [0.2]
@@ -120,5 +121,7 @@ class TestErrors:
             return real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", spying_fsync)
-        save_sweep(tmp_path / "sweep.json", "fig6c", [(0.1, make_point(0.1))])
-        assert dir_fsyncs, "save_sweep never fsynced the parent directory"
+        write_artifact(
+            tmp_path / "sweep.json", sweep_payload("fig6c", [(0.1, make_point(0.1))])
+        )
+        assert dir_fsyncs, "write_artifact never fsynced the parent directory"

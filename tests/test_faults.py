@@ -1,8 +1,8 @@
 """Tests for the fault-injection subsystem (``repro.faults``).
 
-Covers the plan schema and generators, every fault kind's engine
-semantics (crash-stop, transient outage with rejoin, stuck sensing,
-link degradation, base-station blackout), deferred arrivals, the
+Covers the plan schema and the chaos-plan generator, every fault kind's
+engine semantics (crash-stop, transient outage with rejoin, stuck
+sensing, link degradation, base-station blackout), deferred arrivals, the
 replayability guarantees (fixed-seed identity, fault-free neutrality for
 an idle leaf), and the resilience metrics over the outcomes.
 """
@@ -23,8 +23,6 @@ from repro.faults import (
     FaultEvent,
     FaultPlan,
     chaos_plan,
-    crash_plan,
-    mtbf_outage_plan,
 )
 from repro.geometry.region import SquareRegion
 from repro.graphs.tree import build_collection_tree
@@ -174,34 +172,6 @@ class TestFaultPlan:
 
 
 class TestGenerators:
-    def test_mtbf_plan_replayable_and_bounded(self):
-        def build():
-            return mtbf_outage_plan(
-                range(1, 30),
-                horizon_slots=1000,
-                mtbf_slots=400.0,
-                mttr_slots=60.0,
-                streams=StreamFactory(seed=99),
-            )
-
-        first, second = build(), build()
-        assert first.events == second.events
-        assert len(first) > 0
-        for event in first:
-            assert event.kind == "outage"
-            assert 1 <= event.slot < event.until <= 1000
-
-    def test_crash_plan_count_and_distinct_targets(self):
-        plan = crash_plan(
-            range(1, 20), horizon_slots=500, count=5, streams=StreamFactory(7)
-        )
-        assert len(plan) == 5
-        nodes = [event.node for event in plan]
-        assert len(set(nodes)) == 5
-        assert all(1 <= event.slot < 500 for event in plan)
-        with pytest.raises(ConfigurationError):
-            crash_plan(range(1, 4), 500, count=9, streams=StreamFactory(7))
-
     def test_chaos_plan_scales_with_intensity(self):
         empty = chaos_plan(
             range(1, 40), 1000, intensity=0.0, streams=StreamFactory(3)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
-from repro.geometry.distance import pairwise_distances
 from repro.graphs.graph import Graph
 
 
@@ -77,7 +76,8 @@ class TestFromPositions:
         positions = rng.random((25, 2)) * 30.0
         radius = 8.0
         graph = Graph.from_positions(positions, radius)
-        matrix = pairwise_distances(positions)
+        delta = positions[:, None, :] - positions[None, :, :]
+        matrix = np.hypot(delta[..., 0], delta[..., 1])
         for u in range(25):
             for v in range(u + 1, 25):
                 assert graph.has_edge(u, v) == (matrix[u, v] <= radius)
@@ -86,14 +86,15 @@ class TestFromPositions:
     @given(st.integers(1, 60), st.integers(0, 2**31 - 1))
     def test_adjacency_order_matches_one_query_per_point(self, count, seed):
         """Adjacency order feeds tree and route tie-breaks, so the batched
-        build must insert edges exactly as the per-point loop did."""
-        from repro.geometry.spatial_index import GridIndex
+        build must insert edges exactly as a per-point loop over the
+        scalar reference index does."""
+        from repro.perf.reference import ScalarGridIndex
 
         rng = np.random.default_rng(seed)
         positions = rng.random((count, 2)) * 25.0
         radius = 6.0
         reference = Graph(count)
-        index = GridIndex(positions, cell_size=radius)
+        index = ScalarGridIndex(positions, cell_size=radius)
         for u in range(count):
             for v in index.query_radius(positions[u], radius):
                 if v > u:

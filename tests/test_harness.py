@@ -33,7 +33,7 @@ from repro.experiments.fig6 import (
     run_fig6_sweep,
     sweep_point_configs,
 )
-from repro.experiments.io import load_sweep, save_sweep
+from repro.experiments.io import load_sweep, sweep_payload, write_artifact
 from repro.experiments.runner import RepetitionMeasurement
 from repro.harness import (
     CheckpointWriter,
@@ -95,7 +95,7 @@ def _measurement(rep: int) -> RepetitionMeasurement:
 
 def _artifact_bytes(tmp_path, label, name, points):
     target = tmp_path / f"{label}.json"
-    save_sweep(target, name, points)
+    write_artifact(target, sweep_payload(name, points))
     return target.read_bytes()
 
 
@@ -393,6 +393,15 @@ class TestSupervisorInline:
         assert run.stats["retries"] == 2
         assert run.stats["worker_errors"] == 2
 
+    def test_submissions_count_every_attempt_per_item(self):
+        flaky = _Flaky(2)
+        supervisor = self._supervisor(max_attempts=3, backoff_base_s=0.0)
+        run = supervisor.run(
+            lambda item: flaky(item) if item == 7 else item, [1, 7, 3]
+        )
+        assert run.outcomes == [1, 70, 3]
+        assert run.submissions == [1, 3, 1]
+
     def test_quarantine_then_inline_rescue_succeeds(self):
         supervisor = self._supervisor(max_attempts=2, inline_retry=True)
         recorder = MetricsRecorder()
@@ -400,6 +409,8 @@ class TestSupervisorInline:
             run = supervisor.run(_Flaky(2), [7])
         assert run.outcomes == [70]
         assert run.failures == []
+        # Two pool-loop attempts, then the in-parent rescue.
+        assert run.submissions == [3]
         assert run.stats["quarantined"] == 0
         assert run.stats["inline_rescues"] == 1
         assert recorder.counters["harness.inline_rescues"] == 1
@@ -603,8 +614,8 @@ class TestCheckpointedSweep:
         assert _artifact_bytes(
             tmp_path, f"resumed-{workers}", "fig6c", resumed.points
         ) == _artifact_bytes(tmp_path, f"plain-{workers}", "fig6c", plain_points)
-        # RNG stream positions replay exactly (never serialized by
-        # save_sweep, so asserted separately).
+        # RNG stream positions replay exactly (never serialized into
+        # the artifact, so asserted separately).
         assert [point.rng_positions for _, point in resumed.points] == [
             point.rng_positions for _, point in plain_points
         ]
@@ -851,10 +862,9 @@ class TestPartialSweeps:
     ):
         result = self._poisoned_run(tmp_path, monkeypatch)
         artifact = tmp_path / "sweep.json"
-        save_sweep(
+        write_artifact(
             artifact,
-            "fig6c",
-            result.points,
+            sweep_payload("fig6c", result.points),
             status=result.status,
             failures=[record.to_dict() for record in result.failures],
         )
@@ -869,10 +879,16 @@ class TestPartialSweeps:
 
     def test_complete_artifact_has_no_new_keys(self, tmp_path, plain_points):
         artifact = tmp_path / "sweep.json"
-        save_sweep(artifact, "fig6c", plain_points, status="complete")
+        write_artifact(
+            artifact, sweep_payload("fig6c", plain_points), status="complete"
+        )
         assert sorted(json.loads(artifact.read_text())) == ["name", "points"]
         with pytest.raises(ConfigurationError):
-            save_sweep(artifact, "fig6c", plain_points, status="mostly-done")
+            write_artifact(
+                artifact,
+                sweep_payload("fig6c", plain_points),
+                status="mostly-done",
+            )
 
     def test_run_fig6_sweep_raises_on_partial_without_opt_in(
         self, monkeypatch
@@ -980,7 +996,7 @@ def driver_reference(tmp_path_factory):
         "driver", _driver_points(), checkpoint_path=tmp / "ref.ckpt", workers=2
     ).points
     target = tmp / "reference.json"
-    save_sweep(target, "driver", points)
+    write_artifact(target, sweep_payload("driver", points))
     return target.read_bytes()
 
 
@@ -1009,7 +1025,7 @@ class TestSignals:
         assert resumed.cached_items >= 2
         assert resumed.status == "complete"
         target = tmp_path / "resumed.json"
-        save_sweep(target, "driver", resumed.points)
+        write_artifact(target, sweep_payload("driver", resumed.points))
         assert target.read_bytes() == reference_bytes
         return resumed
 

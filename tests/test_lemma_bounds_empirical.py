@@ -8,6 +8,7 @@ compare them against the bounds.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.packing import (
@@ -16,7 +17,6 @@ from repro.core.packing import (
     lemma6_neighborhood_bound,
 )
 from repro.core.pcr import PcrParameters, compute_pcr
-from repro.geometry.distance import distances_from
 from repro.graphs.cds import build_cds
 from repro.graphs.tree import NodeRole, build_collection_tree
 
@@ -65,7 +65,8 @@ class TestLemma5:
         ]
         bound = lemma5_backbone_bound(pcr.kappa)
         for node in range(tree.num_nodes):
-            distances = distances_from(positions[node], positions[backbone])
+            delta = positions[backbone] - positions[node]
+            distances = np.hypot(delta[:, 0], delta[:, 1])
             count = int((distances <= pcr.pcr).sum())
             assert count <= bound
 
@@ -77,7 +78,8 @@ class TestLemma6:
         delta = tree.max_degree()
         bound = lemma6_neighborhood_bound(pcr.kappa, delta)
         for node in range(topology.secondary.num_nodes):
-            distances = distances_from(positions[node], positions)
+            delta = positions - positions[node]
+            distances = np.hypot(delta[:, 0], delta[:, 1])
             count = int((distances <= pcr.pcr).sum()) - 1
             assert count <= bound
 

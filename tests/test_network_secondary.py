@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DisconnectedNetworkError
-from repro.geometry.distance import pairwise_distances
 from repro.network.deployment import DeploymentSpec, deploy_crn
 from repro.network.secondary import BASE_STATION, SecondaryNetwork
 from repro.rng import StreamFactory
@@ -28,7 +27,8 @@ class TestSecondaryNetwork:
 
     def test_graph_matches_radius(self):
         network = self.make(15)
-        matrix = pairwise_distances(network.positions)
+        delta = network.positions[:, None, :] - network.positions[None, :, :]
+        matrix = np.hypot(delta[..., 0], delta[..., 1])
         for u in range(network.num_nodes):
             for v in range(u + 1, network.num_nodes):
                 assert network.graph.has_edge(u, v) == (matrix[u, v] <= 10.0)

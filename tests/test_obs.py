@@ -18,14 +18,14 @@ from repro.core.addc import AddcPolicy
 from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.io import load_sweep, save_sweep
+from repro.experiments.io import load_sweep, sweep_payload, write_artifact
 from repro.experiments.runner import run_comparison_point
 from repro.graphs.tree import build_collection_tree
 from repro.obs.clock import monotonic_s, wall_clock_iso
 from repro.obs.recorder import DEFAULT_BUCKETS, Histogram, MetricsRecorder
 from repro.rng import StreamFactory
 from repro.sim.engine import SlottedEngine
-from repro.sim.trace import TraceEvent, TraceKind, TraceLog
+from repro.sim.trace import TraceEvent, TraceKind
 from repro.spectrum.sensing import CarrierSenseMap
 
 
@@ -173,38 +173,18 @@ def make_events(count):
 
 class TestNdjsonTrace:
     def test_round_trip_10k_events_lossless(self, tmp_path):
-        log = TraceLog()
-        for event in make_events(10_000):
-            log.record(event)
+        events = make_events(10_000)
         path = tmp_path / "trace.ndjson"
-        obs.export_trace(log, path)
+        with obs.NdjsonTraceWriter(path) as writer:
+            for event in events:
+                writer.record(event)
         loaded = obs.load_trace(path)
         assert len(loaded) == 10_000
-        assert list(loaded) == list(log)  # lossless, order preserved
-        assert loaded.dropped == 0
-        assert loaded.max_events is None
-
-    def test_truncated_log_header_records_dropped(self, tmp_path):
-        log = TraceLog(max_events=5)
-        for event in make_events(12):
-            log.record(event)
-        path = tmp_path / "trace.ndjson"
-        obs.export_trace(log, path)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {
-            "schema": "trace/v1",
-            "events": 5,
-            "dropped": 7,
-            "max_events": 5,
-        }
-        loaded = obs.load_trace(path)
-        assert loaded.dropped == 7
-        assert loaded.truncated
-        assert loaded.max_events == 5
+        assert list(loaded) == events  # lossless, order preserved
 
     def test_zero_event_log_round_trips(self, tmp_path):
         path = tmp_path / "empty.ndjson"
-        obs.export_trace(TraceLog(), path)
+        obs.NdjsonTraceWriter(path).close()
         assert len(obs.load_trace(path)) == 0
 
     def test_streaming_writer_and_footer(self, tmp_path):
@@ -260,12 +240,11 @@ class TestNdjsonTrace:
             obs.load_trace(path)
 
     def test_trace_stats(self, tmp_path):
-        log = TraceLog()
-        log.record(TraceEvent(slot=2, kind=TraceKind.TX_START, node=1, peer=4))
-        log.record(TraceEvent(slot=7, kind=TraceKind.TX_START, node=1))
-        log.record(TraceEvent(slot=5, kind=TraceKind.DELIVERY, node=2))
         path = tmp_path / "trace.ndjson"
-        obs.export_trace(log, path)
+        with obs.NdjsonTraceWriter(path) as writer:
+            writer.record(TraceEvent(slot=2, kind=TraceKind.TX_START, node=1, peer=4))
+            writer.record(TraceEvent(slot=7, kind=TraceKind.TX_START, node=1))
+            writer.record(TraceEvent(slot=5, kind=TraceKind.DELIVERY, node=2))
         stats = obs.trace_stats(path)
         assert stats["events"] == 3
         assert stats["first_slot"] == 2 and stats["last_slot"] == 7
@@ -520,7 +499,9 @@ class TestSweepManifest:
                 seed=config.seed, config=config, recorder=recorder
             )
         target = tmp_path / "sweep.json"
-        save_sweep(target, "fig6x", [(1.0, point)], manifest=manifest)
+        write_artifact(
+            target, sweep_payload("fig6x", [(1.0, point)]), manifest=manifest
+        )
         name, points = load_sweep(target)
         assert name == "fig6x" and len(points) == 1
         sibling = tmp_path / "sweep.manifest.json"
@@ -539,7 +520,7 @@ class TestSweepManifest:
         )
         point = run_comparison_point(config)
         target = tmp_path / "sweep.json"
-        save_sweep(target, "fig6x", [(1.0, point)])
+        write_artifact(target, sweep_payload("fig6x", [(1.0, point)]))
         assert not (tmp_path / "sweep.manifest.json").exists()
 
 

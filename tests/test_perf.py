@@ -23,7 +23,7 @@ from repro.core.collector import run_addc_collection
 from repro.errors import ConfigurationError, GeometryError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig6 import FIG6_SWEEPS, run_fig6_sweep
-from repro.experiments.io import save_sweep
+from repro.experiments.io import sweep_payload, write_artifact
 from repro.experiments.runner import (
     run_comparison_point,
     run_comparison_repetition,
@@ -93,31 +93,34 @@ class TestGridIndexProperty:
             for _ in range(5):
                 point = rng.random(2) * side * 1.2 - side * 0.1
                 radius = float(rng.uniform(0.0, side * 0.5))
-                got = index.query_radius(point, radius)
+                [got] = index.query_radius_many([point], radius)
                 assert sorted(got) == brute_force_query(
                     positions, point, radius
                 ), f"case {case}: CSR != brute force"
                 # Exact order parity with the scalar reference, too.
                 assert got == scalar.query_radius(point, radius)
                 exclude = int(rng.integers(0, n))
-                assert index.query_radius_excluding(
-                    point, radius, exclude
-                ) == scalar.query_radius_excluding(point, radius, exclude)
+                [got] = index.query_radius_many([point], radius, exclude=[exclude])
+                assert sorted(got) == brute_force_query(
+                    positions, point, radius, exclude
+                ), f"case {case}: CSR != brute force (excluding {exclude})"
+                assert got == scalar.query_radius_excluding(point, radius, exclude)
 
     def test_batched_queries_match_per_point_queries(self):
         rng = StreamFactory(7).stream("spatial-batch")
         positions = rng.random((80, 2)) * 40.0
         index = GridIndex(positions, 5.0)
+        scalar = ScalarGridIndex(positions, 5.0)
         queries = rng.random((25, 2)) * 50.0 - 5.0
         radius = 7.5
         batched = index.query_radius_many(queries, radius)
         assert batched == [
-            index.query_radius(queries[i], radius) for i in range(len(queries))
+            scalar.query_radius(queries[i], radius) for i in range(len(queries))
         ]
         excludes = rng.integers(0, 80, size=25)
         batched_excl = index.query_radius_many(queries, radius, exclude=excludes)
         assert batched_excl == [
-            index.query_radius_excluding(queries[i], radius, int(excludes[i]))
+            scalar.query_radius_excluding(queries[i], radius, int(excludes[i]))
             for i in range(len(queries))
         ]
 
@@ -125,9 +128,9 @@ class TestGridIndexProperty:
         positions = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
         index = GridIndex(positions, 2.0)
         # Distances are exactly 3, 4, and 5 — all must be included.
-        assert sorted(index.query_radius((0.0, 0.0), 3.0)) == [0, 1]
-        assert sorted(index.query_radius((0.0, 0.0), 4.0)) == [0, 1, 2]
-        assert sorted(index.query_radius((3.0, 4.0), 5.0)) == [0, 1, 2]
+        assert sorted(index.query_radius_many([[0.0, 0.0]], 3.0)[0]) == [0, 1]
+        assert sorted(index.query_radius_many([[0.0, 0.0]], 4.0)[0]) == [0, 1, 2]
+        assert sorted(index.query_radius_many([[3.0, 4.0]], 5.0)[0]) == [0, 1, 2]
 
     def test_neighbor_lists_match_scalar_reference(self):
         rng = StreamFactory(11).stream("spatial-neighbors")
@@ -146,7 +149,7 @@ class TestGridIndexProperty:
 
     def test_empty_index_and_empty_queries(self):
         index = GridIndex(np.zeros((0, 2)), 1.0)
-        assert index.query_radius((0.0, 0.0), 5.0) == []
+        assert index.query_radius_many([[0.0, 0.0]], 5.0) == [[]]
         assert index.neighbor_lists(2.0) == []
         full = GridIndex(np.array([[1.0, 1.0]]), 1.0)
         assert full.query_radius_many(np.zeros((0, 2)), 1.0) == []
@@ -159,11 +162,9 @@ class TestGridIndexValidation:
         index = GridIndex(np.array([[0.0, 0.0]]), 1.0)
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(GeometryError):
-                index.query_radius((bad, 0.0), 1.0)
-            with pytest.raises(GeometryError):
-                index.query_radius_excluding((0.0, bad), 1.0, 0)
-            with pytest.raises(GeometryError):
                 index.query_radius_many(np.array([[bad, 0.0]]), 1.0)
+            with pytest.raises(GeometryError):
+                index.query_radius_many(np.array([[0.0, bad]]), 1.0, exclude=[0])
 
     def test_non_finite_positions_raise(self):
         with pytest.raises(GeometryError):
@@ -172,16 +173,17 @@ class TestGridIndexValidation:
     def test_non_finite_or_negative_radius_raises(self):
         index = GridIndex(np.array([[0.0, 0.0]]), 1.0)
         with pytest.raises(GeometryError):
-            index.query_radius((0.0, 0.0), -1.0)
+            index.query_radius_many([[0.0, 0.0]], -1.0)
         with pytest.raises(GeometryError):
-            index.query_radius((0.0, 0.0), float("nan"))
+            index.query_radius_many([[0.0, 0.0]], float("nan"))
 
     def test_excluding_single_pass_keeps_results(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         index = GridIndex(positions, 1.0)
-        assert sorted(index.query_radius_excluding((0.0, 0.0), 2.0, 1)) == [0, 2]
+        [row] = index.query_radius_many([[0.0, 0.0]], 2.0, exclude=[1])
+        assert sorted(row) == [0, 2]
         # Excluding an index not in range changes nothing.
-        assert sorted(index.query_radius_excluding((0.0, 0.0), 0.5, 2)) == [0]
+        assert index.query_radius_many([[0.0, 0.0]], 0.5, exclude=[2]) == [[0]]
 
 
 # --------------------------------------------------------------------- #
@@ -303,7 +305,7 @@ def _run_sweep_to_file(tmp_path, label, workers):
         extra={"sweep": "fig6c", "workers": workers},
     )
     path = tmp_path / f"{label}.json"
-    save_sweep(path, "fig6c", points, manifest=manifest)
+    write_artifact(path, sweep_payload("fig6c", points), manifest=manifest)
     return points, path
 
 

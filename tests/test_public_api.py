@@ -77,20 +77,6 @@ class TestErrorHierarchy:
 
 
 class TestTopologyHelpers:
-    def test_pus_within(self, quick_topology):
-        import numpy as np
-
-        for node in (0, 5, 20):
-            found = quick_topology.pus_within(node, 15.0)
-            distances = np.hypot(
-                *(
-                    quick_topology.primary.positions
-                    - quick_topology.secondary.positions[node]
-                ).T
-            )
-            expected = set(np.nonzero(distances <= 15.0)[0].tolist())
-            assert set(found) == expected
-
     def test_reprs_are_informative(self, quick_topology):
         assert "CrnTopology" in repr(quick_topology)
         assert "PrimaryNetwork" in repr(quick_topology.primary)

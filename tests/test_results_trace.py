@@ -81,14 +81,6 @@ class TestTraceLog:
         assert len(log) == 2
         assert [e.slot for e in log] == [0, 1]
 
-    def test_cap_keeps_prefix(self):
-        log = TraceLog(max_events=2)
-        for slot in range(5):
-            log.record(self.event(slot))
-        assert len(log) == 2
-        assert log.truncated
-        assert [e.slot for e in log] == [0, 1]
-
     def test_of_kind_and_for_node(self):
         log = TraceLog()
         log.record(self.event(kind=TraceKind.TX_START, node=1))
@@ -106,17 +98,7 @@ class TestTraceLog:
         assert log.for_node(2) == [tx]  # receiver (peer) side
         assert log.for_node(3) == []
 
-    def test_dropped_counter_and_repr(self):
-        log = TraceLog(max_events=2)
-        assert log.dropped == 0
-        assert not log.truncated
-        for slot in range(5):
-            log.record(self.event(slot))
-        assert log.dropped == 3
-        assert log.truncated
-        assert repr(log) == "TraceLog(events=2, max_events=2, dropped=3)"
-
     def test_unbounded_repr(self):
         log = TraceLog()
         log.record(self.event(0))
-        assert repr(log) == "TraceLog(events=1, max_events=unbounded, dropped=0)"
+        assert repr(log) == "TraceLog(events=1)"

@@ -7,31 +7,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry.distance import distances_from
 from repro.geometry.spatial_index import GridIndex
 
 
 def brute_force(positions: np.ndarray, point, radius: float):
-    return set(np.nonzero(distances_from(point, positions) <= radius)[0].tolist())
+    delta = np.asarray(positions, dtype=float) - np.asarray(point, dtype=float)
+    distances = np.hypot(delta[:, 0], delta[:, 1])
+    return set(np.nonzero(distances <= radius)[0].tolist())
+
+
+def query(index: GridIndex, point, radius: float, exclude=None):
+    """One row of the batched query, the product's only query path."""
+    excludes = None if exclude is None else [exclude]
+    return index.query_radius_many([point], radius, exclude=excludes)[0]
 
 
 class TestQueryRadius:
     def test_simple(self):
         index = GridIndex(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]), 2.0)
-        assert sorted(index.query_radius((0.0, 0.0), 1.5)) == [0, 1]
+        assert sorted(query(index, (0.0, 0.0), 1.5)) == [0, 1]
 
     def test_inclusive_boundary(self):
         index = GridIndex(np.array([[3.0, 4.0]]), 1.0)
-        assert index.query_radius((0.0, 0.0), 5.0) == [0]
+        assert query(index, (0.0, 0.0), 5.0) == [0]
 
     def test_zero_radius(self):
         index = GridIndex(np.array([[1.0, 1.0], [1.0, 1.0001]]), 0.5)
-        assert index.query_radius((1.0, 1.0), 0.0) == [0]
+        assert query(index, (1.0, 1.0), 0.0) == [0]
 
     def test_negative_radius_rejected(self):
         index = GridIndex(np.array([[0.0, 0.0]]), 1.0)
         with pytest.raises(GeometryError):
-            index.query_radius((0.0, 0.0), -1.0)
+            query(index, (0.0, 0.0), -1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -45,7 +52,7 @@ class TestQueryRadius:
         positions = rng.random((count, 2)) * 50.0
         index = GridIndex(positions, cell)
         point = rng.random(2) * 50.0
-        assert set(index.query_radius(point, radius)) == brute_force(
+        assert set(query(index, point, radius)) == brute_force(
             positions, point, radius
         )
 
@@ -64,7 +71,7 @@ class TestConstruction:
 
     def test_empty(self):
         index = GridIndex(np.empty((0, 2)), 1.0)
-        assert index.query_radius((0.0, 0.0), 10.0) == []
+        assert query(index, (0.0, 0.0), 10.0) == []
 
 
 class TestNeighborLists:
@@ -86,7 +93,7 @@ class TestNeighborLists:
     def test_query_radius_excluding(self):
         positions = np.array([[0.0, 0.0], [0.5, 0.0]])
         index = GridIndex(positions, 1.0)
-        assert index.query_radius_excluding((0.0, 0.0), 1.0, 0) == [1]
+        assert query(index, (0.0, 0.0), 1.0, exclude=0) == [1]
 
 
 class TestCrossNeighborLists:
