@@ -406,7 +406,7 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
     print(f"schema:  {stats['schema']}")
     if stats["schema"] == "trace/v2":
         print(f"trace:   {stats['trace_id']}")
-        print(f"spans:   {stats['spans']} ({stats['dropped']} dropped)")
+        print(f"spans:   {stats['spans']}")
         names = stats["names"]
         if names:
             width = max(len(name) for name in names)
@@ -424,7 +424,7 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
                 f"{entry['total_ms']:.3f} ms"
             )
         return 0
-    print(f"events:  {stats['events']} ({stats['dropped']} dropped)")
+    print(f"events:  {stats['events']}")
     print(f"slots:   {stats['first_slot']} .. {stats['last_slot']}")
     print(f"nodes:   {stats['nodes']}")
     for kind, count in stats["kinds"].items():

@@ -44,7 +44,25 @@ class ActivityModel(Protocol):
         """Boolean activity vector for the next slot given the current one."""
 
 
-class BernoulliActivity:
+class _BatchedActivity:
+    """A stationary-``p_t`` process whose slots advance in batches from
+    pre-drawn uniforms (``next_states_batch``), one slot being a batch of
+    one."""
+
+    _p_t: float
+
+    @property
+    def stationary_probability(self) -> float:
+        return self._p_t
+
+    def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(count) < self._p_t
+
+    def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.next_states_batch(states, rng.random((1, states.shape[0])))[0]
+
+
+class BernoulliActivity(_BatchedActivity):
     """i.i.d. Bernoulli(p_t) activity per PU per slot — the paper's model.
 
     >>> model = BernoulliActivity(0.3)
@@ -56,16 +74,6 @@ class BernoulliActivity:
         if not 0.0 <= p_t <= 1.0:
             raise ConfigurationError(f"p_t must be in [0, 1], got {p_t}")
         self._p_t = float(p_t)
-
-    @property
-    def stationary_probability(self) -> float:
-        return self._p_t
-
-    def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(count) < self._p_t
-
-    def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.next_states_batch(states, rng.random((1, states.shape[0])))[0]
 
     def next_states_batch(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Vectorized multi-slot advancement from pre-drawn uniforms.
@@ -82,7 +90,7 @@ class BernoulliActivity:
         return f"BernoulliActivity(p_t={self._p_t})"
 
 
-class MarkovActivity:
+class MarkovActivity(_BatchedActivity):
     """Two-state Markov (Gilbert) activity with bursty on/off periods.
 
     Parameters
@@ -115,16 +123,6 @@ class MarkovActivity:
                 f"probability {turn_on:.3f} > 1; increase burstiness"
             )
         self._turn_on = turn_on
-
-    @property
-    def stationary_probability(self) -> float:
-        return self._p_t
-
-    def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(count) < self._p_t
-
-    def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.next_states_batch(states, rng.random((1, states.shape[0])))[0]
 
     def next_states_batch(self, states: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Multi-slot advancement from pre-drawn uniforms (chain semantics).

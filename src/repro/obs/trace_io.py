@@ -11,7 +11,7 @@ Line shapes::
     {"schema": "trace/v1", "streamed": true}
     {"kind": "tx_start", "node": 3, "packet_id": 1, "peer": 0, "slot": 0, "t": 0.41}
     ...
-    {"dropped": 0, "events": 124, "footer": true, "schema": "trace/v1"}
+    {"events": 124, "footer": true, "schema": "trace/v1"}
 
 Event fields with ``None`` values are omitted from the line; ``t`` is
 ``time_in_slot``.  :func:`load_trace` reads a file back into a
@@ -131,7 +131,7 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
     """Streaming single-pass summary of a trace file (no event objects built).
 
     Handles both schemas: a ``trace/v1`` event file yields schema,
-    event/drop counts, the slot span, per-kind counts, and the number of
+    event count, the slot span, per-kind counts, and the number of
     distinct nodes touched; a merged ``trace/v2`` span file is
     delegated to :func:`repro.obs.tracing.span_stats` — per-span-name
     p50/p95/p99 duration summaries plus, with ``top > 0``, the ``top``
@@ -143,7 +143,6 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
     header = next(records)
     if header.get("schema") == "trace/v2":
         summary = span_stats(iter_spans(path, header, records), top=top)
-        summary["dropped"] = int(header.get("dropped", 0) or 0)
         summary["trace_id"] = header.get("trace_id")
         return summary
     _check_header(path, header)
@@ -168,7 +167,6 @@ def trace_stats(path: Union[str, Path], top: int = 0) -> Dict:
     return {
         "schema": TRACE_SCHEMA,
         "events": events,
-        "dropped": int(header.get("dropped", 0) or 0),
         "first_slot": first_slot,
         "last_slot": last_slot,
         "kinds": {kind: kinds[kind] for kind in sorted(kinds)},
@@ -224,7 +222,6 @@ class NdjsonTraceWriter:
             "schema": TRACE_SCHEMA,
             "footer": True,
             "events": self.events_written,
-            "dropped": 0,
         }
         try:
             self._handle.write(json.dumps(footer, sort_keys=True) + "\n")

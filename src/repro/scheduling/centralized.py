@@ -33,6 +33,7 @@ from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
 from repro.sim.packet import Packet
 from repro.sim.results import PacketRecord, SimulationResult
+from repro.spectrum.blocking import GeometricBlocking
 from repro.spectrum.sensing import CarrierSenseMap, sensing_at_pcr
 
 __all__ = ["CentralizedScheduler", "run_centralized_collection"]
@@ -82,17 +83,13 @@ class CentralizedScheduler:
         self.sense_map = sense_map
         self.slot_duration_ms = float(slot_duration_ms)
         self.max_slots = int(max_slots)
-        # reprolint: disable=RNG010 -- Deliberate: the centralized-scheduler oracle must see the exact PU activity realization the engine simulates (paired comparison, docs/DESIGN.md); the mirrored stream name is the mechanism.
-        self._pu_rng = streams.stream("pu-activity")
+        # The engine's geometric spectrum process on the same streams:
+        # the oracle sees the exact PU activity realization the engine
+        # simulates (paired comparison, docs/DESIGN.md).
+        self._spectrum = GeometricBlocking(topology, sense_map, streams)
 
         num_nodes = topology.secondary.num_nodes
         self._queues: List[Deque[Packet]] = [deque() for _ in range(num_nodes)]
-        self._pu_busy: List[int] = [0] * num_nodes
-        self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
-        self._pu_incidence = sense_map.pu_incidence()
-        # float32 so the per-slot product runs in BLAS; the counts (at
-        # most the PU count, < 2**24) stay exact.
-        self._pu_incidence32 = self._pu_incidence.astype(np.float32)
         self._positions = topology.secondary.positions
         self._base = topology.secondary.base_station
         self._separation = sense_map.pu_protection_range
@@ -143,21 +140,12 @@ class CentralizedScheduler:
         if self._started:
             raise SimulationError("scheduler instances are single-use")
         self._started = True
-        activity = self.topology.primary.activity
-        self._pu_states = activity.initial_states(
-            self.topology.primary.num_pus, self._pu_rng
-        )
-
         while self._result.delivered < self._result.num_packets:
             if self._slot >= self.max_slots:
                 self._result.completed = False
                 self._result.slots_simulated = self._slot
                 return self._result
-            if self._slot > 0:
-                self._pu_states = activity.next_states(
-                    self._pu_states, self._pu_rng
-                )
-            self._recompute_pu_busy()
+            self._spectrum.advance(initial=not self._slot)
             self._schedule_slot()
             self._slot += 1
 
@@ -165,23 +153,19 @@ class CentralizedScheduler:
         self._result.slots_simulated = self._slot
         return self._result
 
-    def _recompute_pu_busy(self) -> None:
-        if self.topology.primary.num_pus == 0:
-            return
-        counts = self._pu_incidence32 @ self._pu_states.astype(np.float32)
-        self._pu_busy = counts.astype(self._pu_incidence.dtype).tolist()
-
     def _ready_transmitters(self) -> List[int]:
         """Backlogged, PU-free nodes this slot, in scheduling priority.
 
         Longer queues first (drain hotspots), then smaller tree depth
         (favor progress near the base station), then node id.
         """
-        ready = [
+        backlogged = [
             node
             for node, queue in enumerate(self._queues)
-            if queue and node != self._base and self._pu_busy[node] == 0
+            if queue and node != self._base
         ]
+        busy = self._spectrum.sense(np.array(backlogged, dtype=np.int64), None)
+        ready = [node for node, blocked in zip(backlogged, busy.tolist()) if not blocked]
         ready.sort(
             key=lambda node: (
                 -len(self._queues[node]),

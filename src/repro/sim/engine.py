@@ -6,20 +6,19 @@ Per-slot procedure
    queued data is lost, the policy repairs its routing structure), and
    future arrivals whose birth slot is due join their source queues
    (continuous-collection workloads).
-1. **PU activity.**  Every PU redraws its slotted activity (Bernoulli or
-   Markov).  Active PUs block every secondary node within the PU protection
-   range (the PCR) — the regulatory constraint both ADDC and baselines obey.
+1. **PU activity.**  The run's spectrum process advances one slot
+   (:mod:`repro.spectrum.blocking`, one object per blocking model).  Under
+   geometric blocking every PU redraws its slotted activity (Bernoulli or
+   Markov) and blocks every secondary node within the PU protection range
+   (the PCR) — the regulatory constraint both ADDC and baselines obey.
    Under the mean field each node is instead blocked i.i.d. with
    probability ``1 - p_o``, one row of draws per slot.
 2. **Contention.**  Only the *eligible* nodes sense: backlogged, past any
-   collision hold-off, and not mid-transmission.  Their busy states, and
-   no other node's, are computed: under geometric blocking their rows of
-   the PU-incidence product (active PUs heard), under the mean field their
-   entries of the slot's blocking row (the energy detector's and the
-   multi-channel counts are full-width products, read at the eligible
-   nodes).  Every eligible SU that senses its
-   protection range PU-free is *ready*; the rest count as frozen by PU
-   activity.  A ready SU's would-be expiry time inside the slot is
+   collision hold-off, and not mid-transmission.  The spectrum process
+   says which of them sense busy; no other node's state is computed.
+   Sensing faults pin a node's outcome on top.  Every eligible SU that
+   senses its protection range PU-free is *ready*; the rest count as
+   frozen by PU activity.  A ready SU's would-be expiry time inside the slot is
    ``extra_wait + backoff`` (both below the contention window
    ``tau_c < tau``, so an unobstructed timer always fires within the slot).
    Ready SUs are processed in expiry order:
@@ -65,10 +64,11 @@ path at one place, behind a guard the core skips:
 * multi-slot packets: ``_handoff_check`` (the paper's spectrum handoff
   aborts a packet whose channel a PU reclaims mid-flight) and ``_on_air``
   (winners stay on the air, adjudicated at their final slot);
-* flat sensing errors: ``_sensed_busy``; energy detector: its branch of
-  ``_sense_ready``; multi-channel: ``_pick_channel`` at each backoff draw;
+* sensing errors and the energy detector: inside the spectrum process's
+  ``sense``; multi-channel: ``_pick_channel`` at each backoff draw;
 * PU-protection violations (only with missed detections, a detector or
-  stuck-idle faults): ``_blocked_on``; the slot hook: each slot's end.
+  stuck-idle faults): ``busy_channels`` at slot end; the slot hook: each
+  slot's end.
 
 A node leaves the active set only through ``_deactivate``, which closes
 its listening span.  See docs/MODEL.md for the full semantics.
@@ -87,23 +87,18 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.network.primary import BernoulliActivity, MarkovActivity
 from repro.network.topology import CrnTopology
-from repro.rng import RowStream, StreamFactory
+from repro.rng import StreamFactory
 from repro.sim.packet import Packet
 from repro.sim.policies import MacPolicy
 from repro.sim.results import FaultRecord, PacketRecord, SimulationResult
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
+from repro.spectrum.blocking import MIN_DISTANCE, blocking_model
 from repro.spectrum.sensing import CarrierSenseMap
 
 __all__ = ["SlottedEngine"]
 
-#: Distances below this are clamped when evaluating SIR.
-_MIN_DISTANCE = 1e-6
-_MIN_SQUARED_DISTANCE = _MIN_DISTANCE ** 2
-
-#: First fast-forward peek, in rows; it doubles up to the streams' cap.
-_FF_MIN_CHUNK = 16
+_MIN_SQUARED_DISTANCE = MIN_DISTANCE ** 2
 
 #: Collision recovery per the paper's footnote 2: after each failed
 #: transmission a node holds off for a uniformly random number of slots
@@ -129,35 +124,6 @@ _PHASE_SPANS = {
 }
 
 
-def _frozen_prefix(busy: np.ndarray) -> int:
-    """Leading rows of the 2-D bool ``busy`` that are all True.
-
-    Row ``t`` is slot ``t``'s sensing outcome for each waiter, so this is
-    the number of frozen slots before the first one in which any waiter
-    senses its spectrum free.  One flat ``argmin`` finds the first False
-    in row-major order, hence the first row holding one; if that entry is
-    True there is no False at all.  With no column every row is frozen.
-    """
-    count, width = busy.shape
-    if width == 0:
-        return count
-    first = int(busy.argmin())
-    return count if busy.flat[first] else first // width
-
-
-def _sensed_busy(
-    busy: np.ndarray, draws: np.ndarray, p_false_alarm: float, p_missed: float
-) -> np.ndarray:
-    """Imperfect sensing: what nodes sense given whether they are ``busy``.
-
-    A busy node senses busy unless its uniform draw falls below the
-    missed-detection probability; a free node senses busy when its draw
-    falls below the false-alarm probability.  The slot loop and the
-    fast-forward scan both apply this rule, so they agree draw for draw.
-    """
-    return np.where(busy, draws >= p_missed, draws < p_false_alarm)
-
-
 class SlottedEngine:
     """Simulates one data-collection run over a deployed CRN.
 
@@ -170,35 +136,20 @@ class SlottedEngine:
     policy:
         Forwarding + fairness behaviour (ADDC or a baseline).
     streams:
-        Stream factory; the engine consumes ``"pu-activity"``,
-        ``"pu-receivers"`` and ``"backoff"`` streams.
+        Stream factory; the engine consumes the ``"backoff"`` stream and
+        its spectrum process ``"pu-activity"`` and ``"sensing-errors"``.
     alpha:
         Path-loss exponent of the physical interference model.
     eta_s:
         Linear SIR decoding threshold of the secondary network.
-    blocking:
-        How PU activity blocks SUs.  ``"geometric"`` (default) uses the
-        exact deployed PU positions: an SU is blocked while any active PU
-        sits inside its protection range, so per-node opportunity rates are
-        heterogeneous (a node ringed by PUs waits far longer than Lemma 7's
-        average).  ``"homogeneous"`` is the mean-field model the paper's
-        analysis adopts ("Based on Lemma 7, we assume the waiting time for
-        an SU is tau/p_o"): every SU is blocked i.i.d. per slot with
-        probability ``1 - homogeneous_p_o``, and PU interference is folded
-        into the blocking (no positional PU interference terms).
-    homogeneous_p_o:
-        The per-slot opportunity probability for ``blocking="homogeneous"``
-        (Lemma 7's ``p_o``); required in that mode.
-    p_false_alarm / p_missed_detection:
-        Imperfect spectrum sensing (the concern of the paper's references
-        [3]-[5]).  Per node per slot: with probability ``p_false_alarm`` a
-        PU-free spectrum is sensed busy (a lost opportunity); with
-        probability ``p_missed_detection`` a PU-busy spectrum is sensed
-        free — the node may transmit *while a PU is active inside its
-        protection range*, which is counted in
-        ``SimulationResult.pu_violations`` and, under geometric blocking,
-        usually fails the SIR adjudication.  Defaults are perfect sensing,
-        the paper's assumption.
+    blocking / homogeneous_p_o / p_false_alarm / p_missed_detection / detector:
+        How PU activity blocks SUs and how SUs sense it: they choose the
+        run's spectrum process, :func:`repro.spectrum.blocking.blocking_model`
+        (``"geometric"``, the default, or Lemma 7's ``"homogeneous"`` mean
+        field with ``p_o = homogeneous_p_o``; perfect sensing by default,
+        the paper's assumption).  A node that senses a PU-busy spectrum
+        free transmits into an active PU inside its protection range,
+        counted in ``SimulationResult.pu_violations``.
     channel_plan:
         Optional :class:`~repro.network.channels.ChannelPlan` for
         multi-channel operation.  Each PU occupies its licensed channel;
@@ -227,15 +178,6 @@ class SlottedEngine:
         stays queued, and ``SimulationResult.handoffs`` counts the event.
         A completing transmission is SIR-adjudicated against the concurrent
         set of its final slot.
-    detector:
-        Optional :class:`~repro.spectrum.detection.EnergyDetector`.  When
-        given, sensing outcomes come from the energy-detection physics —
-        per-PU detection probabilities fall with distance, so missed
-        detections concentrate on protection-range-boundary PUs — instead
-        of the flat ``p_false_alarm`` / ``p_missed_detection`` knobs
-        (which are then ignored).  Geometric blocking only, and
-        single-channel only (per-channel detection would need one detector
-        decision per channel).
     slot_duration_ms:
         The paper's ``tau`` (1 ms in all simulations).
     contention_window_ms:
@@ -246,32 +188,14 @@ class SlottedEngine:
     trace:
         Optional :class:`~repro.sim.trace.TraceLog` to record events into.
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` of scripted adversity
-        (see :mod:`repro.faults`).  A ``crash`` event is an SU powering off
-        mid-run (Section I's churn, injected at runtime): its queued data
-        packets are lost (counted in ``packets_lost``), in-flight
-        transmissions abort, and the policy's ``on_node_departure(node)``
-        hook repairs the routing structure and reports any nodes the
-        departure *partitioned* — those retire (and lose their data) too.
-        The run completes when every data packet is delivered or lost.
-        A transient ``outage`` takes the node down without losing it: its
-        queue is kept (or dropped when the
-        event says so — dropped data counts as lost *and* orphaned), the
-        policy repairs the routing structure around it, nodes the repair
-        could not re-parent wait as *stranded* instead of retiring, and
-        arrivals for any down node are buffered (``arrivals_deferred``)
-        rather than lost.  From the scheduled recovery slot on, the engine
-        asks ``policy.on_node_rejoin(node)`` each slot until the node
-        re-attaches (e.g. via :func:`repro.graphs.repair.attach_node`);
-        the reattachment slot is recorded per fault in
-        ``SimulationResult.fault_records``.  Once no scheduled recovery is
-        left that could bring an attachment point back, nodes still
-        waiting retire like partitioned ones.  Sensing faults pin a node's
-        detector busy (never transmits) or idle (transmits into PU
-        activity); link-degradation events subtract ``extra_loss_db`` from
-        the received signal of one directed link in SIR adjudication; a
-        base-station blackout makes deliveries fail and retry
-        (``blackout_failures``).
+        Optional :class:`~repro.faults.FaultPlan` of scripted adversity;
+        :mod:`repro.faults.plan` defines each kind.  Departures go through
+        the policy's ``on_node_departure(node)`` (or ``on_node_outage``)
+        hook, which repairs the routing structure and reports nodes it
+        partitioned (they retire) or stranded (they wait); a recovering
+        node asks ``policy.on_node_rejoin(node)`` each slot until it
+        re-attaches, recorded in ``SimulationResult.fault_records``.  The
+        run completes when every data packet is delivered or lost.
     slot_hook:
         Optional callable invoked as ``slot_hook(engine)`` at the end of
         every simulated slot, with ``last_slot_su_links``,
@@ -322,74 +246,55 @@ class SlottedEngine:
             raise ConfigurationError(f"alpha must be > 2, got {alpha}")
         if eta_s <= 0:
             raise ConfigurationError(f"eta_s must be positive, got {eta_s}")
-        if blocking not in ("geometric", "homogeneous"):
+        if packet_slots < 1:
             raise ConfigurationError(
-                f"blocking must be 'geometric' or 'homogeneous', got {blocking!r}"
+                f"packet_slots must be >= 1, got {packet_slots}"
             )
-        if blocking == "homogeneous":
-            if homogeneous_p_o is None or not 0.0 < homogeneous_p_o <= 1.0:
-                raise ConfigurationError(
-                    "homogeneous blocking needs homogeneous_p_o in (0, 1], got "
-                    f"{homogeneous_p_o}"
-                )
+        _STRATEGIES = ("random-idle", "sticky", "least-blocked", "adaptive")
+        if channel_strategy not in _STRATEGIES:
+            raise ConfigurationError(
+                f"channel_strategy must be one of {_STRATEGIES}, got "
+                f"{channel_strategy!r}"
+            )
+        if (
+            channel_plan is not None
+            and channel_plan.num_pus != topology.primary.num_pus
+        ):
+            raise ConfigurationError(
+                f"channel plan covers {channel_plan.num_pus} PUs, topology "
+                f"has {topology.primary.num_pus}"
+            )
+        if fault_plan is None:
+            fault_plan = FaultPlan()
+        fault_plan.validate_for(
+            topology.secondary.su_ids(), topology.secondary.base_station
+        )
+        stuck_idle = any(event.kind == "stuck-idle" for event in fault_plan)
+        #: How PUs block SUs this run: the engine's one seam to it.
+        self.spectrum = blocking_model(
+            blocking,
+            topology,
+            sense_map,
+            streams,
+            homogeneous_p_o=homogeneous_p_o,
+            alpha=alpha,
+            p_false_alarm=p_false_alarm,
+            p_missed_detection=p_missed_detection,
+            channel_plan=channel_plan,
+            detector=detector,
+            stuck_idle=stuck_idle,
+        )
 
         self.topology = topology
         self.sense_map = sense_map
         self.policy = policy
         self.alpha = float(alpha)
         self.eta_s = float(eta_s)
-        self.blocking = blocking
-        self.homogeneous_p_o = (
-            float(homogeneous_p_o) if homogeneous_p_o is not None else None
-        )
-        if packet_slots < 1:
-            raise ConfigurationError(
-                f"packet_slots must be >= 1, got {packet_slots}"
-            )
         self.packet_slots = int(packet_slots)
-        for name, value in (
-            ("p_false_alarm", p_false_alarm),
-            ("p_missed_detection", p_missed_detection),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        self.p_false_alarm = float(p_false_alarm)
-        self.p_missed_detection = float(p_missed_detection)
-        self.detector = detector
-        self._imperfect_sensing = (
-            p_false_alarm > 0.0 or p_missed_detection > 0.0 or detector is not None
-        )
-        multichannel = channel_plan is not None and channel_plan.num_channels > 1
-        if detector is not None and multichannel:
-            raise ConfigurationError(
-                "energy detection currently supports the single-channel "
-                "model only"
-            )
-        self._sensing_rng = RowStream(
-            streams.stream("sensing-errors"), topology.secondary.num_nodes
-        )
-        if fault_plan is None:
-            fault_plan = FaultPlan()
-        fault_plan.validate_for(
-            topology.secondary.su_ids(), topology.secondary.base_station
-        )
         # Only a node that senses a PU-busy spectrum free can violate PU
         # protection: a missed detection (flat or the detector's) or a
         # detector stuck idle.  Without one the per-transmission check goes.
-        self._violations_possible = (
-            p_missed_detection > 0.0
-            or detector is not None
-            or any(event.kind == "stuck-idle" for event in fault_plan)
-        )
-        if blocking == "homogeneous" and self._violations_possible:
-            raise ConfigurationError(
-                "missed detections, energy detection and stuck-idle faults "
-                "need blocking='geometric': the mean-field model folds PU "
-                "interference into the blocking and has no PU positions, so "
-                "a node sensing a busy spectrum free there would transmit "
-                "consequence-free (false alarms and stuck-busy faults are "
-                "fine in either mode)"
-            )
+        self._violations_possible = self.spectrum.can_miss or stuck_idle
         # Onset events per slot; same-slot events apply in authoring order.
         self._fault_onsets = fault_plan.onsets_by_slot()
         #: Window-end events per slot (sensing / link / blackout faults).
@@ -418,8 +323,6 @@ class SlottedEngine:
         num_nodes = topology.secondary.num_nodes
         self._num_nodes = num_nodes
         self._positions = topology.secondary.positions
-        self._pu_positions = topology.primary.positions
-        self._pu_power = topology.primary.power
         self._su_power = topology.secondary.power
         self._base_station = topology.secondary.base_station
         self._queues: List[Deque[Packet]] = [deque() for _ in range(num_nodes)]
@@ -455,117 +358,23 @@ class SlottedEngine:
         # they reach the top.
         self._eligible_mask = np.zeros(num_nodes, dtype=bool)
         self._holds: List[Tuple[int, int]] = []
-        # The slot's mean-field blocking row (single channel): bool, one
-        # entry per node.  Geometric blocking keeps no per-node row.
-        self._pu_busy = np.zeros(num_nodes, dtype=bool)
-        #: Whether that row is how PUs block (the Fig. 6 configuration):
-        #: tested first wherever the blocking state is drawn or read.
-        self._mean_field_row = blocking == "homogeneous" and not multichannel
-        self._pu_states = np.zeros(topology.primary.num_pus, dtype=bool)
-        self._pu_states32 = np.zeros(topology.primary.num_pus, dtype=np.float32)
-        # Indices of currently active PUs, refreshed on every state change
-        # (stays empty under homogeneous blocking, where _pu_states never
-        # toggles).  Cached so the per-slot paths never rescan the states.
-        self._active_pus = np.zeros(0, dtype=np.int64)
-        # Dense PU -> secondary-node hearing incidence.  A node's busy
-        # count is its row times the float32 PU states, taken only for the
-        # rows read: the nodes that sense this slot, or one transmitter.
-        # The products run in float32 (numpy sends float products to BLAS
-        # but loops over integer ones) and the counts, at most the PU
-        # count < 2**24, are exact in any summation order, so a product
-        # over some rows equals those rows of the full product; counts
-        # handed out are in the incidence's dtype, which never wraps.
-        # Single-channel mean-field runs never count PUs, so they keep no
-        # copy.
-        incidence = sense_map.pu_incidence()
-        self._count_dtype = incidence.dtype
-        self._pu_incidence32 = (
-            incidence.astype(np.float32)
-            if blocking == "geometric" or multichannel
-            else None
-        )
         # Who hears each SU's transmission, as sets for the per-slot
         # freeze test.
         self._hearers: List[FrozenSet[int]] = [
             frozenset(neighbors) for neighbors in sense_map.su_neighbors
         ]
-        if detector is not None:
-            # log(1 - P_d) per (node, in-range PU): one matvec per slot
-            # yields each node's probability of missing every active PU.
-            self._miss_log = detector.miss_log_matrix(
-                topology.secondary.positions,
-                topology.primary.positions,
-                sense_map.pu_hearers,
-                topology.primary.power,
-                self.alpha,
-            )
-
-        # Multi-channel structures (empty in the single-channel model).
-        _STRATEGIES = ("random-idle", "sticky", "least-blocked", "adaptive")
-        if channel_strategy not in _STRATEGIES:
-            raise ConfigurationError(
-                f"channel_strategy must be one of {_STRATEGIES}, got "
-                f"{channel_strategy!r}"
-            )
-        self.channel_plan = channel_plan
+        # Multi-channel SU state: each node's channel, and the adaptive
+        # strategy's per-node, per-channel statistics.
         self.channel_strategy = channel_strategy
         self._num_channels = 1 if channel_plan is None else channel_plan.num_channels
         self._node_channel: List[int] = [0] * num_nodes
-        if (
-            channel_plan is not None
-            and channel_plan.num_pus != topology.primary.num_pus
-        ):
-            raise ConfigurationError(
-                f"channel plan covers {channel_plan.num_pus} PUs, topology "
-                f"has {topology.primary.num_pus}"
-            )
-        if multichannel:
-            # PU -> licensed channel one-hot: the incidence times it,
-            # with each row scaled by the PU's state, counts every node's
-            # active in-range PUs per channel in one product.
-            num_pus = topology.primary.num_pus
-            self._pu_channel_onehot = np.zeros(
-                (num_pus, self._num_channels), dtype=np.float32
-            )
-            self._pu_channel_onehot[np.arange(num_pus), channel_plan.pu_channels] = 1
-            # Static local channel loads: PUs of channel c inside each
-            # node's protection range (the "least-blocked" knowledge).
-            self._static_channel_load = (
-                (self._pu_incidence32 @ self._pu_channel_onehot)
-                .T.astype(np.int64)
-                .tolist()
-            )
-            # Adaptive statistics: per node, per channel.
+        if self._num_channels > 1:
             self._channel_attempts = [
                 [0] * self._num_channels for _ in range(num_nodes)
             ]
             self._channel_successes = [
                 [0] * self._num_channels for _ in range(num_nodes)
             ]
-        # Per-channel blocked counts: row c is the busy count of every
-        # node on channel c.  Single-channel mode leaves this array
-        # untouched.
-        self._busy_columns = np.zeros(
-            (self._num_channels, num_nodes), dtype=np.int64
-        )
-        # One row per slot: PU activity, or whether each node (on each
-        # channel) is blocked under the mean field, compared with p_o
-        # once per drawn block.
-        homogeneous = blocking == "homogeneous"
-        self._pu_rng = RowStream(
-            streams.stream("pu-activity"),
-            num_nodes * self._num_channels
-            if homogeneous
-            else topology.primary.num_pus,
-            threshold=self.homogeneous_p_o if homogeneous else None,
-        )
-        #: Rows the fast-forward scan peeks at most at once, over every
-        #: stream it reads.
-        self._ff_max_chunk = (
-            min(self._pu_rng.max_peek, self._sensing_rng.max_peek)
-            if self._imperfect_sensing
-            else self._pu_rng.max_peek
-        )
         # Policy hooks, looked up once.
         self._next_hop = policy.next_hop
         self._fairness_wait = bool(policy.fairness_wait)
@@ -577,17 +386,9 @@ class SlottedEngine:
         # Frozen-slot fast-forward: statically eligible scenarios only;
         # dynamic hazards (in-flight packets, fault windows, pinned
         # sensing) are re-checked per attempt in _try_fast_forward.
-        activity_supported = blocking == "homogeneous" or isinstance(
-            topology.primary.activity, (BernoulliActivity, MarkovActivity)
-        )
-        self._ff_enabled = (
-            slot_hook is None
-            and detector is None
-            and self._num_channels == 1
-            and activity_supported
-        )
+        self._ff_enabled = slot_hook is None and self.spectrum.fast_forwards
         #: Armed after any slot with nothing on the air; slot 0 always
-        #: runs the ordinary loop (its PU states come from run()).
+        #: runs the ordinary loop (it draws the initial PU states).
         self._ff_armed = False
         self._ff_slots = 0
         #: ``(total_s, count)`` per _PHASE_SPANS key, set by _run_loop.
@@ -942,7 +743,6 @@ class SlottedEngine:
         if self._started:
             raise SimulationError("engine instances are single-use")
         self._started = True
-        self._draw_pu_states(initial=True)
         with obs.span("engine.run"):
             result = self._run_loop()
         if obs.enabled():
@@ -982,9 +782,7 @@ class SlottedEngine:
             if self._pending_arrivals:
                 self._inject_arrivals()
             mark = clock()
-            if self._slot:
-                # Slot 0 uses the initial states drawn in run().
-                self._draw_pu_states()
+            self.spectrum.advance(initial=not self._slot)
             now = clock()
             pu_redraw_s += now - mark
             mark = now
@@ -1067,77 +865,19 @@ class SlottedEngine:
                 obs.span_add(_PHASE_SPANS[key], total_s, count)
 
     # ------------------------------------------------------------------ #
-    # PU activity                                                         #
-    # ------------------------------------------------------------------ #
-
-    def _draw_pu_states(self, initial: bool = False) -> None:
-        """Draw one slot's PU activity: the ``initial`` states, then each
-        later slot's transition from the last.
-
-        Under the Lemma 7 mean field every secondary node is instead
-        blocked i.i.d. per slot (and per channel) with probability
-        ``1 - p_o``; PU interference is folded into the blocking, so
-        ``_pu_states`` stays all-inactive.  The stream's rows are already
-        the bool ``draw >= p_o``.
-        """
-        if self._mean_field_row:
-            self._pu_busy = self._pu_rng.take_row()
-            return
-        if self.blocking == "homogeneous":
-            self._busy_columns = self._pu_rng.random(
-                (self._num_nodes, self._num_channels)
-            ).T
-            return
-        activity = self.topology.primary.activity
-        if initial:
-            self._pu_states = activity.initial_states(
-                self.topology.primary.num_pus, self._pu_rng
-            )
-        else:
-            self._pu_states = activity.next_states(self._pu_states, self._pu_rng)
-        self._recompute_pu_busy()
-
-    def _recompute_pu_busy(self) -> None:
-        """Refresh what the PU states feed: the active-PU list and, with
-        one channel, the float32 states each busy count multiplies."""
-        self._active_pus = self._pu_states.nonzero()[0]
-        if self._num_channels == 1:
-            self._pu_states32 = self._pu_states.astype(np.float32)
-            return
-        if self.topology.primary.num_pus == 0:
-            return
-        # Row c of the transpose: every node's active PUs on channel c.
-        self._busy_columns = (
-            self._pu_incidence32
-            @ (self._pu_channel_onehot * self._pu_states[:, None])
-        ).T
-
-    def _blocked_on(self, node: int, channel: int) -> bool:
-        """Whether PU activity blocks ``node`` on ``channel`` this slot."""
-        return bool(self.busy_counts([node]).flat[channel])
-
-    # ------------------------------------------------------------------ #
     # Frozen-slot fast-forward                                            #
     # ------------------------------------------------------------------ #
 
     def _try_fast_forward(self) -> None:
         """Advance over a maximal run of provably frozen slots in one step.
 
-        Called only when armed (the previous slot put nothing on the air)
-        and in statically eligible scenarios (``_ff_enabled``).  The
-        *horizon* is the first slot at which anything other than a frozen
-        wait could possibly happen: a hold-off window expires, a scheduled
-        arrival is born, or a fault event fires; the first hold-off
-        release is the top of the ``_holds`` heap once due and stale
-        entries are popped.  Inside the window the eligible-waiter set
-        (``_eligible_mask``) is constant, so a slot is frozen exactly when
-        every waiter senses busy — a pure function of that slot's
-        PU-activity and sensing-error draws, evaluated here in batches.
-
-        RNG contract: the PU-activity and sensing streams are
-        :class:`~repro.rng.RowStream` objects, one row per slot; the scan
-        peeks at rows and takes exactly the skipped slots' rows, so nothing
-        is rewound and post-run ``rng_positions()`` are bit-identical.
+        Called only when armed (the previous slot put nothing on the air).
+        The *horizon* is the first slot at which anything but a frozen wait
+        could happen: a hold-off ends (the top of ``_holds`` once due and
+        stale entries are popped), an arrival is born, or a fault fires.
+        Before it the waiters (``_eligible_mask``) are fixed, so a slot is
+        frozen exactly when each senses busy, which the spectrum process
+        scans for (``frozen_prefix``), taking exactly the skipped rows.
         """
         slot = self._slot
         if (
@@ -1166,7 +906,7 @@ class SlottedEngine:
         if horizon <= slot:
             return
         waiters = self._eligible_mask.nonzero()[0]
-        skipped = self._scan_frozen_prefix(waiters, horizon - slot)
+        skipped = self.spectrum.frozen_prefix(waiters, horizon - slot)
         if skipped == 0:
             return
         self._ff_slots += skipped
@@ -1176,55 +916,6 @@ class SlottedEngine:
         # There is no fairness carry-over to zero: arming needs a slot
         # with nothing on the air, and that slot end gave no wait.
         self._result.frozen_slot_count += skipped * waiters.size
-        if self.blocking != "homogeneous":
-            self._recompute_pu_busy()
-
-    def _scan_frozen_prefix(self, waiters: np.ndarray, window: int) -> int:
-        """Length of the frozen-slot run starting now, capped at ``window``.
-
-        Peeks at doubling chunks of rows and consumes exactly the frozen
-        prefix, leaving the PU state where the slot-by-slot loop would.
-        With no waiter every slot is frozen, so the whole window goes.
-        """
-        homogeneous = self.blocking == "homogeneous"
-        pu_rng = self._pu_rng
-        imperfect = self._imperfect_sensing
-        max_chunk = self._ff_max_chunk
-        if not homogeneous:
-            incidence = self._pu_incidence32[waiters].T
-        skipped = 0
-        chunk = _FF_MIN_CHUNK
-        while skipped < window:
-            count = min(chunk, max_chunk, window - skipped)
-            draws = pu_rng.peek(count)
-            if homogeneous:
-                # Bool rows: the blocking draws compared at refill.  The
-                # next executed slot takes its own row, so none is kept.
-                busy = draws.take(waiters, axis=1)
-            else:
-                states = self.topology.primary.activity.next_states_batch(
-                    self._pu_states, draws
-                )
-                busy = (states.astype(np.float32) @ incidence) > 0
-            if imperfect:
-                busy = _sensed_busy(
-                    busy,
-                    self._sensing_rng.peek(count).take(waiters, axis=1),
-                    self.p_false_alarm,
-                    self.p_missed_detection,
-                )
-            run = _frozen_prefix(busy)
-            if run:
-                pu_rng.skip(run)
-                if imperfect:
-                    self._sensing_rng.skip(run)
-                if not homogeneous:
-                    self._pu_states = states[run - 1]
-            skipped += run
-            if run < count:
-                break
-            chunk *= 2
-        return skipped
 
     # ------------------------------------------------------------------ #
     # SU contention                                                       #
@@ -1255,11 +946,8 @@ class SlottedEngine:
 
     def _pick_channel(self, node: int) -> int:
         """Retune ``node`` per the configured channel strategy."""
-        free = [
-            c
-            for c in range(self._num_channels)
-            if self._busy_columns[c][node] == 0
-        ]
+        busy = self.spectrum.busy_channels(node)
+        free = [c for c in range(self._num_channels) if not busy[c]]
         pool = free if free else list(range(self._num_channels))
         strategy = self.channel_strategy
         if strategy == "sticky":
@@ -1270,7 +958,8 @@ class SlottedEngine:
         if strategy != "random-idle":
             # Keep the best-scoring channels of the pool, ties randomly.
             if strategy == "least-blocked":
-                scores = {c: -self._static_channel_load[c][node] for c in pool}
+                loads = self.spectrum.channel_loads
+                scores = {c: -loads[c][node] for c in pool}
             else:  # adaptive: success per attempt, optimistic when untried
                 attempts = self._channel_attempts[node]
                 successes = self._channel_successes[node]
@@ -1288,12 +977,8 @@ class SlottedEngine:
         A node is ready when it is backlogged, past its hold-off, not
         mid-transmission, and senses its spectrum free.  Equal expiries
         keep ascending node order: the ``(expiry, node)`` key.  Only the
-        eligible nodes sense, so only their busy states are computed; the
-        slot's sensing-error row is drawn for every node, as the stream
-        hands out rows, and read at the eligible ones.
+        eligible nodes sense, so only their busy states are computed.
         """
-        if self._imperfect_sensing:
-            sensing_draws = self._sensing_rng.take_row()
         self._release_holds()
         if not self._active:
             return []
@@ -1310,33 +995,10 @@ class SlottedEngine:
         idx = eligible.nonzero()[0]
         if not idx.size:
             return []
-        if self._mean_field_row:
-            # The bool blocking draws, compared with p_o at refill.
-            busy = self._pu_busy[idx]
-        elif self._num_channels > 1:
+        channels = None
+        if self._num_channels > 1:
             channels = [self._node_channel[node] for node in idx.tolist()]
-            busy = self._busy_columns[channels, idx] > 0
-        elif self.detector is None:
-            # The eligible rows of the busy-count product.
-            busy = (self._pu_incidence32[idx] @ self._pu_states32) > 0
-        if self.detector is not None:
-            # Energy detection (one channel, geometric blocking): P(sensed
-            # busy) = 1 - P(miss every active in-range PU) * P(no false
-            # alarm), vectorized per slot.
-            miss_all = np.exp(self._miss_log @ self._pu_states.astype(float))
-            p_sensed_busy = 1.0 - miss_all * (
-                1.0 - self.detector.false_alarm_probability
-            )
-            sensed = sensing_draws[idx] < p_sensed_busy[idx]
-        elif self._imperfect_sensing:
-            sensed = _sensed_busy(
-                busy,
-                sensing_draws[idx],
-                self.p_false_alarm,
-                self.p_missed_detection,
-            )
-        else:
-            sensed = busy
+        sensed = self.spectrum.sense(idx, channels)
         # Sensing faults pin the detector output, consuming no draws; a
         # node under both faults senses busy (stuck-busy wins).
         if self._stuck_idle:
@@ -1436,7 +1098,7 @@ class SlottedEngine:
         if not completing:
             return []
         count = len(concurrent)
-        if count == 1 and self._active_pus.size == 0:
+        if count == 1 and not self.spectrum.active_pus.size:
             # A lone transmitter with no active PU: the capture rule
             # holds trivially and the interference sum is exactly
             # zero, so the SIR is +inf regardless of signal strength —
@@ -1481,8 +1143,8 @@ class SlottedEngine:
         ``_MIN_DISTANCE ** 2``, in plain-Python float arithmetic, which
         IEEE 754 and libm fix whatever SIMD level numpy dispatches to.
         Each receiver sums its same-channel SU interference one term at a
-        time in index order.  The active-PU block stays numpy
-        (``sum(axis=1)`` over a C-contiguous row) and is added last.
+        time in index order.  The spectrum process's PU interference
+        (numpy, ``sum(axis=1)`` over a C-contiguous row) is added last.
         """
         count = len(tx_nodes)
         points = self._positions.take(rx_nodes + tx_nodes, axis=0)
@@ -1529,23 +1191,9 @@ class SlottedEngine:
                     signal[index] *= factor
 
         # Every active *same-channel* PU adds to the interference last.
-        active = self._active_pus
-        if active.size:
-            pu_deltas = points[:count, None] - self._pu_positions[active]
-            pu_dist = np.maximum(
-                np.hypot(pu_deltas[..., 0], pu_deltas[..., 1]), _MIN_DISTANCE
-            )
-            pu_terms = self._pu_power * pu_dist ** (-self.alpha)
-            if self._num_channels > 1:
-                pu_channels = self.channel_plan.pu_channels[active]
-                same_channel_pu = (
-                    np.asarray(channels)[:, None] == pu_channels[None, :]
-                )
-                pu_terms = pu_terms * same_channel_pu
-            interference = [
-                su + pu
-                for su, pu in zip(interference, pu_terms.sum(axis=1).tolist())
-            ]
+        if self.spectrum.active_pus.size:
+            pu_terms = self.spectrum.pu_interference(points[:count], channels)
+            interference = [su + pu for su, pu in zip(interference, pu_terms)]
         return signal, interference
 
     def _handoff_check(self) -> None:
@@ -1558,7 +1206,7 @@ class SlottedEngine:
         aborted = [
             node
             for node, (_, channel, _, _) in self._ongoing.items()
-            if self._blocked_on(node, channel)
+            if self.spectrum.busy_channels(node)[channel]
         ]
         for node in aborted:
             del self._ongoing[node]
@@ -1602,7 +1250,7 @@ class SlottedEngine:
             self.last_slot_su_channels = [
                 channel for _, _, _, channel in concurrent
             ]
-            self.last_slot_active_pus = self._active_pus.tolist()
+            self.last_slot_active_pus = self.spectrum.active_pus.tolist()
         if concurrent:
             count = len(concurrent)
             histogram = self._result.concurrent_tx_histogram
@@ -1629,7 +1277,7 @@ class SlottedEngine:
                 self._channel_attempts[node][channel] += 1
                 if success:
                     self._channel_successes[node][channel] += 1
-            if self._violations_possible and self._blocked_on(node, channel):
+            if self._violations_possible and self.spectrum.busy_channels(node)[channel]:
                 # A missed detection or a stuck-idle detector let this node
                 # transmit into an active PU inside its protection range.
                 result.pu_violations += 1
@@ -1837,32 +1485,17 @@ class SlottedEngine:
         import json
 
         fingerprints: Dict[str, str] = {}
+        states = self.spectrum.stream_states()
         for name, state in (
-            ("pu-activity", self._pu_rng.state()),
+            ("pu-activity", states["pu-activity"]),
             ("backoff", self._backoff_rng.bit_generator.state),
-            ("sensing-errors", self._sensing_rng.state()),
+            ("sensing-errors", states["sensing-errors"]),
         ):
             state = json.dumps(state, sort_keys=True, default=int)
             fingerprints[name] = hashlib.blake2b(
                 state.encode("utf-8"), digest_size=8
             ).hexdigest()
         return fingerprints
-
-    def busy_counts(self, nodes) -> np.ndarray:
-        """Active PUs each of ``nodes`` hears this slot, in the dtype of
-        the sensing map's PU incidence.
-
-        Shape ``(len(nodes),)`` with one channel and ``(len(nodes), C)``,
-        one count per channel, with a channel plan.  Under the mean field
-        a count is the slot's blocking draw: 1 when blocked, else 0.
-        """
-        if self._num_channels > 1:
-            counts = self._busy_columns[:, nodes].T
-        elif self.blocking == "homogeneous":
-            counts = self._pu_busy[nodes]
-        else:
-            counts = self._pu_incidence32[nodes] @ self._pu_states32
-        return counts.astype(self._count_dtype)
 
     def fairness_waits(self) -> np.ndarray:
         """Each node's fairness wait (ms) into the next slot, as a copy."""

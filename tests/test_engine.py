@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.sim.engine as engine_module
+import repro.spectrum.blocking as blocking_module
 from repro.core.addc import AddcPolicy
 from repro.core.collector import run_addc_collection
 from repro.core.pcr import PcrParameters, compute_pcr, db_to_linear
@@ -389,10 +389,9 @@ class TestPuBusyCounts:
         topology, factory = crowded
         engine, sense_map, _ = make_engine(topology, factory.spawn("engine"))
         node = self.hearing_all(topology, sense_map)
-        engine._pu_states = np.ones(256, dtype=bool)
-        engine._recompute_pu_busy()
-        assert engine.busy_counts([node]).tolist() == [256]
-        assert engine._blocked_on(node, 0)
+        engine.spectrum._set_states(np.ones(256, dtype=bool))
+        assert engine.spectrum.busy_counts([node]).tolist() == [256]
+        assert engine.spectrum.busy_channels(node)[0]
 
     def test_the_centralized_scheduler_counts_them_too(self, crowded):
         topology, factory = crowded
@@ -404,9 +403,8 @@ class TestPuBusyCounts:
             topology, tree, sense_map, factory.spawn("central")
         )
         node = self.hearing_all(topology, sense_map)
-        scheduler._pu_states = np.ones(256, dtype=bool)
-        scheduler._recompute_pu_busy()
-        assert scheduler._pu_busy[node] == 256
+        scheduler._spectrum._set_states(np.ones(256, dtype=bool))
+        assert scheduler._spectrum.busy_counts([node]).tolist() == [256]
 
     def test_float32_products_equal_the_integer_product(self, crowded):
         """Both per-slot products run in float32 (BLAS); on random PU
@@ -425,22 +423,24 @@ class TestPuBusyCounts:
             np.ones(256, dtype=bool)
         ]:
             expected = incidence @ states.astype(incidence.dtype)
-            engine._pu_states = states
-            engine._recompute_pu_busy()
-            counts = engine.busy_counts(np.arange(len(expected)))
+            engine.spectrum._set_states(states)
+            counts = engine.spectrum.busy_counts(np.arange(len(expected)))
             assert counts.dtype == incidence.dtype
             np.testing.assert_array_equal(counts, expected)
-            scheduler._pu_states = states
-            scheduler._recompute_pu_busy()
-            assert scheduler._pu_busy == expected.tolist()
+            scheduler._spectrum._set_states(states)
+            assert (
+                scheduler._spectrum.busy_counts(np.arange(len(expected))).tolist()
+                == expected.tolist()
+            )
 
     @pytest.mark.parametrize("blocking", ["geometric", "homogeneous"])
     def test_multichannel_counts_equal_the_per_channel_integer_products(
         self, crowded, blocking
     ):
-        """One float32 product over the PU -> channel one-hot gives each
-        channel's integer count (a product over that channel's PUs only),
-        and the static channel loads are those counts with every PU on."""
+        """The static channel loads are each channel's integer count with
+        every PU on, under either blocking model; under geometric blocking
+        one float32 product over the PU -> channel one-hot gives each
+        channel's integer count (a product over that channel's PUs only)."""
         topology, factory = crowded
         _, sense_map, _ = make_engine(topology, factory.spawn("engine"))
         plan = ChannelPlan.uniform(256, 3, np.random.default_rng(3))
@@ -459,19 +459,21 @@ class TestPuBusyCounts:
         )
         incidence = sense_map.pu_incidence()
         by_channel = [incidence[:, plan.pus_on_channel(c)] for c in range(3)]
-        assert engine._static_channel_load == [
+        assert engine.spectrum.channel_loads == [
             columns.sum(axis=1).tolist() for columns in by_channel
         ]
+        if blocking == "homogeneous":
+            return  # the mean field counts no PU states
         rng = np.random.default_rng(12)
         for states in [rng.random(256) < p for p in (0.05, 0.5, 0.95)] + [
             np.ones(256, dtype=bool)
         ]:
-            engine._pu_states = states
-            engine._recompute_pu_busy()
+            engine.spectrum._set_states(states)
+            counts = engine.spectrum.busy_counts(np.arange(incidence.shape[0]))
             for channel, columns in enumerate(by_channel):
                 ids = plan.pus_on_channel(channel)
                 np.testing.assert_array_equal(
-                    engine._busy_columns[channel],
+                    counts[:, channel],
                     columns @ states[ids].astype(incidence.dtype),
                 )
 
@@ -546,9 +548,9 @@ class TestPaperCorePath:
         "_inject_arrivals",
         "_handoff_check",
         "_pick_channel",
-        "_blocked_on",
-        "busy_counts",
     )
+    #: Spectrum-process methods it must never call either.
+    SPECTRUM_EXTENSION_ONLY = ("busy_channels", "busy_counts")
 
     @pytest.fixture(scope="class")
     def golden_topology(self):
@@ -577,10 +579,12 @@ class TestPaperCorePath:
         def stubbed_run(engine):
             for name in self.EXTENSION_ONLY:
                 setattr(engine, name, stub(name))
+            for name in self.SPECTRUM_EXTENSION_ONLY:
+                setattr(engine.spectrum, name, stub(name))
             return original_run(engine)
 
         monkeypatch.setattr(SlottedEngine, "run", stubbed_run)
-        monkeypatch.setattr(engine_module, "_sensed_busy", stub("_sensed_busy"))
+        monkeypatch.setattr(blocking_module, "_sensed_busy", stub("_sensed_busy"))
         return fired
 
     @pytest.mark.parametrize(

@@ -38,7 +38,8 @@ from repro.network.deployment import deploy_crn
 from repro.network.primary import MarkovActivity
 from repro.routing.coolest import run_coolest_collection
 from repro.rng import StreamFactory
-from repro.sim.engine import SlottedEngine, _frozen_prefix
+from repro.sim.engine import SlottedEngine
+from repro.spectrum.blocking import _frozen_prefix
 from repro.sim.packet import DATA
 from repro.spectrum.sensing import CarrierSenseMap
 from repro.spectrum.sir import SirValidator
@@ -467,7 +468,7 @@ def reference_outcomes(engine, links, channels, active_pus, pu_channels, sir_che
             for j, (sender, _) in enumerate(links)
             if j != index and channels[j] == channel
         ) + sum(
-            power_at(engine._pu_positions[pu], engine._pu_power, receiver)
+            power_at(engine.spectrum._pu_positions[pu], engine.spectrum._pu_power, receiver)
             for pu in active_pus
             if pu_channels[pu] == channel
         )
@@ -500,7 +501,7 @@ def concurrent_set(draw):
         for node in [0, 1, 2, *senders]
     }
     completing = [draw(st.booleans()) for _ in senders]
-    num_pus = engine._pu_positions.shape[0]
+    num_pus = engine.spectrum._pu_positions.shape[0]
     active_pus = draw(st.lists(st.integers(0, num_pus - 1), max_size=3, unique=True))
     num_channels = draw(st.integers(1, 3))
     channel = st.integers(0, num_channels - 1)
@@ -528,15 +529,18 @@ def test_capture_rule_matches_the_scalar_reference(drawn, sir_check):
     positions = np.zeros((CAPTURE_NODES, 2))
     for node, point in points.items():
         positions[node] = point
-    plan = mock.Mock(pu_channels=np.array(pu_channels, dtype=np.int64))
     # Every SIR clears an eta_s of 0, which leaves the capture rule alone.
     with mock.patch.multiple(
         engine,
         _positions=positions,
-        _active_pus=np.array(active_pus, dtype=np.int64),
         _num_channels=num_channels,
-        channel_plan=plan,
         eta_s=engine.eta_s if sir_check else 0.0,
+    ), mock.patch.multiple(
+        engine.spectrum,
+        active_pus=np.array(active_pus, dtype=np.int64),
+        _pu_channels=(
+            np.array(pu_channels, dtype=np.int64) if num_channels > 1 else None
+        ),
     ):
         concurrent = [
             (0.1, sender, receiver, channel)
@@ -602,15 +606,16 @@ def matrix_adjudication(engine, concurrent):
         sums.append(total)
     interference = np.array(sums)
 
-    active = engine._active_pus
+    spectrum = engine.spectrum
+    active = spectrum.active_pus
     if active.size:
         rx_pos = engine._positions[rx_nodes]
-        pu_pos = engine._pu_positions[active]
+        pu_pos = spectrum._pu_positions[active]
         pu_deltas = rx_pos[:, None, :] - pu_pos[None, :, :]
         pu_dist = np.maximum(np.hypot(pu_deltas[..., 0], pu_deltas[..., 1]), 1e-6)
-        pu_terms = engine._pu_power * pu_dist ** (-engine.alpha)
+        pu_terms = spectrum._pu_power * pu_dist ** (-engine.alpha)
         if engine._num_channels > 1:
-            pu_channels = engine.channel_plan.pu_channels[active]
+            pu_channels = spectrum._pu_channels[active]
             same_channel_pu = np.asarray(channels)[:, None] == pu_channels[None, :]
             pu_terms = pu_terms * same_channel_pu
         interference = interference + pu_terms.sum(axis=1)
@@ -667,17 +672,17 @@ def test_link_budget_matches_the_matrix_formula_bit_for_bit(count):
                     for sender, receiver in enumerate(rx_nodes)
                     if with_loss and rng.random() < 0.5
                 }
-                plan = mock.Mock(
-                    pu_channels=rng.integers(0, num_channels, num_pus)
-                )
+                pu_channels = rng.integers(0, num_channels, num_pus)
                 with mock.patch.multiple(
                     engine,
                     _positions=positions,
-                    _pu_positions=rng.uniform(0.0, 35.0, (num_pus, 2)),
-                    _active_pus=active,
                     _num_channels=num_channels,
                     _link_loss=link_loss,
-                    channel_plan=plan,
+                ), mock.patch.multiple(
+                    engine.spectrum,
+                    _pu_positions=rng.uniform(0.0, 35.0, (num_pus, 2)),
+                    active_pus=active,
+                    _pu_channels=pu_channels if num_channels > 1 else None,
                 ):
                     signal, interference, sir, captured = matrix_adjudication(
                         engine, concurrent
@@ -840,7 +845,7 @@ def test_adjudication_agrees_with_the_sir_validator():
         engine.alpha,
         eta_p=1.0,
         eta_s=engine.eta_s,
-        pu_power=engine._pu_power,
+        pu_power=engine.spectrum._pu_power,
         su_power=engine._su_power,
     )
     rng = np.random.default_rng(36)
@@ -859,11 +864,8 @@ def test_adjudication_agrees_with_the_sir_validator():
         )
         pu_links = [(pu_positions[pu], pu_positions[pu] + 1.0) for pu in active]
         su_links = [(positions[sender], positions[count + sender]) for sender in range(count)]
-        with mock.patch.multiple(
-            engine,
-            _positions=positions,
-            _pu_positions=pu_positions,
-            _active_pus=active,
+        with mock.patch.object(engine, "_positions", positions), mock.patch.multiple(
+            engine.spectrum, _pu_positions=pu_positions, active_pus=active
         ):
             outcomes = engine._adjudicate(concurrent, concurrent)
         report = validator.validate(pu_links, su_links)

@@ -573,7 +573,7 @@ class TestCli:
         assert "trace/v1" in text and "backoff_draw" in text
         assert cli_main(["trace", "stats", str(out), "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["events"] > 0 and stats["dropped"] == 0
+        assert stats["events"] > 0 and "dropped" not in stats
         # The exported stream round-trips through the loader.
         assert len(obs.load_trace(out)) == stats["events"]
 

@@ -323,8 +323,7 @@ class TestBusyCountRows:
             data.draw(st.lists(st.integers(0, num_nodes - 1), unique=True)),
             dtype=np.int64,
         )
-        engine._pu_states = states
-        engine._recompute_pu_busy()
+        engine.spectrum._set_states(states)
         full = np.stack(
             [
                 incidence @ (states & (pu_channels == channel)).astype(incidence.dtype)
@@ -332,7 +331,7 @@ class TestBusyCountRows:
             ],
             axis=1,
         )
-        got = engine.busy_counts(rows)
+        got = engine.spectrum.busy_counts(rows)
         assert got.dtype == incidence.dtype
         np.testing.assert_array_equal(
             got, full[rows] if channels > 1 else full[rows, 0]

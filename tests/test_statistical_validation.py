@@ -40,7 +40,7 @@ def observe_blocking(topology, streams, blocking, p_o=None, slots=4000):
 
     def hook(engine):
         if engine.slot < slots:
-            history.append(engine.busy_counts(nodes))
+            history.append(engine.spectrum.busy_counts(nodes))
 
     engine = SlottedEngine(
         topology=topology,
