@@ -135,8 +135,6 @@ class Blocking:
 
     def _sensed(self, busy: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """The flat error rates applied to ``nodes``' true ``busy``."""
-        if not self._errors:
-            return busy
         return _sensed_busy(busy, self._draws[nodes], self._p_false_alarm, self._p_missed)
 
     def frozen_prefix(self, waiters: np.ndarray, window: int) -> int:
@@ -200,7 +198,7 @@ class MeanFieldBlocking(Blocking):
             busy = self._row[nodes]
         else:
             busy = self._row[nodes * self._num_channels + np.asarray(channels)]
-        return self._sensed(busy, nodes)
+        return self._sensed(busy, nodes) if self._errors else busy
 
     def _busy_ahead(self, waiters: np.ndarray):
         # The next executed slot takes its own row, so none is kept.
@@ -288,7 +286,7 @@ class GeometricBlocking(Blocking):
             busy = (self._incidence32[nodes] @ self._states32) > 0
         else:
             busy = self._columns[channels, nodes] > 0
-        return self._sensed(busy, nodes)
+        return self._sensed(busy, nodes) if self._errors else busy
 
     def _busy_ahead(self, waiters: np.ndarray):
         incidence = self._incidence32[waiters].T
