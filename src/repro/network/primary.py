@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "ActivityModel",
+    "BatchedActivity",
     "BernoulliActivity",
     "MarkovActivity",
     "ReplayActivity",
@@ -44,10 +45,10 @@ class ActivityModel(Protocol):
         """Boolean activity vector for the next slot given the current one."""
 
 
-class _BatchedActivity:
+class BatchedActivity:
     """A stationary-``p_t`` process whose slots advance in batches from
     pre-drawn uniforms (``next_states_batch``), one slot being a batch of
-    one."""
+    one.  The slot engine fast-forwards frozen slots only over these."""
 
     _p_t: float
 
@@ -62,7 +63,7 @@ class _BatchedActivity:
         return self.next_states_batch(states, rng.random((1, states.shape[0])))[0]
 
 
-class BernoulliActivity(_BatchedActivity):
+class BernoulliActivity(BatchedActivity):
     """i.i.d. Bernoulli(p_t) activity per PU per slot — the paper's model.
 
     >>> model = BernoulliActivity(0.3)
@@ -90,7 +91,7 @@ class BernoulliActivity(_BatchedActivity):
         return f"BernoulliActivity(p_t={self._p_t})"
 
 
-class MarkovActivity(_BatchedActivity):
+class MarkovActivity(BatchedActivity):
     """Two-state Markov (Gilbert) activity with bursty on/off periods.
 
     Parameters

@@ -188,14 +188,32 @@ class SlottedEngine:
     trace:
         Optional :class:`~repro.sim.trace.TraceLog` to record events into.
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` of scripted adversity;
-        :mod:`repro.faults.plan` defines each kind.  Departures go through
-        the policy's ``on_node_departure(node)`` (or ``on_node_outage``)
-        hook, which repairs the routing structure and reports nodes it
-        partitioned (they retire) or stranded (they wait); a recovering
-        node asks ``policy.on_node_rejoin(node)`` each slot until it
-        re-attaches, recorded in ``SimulationResult.fault_records``.  The
-        run completes when every data packet is delivered or lost.
+        Optional :class:`~repro.faults.FaultPlan` of scripted adversity
+        (see :mod:`repro.faults`).  A ``crash`` event is an SU powering off
+        mid-run (Section I's churn, injected at runtime): its queued data
+        packets are lost (counted in ``packets_lost``), in-flight
+        transmissions abort, and the policy's ``on_node_departure(node)``
+        hook repairs the routing structure and reports any nodes the
+        departure *partitioned* — those retire (and lose their data) too.
+        The run completes when every data packet is delivered or lost.
+        A transient ``outage`` takes the node down without losing it: its
+        queue is kept (or dropped when the
+        event says so — dropped data counts as lost *and* orphaned), the
+        policy repairs the routing structure around it, nodes the repair
+        could not re-parent wait as *stranded* instead of retiring, and
+        arrivals for any down node are buffered (``arrivals_deferred``)
+        rather than lost.  From the scheduled recovery slot on, the engine
+        asks ``policy.on_node_rejoin(node)`` each slot until the node
+        re-attaches (e.g. via :func:`repro.graphs.repair.attach_node`);
+        the reattachment slot is recorded per fault in
+        ``SimulationResult.fault_records``.  Once no scheduled recovery is
+        left that could bring an attachment point back, nodes still
+        waiting retire like partitioned ones.  Sensing faults pin a node's
+        detector busy (never transmits) or idle (transmits into PU
+        activity); link-degradation events subtract ``extra_loss_db`` from
+        the received signal of one directed link in SIR adjudication; a
+        base-station blackout makes deliveries fail and retry
+        (``blackout_failures``).
     slot_hook:
         Optional callable invoked as ``slot_hook(engine)`` at the end of
         every simulated slot, with ``last_slot_su_links``,

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.network.primary import BatchedActivity
 from repro.network.topology import CrnTopology
 from repro.rng import RowStream, StreamFactory
 from repro.spectrum.sensing import CarrierSenseMap
@@ -86,13 +87,20 @@ class Blocking:
     channel_loads: List[List[int]] = []
 
     def __init__(
-        self, topology: CrnTopology, streams: StreamFactory, channel_plan,
-        row_width: int, threshold: Optional[float], p_false_alarm: float,
-        p_missed_detection: float, detector: bool,
+        self,
+        topology: CrnTopology,
+        sense_map: CarrierSenseMap,
+        streams: StreamFactory,
+        channel_plan,
+        row_width: int,
+        threshold: Optional[float],
+        p_false_alarm: float,
+        p_missed_detection: float,
+        detector: bool,
     ) -> None:
         self._num_channels = 1 if channel_plan is None else channel_plan.num_channels
         #: Busy counts are handed out in the PU incidence's dtype.
-        self._count_dtype = np.min_scalar_type(topology.primary.num_pus)
+        self._count_dtype = sense_map.pu_count_dtype
         self._p_false_alarm = p_false_alarm
         self._p_missed = p_missed_detection
         #: Whether each slot draws a sensing-error row (flat errors or the
@@ -110,7 +118,9 @@ class Blocking:
         #: Whether ``frozen_prefix`` may be asked.
         self.fast_forwards = self._num_channels == 1
 
-    def _count_pus(self, topology: CrnTopology, sense_map: CarrierSenseMap, channel_plan) -> None:
+    def _count_pus(
+        self, topology: CrnTopology, sense_map: CarrierSenseMap, channel_plan
+    ) -> None:
         """Keep the PU -> node hearing incidence and, with C channels, the
         PU -> channel one-hot, whose product with the incidence counts each
         node's in-range PUs per channel.  Float32, so products run in BLAS
@@ -179,12 +189,27 @@ class MeanFieldBlocking(Blocking):
     slot when entry ``i * C + c`` of that slot's bool row is set."""
 
     def __init__(
-        self, topology: CrnTopology, sense_map: CarrierSenseMap, streams: StreamFactory,
-        p_o: float, channel_plan=None, p_false_alarm: float = 0.0,
+        self,
+        topology: CrnTopology,
+        sense_map: CarrierSenseMap,
+        streams: StreamFactory,
+        p_o: float,
+        channel_plan=None,
+        p_false_alarm: float = 0.0,
     ) -> None:
         channels = 1 if channel_plan is None else channel_plan.num_channels
         width = topology.secondary.num_nodes * channels
-        super().__init__(topology, streams, channel_plan, width, p_o, p_false_alarm, 0.0, False)
+        super().__init__(
+            topology,
+            sense_map,
+            streams,
+            channel_plan,
+            width,
+            p_o,
+            p_false_alarm,
+            0.0,
+            False,
+        )
         if channels > 1:
             self._count_pus(topology, sense_map, channel_plan)
         self._row = np.zeros(width, dtype=bool)
@@ -221,14 +246,27 @@ class GeometricBlocking(Blocking):
     of that channel sits inside its protection range."""
 
     def __init__(
-        self, topology: CrnTopology, sense_map: CarrierSenseMap, streams: StreamFactory,
-        alpha: float = 4.0, channel_plan=None,
-        p_false_alarm: float = 0.0, p_missed_detection: float = 0.0, detector=None,
+        self,
+        topology: CrnTopology,
+        sense_map: CarrierSenseMap,
+        streams: StreamFactory,
+        alpha: float = 4.0,
+        channel_plan=None,
+        p_false_alarm: float = 0.0,
+        p_missed_detection: float = 0.0,
+        detector=None,
     ) -> None:
         primary = topology.primary
         super().__init__(
-            topology, streams, channel_plan, primary.num_pus, None,
-            p_false_alarm, p_missed_detection, detector is not None,
+            topology,
+            sense_map,
+            streams,
+            channel_plan,
+            primary.num_pus,
+            None,
+            p_false_alarm,
+            p_missed_detection,
+            detector is not None,
         )
         self._count_pus(topology, sense_map, channel_plan)
         self._activity = primary.activity
@@ -251,8 +289,8 @@ class GeometricBlocking(Blocking):
         self._set_states(np.zeros(primary.num_pus, dtype=bool))
         # Batches of slots advance from peeked rows only with one channel,
         # no detector, and an activity that advances in batches.
-        self.fast_forwards &= detector is None and hasattr(
-            self._activity, "next_states_batch"
+        self.fast_forwards &= detector is None and isinstance(
+            self._activity, BatchedActivity
         )
 
     def _set_states(self, states: np.ndarray) -> None:
@@ -326,23 +364,57 @@ class GeometricBlocking(Blocking):
 
 
 def blocking_model(
-    blocking: str, topology: CrnTopology, sense_map: CarrierSenseMap, streams: StreamFactory,
-    *, homogeneous_p_o: Optional[float] = None, alpha: float = 4.0, channel_plan=None,
-    p_false_alarm: float = 0.0, p_missed_detection: float = 0.0, detector=None,
+    blocking: str,
+    topology: CrnTopology,
+    sense_map: CarrierSenseMap,
+    streams: StreamFactory,
+    *,
+    homogeneous_p_o: Optional[float] = None,
+    alpha: float = 4.0,
+    channel_plan=None,
+    p_false_alarm: float = 0.0,
+    p_missed_detection: float = 0.0,
+    detector=None,
     stuck_idle: bool = False,
 ) -> Blocking:
     """The spectrum process of a run, checked against its other settings.
 
-    ``blocking="geometric"`` uses the deployed PU positions, so per-node
-    opportunity rates are heterogeneous (a node ringed by PUs waits far
-    longer than Lemma 7's average); ``"homogeneous"`` is the mean field
-    the paper's analysis adopts ("the waiting time for an SU is
-    tau/p_o"), with ``homogeneous_p_o`` its ``p_o``.  Per node per slot,
-    ``p_false_alarm`` senses a PU-free spectrum busy and
-    ``p_missed_detection`` a busy one free; a ``detector``
-    (:class:`~repro.spectrum.detection.EnergyDetector`, one channel)
-    replaces both.  ``stuck_idle`` says whether a fault pins a detector
-    idle: like a missed detection it needs PU positions.
+    Parameters
+    ----------
+    blocking:
+        How PU activity blocks SUs.  ``"geometric"`` uses the exact
+        deployed PU positions: an SU is blocked while any active PU sits
+        inside its protection range, so per-node opportunity rates are
+        heterogeneous (a node ringed by PUs waits far longer than Lemma 7's
+        average).  ``"homogeneous"`` is the mean-field model the paper's
+        analysis adopts ("Based on Lemma 7, we assume the waiting time for
+        an SU is tau/p_o"): every SU is blocked i.i.d. per slot with
+        probability ``1 - homogeneous_p_o``, and PU interference is folded
+        into the blocking (no positional PU interference terms).
+    homogeneous_p_o:
+        The per-slot opportunity probability for ``blocking="homogeneous"``
+        (Lemma 7's ``p_o``); required in that mode.
+    p_false_alarm / p_missed_detection:
+        Imperfect spectrum sensing (the concern of the paper's references
+        [3]-[5]).  Per node per slot: with probability ``p_false_alarm`` a
+        PU-free spectrum is sensed busy (a lost opportunity); with
+        probability ``p_missed_detection`` a PU-busy spectrum is sensed
+        free, so the node may transmit while a PU is active inside its
+        protection range, which under geometric blocking usually fails the
+        SIR adjudication.  Defaults are perfect sensing, the paper's
+        assumption.
+    detector:
+        Optional :class:`~repro.spectrum.detection.EnergyDetector`.  When
+        given, sensing outcomes come from the energy-detection physics
+        (per-PU detection probabilities fall with distance, so missed
+        detections concentrate on protection-range-boundary PUs) instead
+        of the flat ``p_false_alarm`` / ``p_missed_detection`` knobs,
+        which are then ignored.  Geometric blocking only, and
+        single-channel only (per-channel detection would need one detector
+        decision per channel).
+    stuck_idle:
+        Whether a fault pins a detector idle: like a missed detection it
+        needs PU positions.
     """
     if blocking not in ("geometric", "homogeneous"):
         raise ConfigurationError(
@@ -367,8 +439,14 @@ def blocking_model(
         )
     if blocking == "geometric":
         return GeometricBlocking(
-            topology, sense_map, streams, alpha, channel_plan,
-            float(p_false_alarm), float(p_missed_detection), detector,
+            topology,
+            sense_map,
+            streams,
+            alpha,
+            channel_plan,
+            float(p_false_alarm),
+            float(p_missed_detection),
+            detector,
         )
     if p_missed_detection > 0.0 or detector is not None or stuck_idle:
         raise ConfigurationError(
@@ -380,6 +458,10 @@ def blocking_model(
             "fine in either mode)"
         )
     return MeanFieldBlocking(
-        topology, sense_map, streams, float(homogeneous_p_o), channel_plan,
+        topology,
+        sense_map,
+        streams,
+        float(homogeneous_p_o),
+        channel_plan,
         float(p_false_alarm),
     )

@@ -100,17 +100,22 @@ class CarrierSenseMap:
                 inverted[target].append(source)
         return inverted
 
-    def pu_incidence(self) -> np.ndarray:
-        """Dense ``(node, PU)`` matrix with a 1 where the PU blocks the node.
+    @property
+    def pu_count_dtype(self) -> np.dtype:
+        """The narrowest unsigned integer that holds the PU count.
 
-        Its dtype is the narrowest unsigned integer that holds the PU count,
-        so ``incidence @ states.astype(incidence.dtype)`` counts each node's
+        :meth:`pu_incidence` and every busy count use it, so
+        ``incidence @ states.astype(incidence.dtype)`` counts each node's
         active in-range PUs without wrapping (in ``uint8``, 256 active PUs
         would count as 0 and read as a free spectrum).
         """
-        num_pus = len(self.pu_hearers)
+        return np.min_scalar_type(len(self.pu_hearers))
+
+    def pu_incidence(self) -> np.ndarray:
+        """Dense ``(node, PU)`` matrix with a 1 where the PU blocks the
+        node, in :attr:`pu_count_dtype`."""
         incidence = np.zeros(
-            (len(self.pus_heard_by), num_pus), dtype=np.min_scalar_type(num_pus)
+            (len(self.pus_heard_by), len(self.pu_hearers)), dtype=self.pu_count_dtype
         )
         for pu_index, nodes in enumerate(self.pu_hearers):
             incidence[nodes, pu_index] = 1

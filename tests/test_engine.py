@@ -433,6 +433,34 @@ class TestPuBusyCounts:
                 == expected.tolist()
             )
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("blocking", ["geometric", "homogeneous"])
+    def test_busy_counts_come_in_the_incidence_dtype(self, crowded, blocking, channels):
+        """Either model, one channel or C, hands out busy counts in the
+        dtype of the sense map's PU incidence (uint16 for 256 PUs)."""
+        topology, factory = crowded
+        _, sense_map, _ = make_engine(topology, factory.spawn("engine"))
+        engine = SlottedEngine(
+            topology,
+            sense_map,
+            AddcPolicy(
+                build_collection_tree(
+                    topology.secondary.graph, topology.secondary.base_station
+                )
+            ),
+            factory.spawn("dtype"),
+            blocking=blocking,
+            homogeneous_p_o=0.5,
+            channel_plan=(
+                None
+                if channels == 1
+                else ChannelPlan.uniform(256, channels, np.random.default_rng(3))
+            ),
+        )
+        engine.spectrum.advance(initial=True)
+        counts = engine.spectrum.busy_counts(np.arange(topology.secondary.num_nodes))
+        assert counts.dtype == sense_map.pu_incidence().dtype == np.uint16
+
     @pytest.mark.parametrize("blocking", ["geometric", "homogeneous"])
     def test_multichannel_counts_equal_the_per_channel_integer_products(
         self, crowded, blocking
