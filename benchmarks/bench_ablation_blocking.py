@@ -17,7 +17,7 @@ from repro.experiments.report import render_ablation_table
 from repro.experiments.runner import run_comparison_point
 
 
-def test_ablation_blocking_model(benchmark, base_config):
+def test_ablation_blocking_model(base_config):
     def run_both_modes():
         mean_field = run_comparison_point(
             base_config.with_overrides(blocking="homogeneous")
@@ -27,9 +27,7 @@ def test_ablation_blocking_model(benchmark, base_config):
         )
         return mean_field, geometric
 
-    mean_field, geometric = benchmark.pedantic(
-        run_both_modes, rounds=1, iterations=1
-    )
+    mean_field, geometric = run_both_modes()
     print()
     print(
         render_ablation_table(

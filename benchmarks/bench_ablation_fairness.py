@@ -16,13 +16,13 @@ from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
 
 
-def test_ablation_fairness_wait(benchmark, base_config):
+def test_ablation_fairness_wait(base_config):
     def run_both():
         with_wait = run_addc_only(base_config, fairness_wait=True)
         without_wait = run_addc_only(base_config, fairness_wait=False)
         return with_wait, without_wait
 
-    with_wait, without_wait = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    with_wait, without_wait = run_both()
     print()
     print(
         render_ablation_table(

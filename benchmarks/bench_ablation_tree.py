@@ -13,13 +13,13 @@ from repro.experiments.report import render_ablation_table
 from repro.experiments.runner import run_addc_only
 
 
-def test_ablation_tree_structure(benchmark, base_config):
+def test_ablation_tree_structure(base_config):
     def run_both():
         cds = run_addc_only(base_config, use_cds_tree=True)
         bfs = run_addc_only(base_config, use_cds_tree=False)
         return cds, bfs
 
-    cds, bfs = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    cds, bfs = run_both()
     print()
     print(
         render_ablation_table(

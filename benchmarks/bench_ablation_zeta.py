@@ -18,7 +18,7 @@ from repro.experiments.report import render_ablation_table
 from repro.experiments.runner import run_addc_only
 
 
-def test_ablation_zeta_bound(benchmark, base_config):
+def test_ablation_zeta_bound(base_config):
     variants = ("paper", "exact", "safe")
     # The corrected bounds roughly double kappa; at the default p_t = 0.3
     # the resulting p_o ~ (0.7)^{pi (3.9 r)^2 N / A} ~ 2e-5 puts a single
@@ -32,7 +32,7 @@ def test_ablation_zeta_bound(benchmark, base_config):
             for variant in variants
         }
 
-    stats = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    stats = run_all()
     pcrs = {
         variant: compute_pcr(
             PcrParameters(

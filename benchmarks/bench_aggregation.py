@@ -19,7 +19,7 @@ from repro.network.deployment import deploy_crn
 from repro.rng import StreamFactory
 
 
-def test_aggregation_vs_collection(benchmark, base_config):
+def test_aggregation_vs_collection(base_config):
     def run_both():
         collect_delays, aggregate_delays = [], []
         root = StreamFactory(base_config.seed)
@@ -44,7 +44,7 @@ def test_aggregation_vs_collection(benchmark, base_config):
             aggregate_delays.append(aggregation.delay_ms)
         return summarize_delays(collect_delays), summarize_delays(aggregate_delays)
 
-    collection, aggregation = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    collection, aggregation = run_both()
     print()
     print(
         render_ablation_table(

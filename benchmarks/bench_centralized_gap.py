@@ -21,7 +21,7 @@ from repro.rng import StreamFactory
 from repro.scheduling.centralized import run_centralized_collection
 
 
-def test_centralized_gap(benchmark, base_config):
+def test_centralized_gap(base_config):
     config = base_config.with_overrides(blocking="geometric")
 
     def run_both():
@@ -44,7 +44,7 @@ def test_centralized_gap(benchmark, base_config):
             central_delays.append(central.delay_ms)
         return summarize_delays(addc_delays), summarize_delays(central_delays)
 
-    addc, central = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    addc, central = run_both()
     print()
     print(
         render_ablation_table(

@@ -27,7 +27,7 @@ from repro.spectrum.sensing import CarrierSenseMap
 STRATEGIES = ("random-idle", "sticky", "least-blocked", "adaptive")
 
 
-def test_channel_strategies_under_skewed_plan(benchmark, base_config):
+def test_channel_strategies_under_skewed_plan(base_config):
     factory = StreamFactory(base_config.seed).spawn("strategies")
     topology = deploy_crn(base_config.deployment_spec(), factory)
     plan = ChannelPlan(3, np.zeros(topology.primary.num_pus, dtype=int))
@@ -63,7 +63,7 @@ def test_channel_strategies_under_skewed_plan(benchmark, base_config):
             results[strategy] = engine.run()
         return results
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = run_all()
     print()
     print(f"{'strategy':>14} | {'delay (ms)':>10} | {'frozen slots':>12} | "
           f"{'collisions':>10}")

@@ -22,7 +22,7 @@ from repro.rng import StreamFactory
 DENSITIES = (0.008, 0.016, 0.032, 0.064)  # SUs per unit^2; paper: 0.032
 
 
-def test_connectivity_and_distance_scaling(benchmark, base_config):
+def test_connectivity_and_distance_scaling(base_config):
     def run_study():
         probabilities = []
         for density in DENSITIES:
@@ -43,7 +43,7 @@ def test_connectivity_and_distance_scaling(benchmark, base_config):
         )
         return probabilities, rows
 
-    probabilities, rows = benchmark.pedantic(run_study, rounds=1, iterations=1)
+    probabilities, rows = run_study()
 
     print()
     print("P(G_s connected) by SU density:")

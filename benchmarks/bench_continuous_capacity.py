@@ -23,7 +23,7 @@ from repro.rng import StreamFactory
 ROUNDS = 6
 
 
-def test_continuous_collection_capacity(benchmark, base_config):
+def test_continuous_collection_capacity(base_config):
     factory = StreamFactory(base_config.seed).spawn("continuous")
     topology = deploy_crn(base_config.deployment_spec(), factory)
 
@@ -57,7 +57,7 @@ def test_continuous_collection_capacity(benchmark, base_config):
     def run_both():
         return run_periodic(relaxed_period), run_periodic(tight_period)
 
-    relaxed, tight = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    relaxed, tight = run_both()
 
     print()
     print(f"single-snapshot service time: {service_slots} slots")

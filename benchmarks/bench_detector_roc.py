@@ -28,7 +28,7 @@ THRESHOLDS = (1.01, 1.05, 1.1, 1.3)
 NOISE_POWER = 2e-3  # loud enough that boundary PUs are genuinely hard to hear
 
 
-def test_detector_operating_curve(benchmark, base_config):
+def test_detector_operating_curve(base_config):
     config = base_config.with_overrides(blocking="geometric")
     factory = StreamFactory(config.seed).spawn("roc")
     topology = deploy_crn(config.deployment_spec(), factory)
@@ -66,7 +66,7 @@ def test_detector_operating_curve(benchmark, base_config):
             rows.append((threshold, detector, engine.run()))
         return rows
 
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    rows = run_sweep()
     print()
     print(
         f"{'threshold':>9} | {'P_fa':>8} | {'delay (ms)':>10} | "

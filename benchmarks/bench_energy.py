@@ -18,7 +18,7 @@ from repro.routing.coolest import run_coolest_collection
 from repro.scheduling.centralized import run_centralized_collection
 
 
-def test_energy_per_protocol(benchmark, base_config):
+def test_energy_per_protocol(base_config):
     factory = StreamFactory(base_config.seed).spawn("energy")
     topology = deploy_crn(base_config.deployment_spec(), factory)
 
@@ -41,7 +41,7 @@ def test_energy_per_protocol(benchmark, base_config):
         )
         return {"ADDC": addc, "Coolest": coolest, "centralized": central}
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = run_all()
     print()
     print(
         f"{'protocol':>12} | {'total (mJ)':>10} | {'tx (mJ)':>8} | "

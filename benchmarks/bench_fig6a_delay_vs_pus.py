@@ -10,5 +10,5 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6a_delay_vs_num_pus(benchmark, base_config):
-    run_fig6_benchmark("fig6a", benchmark, base_config, increasing=True)
+def test_fig6a_delay_vs_num_pus(base_config):
+    run_fig6_benchmark("fig6a", base_config, increasing=True)

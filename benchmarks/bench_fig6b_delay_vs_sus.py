@@ -10,5 +10,5 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6b_delay_vs_num_sus(benchmark, base_config):
-    run_fig6_benchmark("fig6b", benchmark, base_config, increasing=True)
+def test_fig6b_delay_vs_num_sus(base_config):
+    run_fig6_benchmark("fig6b", base_config, increasing=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6c_delay_vs_pt(benchmark, base_config):
-    points = run_fig6_benchmark("fig6c", benchmark, base_config, increasing=True)
+def test_fig6c_delay_vs_pt(base_config):
+    points = run_fig6_benchmark("fig6c", base_config, increasing=True)
     # "Very fast" growth: an order of magnitude across the sweep.
     addc = [point.addc_delay_ms.mean for _, point in points]
     assert addc[-1] / addc[0] > 10.0

@@ -13,13 +13,12 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6c_geometric_blocking(benchmark, base_config):
+def test_fig6c_geometric_blocking(base_config):
     config = base_config.with_overrides(
         blocking="geometric", max_slots=base_config.max_slots * 3
     )
     points = run_fig6_benchmark(
         "fig6c",
-        benchmark,
         config,
         increasing=True,
         min_mean_reduction_percent=30.0,

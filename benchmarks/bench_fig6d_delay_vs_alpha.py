@@ -16,10 +16,9 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6d_delay_vs_alpha(benchmark, base_config):
+def test_fig6d_delay_vs_alpha(base_config):
     run_fig6_benchmark(
         "fig6d",
-        benchmark,
         base_config,
         increasing=False,
         min_mean_reduction_percent=40.0,

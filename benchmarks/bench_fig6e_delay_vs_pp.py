@@ -11,5 +11,5 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6e_delay_vs_pu_power(benchmark, base_config):
-    run_fig6_benchmark("fig6e", benchmark, base_config, increasing=True)
+def test_fig6e_delay_vs_pu_power(base_config):
+    run_fig6_benchmark("fig6e", base_config, increasing=True)

@@ -10,5 +10,5 @@ from __future__ import annotations
 from benchmarks.fig6_common import run_fig6_benchmark
 
 
-def test_fig6f_delay_vs_su_power(benchmark, base_config):
-    run_fig6_benchmark("fig6f", benchmark, base_config, increasing=True)
+def test_fig6f_delay_vs_su_power(base_config):
+    run_fig6_benchmark("fig6f", base_config, increasing=True)

@@ -20,7 +20,7 @@ from repro.rng import StreamFactory
 CHANNELS = (1, 2, 4, 8)
 
 
-def test_delay_vs_channel_count(benchmark, base_config):
+def test_delay_vs_channel_count(base_config):
     factory = StreamFactory(base_config.seed).spawn("multichannel")
     topology = deploy_crn(base_config.deployment_spec(), factory)
 
@@ -37,7 +37,7 @@ def test_delay_vs_channel_count(benchmark, base_config):
             for channels in CHANNELS
         ]
 
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    results = run_sweep()
     print()
     print(f"{'channels':>8} | {'ADDC delay (ms)':>15} | {'collisions':>10}")
     for channels, result in zip(CHANNELS, results):

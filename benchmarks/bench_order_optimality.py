@@ -26,7 +26,7 @@ from repro.rng import StreamFactory
 SIZES = (80, 160, 320)
 
 
-def test_capacity_is_order_optimal(benchmark, base_config):
+def test_capacity_is_order_optimal(base_config):
     def run_scaling():
         results = []
         for n in SIZES:
@@ -49,7 +49,7 @@ def test_capacity_is_order_optimal(benchmark, base_config):
             results.append((n, outcome))
         return results
 
-    results = benchmark.pedantic(run_scaling, rounds=1, iterations=1)
+    results = run_scaling()
 
     pcr = compute_pcr(
         PcrParameters(

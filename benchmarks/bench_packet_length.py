@@ -27,7 +27,7 @@ from repro.spectrum.sensing import CarrierSenseMap
 LENGTHS = (1, 2, 3)
 
 
-def test_packet_length_and_burstiness(benchmark, base_config):
+def test_packet_length_and_burstiness(base_config):
     # A lighter activity keeps the L = 3 i.i.d. point finishable.
     config = base_config.with_overrides(p_t=0.15, max_slots=1_500_000)
     pcr = compute_pcr(
@@ -69,7 +69,7 @@ def test_packet_length_and_burstiness(benchmark, base_config):
                 rows[(label, length)] = engine.run()
         return rows
 
-    rows = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+    rows = run_matrix()
     print()
     print(f"{'activity':>8} | {'L':>2} | {'delay (ms)':>11} | {'handoffs':>8}")
     for (label, length), result in rows.items():

@@ -34,7 +34,7 @@ HORIZON_SLOTS = 2000
 RATIO_NOISE = 0.05
 
 
-def test_delivery_under_fault_intensity(benchmark, base_config):
+def test_delivery_under_fault_intensity(base_config):
     factory = StreamFactory(base_config.seed).spawn("resilience-bench")
     topology = deploy_crn(base_config.deployment_spec(), factory)
     n = topology.secondary.num_sus
@@ -74,7 +74,7 @@ def test_delivery_under_fault_intensity(benchmark, base_config):
             rows.append((intensity, addc, coolest))
         return rows
 
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    rows = run_sweep()
     print()
     print(
         f"{'intensity':>9} | {'ADDC ratio':>10} | {'Coolest ratio':>13} | "

@@ -18,7 +18,7 @@ from repro.rng import StreamFactory
 CHURN_COUNTS = (0, 2, 5, 10)
 
 
-def test_collection_under_churn(benchmark, base_config):
+def test_collection_under_churn(base_config):
     factory = StreamFactory(base_config.seed).spawn("churn-bench")
     topology = deploy_crn(base_config.deployment_spec(), factory)
     n = topology.secondary.num_sus
@@ -50,7 +50,7 @@ def test_collection_under_churn(benchmark, base_config):
             results.append((count, outcome.result))
         return results
 
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    results = run_sweep()
     print()
     print(
         f"{'departures':>10} | {'delivered':>9} | {'lost':>5} | "

@@ -21,7 +21,7 @@ FALSE_ALARMS = (0.0, 0.2, 0.4, 0.6)
 MISSED = (0.0, 0.2, 0.4)
 
 
-def test_sensing_error_sweep(benchmark, base_config):
+def test_sensing_error_sweep(base_config):
     config = base_config.with_overrides(blocking="geometric")
     factory = StreamFactory(config.seed).spawn("sensing")
     topology = deploy_crn(config.deployment_spec(), factory)
@@ -51,7 +51,7 @@ def test_sensing_error_sweep(benchmark, base_config):
         ]
         return fa_results, md_results
 
-    fa_results, md_results = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
+    fa_results, md_results = run_sweeps()
 
     print()
     print("false-alarm sweep (delay ms / PU violations):")

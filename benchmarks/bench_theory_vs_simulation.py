@@ -20,7 +20,7 @@ from repro.rng import StreamFactory
 P_T_VALUES = (0.1, 0.2, 0.3)
 
 
-def test_theory_tracks_simulation(benchmark, base_config):
+def test_theory_tracks_simulation(base_config):
     def run_sweep():
         rows = []
         for p_t in P_T_VALUES:
@@ -36,7 +36,7 @@ def test_theory_tracks_simulation(benchmark, base_config):
             rows.append((p_t, outcome))
         return rows
 
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    rows = run_sweep()
 
     print()
     print(

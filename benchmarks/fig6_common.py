@@ -34,7 +34,6 @@ def _count_inversions(series: List[float], increasing: bool) -> int:
 
 def run_fig6_benchmark(
     name: str,
-    benchmark,
     base_config: ExperimentConfig,
     increasing: bool = True,
     min_mean_reduction_percent: float = 50.0,
@@ -46,11 +45,7 @@ def run_fig6_benchmark(
     series are bit-identical either way, so this only trades wall-clock.
     """
     sweep = FIG6_SWEEPS[name]
-    points = benchmark.pedantic(
-        lambda: run_fig6_sweep(sweep, base_config, workers=workers),
-        rounds=1,
-        iterations=1,
-    )
+    points = run_fig6_sweep(sweep, base_config, workers=workers)
     print()
     print(render_fig6_table(sweep.name, sweep.description, points))
 

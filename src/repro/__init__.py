@@ -31,11 +31,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ComparisonPoint, run_comparison_point
 from repro.network.channels import ChannelPlan
 from repro.network.deployment import DeploymentSpec, deploy_crn
-from repro.network.primary import (
-    BernoulliActivity,
-    MarkovActivity,
-    ReplayActivity,
-)
+from repro.network.primary import BernoulliActivity, MarkovActivity
 from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
 from repro.routing.coolest import CoolestPolicy, run_coolest_collection
@@ -69,7 +65,6 @@ __all__ = [
     "ChannelPlan",
     "BernoulliActivity",
     "MarkovActivity",
-    "ReplayActivity",
     "SlottedEngine",
     "SimulationResult",
 ]

@@ -391,9 +391,6 @@ def run_worker_scenario(
         "max_attempts": policy.max_attempts,
     }
     figures = {
-        "worker_retries": figure(
-            chaotic.stats.get("retries", 0), higher_better=False, gated=False
-        ),
         "worker_pool_rebuilds": figure(
             chaotic.stats.get("pool_rebuilds", 0),
             higher_better=False,

@@ -101,15 +101,9 @@ def _collect(config: ExperimentConfig, label: str, activity=None, **options):
 
 
 def _cmd_pcr(args: argparse.Namespace) -> int:
+    # Every PcrParameters field is a flag of the same name.
     params = PcrParameters(
-        alpha=args.alpha,
-        pu_power=args.pu_power,
-        su_power=args.su_power,
-        pu_radius=args.pu_radius,
-        su_radius=args.su_radius,
-        eta_p_db=args.eta_p_db,
-        eta_s_db=args.eta_s_db,
-        zeta_bound=args.zeta_bound,
+        **{f.name: getattr(args, f.name) for f in fields(PcrParameters)}
     )
     result = compute_pcr(params)
     print(f"c1 = {result.c1:.4f}   c2 = {result.c2:.4f}   c3 = {result.c3:.4f}")
@@ -869,16 +863,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     pcr = commands.add_parser("pcr", help="evaluate the PCR (Eq. 16)")
-    pcr.add_argument("--alpha", type=float, default=4.0)
-    pcr.add_argument("--pu-power", type=float, default=10.0)
-    pcr.add_argument("--su-power", type=float, default=10.0)
-    pcr.add_argument("--pu-radius", type=float, default=12.0)
-    pcr.add_argument("--su-radius", type=float, default=10.0)
-    pcr.add_argument("--eta-p-db", type=float, default=10.0)
-    pcr.add_argument("--eta-s-db", type=float, default=10.0)
-    pcr.add_argument(
-        "--zeta-bound", choices=("paper", "safe", "exact"), default="paper"
-    )
+    # One flag per PcrParameters field, defaulting to the field's default.
+    for field in fields(PcrParameters):
+        flag = "--" + field.name.replace("_", "-")
+        if field.name == "zeta_bound":
+            pcr.add_argument(
+                flag, choices=("paper", "safe", "exact"), default=field.default
+            )
+        else:
+            pcr.add_argument(flag, type=float, default=field.default)
     pcr.set_defaults(handler=_cmd_pcr)
 
     bounds = commands.add_parser("bounds", help="analytic delay/capacity bounds")

@@ -19,16 +19,8 @@ from repro.core.pcr import PcrParameters, compute_pcr
 
 __all__ = ["FIG4_DEFAULTS", "FIG4_SWEEPS", "Fig4Row", "figure4_rows"]
 
-#: Figure 4's caption defaults.
-FIG4_DEFAULTS = PcrParameters(
-    alpha=4.0,
-    pu_power=10.0,
-    su_power=10.0,
-    pu_radius=12.0,
-    su_radius=10.0,
-    eta_p_db=10.0,
-    eta_s_db=10.0,
-)
+#: Figure 4's caption defaults, which are :class:`PcrParameters`' own.
+FIG4_DEFAULTS = PcrParameters()
 
 #: The parameters Figure 4 varies and the sweep values we evaluate.
 FIG4_SWEEPS: Dict[str, Sequence[float]] = {

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.network.primary import ActivityModel, MarkovActivity
+from repro.network.primary import BatchedActivity, MarkovActivity
 
 __all__ = ["Scenario", "get_scenario", "list_scenarios", "SCENARIOS"]
 
@@ -40,10 +40,10 @@ class Scenario:
     name: str
     summary: str
     config: ExperimentConfig
-    activity_factory: Optional[Callable[[], ActivityModel]] = None
+    activity_factory: Optional[Callable[[], BatchedActivity]] = None
     num_channels: int = 1
 
-    def make_activity(self) -> Optional[ActivityModel]:
+    def make_activity(self) -> Optional[BatchedActivity]:
         """Instantiate the activity model (None = config default)."""
         return self.activity_factory() if self.activity_factory else None
 

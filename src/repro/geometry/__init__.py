@@ -7,12 +7,11 @@ with brute-force-verified semantics.
 """
 
 from repro.geometry.distance import euclidean
-from repro.geometry.region import SquareRegion, DiskRegion
+from repro.geometry.region import SquareRegion
 from repro.geometry.spatial_index import GridIndex
 
 __all__ = [
     "euclidean",
     "SquareRegion",
-    "DiskRegion",
     "GridIndex",
 ]

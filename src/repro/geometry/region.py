@@ -2,8 +2,7 @@
 
 The paper deploys both networks i.i.d. uniformly in a square of area
 ``A = c0 * n`` (Section III).  :class:`SquareRegion` is the region used by
-every experiment; :class:`DiskRegion` is provided for sensitivity studies on
-the deployment shape.
+every experiment.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 
-__all__ = ["SquareRegion", "DiskRegion"]
+__all__ = ["SquareRegion"]
 
 
 @dataclass(frozen=True)
@@ -60,47 +59,3 @@ class SquareRegion:
     def center(self) -> np.ndarray:
         """Region center; the conventional base-station placement."""
         return np.array([self.side / 2.0, self.side / 2.0])
-
-
-@dataclass(frozen=True)
-class DiskRegion:
-    """A disk of given radius centered at ``center``."""
-
-    radius: float
-    center_x: float = 0.0
-    center_y: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise GeometryError(f"disk radius must be positive, got {self.radius}")
-
-    @property
-    def area(self) -> float:
-        """Region area."""
-        return math.pi * self.radius * self.radius
-
-    @property
-    def center(self) -> np.ndarray:
-        """Disk center."""
-        return np.array([self.center_x, self.center_y])
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample ``count`` i.i.d. uniform points in the disk.
-
-        Uses the inverse-CDF radius transform (``r = R * sqrt(u)``), which is
-        exactly uniform over the disk area.
-        """
-        if count < 0:
-            raise GeometryError(f"count must be non-negative, got {count}")
-        radii = self.radius * np.sqrt(rng.random(count))
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        points = np.empty((count, 2))
-        points[:, 0] = self.center_x + radii * np.cos(angles)
-        points[:, 1] = self.center_y + radii * np.sin(angles)
-        return points
-
-    def contains(self, point: np.ndarray) -> bool:
-        """Whether a 2-D point lies in the disk (boundary inclusive)."""
-        dx = float(point[0]) - self.center_x
-        dy = float(point[1]) - self.center_y
-        return math.hypot(dx, dy) <= self.radius

@@ -16,11 +16,7 @@ from repro.graphs.connectivity import is_connected, connected_component
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.cds import CdsResult, build_cds
 from repro.graphs.tree import CollectionTree, build_collection_tree, build_bfs_tree
-from repro.graphs.dijkstra import (
-    dijkstra_bottleneck,
-    dijkstra_node_weighted,
-    extract_path,
-)
+from repro.graphs.dijkstra import dijkstra_node_weighted, extract_path
 from repro.graphs.repair import attach_node, detach_node, refresh_depths
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "build_collection_tree",
     "build_bfs_tree",
     "dijkstra_node_weighted",
-    "dijkstra_bottleneck",
     "extract_path",
     "attach_node",
     "detach_node",

@@ -15,7 +15,7 @@ import repro.obs as obs
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
-__all__ = ["dijkstra_node_weighted", "dijkstra_bottleneck", "extract_path"]
+__all__ = ["dijkstra_node_weighted", "extract_path"]
 
 #: Parent sentinel for unreachable nodes.
 NO_PARENT = -1
@@ -71,57 +71,6 @@ def dijkstra_node_weighted(
                 parents[neighbor] = node
                 heapq.heappush(heap, (candidate, neighbor))
     return distances, parents
-
-
-@obs.timed("graphs.dijkstra_bottleneck")
-def dijkstra_bottleneck(
-    graph: Graph, source: int, node_weights: Sequence[float]
-) -> Tuple[List[float], List[int]]:
-    """Minimax (bottleneck) shortest paths over node weights.
-
-    The cost of a path is the *largest* node weight on it — [17]'s
-    "highest spectrum temperature" metric.  Ties between equal-bottleneck
-    paths break toward fewer hops, then smaller node ids, so the parents
-    form a deterministic tree.
-
-    Returns ``(bottlenecks, parents)`` with the same conventions as
-    :func:`dijkstra_node_weighted`.
-    """
-    if not 0 <= source < graph.num_nodes:
-        raise GraphError(f"source {source} outside graph of {graph.num_nodes} nodes")
-    if len(node_weights) != graph.num_nodes:
-        raise GraphError(
-            f"expected {graph.num_nodes} node weights, got {len(node_weights)}"
-        )
-    if any(weight < 0 for weight in node_weights):
-        raise GraphError("node weights must be non-negative")
-
-    bottlenecks = [float("inf")] * graph.num_nodes
-    hops = [float("inf")] * graph.num_nodes
-    parents = [NO_PARENT] * graph.num_nodes
-    bottlenecks[source] = float(node_weights[source])
-    hops[source] = 0.0
-    parents[source] = source
-    heap: List[Tuple[float, float, int]] = [(bottlenecks[source], 0.0, source)]
-    settled = [False] * graph.num_nodes
-
-    while heap:
-        bottleneck, hop_count, node = heapq.heappop(heap)
-        if settled[node]:
-            continue
-        settled[node] = True
-        for neighbor in graph.neighbors(node):
-            candidate = max(bottleneck, float(node_weights[neighbor]))
-            candidate_hops = hop_count + 1.0
-            if (candidate, candidate_hops) < (
-                bottlenecks[neighbor],
-                hops[neighbor],
-            ):
-                bottlenecks[neighbor] = candidate
-                hops[neighbor] = candidate_hops
-                parents[neighbor] = node
-                heapq.heappush(heap, (candidate, candidate_hops, neighbor))
-    return bottlenecks, parents
 
 
 def extract_path(parents: Sequence[int], target: int) -> Optional[List[int]]:

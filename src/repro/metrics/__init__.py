@@ -12,15 +12,9 @@ from repro.metrics.aggregate import (
     relative_delay_reduction_percent,
 )
 from repro.metrics.energy import EnergyModel, EnergyReport, energy_consumption
-from repro.metrics.breakdown import (
-    NodeActivity,
-    hop_latencies,
-    node_activity,
-    packet_journey,
-)
+from repro.metrics.breakdown import hop_latencies, packet_journey
 from repro.metrics.resilience import ResilienceReport, resilience_report
 from repro.metrics.rounds import per_round_delays, sustainable_period_estimate
-from repro.metrics.timeline import delivery_timeline, steady_state_rate
 from repro.metrics.stats import (
     ConfidenceInterval,
     bootstrap_confidence_interval,
@@ -33,8 +27,6 @@ __all__ = [
     "summarize_delays",
     "relative_delay_reduction_percent",
     "per_round_delays",
-    "delivery_timeline",
-    "steady_state_rate",
     "sustainable_period_estimate",
     "ConfidenceInterval",
     "bootstrap_confidence_interval",
@@ -45,8 +37,6 @@ __all__ = [
     "energy_consumption",
     "ResilienceReport",
     "resilience_report",
-    "NodeActivity",
     "hop_latencies",
-    "node_activity",
     "packet_journey",
 ]

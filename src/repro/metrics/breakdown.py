@@ -4,40 +4,18 @@ Operates on a :class:`~repro.sim.trace.TraceLog` captured during a run:
 
 * :func:`packet_journey` — the slot-stamped event sequence of one packet
   (every transmission start, loss and hop until delivery);
-* :func:`node_activity` — per-node counts of draws, freezes, attempts,
-  losses and successes;
 * :func:`hop_latencies` — per-hop waiting times of one packet, the
   quantity Theorem 1 bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
 
-__all__ = ["NodeActivity", "packet_journey", "node_activity", "hop_latencies"]
-
-
-@dataclass
-class NodeActivity:
-    """Event counts for one node over a traced run."""
-
-    node: int
-    backoff_draws: int = 0
-    freezes: int = 0
-    tx_attempts: int = 0
-    tx_successes: int = 0
-    collisions: int = 0
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of attempts lost to collisions (0 if it never sent)."""
-        if self.tx_attempts == 0:
-            return 0.0
-        return self.collisions / self.tx_attempts
+__all__ = ["packet_journey", "hop_latencies"]
 
 
 def packet_journey(trace: TraceLog, packet_id: int) -> List[TraceEvent]:
@@ -48,30 +26,6 @@ def packet_journey(trace: TraceLog, packet_id: int) -> List[TraceEvent]:
     if not journey:
         raise ConfigurationError(f"packet {packet_id} never appears in the trace")
     return journey
-
-
-def node_activity(trace: TraceLog) -> Dict[int, NodeActivity]:
-    """Aggregate per-node event counts."""
-    activity: Dict[int, NodeActivity] = {}
-
-    def entry(node: int) -> NodeActivity:
-        if node not in activity:
-            activity[node] = NodeActivity(node=node)
-        return activity[node]
-
-    for event in trace:
-        record = entry(event.node)
-        if event.kind is TraceKind.BACKOFF_DRAW:
-            record.backoff_draws += 1
-        elif event.kind is TraceKind.FREEZE:
-            record.freezes += 1
-        elif event.kind is TraceKind.TX_START:
-            record.tx_attempts += 1
-        elif event.kind is TraceKind.TX_SUCCESS:
-            record.tx_successes += 1
-        elif event.kind is TraceKind.TX_COLLISION:
-            record.collisions += 1
-    return activity
 
 
 def hop_latencies(trace: TraceLog, packet_id: int) -> List[int]:

@@ -7,7 +7,6 @@ builds both over a shared region with connectivity enforcement.
 """
 
 from repro.network.primary import (
-    ActivityModel,
     BernoulliActivity,
     MarkovActivity,
     PrimaryNetwork,
@@ -18,7 +17,6 @@ from repro.network.deployment import DeploymentSpec, deploy_crn
 from repro.network.topology import CrnTopology
 
 __all__ = [
-    "ActivityModel",
     "BernoulliActivity",
     "MarkovActivity",
     "PrimaryNetwork",

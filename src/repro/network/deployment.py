@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ConfigurationError, DisconnectedNetworkError
 from repro.geometry.region import SquareRegion
 from repro.graphs.connectivity import is_connected
-from repro.network.primary import ActivityModel, BernoulliActivity, PrimaryNetwork
+from repro.network.primary import BatchedActivity, BernoulliActivity, PrimaryNetwork
 from repro.network.secondary import SecondaryNetwork
 from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
@@ -94,7 +94,7 @@ class DeploymentSpec:
 def deploy_crn(
     spec: DeploymentSpec,
     streams: StreamFactory,
-    activity: "ActivityModel | None" = None,
+    activity: "BatchedActivity | None" = None,
 ) -> CrnTopology:
     """Deploy a CRN per ``spec``, retrying until ``G_s`` is connected.
 

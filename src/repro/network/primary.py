@@ -15,40 +15,24 @@ validator (Lemma 2 checks interference *at PU receivers*).
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "ActivityModel",
     "BatchedActivity",
     "BernoulliActivity",
     "MarkovActivity",
-    "ReplayActivity",
     "PrimaryNetwork",
 ]
 
 
-class ActivityModel(Protocol):
-    """Slotted on/off activity process shared by all PUs."""
-
-    @property
-    def stationary_probability(self) -> float:
-        """Long-run probability that a PU transmits in a slot (the paper's p_t)."""
-
-    def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Boolean activity vector for slot 0."""
-
-    def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Boolean activity vector for the next slot given the current one."""
-
-
 class BatchedActivity:
-    """A stationary-``p_t`` process whose slots advance in batches from
+    """The slotted on/off activity process shared by all PUs: a
+    stationary-``p_t`` process whose slots advance in batches from
     pre-drawn uniforms (``next_states_batch``), one slot being a batch of
-    one.  The slot engine fast-forwards frozen slots only over these."""
+    one, which is what lets the slot engine fast-forward frozen slots."""
 
     _p_t: float
 
@@ -150,61 +134,6 @@ class MarkovActivity(BatchedActivity):
         )
 
 
-class ReplayActivity:
-    """Replay a recorded activity trace, slot by slot.
-
-    Lets experiments drive the primary network from real spectrum
-    measurements (or from a previously captured simulation) instead of a
-    stochastic model.  The trace wraps around when the simulation outlives
-    it.
-
-    Parameters
-    ----------
-    trace:
-        Boolean array of shape ``(num_slots, N)``; row ``t`` is the
-        activity vector of slot ``t``.
-    """
-
-    def __init__(self, trace: np.ndarray) -> None:
-        trace = np.asarray(trace, dtype=bool)
-        if trace.ndim != 2 or trace.shape[0] < 1:
-            raise ConfigurationError(
-                f"trace must have shape (num_slots, N), got {trace.shape}"
-            )
-        self._trace = trace
-        self._cursor = 0
-
-    @property
-    def stationary_probability(self) -> float:
-        """The trace's empirical activity rate."""
-        if self._trace.size == 0:
-            return 0.0
-        return float(self._trace.mean())
-
-    @property
-    def num_slots(self) -> int:
-        """Length of the recorded trace."""
-        return int(self._trace.shape[0])
-
-    def initial_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if count != self._trace.shape[1]:
-            raise ConfigurationError(
-                f"trace covers {self._trace.shape[1]} PUs, asked for {count}"
-            )
-        self._cursor = 0
-        return self._trace[0].copy()
-
-    def next_states(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        self._cursor = (self._cursor + 1) % self._trace.shape[0]
-        return self._trace[self._cursor].copy()
-
-    def __repr__(self) -> str:
-        return (
-            f"ReplayActivity(num_slots={self.num_slots}, "
-            f"rate={self.stationary_probability:.3f})"
-        )
-
-
 class PrimaryNetwork:
     """The licensed network: positions, power, radius, and activity process.
 
@@ -225,7 +154,7 @@ class PrimaryNetwork:
         positions: np.ndarray,
         power: float,
         radius: float,
-        activity: ActivityModel,
+        activity: BatchedActivity,
         paired_receivers: "np.ndarray | None" = None,
     ) -> None:
         positions = np.asarray(positions, dtype=float)

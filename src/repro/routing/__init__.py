@@ -7,22 +7,12 @@ one packet and forwards it along the path with the most balanced / lowest
 PU spectrum utilization ("temperature").
 """
 
-from repro.routing.temperature import (
-    node_temperatures,
-    node_temperatures_at_range,
-    path_accumulated_temperature,
-    path_highest_temperature,
-    path_mixed_temperature,
-)
+from repro.routing.temperature import node_temperatures_at_range
 from repro.routing.coolest import CoolestOutcome, CoolestPolicy, run_coolest_collection
 from repro.routing.unicast import UnicastPolicy, run_unicast
 
 __all__ = [
-    "node_temperatures",
     "node_temperatures_at_range",
-    "path_accumulated_temperature",
-    "path_highest_temperature",
-    "path_mixed_temperature",
     "CoolestOutcome",
     "CoolestPolicy",
     "run_coolest_collection",

@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from repro.core.pcr import PcrResult, db_to_linear
 from repro.errors import ConfigurationError, GraphError
-from repro.graphs.dijkstra import dijkstra_bottleneck, dijkstra_node_weighted
+from repro.graphs.dijkstra import dijkstra_node_weighted
 from repro.network.topology import CrnTopology
 from repro.rng import StreamFactory
 from repro.routing.temperature import mixed_node_weights, node_temperatures_at_range
@@ -45,8 +45,6 @@ from repro.sim.trace import TraceLog
 from repro.spectrum.sensing import CarrierSenseMap, sensing_at_pcr
 
 __all__ = ["CoolestPolicy", "CoolestOutcome", "run_coolest_collection"]
-
-_METRICS = ("accumulated", "mixed", "highest")
 
 
 class _MaskedGraph:
@@ -75,7 +73,9 @@ class CoolestPolicy:
 
     The coolest paths from all nodes to the base station form a tree (they
     are node-weighted shortest paths with deterministic tie-breaking), so
-    the policy stores one next-hop pointer per node.
+    the policy stores one next-hop pointer per node.  Paths minimize
+    [17]'s mixed metric over spectrum temperatures estimated at the SU
+    transmission radius ``r`` (the node's own radio).
 
     Parameters
     ----------
@@ -83,12 +83,6 @@ class CoolestPolicy:
         The deployed CRN.
     p_t:
         PU per-slot transmission probability (temperature estimation).
-    metric:
-        ``"accumulated"`` (sum of temperatures, [17]'s first metric) or
-        ``"mixed"`` (superlinear blend, [17]'s combined metric).
-    temperature_range:
-        Sensing range for the temperature estimate; defaults to the SU
-        transmission radius (the node's own radio).
     """
 
     fairness_wait = False
@@ -97,37 +91,20 @@ class CoolestPolicy:
         self,
         topology: CrnTopology,
         p_t: float,
-        metric: str = "mixed",
-        temperature_range: Optional[float] = None,
         route_discovery: bool = True,
     ) -> None:
-        if metric not in _METRICS:
-            raise ConfigurationError(
-                f"metric must be one of {_METRICS}, got {metric!r}"
-            )
-        self.metric = metric
         self.route_discovery = bool(route_discovery)
         self._pending_data: dict = {}
-        if temperature_range is None:
-            temperature_range = topology.secondary.radius
-        temperatures = node_temperatures_at_range(topology, p_t, temperature_range)
+        temperatures = node_temperatures_at_range(
+            topology, p_t, topology.secondary.radius
+        )
 
         self._graph = topology.secondary.graph
         self._base = topology.secondary.base_station
-        if metric == "highest":
-            # [17]'s bottleneck metric: minimize the hottest node on the
-            # path (hop count breaks ties, keeping routes finite-stretch).
-            self._route_weights = [float(t) for t in temperatures]
-        else:
-            if metric == "mixed":
-                weights: List[float] = mixed_node_weights(temperatures)
-            else:
-                weights = [float(t) for t in temperatures]
-            # A tiny uniform weight keeps Dijkstra hop-aware when a region
-            # is entirely PU-free (zero temperature everywhere would
-            # otherwise make all paths cost zero and the parent choice
-            # arbitrary).
-            self._route_weights = [w + 1e-6 for w in weights]
+        # A tiny uniform weight keeps Dijkstra hop-aware when a region is
+        # entirely PU-free (zero temperature everywhere would otherwise make
+        # all paths cost zero and the parent choice arbitrary).
+        self._route_weights = [w + 1e-6 for w in mixed_node_weights(temperatures)]
         # Nodes currently excluded from routing (crashed or in a transient
         # outage); the parent tree is recomputed whenever this changes.
         self._offline: set = set()
@@ -137,22 +114,13 @@ class CoolestPolicy:
         self.temperatures = temperatures
 
     def _recompute_parents(self) -> None:
-        """Rerun Dijkstra with offline nodes masked out of the adjacency.
-
-        Masking (rather than infinite weights) keeps every metric safe: the
-        bottleneck metric compares hop counts between equal-cost paths, so
-        an infinitely hot node could still be chosen as a relay.
-        """
+        """Rerun Dijkstra with offline nodes masked out of the adjacency."""
         graph = self._graph
         if self._offline:
             graph = _MaskedGraph(self._graph, frozenset(self._offline))
-        if self.metric == "highest":
-            _, parents = dijkstra_bottleneck(graph, self._base, self._route_weights)
-        else:
-            _, parents = dijkstra_node_weighted(
-                graph, self._base, self._route_weights
-            )
-        self._parents = parents
+        _, self._parents = dijkstra_node_weighted(
+            graph, self._base, self._route_weights
+        )
 
     def on_node_departure(self, node: int):
         """Route around a crashed node; returns nodes the crash cut off.
@@ -267,7 +235,7 @@ class CoolestPolicy:
 
     def describe(self) -> str:
         """Policy name for reports."""
-        return f"Coolest({self.metric})"
+        return "Coolest(mixed)"
 
 
 @dataclass
@@ -290,11 +258,9 @@ def run_coolest_collection(
     eta_s_db: float = 8.0,
     alpha: float = 4.0,
     zeta_bound: str = "paper",
-    metric: str = "mixed",
     blocking: str = "geometric",
     route_discovery: bool = True,
     p_t: Optional[float] = None,
-    csma_range: Optional[float] = None,
     fault_plan=None,
     max_slots: int = 2_000_000,
     contention_window_ms: float = 0.5,
@@ -304,17 +270,15 @@ def run_coolest_collection(
     """Collect one snapshot with the Coolest baseline.
 
     Coolest SUs obey the identical PU-protection range (the PCR distance)
-    but carrier-sense other SUs only at ``csma_range`` (default: their
-    transmission radius), so transmissions are adjudicated — and sometimes
-    lost — under the physical SIR model.
+    but carrier-sense other SUs only at their transmission radius ``r``, so
+    transmissions are adjudicated — and sometimes lost — under the physical
+    SIR model.
 
     When a ``fault_plan`` is given, prefer ``route_discovery=False``:
     discovered routes are frozen into the control packets, so a fault
     arriving mid-discovery strands them on their stale paths (hop-by-hop
     forwarding reroutes fine).
     """
-    if csma_range is None:
-        csma_range = topology.secondary.radius
     if p_t is None:
         p_t = topology.primary.activity.stationary_probability
     pcr, sense_map, homogeneous_p_o = sensing_at_pcr(
@@ -325,11 +289,9 @@ def run_coolest_collection(
         zeta_bound=zeta_bound,
         blocking=blocking,
         p_t=p_t,
-        su_csma_range=csma_range,
+        su_csma_range=topology.secondary.radius,
     )
-    policy = CoolestPolicy(
-        topology, p_t, metric=metric, route_discovery=route_discovery
-    )
+    policy = CoolestPolicy(topology, p_t, route_discovery=route_discovery)
     engine = SlottedEngine(
         topology=topology,
         sense_map=sense_map,

@@ -9,14 +9,12 @@ its sensing range transmits during a slot:
 
 where ``m_i`` counts PUs within the node's sensing range — exactly the
 complement of the node's spectrum-opportunity probability.  On top of the
-node temperatures, [17] defines three path metrics:
-
-* **accumulated** — the sum of node temperatures along the path,
-* **highest** — the hottest node on the path (a bottleneck metric),
-* **mixed** — accumulated with a superlinear penalty on hot nodes,
-  concretized here as ``sum T_i (1 + T_i)`` (this paper does not restate
-  [17]'s exact mixing formula; any superlinear blend preserves the
-  behaviour the comparison relies on — paths detour around hot regions).
+node temperatures, [17] defines accumulated, highest and mixed path
+metrics; the Coolest baseline routes by the **mixed** one, the sum of node
+temperatures along the path with a superlinear penalty on hot nodes,
+concretized here as ``sum T_i (1 + T_i)`` (this paper does not restate
+[17]'s exact mixing formula; any superlinear blend preserves the behaviour
+the comparison relies on — paths detour around hot regions).
 """
 
 from __future__ import annotations
@@ -26,25 +24,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.spectrum.opportunity import per_node_opportunity_probability
-from repro.spectrum.sensing import CarrierSenseMap
 
-__all__ = [
-    "node_temperatures",
-    "node_temperatures_at_range",
-    "path_accumulated_temperature",
-    "path_highest_temperature",
-    "path_mixed_temperature",
-    "mixed_node_weights",
-]
-
-
-def node_temperatures(sense_map: CarrierSenseMap, p_t: float) -> np.ndarray:
-    """Per-node spectrum temperature ``1 - (1 - p_t)^{m_i}``.
-
-    Values lie in ``[0, 1)``; hotter nodes see PU activity more often.
-    """
-    return 1.0 - per_node_opportunity_probability(sense_map, p_t)
+__all__ = ["node_temperatures_at_range", "mixed_node_weights"]
 
 
 def node_temperatures_at_range(topology, p_t: float, sensing_range: float) -> np.ndarray:
@@ -68,41 +49,6 @@ def node_temperatures_at_range(topology, p_t: float, sensing_range: float) -> np
         for node in nodes:
             counts[node] += 1.0
     return 1.0 - (1.0 - p_t) ** counts
-
-
-def _check_path(path: Sequence[int], temperatures: Sequence[float]) -> None:
-    if len(path) == 0:
-        raise ConfigurationError("path must contain at least one node")
-    for node in path:
-        if not 0 <= node < len(temperatures):
-            raise ConfigurationError(f"path node {node} has no temperature")
-
-
-def path_accumulated_temperature(
-    path: Sequence[int], temperatures: Sequence[float]
-) -> float:
-    """Accumulated spectrum temperature: the sum over path nodes."""
-    _check_path(path, temperatures)
-    return float(sum(temperatures[node] for node in path))
-
-
-def path_highest_temperature(
-    path: Sequence[int], temperatures: Sequence[float]
-) -> float:
-    """Highest spectrum temperature: the max over path nodes."""
-    _check_path(path, temperatures)
-    return float(max(temperatures[node] for node in path))
-
-
-def path_mixed_temperature(
-    path: Sequence[int], temperatures: Sequence[float]
-) -> float:
-    """Mixed metric: ``sum T_i (1 + T_i)`` — accumulated with a
-    superlinear penalty that avoids individually hot nodes."""
-    _check_path(path, temperatures)
-    return float(
-        sum(temperatures[node] * (1.0 + temperatures[node]) for node in path)
-    )
 
 
 def mixed_node_weights(temperatures: Sequence[float]) -> List[float]:

@@ -53,7 +53,7 @@ Per-slot procedure
 
 After a slot with nothing on the air, the engine skips the run of slots in
 which every waiting node senses busy in one step (see _try_fast_forward);
-a slot hook, energy detector, channel plan or replayed activity turns it off.
+a slot hook, energy detector or channel plan turns it off.
 
 The paper core (one channel, perfect sensing, 1-slot packets, no faults,
 no future arrivals, no slot hook: every Fig. 6 point and Theorem 2 check)
@@ -93,7 +93,8 @@ from repro.sim.packet import Packet
 from repro.sim.policies import MacPolicy
 from repro.sim.results import FaultRecord, PacketRecord, SimulationResult
 from repro.sim.trace import TraceEvent, TraceKind, TraceLog
-from repro.spectrum.blocking import MIN_DISTANCE, blocking_model
+from repro.spectrum.blocking import blocking_model
+from repro.spectrum.pathloss import MIN_DISTANCE
 from repro.spectrum.sensing import CarrierSenseMap
 
 __all__ = ["SlottedEngine"]
@@ -1158,7 +1159,7 @@ class SlottedEngine:
 
         The engine's one definition of an SU gain: ``su_power * s **
         (-alpha / 2)`` over the squared distance ``s``, clamped at
-        ``_MIN_DISTANCE ** 2``, in plain-Python float arithmetic, which
+        ``MIN_DISTANCE ** 2``, in plain-Python float arithmetic, which
         IEEE 754 and libm fix whatever SIMD level numpy dispatches to.
         Each receiver sums its same-channel SU interference one term at a
         time in index order.  The spectrum process's PU interference

@@ -16,8 +16,8 @@ Each object owns the two row streams it reads, ``pu-activity`` and
   blocking, so no PU is ever active.  A row holds one draw per (node,
   channel), and ``draw >= p_o`` is the only question ever asked of one,
   so the stream compares each drawn block once and hands out bool rows.
-* :class:`GeometricBlocking` — the deployed PUs: Bernoulli, Markov or
-  replayed states, an SU blocked while an active PU of its channel sits
+* :class:`GeometricBlocking` — the deployed PUs: Bernoulli or Markov
+  states, an SU blocked while an active PU of its channel sits
   inside its protection range; busy counts are rows of the float32 PU
   incidence times the states.  An energy detector may replace the flat
   sensing-error rates.
@@ -30,15 +30,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.primary import BatchedActivity
 from repro.network.topology import CrnTopology
 from repro.rng import RowStream, StreamFactory
+from repro.spectrum.pathloss import MIN_DISTANCE
 from repro.spectrum.sensing import CarrierSenseMap
 
 __all__ = ["Blocking", "MeanFieldBlocking", "GeometricBlocking", "blocking_model"]
-
-#: Distances below this are clamped when evaluating SIR.
-MIN_DISTANCE = 1e-6
 
 #: First fast-forward peek, in rows; it doubles up to the streams' cap.
 _FF_MIN_CHUNK = 16
@@ -287,11 +284,9 @@ class GeometricBlocking(Blocking):
                 self._alpha,
             )
         self._set_states(np.zeros(primary.num_pus, dtype=bool))
-        # Batches of slots advance from peeked rows only with one channel,
-        # no detector, and an activity that advances in batches.
-        self.fast_forwards &= detector is None and isinstance(
-            self._activity, BatchedActivity
-        )
+        # Batches of slots advance from peeked rows only with one channel
+        # and no detector.
+        self.fast_forwards &= detector is None
 
     def _set_states(self, states: np.ndarray) -> None:
         """Make ``states`` the PU activity and refresh what it feeds: the

@@ -31,6 +31,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.spectrum.pathloss import MIN_DISTANCE
 
 __all__ = ["q_function", "EnergyDetector"]
 
@@ -99,7 +100,7 @@ class EnergyDetector:
 
     def snr_at(self, pu_power: float, distance, alpha: float) -> np.ndarray:
         """Received SNR of a PU signal at the given distance(s)."""
-        distance = np.maximum(np.asarray(distance, dtype=float), 1e-6)
+        distance = np.maximum(np.asarray(distance, dtype=float), MIN_DISTANCE)
         return pu_power * distance ** (-alpha) / self.noise_power
 
     def miss_log_matrix(

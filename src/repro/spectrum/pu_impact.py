@@ -18,10 +18,9 @@ from typing import List
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.spectrum.pathloss import MIN_DISTANCE
 
 __all__ = ["PuImpactReport", "PuImpactProbe"]
-
-_MIN_DISTANCE = 1e-6
 
 
 @dataclass
@@ -114,7 +113,7 @@ class PuImpactProbe:
         for index in range(transmitters.shape[0]):
             receiver = receivers[index]
             signal_distance = max(
-                float(np.hypot(*(transmitters[index] - receiver))), _MIN_DISTANCE
+                float(np.hypot(*(transmitters[index] - receiver))), MIN_DISTANCE
             )
             signal = self.pu_power * signal_distance ** (-self.alpha)
 
@@ -123,7 +122,7 @@ class PuImpactProbe:
             pu_interference = 0.0
             if others.size:
                 distances = np.maximum(
-                    np.hypot(*(others - receiver).T), _MIN_DISTANCE
+                    np.hypot(*(others - receiver).T), MIN_DISTANCE
                 )
                 pu_interference = float(
                     (self.pu_power * distances ** (-self.alpha)).sum()
@@ -131,7 +130,7 @@ class PuImpactProbe:
             su_interference = 0.0
             if su_tx.size:
                 distances = np.maximum(
-                    np.hypot(*(su_tx - receiver).T), _MIN_DISTANCE
+                    np.hypot(*(su_tx - receiver).T), MIN_DISTANCE
                 )
                 su_interference = float(
                     (self.su_power * distances ** (-self.alpha)).sum()

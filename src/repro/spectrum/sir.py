@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.numeric import is_zero
 from repro.errors import ConfigurationError
-from repro.spectrum.pathloss import received_power
+from repro.spectrum.pathloss import MIN_DISTANCE, received_power
 
 __all__ = ["sir_at_receiver", "SirReport", "SirValidator"]
 
@@ -53,7 +53,7 @@ def sir_at_receiver(
             "interferer_powers length must match interferer_positions"
         )
     interference = float(
-        np.sum(powers * np.maximum(distances, 1e-6) ** (-alpha))
+        np.sum(powers * np.maximum(distances, MIN_DISTANCE) ** (-alpha))
     )
     # Zero-interference guard (underflowed aggregate power counts as none):
     # the paper's noise-free model then gives an infinite SIR.

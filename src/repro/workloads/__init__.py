@@ -1,10 +1,5 @@
-"""Workload generation: one-shot and periodic snapshots."""
+"""Workload generation: periodic snapshots (continuous collection)."""
 
-from repro.workloads.snapshot import snapshot_workload, partial_snapshot_workload
 from repro.workloads.periodic import periodic_snapshot_workload
 
-__all__ = [
-    "snapshot_workload",
-    "partial_snapshot_workload",
-    "periodic_snapshot_workload",
-]
+__all__ = ["periodic_snapshot_workload"]

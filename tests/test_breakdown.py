@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.collector import run_addc_collection
 from repro.errors import ConfigurationError
-from repro.metrics.breakdown import hop_latencies, node_activity, packet_journey
+from repro.metrics.breakdown import hop_latencies, packet_journey
 from repro.sim.trace import TraceKind, TraceLog
 
 
@@ -43,19 +45,18 @@ class TestPacketJourney:
 
 class TestNodeActivity:
     def test_counts_match_result(self, traced_run):
+        """The trace's per-node attempts, successes and collisions are the
+        result's."""
         trace, result = traced_run
-        activity = node_activity(trace)
+        counts = Counter((event.node, event.kind) for event in trace)
         for node, attempts in result.tx_attempts.items():
-            assert activity[node].tx_attempts == attempts
+            assert counts[node, TraceKind.TX_START] == attempts
         for node, successes in result.tx_successes.items():
-            assert activity[node].tx_successes == successes
-        total_collisions = sum(a.collisions for a in activity.values())
+            assert counts[node, TraceKind.TX_SUCCESS] == successes
+        total_collisions = sum(
+            n for (_, kind), n in counts.items() if kind is TraceKind.TX_COLLISION
+        )
         assert total_collisions == result.collisions
-
-    def test_loss_rate_bounds(self, traced_run):
-        trace, _ = traced_run
-        for record in node_activity(trace).values():
-            assert 0.0 <= record.loss_rate <= 1.0
 
 
 class TestHopLatencies:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.pcr import PcrParameters
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,6 +25,9 @@ class TestParser:
         args = build_parser().parse_args(["pcr"])
         assert args.alpha == 4.0
         assert args.zeta_bound == "paper"
+        defaults = PcrParameters()
+        for field in fields(PcrParameters):
+            assert getattr(args, field.name) == getattr(defaults, field.name)
 
     def test_fig6_subfigure_choices(self):
         args = build_parser().parse_args(["fig6", "c"])

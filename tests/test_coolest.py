@@ -7,47 +7,31 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.routing.coolest import CoolestPolicy, run_coolest_collection
-from repro.routing.temperature import (
-    mixed_node_weights,
-    node_temperatures,
-    node_temperatures_at_range,
-    path_accumulated_temperature,
-    path_highest_temperature,
-    path_mixed_temperature,
-)
+from repro.routing.temperature import mixed_node_weights, node_temperatures_at_range
 from repro.sim.packet import DATA, RREP, RREQ, Packet
+from repro.spectrum.opportunity import per_node_opportunity_probability
 from repro.spectrum.sensing import CarrierSenseMap
 
 
 class TestTemperatureMetrics:
     def test_path_metrics(self):
-        temps = [0.1, 0.5, 0.9]
-        path = [0, 1, 2]
-        assert path_accumulated_temperature(path, temps) == pytest.approx(1.5)
-        assert path_highest_temperature(path, temps) == pytest.approx(0.9)
-        assert path_mixed_temperature(path, temps) == pytest.approx(
-            0.1 * 1.1 + 0.5 * 1.5 + 0.9 * 1.9
-        )
+        # A path's mixed metric is the sum of its nodes' weights.
+        weights = mixed_node_weights([0.1, 0.5, 0.9])
+        assert sum(weights) == pytest.approx(0.1 * 1.1 + 0.5 * 1.5 + 0.9 * 1.9)
 
     def test_mixed_weights_superlinear(self):
         weights = mixed_node_weights([0.1, 0.9])
         # The hot node is penalized more than linearly.
         assert weights[1] / weights[0] > 0.9 / 0.1
 
-    def test_empty_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            path_accumulated_temperature([], [0.1])
-
-    def test_unknown_node_rejected(self):
-        with pytest.raises(ConfigurationError):
-            path_highest_temperature([5], [0.1])
-
     def test_temperatures_complement_opportunity(self, quick_topology):
         sense = CarrierSenseMap(quick_topology, 20.0)
-        temps = node_temperatures(sense, 0.3)
+        temps = node_temperatures_at_range(quick_topology, 0.3, 20.0)
         assert ((temps >= 0.0) & (temps < 1.0)).all()
+        opportunity = per_node_opportunity_probability(sense, 0.3)
         for node, pus in enumerate(sense.pus_heard_by):
             assert temps[node] == pytest.approx(1.0 - 0.7 ** len(pus))
+            assert temps[node] == pytest.approx(1.0 - opportunity[node])
 
     def test_temperatures_at_range_matches_counts(self, quick_topology):
         temps = node_temperatures_at_range(quick_topology, 0.3, 10.0)
@@ -105,12 +89,11 @@ class TestCoolestPolicy:
         packet.route_pos = 1
         assert policy.next_hop(route[1], packet) == route[2]
 
-    def test_bad_metric(self, quick_topology):
-        with pytest.raises(ConfigurationError):
-            CoolestPolicy(quick_topology, 0.3, metric="wrong")
-
     def test_no_fairness_wait(self, quick_topology):
         assert not CoolestPolicy(quick_topology, 0.3).fairness_wait
+
+    def test_describe(self, quick_topology):
+        assert CoolestPolicy(quick_topology, 0.3).describe() == "Coolest(mixed)"
 
     def test_avoids_hot_region(self):
         """With PUs clustered in the middle, coolest paths detour around

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry.region import DiskRegion, SquareRegion
+from repro.geometry.region import SquareRegion
 
 
 class TestSquareRegion:
@@ -49,34 +49,6 @@ class TestSquareRegion:
     def test_negative_count(self):
         with pytest.raises(GeometryError):
             SquareRegion(1.0).sample(-1, np.random.default_rng(0))
-
-
-class TestDiskRegion:
-    def test_area(self):
-        assert math.isclose(DiskRegion(radius=2.0).area, 4.0 * math.pi)
-
-    def test_sample_within_disk(self):
-        disk = DiskRegion(radius=5.0, center_x=10.0, center_y=-3.0)
-        points = disk.sample(500, np.random.default_rng(2))
-        distances = np.hypot(points[:, 0] - 10.0, points[:, 1] + 3.0)
-        assert (distances <= 5.0 + 1e-9).all()
-
-    def test_sampling_is_area_uniform(self):
-        # Inner half-radius disk holds a quarter of the area; the sample
-        # fraction should match.
-        disk = DiskRegion(radius=1.0)
-        points = disk.sample(20_000, np.random.default_rng(3))
-        inner = (np.hypot(points[:, 0], points[:, 1]) <= 0.5).mean()
-        assert abs(inner - 0.25) < 0.02
-
-    def test_contains(self):
-        disk = DiskRegion(radius=1.0)
-        assert disk.contains(np.array([1.0, 0.0]))
-        assert not disk.contains(np.array([1.01, 0.0]))
-
-    def test_invalid_radius(self):
-        with pytest.raises(GeometryError):
-            DiskRegion(radius=0.0)
 
 
 @settings(max_examples=25)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pcr import PcrParameters, compute_pcr
 from repro.errors import PcrDomainError
-from repro.routing.coolest import run_coolest_collection
 
 
 class TestPcrDomainFuzz:
@@ -78,24 +77,6 @@ class TestPcrDomainFuzz:
         exact = compute_pcr(PcrParameters(zeta_bound="exact", **base)).pcr
         safe = compute_pcr(PcrParameters(zeta_bound="safe", **base)).pcr
         assert paper < exact < safe
-
-
-class TestCoolestCsmaRange:
-    def test_pcr_csma_baseline_is_collision_light(self, quick_topology, streams):
-        """Giving Coolest the PCR for SU sensing (the pure-routing
-        comparison) removes nearly all its hidden-terminal losses."""
-        r_csma = run_coolest_collection(
-            quick_topology, streams.spawn("cr-r"), blocking="homogeneous"
-        )
-        pcr_csma = run_coolest_collection(
-            quick_topology,
-            streams.spawn("cr-pcr"),
-            blocking="homogeneous",
-            csma_range=r_csma.pcr.pcr,
-        )
-        assert pcr_csma.result.completed
-        assert pcr_csma.result.collisions <= r_csma.result.collisions
-        assert pcr_csma.sense_map.su_csma_range == pytest.approx(r_csma.pcr.pcr)
 
 
 class TestUnicastSameSource:

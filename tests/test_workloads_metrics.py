@@ -1,41 +1,48 @@
-"""Tests for workload generation and cross-run metric aggregation."""
+"""Tests for the snapshot workload and cross-run metric aggregation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError
 from repro.metrics.aggregate import (
     relative_delay_reduction_percent,
     summarize_delays,
 )
-from repro.workloads.snapshot import partial_snapshot_workload, snapshot_workload
+from tests.test_engine import make_engine
+
+
+def _queued_packets(engine, topology):
+    return [
+        packet
+        for node in topology.secondary.su_ids()
+        for packet in engine._queues[node]
+    ]
 
 
 class TestSnapshotWorkload:
-    def test_one_packet_per_su(self, quick_topology):
-        packets = snapshot_workload(quick_topology.secondary)
+    """Section III's task as :meth:`SlottedEngine.load_snapshot` loads it."""
+
+    def test_one_packet_per_su(self, quick_topology, streams):
+        engine, _, _ = make_engine(quick_topology, streams.spawn("snapshot-1"))
+        engine.load_snapshot()
+        packets = _queued_packets(engine, quick_topology)
         assert len(packets) == quick_topology.secondary.num_sus
         assert sorted(p.source for p in packets) == list(
             quick_topology.secondary.su_ids()
         )
         assert len({p.packet_id for p in packets}) == len(packets)
 
-    def test_multiple_packets(self, quick_topology):
-        packets = snapshot_workload(quick_topology.secondary, packets_per_su=3)
+    def test_multiple_packets(self, quick_topology, streams):
+        engine, _, _ = make_engine(quick_topology, streams.spawn("snapshot-3"))
+        engine.load_snapshot(packets_per_su=3)
+        packets = _queued_packets(engine, quick_topology)
         assert len(packets) == 3 * quick_topology.secondary.num_sus
 
-    def test_invalid_count(self, quick_topology):
-        with pytest.raises(WorkloadError):
-            snapshot_workload(quick_topology.secondary, packets_per_su=0)
-
-    def test_partial_sources(self, quick_topology):
-        packets = partial_snapshot_workload(quick_topology.secondary, [1, 5, 9])
-        assert [p.source for p in packets] == [1, 5, 9]
-
-    def test_partial_rejects_base_station(self, quick_topology):
-        with pytest.raises(WorkloadError):
-            partial_snapshot_workload(quick_topology.secondary, [0])
+    def test_invalid_count(self, quick_topology, streams):
+        engine, _, _ = make_engine(quick_topology, streams.spawn("snapshot-0"))
+        with pytest.raises(ConfigurationError):
+            engine.load_snapshot(packets_per_su=0)
 
 
 class TestAggregation:
